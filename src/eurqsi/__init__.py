@@ -30,9 +30,7 @@ from .states import (
 )
 from .recovery import (
     CpMap,
-    Quadrature,
     apply_map,
-    default_quadrature,
     eur_recovery_map,
     measurement_channel,
     petz_map,
@@ -64,9 +62,8 @@ __all__ = [
     "CqState", "DensityOperator", "InvalidStateError", "Pvm",
     "incompatibility_c", "isometric_extension", "measure", "pauli_pvm",
     "pinch", "purify", "random_pvm", "random_state", "theta_state",
-    "CpMap", "Quadrature", "apply_map", "default_quadrature",
-    "eur_recovery_map", "measurement_channel", "petz_map",
-    "rotated_petz_map", "verify_cptp",
+    "CpMap", "apply_map", "eur_recovery_map", "measurement_channel",
+    "petz_map", "rotated_petz_map", "verify_cptp",
     "EurReport", "FuzzSummary", "check_bipartite", "check_tripartite", "fuzz",
     "build_example", "run_examples",
     "Circuit", "ExperimentResult", "Gate", "Measure", "NoiseSpec",

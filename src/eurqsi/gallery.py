@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import op_norm, tensor, trace_distance
-from .recovery import CpMap, Quadrature, apply_map, choi_from_kraus, eur_recovery_map
+from .recovery import CpMap, apply_map, choi_from_kraus, eur_recovery_map
 from .relations import check_bipartite
 from .states import (
     DensityOperator,
@@ -31,11 +31,10 @@ from .states import (
 
 CASE_IDS = ("x_eigen", "z_eigen", "max_entangled", "max_uncertainty")
 
-# tolerance classes: eigenvalue-exact scalars vs quadrature-limited ones
+# tolerance classes: eigenvalue-exact scalars and maps, the incompatibility
+# constant, and the pair of derived maps that must coincide
 TOL_ENTROPY = 1e-9
 TOL_C = 1e-12
-TOL_F = 1e-6
-TOL_RECOVERY = 1e-7
 TOL_MAP_PAIR = 1e-8
 
 
@@ -193,9 +192,7 @@ class GalleryCheck:
         }
 
 
-def run_all(
-    quad: Quadrature | None = None, tolerance_override: float | None = None
-) -> list[GalleryCheck]:
+def run_all(tolerance_override: float | None = None) -> list[GalleryCheck]:
     """Replay every case through the generic pipeline and compare.
 
     Returns one row per residual; ``tolerance_override`` replaces every
@@ -211,23 +208,23 @@ def run_all(
     derived_chois = {}
     for case_id in CASE_IDS:
         case = build(case_id)
-        report = check_bipartite(case.rho_ab, case.x_pvm, case.z_pvm, quad)
+        report = check_bipartite(case.rho_ab, case.x_pvm, case.z_pvm)
         got = report.to_dict()
         for key in ("H_AB", "H_XB", "H_ZB", "lhs", "rhs_original"):
             add(case_id, key, abs(got[key] - case.expected[key]), TOL_ENTROPY)
         add(case_id, "c", abs(got["c"] - case.expected["c"]), TOL_C)
-        add(case_id, "f", abs(got["f"] - case.expected["f"]), TOL_F)
+        add(case_id, "f", abs(got["f"] - case.expected["f"]), TOL_ENTROPY)
         add(case_id, "rhs_refined",
-            abs(got["rhs_refined"] - case.expected["rhs_refined"]), TOL_F)
+            abs(got["rhs_refined"] - case.expected["rhs_refined"]), TOL_ENTROPY)
 
-        rec = eur_recovery_map(case.rho_ab, case.x_pvm, case.z_pvm, quad)
+        rec = eur_recovery_map(case.rho_ab, case.x_pvm, case.z_pvm)
         derived_chois[case_id] = rec.choi
         add(case_id, "choi_vs_closed_form",
-            op_norm(rec.choi - case.reference_recovery.choi), TOL_RECOVERY)
+            op_norm(rec.choi - case.reference_recovery.choi), TOL_ENTROPY)
         for i, (inp, expected_out) in enumerate(case.expected_recovery_outputs):
             out = apply_map(rec, inp)
             add(case_id, f"recovery_output_{i}",
-                trace_distance(out.matrix, expected_out.matrix), TOL_RECOVERY)
+                trace_distance(out.matrix, expected_out.matrix), TOL_ENTROPY)
 
     add("max_uncertainty", "same_map_as_x_eigen",
         op_norm(derived_chois["max_uncertainty"] - derived_chois["x_eigen"]),

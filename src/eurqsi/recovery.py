@@ -7,14 +7,15 @@ convention a map that preserves trace on a subspace with projector ``P``
 satisfies ``Tr_out(choi) = P.T``.
 
 The rotated Petz construction averages unitary rotations by imaginary
-operator powers against the density ``p(t) = (pi/2) / (cosh(pi t) + 1)``,
-discretized by a fixed composite Gauss-Legendre rule.
+operator powers against the density ``p(t) = (pi/2) / (cosh(pi t) + 1)``.
+Its characteristic function is ``E[exp(i w t)] = w / sinh(w)``, so the
+average is computed exactly in the eigenbases of the reference state and
+its image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,75 +25,10 @@ from .states import (
     DensityOperator,
     InvalidStateError,
     Pvm,
-    _sandwich_vector,
-    ket_bra,
+    pinch,
 )
 
 CHOI_TOL = 1e-8
-
-
-class QuadratureError(ValueError):
-    """The quadrature rule violates its normalization invariant."""
-
-
-def p_density(t) -> np.ndarray:
-    """Rotation density (pi/2) / (cosh(pi t) + 1); integrates to one."""
-    t = np.asarray(t, dtype=float)
-    return (np.pi / 2.0) / (np.cosh(np.pi * t) + 1.0)
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """Nodes and p(t)-folded weights for the rotation integral."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise QuadratureError("nodes and weights must be equal-length vectors")
-        if np.any(weights < 0):
-            raise QuadratureError("quadrature weights must be positive")
-
-    @property
-    def normalization_defect(self) -> float:
-        return abs(float(self.weights.sum()) - 1.0)
-
-    def validate(self, tol: float = 1e-10) -> None:
-        if self.normalization_defect > tol:
-            raise QuadratureError(
-                f"quadrature weights sum to 1 {self.normalization_defect:+.3e}; "
-                "the p(t) integral is not resolved"
-            )
-
-    @classmethod
-    def gauss_legendre(
-        cls, t_max: float = 12.0, panels: int = 64, order: int = 8
-    ) -> "Quadrature":
-        """Composite Gauss-Legendre rule on [-t_max, t_max], p(t) folded in.
-
-        The default resolves the integral to ~1e-15; the tail mass beyond
-        |t| = 12 is below 1e-15 because p decays like exp(-pi |t|).
-        """
-        x, w = np.polynomial.legendre.leggauss(order)
-        edges = np.linspace(-t_max, t_max, panels + 1)
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            nodes.append(mid + half * x)
-            weights.append(half * w)
-        nodes = np.concatenate(nodes)
-        weights = np.concatenate(weights) * p_density(nodes)
-        return cls(nodes, weights)
-
-
-@lru_cache(maxsize=1)
-def default_quadrature() -> Quadrature:
-    return Quadrature.gauss_legendre()
 
 
 @dataclass(frozen=True)
@@ -101,7 +37,7 @@ class CpMap:
 
     ``support`` is the projector on the input space where the map is
     trace-preserving (identity when None).  Kraus operators are optional;
-    quadrature-built maps keep only the Choi matrix.
+    rotated Petz maps keep only the Choi matrix.
     """
 
     choi: np.ndarray
@@ -295,53 +231,55 @@ def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     )
 
 
-def _powers_of(matrix: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Stack of support pseudo-powers ``matrix**e`` over an exponent vector."""
-    eig = herm_eig(matrix)
+def _support_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above the relative support cutoff and their eigenvectors."""
+    eig = herm_eig(m)
     top = float(eig.eigenvalues.max(initial=0.0))
     mask = eig.eigenvalues > EPS_SUPP * max(top, 0.0)
-    lam = eig.eigenvalues[mask].astype(complex)
-    v = eig.eigenvectors[:, mask]
-    lam_pow = lam[None, :] ** exponents[:, None]
-    return np.einsum("bk,tk,ck->tbc", v, lam_pow, v.conj())
+    return eig.eigenvalues[mask], eig.eigenvectors[:, mask]
 
 
-def rotated_petz_map(
-    sigma: np.ndarray,
-    channel: CpMap,
-    quad: Quadrature | None = None,
-    validate_quadrature: bool = True,
-) -> CpMap:
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """``x / sinh(x)`` with the removable singularity at 0 filled by 1."""
+    with np.errstate(invalid="ignore"):
+        return np.where(x == 0.0, 1.0, x / np.sinh(x))
+
+
+def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     """Rotated Petz recovery: Petz conjugated by imaginary powers, averaged
     over p(t).
 
-    Per quadrature node the Kraus set is
-    ``sigma^{(1-it)/2} K^dag N(sigma)^{(-1+it)/2}``; weights carry p(t).
+    At rotation t the Kraus set is
+    ``sigma^{(1-it)/2} K^dag N(sigma)^{(-1+it)/2}``.  In the eigenbases of
+    sigma (eigenvalues l_a, vectors V) and N(sigma) (m_c, W), restricted to
+    their supports, the Kraus operators have entries
+    ``C_k[a, c] exp(-i t phi_ac)`` with ``C_k[a, c] = sqrt(l_a / m_c)
+    <a|K_k^dag|c>`` and ``phi_ac = (ln l_a - ln m_c) / 2``.  The p(t)
+    average turns the phase products into ``sinhc(phi_ac - phi_a'c')``, so
+    the Choi matrix is ``U (Gram(C) o sinhc) U^dag`` with
+    ``U = conj(W) (x) V``.
     """
-    quad = quad if quad is not None else default_quadrature()
-    if validate_quadrature:
-        quad.validate(tol=1e-8)
     sigma = as_matrix(sigma)
     if sigma.shape != (channel.in_dim, channel.in_dim):
         raise ValueError("sigma dimension incompatible with channel input")
     if channel.kraus is None:
         raise ValueError("rotated_petz_map needs a channel with Kraus operators")
-    n_sigma = channel.apply_matrix(sigma)
-    t = quad.nodes
-    s_pow = _powers_of(sigma, (1.0 - 1j * t) / 2.0)           # (nt, din, din)
-    n_pow = _powers_of(n_sigma, (-1.0 + 1j * t) / 2.0)        # (nt, dout, dout)
+    lam, v = _support_eig(sigma)
+    mu, w = _support_eig(channel.apply_matrix(sigma))
     k_dag = np.stack([dagger(k) for k in channel.kraus])      # (nk, din, dout)
-    a = np.einsum("tab,kbc,tcd->tkad", s_pow, k_dag, n_pow)
-    # vec with input index slow: V[(t,k), i*dout + o] = A[t,k,o,i]
-    nt, nk = a.shape[0], a.shape[1]
-    v = a.transpose(0, 1, 3, 2).reshape(nt * nk, channel.in_dim * channel.out_dim)
-    v = v * np.sqrt(np.repeat(quad.weights, nk))[:, None]
-    choi = v.T @ v.conj()
+    # vec index of a recovery Kraus operator: input c slow, output a fast
+    coef = np.einsum("ia,kij,jc->kca", v.conj(), k_dag, w)
+    coef = coef * np.sqrt(lam[None, None, :] / mu[None, :, None])
+    phi = 0.5 * (np.log(lam)[None, :] - np.log(mu)[:, None])  # (c, a)
+    coef = coef.reshape(len(channel.kraus), -1)
+    phi = phi.ravel()
+    kernel = (coef.T @ coef.conj()) * _sinhc(phi[:, None] - phi[None, :])
+    u = np.kron(w.conj(), v)
     return CpMap(
-        choi=choi,
+        choi=u @ kernel @ dagger(u),
         in_dims=channel.out_dims,
         out_dims=channel.in_dims,
-        support=herm_eig(n_sigma).support_projector(),
+        support=w @ dagger(w),
         in_labels=channel.out_labels,
         out_labels=channel.in_labels,
     )
@@ -351,90 +289,40 @@ def eur_recovery_map(
     rho_ab: DensityOperator,
     x_pvm: Pvm,
     z_pvm: Pvm,
-    quad: Quadrature | None = None,
     measured: str = "A",
     register_label: str = "X",
-    validate_quadrature: bool = True,
 ) -> CpMap:
     """Explicit recovery channel undoing an X measurement given a prior
     rank-one Z measurement.
 
     Acts on the (register, rest) space and restores the measured subsystem
-    in front of the rest.  Built on the support of the doubly measured
-    state; the orthogonal complement is routed to the Z-pinched state by a
-    completion branch so the channel is trace-preserving everywhere.
+    in front of the rest.  On the support of the doubly measured state it
+    is the rotated Petz recovery of the X measurement relative to the
+    Z-pinched state; a completion branch routes the orthogonal complement
+    to the pinched state, so the channel is trace-preserving everywhere.
     """
     if not z_pvm.is_rank_one():
         raise InvalidStateError("eur_recovery_map needs a rank-one Z measurement")
-    quad = quad if quad is not None else default_quadrature()
-    if validate_quadrature:
-        quad.validate(tol=1e-8)
-    pos = rho_ab.label_index(measured)
-    d_a = rho_ab.dims[pos]
+    d_a = rho_ab.dims[rho_ab.label_index(measured)]
     if x_pvm.dim != d_a or z_pvm.dim != d_a:
         raise InvalidStateError("PVM dimension mismatch with measured subsystem")
-    rest = [i for i in range(len(rho_ab.dims)) if i != pos]
-    b_dims = tuple(rho_ab.dims[i] for i in rest)
-    b_labels = tuple(rho_ab.labels[i] for i in rest)
-    d_b = int(np.prod(b_dims, initial=1))
-    n_x = len(x_pvm)
-
-    zvecs = z_pvm.basis_vectors()
-    zmat = np.stack(zvecs)                                   # (nz, dA), rows |z>
-    z_p_m = np.stack([zmat.conj() @ p for p in x_pvm.projectors])  # (nx, nz, dA)
-
-    omegas = [_sandwich_vector(rho_ab.matrix, rho_ab.dims, pos, z) for z in zvecs]
-    thetas = []
-    for x in range(n_x):
-        w = np.real(np.einsum("zm,zm->z", z_p_m[x], zmat))    # <z|P_x|z>
-        thetas.append(sum(wz * om for wz, om in zip(w, omegas)))
-
-    t = quad.nodes
-    om_pow = np.stack([_powers_of(om, (1.0 - 1j * t) / 2.0) for om in omegas])
-    # axes: (z, t, b, b')
-
-    d_in = n_x * d_b
-    d_out = d_a * d_b
-    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    sqrt_w = np.sqrt(quad.weights)
-    support_blocks = []
-    for x in range(n_x):
-        if float(np.trace(thetas[x]).real) <= EPS_SUPP:
-            # zero-probability branch: excluded from the map's support
-            support_blocks.append(np.zeros((d_b, d_b), dtype=complex))
-            continue
-        th_pow = _powers_of(thetas[x], (-1.0 + 1j * t) / 2.0)  # (t, b, b')
-        m = np.einsum("ztbc,tcd->ztbd", om_pow, th_pow)        # (z, t, b, b')
-        # G[t, m, a, b_out, b_in] = sum_z <a|z> <z|P_x|m> M[z, t, b_out, b_in]
-        g = np.einsum("za,zm,ztbc->tmabc", zmat, z_p_m[x], m)
-        g = g * sqrt_w[:, None, None, None, None]
-        # vec index order within the x block: (b_in, a, b_out)
-        v = g.transpose(0, 1, 4, 2, 3).reshape(len(t) * d_a, d_b * d_a * d_b)
-        block = v.T @ v.conj()
-        off = x * d_b * d_out
-        size = d_b * d_out
-        choi[off:off + size, off:off + size] += block
-        support_blocks.append(herm_eig(thetas[x]).support_projector())
-
-    # completion: route the complement of supp(theta_XB) to the pinched state
-    support = np.zeros((d_in, d_in), dtype=complex)
-    for x, blk in enumerate(support_blocks):
-        support[x * d_b:(x + 1) * d_b, x * d_b:(x + 1) * d_b] = blk
-    complement = np.eye(d_in, dtype=complex) - support
-    if float(np.abs(complement).max()) > EPS_SUPP:
-        tau = np.zeros((d_out, d_out), dtype=complex)
-        for z, om in zip(zvecs, omegas):
-            tau += np.kron(ket_bra(z), om)
-        tau = tau / float(np.trace(tau).real)
-        choi += np.kron(complement.T, tau)
-
+    rest_labels = [s for s in rho_ab.labels if s != measured]
+    rho_ord = rho_ab.permute([measured] + rest_labels)
+    tau = pinch(rho_ord, z_pvm, measured).matrix
+    chan = tensor_with_identity(
+        measurement_channel(x_pvm, measured, register_label),
+        rho_ord.dims[1:], rest_labels,
+    )
+    rec = rotated_petz_map(tau, chan)
+    eye = np.eye(rec.in_dim, dtype=complex)
+    completion = np.kron((eye - rec.support).T, tau / float(np.trace(tau).real))
     return CpMap(
-        choi=choi,
-        in_dims=(n_x,) + b_dims,
-        out_dims=(d_a,) + b_dims,
-        support=np.eye(d_in, dtype=complex),
-        in_labels=(register_label,) + b_labels,
-        out_labels=(measured,) + b_labels,
+        choi=rec.choi + completion,
+        in_dims=rec.in_dims,
+        out_dims=rec.out_dims,
+        support=eye,
+        in_labels=rec.in_labels,
+        out_labels=rec.out_labels,
     )
 
 

@@ -3,9 +3,9 @@
 Each check measures one state against the X and Z measurements, evaluates
 the incompatibility constant, builds the recovery channel, and returns an
 :class:`EurReport` holding every scalar of the original and refined
-inequalities.  Entropy terms are eigenvalue-exact (1e-9); the measurement
-reversibility term inherits quadrature error (1e-6); the report carries
-both tolerances.
+inequalities.  Entropy terms are eigenvalue-exact (1e-9); the refined
+inequality counts as violated only when its slack is below -1e-6; the
+report carries both tolerances.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import numpy as np
 from .entropy import conditional
 from .linalg import fidelity
 from .recovery import (
-    Quadrature,
     apply_map,
-    eur_recovery_map,
     measurement_channel,
     rotated_petz_map,
     tensor_with_identity,
@@ -118,25 +116,22 @@ def _reversibility(
     x_pvm: Pvm,
     z_pvm: Pvm,
     sigma_xb: DensityOperator,
-    quad: Quadrature | None,
     measured: str,
 ) -> float:
-    """f = F(rho_AB, R(sigma_XB)) with the recovery channel R.
+    """f = F(rho_AB, R(sigma_XB)) with R the rotated Petz recovery of the X
+    measurement relative to the Z-pinched state.
 
-    Rank-one Z uses the explicit reversal form; otherwise the generic
-    rotated Petz recovery of the Z-pinched state is built directly.
+    No completion is needed: the pinching inequality puts supp(sigma_XB)
+    inside the support of the doubly measured state, where R is defined.
     """
     rest_labels = [s for s in rho_ab.labels if s != measured]
     # the recovery channel emits the measured subsystem first
     rho_ord = rho_ab.permute([measured] + rest_labels)
-    if z_pvm.is_rank_one():
-        rec = eur_recovery_map(rho_ab, x_pvm, z_pvm, quad, measured=measured)
-    else:
-        chan = tensor_with_identity(
-            measurement_channel(x_pvm, measured, "X"),
-            rho_ord.dims[1:], rest_labels,
-        )
-        rec = rotated_petz_map(pinch(rho_ord, z_pvm, measured).matrix, chan, quad)
+    chan = tensor_with_identity(
+        measurement_channel(x_pvm, measured, "X"),
+        rho_ord.dims[1:], rest_labels,
+    )
+    rec = rotated_petz_map(pinch(rho_ord, z_pvm, measured).matrix, chan)
     recovered = apply_map(rec, sigma_xb)
     return fidelity(rho_ord.matrix, recovered.matrix)
 
@@ -145,7 +140,6 @@ def check_bipartite(
     rho_ab: DensityOperator,
     x_pvm: Pvm,
     z_pvm: Pvm,
-    quad: Quadrature | None = None,
     measured: str = "A",
 ) -> EurReport:
     """Audit the bipartite relation and its reversibility refinement.
@@ -170,7 +164,7 @@ def check_bipartite(
     h_ze = conditional(omega_zbe.reduce(["Z", "_E"]), ["_E"])
 
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(rho_ab, x_pvm, z_pvm, sigma, quad, measured)
+    f = _reversibility(rho_ab, x_pvm, z_pvm, sigma, measured)
     lhs = h_zb + h_xb
     rhs_original = -np.log2(c) + h_ab
     rhs_refined = -np.log2(c) - np.log2(f) + h_ab
@@ -186,7 +180,6 @@ def check_tripartite(
     rho_abe: DensityOperator,
     x_pvm: Pvm,
     z_pvm: Pvm,
-    quad: Quadrature | None = None,
     a_label: str = "A",
     b_label: str = "B",
     purify_if_mixed: bool = False,
@@ -218,7 +211,7 @@ def check_tripartite(
 
     c = incompatibility_c(x_pvm, z_pvm)
     sigma_xb = sigma.reduce(["X", b_label])
-    f = _reversibility(rho_ab, x_pvm, z_pvm, sigma_xb, quad, a_label)
+    f = _reversibility(rho_ab, x_pvm, z_pvm, sigma_xb, a_label)
     lhs = h_ze + h_xb
     rhs_original = -np.log2(c)
     rhs_refined = -np.log2(c) - np.log2(f)
@@ -270,7 +263,6 @@ def fuzz(
     dims,
     seed: int,
     pvm_mode: str | None = None,
-    quad: Quadrature | None = None,
 ) -> FuzzSummary:
     """Stress the chosen relation on random states and measurements.
 
@@ -308,10 +300,10 @@ def fuzz(
             x_pvm = random_pvm(d_a, [seed, trial, 1])
             z_pvm = random_pvm(d_a, [seed, trial, 2])
         if relation_id.startswith("bipartite"):
-            report = check_bipartite(rho, x_pvm, z_pvm, quad)
+            report = check_bipartite(rho, x_pvm, z_pvm)
         else:
             rho_abe = purify(rho, "E")
-            report = check_tripartite(rho_abe, x_pvm, z_pvm, quad)
+            report = check_tripartite(rho_abe, x_pvm, z_pvm)
         slack = _slack_of(report, relation_id)
         max_gap = max(max_gap, report.slack_refined - report.slack_original)
         if slack < min_slack:

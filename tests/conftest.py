@@ -2,7 +2,9 @@
 
 These deliberately avoid the library code paths they are used to check:
 the partial trace runs explicit index loops, the fidelity oracle goes
-through scipy matrix square roots, and matrix powers are taken on scalars.
+through scipy matrix square roots, matrix powers are taken on scalars, and
+the rotated Petz average over p(t) is done by numerical quadrature instead
+of the library's closed form.
 """
 
 import numpy as np
@@ -67,3 +69,39 @@ def pinched_state_oracle(rho_ab, zvecs):
         block = bra @ rho_ab @ dagger(bra)
         out += np.kron(np.outer(z, np.conjugate(z)), block)
     return out
+
+
+def _support_power(m, z, eps=1e-10):
+    """m**z on the eigenvalues above the relative cutoff ``eps``; 0 elsewhere."""
+    vals, vecs = np.linalg.eigh(m)
+    mask = vals > eps * max(vals.max(), 0.0)
+    v = vecs[:, mask]
+    return (v * vals[mask].astype(complex) ** z) @ dagger(v)
+
+
+def rotated_petz_choi_oracle(sigma, kraus, t_max=12.0, panels=64, order=8):
+    """Choi matrix of the rotated Petz recovery by numerical quadrature.
+
+    The recovery of the channel with Kraus operators ``kraus`` relative to
+    ``sigma`` has, at rotation t, the Kraus operators
+    ``sigma^{(1-it)/2} K^dag N(sigma)^{(-1+it)/2}``.  They are averaged
+    against p(t) = (pi/2)/(cosh(pi t) + 1) by composite Gauss-Legendre
+    quadrature on [-t_max, t_max]; the defaults resolve the integral to
+    ~1e-15, since p decays like exp(-pi |t|).  Choi convention: input index
+    slow, ``choi = sum_ij E_ij (x) map(E_ij)``.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-t_max, t_max, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel() * (np.pi / 2) / (np.cosh(np.pi * nodes) + 1)
+    n_sigma = sum(k @ sigma @ dagger(k) for k in kraus)
+    dim = sigma.shape[0] * n_sigma.shape[0]
+    choi = np.zeros((dim, dim), dtype=complex)
+    for t, wt in zip(nodes, weights):
+        s_pow = _support_power(sigma, (1 - 1j * t) / 2)
+        n_pow = _support_power(n_sigma, (-1 + 1j * t) / 2)
+        for k in kraus:
+            vec = (s_pow @ dagger(k) @ n_pow).ravel(order="F")
+            choi += wt * np.outer(vec, vec.conj())
+    return choi

@@ -6,16 +6,12 @@ from eurqsi.entropy import relative
 from eurqsi.linalg import fidelity, herm_eig, op_norm, tensor, trace_distance
 from eurqsi.recovery import (
     CpMap,
-    Quadrature,
-    QuadratureError,
     apply_map,
     choi_from_kraus,
-    default_quadrature,
     eur_recovery_map,
     identity_channel,
     kraus_from_choi,
     measurement_channel,
-    p_density,
     petz_map,
     rotated_petz_map,
     tensor_with_identity,
@@ -39,30 +35,7 @@ from eurqsi.states import (
     theta_state,
 )
 
-from conftest import dagger, pinched_state_oracle
-
-
-class TestQuadrature:
-    def test_density_normalization(self):
-        # integral of p(t) over the real line is exactly tanh(pi t / 2)/...= 1
-        t = np.linspace(-30, 30, 200001)
-        riemann = np.trapezoid(p_density(t), t)
-        assert abs(riemann - 1.0) < 1e-8
-
-    def test_default_rule_resolves_the_integral(self):
-        quad = default_quadrature()
-        assert len(quad.nodes) == 64 * 8
-        assert quad.normalization_defect < 1e-10
-
-    def test_truncated_rule_fails_validation(self):
-        bad = Quadrature.gauss_legendre(t_max=12.0, panels=1, order=3)
-        assert bad.normalization_defect > 1e-2
-        with pytest.raises(QuadratureError):
-            bad.validate()
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(QuadratureError):
-            Quadrature(np.array([0.0]), np.array([-1.0]))
+from conftest import dagger, pinched_state_oracle, rotated_petz_choi_oracle
 
 
 class TestCpMap:
@@ -147,12 +120,34 @@ class TestRotatedPetz:
         f = fidelity(rho.matrix, rec.apply_matrix(sigma.matrix))
         assert abs(-np.log2(f) - 1.0) < 1e-6
 
-    def test_rejects_bad_quadrature(self):
-        sig = random_state(2, 2, 0).matrix
-        chan = measurement_channel(pauli_pvm("X"))
-        bad = Quadrature.gauss_legendre(panels=1, order=3)
-        with pytest.raises(QuadratureError):
-            rotated_petz_map(sig, chan, bad)
+    def test_matches_quadrature_oracle(self):
+        xp2, xp3 = pauli_pvm("X"), random_pvm(3, 81)
+        rank_def_b = random_multipartite_state((3, 3), 2, 84, ("A", "B"))
+        cases = [
+            # (sigma, channel): 2x2, 3x2 and 3x3 X-after-Z pinched states
+            (random_state(2, 2, 80).matrix, measurement_channel(xp2)),
+            *[
+                (pinch(random_multipartite_state((3, d_b), 3 * d_b, 82 + d_b, ("A", "B")),
+                       random_pvm(3, 83), "A").matrix,
+                 tensor_with_identity(measurement_channel(xp3), (d_b,), ("B",)))
+                for d_b in (2, 3)
+            ],
+            # eigenvalues on both sides of the support cutoff, in sigma and
+            # in N(sigma)
+            (np.kron(np.diag([0.55, 0.45]), np.diag([1.0 - 3.05e-10, 3e-10, 5e-12])),
+             tensor_with_identity(measurement_channel(xp2), (3,), ("B",))),
+            # near-pure
+            (np.diag([1.0 - 1e-9, 1e-9]).astype(complex), measurement_channel(xp2)),
+            # B of rank 2 in dimension 3
+            (pinch(rank_def_b, random_pvm(3, 86), "A").matrix,
+             tensor_with_identity(measurement_channel(xp3), (3,), ("B",))),
+            # unnormalized
+            (2.5 * random_state(3, 3, 87).matrix, measurement_channel(xp3)),
+        ]
+        for sigma, chan in cases:
+            got = rotated_petz_map(sigma, chan).choi
+            want = rotated_petz_choi_oracle(sigma, chan.kraus)
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestEurRecoveryMap:
@@ -306,16 +301,12 @@ class TestVerifyCptp:
         report = verify_cptp(rec, support=np.eye(4))
         assert report.ok and report.kraus_completeness_defect < 1e-12
 
-    def test_truncated_quadrature_reported(self):
-        rho = random_multipartite_state((2, 2), 4, 17, ("A", "B"))
-        bad = Quadrature.gauss_legendre(t_max=12.0, panels=1, order=3)
-        rec = eur_recovery_map(
-            rho, pauli_pvm("X"), pauli_pvm("Z"), quad=bad,
-            validate_quadrature=False,
-        )
-        report = verify_cptp(rec)
-        assert not report.tp_ok
-        assert report.trace_preservation_defect > 1e-2
+    def test_trace_increasing_map_reported(self):
+        eye = np.eye(2, dtype=complex)
+        doubled = CpMap(choi=2 * choi_from_kraus([eye]), in_dims=(2,), out_dims=(2,))
+        report = verify_cptp(doubled)
+        assert report.cp_ok and not report.tp_ok
+        assert abs(report.trace_preservation_defect - 1.0) < 1e-12
 
 
 class TestRefinedMonotonicity:
