@@ -117,6 +117,47 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     return reduced.reshape(kept_dim, kept_dim)
 
 
+def apply_local(m: np.ndarray, dims, kraus, positions) -> np.ndarray:
+    """Apply ``m -> sum_k K_k m K_k^dag`` to the subsystems ``positions``.
+
+    Each Kraus operator acts on the tensor product of the listed subsystems
+    in the order listed (any order, not necessarily contiguous); every
+    subsystem keeps its place.  The operators must be square, except with a
+    single position: a ``(d_out, d_in)`` operator then changes that
+    subsystem's dimension to ``d_out``, and ``d_out = 1`` contracts it away
+    as ``<v| . |v>``.
+    """
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("apply_local needs a square matrix")
+    dims = _subsystem_axes(dims, m.shape[0])
+    n = len(dims)
+    positions = [int(p) for p in positions]
+    if len(set(positions)) != len(positions) or any(p < 0 or p >= n for p in positions):
+        raise ValueError(f"positions {positions} repeat or fall outside {n} subsystems")
+    ks = np.asarray(kraus, dtype=complex)
+    d_in = int(np.prod([dims[p] for p in positions], initial=1))
+    if ks.ndim != 3 or ks.shape[2] != d_in or (len(positions) != 1 and ks.shape[1] != d_in):
+        raise ValueError(f"Kraus shape {ks.shape[1:]} does not fit positions {positions}")
+    d_out = ks.shape[1]
+    rest = [i for i in range(n) if i not in positions]
+    rest_dim = m.shape[0] // d_in
+    # Rows ordered (positions, rest) and columns (rest, positions), so that
+    # both Kraus actions are plain batched matmuls on a contiguous axis.
+    axes = positions + rest + [n + i for i in rest] + [n + i for i in positions]
+    t = m.reshape(dims + dims).transpose(axes).reshape(d_in, rest_dim * rest_dim * d_in)
+    t = (ks @ t).reshape(len(ks), d_out * rest_dim * rest_dim, d_in)
+    t = (t @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+    out_dims = list(dims)
+    if len(positions) == 1:
+        out_dims[positions[0]] = d_out
+    pos_dims = [out_dims[p] for p in positions]
+    rest_dims = [dims[i] for i in rest]
+    t = t.reshape(pos_dims + rest_dims + rest_dims + pos_dims)
+    d = d_out * rest_dim
+    return t.transpose(np.argsort(axes)).reshape(d, d)
+
+
 def mat_power_on_support(m: np.ndarray, z: complex, eps: float = EPS_SUPP) -> np.ndarray:
     """Pseudo-power ``m**z`` of a PSD matrix, restricted to its support.
 

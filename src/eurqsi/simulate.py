@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, dagger
-from .recovery import CpMap, choi_from_kraus
+from .linalg import apply_local
+from .recovery import CpMap, choi_from_kraus, kraus_from_choi
 from .states import (
     DensityOperator,
     KET_MINUS,
@@ -68,17 +68,25 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
+        qubit_labels = {f"q{i}" for i in range(self.qubit_count)}
         seen_registers = set()
         for op in self.ops:
             if isinstance(op, Gate):
-                for q in op.targets + op.controls:
+                touched = op.targets + op.controls
+                for q in touched:
                     if not 0 <= q < self.qubit_count:
                         raise ValueError(f"gate touches qubit {q} out of range")
+                if len(set(touched)) != len(touched):
+                    raise ValueError(f"gate {op.name!r} repeats a qubit in {touched}")
+                if len(op.targets) != 1:
+                    raise ValueError(f"gate {op.name!r} needs one target, got {op.targets}")
                 if op.name not in GATES:
                     raise ValueError(f"unknown gate {op.name!r}")
             elif isinstance(op, Measure):
                 if not 0 <= op.target < self.qubit_count:
                     raise ValueError(f"measure target {op.target} out of range")
+                if op.register in qubit_labels:
+                    raise ValueError(f"register {op.register!r} collides with a qubit label")
                 if op.register in seen_registers:
                     raise ValueError(f"register {op.register!r} written twice")
                 seen_registers.add(op.register)
@@ -139,27 +147,6 @@ class ShotTable:
         return {"shots": self.shots, "outcomes": self.to_rows()}
 
 
-def permutation_matrix(dims, order) -> np.ndarray:
-    """Matrix sending basis |i_0 .. i_{n-1}> to the subsystem order given."""
-    dims = tuple(int(d) for d in dims)
-    d = int(np.prod(dims))
-    src = np.unravel_index(np.arange(d), dims)
-    perm_dims = tuple(dims[o] for o in order)
-    dst = np.ravel_multi_index([src[o] for o in order], perm_dims)
-    p = np.zeros((d, d), dtype=complex)
-    p[dst, np.arange(d)] = 1.0
-    return p
-
-
-def embed_operator(op: np.ndarray, positions, dims) -> np.ndarray:
-    """Full-space operator acting as ``op`` on ``positions`` (in order)."""
-    positions = list(positions)
-    rest = [i for i in range(len(dims)) if i not in positions]
-    p = permutation_matrix(dims, positions + rest)
-    rest_dim = int(np.prod([dims[i] for i in rest], initial=1))
-    return dagger(p) @ np.kron(as_matrix(op), np.eye(rest_dim, dtype=complex)) @ p
-
-
 def apply_gate(rho: np.ndarray, dims, name: str, targets, controls=()) -> np.ndarray:
     """Apply a (possibly controlled) named gate; trace is preserved."""
     g = GATES[name]
@@ -168,33 +155,8 @@ def apply_gate(rho: np.ndarray, dims, name: str, targets, controls=()) -> np.nda
         ctrl_dim = int(np.prod([dims[c] for c in controls]))
         ones = np.zeros((ctrl_dim, ctrl_dim), dtype=complex)
         ones[-1, -1] = 1.0  # all controls in |1>
-        block = np.kron(np.eye(ctrl_dim) - ones, np.eye(g.shape[0])) + np.kron(ones, g)
-        u = embed_operator(block, controls + targets, dims)
-    else:
-        u = embed_operator(g, targets, dims)
-    return u @ rho @ dagger(u)
-
-
-def apply_channel(rho: np.ndarray, dims, kraus, positions):
-    """Apply a Kraus map to the named subsystem positions.
-
-    The map's output subsystems take the place of its inputs (they move to
-    the front of the subsystem list); returns ``(rho', out_dims_at_front,
-    rest_positions)`` so the caller can rebuild labels.
-    """
-    dims = tuple(int(d) for d in dims)
-    positions = list(positions)
-    rest = [i for i in range(len(dims)) if i not in positions]
-    p_in = permutation_matrix(dims, positions + rest)
-    rest_dim = int(np.prod([dims[i] for i in rest], initial=1))
-    eye = np.eye(rest_dim, dtype=complex)
-    moved = p_in @ rho @ dagger(p_in)
-    out = None
-    for k in kraus:
-        k_full = np.kron(as_matrix(k), eye)
-        term = k_full @ moved @ dagger(k_full)
-        out = term if out is None else out + term
-    return out, rest
+        g = np.kron(np.eye(ctrl_dim) - ones, np.eye(g.shape[0])) + np.kron(ones, g)
+    return apply_local(rho, dims, [g], controls + targets)
 
 
 def depolarize(rho: np.ndarray, dims, qubit: int, p: float) -> np.ndarray:
@@ -202,10 +164,9 @@ def depolarize(rho: np.ndarray, dims, qubit: int, p: float) -> np.ndarray:
     marginal regardless of input."""
     if p == 0.0:
         return rho
-    out = (1.0 - 3.0 * p / 4.0) * rho
-    for axis in ("x", "y", "z"):
-        out = out + (p / 4.0) * apply_gate(rho, dims, axis, (qubit,))
-    return out
+    kraus = [np.sqrt(1.0 - 3.0 * p / 4.0) * GATES["i"]]
+    kraus += [np.sqrt(p / 4.0) * GATES[axis] for axis in ("x", "y", "z")]
+    return apply_local(rho, dims, kraus, [qubit])
 
 
 def _flip_matrix(q: float) -> np.ndarray:
@@ -247,47 +208,38 @@ class _SimState:
     def measure(self, op: Measure, noise: NoiseSpec):
         pos = self.index(f"q{op.target}")
         d = self.dims[pos]
-        new = np.zeros((self.rho.shape[0] * d,) * 2, dtype=complex)
-        for m in range(d):
-            proj = np.zeros((d, d), dtype=complex)
-            proj[m, m] = 1.0
-            full = embed_operator(proj, [pos], self.dims)
-            reg = np.zeros((d, d), dtype=complex)
-            reg[m, m] = 1.0
-            new += np.kron(full @ self.rho @ full, reg)
-        self.rho = new
+        # Append the register in |0>, then copy the computational outcome
+        # into it with the Kraus operators |m><m| (x) |m><0|.
+        basis = np.eye(d, dtype=complex)
+        self.rho = np.kron(self.rho, ket_bra(basis[0]))
         self.dims.append(d)
         self.labels.append(op.register)
+        kraus = [np.kron(ket_bra(e), ket_bra(e, basis[0])) for e in basis]
+        register = len(self.dims) - 1
+        self.rho = apply_local(self.rho, self.dims, kraus, [pos, register])
         if noise.readout_flip > 0.0:
-            self.rho = depolarize_register(
-                self.rho, self.dims, len(self.dims) - 1, noise.readout_flip
-            )
+            q = noise.readout_flip
+            flips = [np.sqrt(1.0 - q) * GATES["i"], np.sqrt(q) * GATES["x"]]
+            self.rho = apply_local(self.rho, self.dims, flips, [register])
 
     def recover(self, cpmap: CpMap, in_labels, out_labels):
+        """Replace ``in_labels`` by the map's outputs, placed at the front."""
         positions = [self.index(s) for s in in_labels]
-        if cpmap.kraus is not None:
-            kraus = cpmap.kraus
-        else:
-            from .recovery import kraus_from_choi
-
+        rest = [i for i in range(len(self.dims)) if i not in positions]
+        order = positions + rest
+        n = len(self.dims)
+        t = self.rho.reshape(self.dims + self.dims)
+        t = t.transpose(order + [n + i for i in order]).reshape(self.rho.shape)
+        kraus = cpmap.kraus
+        if kraus is None:
             kraus = kraus_from_choi(cpmap.choi, cpmap.in_dim, cpmap.out_dim)
-        rho, rest = apply_channel(self.rho, self.dims, kraus, positions)
-        self.rho = rho
         rest_dims = [self.dims[i] for i in rest]
-        rest_labels = [self.labels[i] for i in rest]
+        self.rho = apply_local(t, [cpmap.in_dim] + rest_dims, kraus, [0])
         self.dims = list(cpmap.out_dims) + rest_dims
-        self.labels = list(out_labels) + rest_labels
+        self.labels = list(out_labels) + [self.labels[i] for i in rest]
 
     def density_operator(self) -> DensityOperator:
         return DensityOperator(self.rho, tuple(self.dims), tuple(self.labels))
-
-
-def depolarize_register(rho: np.ndarray, dims, pos: int, q: float) -> np.ndarray:
-    """Classical bit flip with probability q on a dimension-2 register."""
-    if dims[pos] != 2:
-        raise ValueError("readout flips are defined for binary registers only")
-    flip = embed_operator(GATES["x"], [pos], dims)
-    return (1.0 - q) * rho + q * (flip @ rho @ dagger(flip))
 
 
 def run_circuit(
@@ -316,6 +268,11 @@ def run_circuit(
 
 def sample_distribution(probs, outcome_labels, shots: int, rng) -> ShotTable:
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    # numpy's binomial draw branches on p <= 1/2, so round-off of one ulp
+    # either side of an exact 1/2 would swap the counts.  Sampling from the
+    # probabilities snapped to a 1e-12 grid keeps the counts a function of
+    # the distribution rather than of the order of floating-point operations.
+    probs = np.round(probs / probs.sum(), 12)
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)
     return ShotTable(dict(zip(outcome_labels, (int(c) for c in counts))), shots)

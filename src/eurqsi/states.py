@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    apply_local,
     as_matrix,
     dagger,
     herm_eig,
     is_hermitian,
     op_norm,
     partial_trace,
-    tensor,
 )
 
 STATE_TOL = 1e-10
@@ -273,30 +273,11 @@ class CqState:
         n = rho.dims[pos]
         qdims = tuple(d for i, d in enumerate(rho.dims) if i != pos)
         qlabels = tuple(s for i, s in enumerate(rho.labels) if i != pos)
-        blocks = []
-        for x in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[x] = 1.0
-            blocks.append(_sandwich_vector(rho.matrix, rho.dims, pos, e))
-        return cls(register_label, tuple(blocks), qdims, qlabels)
-
-
-def embed_at(op: np.ndarray, pos: int, dims) -> np.ndarray:
-    """Embed a single-subsystem operator into the full tensor product."""
-    factors = [np.eye(int(d), dtype=complex) for d in dims]
-    factors[pos] = as_matrix(op)
-    return tensor(*factors)
-
-
-def _sandwich_vector(m: np.ndarray, dims, pos: int, vec: np.ndarray) -> np.ndarray:
-    """Contract subsystem ``pos`` with <vec| ... |vec>, returning the rest."""
-    n = len(dims)
-    t = as_matrix(m).reshape(tuple(dims) + tuple(dims))
-    t = np.tensordot(np.conjugate(vec), t, axes=([0], [pos]))
-    # The contracted row axis is gone; the matching column axis shifted left.
-    t = np.tensordot(t, vec, axes=([n - 1 + pos], [0]))
-    rest = int(np.prod([d for i, d in enumerate(dims) if i != pos], initial=1))
-    return t.reshape(rest, rest)
+        bras = np.eye(n, dtype=complex)
+        blocks = tuple(
+            apply_local(rho.matrix, rho.dims, [bras[x:x + 1]], [pos]) for x in range(n)
+        )
+        return cls(register_label, blocks, qdims, qlabels)
 
 
 def measure(
@@ -313,13 +294,14 @@ def measure(
             f"PVM dimension {pvm.dim} != subsystem {measured!r} dimension {rho.dims[pos]}"
         )
     keep = [i for i in range(len(rho.dims)) if i != pos]
-    blocks = []
-    for p in pvm.projectors:
-        full = embed_at(p, pos, rho.dims)
-        blocks.append(partial_trace(full @ rho.matrix, rho.dims, keep))
+    # The rows of P_x, as 1 x d Kraus operators, give Tr_measured{P_x rho P_x}
+    # for projectors of any rank.
+    blocks = tuple(
+        apply_local(rho.matrix, rho.dims, p[:, None, :], [pos]) for p in pvm.projectors
+    )
     qdims = tuple(rho.dims[i] for i in keep)
     qlabels = tuple(rho.labels[i] for i in keep)
-    return CqState(register_label, tuple(blocks), qdims, qlabels)
+    return CqState(register_label, blocks, qdims, qlabels)
 
 
 def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:
@@ -327,10 +309,7 @@ def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:
     pos = rho.label_index(measured)
     if pvm.dim != rho.dims[pos]:
         raise InvalidStateError("PVM dimension mismatch in pinch")
-    out = np.zeros_like(rho.matrix)
-    for q in pvm.projectors:
-        full = embed_at(q, pos, rho.dims)
-        out += full @ rho.matrix @ full
+    out = apply_local(rho.matrix, rho.dims, pvm.projectors, [pos])
     return DensityOperator(out, rho.dims, rho.labels)
 
 
@@ -352,7 +331,7 @@ def theta_state(
     if x_pvm.dim != rho.dims[pos] or z_pvm.dim != rho.dims[pos]:
         raise InvalidStateError("PVM dimension mismatch in theta_state")
     zvecs = z_pvm.basis_vectors()
-    omegas = [_sandwich_vector(rho.matrix, rho.dims, pos, z) for z in zvecs]
+    omegas = [apply_local(rho.matrix, rho.dims, [z.conj()[None, :]], [pos]) for z in zvecs]
     blocks = []
     for p in x_pvm.projectors:
         weights = [float(np.real(np.conjugate(z) @ p @ z)) for z in zvecs]

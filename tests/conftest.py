@@ -1,7 +1,8 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library code paths they are used to check:
-the partial trace runs explicit index loops, the fidelity oracle goes
+the partial trace runs explicit index loops, local operators are embedded
+as dense matrices through a basis permutation, the fidelity oracle goes
 through scipy matrix square roots, matrix powers are taken on scalars, and
 the rotated Petz average over p(t) is done by numerical quadrature instead
 of the library's closed form.
@@ -40,6 +41,31 @@ def loop_partial_trace(m, dims, keep):
                 continue
             out[flat_kept(row), flat_kept(col)] += m[flat(row), flat(col)]
     return out
+
+
+def permutation_matrix(dims, order):
+    """Matrix sending basis |i_0 .. i_{n-1}> to the subsystem order given."""
+    dims = tuple(int(d) for d in dims)
+    d = int(np.prod(dims))
+    src = np.unravel_index(np.arange(d), dims)
+    perm_dims = tuple(dims[o] for o in order)
+    dst = np.ravel_multi_index([src[o] for o in order], perm_dims)
+    p = np.zeros((d, d), dtype=complex)
+    p[dst, np.arange(d)] = 1.0
+    return p
+
+
+def embedded_operator_oracle(op, positions, dims):
+    """Dense full-space operator acting as ``op`` on ``positions`` (in order).
+
+    Permutes ``positions`` to the front, applies ``op (x) I`` there and
+    permutes back, all as explicit d x d matrices.
+    """
+    positions = list(positions)
+    rest = [i for i in range(len(dims)) if i not in positions]
+    p = permutation_matrix(dims, positions + rest)
+    rest_dim = int(np.prod([dims[i] for i in rest], initial=1))
+    return dagger(p) @ np.kron(op, np.eye(rest_dim)) @ p
 
 
 def sqrtm_fidelity(rho, sigma):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eurqsi.linalg import (
+    apply_local,
     fidelity,
     herm_eig,
     mat_power_on_support,
@@ -12,7 +13,12 @@ from eurqsi.linalg import (
 )
 from eurqsi.states import KET_0, KET_1, KET_PLUS, bell_phi, ket_bra, random_state
 
-from conftest import loop_partial_trace, sqrtm_fidelity
+from conftest import (
+    embedded_operator_oracle,
+    loop_partial_trace,
+    pinched_state_oracle,
+    sqrtm_fidelity,
+)
 
 
 def test_tensor_identity():
@@ -61,6 +67,65 @@ def test_partial_trace_against_loop_oracle():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(6), [2, 2], [0])
+
+
+def _random_matrix(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def test_apply_local_against_dense_embedding_oracle():
+    rng = np.random.default_rng(11)
+    for dims in ((2, 3, 2), (3, 2), (2, 2, 2)):
+        d = int(np.prod(dims))
+        m = _random_matrix(rng, d, d)
+        for positions in ([1], [2, 0], [0, 2], [1, 0]):
+            if max(positions) >= len(dims):
+                continue
+            d_local = int(np.prod([dims[p] for p in positions]))
+            kraus = [_random_matrix(rng, d_local, d_local) for _ in range(3)]
+            got = apply_local(m, dims, kraus, positions)
+            want = 0
+            for k in kraus:
+                full = embedded_operator_oracle(k, positions, dims)
+                want = want + full @ m @ full.conj().T
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_apply_local_bra_contracts_the_subsystem():
+    # (<z| (x) I) rho (|z> (x) I) from a 1 x d Kraus operator on position 0
+    for seed, (d_a, d_b) in enumerate(((2, 2), (3, 2), (2, 6))):
+        rho = random_state(d_a * d_b, d_a * d_b, seed).matrix
+        zvecs = list(np.linalg.qr(_random_matrix(np.random.default_rng(seed), d_a, d_a))[0].T)
+        got = sum(
+            np.kron(ket_bra(z), apply_local(rho, (d_a, d_b), [z.conj()[None, :]], [0]))
+            for z in zvecs
+        )
+        assert np.abs(got - pinched_state_oracle(rho, zvecs)).max() < 1e-12
+
+
+def test_apply_local_non_square_keeps_subsystem_places():
+    # a 4 x 3 operator on the middle subsystem of (2, 3, 2) gives (2, 4, 2)
+    rng = np.random.default_rng(5)
+    m = _random_matrix(rng, 12, 12)
+    k = _random_matrix(rng, 4, 3)
+    got = apply_local(m, (2, 3, 2), [k], [1])
+    want = np.kron(np.kron(np.eye(2), k), np.eye(2))
+    assert got.shape == (16, 16)
+    assert np.abs(got - want @ m @ want.conj().T).max() < 1e-12 * np.abs(got).max()
+
+
+def test_apply_local_rejects_bad_positions_and_kraus():
+    m = np.eye(8) / 8
+    with pytest.raises(ValueError):
+        apply_local(m, (2, 2, 2), [np.eye(4)], [1, 1])
+    with pytest.raises(ValueError):
+        apply_local(m, (2, 2, 2), [np.eye(2)], [3])
+    with pytest.raises(ValueError):
+        apply_local(m, (2, 2, 2), [np.eye(2)], [0, 1])
+    with pytest.raises(ValueError):
+        apply_local(m, (2, 2, 2), [np.ones((1, 4))], [0, 1])
+    with pytest.raises(ValueError):
+        apply_local(m, (2, 2), [np.eye(2)], [0])
 
 
 def test_mat_power_scalar_matrix():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eurqsi.gallery import recovery_map_r3
-from eurqsi.linalg import fidelity, partial_trace, trace_distance
+from eurqsi.linalg import apply_local, fidelity, partial_trace, trace_distance
 from eurqsi.simulate import (
     GATES,
     Circuit,
@@ -14,15 +14,14 @@ from eurqsi.simulate import (
     apply_gate,
     bloch_tomography,
     depolarize,
-    embed_operator,
     experiment_circuit,
     flip_distribution,
-    permutation_matrix,
     run_circuit,
     run_experiment,
     sample_distribution,
 )
 from eurqsi.states import (
+    KET_MINUS,
     KET_PLUS,
     bell_phi,
     ket_bra,
@@ -51,14 +50,12 @@ class TestGates:
             out = apply_gate(rho, (2, 2, 2), name, (1,), controls=(0,))
             assert abs(np.trace(out).real - 1.0) < 1e-12
 
-    def test_permutation_matrix_roundtrip(self):
-        p = permutation_matrix((2, 3, 2), (2, 0, 1))
-        assert np.abs(p @ p.conj().T - np.eye(12)).max() < 1e-12
-
     def test_embed_operator_position(self):
         z = GATES["z"]
-        full = embed_operator(z, [1], (2, 2))
-        assert np.abs(full - np.kron(np.eye(2), z)).max() < 1e-12
+        rho = random_multipartite_state((2, 2), 4, 8, ("a", "b")).matrix
+        full = np.kron(np.eye(2), z)
+        got = apply_local(rho, (2, 2), [z], [1])
+        assert np.abs(got - full @ rho @ full).max() < 1e-12
 
 
 class TestCircuitValidation:
@@ -74,12 +71,42 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(1, (Gate("qft", (0,)),))
 
+    def test_rejects_gate_repeating_a_qubit(self):
+        with pytest.raises(ValueError):
+            Circuit(1, (Gate("x", (0,), controls=(0,)),))
+
+    def test_rejects_multi_target_gate(self):
+        with pytest.raises(ValueError):
+            Circuit(2, (Gate("h", (0, 1)),))
+
+    def test_rejects_register_named_like_a_qubit(self):
+        with pytest.raises(ValueError):
+            Circuit(2, (Measure(0, "q1"),))
+
 
 class TestNoise:
     def test_full_depolarizing_gives_maximally_mixed(self):
         rho = ket_bra(np.array([1, 0], dtype=complex))
         out = depolarize(rho, (2,), 0, 1.0)
         assert np.abs(out - maximally_mixed(2)).max() < 1e-12
+
+    def test_depolarizing_closed_form(self):
+        # (1 - p) rho + p Tr_1(rho) (x) I/2 on qubit 1; qubit 0 untouched
+        for seed, p in enumerate((0.1, 0.37, 1.0)):
+            rho = random_multipartite_state((2, 2), 4, seed, ("a", "b")).matrix
+            out = depolarize(rho, (2, 2), 1, p)
+            marginal = partial_trace(rho, (2, 2), [0])
+            want = (1.0 - p) * rho + p * np.kron(marginal, maximally_mixed(2))
+            assert np.abs(out - want).max() < 1e-12
+            assert np.abs(partial_trace(out, (2, 2), [0]) - marginal).max() < 1e-12
+
+    def test_readout_flip_on_the_register_before_recovery(self):
+        # the X register reads 0 with certainty; a flip to 1 recovers |->
+        q = 0.15
+        res = run_experiment(1, shots=1, noise=NoiseSpec(readout_flip=q))
+        want = (1.0 - q) * ket_bra(KET_PLUS) + q * ket_bra(KET_MINUS)
+        assert res.final_state.labels == ("Ap",)
+        assert np.abs(res.final_state.matrix - want).max() < 1e-12
 
     def test_noise_spec_range(self):
         with pytest.raises(ValueError):
@@ -105,14 +132,12 @@ class TestRecoveryRealization:
             big = np.kron(xi, anc)  # order (X, B, A')
             dims = (2, 2, 2)
             # the X register is measured already: pinch it
-            p0 = embed_operator(np.diag([1.0, 0.0]), [0], dims)
-            p1 = embed_operator(np.diag([0.0, 1.0]), [0], dims)
-            big = p0 @ big @ p0 + p1 @ big @ p1
+            big = apply_local(big, dims, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0])
             big = apply_gate(big, dims, "x", (2,), controls=(1,))
             big = apply_gate(big, dims, "z", (1,), controls=(0,))
             got = partial_trace(big, dims, [1, 2])  # (B, A')
-            swap = permutation_matrix((2, 2), (1, 0))
-            got = swap @ got @ swap.conj().T  # (A', B)
+            swap = np.eye(4)[[0, 2, 1, 3]]
+            got = apply_local(got, (2, 2), [swap], [0, 1])  # (A', B)
             want = rec.apply_matrix(xi)
             assert np.abs(got - want).max() < 1e-10
 
@@ -126,6 +151,15 @@ class TestShotTable:
         t = ShotTable({"0": 6144, "1": 2048}, 8192)
         p = 6144 / 8192
         assert abs(t.stderr("0") - np.sqrt(p * (1 - p) / 8192)) < 1e-15
+
+    def test_counts_do_not_hinge_on_round_off_at_one_half(self):
+        # numpy's binomial branches on p <= 1/2; one ulp must not swap counts
+        half_up = np.nextafter(0.5, 1.0)
+        exact = sample_distribution([0.5, 0.5], ("0", "1"), 8192, np.random.default_rng(3))
+        nudged = sample_distribution(
+            [half_up, 1.0 - half_up], ("0", "1"), 8192, np.random.default_rng(3)
+        )
+        assert nudged.counts == exact.counts
 
     def test_sampling_matches_distribution_at_4_sigma(self):
         rng = np.random.default_rng(5)
