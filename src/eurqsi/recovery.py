@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS_SUPP, as_matrix, dagger, herm_eig, mat_power_on_support
+from .linalg import (EPS_SUPP, as_matrix, dagger, eigenvalue_below, herm_eig,
+                     mat_power_on_support)
 from .states import (
     CqState,
     DensityOperator,
@@ -65,7 +66,7 @@ class CpMap:
         scale = max(1.0, float(np.abs(choi).max()))
         if np.abs(choi - dagger(choi)).max() > CHOI_TOL * scale:
             raise ValueError("Choi matrix is not Hermitian")
-        if float(np.linalg.eigvalsh(choi).min()) < -CHOI_TOL * scale:
+        if eigenvalue_below(choi, CHOI_TOL * scale) is not None:
             raise ValueError("Choi matrix is not positive semidefinite")
         if self.kraus is not None:
             kraus = tuple(as_matrix(k) for k in self.kraus)
@@ -158,17 +159,17 @@ def measurement_channel(
 ) -> CpMap:
     """Channel mapping a state to its measurement statistics register.
 
-    Kraus operators ``|x><j| P_x`` over outcomes x and basis states j.
+    Kraus operators ``|x><v|`` over outcomes x and an orthonormal basis v
+    of range(P_x), d in all.
     """
     n, d = len(pvm), pvm.dim
     kraus = []
     for x, p in enumerate(pvm.projectors):
-        e = np.zeros((n, 1), dtype=complex)
-        e[x] = 1.0
-        for j in range(d):
-            f = np.zeros((1, d), dtype=complex)
-            f[0, j] = 1.0
-            kraus.append(e @ f @ p)
+        eig = herm_eig(p)
+        for v in eig.eigenvectors[:, eig.eigenvalues > 0.5].T:
+            k = np.zeros((n, d), dtype=complex)
+            k[x] = v.conj()
+            kraus.append(k)
     kraus = tuple(kraus)
     return CpMap(
         choi=choi_from_kraus(kraus),

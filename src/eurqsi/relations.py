@@ -1,6 +1,7 @@
 """End-to-end checkers for the four uncertainty relations.
 
-Each check measures one state against the X and Z measurements, evaluates
+Each check takes every entropy on the measured marginal it needs (X or Z
+applied to the AB or AE reduction, never to the whole state), evaluates
 the incompatibility constant, builds the recovery channel, and returns an
 :class:`EurReport` holding every scalar of the original and refined
 inequalities.  Entropy terms are eigenvalue-exact (1e-9); the refined
@@ -159,9 +160,9 @@ def check_bipartite(
     h_zb = conditional(omega, b_labels)
     h_ab = conditional(rho_ab, b_labels)
 
-    purified = purify(rho_ab, "_E")
-    omega_zbe = measure(purified, z_pvm, measured, "Z").to_density_operator()
-    h_ze = conditional(omega_zbe.reduce(["Z", "_E"]), ["_E"])
+    rho_ae = purify(rho_ab, "_E").reduce([measured, "_E"])
+    omega_ze = measure(rho_ae, z_pvm, measured, "Z").to_density_operator()
+    h_ze = conditional(omega_ze, ["_E"])
 
     c = incompatibility_c(x_pvm, z_pvm)
     f = _reversibility(rho_ab, x_pvm, z_pvm, sigma, measured)
@@ -201,16 +202,18 @@ def check_tripartite(
     if not e_labels:
         raise InvalidStateError("tripartite state has no E subsystem")
 
-    sigma = measure(rho_abe, x_pvm, a_label, "X").to_density_operator()
-    omega = measure(rho_abe, z_pvm, a_label, "Z").to_density_operator()
-    h_xb = conditional(sigma.reduce(["X", b_label]), [b_label])
-    h_zb = conditional(omega.reduce(["Z", b_label]), [b_label])
-    h_ze = conditional(omega.reduce(["Z"] + e_labels), e_labels)
+    # measuring A commutes with tracing out B or E
     rho_ab = rho_abe.reduce([a_label, b_label])
+    rho_ae = rho_abe.reduce([a_label] + e_labels)
+    sigma_xb = measure(rho_ab, x_pvm, a_label, "X").to_density_operator()
+    omega_zb = measure(rho_ab, z_pvm, a_label, "Z").to_density_operator()
+    omega_ze = measure(rho_ae, z_pvm, a_label, "Z").to_density_operator()
+    h_xb = conditional(sigma_xb, [b_label])
+    h_zb = conditional(omega_zb, [b_label])
+    h_ze = conditional(omega_ze, e_labels)
     h_ab = conditional(rho_ab, [b_label])
 
     c = incompatibility_c(x_pvm, z_pvm)
-    sigma_xb = sigma.reduce(["X", b_label])
     f = _reversibility(rho_ab, x_pvm, z_pvm, sigma_xb, a_label)
     lhs = h_ze + h_xb
     rhs_original = -np.log2(c)

@@ -16,9 +16,9 @@ from .linalg import (
     apply_local,
     as_matrix,
     dagger,
+    eigenvalue_below,
     herm_eig,
     is_hermitian,
-    op_norm,
     partial_trace,
 )
 
@@ -87,8 +87,8 @@ class DensityOperator:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-8:
             raise InvalidStateError(f"density operator has trace {tr}")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -1e-8:
+        lo = eigenvalue_below(m, 1e-8)
+        if lo is not None:
             raise InvalidStateError(f"density operator has eigenvalue {lo}")
 
     @classmethod
@@ -345,10 +345,8 @@ def incompatibility_c(x_pvm: Pvm, z_pvm: Pvm) -> float:
     """Largest squared operator norm of products of projector pairs."""
     if x_pvm.dim != z_pvm.dim:
         raise InvalidStateError("PVMs act on different dimensions")
-    best = 0.0
-    for p in x_pvm.projectors:
-        for q in z_pvm.projectors:
-            best = max(best, op_norm(p @ q) ** 2)
+    products = np.stack(x_pvm.projectors)[:, None] @ np.stack(z_pvm.projectors)[None]
+    best = float(np.linalg.norm(products, 2, axis=(-2, -1)).max()) ** 2
     return min(best, 1.0)
 
 
@@ -373,13 +371,9 @@ def purify(rho: DensityOperator, purifier_label: str = "R") -> DensityOperator:
         raise InvalidStateError(f"label {purifier_label!r} already in use")
     eig = herm_eig(rho.matrix)
     mask = eig.support_mask()
-    vals = eig.eigenvalues[mask]
-    vecs = eig.eigenvectors[:, mask]
     rank = int(mask.sum())
-    # |psi> = sum_k sqrt(l_k) |v_k> (x) |k>
-    psi = np.zeros(rho.dim * rank, dtype=complex)
-    for k in range(rank):
-        psi += np.sqrt(vals[k]) * np.kron(vecs[:, k], np.eye(rank, dtype=complex)[:, k])
+    # |psi> = sum_k sqrt(l_k) |v_k> (x) |k>, entry i*rank + k
+    psi = (eig.eigenvectors[:, mask] * np.sqrt(eig.eigenvalues[mask])).reshape(-1)
     psi /= np.linalg.norm(psi)
     return DensityOperator.from_vector(
         psi, rho.dims + (rank,), rho.labels + (purifier_label,)

@@ -6,10 +6,21 @@ as dense matrices through a basis permutation, the fidelity oracle goes
 through scipy matrix square roots, matrix powers are taken on scalars, and
 the rotated Petz average over p(t) is done by numerical quadrature instead
 of the library's closed form.
+
+Two oracles keep earlier, costlier library constructions as plain
+functions: the measurement channel with one Kraus operator per outcome
+and basis state, and the relation checks that measure the whole state
+before reducing it.  The latter are built from library primitives.
 """
 
 import numpy as np
 import scipy.linalg
+
+from eurqsi.entropy import conditional
+from eurqsi.linalg import fidelity
+from eurqsi.recovery import CpMap, apply_map, rotated_petz_map, tensor_with_identity
+from eurqsi.relations import EurReport
+from eurqsi.states import Pvm, measure, pinch, purify
 
 
 def loop_partial_trace(m, dims, keep):
@@ -131,3 +142,105 @@ def rotated_petz_choi_oracle(sigma, kraus, t_max=12.0, panels=64, order=8):
             vec = (s_pow @ dagger(k) @ n_pow).ravel(order="F")
             choi += wt * np.outer(vec, vec.conj())
     return choi
+
+
+def haar_unitary(dim, seed):
+    """Haar-random unitary: QR of a complex Gaussian matrix, R's phases removed."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotated_spectrum(vals, seed):
+    """Hermitian matrix with eigenvalues ``vals`` in a Haar-random basis."""
+    u = haar_unitary(len(vals), seed)
+    m = (u * np.asarray(vals, dtype=float)) @ dagger(u)
+    return 0.5 * (m + dagger(m))
+
+
+def rank2_plus_rank1_pvm(seed):
+    """Two-outcome qutrit PVM: a rank-2 and a rank-1 projector."""
+    u = haar_unitary(3, seed)
+    return Pvm((u[:, :2] @ dagger(u[:, :2]), u[:, 2:] @ dagger(u[:, 2:])))
+
+
+def choi_of_kraus(kraus):
+    """sum_k vec(K_k) vec(K_k)^dag with column-stacking vec (input index slow)."""
+    vecs = [np.ravel(np.asarray(k), order="F") for k in kraus]
+    return sum(np.outer(v, v.conj()) for v in vecs)
+
+
+def incompatibility_loop_oracle(x_pvm, z_pvm):
+    """max over projector pairs of ||P_x Q_z||^2, one SVD norm per pair."""
+    best = max(np.linalg.norm(p @ q, 2) ** 2
+               for p in x_pvm.projectors for q in z_pvm.projectors)
+    return min(float(best), 1.0)
+
+
+def measurement_kraus_nd_oracle(pvm):
+    """The n*d Kraus operators ``|x><j| P_x`` of a PVM's measurement channel."""
+    n, d = len(pvm), pvm.dim
+    return [np.outer(np.eye(n)[x], np.eye(d)[j]) @ p
+            for x, p in enumerate(pvm.projectors) for j in range(d)]
+
+
+def _reversibility_nd_oracle(rho_ab, x_pvm, z_pvm, sigma_xb, measured):
+    """f = F(rho_AB, R(sigma_XB)), R built on the n*d measurement channel."""
+    rest = [s for s in rho_ab.labels if s != measured]
+    rho_ord = rho_ab.permute([measured] + rest)
+    kraus = tuple(measurement_kraus_nd_oracle(x_pvm))
+    chan = CpMap(choi_of_kraus(kraus), (x_pvm.dim,), (len(x_pvm),), kraus=kraus)
+    chan = tensor_with_identity(chan, rho_ord.dims[1:], rest)
+    rec = rotated_petz_map(pinch(rho_ord, z_pvm, measured).matrix, chan)
+    return fidelity(rho_ord.matrix, apply_map(rec, sigma_xb).matrix)
+
+
+def _report(relation_id, h_xb, h_zb, h_ze, h_ab, c, f):
+    if relation_id == "bipartite_refined":
+        lhs, rhs = h_zb + h_xb, -np.log2(c) + h_ab
+    else:
+        lhs, rhs = h_ze + h_xb, -np.log2(c)
+    refined = rhs - np.log2(f)
+    return EurReport(
+        relation_id=relation_id, h_xb=h_xb, h_zb=h_zb, h_ze=h_ze, h_ab=h_ab, c=c,
+        f=f, lhs=lhs, rhs_original=rhs, rhs_refined=refined,
+        slack_original=lhs - rhs, slack_refined=lhs - refined,
+    )
+
+
+def bipartite_report_oracle(rho_ab, x_pvm, z_pvm, measured="A"):
+    """check_bipartite with H(Z|E) taken by measuring the whole purification."""
+    b_labels = [s for s in rho_ab.labels if s != measured]
+    sigma = measure(rho_ab, x_pvm, measured, "X").to_density_operator()
+    omega = measure(rho_ab, z_pvm, measured, "Z").to_density_operator()
+    omega_zbe = measure(purify(rho_ab, "_E"), z_pvm, measured, "Z").to_density_operator()
+    return _report(
+        "bipartite_refined",
+        h_xb=conditional(sigma, b_labels),
+        h_zb=conditional(omega, b_labels),
+        h_ze=conditional(omega_zbe.reduce(["Z", "_E"]), ["_E"]),
+        h_ab=conditional(rho_ab, b_labels),
+        c=incompatibility_loop_oracle(x_pvm, z_pvm),
+        f=_reversibility_nd_oracle(rho_ab, x_pvm, z_pvm, sigma, measured),
+    )
+
+
+def tripartite_report_oracle(rho_abe, x_pvm, z_pvm, a_label="A", b_label="B",
+                             purify_if_mixed=False):
+    """check_tripartite measuring the whole ABE state, then reducing."""
+    if purify_if_mixed and not rho_abe.is_pure(1e-8):
+        rho_abe = purify(rho_abe, "_E")
+    e_labels = [s for s in rho_abe.labels if s not in (a_label, b_label)]
+    sigma = measure(rho_abe, x_pvm, a_label, "X").to_density_operator()
+    omega = measure(rho_abe, z_pvm, a_label, "Z").to_density_operator()
+    rho_ab = rho_abe.reduce([a_label, b_label])
+    sigma_xb = sigma.reduce(["X", b_label])
+    return _report(
+        "tripartite_refined",
+        h_xb=conditional(sigma_xb, [b_label]),
+        h_zb=conditional(omega.reduce(["Z", b_label]), [b_label]),
+        h_ze=conditional(omega.reduce(["Z"] + e_labels), e_labels),
+        h_ab=conditional(rho_ab, [b_label]),
+        c=incompatibility_loop_oracle(x_pvm, z_pvm),
+        f=_reversibility_nd_oracle(rho_ab, x_pvm, z_pvm, sigma_xb, a_label),
+    )

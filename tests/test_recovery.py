@@ -5,6 +5,7 @@ import scipy.linalg
 from eurqsi.entropy import relative
 from eurqsi.linalg import fidelity, herm_eig, op_norm, tensor, trace_distance
 from eurqsi.recovery import (
+    CHOI_TOL,
     CpMap,
     apply_map,
     choi_from_kraus,
@@ -35,7 +36,15 @@ from eurqsi.states import (
     theta_state,
 )
 
-from conftest import dagger, pinched_state_oracle, rotated_petz_choi_oracle
+from conftest import (
+    choi_of_kraus,
+    dagger,
+    haar_unitary,
+    measurement_kraus_nd_oracle,
+    pinched_state_oracle,
+    rank2_plus_rank1_pvm,
+    rotated_petz_choi_oracle,
+)
 
 
 class TestCpMap:
@@ -49,10 +58,44 @@ class TestCpMap:
             CpMap(choi=2 * choi_from_kraus([eye]), in_dims=(2,), out_dims=(2,),
                   kraus=(eye,))
 
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_psd_threshold_scales_with_the_choi(self, factor, accepted):
+        u = haar_unitary(4, 311)
+        choi0 = (u * np.array([3.0, 1.0, 0.5, 0.0])) @ dagger(u)
+        scale = max(1.0, float(np.abs(choi0).max()))
+        lowest = u[:, 3:]
+        choi = choi0 - factor * CHOI_TOL * scale * (lowest @ dagger(lowest))
+        choi = 0.5 * (choi + dagger(choi))
+        if accepted:
+            CpMap(choi=choi, in_dims=(2,), out_dims=(2,))
+        else:
+            with pytest.raises(ValueError, match="^Choi matrix is not positive semidefinite$"):
+                CpMap(choi=choi, in_dims=(2,), out_dims=(2,))
+
     def test_kraus_roundtrip_through_choi(self):
         chan = measurement_channel(random_pvm(3, 5))
         kraus = kraus_from_choi(chan.choi, chan.in_dim, chan.out_dim)
         assert np.abs(choi_from_kraus(kraus) - chan.choi).max() < 1e-10
+
+
+MEASUREMENT_PVMS = {
+    "pauli x": pauli_pvm("X"),
+    "haar 3": random_pvm(3, 312),
+    "rank 2 + rank 1": rank2_plus_rank1_pvm(313),
+}
+
+
+class TestMeasurementChannel:
+    @pytest.mark.parametrize("name", sorted(MEASUREMENT_PVMS))
+    def test_d_kraus_operators_same_channel(self, name):
+        pvm = MEASUREMENT_PVMS[name]
+        chan = measurement_channel(pvm)
+        assert len(chan.kraus) == pvm.dim
+        completeness = sum(dagger(k) @ k for k in chan.kraus)
+        assert np.abs(completeness - np.eye(pvm.dim)).max() < 1e-14
+        want = choi_of_kraus(measurement_kraus_nd_oracle(pvm))
+        assert np.abs(chan.choi - want).max() < 1e-14
+        assert verify_cptp(chan).ok
 
 
 class TestPetz:

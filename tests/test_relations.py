@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from eurqsi import relations
 from eurqsi.linalg import tensor
 from eurqsi.relations import EurReport, check_bipartite, check_tripartite, fuzz
 from eurqsi.serialize import canonical_json, scenario_from_dict
@@ -16,10 +19,16 @@ from eurqsi.states import (
     maximally_mixed,
     pauli_pvm,
     purify,
+    random_multipartite_state,
     random_pvm,
 )
 
-from conftest import shannon_bits
+from conftest import (
+    bipartite_report_oracle,
+    rank2_plus_rank1_pvm,
+    shannon_bits,
+    tripartite_report_oracle,
+)
 
 
 def state_ab(mat):
@@ -129,6 +138,76 @@ class TestTripartite:
         report = check_tripartite(rho, x4, rank2_z)
         assert report.slack_refined >= -1e-6
         assert report.slack_refined <= report.slack_original + 1e-9
+
+
+def _assert_reports_agree(got, want):
+    for fld in dataclasses.fields(EurReport):
+        a, b = getattr(got, fld.name), getattr(want, fld.name)
+        if isinstance(a, str):
+            assert a == b
+        else:
+            assert abs(a - b) <= 1e-12, (fld.name, a, b)
+
+
+MARGINAL_CASES = {
+    "2x2 pauli": (random_multipartite_state((2, 2), 4, 301, ("A", "B")), X, Z),
+    "3x3 haar": (random_multipartite_state((3, 3), 9, 302, ("A", "B")),
+                 random_pvm(3, [302, 1]), random_pvm(3, [302, 2])),
+    "3x2 rank-2 z": (random_multipartite_state((3, 2), 6, 303, ("A", "B")),
+                     random_pvm(3, [303, 1]), rank2_plus_rank1_pvm([303, 2])),
+    "3x3 rank-2 rho": (random_multipartite_state((3, 3), 2, 304, ("A", "B")),
+                       random_pvm(3, [304, 1]), random_pvm(3, [304, 2])),
+}
+
+
+class TestMeasuredMarginals:
+    """Measuring the AB or AE marginal gives the numbers of measuring the
+    whole state and reducing afterwards."""
+
+    @pytest.mark.parametrize("case", sorted(MARGINAL_CASES))
+    def test_tripartite_matches_full_state_oracle(self, case):
+        rho_ab, xp, zp = MARGINAL_CASES[case]
+        rho_abe = purify(rho_ab, "E")
+        _assert_reports_agree(check_tripartite(rho_abe, xp, zp),
+                              tripartite_report_oracle(rho_abe, xp, zp))
+
+    @pytest.mark.parametrize("case", sorted(c for c in MARGINAL_CASES if "rank-2 z" not in c))
+    def test_bipartite_matches_full_state_oracle(self, case):
+        rho_ab, xp, zp = MARGINAL_CASES[case]
+        _assert_reports_agree(check_bipartite(rho_ab, xp, zp),
+                              bipartite_report_oracle(rho_ab, xp, zp))
+
+    def test_purify_if_mixed_matches_full_state_oracle(self):
+        rho = random_multipartite_state((3, 2, 2), 3, 305, ("A", "B", "E"))
+        xp, zp = random_pvm(3, [305, 1]), random_pvm(3, [305, 2])
+        _assert_reports_agree(
+            check_tripartite(rho, xp, zp, purify_if_mixed=True),
+            tripartite_report_oracle(rho, xp, zp, purify_if_mixed=True),
+        )
+
+    def test_no_state_beyond_the_measured_marginals(self, monkeypatch):
+        # 3x3 AB with a 9-dim E: the input is 81x81, rho_AE and omega_ZE 27x27
+        rho_abe = purify(random_multipartite_state((3, 3), 9, 306, ("A", "B")), "E")
+        xp, zp = random_pvm(3, [306, 1]), random_pvm(3, [306, 2])
+        built, kraus_counts = [], []
+        post_init = DensityOperator.__post_init__
+
+        def counting_post_init(self):
+            post_init(self)
+            built.append(self.dim)
+
+        channel = relations.measurement_channel
+
+        def counting_channel(*args, **kwargs):
+            out = channel(*args, **kwargs)
+            kraus_counts.append(len(out.kraus))
+            return out
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting_post_init)
+        monkeypatch.setattr(relations, "measurement_channel", counting_channel)
+        check_tripartite(rho_abe, xp, zp)
+        assert built and max(built) <= 27
+        assert kraus_counts == [3]
 
 
 class TestEurReportInvariants:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from eurqsi.states import (
     theta_state,
 )
 
+from conftest import incompatibility_loop_oracle, rotated_spectrum
+
 
 def plus_pi_state():
     return DensityOperator(
@@ -53,6 +56,27 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InvalidStateError):
             DensityOperator(np.diag([1.5, -0.5]), (2,), ("A",))
+
+    def test_accepts_eigenvalue_inside_the_threshold(self):
+        DensityOperator(rotated_spectrum([0.6 + 0.5e-8, 0.4, -0.5e-8], 321), (3,), ("A",))
+
+    def test_rejects_eigenvalue_beyond_the_threshold_exactly(self):
+        m = rotated_spectrum([0.6 + 2e-8, 0.4, -2e-8], 322)
+        with pytest.raises(InvalidStateError, match="has eigenvalue") as err:
+            DensityOperator(m, (3,), ("A",))
+        named = float(re.search(r"eigenvalue (\S+)$", str(err.value)).group(1))
+        assert named == float(np.linalg.eigvalsh(m).min())
+        assert abs(named + 2e-8) < 1e-15
+
+    @pytest.mark.parametrize("vals", [
+        [0.5, 0.5, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.7 - 1e-12, 0.3, 1e-12, 0.0],
+        [0.7 + 1e-12, 0.3, -1e-12, 0.0],
+    ])
+    def test_accepts_zero_and_tiny_eigenvalues(self, vals):
+        DensityOperator(np.diag(vals), (2, 2), ("A", "B"))
+        DensityOperator(rotated_spectrum(vals, 323), (2, 2), ("A", "B"))
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(InvalidStateError):
@@ -183,6 +207,7 @@ class TestIncompatibility:
             d = 2 + seed % 3
             xp, zp = random_pvm(d, [seed, 0]), random_pvm(d, [seed, 1])
             c = incompatibility_c(xp, zp)
+            assert abs(c - incompatibility_loop_oracle(xp, zp)) < 1e-15
             for q in zp.projectors:
                 for p in xp.projectors:
                     top = np.linalg.eigvalsh(q @ p @ q).max()
@@ -232,6 +257,12 @@ class TestPurify:
         out = purify(rho)
         assert out.dims == (3, 2)
         assert np.abs(out.reduce("A").matrix - rho.matrix).max() < 1e-10
+        # the vector is sum_k sqrt(l_k) |v_k> (x) |k>
+        eig = herm_eig(rho.matrix)
+        psi = sum(np.sqrt(eig.eigenvalues[k]) * np.kron(eig.eigenvectors[:, k], np.eye(2)[k])
+                  for k in range(2))
+        psi /= np.linalg.norm(psi)
+        assert np.abs(out.matrix - np.outer(psi, psi.conj())).max() < 1e-15
 
 
 class TestRandomEnsembles:
