@@ -64,7 +64,7 @@ print(f"  explicit map CPTP: min Choi eigenvalue {report.choi_min_eigenvalue:+.1
       f"trace-preservation defect {report.trace_preservation_defect:.1e}\n")
 
 # --- perfect reversal of X-after-Z --------------------------------------
-theta = theta_state(rho, x_pvm, z_pvm)          # Z then X, Z outcome kept implicit
+theta = theta_state(rho, x_pvm, z_pvm)   # Z then X on A; the XB state, Z outcome discarded
 recovered = apply_map(explicit, theta)
 pinched = pinch(rho, z_pvm, "A")
 print("reversal of the X measurement on the doubly measured state:")

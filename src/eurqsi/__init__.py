@@ -14,7 +14,6 @@ from .linalg import (
 )
 from .entropy import conditional, relative, von_neumann
 from .states import (
-    CqState,
     DensityOperator,
     InvalidStateError,
     Pvm,
@@ -59,7 +58,7 @@ __all__ = [
     "HermEig", "fidelity", "herm_eig", "mat_power_on_support", "op_norm",
     "partial_trace", "tensor", "trace_distance",
     "conditional", "relative", "von_neumann",
-    "CqState", "DensityOperator", "InvalidStateError", "Pvm",
+    "DensityOperator", "InvalidStateError", "Pvm",
     "incompatibility_c", "isometric_extension", "measure", "pauli_pvm",
     "pinch", "purify", "random_pvm", "random_state", "theta_state",
     "CpMap", "apply_map", "eur_recovery_map", "measurement_channel",

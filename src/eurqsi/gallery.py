@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import op_norm, tensor, trace_distance
-from .recovery import CpMap, apply_map, choi_from_kraus, eur_recovery_map
+from .recovery import CpMap, apply_map, eur_recovery_map
 from .relations import check_bipartite
 from .states import (
     DensityOperator,
@@ -63,11 +63,10 @@ def _classical_copy_map(assignments) -> CpMap:
     kraus = tuple(
         np.kron(np.outer(ket, np.eye(2)[x].conj()), eye) for x, ket in assignments
     )
-    return CpMap(
-        choi=choi_from_kraus(kraus),
+    return CpMap.from_kraus(
+        kraus,
         in_dims=(2, 2),
         out_dims=(2, 2),
-        kraus=kraus,
         in_labels=("X", "B"),
         out_labels=("A", "B"),
     )
@@ -84,11 +83,10 @@ def _bell_copy_map() -> CpMap:
             k += (-1.0) ** (x * z) * np.outer(out, inp.conj())
         kraus.append(k)
     kraus = tuple(kraus)
-    return CpMap(
-        choi=choi_from_kraus(kraus),
+    return CpMap.from_kraus(
+        kraus,
         in_dims=(2, 2),
         out_dims=(2, 2),
-        kraus=kraus,
         in_labels=("X", "B"),
         out_labels=("A", "B"),
     )

@@ -43,7 +43,10 @@ def tensor(*factors) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    m = as_matrix(m)
+    """Hermiticity within ``tol`` relative to the largest entry.
+
+    ``m`` must already be a 2-D ndarray, as :func:`as_matrix` returns.
+    """
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     return bool(np.abs(m - dagger(m)).max(initial=0.0) <= tol * scale)
 
@@ -78,6 +81,17 @@ def herm_eig(m: np.ndarray, tol: float = HERM_TOL) -> HermEig:
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
     return HermEig(eigenvalues=vals[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
+
+
+def support_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above the relative support cutoff and their eigenvectors.
+
+    The cutoff is signed, so round-off negative eigenvalues never enter.
+    """
+    eig = herm_eig(m)
+    top = float(eig.eigenvalues.max(initial=0.0))
+    mask = eig.eigenvalues > EPS_SUPP * max(top, 0.0)
+    return eig.eigenvalues[mask], eig.eigenvectors[:, mask]
 
 
 def eigenvalue_below(m: np.ndarray, tol: float) -> float | None:

@@ -4,7 +4,9 @@ Completely positive maps are stored by their Choi matrix, built as
 ``(id (x) map)`` applied to the unnormalized maximally entangled operator
 with the input system first: ``choi = sum_ij E_ij (x) map(E_ij)``.  In this
 convention a map that preserves trace on a subspace with projector ``P``
-satisfies ``Tr_out(choi) = P.T``.
+satisfies ``Tr_out(choi) = P.T``.  A map given by Kraus operators gets its
+Choi matrix once, from :meth:`CpMap.from_kraus`; the measurement channel's
+Kraus operators are the PVM's own :attr:`~eurqsi.states.Pvm.kraus`.
 
 The rotated Petz construction averages unitary rotations by imaginary
 operator powers against the density ``p(t) = (pi/2) / (cosh(pi t) + 1)``.
@@ -19,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (EPS_SUPP, as_matrix, dagger, eigenvalue_below, herm_eig,
-                     mat_power_on_support)
-from .states import (
-    CqState,
-    DensityOperator,
-    InvalidStateError,
-    Pvm,
-    pinch,
-)
+from .linalg import (as_matrix, dagger, eigenvalue_below, herm_eig, mat_power_on_support,
+                     support_eig)
+from .states import DensityOperator, InvalidStateError, Pvm, pinch
 
 CHOI_TOL = 1e-8
 
@@ -38,7 +34,9 @@ class CpMap:
 
     ``support`` is the projector on the input space where the map is
     trace-preserving (identity when None).  Kraus operators are optional;
-    rotated Petz maps keep only the Choi matrix.
+    rotated Petz maps keep only the Choi matrix.  A map known by its Kraus
+    operators is built with :meth:`from_kraus`; a Choi matrix and Kraus
+    operators passed together are checked against each other.
     """
 
     choi: np.ndarray
@@ -69,16 +67,27 @@ class CpMap:
         if eigenvalue_below(choi, CHOI_TOL * scale) is not None:
             raise ValueError("Choi matrix is not positive semidefinite")
         if self.kraus is not None:
-            kraus = tuple(as_matrix(k) for k in self.kraus)
+            kraus = self._checked_kraus(self.kraus)
             object.__setattr__(self, "kraus", kraus)
-            for k in kraus:
-                if k.shape != (self.out_dim, self.in_dim):
-                    raise ValueError("Kraus operator shape mismatch")
-            rebuilt = choi_from_kraus(kraus)
-            if np.abs(rebuilt - choi).max() > CHOI_TOL * scale:
+            if np.abs(choi_from_kraus(kraus) - choi).max() > CHOI_TOL * scale:
                 raise ValueError("Choi matrix inconsistent with Kraus operators")
         if self.support is not None:
             object.__setattr__(self, "support", as_matrix(self.support))
+
+    @classmethod
+    def from_kraus(cls, kraus, in_dims, out_dims, **fields) -> "CpMap":
+        """Map ``sum_k K_k (.) K_k^dag``, its Choi matrix built once from ``kraus``."""
+        kraus = tuple(kraus)
+        cpmap = cls(choi_from_kraus(kraus), in_dims, out_dims, **fields)
+        object.__setattr__(cpmap, "kraus", cpmap._checked_kraus(kraus))
+        return cpmap
+
+    def _checked_kraus(self, kraus) -> tuple[np.ndarray, ...]:
+        kraus = tuple(as_matrix(k) for k in kraus)
+        for k in kraus:
+            if k.shape != (self.out_dim, self.in_dim):
+                raise ValueError("Kraus operator shape mismatch")
+        return kraus
 
     @property
     def in_dim(self) -> int:
@@ -143,11 +152,10 @@ def identity_channel(dims, labels=()) -> CpMap:
     dims = tuple(int(d) for d in dims)
     d = int(np.prod(dims))
     eye = np.eye(d, dtype=complex)
-    return CpMap(
-        choi=choi_from_kraus([eye]),
+    return CpMap.from_kraus(
+        (eye,),
         in_dims=dims,
         out_dims=dims,
-        kraus=(eye,),
         support=eye,
         in_labels=tuple(labels),
         out_labels=tuple(labels),
@@ -159,24 +167,13 @@ def measurement_channel(
 ) -> CpMap:
     """Channel mapping a state to its measurement statistics register.
 
-    Kraus operators ``|x><v|`` over outcomes x and an orthonormal basis v
-    of range(P_x), d in all.
+    Its Kraus operators are the PVM's measurement operators :attr:`Pvm.kraus`.
     """
-    n, d = len(pvm), pvm.dim
-    kraus = []
-    for x, p in enumerate(pvm.projectors):
-        eig = herm_eig(p)
-        for v in eig.eigenvectors[:, eig.eigenvalues > 0.5].T:
-            k = np.zeros((n, d), dtype=complex)
-            k[x] = v.conj()
-            kraus.append(k)
-    kraus = tuple(kraus)
-    return CpMap(
-        choi=choi_from_kraus(kraus),
-        in_dims=(d,),
-        out_dims=(n,),
-        kraus=kraus,
-        support=np.eye(d, dtype=complex),
+    return CpMap.from_kraus(
+        pvm.kraus,
+        in_dims=(pvm.dim,),
+        out_dims=(len(pvm),),
+        support=np.eye(pvm.dim, dtype=complex),
         in_labels=(measured_label,),
         out_labels=(register_label,),
     )
@@ -193,11 +190,10 @@ def tensor_with_identity(channel: CpMap, side_dims, side_labels) -> CpMap:
         channel.support if channel.support is not None else np.eye(channel.in_dim),
         eye,
     )
-    return CpMap(
-        choi=choi_from_kraus(kraus),
+    return CpMap.from_kraus(
+        kraus,
         in_dims=channel.in_dims + side_dims,
         out_dims=channel.out_dims + side_dims,
-        kraus=kraus,
         support=support,
         in_labels=channel.in_labels + tuple(side_labels),
         out_labels=channel.out_labels + tuple(side_labels),
@@ -221,23 +217,14 @@ def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     sqrt_sigma = mat_power_on_support(sigma, 0.5)
     inv_sqrt_n = mat_power_on_support(n_sigma, -0.5)
     kraus = tuple(sqrt_sigma @ dagger(k) @ inv_sqrt_n for k in channel.kraus)
-    return CpMap(
-        choi=choi_from_kraus(kraus),
+    return CpMap.from_kraus(
+        kraus,
         in_dims=channel.out_dims,
         out_dims=channel.in_dims,
-        kraus=kraus,
         support=herm_eig(n_sigma).support_projector(),
         in_labels=channel.out_labels,
         out_labels=channel.in_labels,
     )
-
-
-def _support_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues above the relative support cutoff and their eigenvectors."""
-    eig = herm_eig(m)
-    top = float(eig.eigenvalues.max(initial=0.0))
-    mask = eig.eigenvalues > EPS_SUPP * max(top, 0.0)
-    return eig.eigenvalues[mask], eig.eigenvectors[:, mask]
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
@@ -265,8 +252,8 @@ def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
         raise ValueError("sigma dimension incompatible with channel input")
     if channel.kraus is None:
         raise ValueError("rotated_petz_map needs a channel with Kraus operators")
-    lam, v = _support_eig(sigma)
-    mu, w = _support_eig(channel.apply_matrix(sigma))
+    lam, v = support_eig(sigma)
+    mu, w = support_eig(channel.apply_matrix(sigma))
     k_dag = np.stack([dagger(k) for k in channel.kraus])      # (nk, din, dout)
     # vec index of a recovery Kraus operator: input c slow, output a fast
     coef = np.einsum("ia,kij,jc->kca", v.conj(), k_dag, w)
@@ -327,10 +314,8 @@ def eur_recovery_map(
     )
 
 
-def apply_map(cpmap: CpMap, state: DensityOperator | CqState) -> DensityOperator:
+def apply_map(cpmap: CpMap, state: DensityOperator) -> DensityOperator:
     """Apply a CP map to a state, returning a validated density operator."""
-    if isinstance(state, CqState):
-        state = state.to_density_operator()
     if tuple(state.dims) != cpmap.in_dims:
         raise ValueError(
             f"state dims {state.dims} do not match map input dims {cpmap.in_dims}"

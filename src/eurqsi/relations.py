@@ -154,14 +154,14 @@ def check_bipartite(
             "the bipartite refined relation requires a rank-one Z measurement"
         )
     b_labels = [s for s in rho_ab.labels if s != measured]
-    sigma = measure(rho_ab, x_pvm, measured, "X").to_density_operator()
-    omega = measure(rho_ab, z_pvm, measured, "Z").to_density_operator()
+    sigma = measure(rho_ab, x_pvm, measured, "X")
+    omega = measure(rho_ab, z_pvm, measured, "Z")
     h_xb = conditional(sigma, b_labels)
     h_zb = conditional(omega, b_labels)
     h_ab = conditional(rho_ab, b_labels)
 
     rho_ae = purify(rho_ab, "_E").reduce([measured, "_E"])
-    omega_ze = measure(rho_ae, z_pvm, measured, "Z").to_density_operator()
+    omega_ze = measure(rho_ae, z_pvm, measured, "Z")
     h_ze = conditional(omega_ze, ["_E"])
 
     c = incompatibility_c(x_pvm, z_pvm)
@@ -205,9 +205,9 @@ def check_tripartite(
     # measuring A commutes with tracing out B or E
     rho_ab = rho_abe.reduce([a_label, b_label])
     rho_ae = rho_abe.reduce([a_label] + e_labels)
-    sigma_xb = measure(rho_ab, x_pvm, a_label, "X").to_density_operator()
-    omega_zb = measure(rho_ab, z_pvm, a_label, "Z").to_density_operator()
-    omega_ze = measure(rho_ae, z_pvm, a_label, "Z").to_density_operator()
+    sigma_xb = measure(rho_ab, x_pvm, a_label, "X")
+    omega_zb = measure(rho_ab, z_pvm, a_label, "Z")
+    omega_ze = measure(rho_ae, z_pvm, a_label, "Z")
     h_xb = conditional(sigma_xb, [b_label])
     h_zb = conditional(omega_zb, [b_label])
     h_ze = conditional(omega_ze, e_labels)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import apply_local
-from .recovery import CpMap, choi_from_kraus, kraus_from_choi
+from .recovery import CpMap, kraus_from_choi
 from .states import (
     DensityOperator,
     KET_MINUS,
@@ -296,9 +296,7 @@ def _r1_register_map() -> CpMap:
         np.outer(KET_PLUS, [1.0, 0.0]),
         np.outer(KET_MINUS, [0.0, 1.0]),
     )
-    return CpMap(
-        choi=choi_from_kraus(kraus), in_dims=(2,), out_dims=(2,), kraus=kraus
-    )
+    return CpMap.from_kraus(kraus, in_dims=(2,), out_dims=(2,))
 
 
 def _qubit_distribution(rho: DensityOperator, label: str, axis: str) -> np.ndarray:

@@ -1,14 +1,17 @@
 """States, projective measurements, and the operations connecting them.
 
 A :class:`DensityOperator` is a dense matrix plus an ordered list of
-subsystem dimensions and labels.  Classical measurement outcomes live in
-:class:`CqState` blocks, convertible to block-diagonal density operators
-so the entropy code treats classical registers like any other subsystem.
+subsystem dimensions and labels.  A measurement writes its outcome into a
+classical register, stored as one more subsystem of a block-diagonal
+density operator, so the entropy code treats classical registers like any
+other subsystem.  Every measurement applies the PVM's measurement Kraus
+operators :attr:`Pvm.kraus`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from .linalg import (
     herm_eig,
     is_hermitian,
     partial_trace,
+    support_eig,
 )
 
 STATE_TOL = 1e-10
@@ -124,11 +128,8 @@ class DensityOperator:
         order = [self.label_index(s) for s in label_order]
         if sorted(order) != list(range(len(self.dims))):
             raise InvalidStateError(f"{label_order!r} is not a permutation of {self.labels}")
-        n = len(self.dims)
-        t = self.matrix.reshape(self.dims + self.dims)
-        t = t.transpose(order + [n + i for i in order])
         return DensityOperator(
-            t.reshape(self.dim, self.dim),
+            _reordered(self.matrix, self.dims, order),
             tuple(self.dims[i] for i in order),
             tuple(self.labels[i] for i in order),
         )
@@ -138,6 +139,13 @@ class DensityOperator:
 
     def is_pure(self, tol: float = 1e-8) -> bool:
         return self.purity() >= 1.0 - tol
+
+
+def _reordered(m: np.ndarray, dims, order) -> np.ndarray:
+    """Matrix ``m`` on subsystems ``dims`` with the subsystems put in ``order``."""
+    n = len(dims)
+    t = m.reshape(tuple(dims) * 2).transpose(list(order) + [n + i for i in order])
+    return t.reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -191,15 +199,22 @@ class Pvm:
     def is_rank_one(self) -> bool:
         return all(r == 1 for r in self.ranks())
 
-    def basis_vectors(self) -> list[np.ndarray]:
-        """The defining kets of a rank-one PVM (global phase arbitrary)."""
-        if not self.is_rank_one():
-            raise InvalidStateError("PVM is not rank one")
-        out = []
-        for p in self.projectors:
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """Measurement Kraus operators ``|x><v|``, shape (d, outcomes, d).
+
+        One operator per vector v of an orthonormal basis of each range(P_x);
+        together they map the measured subsystem to the outcome register.
+        """
+        n, d = len(self), self.dim
+        kraus = []
+        for x, p in enumerate(self.projectors):
             eig = herm_eig(p)
-            out.append(eig.eigenvectors[:, 0])
-        return out
+            for v in eig.eigenvectors[:, eig.eigenvalues > 0.5].T:
+                k = np.zeros((n, d), dtype=complex)
+                k[x] = v.conj()
+                kraus.append(k)
+        return np.stack(kraus)
 
 
 def pauli_pvm(axis: str) -> Pvm:
@@ -222,86 +237,28 @@ def fourier_pvm(dim: int) -> Pvm:
     return Pvm.from_basis(vecs)
 
 
-@dataclass(frozen=True)
-class CqState:
-    """Classical register paired with unnormalized quantum blocks.
-
-    ``blocks[x]`` is the (PSD, subnormalized) state of the quantum
-    subsystems conditioned on outcome ``x``; block traces sum to one.
-    """
-
-    register_label: str
-    blocks: tuple[np.ndarray, ...]
-    qdims: tuple[int, ...]
-    qlabels: tuple[str, ...]
-
-    def __post_init__(self):
-        blocks = tuple(as_matrix(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "qdims", tuple(int(d) for d in self.qdims))
-        object.__setattr__(self, "qlabels", tuple(self.qlabels))
-        qdim = int(np.prod(self.qdims))
-        for b in blocks:
-            if b.shape != (qdim, qdim):
-                raise InvalidStateError("block shape does not match quantum dims")
-        total = sum(float(np.trace(b).real) for b in blocks)
-        if abs(total - 1.0) > 1e-8:
-            raise InvalidStateError(f"block traces sum to {total}, expected 1")
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.blocks)
-
-    def probabilities(self) -> np.ndarray:
-        return np.array([float(np.trace(b).real) for b in self.blocks])
-
-    def to_density_operator(self) -> DensityOperator:
-        """Block-diagonal form with the classical register as subsystem 0."""
-        n = self.n_outcomes
-        qdim = int(np.prod(self.qdims))
-        m = np.zeros((n * qdim, n * qdim), dtype=complex)
-        for x, b in enumerate(self.blocks):
-            m[x * qdim:(x + 1) * qdim, x * qdim:(x + 1) * qdim] = b
-        return DensityOperator(
-            m, (n,) + self.qdims, (self.register_label,) + self.qlabels
-        )
-
-    @classmethod
-    def from_density_operator(cls, rho: DensityOperator, register_label: str) -> "CqState":
-        """Inverse of :meth:`to_density_operator` for any register position."""
-        pos = rho.label_index(register_label)
-        n = rho.dims[pos]
-        qdims = tuple(d for i, d in enumerate(rho.dims) if i != pos)
-        qlabels = tuple(s for i, s in enumerate(rho.labels) if i != pos)
-        bras = np.eye(n, dtype=complex)
-        blocks = tuple(
-            apply_local(rho.matrix, rho.dims, [bras[x:x + 1]], [pos]) for x in range(n)
-        )
-        return cls(register_label, blocks, qdims, qlabels)
-
-
 def measure(
     rho: DensityOperator, pvm: Pvm, measured: str, register_label: str
-) -> CqState:
+) -> DensityOperator:
     """Measure one subsystem, keeping the outcome in a classical register.
 
-    Block ``x`` is ``Tr_measured{(P_x (x) I) rho}``; the measured subsystem
-    is consumed.
+    The measured subsystem is consumed.  The result is block diagonal with
+    the register as subsystem 0 and the other subsystems in their original
+    order; block ``x`` is ``Tr_measured{(P_x (x) I) rho}``.
     """
     pos = rho.label_index(measured)
     if pvm.dim != rho.dims[pos]:
         raise InvalidStateError(
             f"PVM dimension {pvm.dim} != subsystem {measured!r} dimension {rho.dims[pos]}"
         )
-    keep = [i for i in range(len(rho.dims)) if i != pos]
-    # The rows of P_x, as 1 x d Kraus operators, give Tr_measured{P_x rho P_x}
-    # for projectors of any rank.
-    blocks = tuple(
-        apply_local(rho.matrix, rho.dims, p[:, None, :], [pos]) for p in pvm.projectors
+    m = apply_local(rho.matrix, rho.dims, pvm.kraus, [pos])
+    dims = rho.dims[:pos] + (len(pvm),) + rho.dims[pos + 1:]
+    order = [pos] + [i for i in range(len(dims)) if i != pos]
+    return DensityOperator(
+        _reordered(m, dims, order),
+        tuple(dims[i] for i in order),
+        (register_label,) + tuple(rho.labels[i] for i in order[1:]),
     )
-    qdims = tuple(rho.dims[i] for i in keep)
-    qlabels = tuple(rho.labels[i] for i in keep)
-    return CqState(register_label, blocks, qdims, qlabels)
 
 
 def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:
@@ -319,26 +276,19 @@ def theta_state(
     z_pvm: Pvm,
     measured: str = "A",
     register_label: str = "X",
-) -> CqState:
+) -> DensityOperator:
     """Outcome statistics of an X measurement performed after a Z one.
 
-    Requires a rank-one Z measurement.  Block ``x`` is
-    ``sum_z <z|P_x|z> omega_z`` with ``omega_z = (<z| (x) I) rho (|z> (x) I)``.
+    Requires a rank-one Z measurement.  The result has the layout of
+    :func:`measure`; block ``x`` is ``sum_z <z|P_x|z> omega_z`` with
+    ``omega_z = (<z| (x) I) rho (|z> (x) I)``.
     """
     if not z_pvm.is_rank_one():
         raise InvalidStateError("theta_state needs a rank-one Z measurement")
     pos = rho.label_index(measured)
     if x_pvm.dim != rho.dims[pos] or z_pvm.dim != rho.dims[pos]:
         raise InvalidStateError("PVM dimension mismatch in theta_state")
-    zvecs = z_pvm.basis_vectors()
-    omegas = [apply_local(rho.matrix, rho.dims, [z.conj()[None, :]], [pos]) for z in zvecs]
-    blocks = []
-    for p in x_pvm.projectors:
-        weights = [float(np.real(np.conjugate(z) @ p @ z)) for z in zvecs]
-        blocks.append(sum(w * om for w, om in zip(weights, omegas)))
-    qdims = tuple(d for i, d in enumerate(rho.dims) if i != pos)
-    qlabels = tuple(s for i, s in enumerate(rho.labels) if i != pos)
-    return CqState(register_label, tuple(blocks), qdims, qlabels)
+    return measure(pinch(rho, z_pvm, measured), x_pvm, measured, register_label)
 
 
 def incompatibility_c(x_pvm: Pvm, z_pvm: Pvm) -> float:
@@ -369,11 +319,10 @@ def purify(rho: DensityOperator, purifier_label: str = "R") -> DensityOperator:
     """
     if purifier_label in rho.labels:
         raise InvalidStateError(f"label {purifier_label!r} already in use")
-    eig = herm_eig(rho.matrix)
-    mask = eig.support_mask()
-    rank = int(mask.sum())
+    vals, vecs = support_eig(rho.matrix)
+    rank = len(vals)
     # |psi> = sum_k sqrt(l_k) |v_k> (x) |k>, entry i*rank + k
-    psi = (eig.eigenvectors[:, mask] * np.sqrt(eig.eigenvalues[mask])).reshape(-1)
+    psi = (vecs * np.sqrt(vals)).reshape(-1)
     psi /= np.linalg.norm(psi)
     return DensityOperator.from_vector(
         psi, rho.dims + (rank,), rho.labels + (purifier_label,)

@@ -7,17 +7,19 @@ through scipy matrix square roots, matrix powers are taken on scalars, and
 the rotated Petz average over p(t) is done by numerical quadrature instead
 of the library's closed form.
 
-Two oracles keep earlier, costlier library constructions as plain
-functions: the measurement channel with one Kraus operator per outcome
-and basis state, and the relation checks that measure the whole state
-before reducing it.  The latter are built from library primitives.
+Some oracles keep earlier library constructions as plain functions: the
+measured state as blocks ``Tr_A[(P_x (x) I) rho]`` taken by partial trace,
+the doubly measured state by its rank-one formula, the measurement
+channel with one Kraus operator per outcome and basis state, and the
+relation checks that measure the whole state before reducing it.  The
+latter are built from library primitives.
 """
 
 import numpy as np
 import scipy.linalg
 
 from eurqsi.entropy import conditional
-from eurqsi.linalg import fidelity
+from eurqsi.linalg import fidelity, partial_trace
 from eurqsi.recovery import CpMap, apply_map, rotated_petz_map, tensor_with_identity
 from eurqsi.relations import EurReport
 from eurqsi.states import Pvm, measure, pinch, purify
@@ -94,6 +96,40 @@ def shannon_bits(probs):
 
 def dagger(m):
     return np.conjugate(np.asarray(m).T)
+
+
+def rank_one_vectors(pvm):
+    """The kets of a rank-one PVM, from ``np.linalg.eigh`` of each projector."""
+    return [np.linalg.eigh(p)[1][:, -1] for p in pvm.projectors]
+
+
+def _block_oracle(rho, dims, pos, p):
+    """Tr_pos[(P (x) I) rho] with P embedded at ``pos`` by kron."""
+    before = int(np.prod(dims[:pos], initial=1))
+    after = int(np.prod(dims[pos + 1:], initial=1))
+    emb = np.kron(np.kron(np.eye(before), p), np.eye(after))
+    return partial_trace(emb @ rho, dims, [i for i in range(len(dims)) if i != pos])
+
+
+def _register_first(blocks):
+    """sum_x |x><x| (x) blocks[x]."""
+    n = len(blocks)
+    return sum(np.kron(np.diag(np.eye(n)[x]), b) for x, b in enumerate(blocks))
+
+
+def measured_state_oracle(rho, dims, pos, pvm):
+    """Register-first measured state, block x = Tr_A[(P_x (x) I) rho]."""
+    return _register_first([_block_oracle(rho, dims, pos, p) for p in pvm.projectors])
+
+
+def theta_state_oracle(rho, dims, pos, x_pvm, z_pvm):
+    """Register-first X-after-Z state, block x = sum_z <z|P_x|z> omega_z."""
+    zvecs = rank_one_vectors(z_pvm)
+    omegas = [_block_oracle(rho, dims, pos, np.outer(z, z.conj())) for z in zvecs]
+    return _register_first([
+        sum(np.real(z.conj() @ p @ z) * om for z, om in zip(zvecs, omegas))
+        for p in x_pvm.projectors
+    ])
 
 
 def pinched_state_oracle(rho_ab, zvecs):
@@ -211,9 +247,9 @@ def _report(relation_id, h_xb, h_zb, h_ze, h_ab, c, f):
 def bipartite_report_oracle(rho_ab, x_pvm, z_pvm, measured="A"):
     """check_bipartite with H(Z|E) taken by measuring the whole purification."""
     b_labels = [s for s in rho_ab.labels if s != measured]
-    sigma = measure(rho_ab, x_pvm, measured, "X").to_density_operator()
-    omega = measure(rho_ab, z_pvm, measured, "Z").to_density_operator()
-    omega_zbe = measure(purify(rho_ab, "_E"), z_pvm, measured, "Z").to_density_operator()
+    sigma = measure(rho_ab, x_pvm, measured, "X")
+    omega = measure(rho_ab, z_pvm, measured, "Z")
+    omega_zbe = measure(purify(rho_ab, "_E"), z_pvm, measured, "Z")
     return _report(
         "bipartite_refined",
         h_xb=conditional(sigma, b_labels),
@@ -231,8 +267,8 @@ def tripartite_report_oracle(rho_abe, x_pvm, z_pvm, a_label="A", b_label="B",
     if purify_if_mixed and not rho_abe.is_pure(1e-8):
         rho_abe = purify(rho_abe, "_E")
     e_labels = [s for s in rho_abe.labels if s not in (a_label, b_label)]
-    sigma = measure(rho_abe, x_pvm, a_label, "X").to_density_operator()
-    omega = measure(rho_abe, z_pvm, a_label, "Z").to_density_operator()
+    sigma = measure(rho_abe, x_pvm, a_label, "X")
+    omega = measure(rho_abe, z_pvm, a_label, "Z")
     rho_ab = rho_abe.reduce([a_label, b_label])
     sigma_xb = sigma.reduce(["X", b_label])
     return _report(

@@ -52,8 +52,8 @@ class TestConditional:
             tensor(ket_bra(KET_PLUS), maximally_mixed(2)), (2, 2), ("A", "B")
         )
         assert abs(conditional(rho, ["B"])) < 1e-12
-        sigma = measure(rho, pauli_pvm("X"), "A", "X").to_density_operator()
-        omega = measure(rho, pauli_pvm("Z"), "A", "Z").to_density_operator()
+        sigma = measure(rho, pauli_pvm("X"), "A", "X")
+        omega = measure(rho, pauli_pvm("Z"), "A", "Z")
         assert abs(conditional(sigma, ["B"])) < 1e-12
         assert abs(conditional(omega, ["B"]) - 1.0) < 1e-12
 
@@ -61,8 +61,8 @@ class TestConditional:
         rho = DensityOperator(
             tensor(ket_bra(KET_PLUS_Y), maximally_mixed(2)), (2, 2), ("A", "B")
         )
-        sigma = measure(rho, pauli_pvm("X"), "A", "X").to_density_operator()
-        omega = measure(rho, pauli_pvm("Z"), "A", "Z").to_density_operator()
+        sigma = measure(rho, pauli_pvm("X"), "A", "X")
+        omega = measure(rho, pauli_pvm("Z"), "A", "Z")
         assert abs(conditional(sigma, ["B"]) - 1.0) < 1e-12
         assert abs(conditional(omega, ["B"]) - 1.0) < 1e-12
 
@@ -103,7 +103,7 @@ class TestDuality:
         for seed in range(30):
             rho = random_pure_state((2, 2, 2), [seed, 0], ("A", "B", "E"))
             zp = random_pvm(2, [seed, 1])
-            omega = measure(rho, zp, "A", "Z").to_density_operator()
+            omega = measure(rho, zp, "A", "Z")
             h_ze = conditional(omega.reduce(["Z", "E"]), ["E"])
             h_zb = conditional(omega.reduce(["Z", "B"]), ["B"])
             h_ab = conditional(rho.reduce(["A", "B"]), ["B"])
@@ -124,7 +124,7 @@ class TestDuality:
             omega_zab = omega_full.reduce(["Zp", "A", "B"])
             d = relative(omega_zzab, tensor(np.eye(2), omega_zab.matrix))
             h_ze = conditional(
-                measure(rho, zp, "A", "Z").to_density_operator().reduce(["Z", "E"]),
+                measure(rho, zp, "A", "Z").reduce(["Z", "E"]),
                 ["E"],
             )
             assert abs(d - h_ze) < 1e-8

@@ -42,6 +42,7 @@ from conftest import (
     haar_unitary,
     measurement_kraus_nd_oracle,
     pinched_state_oracle,
+    rank_one_vectors,
     rank2_plus_rank1_pvm,
     rotated_petz_choi_oracle,
 )
@@ -159,7 +160,7 @@ class TestRotatedPetz:
         xp, zp = pauli_pvm("X"), pauli_pvm("Z")
         chan = tensor_with_identity(measurement_channel(xp), (2,), ("B",))
         rec = rotated_petz_map(pinch(rho, zp, "A").matrix, chan)
-        sigma = measure(rho, xp, "A", "X").to_density_operator()
+        sigma = measure(rho, xp, "A", "X")
         f = fidelity(rho.matrix, rec.apply_matrix(sigma.matrix))
         assert abs(-np.log2(f) - 1.0) < 1e-6
 
@@ -224,7 +225,7 @@ class TestEurRecoveryMap:
         rec = eur_recovery_map(rho, pauli_pvm("X"), pauli_pvm("Z"))
         ref = recovery_map_r3()
         assert op_norm(rec.choi - ref.choi) < 1e-9
-        sigma = measure(rho, pauli_pvm("X"), "A", "X").to_density_operator()
+        sigma = measure(rho, pauli_pvm("X"), "A", "X")
         assert trace_distance(rec.apply_matrix(sigma.matrix), rho.matrix) < 1e-9
 
     def test_rejects_non_rank_one_z(self):
@@ -241,9 +242,9 @@ class TestEurRecoveryMap:
             rho = random_multipartite_state((d, d), d * d, [seed, 21], ("A", "B"))
             xp, zp = random_pvm(d, [seed, 22]), random_pvm(d, [seed, 23])
             rec = eur_recovery_map(rho, xp, zp)
-            theta = theta_state(rho, xp, zp).to_density_operator()
+            theta = theta_state(rho, xp, zp)
             out = rec.apply_matrix(theta.matrix)
-            want = pinched_state_oracle(rho.matrix, zp.basis_vectors())
+            want = pinched_state_oracle(rho.matrix, rank_one_vectors(zp))
             worst = max(worst, trace_distance(out, want))
         assert worst < 1e-7
 
@@ -255,7 +256,7 @@ class TestEurRecoveryMap:
             explicit = eur_recovery_map(rho, xp, zp)
             chan = tensor_with_identity(measurement_channel(xp), (d,), ("B",))
             generic = rotated_petz_map(pinch(rho, zp, "A").matrix, chan)
-            theta = theta_state(rho, xp, zp).to_density_operator()
+            theta = theta_state(rho, xp, zp)
             lift = np.kron(herm_eig(theta.matrix).support_projector(),
                            np.eye(d * d))
             diff = lift @ (explicit.choi - generic.choi) @ lift
@@ -296,7 +297,7 @@ class TestApplyMap:
         )
         rec = eur_recovery_map(rho, pauli_pvm("X"), pauli_pvm("Z"))
         sigma = measure(rho, pauli_pvm("X"), "A", "X")
-        out = apply_map(rec, sigma)  # CqState accepted directly
+        out = apply_map(rec, sigma)
         assert trace_distance(out.matrix, np.eye(4) / 4) < 1e-9
 
     def test_dimension_mismatch(self):
@@ -376,6 +377,6 @@ class TestRefinedMonotonicity:
             rho = random_multipartite_state((2, 2), 4, [seed, 51], ("A", "B"))
             xp, zp = random_pvm(2, [seed, 52]), random_pvm(2, [seed, 53])
             rec = eur_recovery_map(rho, xp, zp)
-            sigma = measure(rho, xp, "A", "X").to_density_operator()
+            sigma = measure(rho, xp, "A", "X")
             f = fidelity(rho.matrix, rec.apply_matrix(sigma.matrix))
             assert -np.log2(f) >= 0.0

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eurqsi import relations
+from eurqsi import recovery, relations
 from eurqsi.linalg import tensor
 from eurqsi.relations import EurReport, check_bipartite, check_tripartite, fuzz
 from eurqsi.serialize import canonical_json, scenario_from_dict
@@ -208,6 +208,20 @@ class TestMeasuredMarginals:
         check_tripartite(rho_abe, xp, zp)
         assert built and max(built) <= 27
         assert kraus_counts == [3]
+
+    def test_each_kraus_map_builds_its_choi_once(self, monkeypatch):
+        # the measurement channel and its extension by id_B, one Choi each
+        rho_ab, xp, zp = MARGINAL_CASES["3x3 haar"]
+        calls = []
+        choi_from_kraus = recovery.choi_from_kraus
+
+        def counting_choi_from_kraus(*args, **kwargs):
+            calls.append(1)
+            return choi_from_kraus(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "choi_from_kraus", counting_choi_from_kraus)
+        check_bipartite(rho_ab, xp, zp)
+        assert len(calls) <= 2
 
 
 class TestEurReportInvariants:

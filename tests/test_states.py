@@ -11,8 +11,8 @@ from eurqsi.serialize import (
     save_scenario,
     scenario_from_dict,
 )
+from eurqsi.relations import check_tripartite
 from eurqsi.states import (
-    CqState,
     DensityOperator,
     InvalidStateError,
     KET_0,
@@ -35,7 +35,13 @@ from eurqsi.states import (
     theta_state,
 )
 
-from conftest import incompatibility_loop_oracle, rotated_spectrum
+from conftest import (
+    incompatibility_loop_oracle,
+    measured_state_oracle,
+    rank2_plus_rank1_pvm,
+    rotated_spectrum,
+    theta_state_oracle,
+)
 
 
 def plus_pi_state():
@@ -116,61 +122,93 @@ class TestPvm:
         rank2 = Pvm((np.diag([1, 1, 0, 0]).astype(complex),
                      np.diag([0, 0, 1, 1]).astype(complex)))
         assert not rank2.is_rank_one()
-        with pytest.raises(InvalidStateError):
-            rank2.basis_vectors()
 
 
 class TestMeasure:
     def test_x_measurement_of_x_eigenstate(self):
-        cq = measure(plus_pi_state(), pauli_pvm("X"), "A", "X")
-        assert np.abs(cq.blocks[0] - maximally_mixed(2)).max() < 1e-12
-        assert np.abs(cq.blocks[1]).max() < 1e-12
+        sigma = measure(plus_pi_state(), pauli_pvm("X"), "A", "X")
+        assert sigma.dims == (2, 2) and sigma.labels == ("X", "B")
+        want = tensor(ket_bra(KET_0), maximally_mixed(2))
+        assert np.abs(sigma.matrix - want).max() < 1e-12
 
     def test_z_measurement_of_x_eigenstate(self):
-        cq = measure(plus_pi_state(), pauli_pvm("Z"), "A", "Z")
-        for block in cq.blocks:
-            assert np.abs(block - maximally_mixed(2) / 2).max() < 1e-12
+        omega = measure(plus_pi_state(), pauli_pvm("Z"), "A", "Z")
+        assert np.abs(omega.matrix - np.eye(4) / 4).max() < 1e-12
 
     def test_z_measurement_of_bell_state(self):
         rho = DensityOperator.from_vector(bell_phi(), (2, 2), ("A", "B"))
-        cq = measure(rho, pauli_pvm("Z"), "A", "Z")
-        assert np.abs(cq.blocks[0] - ket_bra(KET_0) / 2).max() < 1e-12
-        assert np.abs(cq.blocks[1] - ket_bra(KET_1) / 2).max() < 1e-12
+        omega = measure(rho, pauli_pvm("Z"), "A", "Z")
+        want = (tensor(ket_bra(KET_0), ket_bra(KET_0))
+                + tensor(ket_bra(KET_1), ket_bra(KET_1))) / 2
+        assert np.abs(omega.matrix - want).max() < 1e-12
 
     def test_trace_preserving_and_psd_blocks(self):
         for trial in range(1000):
             d = 2 + trial % 3
             rho = random_state(d, d, [trial, 0])
             pvm = random_pvm(d, [trial, 1])
-            cq = measure(
+            sigma = measure(
                 DensityOperator(rho.matrix, (d,), ("A",)), pvm, "A", "X"
             )
-            assert abs(sum(cq.probabilities()) - 1.0) < 1e-10
-            for block in cq.blocks:
-                assert np.linalg.eigvalsh(block).min() > -1e-10
+            assert abs(np.trace(sigma.matrix).real - 1.0) < 1e-10
+            assert np.linalg.eigvalsh(sigma.matrix).min() > -1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidStateError):
             measure(plus_pi_state(), fourier_pvm(3), "A", "X")
 
 
+# The measured subsystem first, middle and last: Haar rank-one PVMs on
+# (2, 3, 2) and the rank-2 + rank-1 qutrit PVM with the qutrit moved along.
+ORACLE_CASES = [
+    *[((2, 3, 2), pos, "haar") for pos in range(3)],
+    *[(dims, dims.index(3), "rank 2 + rank 1") for dims in [(3, 2, 2), (2, 3, 2), (2, 2, 3)]],
+]
+
+
+def _oracle_case(dims, pos, kind, seed):
+    labels = ("P", "Q", "R")
+    rho = random_multipartite_state(dims, 6, seed, labels)
+    d = dims[pos]
+    x_pvm = random_pvm(d, [seed, 1]) if kind == "haar" else rank2_plus_rank1_pvm([seed, 1])
+    return rho, labels[pos], x_pvm, random_pvm(d, [seed, 2])
+
+
+class TestMeasureOracles:
+    @pytest.mark.parametrize("dims, pos, kind", ORACLE_CASES)
+    def test_measure_matches_block_formula(self, dims, pos, kind):
+        rho, measured, x_pvm, _ = _oracle_case(dims, pos, kind, 341 + pos)
+        sigma = measure(rho, x_pvm, measured, "X")
+        assert sigma.labels == ("X",) + tuple(s for s in rho.labels if s != measured)
+        want = measured_state_oracle(rho.matrix, dims, pos, x_pvm)
+        assert np.abs(sigma.matrix - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("dims, pos, kind", ORACLE_CASES)
+    def test_theta_state_matches_rank_one_formula(self, dims, pos, kind):
+        rho, measured, x_pvm, z_pvm = _oracle_case(dims, pos, kind, 351 + pos)
+        theta = theta_state(rho, x_pvm, z_pvm, measured, "X")
+        assert theta.labels == ("X",) + tuple(s for s in rho.labels if s != measured)
+        want = theta_state_oracle(rho.matrix, dims, pos, x_pvm, z_pvm)
+        assert np.abs(theta.matrix - want).max() <= 1e-14
+
+
 class TestThetaState:
     def test_x_eigenstate_gives_uniform(self):
         th = theta_state(plus_pi_state(), pauli_pvm("X"), pauli_pvm("Z"))
-        assert np.abs(th.to_density_operator().matrix - np.eye(4) / 4).max() < 1e-12
+        assert np.abs(th.matrix - np.eye(4) / 4).max() < 1e-12
 
     def test_max_entangled_gives_uniform(self):
         rho = DensityOperator.from_vector(bell_phi(), (2, 2), ("A", "B"))
         th = theta_state(rho, pauli_pvm("X"), pauli_pvm("Z"))
-        assert np.abs(th.to_density_operator().matrix - np.eye(4) / 4).max() < 1e-12
+        assert np.abs(th.matrix - np.eye(4) / 4).max() < 1e-12
 
     def test_max_uncertainty_sigma_equals_theta(self):
         from eurqsi.states import KET_PLUS_Y
         rho = DensityOperator(
             tensor(ket_bra(KET_PLUS_Y), maximally_mixed(2)), (2, 2), ("A", "B")
         )
-        sigma = measure(rho, pauli_pvm("X"), "A", "X").to_density_operator()
-        theta = theta_state(rho, pauli_pvm("X"), pauli_pvm("Z")).to_density_operator()
+        sigma = measure(rho, pauli_pvm("X"), "A", "X")
+        theta = theta_state(rho, pauli_pvm("X"), pauli_pvm("Z"))
         uniform = np.eye(4) / 4
         assert np.abs(sigma.matrix - uniform).max() < 1e-12
         assert np.abs(theta.matrix - uniform).max() < 1e-12
@@ -264,6 +302,21 @@ class TestPurify:
         psi /= np.linalg.norm(psi)
         assert np.abs(out.matrix - np.outer(psi, psi.conj())).max() < 1e-15
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    def test_round_off_negative_eigenvalue_is_dropped(self, dims):
+        # DensityOperator accepts eigenvalues down to -1e-8; the purifier
+        # must not take the square root of one
+        d = int(np.prod(dims))
+        vals = np.linspace(1.0, 2.0, d - 1)
+        vals = list(vals / vals.sum() + 5e-9 / (d - 1)) + [-5e-9]
+        rho = DensityOperator(rotated_spectrum(vals, 361 + d), dims, ("A", "B"))
+        out = purify(rho, "E")
+        assert out.dims == dims + (d - 1,)
+        assert np.abs(out.reduce(["A", "B"]).matrix - rho.matrix).max() < 1e-8
+        report = check_tripartite(rho, random_pvm(dims[0], 362), random_pvm(dims[0], 363),
+                                  purify_if_mixed=True)
+        assert report.slack_refined <= report.slack_original + 1e-9
+
 
 class TestRandomEnsembles:
     def test_rank_one_is_pure(self):
@@ -307,18 +360,6 @@ class TestPinching:
             comp = np.eye(d) - herm_eig(pinched.matrix).support_projector()
             mass = float(np.trace(comp @ rho.matrix).real)
             assert mass < 1e-10
-
-
-class TestCqState:
-    def test_roundtrip_through_density_operator(self):
-        cq = measure(plus_pi_state(), pauli_pvm("Z"), "A", "Z")
-        back = CqState.from_density_operator(cq.to_density_operator(), "Z")
-        for a, b in zip(cq.blocks, back.blocks):
-            assert np.abs(a - b).max() < 1e-12
-
-    def test_block_trace_sum_enforced(self):
-        with pytest.raises(InvalidStateError):
-            CqState("X", (np.eye(2) / 2, np.eye(2) / 2), (2,), ("B",))
 
 
 class TestScenarioFiles:
