@@ -204,6 +204,16 @@ def mat_power_on_support(m: np.ndarray, z: complex, eps: float = EPS_SUPP) -> np
     return (v * powered) @ dagger(v)
 
 
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """``x / sinh(x)`` with the removable singularity at 0 filled by 1.
+
+    It is the characteristic function of the rotated Petz density
+    ``p(t) = (pi/2) / (cosh(pi t) + 1)``.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.where(x == 0.0, 1.0, x / np.sinh(x))
+
+
 def op_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     m = as_matrix(m)
@@ -235,15 +245,19 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray, guard: float = 1e-9) -> float:
     """Uhlmann fidelity: squared trace norm of ``sqrt(rho) sqrt(sigma)``.
 
     Computed through the spectrum of ``sqrt(rho) sigma sqrt(rho)``, which
-    keeps every intermediate Hermitian.  The result is clipped to [0, 1]
-    after a guard band.
+    keeps every intermediate Hermitian, with ``sqrt(rho)`` taken on the
+    support of ``rho`` as :func:`support_eig` gives it.  The result is
+    clipped to [0, 1] after a guard band.
     """
     rho = _check_state_matrix(rho, HERM_TOL, "fidelity argument")
     sigma = _check_state_matrix(sigma, HERM_TOL, "fidelity argument")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    sqrt_rho = mat_power_on_support(rho, 0.5)
-    inner = sqrt_rho @ sigma @ sqrt_rho
+    # sqrt(rho) sigma sqrt(rho) has the nonzero spectrum of its compression
+    # to supp(rho); the signed cutoff drops round-off negative eigenvalues
+    lam, v = support_eig(rho)
+    half = v * np.sqrt(lam)
+    inner = dagger(half) @ sigma @ half
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     # eigh noise on zero modes is O(eps); summing their square roots would
     # cost ~1e-8, so cut at the support threshold first

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (as_matrix, dagger, eigenvalue_below, herm_eig, mat_power_on_support,
-                     support_eig)
+from .linalg import (_sinhc, as_matrix, dagger, eigenvalue_below, herm_eig,
+                     mat_power_on_support, support_eig)
 from .states import DensityOperator, InvalidStateError, Pvm, pinch
 
 CHOI_TOL = 1e-8
@@ -225,12 +225,6 @@ def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
         in_labels=channel.out_labels,
         out_labels=channel.in_labels,
     )
-
-
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """``x / sinh(x)`` with the removable singularity at 0 filled by 1."""
-    with np.errstate(invalid="ignore"):
-        return np.where(x == 0.0, 1.0, x / np.sinh(x))
 
 
 def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:

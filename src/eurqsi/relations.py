@@ -2,11 +2,12 @@
 
 Each check takes every entropy on the measured marginal it needs (X or Z
 applied to the AB or AE reduction, never to the whole state), evaluates
-the incompatibility constant, builds the recovery channel, and returns an
-:class:`EurReport` holding every scalar of the original and refined
-inequalities.  Entropy terms are eigenvalue-exact (1e-9); the refined
-inequality counts as violated only when its slack is below -1e-6; the
-report carries both tolerances.
+the incompatibility constant, evaluates the recovered state R(sigma_XB) in
+block form (no recovery channel is built; :mod:`eurqsi.recovery` has the
+explicit channel), and returns an :class:`EurReport` holding every scalar
+of the original and refined inequalities.  Entropy terms are
+eigenvalue-exact (1e-9); the refined inequality counts as violated only
+when its slack is below -1e-6; the report carries both tolerances.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import conditional
-from .linalg import fidelity
-from .recovery import (
-    apply_map,
-    measurement_channel,
-    rotated_petz_map,
-    tensor_with_identity,
-)
+from .linalg import EPS_SUPP, _sinhc, apply_local, dagger, fidelity, support_eig
 from .states import (
     DensityOperator,
     InvalidStateError,
@@ -30,7 +25,7 @@ from .states import (
     measure,
     incompatibility_c,
     pauli_pvm,
-    pinch,
+    purified_marginal,
     purify,
     random_multipartite_state,
     random_pvm,
@@ -120,21 +115,53 @@ def _reversibility(
     measured: str,
 ) -> float:
     """f = F(rho_AB, R(sigma_XB)) with R the rotated Petz recovery of the X
-    measurement relative to the Z-pinched state.
+    measurement N = M_X (x) id relative to the Z-pinched state tau.
+
+    R(sigma_XB) is evaluated in block form, with no recovery channel built.
+    N(tau) is the direct sum of the blocks tau_x = Tr_A[(P_x (x) I) tau]
+    and sigma_XB that of its blocks sigma_x.  With tau = sum_a l_a |a><a|
+    (eigenvectors V) and tau_x = sum_j m_xj |w_xj><w_xj|, each restricted
+    to the support, the p(t) average of the rotated Petz map is
+
+        R(sigma)_aa' = sum_x sum_v sum_jj' C_v[a, j] M_x[j, j']
+                       conj(C_v[a', j']) sinhc(phi_a,xj - phi_a',xj')
+
+    with v over the Kraus operators |x><v| of :attr:`Pvm.kraus`,
+    ``C_v[a, j] = sqrt(l_a) <a|v (x) w_xj>``,
+    ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')`` and
+    ``phi_a,xj = (ln l_a - ln m_xj) / 2``.  The support of N(tau) is cut
+    at ``EPS_SUPP`` times the top of its whole spectrum, the union of the
+    block spectra.  :func:`~eurqsi.recovery.eur_recovery_map` builds the
+    same recovery as an explicit channel.
 
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
     rest_labels = [s for s in rho_ab.labels if s != measured]
-    # the recovery channel emits the measured subsystem first
     rho_ord = rho_ab.permute([measured] + rest_labels)
-    chan = tensor_with_identity(
-        measurement_channel(x_pvm, measured, "X"),
-        rho_ord.dims[1:], rest_labels,
-    )
-    rec = rotated_petz_map(pinch(rho_ord, z_pvm, measured).matrix, chan)
-    recovered = apply_map(rec, sigma_xb)
-    return fidelity(rho_ord.matrix, recovered.matrix)
+    d_a, n = x_pvm.dim, len(x_pvm)
+    d_b = rho_ord.dim // d_a
+    tau = apply_local(rho_ord.matrix, (d_a, d_b), z_pvm.projectors, [0])
+    lam, v = support_eig(tau)
+    n_tau = apply_local(tau, (d_a, d_b), x_pvm.kraus, [0]).reshape(n, d_b, n, d_b)
+    mu, w = np.linalg.eigh(np.einsum("xbxc->xbc", n_tau))
+    keep = mu > EPS_SUPP * max(mu.max(), 0.0)
+    # off the support: unit eigenvalues keep the logs finite, and zeroed
+    # eigenvectors drop the terms
+    mu = np.where(keep, mu, 1.0)
+    w = w * keep[:, None, :]
+    # h[x, k, (a, j)] = <v_k (x) w_xj|a>, zero unless x is the outcome of k
+    kraus = x_pvm.kraus
+    h = np.einsum("kxi,xbj,iba->xkaj", kraus, w.conj(), v.reshape(d_a, d_b, -1))
+    h = h.reshape(n, len(kraus), -1)
+    sigma_x = np.einsum("xbxc->xbc", sigma_xb.matrix.reshape(n, d_b, n, d_b))
+    m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
+    phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
+    kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
+    gram = (h.conj().transpose(0, 2, 1) @ h).reshape(kernel.shape)
+    root = np.sqrt(lam)
+    r = np.einsum("xajbl,xjl->ab", gram * kernel, m) * np.outer(root, root)
+    return fidelity(rho_ord.matrix, v @ r @ dagger(v))
 
 
 def check_bipartite(
@@ -160,7 +187,7 @@ def check_bipartite(
     h_zb = conditional(omega, b_labels)
     h_ab = conditional(rho_ab, b_labels)
 
-    rho_ae = purify(rho_ab, "_E").reduce([measured, "_E"])
+    rho_ae = purified_marginal(rho_ab, measured, "_E")
     omega_ze = measure(rho_ae, z_pvm, measured, "Z")
     h_ze = conditional(omega_ze, ["_E"])
 

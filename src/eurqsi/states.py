@@ -317,16 +317,35 @@ def purify(rho: DensityOperator, purifier_label: str = "R") -> DensityOperator:
     The purifying subsystem is appended last and its dimension equals the
     rank of the input.
     """
+    psi = _purifying_vector(rho, purifier_label)
+    return DensityOperator.from_vector(psi, psi.shape, rho.labels + (purifier_label,))
+
+
+def purified_marginal(
+    rho: DensityOperator, keep_label: str, purifier_label: str = "R"
+) -> DensityOperator:
+    """Reduction of :func:`purify`'s pure state to ``keep_label`` and the purifier.
+
+    The other subsystems are contracted out of the purifying vector, so the
+    pure state on the doubled space is never formed.
+    """
+    psi = _purifying_vector(rho, purifier_label)
+    pos = rho.label_index(keep_label)
+    d, rank = rho.dims[pos], psi.shape[-1]
+    psi = np.moveaxis(psi, pos, 0).reshape(d, -1, rank)
+    m = np.einsum("abk,cbl->akcl", psi, psi.conj()).reshape(d * rank, d * rank)
+    return DensityOperator(m, (d, rank), (keep_label, purifier_label))
+
+
+def _purifying_vector(rho: DensityOperator, purifier_label: str) -> np.ndarray:
+    """Normalized ``sum_k sqrt(l_k) |v_k> (x) |k>`` over the support of ``rho``,
+    shaped ``rho.dims + (rank,)``."""
     if purifier_label in rho.labels:
         raise InvalidStateError(f"label {purifier_label!r} already in use")
     vals, vecs = support_eig(rho.matrix)
-    rank = len(vals)
-    # |psi> = sum_k sqrt(l_k) |v_k> (x) |k>, entry i*rank + k
     psi = (vecs * np.sqrt(vals)).reshape(-1)
     psi /= np.linalg.norm(psi)
-    return DensityOperator.from_vector(
-        psi, rho.dims + (rank,), rho.labels + (purifier_label,)
-    )
+    return psi.reshape(rho.dims + (len(vals),))
 
 
 def random_state(dim: int, rank: int, seed, label: str = "A") -> DensityOperator:

@@ -17,6 +17,7 @@ from eurqsi.states import (
     bell_phi,
     ket_bra,
     maximally_mixed,
+    measure,
     pauli_pvm,
     purify,
     random_multipartite_state,
@@ -24,8 +25,10 @@ from eurqsi.states import (
 )
 
 from conftest import (
+    _reversibility_nd_oracle,
     bipartite_report_oracle,
     rank2_plus_rank1_pvm,
+    rotated_spectrum,
     shannon_bits,
     tripartite_report_oracle,
 )
@@ -186,31 +189,33 @@ class TestMeasuredMarginals:
         )
 
     def test_no_state_beyond_the_measured_marginals(self, monkeypatch):
-        # 3x3 AB with a 9-dim E: the input is 81x81, rho_AE and omega_ZE 27x27
-        rho_abe = purify(random_multipartite_state((3, 3), 9, 306, ("A", "B")), "E")
+        # 3x3 AB with a 9-dim E: the ABE input is 81x81; rho_AE, omega_ZE and
+        # the purifier marginal of check_bipartite are 27x27
+        rho_ab = random_multipartite_state((3, 3), 9, 306, ("A", "B"))
+        rho_abe = purify(rho_ab, "E")
         xp, zp = random_pvm(3, [306, 1]), random_pvm(3, [306, 2])
-        built, kraus_counts = [], []
+        built, maps = [], []
         post_init = DensityOperator.__post_init__
+        map_post_init = recovery.CpMap.__post_init__
 
         def counting_post_init(self):
             post_init(self)
             built.append(self.dim)
 
-        channel = relations.measurement_channel
-
-        def counting_channel(*args, **kwargs):
-            out = channel(*args, **kwargs)
-            kraus_counts.append(len(out.kraus))
-            return out
+        def counting_map_post_init(self):
+            map_post_init(self)
+            maps.append(self.in_dim)
 
         monkeypatch.setattr(DensityOperator, "__post_init__", counting_post_init)
-        monkeypatch.setattr(relations, "measurement_channel", counting_channel)
+        monkeypatch.setattr(recovery.CpMap, "__post_init__", counting_map_post_init)
         check_tripartite(rho_abe, xp, zp)
+        check_bipartite(rho_ab, xp, zp)
         assert built and max(built) <= 27
-        assert kraus_counts == [3]
+        assert maps == []
 
     def test_each_kraus_map_builds_its_choi_once(self, monkeypatch):
-        # the measurement channel and its extension by id_B, one Choi each
+        # the measurement channel and its extension by id_B, one Choi each;
+        # the checks build no map at all (see the test above)
         rho_ab, xp, zp = MARGINAL_CASES["3x3 haar"]
         calls = []
         choi_from_kraus = recovery.choi_from_kraus
@@ -220,8 +225,54 @@ class TestMeasuredMarginals:
             return choi_from_kraus(*args, **kwargs)
 
         monkeypatch.setattr(recovery, "choi_from_kraus", counting_choi_from_kraus)
-        check_bipartite(rho_ab, xp, zp)
+        recovery.eur_recovery_map(rho_ab, xp, zp)
         assert len(calls) <= 2
+
+
+def _small_x_block_case():
+    """Qubit A in a Z eigenstate tilted by sin^2(theta) = 1e-11 off |0>, and
+    X the computational basis: the block x = 1 of N(tau) has weight 1e-11,
+    so its whole spectrum falls below EPS_SUPP times the top of N(tau)."""
+    s = np.sqrt(1e-11)
+    c = np.sqrt(1.0 - 1e-11)
+    z_pvm = Pvm.from_basis([np.array([c, s]), np.array([-s, c])])
+    rho_b = random_multipartite_state((2,), 2, 311, ("B",)).matrix
+    rho = DensityOperator(np.kron(z_pvm.projectors[0], rho_b), (2, 2), ("A", "B"))
+    return rho, pauli_pvm("Z"), z_pvm, "A"
+
+
+F_CASES = {
+    "2x2 pauli": MARGINAL_CASES["2x2 pauli"] + ("A",),
+    "3x3 haar": MARGINAL_CASES["3x3 haar"] + ("A",),
+    "3x2 rank-2 z": MARGINAL_CASES["3x2 rank-2 z"] + ("A",),
+    "3x3 rank-2 rho": MARGINAL_CASES["3x3 rank-2 rho"] + ("A",),
+    "3x3 rank-1 rho": (random_multipartite_state((3, 3), 1, 312, ("A", "B")),
+                       random_pvm(3, [312, 1]), random_pvm(3, [312, 2]), "A"),
+    "3x2 rank-2 x": (random_multipartite_state((3, 2), 6, 313, ("A", "B")),
+                     rank2_plus_rank1_pvm([313, 1]), random_pvm(3, [313, 2]), "A"),
+    "2x3 measured B": (random_multipartite_state((2, 3), 4, 314, ("A", "B")),
+                       random_pvm(3, [314, 1]), random_pvm(3, [314, 2]), "B"),
+    "p(x) 1e-11": _small_x_block_case(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(F_CASES))
+def test_block_reversibility_matches_the_recovery_channel(case):
+    # the Choi path: apply_map(rotated_petz_map(pinched, M_X (x) id), sigma_XB)
+    rho, xp, zp, measured = F_CASES[case]
+    sigma = measure(rho, xp, measured, "X")
+    got = relations._reversibility(rho, xp, zp, sigma, measured)
+    assert abs(got - _reversibility_nd_oracle(rho, xp, zp, sigma, measured)) <= 1e-12
+
+
+def test_round_off_negative_eigenvalue_state_is_checked():
+    # DensityOperator accepts eigenvalues down to -1e-8
+    rho = state_ab(rotated_spectrum([0.6, 0.3, 0.1 + 5e-9, -5e-9], 3))
+    assert np.linalg.eigvalsh(rho.matrix).min() < -4e-9
+    for report in (check_bipartite(rho, X, Z),
+                   check_tripartite(rho, X, Z, purify_if_mixed=True)):
+        assert 0.0 <= report.f <= 1.0
+        assert report.slack_refined <= report.slack_original + 1e-9
 
 
 class TestEurReportInvariants:

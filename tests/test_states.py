@@ -28,6 +28,7 @@ from eurqsi.states import (
     measure,
     pauli_pvm,
     pinch,
+    purified_marginal,
     purify,
     random_multipartite_state,
     random_pvm,
@@ -301,6 +302,16 @@ class TestPurify:
                   for k in range(2))
         psi /= np.linalg.norm(psi)
         assert np.abs(out.matrix - np.outer(psi, psi.conj())).max() < 1e-15
+
+    @pytest.mark.parametrize("keep", ["A", "B", "C"])
+    def test_purified_marginal_is_the_reduced_purification(self, keep):
+        rho = random_multipartite_state((2, 3, 2), 5, 364, ("A", "B", "C"))
+        got = purified_marginal(rho, keep, "E")
+        want = purify(rho, "E").reduce([keep, "E"])
+        assert got.dims == want.dims and got.labels == want.labels
+        assert np.abs(got.matrix - want.matrix).max() < 1e-14
+        with pytest.raises(InvalidStateError):
+            purified_marginal(rho, keep, "B")
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
     def test_round_off_negative_eigenvalue_is_dropped(self, dims):
