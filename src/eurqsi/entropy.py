@@ -2,6 +2,13 @@
 
 The relative entropy returns ``math.inf`` (never a float overflow) when the
 first argument has weight outside the support of the second.
+
+:func:`von_neumann` and :func:`conditional` take a :class:`DensityOperator`
+and check the labels; the array kernels they wrap (``_entropy`` and
+``_conditional``) are what the checks in :mod:`eurqsi.relations` call on
+the arrays they derive from a validated input.  Every function here
+accepts what :class:`DensityOperator` accepts: round-off negative
+eigenvalues are clipped or cut, never passed to a log.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import EPS_SUPP, as_matrix, herm_eig
+from .linalg import _NEG_TOL, EPS_SUPP, as_matrix, herm_eig, partial_trace
 from .states import DensityOperator
 
 # Trace mass tolerated outside the second argument's support before the
@@ -30,8 +37,7 @@ def entropy_of_spectrum(eigenvalues) -> float:
 
 def von_neumann(rho: DensityOperator) -> float:
     """Von Neumann entropy in bits."""
-    vals = np.linalg.eigvalsh(rho.matrix)
-    return entropy_of_spectrum(np.clip(vals, 0.0, None))
+    return _entropy(rho.matrix)
 
 
 def conditional(rho: DensityOperator, cond_subsystems) -> float:
@@ -43,14 +49,29 @@ def conditional(rho: DensityOperator, cond_subsystems) -> float:
         raise ValueError("conditioning subsystem list is empty")
     if set(cond) == set(rho.labels):
         raise ValueError("conditioning on every subsystem leaves nothing")
-    reduced = rho.reduce(cond)
-    return von_neumann(rho) - von_neumann(reduced)
+    keep = [rho.label_index(s) for s in cond]
+    return _conditional(rho.matrix, rho.dims, keep)
+
+
+def _entropy(m: np.ndarray) -> float:
+    """The kernel of :func:`von_neumann`: entropy in bits of the Hermitian
+    matrix ``m``, negative round-off eigenvalues clipped to zero."""
+    return entropy_of_spectrum(np.clip(np.linalg.eigvalsh(m), 0.0, None))
+
+
+def _conditional(m: np.ndarray, dims, keep) -> float:
+    """The kernel of :func:`conditional`: H(rest | keep) of the matrix ``m``
+    on subsystems ``dims``, ``keep`` listing subsystem indices."""
+    return _entropy(m) - _entropy(partial_trace(m, dims, keep))
 
 
 def relative(rho: DensityOperator | np.ndarray, sigma: np.ndarray) -> float:
     """Quantum relative entropy D(rho || sigma) in bits, or ``inf``.
 
-    ``sigma`` only needs to be PSD (it may be unnormalized).  The two trace
+    ``sigma`` only needs to be PSD (it may be unnormalized): it is rejected
+    only below ``-1e-8 * max(1, top)``, where :class:`DensityOperator`
+    rejects a state, and its support is cut as :func:`support_eig` cuts
+    it, so a round-off negative eigenvalue never enters a log.  The two trace
     terms are evaluated in their own eigenbases; the cross term uses the
     overlap of ``rho`` with ``sigma``'s eigenvectors, which is exact in the
     commuting case and stable otherwise.
@@ -61,7 +82,7 @@ def relative(rho: DensityOperator | np.ndarray, sigma: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {rho_m.shape} vs {sigma.shape}")
 
     sig_eig = herm_eig(sigma)
-    if sig_eig.eigenvalues.min() < -EPS_SUPP * max(1.0, sig_eig.eigenvalues.max(initial=0.0)):
+    if sig_eig.eigenvalues.min() < -_NEG_TOL * max(1.0, sig_eig.eigenvalues.max(initial=0.0)):
         raise ValueError("second argument is not positive semidefinite")
     sig_mask = sig_eig.support_mask()
 

@@ -17,6 +17,10 @@ EPS_SUPP = 1e-10
 
 HERM_TOL = 1e-10
 
+# Most negative eigenvalue, relative to max(1, top), that a state may have:
+# DensityOperator rejects below it, and no function raises above it.
+_NEG_TOL = 1e-8
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex ndarray, rejecting non-finite entries."""
@@ -65,9 +69,11 @@ class HermEig:
     eigenvectors: np.ndarray
 
     def support_mask(self, eps: float = EPS_SUPP) -> np.ndarray:
-        """Boolean mask of eigenvalues above the relative support cutoff."""
-        top = float(np.abs(self.eigenvalues).max(initial=0.0))
-        return np.abs(self.eigenvalues) > eps * top
+        """Boolean mask of eigenvalues above the relative support cutoff.
+
+        The cutoff is signed, so round-off negative eigenvalues never enter.
+        """
+        return self.eigenvalues > eps * float(self.eigenvalues.max(initial=0.0))
 
     def support_projector(self, eps: float = EPS_SUPP) -> np.ndarray:
         v = self.eigenvectors[:, self.support_mask(eps)]
@@ -84,13 +90,10 @@ def herm_eig(m: np.ndarray, tol: float = HERM_TOL) -> HermEig:
 
 
 def support_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues above the relative support cutoff and their eigenvectors.
-
-    The cutoff is signed, so round-off negative eigenvalues never enter.
-    """
+    """Eigenvalues above the relative support cutoff and their eigenvectors,
+    as :meth:`HermEig.support_mask` selects them."""
     eig = herm_eig(m)
-    top = float(eig.eigenvalues.max(initial=0.0))
-    mask = eig.eigenvalues > EPS_SUPP * max(top, 0.0)
+    mask = eig.support_mask()
     return eig.eigenvalues[mask], eig.eigenvectors[:, mask]
 
 
@@ -191,13 +194,14 @@ def mat_power_on_support(m: np.ndarray, z: complex, eps: float = EPS_SUPP) -> np
 
     Eigenvalues above the relative cutoff are raised to ``z``; the rest map
     to zero, so negative real parts of ``z`` give the support-restricted
-    inverse power.
+    inverse power.  Raises only on an eigenvalue a state may not have,
+    below ``-1e-8 * max(1, top)``.
     """
     eig = herm_eig(m)
     top = float(eig.eigenvalues.max(initial=0.0))
-    if eig.eigenvalues.min(initial=0.0) < -max(eps * max(top, 1.0), eps):
+    if eig.eigenvalues.min(initial=0.0) < -_NEG_TOL * max(top, 1.0):
         raise ValueError("matrix has negative eigenvalues beyond tolerance")
-    mask = eig.eigenvalues > eps * max(top, 0.0)
+    mask = eig.support_mask(eps)
     powered = np.zeros(len(eig.eigenvalues), dtype=complex)
     powered[mask] = np.power(eig.eigenvalues[mask].astype(complex), z)
     v = eig.eigenvectors
@@ -244,20 +248,32 @@ def _check_state_matrix(rho: np.ndarray, tol: float, what: str) -> np.ndarray:
 def fidelity(rho: np.ndarray, sigma: np.ndarray, guard: float = 1e-9) -> float:
     """Uhlmann fidelity: squared trace norm of ``sqrt(rho) sqrt(sigma)``.
 
-    Computed through the spectrum of ``sqrt(rho) sigma sqrt(rho)``, which
-    keeps every intermediate Hermitian, with ``sqrt(rho)`` taken on the
-    support of ``rho`` as :func:`support_eig` gives it.  The result is
-    clipped to [0, 1] after a guard band.
+    Both arguments must be Hermitian with unit trace; :func:`_fidelity`
+    computes the value.
     """
     rho = _check_state_matrix(rho, HERM_TOL, "fidelity argument")
     sigma = _check_state_matrix(sigma, HERM_TOL, "fidelity argument")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    return _fidelity(rho, sigma, guard)
+
+
+def _fidelity(rho: np.ndarray, sigma: np.ndarray, guard: float = 1e-9) -> float:
+    """The spectral part of :func:`fidelity`, on matrices it does not check.
+
+    Computed through the spectrum of ``sqrt(rho) sigma sqrt(rho)``, which
+    keeps every intermediate Hermitian, with ``sqrt(rho)`` taken on the
+    support of ``rho`` as :func:`support_eig` gives it.  Both parts are
+    normalized first: the kept spectrum of ``rho`` by its sum and ``sigma``
+    by its trace, so that round-off negative eigenvalues, dropped from one
+    and kept in the other, cannot push the value past 1.  The result is
+    clipped to [0, 1] after a guard band.
+    """
     # sqrt(rho) sigma sqrt(rho) has the nonzero spectrum of its compression
     # to supp(rho); the signed cutoff drops round-off negative eigenvalues
     lam, v = support_eig(rho)
-    half = v * np.sqrt(lam)
-    inner = dagger(half) @ sigma @ half
+    half = v * np.sqrt(lam / lam.sum())
+    inner = dagger(half) @ sigma @ half / np.trace(sigma).real
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     # eigh noise on zero modes is O(eps); summing their square roots would
     # cost ~1e-8, so cut at the support threshold first

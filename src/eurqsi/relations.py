@@ -1,8 +1,14 @@
 """End-to-end checkers for the four uncertainty relations.
 
-Each check takes every entropy on the measured marginal it needs (X or Z
-applied to the AB or AE reduction, never to the whole state), evaluates
-the incompatibility constant, evaluates the recovered state R(sigma_XB) in
+Each check validates once, at entry: the input state (validated when it
+was constructed), the labels, the rank-one guard and the PVM dimensions.
+From there it works on plain arrays, through the kernels behind
+:func:`~eurqsi.states.measure`, :func:`~eurqsi.entropy.conditional`,
+:func:`~eurqsi.states.purified_marginal` and
+:func:`~eurqsi.linalg.fidelity`, and constructs no state and no map.  It
+takes every entropy on the measured marginal it needs (X or Z applied to
+the AB or AE reduction, never to the whole state), evaluates the
+incompatibility constant, evaluates the recovered state R(sigma_XB) in
 block form (no recovery channel is built; :mod:`eurqsi.recovery` has the
 explicit channel), and returns an :class:`EurReport` holding every scalar
 of the original and refined inequalities.  Entropy terms are
@@ -16,16 +22,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import conditional
-from .linalg import EPS_SUPP, _sinhc, apply_local, dagger, fidelity, support_eig
+from .entropy import _conditional
+from .linalg import (EPS_SUPP, _fidelity, _sinhc, apply_local, dagger, partial_trace,
+                     support_eig)
 from .states import (
     DensityOperator,
     InvalidStateError,
     Pvm,
-    measure,
+    _check_pvm_dim,
+    _measured,
+    _purified_marginal,
+    _purifying_vector,
+    _reordered,
     incompatibility_c,
+    ket_bra,
     pauli_pvm,
-    purified_marginal,
     purify,
     random_multipartite_state,
     random_pvm,
@@ -108,11 +119,12 @@ class EurReport:
 
 
 def _reversibility(
-    rho_ab: DensityOperator,
+    rho_ab: np.ndarray,
+    dims: tuple[int, ...],
+    pos: int,
     x_pvm: Pvm,
     z_pvm: Pvm,
-    sigma_xb: DensityOperator,
-    measured: str,
+    sigma_xb: np.ndarray,
 ) -> float:
     """f = F(rho_AB, R(sigma_XB)) with R the rotated Petz recovery of the X
     measurement N = M_X (x) id relative to the Z-pinched state tau.
@@ -134,14 +146,18 @@ def _reversibility(
     block spectra.  :func:`~eurqsi.recovery.eur_recovery_map` builds the
     same recovery as an explicit channel.
 
+    ``rho_ab`` lives on ``dims`` with the measured subsystem A at ``pos``
+    and B the rest; it is reordered A first when A is not.  ``sigma_xb`` is
+    the register-first X-measured state.
+
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
-    rest_labels = [s for s in rho_ab.labels if s != measured]
-    rho_ord = rho_ab.permute([measured] + rest_labels)
+    if pos != 0:
+        rho_ab = _reordered(rho_ab, dims, [pos] + [i for i in range(len(dims)) if i != pos])
     d_a, n = x_pvm.dim, len(x_pvm)
-    d_b = rho_ord.dim // d_a
-    tau = apply_local(rho_ord.matrix, (d_a, d_b), z_pvm.projectors, [0])
+    d_b = rho_ab.shape[0] // d_a
+    tau = apply_local(rho_ab, (d_a, d_b), z_pvm.projectors, [0])
     lam, v = support_eig(tau)
     n_tau = apply_local(tau, (d_a, d_b), x_pvm.kraus, [0]).reshape(n, d_b, n, d_b)
     mu, w = np.linalg.eigh(np.einsum("xbxc->xbc", n_tau))
@@ -154,14 +170,14 @@ def _reversibility(
     kraus = x_pvm.kraus
     h = np.einsum("kxi,xbj,iba->xkaj", kraus, w.conj(), v.reshape(d_a, d_b, -1))
     h = h.reshape(n, len(kraus), -1)
-    sigma_x = np.einsum("xbxc->xbc", sigma_xb.matrix.reshape(n, d_b, n, d_b))
+    sigma_x = np.einsum("xbxc->xbc", sigma_xb.reshape(n, d_b, n, d_b))
     m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
     phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
     kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
     gram = (h.conj().transpose(0, 2, 1) @ h).reshape(kernel.shape)
     root = np.sqrt(lam)
     r = np.einsum("xajbl,xjl->ab", gram * kernel, m) * np.outer(root, root)
-    return fidelity(rho_ord.matrix, v @ r @ dagger(v))
+    return _fidelity(rho_ab, v @ r @ dagger(v))
 
 
 def check_bipartite(
@@ -180,19 +196,24 @@ def check_bipartite(
         raise InvalidStateError(
             "the bipartite refined relation requires a rank-one Z measurement"
         )
-    b_labels = [s for s in rho_ab.labels if s != measured]
-    sigma = measure(rho_ab, x_pvm, measured, "X")
-    omega = measure(rho_ab, z_pvm, measured, "Z")
-    h_xb = conditional(sigma, b_labels)
-    h_zb = conditional(omega, b_labels)
-    h_ab = conditional(rho_ab, b_labels)
+    m, dims = rho_ab.matrix, rho_ab.dims
+    pos = rho_ab.label_index(measured)
+    _check_pvm_dim(x_pvm, dims[pos], measured)
+    _check_pvm_dim(z_pvm, dims[pos], measured)
+    # the input is checked; everything below is a plain array built from it
 
-    rho_ae = purified_marginal(rho_ab, measured, "_E")
-    omega_ze = measure(rho_ae, z_pvm, measured, "Z")
-    h_ze = conditional(omega_ze, ["_E"])
+    sigma, sigma_dims = _measured(m, dims, x_pvm, pos)
+    b_rest = range(1, len(dims))
+    h_xb = _conditional(sigma, sigma_dims, b_rest)
+    h_zb = _conditional(*_measured(m, dims, z_pvm, pos), b_rest)
+    h_ab = _conditional(m, dims, [i for i in range(len(dims)) if i != pos])
+
+    rho_ae = _purified_marginal(m, dims, pos)
+    ae_dims = (dims[pos], rho_ae.shape[0] // dims[pos])
+    h_ze = _conditional(*_measured(rho_ae, ae_dims, z_pvm, 0), [1])
 
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(rho_ab, x_pvm, z_pvm, sigma, measured)
+    f = _reversibility(m, dims, pos, x_pvm, z_pvm, sigma)
     lhs = h_zb + h_xb
     rhs_original = -np.log2(c) + h_ab
     rhs_refined = -np.log2(c) - np.log2(f) + h_ab
@@ -218,30 +239,39 @@ def check_tripartite(
     ``purify_if_mixed``, which enlarges the E side by the purifier.
     Z need not be rank one here.
     """
+    m, dims = rho_abe.matrix, rho_abe.dims
     if not rho_abe.is_pure(1e-8):
         if not purify_if_mixed:
             raise InvalidStateError(
                 "tripartite checker needs a pure state; pass purify_if_mixed=True "
                 "to absorb a purifier into the E side"
             )
-        rho_abe = purify(rho_abe, "_E")
-    e_labels = [s for s in rho_abe.labels if s not in (a_label, b_label)]
-    if not e_labels:
+        psi = _purifying_vector(m, dims)
+        m, dims = ket_bra(psi), psi.shape
+    a, b = rho_abe.label_index(a_label), rho_abe.label_index(b_label)
+    if a == b:
+        raise InvalidStateError(f"A and B are the same subsystem {a_label!r}")
+    e = [i for i in range(len(dims)) if i not in (a, b)]
+    if not e:
         raise InvalidStateError("tripartite state has no E subsystem")
+    _check_pvm_dim(x_pvm, dims[a], a_label)
+    _check_pvm_dim(z_pvm, dims[a], a_label)
+    # the input is checked; everything below is a plain array built from it
 
     # measuring A commutes with tracing out B or E
-    rho_ab = rho_abe.reduce([a_label, b_label])
-    rho_ae = rho_abe.reduce([a_label] + e_labels)
-    sigma_xb = measure(rho_ab, x_pvm, a_label, "X")
-    omega_zb = measure(rho_ab, z_pvm, a_label, "Z")
-    omega_ze = measure(rho_ae, z_pvm, a_label, "Z")
-    h_xb = conditional(sigma_xb, [b_label])
-    h_zb = conditional(omega_zb, [b_label])
-    h_ze = conditional(omega_ze, e_labels)
-    h_ab = conditional(rho_ab, [b_label])
+    ab, ae = sorted((a, b)), sorted([a] + e)
+    ab_dims, ae_dims = tuple(dims[i] for i in ab), tuple(dims[i] for i in ae)
+    a_in_ab, a_in_ae = ab.index(a), ae.index(a)
+    rho_ab = partial_trace(m, dims, ab)
+    rho_ae = partial_trace(m, dims, ae)
+    sigma_xb, sigma_dims = _measured(rho_ab, ab_dims, x_pvm, a_in_ab)
+    h_xb = _conditional(sigma_xb, sigma_dims, [1])
+    h_zb = _conditional(*_measured(rho_ab, ab_dims, z_pvm, a_in_ab), [1])
+    h_ze = _conditional(*_measured(rho_ae, ae_dims, z_pvm, a_in_ae), range(1, len(ae)))
+    h_ab = _conditional(rho_ab, ab_dims, [1 - a_in_ab])
 
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(rho_ab, x_pvm, z_pvm, sigma_xb, a_label)
+    f = _reversibility(rho_ab, ab_dims, a_in_ab, x_pvm, z_pvm, sigma_xb)
     lhs = h_ze + h_xb
     rhs_original = -np.log2(c)
     rhs_refined = -np.log2(c) - np.log2(f)
@@ -320,13 +350,14 @@ def fuzz(
     min_slack = np.inf
     worst = None
     max_gap = -np.inf
+    if pvm_mode == "pauli":
+        # built once, so their cached Kraus operators serve every trial
+        x_pvm, z_pvm = pauli_pvm("X"), pauli_pvm("Z")
     for trial in range(trials):
         rho = random_multipartite_state(
             (d_a, d_b), d_a * d_b, [seed, trial, 0], ("A", "B")
         )
-        if pvm_mode == "pauli":
-            x_pvm, z_pvm = pauli_pvm("X"), pauli_pvm("Z")
-        else:
+        if pvm_mode == "random":
             x_pvm = random_pvm(d_a, [seed, trial, 1])
             z_pvm = random_pvm(d_a, [seed, trial, 2])
         if relation_id.startswith("bipartite"):

@@ -6,6 +6,13 @@ classical register, stored as one more subsystem of a block-diagonal
 density operator, so the entropy code treats classical registers like any
 other subsystem.  Every measurement applies the PVM's measurement Kraus
 operators :attr:`Pvm.kraus`.
+
+Validation happens at the boundary: :class:`DensityOperator` and
+:class:`Pvm` check their invariants when they are constructed, and the
+public functions check their arguments.  Each public operation that the
+checks in :mod:`eurqsi.relations` need wraps an array kernel
+(``_measured``, ``_purified_marginal``, ``_reordered``); the checks call
+the kernels on arrays derived from an input they validated once.
 """
 
 from __future__ import annotations
@@ -16,11 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    _NEG_TOL,
     apply_local,
     as_matrix,
     dagger,
     eigenvalue_below,
-    herm_eig,
     is_hermitian,
     partial_trace,
     support_eig,
@@ -91,7 +98,7 @@ class DensityOperator:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-8:
             raise InvalidStateError(f"density operator has trace {tr}")
-        lo = eigenvalue_below(m, 1e-8)
+        lo = eigenvalue_below(m, _NEG_TOL)
         if lo is not None:
             raise InvalidStateError(f"density operator has eigenvalue {lo}")
 
@@ -207,14 +214,13 @@ class Pvm:
         together they map the measured subsystem to the outcome register.
         """
         n, d = len(self), self.dim
-        kraus = []
-        for x, p in enumerate(self.projectors):
-            eig = herm_eig(p)
-            for v in eig.eigenvectors[:, eig.eigenvalues > 0.5].T:
-                k = np.zeros((n, d), dtype=complex)
-                k[x] = v.conj()
-                kraus.append(k)
-        return np.stack(kraus)
+        # one stacked solve over the validated projectors; columns taken in
+        # descending eigenvalue order, as herm_eig sorts them
+        vals, vecs = np.linalg.eigh(np.stack(self.projectors))
+        x, j = np.nonzero(vals[:, ::-1] > 0.5)
+        kraus = np.zeros((len(x), n, d), dtype=complex)
+        kraus[np.arange(len(x)), x] = vecs[x, :, d - 1 - j].conj()
+        return kraus
 
 
 def pauli_pvm(axis: str) -> Pvm:
@@ -247,18 +253,26 @@ def measure(
     order; block ``x`` is ``Tr_measured{(P_x (x) I) rho}``.
     """
     pos = rho.label_index(measured)
-    if pvm.dim != rho.dims[pos]:
+    _check_pvm_dim(pvm, rho.dims[pos], measured)
+    m, dims = _measured(rho.matrix, rho.dims, pvm, pos)
+    labels = (register_label,) + rho.labels[:pos] + rho.labels[pos + 1:]
+    return DensityOperator(m, dims, labels)
+
+
+def _check_pvm_dim(pvm: Pvm, dim: int, measured: str) -> None:
+    if pvm.dim != dim:
         raise InvalidStateError(
-            f"PVM dimension {pvm.dim} != subsystem {measured!r} dimension {rho.dims[pos]}"
+            f"PVM dimension {pvm.dim} != subsystem {measured!r} dimension {dim}"
         )
-    m = apply_local(rho.matrix, rho.dims, pvm.kraus, [pos])
-    dims = rho.dims[:pos] + (len(pvm),) + rho.dims[pos + 1:]
+
+
+def _measured(m: np.ndarray, dims, pvm: Pvm, pos: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The array behind :func:`measure`: the measured matrix and its dims,
+    register first, the other subsystems in their original order."""
+    out = apply_local(m, dims, pvm.kraus, [pos])
+    out_dims = tuple(dims[:pos]) + (len(pvm),) + tuple(dims[pos + 1:])
     order = [pos] + [i for i in range(len(dims)) if i != pos]
-    return DensityOperator(
-        _reordered(m, dims, order),
-        tuple(dims[i] for i in order),
-        (register_label,) + tuple(rho.labels[i] for i in order[1:]),
-    )
+    return _reordered(out, out_dims, order), tuple(out_dims[i] for i in order)
 
 
 def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:
@@ -317,7 +331,8 @@ def purify(rho: DensityOperator, purifier_label: str = "R") -> DensityOperator:
     The purifying subsystem is appended last and its dimension equals the
     rank of the input.
     """
-    psi = _purifying_vector(rho, purifier_label)
+    _check_free_label(rho, purifier_label)
+    psi = _purifying_vector(rho.matrix, rho.dims)
     return DensityOperator.from_vector(psi, psi.shape, rho.labels + (purifier_label,))
 
 
@@ -329,23 +344,34 @@ def purified_marginal(
     The other subsystems are contracted out of the purifying vector, so the
     pure state on the doubled space is never formed.
     """
-    psi = _purifying_vector(rho, purifier_label)
+    _check_free_label(rho, purifier_label)
     pos = rho.label_index(keep_label)
-    d, rank = rho.dims[pos], psi.shape[-1]
+    m = _purified_marginal(rho.matrix, rho.dims, pos)
+    d = rho.dims[pos]
+    return DensityOperator(m, (d, m.shape[0] // d), (keep_label, purifier_label))
+
+
+def _check_free_label(rho: DensityOperator, label: str) -> None:
+    if label in rho.labels:
+        raise InvalidStateError(f"label {label!r} already in use")
+
+
+def _purified_marginal(m: np.ndarray, dims, pos: int) -> np.ndarray:
+    """The array behind :func:`purified_marginal`: subsystem ``pos`` and the
+    purifier, shape (d * rank, d * rank)."""
+    psi = _purifying_vector(m, dims)
+    d, rank = dims[pos], psi.shape[-1]
     psi = np.moveaxis(psi, pos, 0).reshape(d, -1, rank)
-    m = np.einsum("abk,cbl->akcl", psi, psi.conj()).reshape(d * rank, d * rank)
-    return DensityOperator(m, (d, rank), (keep_label, purifier_label))
+    return np.einsum("abk,cbl->akcl", psi, psi.conj()).reshape(d * rank, d * rank)
 
 
-def _purifying_vector(rho: DensityOperator, purifier_label: str) -> np.ndarray:
-    """Normalized ``sum_k sqrt(l_k) |v_k> (x) |k>`` over the support of ``rho``,
-    shaped ``rho.dims + (rank,)``."""
-    if purifier_label in rho.labels:
-        raise InvalidStateError(f"label {purifier_label!r} already in use")
-    vals, vecs = support_eig(rho.matrix)
+def _purifying_vector(m: np.ndarray, dims) -> np.ndarray:
+    """Normalized ``sum_k sqrt(l_k) |v_k> (x) |k>`` over the support of ``m``,
+    shaped ``dims + (rank,)``."""
+    vals, vecs = support_eig(m)
     psi = (vecs * np.sqrt(vals)).reshape(-1)
     psi /= np.linalg.norm(psi)
-    return psi.reshape(rho.dims + (len(vals),))
+    return psi.reshape(tuple(dims) + (len(vals),))
 
 
 def random_state(dim: int, rank: int, seed, label: str = "A") -> DensityOperator:

@@ -68,7 +68,7 @@ class TestExamplesCommand:
         assert payload["all_ok"] is True
 
     def test_tolerance_override_fails(self, capsys):
-        assert main(["examples", "--tolerance", "1e-15"]) == 1
+        assert main(["examples", "--tolerance", "1e-16"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_ok"] is False
 

@@ -24,6 +24,8 @@ from eurqsi.states import (
     random_state,
 )
 
+from conftest import rotated_spectrum
+
 
 def qubit_state(mat):
     return DensityOperator(mat, (2,), ("A",))
@@ -95,6 +97,24 @@ class TestRelative:
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):
             relative(qubit_state(maximally_mixed(2)), np.diag([1.0, -1.0]))
+
+    def test_round_off_negative_eigenvalue_of_sigma_is_off_the_support(self):
+        # the negative eigenvalue is above the support cutoff in modulus; it
+        # must count as off the support, never enter a log
+        sigma = np.diag([0.5, 0.3, 0.2 + 0.7e-10, -0.7e-10])
+        full = DensityOperator(np.eye(4) / 4, (4,), ("A",))
+        assert relative(full, sigma) == math.inf
+        inside = DensityOperator(np.diag([0.5, 0.3, 0.2, 0.0]), (4,), ("A",))
+        want = 0.2 * math.log2(0.2 / (0.2 + 0.7e-10))
+        assert abs(relative(inside, sigma) - want) < 1e-15
+
+    def test_accepts_what_a_density_operator_accepts(self):
+        rho = DensityOperator(rotated_spectrum([0.6, 0.3, 0.1 + 5e-9, -5e-9], 3),
+                              (2, 2), ("A", "B"))
+        assert np.linalg.eigvalsh(rho.matrix).min() < -4e-9
+        assert abs(relative(rho, rho.matrix)) < 1e-9
+        with pytest.raises(ValueError):
+            relative(rho, rotated_spectrum([0.6, 0.3, 0.1 + 2e-8, -2e-8], 3))
 
 
 class TestDuality:

@@ -66,7 +66,7 @@ def test_run_all_within_tolerance_classes():
 
 
 def test_tolerance_override_fails_somewhere():
-    rows = run_all(tolerance_override=1e-15)
+    rows = run_all(tolerance_override=1e-16)
     assert not all_ok(rows)
 
 

@@ -45,6 +45,7 @@ from conftest import (
     rank_one_vectors,
     rank2_plus_rank1_pvm,
     rotated_petz_choi_oracle,
+    rotated_spectrum,
 )
 
 
@@ -136,6 +137,26 @@ class TestPetz:
         chan = measurement_channel(random_pvm(3, 8))
         rec = petz_map(sig, chan)
         assert verify_cptp(rec).ok
+
+    @pytest.mark.parametrize("build", [petz_map, rotated_petz_map])
+    def test_accepts_what_a_density_operator_accepts(self, build):
+        # DensityOperator accepts eigenvalues down to -1e-8, and so do the maps
+        sig = DensityOperator(rotated_spectrum([0.6, 0.3, 0.1 + 5e-9, -5e-9], 3),
+                              (2, 2), ("A", "B")).matrix
+        chan = tensor_with_identity(measurement_channel(pauli_pvm("X")), (2,), ("B",))
+        rec = build(sig, chan)
+        # CP; trace preserved and sigma restored up to its negative mass
+        report = verify_cptp(rec)
+        assert report.cp_ok and report.trace_preservation_defect < 1e-7
+        assert np.abs(rec.apply_matrix(chan.apply_matrix(sig)) - sig).max() < 1e-8
+
+    def test_rejects_what_a_density_operator_rejects(self):
+        sig = rotated_spectrum([0.6, 0.3, 0.1 + 2e-8, -2e-8], 3)
+        with pytest.raises(InvalidStateError):
+            DensityOperator(sig, (2, 2), ("A", "B"))
+        chan = tensor_with_identity(measurement_channel(pauli_pvm("X")), (2,), ("B",))
+        with pytest.raises(ValueError):
+            petz_map(sig, chan)
 
 
 class TestRotatedPetz:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eurqsi import recovery, relations
 from eurqsi.linalg import tensor
@@ -189,8 +191,8 @@ class TestMeasuredMarginals:
         )
 
     def test_no_state_beyond_the_measured_marginals(self, monkeypatch):
-        # 3x3 AB with a 9-dim E: the ABE input is 81x81; rho_AE, omega_ZE and
-        # the purifier marginal of check_bipartite are 27x27
+        # the inputs are validated when they are constructed; the checks then
+        # run on arrays and construct no state and no map
         rho_ab = random_multipartite_state((3, 3), 9, 306, ("A", "B"))
         rho_abe = purify(rho_ab, "E")
         xp, zp = random_pvm(3, [306, 1]), random_pvm(3, [306, 2])
@@ -210,7 +212,8 @@ class TestMeasuredMarginals:
         monkeypatch.setattr(recovery.CpMap, "__post_init__", counting_map_post_init)
         check_tripartite(rho_abe, xp, zp)
         check_bipartite(rho_ab, xp, zp)
-        assert built and max(built) <= 27
+        check_tripartite(rho_ab, xp, zp, purify_if_mixed=True)
+        assert built == []
         assert maps == []
 
     def test_each_kraus_map_builds_its_choi_once(self, monkeypatch):
@@ -261,7 +264,8 @@ def test_block_reversibility_matches_the_recovery_channel(case):
     # the Choi path: apply_map(rotated_petz_map(pinched, M_X (x) id), sigma_XB)
     rho, xp, zp, measured = F_CASES[case]
     sigma = measure(rho, xp, measured, "X")
-    got = relations._reversibility(rho, xp, zp, sigma, measured)
+    got = relations._reversibility(rho.matrix, rho.dims, rho.label_index(measured),
+                                   xp, zp, sigma.matrix)
     assert abs(got - _reversibility_nd_oracle(rho, xp, zp, sigma, measured)) <= 1e-12
 
 
@@ -273,6 +277,63 @@ def test_round_off_negative_eigenvalue_state_is_checked():
                    check_tripartite(rho, X, Z, purify_if_mixed=True)):
         assert 0.0 <= report.f <= 1.0
         assert report.slack_refined <= report.slack_original + 1e-9
+
+
+def test_state_with_reductions_beyond_the_threshold_is_checked():
+    # smallest eigenvalue -9e-9, which DensityOperator accepts; the B
+    # marginal has -2.7e-8 and the kept spectrum sums to 1 + 2.7e-8
+    m = (np.kron(np.eye(3) / 3, np.diag([0.0, 1.0, 1.0]) / 2)
+         - 0.9e-8 * np.kron(np.eye(3), np.diag([1.0, 0.0, 0.0])))
+    rho = DensityOperator(m / np.trace(m), (3, 3), ("A", "B"))
+    assert np.linalg.eigvalsh(rho.matrix).min() < -8e-9
+    for seed in range(3):
+        xp, zp = random_pvm(3, [seed, 1]), random_pvm(3, [seed, 2])
+        for report in (check_bipartite(rho, xp, zp),
+                       check_tripartite(rho, xp, zp, purify_if_mixed=True)):
+            assert 0.0 <= report.f <= 1.0
+            assert report.slack_refined <= report.slack_original + 1e-9
+
+
+@pytest.mark.parametrize("which", ["x", "z"])
+def test_pvm_dimension_must_match_the_measured_subsystem(which):
+    rho_ab = random_multipartite_state((3, 2), 6, 315, ("A", "B"))
+    rho_abe = purify(rho_ab, "E")
+    pvms = {"x": random_pvm(3, [315, 1]), "z": random_pvm(3, [315, 2])}
+    pvms[which] = random_pvm(2, [315, 3])
+    with pytest.raises(InvalidStateError, match="PVM dimension"):
+        check_bipartite(rho_ab, pvms["x"], pvms["z"])
+    with pytest.raises(InvalidStateError, match="PVM dimension"):
+        check_tripartite(rho_abe, pvms["x"], pvms["z"])
+
+
+@st.composite
+def instances(draw):
+    """A random AB state of any rank, d_A, d_B in {2, 3}, and rank-one X and
+    Z on the measured side, A or B."""
+    d_a, d_b = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(1, d_a * d_b))
+    seed = draw(st.integers(0, 2**32 - 1))
+    measured = draw(st.sampled_from(["A", "B"]))
+    rho = random_multipartite_state((d_a, d_b), rank, [seed, 0], ("A", "B"))
+    d = rho.dims[rho.label_index(measured)]
+    return rho, random_pvm(d, [seed, 1]), random_pvm(d, [seed, 2]), measured
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(instances())
+def test_reports_match_the_oracles(instance):
+    rho, xp, zp, measured = instance
+    side = "B" if measured == "A" else "A"
+    rho_abe = purify(rho, "E")
+    for got, want in (
+        (check_bipartite(rho, xp, zp, measured),
+         bipartite_report_oracle(rho, xp, zp, measured)),
+        (check_tripartite(rho_abe, xp, zp, measured, side),
+         tripartite_report_oracle(rho_abe, xp, zp, measured, side)),
+    ):
+        _assert_reports_agree(got, want)
+        assert 0.0 <= got.f <= 1.0
+        assert got.slack_refined <= got.slack_original + 1e-9
 
 
 class TestEurReportInvariants:

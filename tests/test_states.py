@@ -124,6 +124,21 @@ class TestPvm:
                      np.diag([0, 0, 1, 1]).astype(complex)))
         assert not rank2.is_rank_one()
 
+    @pytest.mark.parametrize("pvm", [pauli_pvm("X"), random_pvm(3, 5), rank2_plus_rank1_pvm(6),
+                                     Pvm((np.diag([1, 1, 0, 0]).astype(complex),
+                                          np.diag([0, 0, 1, 1]).astype(complex)))])
+    def test_kraus_matches_one_herm_eig_per_projector(self, pvm):
+        # the per-projector construction that the stacked solve replaced
+        n, d = len(pvm), pvm.dim
+        want = []
+        for x, p in enumerate(pvm.projectors):
+            eig = herm_eig(p)
+            for v in eig.eigenvectors[:, eig.eigenvalues > 0.5].T:
+                k = np.zeros((n, d), dtype=complex)
+                k[x] = v.conj()
+                want.append(k)
+        assert np.array_equal(pvm.kraus, np.stack(want))
+
 
 class TestMeasure:
     def test_x_measurement_of_x_eigenstate(self):
