@@ -3,10 +3,8 @@ by a measurement-reversibility term, plus the recovery channels and circuit
 simulations that realize them numerically."""
 
 from .linalg import (
-    HermEig,
     fidelity,
     herm_eig,
-    mat_power_on_support,
     op_norm,
     partial_trace,
     tensor,
@@ -55,8 +53,7 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HermEig", "fidelity", "herm_eig", "mat_power_on_support", "op_norm",
-    "partial_trace", "tensor", "trace_distance",
+    "fidelity", "herm_eig", "op_norm", "partial_trace", "tensor", "trace_distance",
     "conditional", "relative", "von_neumann",
     "DensityOperator", "InvalidStateError", "Pvm",
     "incompatibility_c", "isometric_extension", "measure", "pauli_pvm",

@@ -7,8 +7,10 @@ first argument has weight outside the support of the second.
 and check the labels; the array kernels they wrap (``_entropy`` and
 ``_conditional``) are what the checks in :mod:`eurqsi.relations` call on
 the arrays they derive from a validated input.  Every function here
-accepts what :class:`DensityOperator` accepts: round-off negative
-eigenvalues are clipped or cut, never passed to a log.
+accepts what :class:`DensityOperator` accepts: spectra are cut to their
+support by :func:`~eurqsi.linalg._on_support`, so round-off negative
+eigenvalues never reach a log, and :func:`relative` rejects its second
+argument only through :func:`~eurqsi.linalg._check_psd`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .linalg import _NEG_TOL, EPS_SUPP, as_matrix, herm_eig, partial_trace
+from .linalg import _check_psd, _on_support, as_matrix, herm_eig, partial_trace
 from .states import DensityOperator
 
 # Trace mass tolerated outside the second argument's support before the
@@ -26,10 +28,9 @@ SUPPORT_MASS_TOL = 1e-9
 
 
 def entropy_of_spectrum(eigenvalues) -> float:
-    """Shannon entropy in bits of a nonnegative spectrum, 0 log 0 := 0."""
+    """Shannon entropy in bits of a spectrum cut to its support, 0 log 0 := 0."""
     vals = np.asarray(eigenvalues, dtype=float)
-    top = float(vals.max(initial=0.0))
-    vals = vals[vals > EPS_SUPP * max(top, 0.0)]
+    vals = vals[_on_support(vals)]
     if vals.size == 0:
         return 0.0
     return float(-np.sum(vals * np.log2(vals)))
@@ -55,8 +56,8 @@ def conditional(rho: DensityOperator, cond_subsystems) -> float:
 
 def _entropy(m: np.ndarray) -> float:
     """The kernel of :func:`von_neumann`: entropy in bits of the Hermitian
-    matrix ``m``, negative round-off eigenvalues clipped to zero."""
-    return entropy_of_spectrum(np.clip(np.linalg.eigvalsh(m), 0.0, None))
+    matrix ``m``."""
+    return entropy_of_spectrum(np.linalg.eigvalsh(m))
 
 
 def _conditional(m: np.ndarray, dims, keep) -> float:
@@ -70,8 +71,8 @@ def relative(rho: DensityOperator | np.ndarray, sigma: np.ndarray) -> float:
 
     ``sigma`` only needs to be PSD (it may be unnormalized): it is rejected
     only below ``-1e-8 * max(1, top)``, where :class:`DensityOperator`
-    rejects a state, and its support is cut as :func:`support_eig` cuts
-    it, so a round-off negative eigenvalue never enters a log.  The two trace
+    rejects a state, and its support is cut by the one support cutoff, so a
+    round-off negative eigenvalue never enters a log.  The two trace
     terms are evaluated in their own eigenbases; the cross term uses the
     overlap of ``rho`` with ``sigma``'s eigenvectors, which is exact in the
     commuting case and stable otherwise.
@@ -81,21 +82,16 @@ def relative(rho: DensityOperator | np.ndarray, sigma: np.ndarray) -> float:
     if rho_m.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho_m.shape} vs {sigma.shape}")
 
-    sig_eig = herm_eig(sigma)
-    if sig_eig.eigenvalues.min() < -_NEG_TOL * max(1.0, sig_eig.eigenvalues.max(initial=0.0)):
-        raise ValueError("second argument is not positive semidefinite")
-    sig_mask = sig_eig.support_mask()
+    sig_vals, sig_vecs = herm_eig(sigma)
+    _check_psd(sig_vals)
+    sig_mask = _on_support(sig_vals)
 
     # Weight of rho on the orthogonal complement of supp(sigma).
-    overlaps = np.real(np.einsum("ij,jk,ki->i", sig_eig.eigenvectors.conj().T,
-                                 rho_m, sig_eig.eigenvectors))
+    overlaps = np.real(np.einsum("ij,jk,ki->i", sig_vecs.conj().T, rho_m, sig_vecs))
     off_support = float(np.clip(overlaps[~sig_mask], 0.0, None).sum())
     if off_support > SUPPORT_MASS_TOL:
         return math.inf
 
-    rho_vals = np.clip(np.linalg.eigvalsh(rho_m), 0.0, None)
-    tr_rho_log_rho = -entropy_of_spectrum(rho_vals)
-    tr_rho_log_sig = float(
-        np.sum(overlaps[sig_mask] * np.log2(sig_eig.eigenvalues[sig_mask]))
-    )
+    tr_rho_log_rho = -entropy_of_spectrum(np.linalg.eigvalsh(rho_m))
+    tr_rho_log_sig = float(np.sum(overlaps[sig_mask] * np.log2(sig_vals[sig_mask])))
     return tr_rho_log_rho - tr_rho_log_sig

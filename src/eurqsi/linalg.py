@@ -3,11 +3,15 @@
 Everything here works on plain ``numpy`` complex matrices.  Subsystem
 ordering is fixed package-wide: subsystem 0 is the slowest-varying tensor
 factor, i.e. ``tensor(a, b)`` puts ``a`` on subsystem 0.
+
+Every support and negativity decision on a spectrum is made here, once:
+:func:`_on_support` is the one support cutoff (an eigenvalue above
+``EPS_SUPP`` times the largest, signed), and :func:`_check_psd` is the one
+guard that rejects an eigenvalue below ``-_NEG_TOL * max(1, top)``, where
+:class:`~eurqsi.states.DensityOperator` rejects a state.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +24,9 @@ HERM_TOL = 1e-10
 # Most negative eigenvalue, relative to max(1, top), that a state may have:
 # DensityOperator rejects below it, and no function raises above it.
 _NEG_TOL = 1e-8
+
+# Band by which a computed fidelity may leave [0, 1] before it is an error.
+_FIDELITY_GUARD = 1e-9
 
 
 def as_matrix(m) -> np.ndarray:
@@ -55,46 +62,36 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return bool(np.abs(m - dagger(m)).max(initial=0.0) <= tol * scale)
 
 
-@dataclass(frozen=True)
-class HermEig:
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted in descending order;
-    ``eigenvectors`` holds the matching orthonormal columns, so that
-    ``eigenvectors @ diag(eigenvalues) @ eigenvectors.conj().T``
-    reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def support_mask(self, eps: float = EPS_SUPP) -> np.ndarray:
-        """Boolean mask of eigenvalues above the relative support cutoff.
-
-        The cutoff is signed, so round-off negative eigenvalues never enter.
-        """
-        return self.eigenvalues > eps * float(self.eigenvalues.max(initial=0.0))
-
-    def support_projector(self, eps: float = EPS_SUPP) -> np.ndarray:
-        v = self.eigenvectors[:, self.support_mask(eps)]
-        return v @ dagger(v)
-
-
-def herm_eig(m: np.ndarray, tol: float = HERM_TOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a Hermitian matrix, descending, and the matching
+    orthonormal eigenvector columns."""
     m = as_matrix(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
-    return HermEig(eigenvalues=vals[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
+    return vals[::-1], vecs[:, ::-1]
+
+
+def _on_support(vals: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues that count as support: above ``EPS_SUPP``
+    times the largest.  This is the one support cutoff of the package; it is
+    signed, so round-off negative eigenvalues never enter."""
+    return vals > EPS_SUPP * vals.max(initial=0.0)
+
+
+def _check_psd(vals: np.ndarray) -> None:
+    """Raise on an eigenvalue that a state may not have: one below
+    ``-_NEG_TOL * max(1, top)``."""
+    if vals.min(initial=0.0) < -_NEG_TOL * max(1.0, float(vals.max(initial=0.0))):
+        raise ValueError("matrix has negative eigenvalues beyond tolerance")
 
 
 def support_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues above the relative support cutoff and their eigenvectors,
-    as :meth:`HermEig.support_mask` selects them."""
-    eig = herm_eig(m)
-    mask = eig.support_mask()
-    return eig.eigenvalues[mask], eig.eigenvectors[:, mask]
+    """Eigenvalues on the support, as :func:`_on_support` selects them, and
+    their eigenvectors, descending."""
+    vals, vecs = herm_eig(m)
+    keep = _on_support(vals)
+    return vals[keep], vecs[:, keep]
 
 
 def eigenvalue_below(m: np.ndarray, tol: float) -> float | None:
@@ -189,25 +186,6 @@ def apply_local(m: np.ndarray, dims, kraus, positions) -> np.ndarray:
     return t.transpose(np.argsort(axes)).reshape(d, d)
 
 
-def mat_power_on_support(m: np.ndarray, z: complex, eps: float = EPS_SUPP) -> np.ndarray:
-    """Pseudo-power ``m**z`` of a PSD matrix, restricted to its support.
-
-    Eigenvalues above the relative cutoff are raised to ``z``; the rest map
-    to zero, so negative real parts of ``z`` give the support-restricted
-    inverse power.  Raises only on an eigenvalue a state may not have,
-    below ``-1e-8 * max(1, top)``.
-    """
-    eig = herm_eig(m)
-    top = float(eig.eigenvalues.max(initial=0.0))
-    if eig.eigenvalues.min(initial=0.0) < -_NEG_TOL * max(top, 1.0):
-        raise ValueError("matrix has negative eigenvalues beyond tolerance")
-    mask = eig.support_mask(eps)
-    powered = np.zeros(len(eig.eigenvalues), dtype=complex)
-    powered[mask] = np.power(eig.eigenvalues[mask].astype(complex), z)
-    v = eig.eigenvectors
-    return (v * powered) @ dagger(v)
-
-
 def _sinhc(x: np.ndarray) -> np.ndarray:
     """``x / sinh(x)`` with the removable singularity at 0 filled by 1.
 
@@ -233,11 +211,11 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(sv.sum())
 
 
-def _check_state_matrix(rho: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _check_state_matrix(rho: np.ndarray, what: str) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{what} must be square")
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho):
         raise ValueError(f"{what} is not Hermitian within tolerance")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-8:
@@ -245,20 +223,20 @@ def _check_state_matrix(rho: np.ndarray, tol: float, what: str) -> np.ndarray:
     return rho
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray, guard: float = 1e-9) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity: squared trace norm of ``sqrt(rho) sqrt(sigma)``.
 
     Both arguments must be Hermitian with unit trace; :func:`_fidelity`
     computes the value.
     """
-    rho = _check_state_matrix(rho, HERM_TOL, "fidelity argument")
-    sigma = _check_state_matrix(sigma, HERM_TOL, "fidelity argument")
+    rho = _check_state_matrix(rho, "fidelity argument")
+    sigma = _check_state_matrix(sigma, "fidelity argument")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return _fidelity(rho, sigma, guard)
+    return _fidelity(rho, sigma)
 
 
-def _fidelity(rho: np.ndarray, sigma: np.ndarray, guard: float = 1e-9) -> float:
+def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """The spectral part of :func:`fidelity`, on matrices it does not check.
 
     Computed through the spectrum of ``sqrt(rho) sigma sqrt(rho)``, which
@@ -266,24 +244,19 @@ def _fidelity(rho: np.ndarray, sigma: np.ndarray, guard: float = 1e-9) -> float:
     support of ``rho`` as :func:`support_eig` gives it.  Both parts are
     normalized first: the kept spectrum of ``rho`` by its sum and ``sigma``
     by its trace, so that round-off negative eigenvalues, dropped from one
-    and kept in the other, cannot push the value past 1.  The result is
-    clipped to [0, 1] after a guard band.
+    and kept in the other, cannot push the value past 1.  The square roots
+    are summed over the support of the inner spectrum, and the result is
+    clipped to 1 after a guard band of ``_FIDELITY_GUARD``.
     """
     # sqrt(rho) sigma sqrt(rho) has the nonzero spectrum of its compression
-    # to supp(rho); the signed cutoff drops round-off negative eigenvalues
+    # to supp(rho)
     lam, v = support_eig(rho)
     half = v * np.sqrt(lam / lam.sum())
     inner = dagger(half) @ sigma @ half / np.trace(sigma).real
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     # eigh noise on zero modes is O(eps); summing their square roots would
-    # cost ~1e-8, so cut at the support threshold first
-    vals[vals <= EPS_SUPP * vals.max(initial=0.0)] = 0.0
-    f = float(np.sum(np.sqrt(vals)) ** 2)
-    if f < -guard or f > 1.0 + guard:
+    # cost ~1e-8, so they count as zero
+    vals = np.linalg.eigvalsh(inner)
+    f = float(np.sum(np.sqrt(np.where(_on_support(vals), vals, 0.0))) ** 2)
+    if f > 1.0 + _FIDELITY_GUARD:
         raise ValueError(f"fidelity {f} outside [0, 1] beyond guard band")
-    return min(max(f, 0.0), 1.0)
-
-
-def purity(rho: np.ndarray) -> float:
-    rho = as_matrix(rho)
-    return float(np.trace(rho @ rho).real)
+    return min(f, 1.0)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_sinhc, as_matrix, dagger, eigenvalue_below, herm_eig,
-                     mat_power_on_support, support_eig)
-from .states import DensityOperator, InvalidStateError, Pvm, pinch
+from .linalg import (_check_psd, _on_support, _sinhc, as_matrix, dagger, eigenvalue_below,
+                     herm_eig, support_eig)
+from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, pinch
 
 CHOI_TOL = 1e-8
 
@@ -139,10 +139,10 @@ def choi_from_kraus(kraus, weights=None) -> np.ndarray:
 
 def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int, tol: float = 1e-12):
     """Kraus operators from the spectral decomposition of a Choi matrix."""
-    eig = herm_eig(choi)
-    top = float(eig.eigenvalues.max(initial=0.0))
+    vals, vecs = herm_eig(choi)
+    top = float(vals.max(initial=0.0))
     kraus = []
-    for lam, v in zip(eig.eigenvalues, eig.eigenvectors.T):
+    for lam, v in zip(vals, vecs.T):
         if lam > tol * max(top, 1.0):
             kraus.append(np.sqrt(lam) * v.reshape(in_dim, out_dim).T)
     return tuple(kraus)
@@ -200,11 +200,12 @@ def tensor_with_identity(channel: CpMap, side_dims, side_labels) -> CpMap:
     )
 
 
-def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
-    """Petz recovery of ``channel`` relative to the PSD operator ``sigma``.
+def _petz_spectra(sigma: np.ndarray, channel: CpMap, name: str):
+    """Support eigenpairs ``(l, V)`` of ``sigma`` and ``(m, W)`` of N(sigma).
 
-    Kraus operators ``sigma^{1/2} K^dag N(sigma)^{-1/2}``; the map restores
-    ``sigma`` from ``N(sigma)`` and is trace-preserving on supp(N(sigma)).
+    ``sigma`` is rejected only through :func:`~eurqsi.linalg._check_psd`,
+    then cut to its support once, and N is applied to the cut ``sigma``, so
+    both Petz maps see one operator and preserve trace on supp(N(sigma)).
     """
     sigma = as_matrix(sigma)
     if sigma.shape != (channel.in_dim, channel.in_dim):
@@ -212,16 +213,31 @@ def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
             f"sigma dimension {sigma.shape[0]} incompatible with channel input {channel.in_dim}"
         )
     if channel.kraus is None:
-        raise ValueError("petz_map needs a channel with Kraus operators")
-    n_sigma = channel.apply_matrix(sigma)
-    sqrt_sigma = mat_power_on_support(sigma, 0.5)
-    inv_sqrt_n = mat_power_on_support(n_sigma, -0.5)
+        raise ValueError(f"{name} needs a channel with Kraus operators")
+    vals, vecs = herm_eig(sigma)
+    _check_psd(vals)
+    keep = _on_support(vals)
+    lam, v = vals[keep], vecs[:, keep]
+    mu, w = support_eig(channel.apply_matrix((v * lam) @ dagger(v)))
+    return lam, v, mu, w
+
+
+def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
+    """Petz recovery of ``channel`` relative to the PSD operator ``sigma``.
+
+    Kraus operators ``sigma^{1/2} K^dag N(sigma)^{-1/2}``, each power taken
+    on its support; the map restores ``sigma`` from ``N(sigma)`` and is
+    trace-preserving on supp(N(sigma)).
+    """
+    lam, v, mu, w = _petz_spectra(sigma, channel, "petz_map")
+    sqrt_sigma = (v * np.sqrt(lam)) @ dagger(v)
+    inv_sqrt_n = (w / np.sqrt(mu)) @ dagger(w)
     kraus = tuple(sqrt_sigma @ dagger(k) @ inv_sqrt_n for k in channel.kraus)
     return CpMap.from_kraus(
         kraus,
         in_dims=channel.out_dims,
         out_dims=channel.in_dims,
-        support=herm_eig(n_sigma).support_projector(),
+        support=w @ dagger(w),
         in_labels=channel.out_labels,
         out_labels=channel.in_labels,
     )
@@ -241,13 +257,7 @@ def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     the Choi matrix is ``U (Gram(C) o sinhc) U^dag`` with
     ``U = conj(W) (x) V``.
     """
-    sigma = as_matrix(sigma)
-    if sigma.shape != (channel.in_dim, channel.in_dim):
-        raise ValueError("sigma dimension incompatible with channel input")
-    if channel.kraus is None:
-        raise ValueError("rotated_petz_map needs a channel with Kraus operators")
-    lam, v = support_eig(sigma)
-    mu, w = support_eig(channel.apply_matrix(sigma))
+    lam, v, mu, w = _petz_spectra(sigma, channel, "rotated_petz_map")
     k_dag = np.stack([dagger(k) for k in channel.kraus])      # (nk, din, dout)
     # vec index of a recovery Kraus operator: input c slow, output a fast
     coef = np.einsum("ia,kij,jc->kca", v.conj(), k_dag, w)
@@ -286,8 +296,8 @@ def eur_recovery_map(
     if not z_pvm.is_rank_one():
         raise InvalidStateError("eur_recovery_map needs a rank-one Z measurement")
     d_a = rho_ab.dims[rho_ab.label_index(measured)]
-    if x_pvm.dim != d_a or z_pvm.dim != d_a:
-        raise InvalidStateError("PVM dimension mismatch with measured subsystem")
+    _check_pvm_dim(x_pvm, d_a, measured)
+    _check_pvm_dim(z_pvm, d_a, measured)
     rest_labels = [s for s in rho_ab.labels if s != measured]
     rho_ord = rho_ab.permute([measured] + rest_labels)
     tau = pinch(rho_ord, z_pvm, measured).matrix

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import _conditional
-from .linalg import (EPS_SUPP, _fidelity, _sinhc, apply_local, dagger, partial_trace,
+from .linalg import (_fidelity, _on_support, _sinhc, apply_local, dagger, partial_trace,
                      support_eig)
 from .states import (
     DensityOperator,
@@ -141,10 +141,12 @@ def _reversibility(
     with v over the Kraus operators |x><v| of :attr:`Pvm.kraus`,
     ``C_v[a, j] = sqrt(l_a) <a|v (x) w_xj>``,
     ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')`` and
-    ``phi_a,xj = (ln l_a - ln m_xj) / 2``.  The support of N(tau) is cut
-    at ``EPS_SUPP`` times the top of its whole spectrum, the union of the
-    block spectra.  :func:`~eurqsi.recovery.eur_recovery_map` builds the
-    same recovery as an explicit channel.
+    ``phi_a,xj = (ln l_a - ln m_xj) / 2``.  As in the explicit Petz maps,
+    tau is cut to its support once and the blocks tau_x are formed from the
+    cut tau; the support of N(tau) is cut by the same rule against the top
+    of its whole spectrum, the union of the block spectra.
+    :func:`~eurqsi.recovery.eur_recovery_map` builds the same recovery as an
+    explicit channel.
 
     ``rho_ab`` lives on ``dims`` with the measured subsystem A at ``pos``
     and B the rest; it is reordered A first when A is not.  ``sigma_xb`` is
@@ -159,9 +161,10 @@ def _reversibility(
     d_b = rho_ab.shape[0] // d_a
     tau = apply_local(rho_ab, (d_a, d_b), z_pvm.projectors, [0])
     lam, v = support_eig(tau)
+    tau = (v * lam) @ dagger(v)
     n_tau = apply_local(tau, (d_a, d_b), x_pvm.kraus, [0]).reshape(n, d_b, n, d_b)
     mu, w = np.linalg.eigh(np.einsum("xbxc->xbc", n_tau))
-    keep = mu > EPS_SUPP * max(mu.max(), 0.0)
+    keep = _on_support(mu)
     # off the support: unit eigenvalues keep the logs finite, and zeroed
     # eigenvectors drop the terms
     mu = np.where(keep, mu, 1.0)
@@ -240,7 +243,7 @@ def check_tripartite(
     Z need not be rank one here.
     """
     m, dims = rho_abe.matrix, rho_abe.dims
-    if not rho_abe.is_pure(1e-8):
+    if not rho_abe.is_pure():
         if not purify_if_mixed:
             raise InvalidStateError(
                 "tripartite checker needs a pure state; pass purify_if_mixed=True "

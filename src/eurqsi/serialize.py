@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .recovery import CpMap
-from .states import DensityOperator, InvalidStateError, Pvm
+from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -56,8 +56,8 @@ def scenario_from_dict(data: dict) -> tuple[DensityOperator, Pvm, Pvm]:
     rho = DensityOperator(decode_matrix(data["state"]), dims, _default_labels(len(dims)))
     x_pvm = Pvm(tuple(decode_matrix(p) for p in data["x_pvm"]))
     z_pvm = Pvm(tuple(decode_matrix(p) for p in data["z_pvm"]))
-    if x_pvm.dim != dims[0] or z_pvm.dim != dims[0]:
-        raise InvalidStateError("PVM dimension does not match measured subsystem")
+    _check_pvm_dim(x_pvm, dims[0], rho.labels[0])
+    _check_pvm_dim(z_pvm, dims[0], rho.labels[0])
     return rho, x_pvm, z_pvm
 
 

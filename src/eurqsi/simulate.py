@@ -23,6 +23,7 @@ from .states import (
     DensityOperator,
     KET_MINUS,
     KET_PLUS,
+    _reordered,
     bell_phi,
     ket_bra,
     maximally_mixed,
@@ -226,10 +227,7 @@ class _SimState:
         """Replace ``in_labels`` by the map's outputs, placed at the front."""
         positions = [self.index(s) for s in in_labels]
         rest = [i for i in range(len(self.dims)) if i not in positions]
-        order = positions + rest
-        n = len(self.dims)
-        t = self.rho.reshape(self.dims + self.dims)
-        t = t.transpose(order + [n + i for i in order]).reshape(self.rho.shape)
+        t = _reordered(self.rho, self.dims, positions + rest)
         kraus = cpmap.kraus
         if kraus is None:
             kraus = kraus_from_choi(cpmap.choi, cpmap.in_dim, cpmap.out_dim)

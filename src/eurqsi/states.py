@@ -142,10 +142,11 @@ class DensityOperator:
         )
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """Tr(rho^2), the squared Frobenius norm of the Hermitian matrix."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
-    def is_pure(self, tol: float = 1e-8) -> bool:
-        return self.purity() >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity() >= 1.0 - 1e-8
 
 
 def _reordered(m: np.ndarray, dims, order) -> np.ndarray:
@@ -278,8 +279,7 @@ def _measured(m: np.ndarray, dims, pvm: Pvm, pos: int) -> tuple[np.ndarray, tupl
 def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:
     """Apply the PVM and discard the outcome: rho -> sum_z Q_z rho Q_z."""
     pos = rho.label_index(measured)
-    if pvm.dim != rho.dims[pos]:
-        raise InvalidStateError("PVM dimension mismatch in pinch")
+    _check_pvm_dim(pvm, rho.dims[pos], measured)
     out = apply_local(rho.matrix, rho.dims, pvm.projectors, [pos])
     return DensityOperator(out, rho.dims, rho.labels)
 
@@ -300,8 +300,8 @@ def theta_state(
     if not z_pvm.is_rank_one():
         raise InvalidStateError("theta_state needs a rank-one Z measurement")
     pos = rho.label_index(measured)
-    if x_pvm.dim != rho.dims[pos] or z_pvm.dim != rho.dims[pos]:
-        raise InvalidStateError("PVM dimension mismatch in theta_state")
+    _check_pvm_dim(x_pvm, rho.dims[pos], measured)
+    _check_pvm_dim(z_pvm, rho.dims[pos], measured)
     return measure(pinch(rho, z_pvm, measured), x_pvm, measured, register_label)
 
 

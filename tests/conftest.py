@@ -187,11 +187,23 @@ def haar_unitary(dim, seed):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+# Negative eigenvalues that DensityOperator accepts (it rejects below -1e-8).
+ROUND_OFF_MASSES = (5e-11, 5e-10, 5e-9, 9e-9)
+
+
 def rotated_spectrum(vals, seed):
     """Hermitian matrix with eigenvalues ``vals`` in a Haar-random basis."""
     u = haar_unitary(len(vals), seed)
     m = (u * np.asarray(vals, dtype=float)) @ dagger(u)
     return 0.5 * (m + dagger(m))
+
+
+def support_projector(m):
+    """Projector on the eigenvectors of ``m`` above 1e-10 times its top
+    eigenvalue."""
+    vals, vecs = np.linalg.eigh(m)
+    v = vecs[:, vals > 1e-10 * vals.max()]
+    return v @ dagger(v)
 
 
 def rank2_plus_rank1_pvm(seed):
@@ -264,7 +276,7 @@ def bipartite_report_oracle(rho_ab, x_pvm, z_pvm, measured="A"):
 def tripartite_report_oracle(rho_abe, x_pvm, z_pvm, a_label="A", b_label="B",
                              purify_if_mixed=False):
     """check_tripartite measuring the whole ABE state, then reducing."""
-    if purify_if_mixed and not rho_abe.is_pure(1e-8):
+    if purify_if_mixed and not rho_abe.is_pure():
         rho_abe = purify(rho_abe, "_E")
     e_labels = [s for s in rho_abe.labels if s not in (a_label, b_label)]
     sigma = measure(rho_abe, x_pvm, a_label, "X")

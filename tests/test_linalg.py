@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from eurqsi.linalg import (
+    EPS_SUPP,
+    _check_psd,
+    _on_support,
     apply_local,
     fidelity,
     herm_eig,
-    mat_power_on_support,
     op_norm,
     partial_trace,
     tensor,
@@ -128,37 +130,19 @@ def test_apply_local_rejects_bad_positions_and_kraus():
         apply_local(m, (2, 2), [np.eye(2)], [0])
 
 
-def test_mat_power_scalar_matrix():
-    out = mat_power_on_support(np.eye(2) / 2, 0.5)
-    assert np.abs(out - np.eye(2) / np.sqrt(2)).max() < 1e-12
+def test_support_cutoff_is_signed_and_relative():
+    top = 4.0
+    vals = np.array([top, 2 * EPS_SUPP * top, 0.5 * EPS_SUPP * top, 0.0, -5e-9])
+    assert _on_support(vals).tolist() == [True, True, False, False, False]
+    assert not _on_support(np.array([0.0, -1e-12])).any()
 
 
-def test_mat_power_support_projection():
-    m = np.diag([1.0, 0.0]).astype(complex)
-    assert np.abs(mat_power_on_support(m, -0.5) - m).max() < 1e-12
-
-
-def test_mat_power_complex_exponent_scalar_oracle():
-    z = (-1 + 0.5j) / 2
-    m = np.diag([0.7, 0.3, 0.0]).astype(complex)
-    want = np.diag([0.7 ** z, 0.3 ** z, 0.0])
-    assert np.abs(mat_power_on_support(m, z) - want).max() < 1e-12
-
-
-def test_mat_power_identity_and_addition_on_support():
-    for seed in range(10):
-        rho = random_state(4, 3, seed).matrix
-        supp = herm_eig(rho).support_projector()
-        p1 = mat_power_on_support(rho, 1.0)
-        assert np.abs(p1 - supp @ rho @ supp).max() < 1e-9
-        pa = mat_power_on_support(rho, 0.3)
-        pb = mat_power_on_support(rho, 0.7)
-        assert np.abs(pa @ pb - p1).max() < 1e-9
-
-
-def test_mat_power_rejects_negative():
-    with pytest.raises(ValueError):
-        mat_power_on_support(np.diag([1.0, -0.5]).astype(complex), 0.5)
+@pytest.mark.parametrize("top", [0.5, 10.0])
+def test_negativity_guard_scales_with_max_one_top(top):
+    scale = max(1.0, top)
+    _check_psd(np.array([top, -0.5e-8 * scale]))
+    with pytest.raises(ValueError, match="negative eigenvalues beyond tolerance"):
+        _check_psd(np.array([top, -2e-8 * scale]))
 
 
 def test_fidelity_identity_and_orthogonal():
@@ -208,8 +192,7 @@ def test_herm_eig_contract_many_random():
         d = int(rng.integers(1, 17))
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         m = (g + g.conj().T) / 2
-        eig = herm_eig(m)
-        v, lam = eig.eigenvectors, eig.eigenvalues
+        lam, v = herm_eig(m)
         assert np.all(np.diff(lam) <= 1e-12)
         scale = max(op_norm(m), 1e-300)
         assert op_norm(v @ np.diag(lam) @ v.conj().T - m) <= 1e-10 * max(scale, 1.0)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from eurqsi.entropy import relative
-from eurqsi.linalg import fidelity, herm_eig, op_norm, tensor, trace_distance
+from eurqsi.linalg import fidelity, op_norm, tensor, trace_distance
 from eurqsi.recovery import (
     CHOI_TOL,
     CpMap,
@@ -37,6 +37,7 @@ from eurqsi.states import (
 )
 
 from conftest import (
+    ROUND_OFF_MASSES,
     choi_of_kraus,
     dagger,
     haar_unitary,
@@ -46,6 +47,7 @@ from conftest import (
     rank2_plus_rank1_pvm,
     rotated_petz_choi_oracle,
     rotated_spectrum,
+    support_projector,
 )
 
 
@@ -104,7 +106,7 @@ class TestPetz:
     def test_identity_channel_fixed_point(self):
         sig = random_state(2, 1, 3).matrix  # rank deficient on purpose
         rec = petz_map(sig, identity_channel((2,)))
-        supp = herm_eig(sig).support_projector()
+        supp = support_projector(sig)
         probe = supp @ random_state(2, 2, 9).matrix @ supp
         assert np.abs(rec.apply_matrix(probe) - probe).max() < 1e-10
 
@@ -141,22 +143,23 @@ class TestPetz:
     @pytest.mark.parametrize("build", [petz_map, rotated_petz_map])
     def test_accepts_what_a_density_operator_accepts(self, build):
         # DensityOperator accepts eigenvalues down to -1e-8, and so do the maps
-        sig = DensityOperator(rotated_spectrum([0.6, 0.3, 0.1 + 5e-9, -5e-9], 3),
-                              (2, 2), ("A", "B")).matrix
         chan = tensor_with_identity(measurement_channel(pauli_pvm("X")), (2,), ("B",))
-        rec = build(sig, chan)
-        # CP; trace preserved and sigma restored up to its negative mass
-        report = verify_cptp(rec)
-        assert report.cp_ok and report.trace_preservation_defect < 1e-7
-        assert np.abs(rec.apply_matrix(chan.apply_matrix(sig)) - sig).max() < 1e-8
+        for mass in ROUND_OFF_MASSES:
+            sig = DensityOperator(rotated_spectrum([0.6, 0.3, 0.1 + mass, -mass], 3),
+                                  (2, 2), ("A", "B")).matrix
+            rec = build(sig, chan)
+            # CPTP on supp(N(sigma)); sigma restored up to its negative mass
+            assert verify_cptp(rec).ok, mass
+            assert np.abs(rec.apply_matrix(chan.apply_matrix(sig)) - sig).max() < 2 * mass
 
     def test_rejects_what_a_density_operator_rejects(self):
         sig = rotated_spectrum([0.6, 0.3, 0.1 + 2e-8, -2e-8], 3)
         with pytest.raises(InvalidStateError):
             DensityOperator(sig, (2, 2), ("A", "B"))
         chan = tensor_with_identity(measurement_channel(pauli_pvm("X")), (2,), ("B",))
-        with pytest.raises(ValueError):
-            petz_map(sig, chan)
+        for build in (petz_map, rotated_petz_map):
+            with pytest.raises(ValueError, match="negative eigenvalues beyond tolerance"):
+                build(sig, chan)
 
 
 class TestRotatedPetz:
@@ -278,8 +281,7 @@ class TestEurRecoveryMap:
             chan = tensor_with_identity(measurement_channel(xp), (d,), ("B",))
             generic = rotated_petz_map(pinch(rho, zp, "A").matrix, chan)
             theta = theta_state(rho, xp, zp)
-            lift = np.kron(herm_eig(theta.matrix).support_projector(),
-                           np.eye(d * d))
+            lift = np.kron(support_projector(theta.matrix), np.eye(d * d))
             diff = lift @ (explicit.choi - generic.choi) @ lift
             assert op_norm(diff) < 1e-7
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eurqsi import recovery, relations
-from eurqsi.linalg import tensor
+from eurqsi.entropy import relative, von_neumann
+from eurqsi.linalg import EPS_SUPP, fidelity, tensor
 from eurqsi.relations import EurReport, check_bipartite, check_tripartite, fuzz
-from eurqsi.serialize import canonical_json, scenario_from_dict
+from eurqsi.serialize import canonical_json, scenario_from_dict, scenario_to_dict
 from eurqsi.states import (
     DensityOperator,
     InvalidStateError,
@@ -21,12 +22,15 @@ from eurqsi.states import (
     maximally_mixed,
     measure,
     pauli_pvm,
+    pinch,
     purify,
     random_multipartite_state,
     random_pvm,
+    theta_state,
 )
 
 from conftest import (
+    ROUND_OFF_MASSES,
     _reversibility_nd_oracle,
     bipartite_report_oracle,
     rank2_plus_rank1_pvm,
@@ -269,14 +273,42 @@ def test_block_reversibility_matches_the_recovery_channel(case):
     assert abs(got - _reversibility_nd_oracle(rho, xp, zp, sigma, measured)) <= 1e-12
 
 
+# Spectra of valid two-qubit states with round-off negative eigenvalues, and
+# one with eigenvalues at 2x and 0.5x the support cutoff.
+ROUND_OFF_SPECTRA = {
+    **{f"mass {m:g}": [0.6, 0.3, 0.1 + m, -m] for m in ROUND_OFF_MASSES},
+    "straddling the cutoff": [0.6, 0.4 - 1.5e-10, 2 * EPS_SUPP * 0.6, 0.5 * EPS_SUPP * 0.6],
+}
+
+
+def _round_off_states():
+    """Each spectrum in a Haar basis, and block diagonal in Z on A, where the
+    pinched state keeps every eigenvalue, so the small ones reach the
+    recovery."""
+    for name, vals in ROUND_OFF_SPECTRA.items():
+        yield name + ", haar", state_ab(rotated_spectrum(vals, 3))
+        blocks = (np.kron(np.diag([1.0, 0.0]), rotated_spectrum([vals[0], vals[3]], 3))
+                  + np.kron(np.diag([0.0, 1.0]), rotated_spectrum([vals[1], vals[2]], 4)))
+        yield name + ", z blocks", state_ab(blocks)
+
+
 def test_round_off_negative_eigenvalue_state_is_checked():
-    # DensityOperator accepts eigenvalues down to -1e-8
-    rho = state_ab(rotated_spectrum([0.6, 0.3, 0.1 + 5e-9, -5e-9], 3))
-    assert np.linalg.eigvalsh(rho.matrix).min() < -4e-9
-    for report in (check_bipartite(rho, X, Z),
-                   check_tripartite(rho, X, Z, purify_if_mixed=True)):
-        assert 0.0 <= report.f <= 1.0
-        assert report.slack_refined <= report.slack_original + 1e-9
+    for name, rho in _round_off_states():
+        reports = (check_bipartite(rho, X, Z),
+                   check_tripartite(rho, X, Z, purify_if_mixed=True))
+        for report in reports:
+            assert 0.0 <= report.f <= 1.0, name
+            assert report.slack_refined <= report.slack_original + 1e-9, name
+        # f is the fidelity through the explicit channel, which is CPTP
+        rec = recovery.eur_recovery_map(rho, X, Z)
+        assert recovery.verify_cptp(rec).ok, name
+        recovered = recovery.apply_map(rec, measure(rho, X, "A", "X"))
+        assert abs(reports[0].f - fidelity(rho.matrix, recovered.matrix)) < 1e-12, name
+        # D(rho || tau) = H(tau) - H(rho) for the pinched state tau
+        tau = pinch(rho, Z, "A")
+        h_gap = von_neumann(tau) - von_neumann(rho)
+        assert abs(relative(rho, tau.matrix) - h_gap) < 1e-12, name
+        assert abs(relative(rho, rho.matrix)) < 1e-12, name
 
 
 def test_state_with_reductions_beyond_the_threshold_is_checked():
@@ -304,6 +336,15 @@ def test_pvm_dimension_must_match_the_measured_subsystem(which):
         check_bipartite(rho_ab, pvms["x"], pvms["z"])
     with pytest.raises(InvalidStateError, match="PVM dimension"):
         check_tripartite(rho_abe, pvms["x"], pvms["z"])
+    # every other function taking a PVM for A runs the same check
+    with pytest.raises(InvalidStateError, match="PVM dimension"):
+        pinch(rho_ab, pvms[which], "A")
+    with pytest.raises(InvalidStateError, match="PVM dimension"):
+        theta_state(rho_ab, pvms["x"], pvms["z"])
+    with pytest.raises(InvalidStateError, match="PVM dimension"):
+        recovery.eur_recovery_map(rho_ab, pvms["x"], pvms["z"])
+    with pytest.raises(InvalidStateError, match="PVM dimension"):
+        scenario_from_dict(scenario_to_dict(rho_ab, pvms["x"], pvms["z"]))
 
 
 @st.composite

@@ -41,6 +41,7 @@ from conftest import (
     measured_state_oracle,
     rank2_plus_rank1_pvm,
     rotated_spectrum,
+    support_projector,
     theta_state_oracle,
 )
 
@@ -132,8 +133,8 @@ class TestPvm:
         n, d = len(pvm), pvm.dim
         want = []
         for x, p in enumerate(pvm.projectors):
-            eig = herm_eig(p)
-            for v in eig.eigenvectors[:, eig.eigenvalues > 0.5].T:
+            vals, vecs = herm_eig(p)
+            for v in vecs[:, vals > 0.5].T:
                 k = np.zeros((n, d), dtype=complex)
                 k[x] = v.conj()
                 want.append(k)
@@ -312,9 +313,8 @@ class TestPurify:
         assert out.dims == (3, 2)
         assert np.abs(out.reduce("A").matrix - rho.matrix).max() < 1e-10
         # the vector is sum_k sqrt(l_k) |v_k> (x) |k>
-        eig = herm_eig(rho.matrix)
-        psi = sum(np.sqrt(eig.eigenvalues[k]) * np.kron(eig.eigenvectors[:, k], np.eye(2)[k])
-                  for k in range(2))
+        vals, vecs = herm_eig(rho.matrix)
+        psi = sum(np.sqrt(vals[k]) * np.kron(vecs[:, k], np.eye(2)[k]) for k in range(2))
         psi /= np.linalg.norm(psi)
         assert np.abs(out.matrix - np.outer(psi, psi.conj())).max() < 1e-15
 
@@ -383,7 +383,7 @@ class TestPinching:
             rho = random_state(d, d - (seed % 2), [seed, 5])
             zp = random_pvm(d, [seed, 6])
             pinched = pinch(rho, zp, "A")
-            comp = np.eye(d) - herm_eig(pinched.matrix).support_projector()
+            comp = np.eye(d) - support_projector(pinched.matrix)
             mass = float(np.trace(comp @ rho.matrix).real)
             assert mass < 1e-10
 
