@@ -190,6 +190,13 @@ def _positive_float(raw: str) -> float:
     return value
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eurqsi",
@@ -217,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="stress the inequalities on random instances")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--dim", type=int, default=2, help="dimension of the measured system")
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--dim", type=_positive_int, default=2,
+                   help="dimension of the measured system")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--relation", choices=RELATION_IDS, default="bipartite_refined")
     common(p, tolerance=1e-6)
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="simulate one of the six circuit protocols")
     p.add_argument("id", type=int, choices=range(1, 7), metavar="ID",
                    help="experiment number, 1-6")
-    p.add_argument("--shots", type=int, default=8192)
+    p.add_argument("--shots", type=_positive_int, default=8192)
     p.add_argument("--noise", default=None, metavar="depolarizing=P,readout=Q")
     p.add_argument("--seed", type=int, default=0)
     common(p, tolerance=None)

@@ -53,13 +53,13 @@ def tensor(*factors) -> np.ndarray:
     return out
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    """Hermiticity within ``tol`` relative to the largest entry.
+def is_hermitian(m: np.ndarray) -> bool:
+    """Hermiticity within ``HERM_TOL`` relative to the largest entry.
 
     ``m`` must already be a 2-D ndarray, as :func:`as_matrix` returns.
     """
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    return bool(np.abs(m - dagger(m)).max(initial=0.0) <= tol * scale)
+    return bool(np.abs(m - dagger(m)).max(initial=0.0) <= HERM_TOL * scale)
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -137,13 +137,14 @@ def choi_from_kraus(kraus, weights=None) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
-def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int, tol: float = 1e-12):
-    """Kraus operators from the spectral decomposition of a Choi matrix."""
+def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int):
+    """Kraus operators from the spectral decomposition of a Choi matrix,
+    one per eigenvalue above 1e-12 times max(1, top)."""
     vals, vecs = herm_eig(choi)
     top = float(vals.max(initial=0.0))
     kraus = []
     for lam, v in zip(vals, vecs.T):
-        if lam > tol * max(top, 1.0):
+        if lam > 1e-12 * max(top, 1.0):
             kraus.append(np.sqrt(lam) * v.reshape(in_dim, out_dim).T)
     return tuple(kraus)
 

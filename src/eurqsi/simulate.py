@@ -1,9 +1,19 @@
 """Density-matrix circuit simulator with shot sampling and optional noise.
 
-Mid-circuit measurements pinch the target and copy the outcome into a
-classical register kept as an extra (decohered) subsystem, so recovery
-channels conditioned on the register are exact.  Shots are sampled from
+Every circuit op is one Kraus step, one :func:`~eurqsi.linalg.apply_local`
+call on the subsystems it touches.  A gate and the depolarizing noise on
+its qubits form one Kraus set on controls + targets.  A measurement copies
+the computational outcome into a classical register with the operators
+``|m>|m><m|`` on the target, the readout flip folded into the same set, and
+the register is then moved last; the register is a decohered subsystem, so
+recovery channels conditioned on it are exact.  A recovery applies its
+map's Kraus operators to the subsystems it reads.  Shots are sampled from
 the exact final distribution; there is no per-shot re-execution.
+
+:func:`run_circuit` returns the validated final state.  :func:`run_experiment`
+builds only the recovery map its circuit names, reduces the final state
+once to the recovered subsystems, validates that one state and reads every
+shot table from it through constant basis matrices.
 
 Noise model: symmetric depolarizing with strength ``depolarizing_p`` on
 every qubit a gate touches, plus a classical bit flip with probability
@@ -17,17 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_local
+from .linalg import apply_local, partial_trace
 from .recovery import CpMap, kraus_from_choi
 from .states import (
     DensityOperator,
+    KET_0,
+    KET_1,
     KET_MINUS,
+    KET_MINUS_Y,
     KET_PLUS,
+    KET_PLUS_Y,
     _reordered,
     bell_phi,
     ket_bra,
     maximally_mixed,
-    pauli_pvm,
 )
 
 GATES = {
@@ -148,26 +161,59 @@ class ShotTable:
         return {"shots": self.shots, "outcomes": self.to_rows()}
 
 
+_PAULIS = np.stack([GATES[a] for a in ("i", "x", "y", "z")])
+
+# |m>|m><m| for m = 0, 1: the target keeps the outcome and the register,
+# the second factor, receives a copy of it
+_COPY = np.stack([np.outer(np.kron(e, e), e) for e in np.eye(2, dtype=complex)])
+_REGISTER_FLIP = np.kron(GATES["i"], GATES["x"])
+
+
+def _kron_sets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every ``a_i (x) b_j`` of two stacks of operators, ``i`` slowest."""
+    rows, cols = a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
+    out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return out.reshape(len(a) * len(b), rows, cols)
+
+
+def _depolarizing_kraus(n_qubits: int, p: float) -> np.ndarray:
+    """Kraus operators of symmetric depolarizing of strength ``p`` on each
+    of ``n_qubits`` qubits; only the identity when ``p`` is 0."""
+    if p == 0.0:
+        return np.eye(2 ** n_qubits, dtype=complex)[None]
+    one = _PAULIS * np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])[:, None, None]
+    kraus = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n_qubits):
+        kraus = _kron_sets(kraus, one)
+    return kraus
+
+
+def _gate_kraus(name: str, n_controls: int, p: float) -> np.ndarray:
+    """A named gate on (controls, target), acting when every control is |1>,
+    followed by depolarizing of strength ``p`` on each of those qubits."""
+    g = np.eye(2 ** (n_controls + 1), dtype=complex)
+    g[-2:, -2:] = GATES[name]
+    return _depolarizing_kraus(n_controls + 1, p) @ g
+
+
+def _measure_kraus(q: float) -> np.ndarray:
+    """Kraus operators ``|m>|m xor f><m|`` of a qubit measurement whose
+    register bit ``f`` flips with probability ``q``."""
+    if q == 0.0:
+        return _COPY
+    return np.concatenate([np.sqrt(1.0 - q) * _COPY, np.sqrt(q) * (_REGISTER_FLIP @ _COPY)])
+
+
 def apply_gate(rho: np.ndarray, dims, name: str, targets, controls=()) -> np.ndarray:
     """Apply a (possibly controlled) named gate; trace is preserved."""
-    g = GATES[name]
-    targets, controls = tuple(targets), tuple(controls)
-    if controls:
-        ctrl_dim = int(np.prod([dims[c] for c in controls]))
-        ones = np.zeros((ctrl_dim, ctrl_dim), dtype=complex)
-        ones[-1, -1] = 1.0  # all controls in |1>
-        g = np.kron(np.eye(ctrl_dim) - ones, np.eye(g.shape[0])) + np.kron(ones, g)
-    return apply_local(rho, dims, [g], controls + targets)
+    positions = tuple(controls) + tuple(targets)
+    return apply_local(rho, dims, _gate_kraus(name, len(controls), 0.0), positions)
 
 
 def depolarize(rho: np.ndarray, dims, qubit: int, p: float) -> np.ndarray:
     """Symmetric single-qubit depolarizing: p = 1 yields the maximally mixed
     marginal regardless of input."""
-    if p == 0.0:
-        return rho
-    kraus = [np.sqrt(1.0 - 3.0 * p / 4.0) * GATES["i"]]
-    kraus += [np.sqrt(p / 4.0) * GATES[axis] for axis in ("x", "y", "z")]
-    return apply_local(rho, dims, kraus, [qubit])
+    return apply_local(rho, dims, _depolarizing_kraus(1, p), [qubit])
 
 
 def _flip_matrix(q: float) -> np.ndarray:
@@ -200,28 +246,20 @@ class _SimState:
         return self.labels.index(label)
 
     def gate(self, op: Gate, noise: NoiseSpec):
-        targets = tuple(self.index(f"q{i}") for i in op.targets)
-        controls = tuple(self.index(f"q{i}") for i in op.controls)
-        self.rho = apply_gate(self.rho, self.dims, op.name, targets, controls)
-        for pos in targets + controls:
-            self.rho = depolarize(self.rho, self.dims, pos, noise.depolarizing_p)
+        positions = [self.index(f"q{i}") for i in op.controls + op.targets]
+        kraus = _gate_kraus(op.name, len(op.controls), noise.depolarizing_p)
+        self.rho = apply_local(self.rho, self.dims, kraus, positions)
 
     def measure(self, op: Measure, noise: NoiseSpec):
+        """Copy the outcome into a register placed right after the target,
+        then move the register last."""
         pos = self.index(f"q{op.target}")
-        d = self.dims[pos]
-        # Append the register in |0>, then copy the computational outcome
-        # into it with the Kraus operators |m><m| (x) |m><0|.
-        basis = np.eye(d, dtype=complex)
-        self.rho = np.kron(self.rho, ket_bra(basis[0]))
-        self.dims.append(d)
+        rho = apply_local(self.rho, self.dims, _measure_kraus(noise.readout_flip), [pos])
+        dims = self.dims[:pos] + [2, 2] + self.dims[pos + 1:]
+        order = [i for i in range(len(dims)) if i != pos + 1] + [pos + 1]
+        self.rho = _reordered(rho, dims, order)
+        self.dims = [dims[i] for i in order]
         self.labels.append(op.register)
-        kraus = [np.kron(ket_bra(e), ket_bra(e, basis[0])) for e in basis]
-        register = len(self.dims) - 1
-        self.rho = apply_local(self.rho, self.dims, kraus, [pos, register])
-        if noise.readout_flip > 0.0:
-            q = noise.readout_flip
-            flips = [np.sqrt(1.0 - q) * GATES["i"], np.sqrt(q) * GATES["x"]]
-            self.rho = apply_local(self.rho, self.dims, flips, [register])
 
     def recover(self, cpmap: CpMap, in_labels, out_labels):
         """Replace ``in_labels`` by the map's outputs, placed at the front."""
@@ -236,9 +274,6 @@ class _SimState:
         self.dims = list(cpmap.out_dims) + rest_dims
         self.labels = list(out_labels) + [self.labels[i] for i in rest]
 
-    def density_operator(self) -> DensityOperator:
-        return DensityOperator(self.rho, tuple(self.dims), tuple(self.labels))
-
 
 def run_circuit(
     circuit: Circuit,
@@ -250,6 +285,12 @@ def run_circuit(
     ``recovery_bindings`` maps a ``Recovery.map_id`` to a tuple
     ``(cpmap, in_labels, out_labels)``.
     """
+    state = _evolve(circuit, recovery_bindings, noise)
+    return DensityOperator(state.rho, tuple(state.dims), tuple(state.labels))
+
+
+def _evolve(circuit: Circuit, recovery_bindings: dict | None, noise: NoiseSpec) -> _SimState:
+    """The array kernel behind :func:`run_circuit`: one Kraus step per op."""
     state = _SimState(circuit.qubit_count)
     for op in circuit.ops:
         if isinstance(op, Gate):
@@ -261,7 +302,7 @@ def run_circuit(
                 raise ValueError(f"no binding for recovery map {op.map_id!r}")
             cpmap, in_labels, out_labels = recovery_bindings[op.map_id]
             state.recover(cpmap, in_labels, out_labels)
-    return state.density_operator()
+    return state
 
 
 def sample_distribution(probs, outcome_labels, shots: int, rng) -> ShotTable:
@@ -297,28 +338,29 @@ def _r1_register_map() -> CpMap:
     return CpMap.from_kraus(kraus, in_dims=(2,), out_dims=(2,))
 
 
-def _qubit_distribution(rho: DensityOperator, label: str, axis: str) -> np.ndarray:
-    reduced = rho.reduce([label])
-    pvm = pauli_pvm(axis)
-    return np.array(
-        [float(np.trace(p @ reduced.matrix).real) for p in pvm.projectors]
-    )
+# Columns: the +1 and -1 eigenvectors of Pauli X, Y and Z, one basis per row
+_PAULI_BASES = np.stack([
+    np.column_stack(kets)
+    for kets in ((KET_PLUS, KET_MINUS), (KET_PLUS_Y, KET_MINUS_Y), (KET_0, KET_1))
+])
+# The joint bases of (sigma_axis, sigma_axis*) on two qubits
+_PAIR_BASES = np.stack([np.kron(u, u.conj()) for u in _PAULI_BASES])
 
 
-def _pair_distribution(
-    rho: DensityOperator, labels: tuple[str, str], axis: str
-) -> np.ndarray:
-    """Joint outcome distribution of (sigma_axis, sigma_axis*) on two qubits."""
-    reduced = rho.reduce(list(labels))
-    if reduced.labels != tuple(labels):
-        raise ValueError("unexpected label order after reduction")
-    pvm = pauli_pvm(axis)
-    probs = []
-    for pa in pvm.projectors:
-        for pb in pvm.projectors:
-            proj = np.kron(pa, pb.conj())
-            probs.append(float(np.trace(proj @ reduced.matrix).real))
-    return np.array(probs)
+def _basis_probabilities(rho: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Outcome distribution of ``rho`` in each basis: the diagonal of
+    ``U^dag rho U``, one row per basis ``U``."""
+    return np.einsum("aji,jk,aki->ai", bases.conj(), rho, bases).real
+
+
+def _recovery_binding(map_id: str) -> tuple[CpMap, tuple, tuple]:
+    """The recovery map an experiment circuit names, with the labels it
+    reads and writes."""
+    if map_id == "r1":
+        return _r1_register_map(), ("X",), ("Ap",)
+    from .gallery import recovery_map_r3
+
+    return recovery_map_r3(), ("X", "q1"), ("Ap", "B")
 
 
 @dataclass(frozen=True)
@@ -416,36 +458,30 @@ def run_experiment(
     if shots < 1:
         raise ValueError("shots must be at least 1")
     circuit = experiment_circuit(exp_id)
-    from .gallery import recovery_map_r3
-
-    bindings = {
-        "r1": (_r1_register_map(), ("X",), ("Ap",)),
-        "r3": (recovery_map_r3(), ("X", "q1"), ("Ap", "B")),
-    }
-    final = run_circuit(circuit, bindings, noise)
+    map_id = next(op.map_id for op in circuit.ops if isinstance(op, Recovery))
+    state = _evolve(circuit, {map_id: _recovery_binding(map_id)}, noise)
+    ideal = _ideal_state(exp_id)
+    # the recovered subsystems, which the ideal state names
+    keep = sorted(state.index(s) for s in ideal.labels)
+    final = DensityOperator(
+        partial_trace(state.rho, state.dims, keep),
+        tuple(state.dims[i] for i in keep),
+        tuple(state.labels[i] for i in keep),
+    )
     rng = np.random.default_rng([int(seed), int(exp_id)])
-    tables = {}
     if exp_id <= 4:
-        for axis in ("X", "Y", "Z"):
-            probs = _qubit_distribution(final, "Ap", axis)
-            probs = flip_distribution(probs, noise.readout_flip)
-            tables[axis] = sample_distribution(probs, ("0", "1"), shots, rng)
-        bloch = bloch_tomography(tables)
-        ideal = _ideal_state(exp_id)
-        bloch_ideal = tuple(
-            float(np.trace(GATES[a] @ ideal.matrix).real) for a in ("x", "y", "z")
-        )
-        return ExperimentResult(
-            experiment=exp_id, shots=shots, seed=int(seed), noise=noise,
-            tables=tables, final_state=final.reduce(["Ap"]), ideal_state=ideal,
-            bloch_estimate=bloch, bloch_ideal=bloch_ideal,
-        )
-    for key, axis in (("XX", "X"), ("YY*", "Y"), ("ZZ", "Z")):
-        probs = _pair_distribution(final, ("Ap", "B"), axis)
+        keys, bases, outcomes = ("X", "Y", "Z"), _PAULI_BASES, ("0", "1")
+    else:
+        keys, bases, outcomes = ("XX", "YY*", "ZZ"), _PAIR_BASES, ("00", "01", "10", "11")
+    tables = {}
+    for key, probs in zip(keys, _basis_probabilities(final.matrix, bases)):
         probs = flip_distribution(probs, noise.readout_flip)
-        tables[key] = sample_distribution(probs, ("00", "01", "10", "11"), shots, rng)
+        tables[key] = sample_distribution(probs, outcomes, shots, rng)
+    bloch = {}
+    if exp_id <= 4:
+        bloch_ideal = (float(np.trace(GATES[a] @ ideal.matrix).real) for a in ("x", "y", "z"))
+        bloch = dict(bloch_estimate=bloch_tomography(tables), bloch_ideal=tuple(bloch_ideal))
     return ExperimentResult(
         experiment=exp_id, shots=shots, seed=int(seed), noise=noise,
-        tables=tables, final_state=final.reduce(["Ap", "B"]),
-        ideal_state=_ideal_state(exp_id),
+        tables=tables, final_state=final, ideal_state=ideal, **bloch,
     )

@@ -33,7 +33,6 @@ from .linalg import (
     support_eig,
 )
 
-STATE_TOL = 1e-10
 PVM_TOL = 1e-10
 
 
@@ -93,7 +92,7 @@ class DensityOperator:
             raise InvalidStateError(
                 f"matrix shape {m.shape} does not match dims {dims}"
             )
-        if not is_hermitian(m, STATE_TOL):
+        if not is_hermitian(m):
             raise InvalidStateError("density operator is not Hermitian")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-8:
@@ -177,7 +176,7 @@ class Pvm:
         for i, p in enumerate(projs):
             if p.shape != (d, d):
                 raise InvalidStateError("PVM projectors differ in dimension")
-            if not is_hermitian(p, PVM_TOL):
+            if not is_hermitian(p):
                 raise InvalidStateError(f"projector {i} is not Hermitian")
             if np.abs(p @ p - p).max() > PVM_TOL:
                 raise InvalidStateError(f"projector {i} is not idempotent")

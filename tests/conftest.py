@@ -12,17 +12,23 @@ measured state as blocks ``Tr_A[(P_x (x) I) rho]`` taken by partial trace,
 the doubly measured state by its rank-one formula, the measurement
 channel with one Kraus operator per outcome and basis state, and the
 relation checks that measure the whole state before reducing it.  The
-latter are built from library primitives.
+latter are built from library primitives.  The circuit simulator is kept
+step by step: each gate, then depolarizing on each qubit it touches, a
+register appended in |0> before the outcome is copied into it, and shot
+tables from per-axis reductions and Pauli projectors.
 """
 
 import numpy as np
 import scipy.linalg
 
 from eurqsi.entropy import conditional
-from eurqsi.linalg import fidelity, partial_trace
+from eurqsi.linalg import apply_local, fidelity, partial_trace
 from eurqsi.recovery import CpMap, apply_map, rotated_petz_map, tensor_with_identity
 from eurqsi.relations import EurReport
-from eurqsi.states import Pvm, measure, pinch, purify
+from eurqsi.simulate import (GATES, Gate, Measure, Recovery, experiment_circuit,
+                             flip_distribution, sample_distribution)
+from eurqsi.states import (KET_MINUS, KET_PLUS, DensityOperator, Pvm, ket_bra, measure,
+                           pauli_pvm, pinch, purify)
 
 
 def loop_partial_trace(m, dims, keep):
@@ -292,3 +298,109 @@ def tripartite_report_oracle(rho_abe, x_pvm, z_pvm, a_label="A", b_label="B",
         c=incompatibility_loop_oracle(x_pvm, z_pvm),
         f=_reversibility_nd_oracle(rho_ab, x_pvm, z_pvm, sigma_xb, a_label),
     )
+
+
+def _stepwise_gate(rho, dims, name, targets, controls):
+    g = GATES[name]
+    if controls:
+        ctrl_dim = int(np.prod([dims[c] for c in controls]))
+        ones = np.zeros((ctrl_dim, ctrl_dim), dtype=complex)
+        ones[-1, -1] = 1.0  # all controls in |1>
+        g = np.kron(np.eye(ctrl_dim) - ones, np.eye(2)) + np.kron(ones, g)
+    return apply_local(rho, dims, [g], controls + targets)
+
+
+def _stepwise_depolarize(rho, dims, qubit, p):
+    if p == 0.0:
+        return rho
+    kraus = [np.sqrt(1.0 - 3.0 * p / 4.0) * GATES["i"]]
+    kraus += [np.sqrt(p / 4.0) * GATES[axis] for axis in ("x", "y", "z")]
+    return apply_local(rho, dims, kraus, [qubit])
+
+
+def circuit_oracle(circuit, bindings, noise):
+    """Final ``(rho, dims, labels)`` of a circuit, one elementary step at a time.
+
+    A gate is applied, then each qubit it touches is depolarized.  A
+    measurement appends its register in |0>, copies the outcome with the
+    operators ``|m><m| (x) |m><0|`` on (target, register) and flips the
+    register.  A recovery permutes its inputs to the front by a permutation
+    matrix and applies the map's Kraus operators there.
+    """
+    dims = [2] * circuit.qubit_count
+    labels = [f"q{i}" for i in range(circuit.qubit_count)]
+    psi = np.zeros(2 ** circuit.qubit_count, dtype=complex)
+    psi[0] = 1.0
+    rho = ket_bra(psi)
+    for op in circuit.ops:
+        if isinstance(op, Gate):
+            targets = tuple(labels.index(f"q{i}") for i in op.targets)
+            controls = tuple(labels.index(f"q{i}") for i in op.controls)
+            rho = _stepwise_gate(rho, dims, op.name, targets, controls)
+            for pos in targets + controls:
+                rho = _stepwise_depolarize(rho, dims, pos, noise.depolarizing_p)
+        elif isinstance(op, Measure):
+            pos = labels.index(f"q{op.target}")
+            basis = np.eye(2, dtype=complex)
+            rho = np.kron(rho, ket_bra(basis[0]))
+            dims.append(2)
+            labels.append(op.register)
+            kraus = [np.kron(ket_bra(e), ket_bra(e, basis[0])) for e in basis]
+            rho = apply_local(rho, dims, kraus, [pos, len(dims) - 1])
+            q = noise.readout_flip
+            if q > 0.0:
+                flips = [np.sqrt(1.0 - q) * GATES["i"], np.sqrt(q) * GATES["x"]]
+                rho = apply_local(rho, dims, flips, [len(dims) - 1])
+        elif isinstance(op, Recovery):
+            cpmap, in_labels, out_labels = bindings[op.map_id]
+            positions = [labels.index(s) for s in in_labels]
+            rest = [i for i in range(len(dims)) if i not in positions]
+            perm = permutation_matrix(dims, positions + rest)
+            rest_dims = [dims[i] for i in rest]
+            rho = apply_local(perm @ rho @ perm.T, [cpmap.in_dim] + rest_dims, cpmap.kraus, [0])
+            dims = list(cpmap.out_dims) + rest_dims
+            labels = list(out_labels) + [labels[i] for i in rest]
+    return rho, dims, labels
+
+
+def r1_register_map():
+    """0 -> |+>, 1 -> |->, read from the X register alone."""
+    kraus = (np.outer(KET_PLUS, [1.0, 0.0]), np.outer(KET_MINUS, [0.0, 1.0]))
+    return CpMap.from_kraus(kraus, in_dims=(2,), out_dims=(2,))
+
+
+def experiment_oracle(exp_id, shots, noise, seed):
+    """Final state and shot counts of one experiment, as ``run_experiment``
+    computed them before each op became one Kraus step.
+
+    Both recovery maps are bound, the whole final state is validated, and
+    each table reduces it and sums ``Tr(P rho)`` over the Pauli projectors
+    (``P_a (x) P_b*`` for the two-qubit correlations).
+    """
+    from eurqsi.gallery import recovery_map_r3
+
+    bindings = {
+        "r1": (r1_register_map(), ("X",), ("Ap",)),
+        "r3": (recovery_map_r3(), ("X", "q1"), ("Ap", "B")),
+    }
+    rho, dims, labels = circuit_oracle(experiment_circuit(exp_id), bindings, noise)
+    final = DensityOperator(rho, dims, labels)
+    rng = np.random.default_rng([int(seed), int(exp_id)])
+    counts = {}
+    if exp_id <= 4:
+        reduced = final.reduce(["Ap"])
+        for axis in ("X", "Y", "Z"):
+            probs = [float(np.trace(p @ reduced.matrix).real)
+                     for p in pauli_pvm(axis).projectors]
+            probs = flip_distribution(np.array(probs), noise.readout_flip)
+            counts[axis] = sample_distribution(probs, ("0", "1"), shots, rng).counts
+        return reduced.matrix, counts
+    reduced = final.reduce(["Ap", "B"])
+    for key, axis in (("XX", "X"), ("YY*", "Y"), ("ZZ", "Z")):
+        projectors = pauli_pvm(axis).projectors
+        probs = [float(np.trace(np.kron(pa, pb.conj()) @ reduced.matrix).real)
+                 for pa in projectors for pb in projectors]
+        probs = flip_distribution(np.array(probs), noise.readout_flip)
+        outcomes = ("00", "01", "10", "11")
+        counts[key] = sample_distribution(probs, outcomes, shots, rng).counts
+    return reduced.matrix, counts

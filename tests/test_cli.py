@@ -133,6 +133,14 @@ class TestFuzzCommand:
         main(args)
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("flag", ["--trials", "--dim"])
+    def test_non_positive_count_exits_2(self, capsys, flag):
+        for raw in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["fuzz", flag, raw])
+            assert exc.value.code == 2
+            assert "must be a positive integer" in capsys.readouterr().err
+
     def test_dim3_random_pvms(self, capsys):
         assert main(["fuzz", "--trials", "2", "--dim", "3", "--seed", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -172,6 +180,13 @@ class TestExperimentCommand:
         assert payload["noise"]["depolarizing_p"] == 0.05
         assert payload["noise"]["readout_flip"] == 0.01
         assert main(["experiment", "1", "--noise", "bogus"]) == 2
+
+    def test_non_positive_shots_exits_2(self, capsys):
+        for raw in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["experiment", "1", "--shots", raw])
+            assert exc.value.code == 2
+            assert "must be a positive integer" in capsys.readouterr().err
 
     def test_outdir_env_writes_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EURQSI_OUTDIR", str(tmp_path / "out"))

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import eurqsi.simulate as simulate
 from eurqsi.gallery import recovery_map_r3
 from eurqsi.linalg import apply_local, fidelity, partial_trace, trace_distance
 from eurqsi.simulate import (
@@ -20,14 +23,19 @@ from eurqsi.simulate import (
     run_experiment,
     sample_distribution,
 )
+from eurqsi.recovery import CpMap
 from eurqsi.states import (
     KET_MINUS,
     KET_PLUS,
+    DensityOperator,
+    Pvm,
     bell_phi,
     ket_bra,
     maximally_mixed,
     random_multipartite_state,
 )
+
+from conftest import circuit_oracle, experiment_oracle, r1_register_map
 
 
 class TestGates:
@@ -305,3 +313,52 @@ class TestRunCircuit:
         circ = Circuit(1, (Recovery("nope"),))
         with pytest.raises(ValueError):
             run_circuit(circ)
+
+
+class TestAgainstStepwiseOracle:
+    @pytest.mark.parametrize("exp_id", range(1, 7))
+    def test_experiment_matches_the_stepwise_simulator(self, exp_id):
+        for p in (0.0, 0.05, 0.1, 0.2):
+            for q in (0.0, 0.05):
+                noise = NoiseSpec(depolarizing_p=p, readout_flip=q)
+                want_state, want_counts = experiment_oracle(exp_id, 8192, noise, seed=13)
+                res = run_experiment(exp_id, shots=8192, noise=noise, seed=13)
+                assert np.abs(res.final_state.matrix - want_state).max() < 1e-14
+                assert {k: t.counts for k, t in res.tables.items()} == want_counts
+
+    def test_noisy_circuit_with_late_control_and_middle_measurement(self):
+        # the CZ's control comes after its target, the middle qubit is
+        # measured and later used as a control, and a recovery reads its register
+        circ = Circuit(3, (
+            Gate("h", (0,)), Gate("h", (2,)), Gate("x", (1,), controls=(0,)),
+            Gate("z", (0,), controls=(2,)), Gate("t", (1,)), Measure(1, "M"),
+            Gate("h", (1,)), Gate("y", (2,), controls=(1,)), Recovery("m"),
+            Gate("s", (0,)), Measure(2, "N"),
+        ))
+        bindings = {"m": (r1_register_map(), ("M",), ("R",))}
+        for noise in (NoiseSpec(), NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
+            rho, dims, labels = circuit_oracle(circ, bindings, noise)
+            got = run_circuit(circ, bindings, noise)
+            assert got.labels == tuple(labels) and got.dims == tuple(dims)
+            assert np.abs(got.matrix - rho).max() < 1e-14
+
+    def test_one_run_builds_one_map_two_states_and_one_kraus_step_per_op(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls in (CpMap, DensityOperator, Pvm):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(simulate, "apply_local", counted("apply_local", simulate.apply_local))
+        for exp_id in range(1, 7):
+            ops = len(experiment_circuit(exp_id).ops)
+            counts.clear()
+            run_experiment(exp_id, shots=64, noise=NoiseSpec(depolarizing_p=0.1, readout_flip=0.05))
+            assert counts["CpMap"] == 1
+            assert counts["DensityOperator"] == 2  # final and ideal
+            assert counts["Pvm"] == 0
+            assert counts["apply_local"] == ops
