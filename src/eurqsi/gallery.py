@@ -73,16 +73,12 @@ def _classical_copy_map(assignments) -> CpMap:
 
 
 def _bell_copy_map() -> CpMap:
-    """Measure X, coherently copy B to A with an x-controlled phase."""
-    kraus = []
+    """Measure X, coherently copy B to A with an x-controlled phase:
+    ``K_x = sum_z (-1)^(xz) |zz><xz|``."""
+    kraus = np.zeros((2, 4, 4), dtype=complex)
     for x in range(2):
-        k = np.zeros((4, 4), dtype=complex)
-        for z in range(2):
-            out = np.kron(np.eye(2)[:, z], np.eye(2)[:, z])
-            inp = np.kron(np.eye(2)[:, x], np.eye(2)[:, z])
-            k += (-1.0) ** (x * z) * np.outer(out, inp.conj())
-        kraus.append(k)
-    kraus = tuple(kraus)
+        kraus[x, 0, 2 * x] = 1.0             # |00><x0|
+        kraus[x, 3, 2 * x + 1] = (-1.0) ** x  # (-1)^x |11><x1|
     return CpMap.from_kraus(
         kraus,
         in_dims=(2, 2),

@@ -13,6 +13,8 @@ guard that rejects an eigenvalue below ``-_NEG_TOL * max(1, top)``, where
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Relative cutoff separating genuine zero eigenvalues of rank-deficient
@@ -112,7 +114,7 @@ def _subsystem_axes(dims, total_dim: int):
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != total_dim:
+    if math.prod(dims) != total_dim:
         raise ValueError(f"product of dims {dims} != matrix dimension {total_dim}")
     return dims
 
@@ -140,7 +142,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     row = list(range(n))
     col = [n + i if i in keep else i for i in range(n)]
     out_axes = [i for i in keep] + [n + i for i in keep]
-    kept_dim = int(np.prod([dims[i] for i in keep], initial=1))
+    kept_dim = math.prod(dims[i] for i in keep)
     reduced = np.einsum(t, row + col, out_axes)
     return reduced.reshape(kept_dim, kept_dim)
 
@@ -164,7 +166,7 @@ def apply_local(m: np.ndarray, dims, kraus, positions) -> np.ndarray:
     if len(set(positions)) != len(positions) or any(p < 0 or p >= n for p in positions):
         raise ValueError(f"positions {positions} repeat or fall outside {n} subsystems")
     ks = np.asarray(kraus, dtype=complex)
-    d_in = int(np.prod([dims[p] for p in positions], initial=1))
+    d_in = math.prod(dims[p] for p in positions)
     if ks.ndim != 3 or ks.shape[2] != d_in or (len(positions) != 1 and ks.shape[1] != d_in):
         raise ValueError(f"Kraus shape {ks.shape[1:]} does not fit positions {positions}")
     d_out = ks.shape[1]
@@ -183,7 +185,7 @@ def apply_local(m: np.ndarray, dims, kraus, positions) -> np.ndarray:
     rest_dims = [dims[i] for i in rest]
     t = t.reshape(pos_dims + rest_dims + rest_dims + pos_dims)
     d = d_out * rest_dim
-    return t.transpose(np.argsort(axes)).reshape(d, d)
+    return t.transpose(sorted(range(len(axes)), key=axes.__getitem__)).reshape(d, d)
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
@@ -233,24 +235,25 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma = _check_state_matrix(sigma, "fidelity argument")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return _fidelity(rho, sigma)
+    return _fidelity(support_eig(rho), sigma)
 
 
-def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def _fidelity(rho_eig: tuple[np.ndarray, np.ndarray], sigma: np.ndarray) -> float:
     """The spectral part of :func:`fidelity`, on matrices it does not check.
 
-    Computed through the spectrum of ``sqrt(rho) sigma sqrt(rho)``, which
-    keeps every intermediate Hermitian, with ``sqrt(rho)`` taken on the
-    support of ``rho`` as :func:`support_eig` gives it.  Both parts are
-    normalized first: the kept spectrum of ``rho`` by its sum and ``sigma``
-    by its trace, so that round-off negative eigenvalues, dropped from one
-    and kept in the other, cannot push the value past 1.  The square roots
-    are summed over the support of the inner spectrum, and the result is
-    clipped to 1 after a guard band of ``_FIDELITY_GUARD``.
+    ``rho_eig`` is :func:`support_eig` of ``rho``, so a caller that already
+    holds it does not decompose ``rho`` again.  The value is computed
+    through the spectrum of ``sqrt(rho) sigma sqrt(rho)``, which keeps every
+    intermediate Hermitian, with ``sqrt(rho)`` taken on the support.  Both
+    parts are normalized first: the kept spectrum of ``rho`` by its sum and
+    ``sigma`` by its trace, so that round-off negative eigenvalues, dropped
+    from one and kept in the other, cannot push the value past 1.  The
+    square roots are summed over the support of the inner spectrum, and the
+    result is clipped to 1 after a guard band of ``_FIDELITY_GUARD``.
     """
     # sqrt(rho) sigma sqrt(rho) has the nonzero spectrum of its compression
     # to supp(rho)
-    lam, v = support_eig(rho)
+    lam, v = rho_eig
     half = v * np.sqrt(lam / lam.sum())
     inner = dagger(half) @ sigma @ half / np.trace(sigma).real
     # eigh noise on zero modes is O(eps); summing their square roots would

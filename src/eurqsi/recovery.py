@@ -17,6 +17,7 @@ its image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +92,11 @@ class CpMap:
 
     @property
     def in_dim(self) -> int:
-        return int(np.prod(self.in_dims))
+        return math.prod(self.in_dims)
 
     @property
     def out_dim(self) -> int:
-        return int(np.prod(self.out_dims))
+        return math.prod(self.out_dims)
 
     def choi_blocks(self) -> np.ndarray:
         """Choi reshaped to (in, out, in, out) axes."""
@@ -151,8 +152,7 @@ def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int):
 
 def identity_channel(dims, labels=()) -> CpMap:
     dims = tuple(int(d) for d in dims)
-    d = int(np.prod(dims))
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(math.prod(dims), dtype=complex)
     return CpMap.from_kraus(
         (eye,),
         in_dims=dims,
@@ -185,7 +185,7 @@ def tensor_with_identity(channel: CpMap, side_dims, side_labels) -> CpMap:
     if channel.kraus is None:
         raise ValueError("need Kraus operators to extend a channel")
     side_dims = tuple(int(d) for d in side_dims)
-    eye = np.eye(int(np.prod(side_dims)), dtype=complex)
+    eye = np.eye(math.prod(side_dims), dtype=complex)
     kraus = tuple(np.kron(k, eye) for k in channel.kraus)
     support = np.kron(
         channel.support if channel.support is not None else np.eye(channel.in_dim),

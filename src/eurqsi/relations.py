@@ -11,9 +11,18 @@ the AB or AE reduction, never to the whole state), evaluates the
 incompatibility constant, evaluates the recovered state R(sigma_XB) in
 block form (no recovery channel is built; :mod:`eurqsi.recovery` has the
 explicit channel), and returns an :class:`EurReport` holding every scalar
-of the original and refined inequalities.  Entropy terms are
-eigenvalue-exact (1e-9); the refined inequality counts as violated only
-when its slack is below -1e-6; the report carries both tolerances.
+of the original and refined inequalities.
+
+Each check reduces to B once: H(B) is subtracted from H(XB), H(ZB) and
+H(AB).  It decomposes rho_AB once (:func:`~eurqsi.linalg.support_eig`), and
+that pair gives H(AB), the purification of the bipartite check and
+sqrt(rho_AB) in f.  H(Z|E) stays an explicit entropy of the measured AE
+marginal, never derived from H(AB) through the duality, so the two remain
+independent cross-checks.
+
+Entropy terms are eigenvalue-exact (1e-9); the refined inequality counts as
+violated only when its slack is below -1e-6; the report carries both
+tolerances.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _conditional
+from .entropy import _conditional, _entropy, entropy_of_spectrum
 from .linalg import (_fidelity, _on_support, _sinhc, apply_local, dagger, partial_trace,
                      support_eig)
 from .states import (
@@ -125,6 +134,7 @@ def _reversibility(
     x_pvm: Pvm,
     z_pvm: Pvm,
     sigma_xb: np.ndarray,
+    rho_eig: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """f = F(rho_AB, R(sigma_XB)) with R the rotated Petz recovery of the X
     measurement N = M_X (x) id relative to the Z-pinched state tau.
@@ -149,14 +159,20 @@ def _reversibility(
     explicit channel.
 
     ``rho_ab`` lives on ``dims`` with the measured subsystem A at ``pos``
-    and B the rest; it is reordered A first when A is not.  ``sigma_xb`` is
-    the register-first X-measured state.
+    and B the rest; it is reordered A first when A is not, and so are the
+    rows of the eigenvectors in ``rho_eig``, its
+    :func:`~eurqsi.linalg.support_eig` pair, which gives sqrt(rho_AB) to the
+    fidelity.  ``sigma_xb`` is the register-first X-measured state.
 
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
     if pos != 0:
-        rho_ab = _reordered(rho_ab, dims, [pos] + [i for i in range(len(dims)) if i != pos])
+        order = [pos] + [i for i in range(len(dims)) if i != pos]
+        rho_ab = _reordered(rho_ab, dims, order)
+        vals, vecs = rho_eig
+        vecs = vecs.reshape(tuple(dims) + (-1,)).transpose(order + [len(dims)])
+        rho_eig = vals, vecs.reshape(rho_ab.shape[0], -1)
     d_a, n = x_pvm.dim, len(x_pvm)
     d_b = rho_ab.shape[0] // d_a
     tau = apply_local(rho_ab, (d_a, d_b), z_pvm.projectors, [0])
@@ -180,7 +196,7 @@ def _reversibility(
     gram = (h.conj().transpose(0, 2, 1) @ h).reshape(kernel.shape)
     root = np.sqrt(lam)
     r = np.einsum("xajbl,xjl->ab", gram * kernel, m) * np.outer(root, root)
-    return _fidelity(rho_ab, v @ r @ dagger(v))
+    return _fidelity(rho_eig, v @ r @ dagger(v))
 
 
 def check_bipartite(
@@ -205,18 +221,22 @@ def check_bipartite(
     _check_pvm_dim(z_pvm, dims[pos], measured)
     # the input is checked; everything below is a plain array built from it
 
-    sigma, sigma_dims = _measured(m, dims, x_pvm, pos)
-    b_rest = range(1, len(dims))
-    h_xb = _conditional(sigma, sigma_dims, b_rest)
-    h_zb = _conditional(*_measured(m, dims, z_pvm, pos), b_rest)
-    h_ab = _conditional(m, dims, [i for i in range(len(dims)) if i != pos])
+    # B is reduced and rho_AB decomposed once each: H(B) enters all three
+    # conditional entropies on B, and the support pair of rho_AB gives
+    # H(AB), the purification and sqrt(rho_AB) in f
+    h_b = _entropy(partial_trace(m, dims, [i for i in range(len(dims)) if i != pos]))
+    rho_eig = support_eig(m)
+    sigma, _ = _measured(m, dims, x_pvm, pos)
+    h_xb = _entropy(sigma) - h_b
+    h_zb = _entropy(_measured(m, dims, z_pvm, pos)[0]) - h_b
+    h_ab = entropy_of_spectrum(rho_eig[0]) - h_b
 
-    rho_ae = _purified_marginal(m, dims, pos)
+    rho_ae = _purified_marginal(rho_eig, dims, pos)
     ae_dims = (dims[pos], rho_ae.shape[0] // dims[pos])
     h_ze = _conditional(*_measured(rho_ae, ae_dims, z_pvm, 0), [1])
 
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(m, dims, pos, x_pvm, z_pvm, sigma)
+    f = _reversibility(m, dims, pos, x_pvm, z_pvm, sigma, rho_eig)
     lhs = h_zb + h_xb
     rhs_original = -np.log2(c) + h_ab
     rhs_refined = -np.log2(c) - np.log2(f) + h_ab
@@ -249,7 +269,7 @@ def check_tripartite(
                 "tripartite checker needs a pure state; pass purify_if_mixed=True "
                 "to absorb a purifier into the E side"
             )
-        psi = _purifying_vector(m, dims)
+        psi = _purifying_vector(support_eig(m), dims)
         m, dims = ket_bra(psi), psi.shape
     a, b = rho_abe.label_index(a_label), rho_abe.label_index(b_label)
     if a == b:
@@ -267,14 +287,17 @@ def check_tripartite(
     a_in_ab, a_in_ae = ab.index(a), ae.index(a)
     rho_ab = partial_trace(m, dims, ab)
     rho_ae = partial_trace(m, dims, ae)
-    sigma_xb, sigma_dims = _measured(rho_ab, ab_dims, x_pvm, a_in_ab)
-    h_xb = _conditional(sigma_xb, sigma_dims, [1])
-    h_zb = _conditional(*_measured(rho_ab, ab_dims, z_pvm, a_in_ab), [1])
+    # as in check_bipartite: H(B) once, and one support pair of rho_AB
+    h_b = _entropy(partial_trace(rho_ab, ab_dims, [1 - a_in_ab]))
+    rho_eig = support_eig(rho_ab)
+    sigma_xb, _ = _measured(rho_ab, ab_dims, x_pvm, a_in_ab)
+    h_xb = _entropy(sigma_xb) - h_b
+    h_zb = _entropy(_measured(rho_ab, ab_dims, z_pvm, a_in_ab)[0]) - h_b
     h_ze = _conditional(*_measured(rho_ae, ae_dims, z_pvm, a_in_ae), range(1, len(ae)))
-    h_ab = _conditional(rho_ab, ab_dims, [1 - a_in_ab])
+    h_ab = entropy_of_spectrum(rho_eig[0]) - h_b
 
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(rho_ab, ab_dims, a_in_ab, x_pvm, z_pvm, sigma_xb)
+    f = _reversibility(rho_ab, ab_dims, a_in_ab, x_pvm, z_pvm, sigma_xb, rho_eig)
     lhs = h_ze + h_xb
     rhs_original = -np.log2(c)
     rhs_refined = -np.log2(c) - np.log2(f)

@@ -11,9 +11,10 @@ map's Kraus operators to the subsystems it reads.  Shots are sampled from
 the exact final distribution; there is no per-shot re-execution.
 
 :func:`run_circuit` returns the validated final state.  :func:`run_experiment`
-builds only the recovery map its circuit names, reduces the final state
-once to the recovered subsystems, validates that one state and reads every
-shot table from it through constant basis matrices.
+uses only the recovery map its circuit names, built once per process,
+reduces the final state once to the recovered subsystems, validates that
+one state and reads every shot table from it through constant basis
+matrices.
 
 Noise model: symmetric depolarizing with strength ``depolarizing_p`` on
 every qubit a gate touches, plus a classical bit flip with probability
@@ -24,6 +25,7 @@ calibration data is not modeled; noisy results are model-dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -353,14 +355,25 @@ def _basis_probabilities(rho: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return np.einsum("aji,jk,aki->ai", bases.conj(), rho, bases).real
 
 
+@cache
 def _recovery_binding(map_id: str) -> tuple[CpMap, tuple, tuple]:
     """The recovery map an experiment circuit names, with the labels it
-    reads and writes."""
-    if map_id == "r1":
-        return _r1_register_map(), ("X",), ("Ap",)
-    from .gallery import recovery_map_r3
+    reads and writes.
 
-    return recovery_map_r3(), ("X", "q1"), ("Ap", "B")
+    Both maps are closed forms with no parameter, so each is built and
+    validated once per process; its arrays are read-only, as it is shared
+    by every later run.
+    """
+    if map_id == "r1":
+        binding = _r1_register_map(), ("X",), ("Ap",)
+    else:
+        from .gallery import recovery_map_r3
+
+        binding = recovery_map_r3(), ("X", "q1"), ("Ap", "B")
+    cpmap = binding[0]
+    for a in (cpmap.choi,) + cpmap.kraus:
+        a.flags.writeable = False
+    return binding
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ the kernels on arrays derived from an input they validated once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,7 +89,7 @@ class DensityOperator:
             raise InvalidStateError("dims and labels length mismatch")
         if len(set(labels)) != len(labels):
             raise InvalidStateError(f"duplicate subsystem labels {labels}")
-        if m.shape[0] != m.shape[1] or m.shape[0] != int(np.prod(dims)):
+        if m.shape[0] != m.shape[1] or m.shape[0] != math.prod(dims):
             raise InvalidStateError(
                 f"matrix shape {m.shape} does not match dims {dims}"
             )
@@ -331,7 +332,7 @@ def purify(rho: DensityOperator, purifier_label: str = "R") -> DensityOperator:
     rank of the input.
     """
     _check_free_label(rho, purifier_label)
-    psi = _purifying_vector(rho.matrix, rho.dims)
+    psi = _purifying_vector(support_eig(rho.matrix), rho.dims)
     return DensityOperator.from_vector(psi, psi.shape, rho.labels + (purifier_label,))
 
 
@@ -345,7 +346,7 @@ def purified_marginal(
     """
     _check_free_label(rho, purifier_label)
     pos = rho.label_index(keep_label)
-    m = _purified_marginal(rho.matrix, rho.dims, pos)
+    m = _purified_marginal(support_eig(rho.matrix), rho.dims, pos)
     d = rho.dims[pos]
     return DensityOperator(m, (d, m.shape[0] // d), (keep_label, purifier_label))
 
@@ -355,19 +356,21 @@ def _check_free_label(rho: DensityOperator, label: str) -> None:
         raise InvalidStateError(f"label {label!r} already in use")
 
 
-def _purified_marginal(m: np.ndarray, dims, pos: int) -> np.ndarray:
+def _purified_marginal(rho_eig, dims, pos: int) -> np.ndarray:
     """The array behind :func:`purified_marginal`: subsystem ``pos`` and the
-    purifier, shape (d * rank, d * rank)."""
-    psi = _purifying_vector(m, dims)
+    purifier, shape (d * rank, d * rank), from ``rho_eig`` =
+    :func:`~eurqsi.linalg.support_eig` of the state."""
+    psi = _purifying_vector(rho_eig, dims)
     d, rank = dims[pos], psi.shape[-1]
     psi = np.moveaxis(psi, pos, 0).reshape(d, -1, rank)
     return np.einsum("abk,cbl->akcl", psi, psi.conj()).reshape(d * rank, d * rank)
 
 
-def _purifying_vector(m: np.ndarray, dims) -> np.ndarray:
-    """Normalized ``sum_k sqrt(l_k) |v_k> (x) |k>`` over the support of ``m``,
-    shaped ``dims + (rank,)``."""
-    vals, vecs = support_eig(m)
+def _purifying_vector(rho_eig, dims) -> np.ndarray:
+    """Normalized ``sum_k sqrt(l_k) |v_k> (x) |k>`` over the support pair
+    ``rho_eig`` = (l, v) of :func:`~eurqsi.linalg.support_eig`, shaped
+    ``dims + (rank,)``."""
+    vals, vecs = rho_eig
     psi = (vecs * np.sqrt(vals)).reshape(-1)
     psi /= np.linalg.norm(psi)
     return psi.reshape(tuple(dims) + (len(vals),))
@@ -387,7 +390,7 @@ def random_state(dim: int, rank: int, seed, label: str = "A") -> DensityOperator
 def random_multipartite_state(dims, rank: int, seed, labels) -> DensityOperator:
     """Random state on an explicit subsystem layout."""
     dims = tuple(int(d) for d in dims)
-    full = int(np.prod(dims))
+    full = math.prod(dims)
     rho = random_state(full, rank, seed)
     return DensityOperator(rho.matrix, dims, tuple(labels))
 
@@ -404,7 +407,7 @@ def random_pvm(dim: int, seed) -> Pvm:
 def random_pure_state(dims, seed, labels) -> DensityOperator:
     """Haar-random pure state on the given subsystem layout."""
     dims = tuple(int(d) for d in dims)
-    full = int(np.prod(dims))
+    full = math.prod(dims)
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=full) + 1j * rng.normal(size=full)
     return DensityOperator.from_vector(psi, dims, tuple(labels))

@@ -71,6 +71,34 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(6), [2, 2], [0])
 
 
+NAN_STATE = np.eye(4) / 4
+NAN_STATE[1, 2] = np.nan
+
+
+@pytest.mark.parametrize("m, dims, keep, message", [
+    (np.eye(4) / 4, [4, 0], [0], "positive"),
+    (np.eye(4) / 4, [-2, -2], [0], "positive"),      # the product alone would pass
+    (np.eye(4) / 4, [2, 2], [2], "out of range"),
+    (np.eye(4) / 4, [2, 2], [-1], "out of range"),
+    (np.ones((4, 2)), [2, 2], [0], "square"),
+    (NAN_STATE, [2, 2], [0], "non-finite"),
+], ids=["zero dim", "negative dims", "keep past end", "negative keep", "non-square", "nan"])
+def test_partial_trace_rejects(m, dims, keep, message):
+    with pytest.raises(ValueError, match=message):
+        partial_trace(m, dims, keep)
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((2, 3), "product of dims"),
+    ((3, 3), "product of dims"),
+    ((2, 2, 0), "positive"),
+    ((-2, -4), "positive"),
+])
+def test_apply_local_rejects_dims_that_do_not_fit(dims, message):
+    with pytest.raises(ValueError, match=message):
+        apply_local(np.eye(8) / 8, dims, [np.eye(2)], [0])
+
+
 def _random_matrix(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 

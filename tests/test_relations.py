@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eurqsi import recovery, relations
+from eurqsi import entropy, recovery, relations
 from eurqsi.entropy import relative, von_neumann
-from eurqsi.linalg import EPS_SUPP, fidelity, tensor
+from eurqsi.linalg import EPS_SUPP, fidelity, support_eig, tensor
 from eurqsi.relations import EurReport, check_bipartite, check_tripartite, fuzz
 from eurqsi.serialize import canonical_json, scenario_from_dict, scenario_to_dict
 from eurqsi.states import (
@@ -220,6 +220,36 @@ class TestMeasuredMarginals:
         assert built == []
         assert maps == []
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_each_check_reduces_to_b_once_and_decomposes_rho_ab_once(self, d, monkeypatch):
+        # bipartite: Tr_A for H(B) and Tr_E for H(Z|E); tripartite: the AB and
+        # AE marginals, then the same two.  Eigensolves: H(B), H(XB), H(ZB),
+        # rho_AB (H(AB), purification, sqrt in f), H(ZE) and H(E), and the
+        # pinched state, the blocks of N(tau) and the fidelity's inner matrix
+        rho_ab = random_multipartite_state((d, d), d * d, 307, ("A", "B"))
+        rho_abe = purify(rho_ab, "E")
+        xp, zp = (X, Z) if d == 2 else (random_pvm(3, [307, 1]), random_pvm(3, [307, 2]))
+        xp.kraus, zp.kraus  # cached before counting
+        counts = {"partial_trace": 0, "eig": 0, "prod": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (relations, entropy):
+            monkeypatch.setattr(mod, "partial_trace", counted("partial_trace", mod.partial_trace))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
+        monkeypatch.setattr(np, "prod", counted("prod", np.prod))
+        for check, rho, traces in ((check_bipartite, rho_ab, 2), (check_tripartite, rho_abe, 4)):
+            counts.update(partial_trace=0, eig=0, prod=0)
+            check(rho, xp, zp)
+            assert counts["partial_trace"] <= traces, check.__name__
+            assert counts["eig"] <= 9, check.__name__
+            assert counts["prod"] == 0, check.__name__
+
     def test_each_kraus_map_builds_its_choi_once(self, monkeypatch):
         # the measurement channel and its extension by id_B, one Choi each;
         # the checks build no map at all (see the test above)
@@ -269,7 +299,7 @@ def test_block_reversibility_matches_the_recovery_channel(case):
     rho, xp, zp, measured = F_CASES[case]
     sigma = measure(rho, xp, measured, "X")
     got = relations._reversibility(rho.matrix, rho.dims, rho.label_index(measured),
-                                   xp, zp, sigma.matrix)
+                                   xp, zp, sigma.matrix, support_eig(rho.matrix))
     assert abs(got - _reversibility_nd_oracle(rho, xp, zp, sigma, measured)) <= 1e-12
 
 

@@ -342,6 +342,14 @@ class TestAgainstStepwiseOracle:
             assert got.labels == tuple(labels) and got.dims == tuple(dims)
             assert np.abs(got.matrix - rho).max() < 1e-14
 
+    def test_recovery_maps_are_shared_and_read_only(self):
+        for map_id in ("r1", "r3"):
+            cpmap = simulate._recovery_binding(map_id)[0]
+            assert simulate._recovery_binding(map_id)[0] is cpmap
+            for a in (cpmap.choi,) + cpmap.kraus:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 0.0
+
     def test_one_run_builds_one_map_two_states_and_one_kraus_step_per_op(self, monkeypatch):
         counts = Counter()
 
@@ -354,11 +362,15 @@ class TestAgainstStepwiseOracle:
         for cls in (CpMap, DensityOperator, Pvm):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
         monkeypatch.setattr(simulate, "apply_local", counted("apply_local", simulate.apply_local))
+        # r1 (experiments 1-4) and r3 (5-6) are each built once per process:
+        # after one warm-up run of each, a run builds no map
+        for exp_id in (1, 5):
+            run_experiment(exp_id, shots=64)
         for exp_id in range(1, 7):
             ops = len(experiment_circuit(exp_id).ops)
             counts.clear()
             run_experiment(exp_id, shots=64, noise=NoiseSpec(depolarizing_p=0.1, readout_flip=0.05))
-            assert counts["CpMap"] == 1
+            assert counts["CpMap"] == 0
             assert counts["DensityOperator"] == 2  # final and ideal
             assert counts["Pvm"] == 0
             assert counts["apply_local"] == ops
