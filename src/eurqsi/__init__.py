@@ -16,7 +16,6 @@ from .states import (
     InvalidStateError,
     Pvm,
     incompatibility_c,
-    isometric_extension,
     measure,
     pauli_pvm,
     pinch,
@@ -56,8 +55,8 @@ __all__ = [
     "fidelity", "herm_eig", "op_norm", "partial_trace", "tensor", "trace_distance",
     "conditional", "relative", "von_neumann",
     "DensityOperator", "InvalidStateError", "Pvm",
-    "incompatibility_c", "isometric_extension", "measure", "pauli_pvm",
-    "pinch", "purify", "random_pvm", "random_state", "theta_state",
+    "incompatibility_c", "measure", "pauli_pvm", "pinch", "purify",
+    "random_pvm", "random_state", "theta_state",
     "CpMap", "apply_map", "eur_recovery_map", "measurement_channel",
     "petz_map", "rotated_petz_map", "verify_cptp",
     "EurReport", "FuzzSummary", "check_bipartite", "check_tripartite", "fuzz",

@@ -150,19 +150,6 @@ def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int):
     return tuple(kraus)
 
 
-def identity_channel(dims, labels=()) -> CpMap:
-    dims = tuple(int(d) for d in dims)
-    eye = np.eye(math.prod(dims), dtype=complex)
-    return CpMap.from_kraus(
-        (eye,),
-        in_dims=dims,
-        out_dims=dims,
-        support=eye,
-        in_labels=tuple(labels),
-        out_labels=tuple(labels),
-    )
-
-
 def measurement_channel(
     pvm: Pvm, measured_label: str = "A", register_label: str = "X"
 ) -> CpMap:

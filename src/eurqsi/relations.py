@@ -1,24 +1,30 @@
 """End-to-end checkers for the four uncertainty relations.
 
+One kernel, two reports.  For a pure psi_ABE the bipartite and the
+tripartite relation are built from the same six scalars (Coles et al.,
+PRL 108, 210405): H(X|B), H(Z|B), H(Z|E), H(A|B), the incompatibility
+constant c and the reversibility term f.  :func:`_scalars` computes them
+from rho_AB and the AE marginal, whichever caller supplies them, and
+:func:`_report` assembles the inequality of either relation from them.
+
 Each check validates once, at entry: the input state (validated when it
 was constructed), the labels, the rank-one guard and the PVM dimensions.
-From there it works on plain arrays, through the kernels behind
-:func:`~eurqsi.states.measure`, :func:`~eurqsi.entropy.conditional`,
-:func:`~eurqsi.states.purified_marginal` and
-:func:`~eurqsi.linalg.fidelity`, and constructs no state and no map.  It
-takes every entropy on the measured marginal it needs (X or Z applied to
-the AB or AE reduction, never to the whole state), evaluates the
-incompatibility constant, evaluates the recovered state R(sigma_XB) in
-block form (no recovery channel is built; :mod:`eurqsi.recovery` has the
-explicit channel), and returns an :class:`EurReport` holding every scalar
-of the original and refined inequalities.
-
-Each check reduces to B once: H(B) is subtracted from H(XB), H(ZB) and
-H(AB).  It decomposes rho_AB once (:func:`~eurqsi.linalg.support_eig`), and
-that pair gives H(AB), the purification of the bipartite check and
-sqrt(rho_AB) in f.  H(Z|E) stays an explicit entropy of the measured AE
-marginal, never derived from H(AB) through the duality, so the two remain
-independent cross-checks.
+It then hands plain arrays to the kernel: :func:`check_bipartite` the AE
+marginal of the purification (:func:`~eurqsi.states.purified_marginal`),
+:func:`check_tripartite` the AB and AE reductions of its pure input.  The
+kernel works through the kernels behind :func:`~eurqsi.states.measure`,
+:func:`~eurqsi.entropy.conditional` and :func:`~eurqsi.linalg.fidelity`
+and constructs no state and no map.  It takes every entropy on the
+measured marginal it needs (X or Z applied to the AB or AE reduction,
+never to the whole state), evaluates R(sigma_XB) in block form (no
+recovery channel is built; :mod:`eurqsi.recovery` has the explicit
+channel), reduces to B once (H(B) is subtracted from H(XB), H(ZB) and
+H(AB)), and uses the one support pair of rho_AB its caller took
+(:func:`~eurqsi.linalg.support_eig`) for H(AB) and sqrt(rho_AB) in f.
+H(Z|E) stays an explicit entropy of the measured AE marginal, never
+derived from H(AB) through the duality, so the two remain independent
+cross-checks.  :func:`fuzz` calls the kernel on each trial's rho_AB and
+its purified AE marginal, so the pure state on ABE is never formed.
 
 Entropy terms are eigenvalue-exact (1e-9); the refined inequality counts as
 violated only when its slack is below -1e-6; the report carries both
@@ -41,12 +47,9 @@ from .states import (
     _check_pvm_dim,
     _measured,
     _purified_marginal,
-    _purifying_vector,
     _reordered,
     incompatibility_c,
-    ket_bra,
     pauli_pvm,
-    purify,
     random_multipartite_state,
     random_pvm,
 )
@@ -199,6 +202,59 @@ def _reversibility(
     return _fidelity(rho_eig, v @ r @ dagger(v))
 
 
+def _scalars(
+    rho_ab: np.ndarray,
+    ab_dims: tuple[int, ...],
+    a_in_ab: int,
+    rho_eig: tuple[np.ndarray, np.ndarray],
+    rho_ae: np.ndarray,
+    ae_dims: tuple[int, ...],
+    a_in_ae: int,
+    x_pvm: Pvm,
+    z_pvm: Pvm,
+) -> tuple[float, float, float, float, float, float]:
+    """H(X|B), H(Z|B), H(Z|E), H(A|B), c and f, the scalars of both relations.
+
+    ``rho_ab`` lives on ``ab_dims`` with A at ``a_in_ab`` and B the rest,
+    and ``rho_eig`` is its :func:`~eurqsi.linalg.support_eig` pair; ``rho_ae``
+    lives on ``ae_dims`` with A at ``a_in_ae`` and E the rest.  Measuring A
+    commutes with tracing out B or E, so each entropy is taken on the
+    measured marginal it needs.
+    """
+    b = [i for i in range(len(ab_dims)) if i != a_in_ab]
+    h_b = _entropy(partial_trace(rho_ab, ab_dims, b))
+    sigma_xb, _ = _measured(rho_ab, ab_dims, x_pvm, a_in_ab)
+    h_xb = _entropy(sigma_xb) - h_b
+    h_zb = _entropy(_measured(rho_ab, ab_dims, z_pvm, a_in_ab)[0]) - h_b
+    h_ze = _conditional(*_measured(rho_ae, ae_dims, z_pvm, a_in_ae), range(1, len(ae_dims)))
+    h_ab = entropy_of_spectrum(rho_eig[0]) - h_b
+    c = incompatibility_c(x_pvm, z_pvm)
+    f = _reversibility(rho_ab, ab_dims, a_in_ab, x_pvm, z_pvm, sigma_xb, rho_eig)
+    return h_xb, h_zb, h_ze, h_ab, c, f
+
+
+def _report(relation: str, h_xb, h_zb, h_ze, h_ab, c, f) -> EurReport:
+    """The report of ``relation``, "bipartite" or "tripartite", from the
+    scalars of :func:`_scalars`.
+
+    Bipartite: H(Z|B) + H(X|B) >= -log c + H(A|B).  Tripartite:
+    H(Z|E) + H(X|B) >= -log c.  The refinement subtracts log f from each
+    right-hand side.
+    """
+    rhs_original, rhs_refined = -np.log2(c), -np.log2(c) - np.log2(f)
+    if relation == "bipartite":
+        lhs = h_zb + h_xb
+        rhs_original, rhs_refined = rhs_original + h_ab, rhs_refined + h_ab
+    else:
+        lhs = h_ze + h_xb
+    return EurReport(
+        relation_id=relation + "_refined",
+        h_xb=h_xb, h_zb=h_zb, h_ze=h_ze, h_ab=h_ab, c=c, f=f,
+        lhs=lhs, rhs_original=rhs_original, rhs_refined=rhs_refined,
+        slack_original=lhs - rhs_original, slack_refined=lhs - rhs_refined,
+    )
+
+
 def check_bipartite(
     rho_ab: DensityOperator,
     x_pvm: Pvm,
@@ -207,9 +263,9 @@ def check_bipartite(
 ) -> EurReport:
     """Audit the bipartite relation and its reversibility refinement.
 
-    Requires a rank-one Z measurement.  H(Z|E) is evaluated on an explicit
-    purification rather than through the duality identity, so the reported
-    numbers stay independent cross-checks.
+    Requires a rank-one Z measurement.  H(Z|E) is evaluated on the AE
+    marginal of an explicit purification rather than through the duality
+    identity, so the reported numbers stay independent cross-checks.
     """
     if not z_pvm.is_rank_one():
         raise InvalidStateError(
@@ -220,32 +276,9 @@ def check_bipartite(
     _check_pvm_dim(x_pvm, dims[pos], measured)
     _check_pvm_dim(z_pvm, dims[pos], measured)
     # the input is checked; everything below is a plain array built from it
-
-    # B is reduced and rho_AB decomposed once each: H(B) enters all three
-    # conditional entropies on B, and the support pair of rho_AB gives
-    # H(AB), the purification and sqrt(rho_AB) in f
-    h_b = _entropy(partial_trace(m, dims, [i for i in range(len(dims)) if i != pos]))
     rho_eig = support_eig(m)
-    sigma, _ = _measured(m, dims, x_pvm, pos)
-    h_xb = _entropy(sigma) - h_b
-    h_zb = _entropy(_measured(m, dims, z_pvm, pos)[0]) - h_b
-    h_ab = entropy_of_spectrum(rho_eig[0]) - h_b
-
-    rho_ae = _purified_marginal(rho_eig, dims, pos)
-    ae_dims = (dims[pos], rho_ae.shape[0] // dims[pos])
-    h_ze = _conditional(*_measured(rho_ae, ae_dims, z_pvm, 0), [1])
-
-    c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(m, dims, pos, x_pvm, z_pvm, sigma, rho_eig)
-    lhs = h_zb + h_xb
-    rhs_original = -np.log2(c) + h_ab
-    rhs_refined = -np.log2(c) - np.log2(f) + h_ab
-    return EurReport(
-        relation_id="bipartite_refined",
-        h_xb=h_xb, h_zb=h_zb, h_ze=h_ze, h_ab=h_ab, c=c, f=f,
-        lhs=lhs, rhs_original=rhs_original, rhs_refined=rhs_refined,
-        slack_original=lhs - rhs_original, slack_refined=lhs - rhs_refined,
-    )
+    rho_ae, ae_dims = _purified_marginal(rho_eig, dims, pos)
+    return _report("bipartite", *_scalars(m, dims, pos, rho_eig, rho_ae, ae_dims, 0, x_pvm, z_pvm))
 
 
 def check_tripartite(
@@ -254,23 +287,19 @@ def check_tripartite(
     z_pvm: Pvm,
     a_label: str = "A",
     b_label: str = "B",
-    purify_if_mixed: bool = False,
 ) -> EurReport:
     """Audit the tripartite relation and its reversibility refinement.
 
-    The input must be pure; a mixed state is accepted only with
-    ``purify_if_mixed``, which enlarges the E side by the purifier.
-    Z need not be rank one here.
+    The input must be pure; :func:`~eurqsi.states.purify` turns a mixed
+    state into one whose E side holds the purifier.  Z need not be rank one
+    here.
     """
-    m, dims = rho_abe.matrix, rho_abe.dims
     if not rho_abe.is_pure():
-        if not purify_if_mixed:
-            raise InvalidStateError(
-                "tripartite checker needs a pure state; pass purify_if_mixed=True "
-                "to absorb a purifier into the E side"
-            )
-        psi = _purifying_vector(support_eig(m), dims)
-        m, dims = ket_bra(psi), psi.shape
+        raise InvalidStateError(
+            "tripartite checker needs a pure state; purify a mixed one first "
+            "(eurqsi.purify appends the purifier to the E side)"
+        )
+    m, dims = rho_abe.matrix, rho_abe.dims
     a, b = rho_abe.label_index(a_label), rho_abe.label_index(b_label)
     if a == b:
         raise InvalidStateError(f"A and B are the same subsystem {a_label!r}")
@@ -280,33 +309,12 @@ def check_tripartite(
     _check_pvm_dim(x_pvm, dims[a], a_label)
     _check_pvm_dim(z_pvm, dims[a], a_label)
     # the input is checked; everything below is a plain array built from it
-
-    # measuring A commutes with tracing out B or E
     ab, ae = sorted((a, b)), sorted([a] + e)
-    ab_dims, ae_dims = tuple(dims[i] for i in ab), tuple(dims[i] for i in ae)
-    a_in_ab, a_in_ae = ab.index(a), ae.index(a)
     rho_ab = partial_trace(m, dims, ab)
-    rho_ae = partial_trace(m, dims, ae)
-    # as in check_bipartite: H(B) once, and one support pair of rho_AB
-    h_b = _entropy(partial_trace(rho_ab, ab_dims, [1 - a_in_ab]))
-    rho_eig = support_eig(rho_ab)
-    sigma_xb, _ = _measured(rho_ab, ab_dims, x_pvm, a_in_ab)
-    h_xb = _entropy(sigma_xb) - h_b
-    h_zb = _entropy(_measured(rho_ab, ab_dims, z_pvm, a_in_ab)[0]) - h_b
-    h_ze = _conditional(*_measured(rho_ae, ae_dims, z_pvm, a_in_ae), range(1, len(ae)))
-    h_ab = entropy_of_spectrum(rho_eig[0]) - h_b
-
-    c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(rho_ab, ab_dims, a_in_ab, x_pvm, z_pvm, sigma_xb, rho_eig)
-    lhs = h_ze + h_xb
-    rhs_original = -np.log2(c)
-    rhs_refined = -np.log2(c) - np.log2(f)
-    return EurReport(
-        relation_id="tripartite_refined",
-        h_xb=h_xb, h_zb=h_zb, h_ze=h_ze, h_ab=h_ab, c=c, f=f,
-        lhs=lhs, rhs_original=rhs_original, rhs_refined=rhs_refined,
-        slack_original=lhs - rhs_original, slack_refined=lhs - rhs_refined,
-    )
+    return _report("tripartite", *_scalars(
+        rho_ab, tuple(dims[i] for i in ab), ab.index(a), support_eig(rho_ab),
+        partial_trace(m, dims, ae), tuple(dims[i] for i in ae), ae.index(a), x_pvm, z_pvm,
+    ))
 
 
 @dataclass(frozen=True)
@@ -343,19 +351,15 @@ def _slack_of(report: EurReport, relation_id: str) -> float:
     return report.slack_refined if relation_id.endswith("refined") else report.slack_original
 
 
-def fuzz(
-    relation_id: str,
-    trials: int,
-    dims,
-    seed: int,
-    pvm_mode: str | None = None,
-) -> FuzzSummary:
+def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
     """Stress the chosen relation on random states and measurements.
 
     ``dims`` is the A dimension or an explicit (A, B) pair.  Measurements
-    default to Pauli X/Z for qubit A and Haar-random rank-one PVMs
-    otherwise.  Deterministic under ``seed``; the worst instance is
-    serialized in the scenario dialect for replay.
+    are Pauli X/Z for qubit A and Haar-random rank-one PVMs otherwise.
+    Each trial makes one :func:`_scalars` call on its rho_AB and the AE
+    marginal of its purification, and reports the requested relation.
+    Deterministic under ``seed``; the worst instance is serialized in the
+    scenario dialect for replay.
     """
     if relation_id not in RELATION_IDS:
         raise ValueError(f"unknown relation_id {relation_id!r}")
@@ -364,12 +368,9 @@ def fuzz(
     if np.isscalar(dims):
         dims = (int(dims), int(dims))
     d_a, d_b = int(dims[0]), int(dims[1])
-    if pvm_mode is None:
-        pvm_mode = "pauli" if d_a == 2 else "random"
-    if pvm_mode not in ("pauli", "random"):
-        raise ValueError(f"unknown pvm_mode {pvm_mode!r}")
-    if pvm_mode == "pauli" and d_a != 2:
-        raise ValueError("pauli mode needs a qubit A system")
+    dims = (d_a, d_b)
+    pvm_mode = "pauli" if d_a == 2 else "random"
+    relation = relation_id.removesuffix("_refined")
 
     from .serialize import scenario_to_dict  # deferred: serialize imports states
 
@@ -380,17 +381,14 @@ def fuzz(
         # built once, so their cached Kraus operators serve every trial
         x_pvm, z_pvm = pauli_pvm("X"), pauli_pvm("Z")
     for trial in range(trials):
-        rho = random_multipartite_state(
-            (d_a, d_b), d_a * d_b, [seed, trial, 0], ("A", "B")
-        )
+        rho = random_multipartite_state(dims, d_a * d_b, [seed, trial, 0], ("A", "B"))
         if pvm_mode == "random":
             x_pvm = random_pvm(d_a, [seed, trial, 1])
             z_pvm = random_pvm(d_a, [seed, trial, 2])
-        if relation_id.startswith("bipartite"):
-            report = check_bipartite(rho, x_pvm, z_pvm)
-        else:
-            rho_abe = purify(rho, "E")
-            report = check_tripartite(rho_abe, x_pvm, z_pvm)
+        rho_eig = support_eig(rho.matrix)
+        rho_ae, ae_dims = _purified_marginal(rho_eig, dims, 0)
+        report = _report(relation, *_scalars(
+            rho.matrix, dims, 0, rho_eig, rho_ae, ae_dims, 0, x_pvm, z_pvm))
         slack = _slack_of(report, relation_id)
         max_gap = max(max_gap, report.slack_refined - report.slack_original)
         if slack < min_slack:
@@ -400,7 +398,7 @@ def fuzz(
     return FuzzSummary(
         relation_id=relation_id,
         trials=trials,
-        dims=(d_a, d_b),
+        dims=dims,
         seed=int(seed),
         pvm_mode=pvm_mode,
         min_slack=float(min_slack),

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .recovery import CpMap
 from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim
 
 
@@ -73,32 +72,6 @@ def load_scenario(path) -> tuple[DensityOperator, Pvm, Pvm]:
     if not isinstance(data, dict):
         raise InvalidStateError("scenario file must contain a JSON object")
     return scenario_from_dict(data)
-
-
-def cpmap_to_dict(cpmap: CpMap) -> dict:
-    """Export a CP map (Choi matrix plus metadata) in the scenario dialect."""
-    out = {
-        "choi": encode_matrix(cpmap.choi),
-        "in_dims": list(cpmap.in_dims),
-        "out_dims": list(cpmap.out_dims),
-        "in_labels": list(cpmap.in_labels),
-        "out_labels": list(cpmap.out_labels),
-    }
-    if cpmap.support is not None:
-        out["support"] = encode_matrix(cpmap.support)
-    return out
-
-
-def cpmap_from_dict(data: dict) -> CpMap:
-    support = data.get("support")
-    return CpMap(
-        choi=decode_matrix(data["choi"]),
-        in_dims=tuple(int(d) for d in data["in_dims"]),
-        out_dims=tuple(int(d) for d in data["out_dims"]),
-        support=None if support is None else decode_matrix(support),
-        in_labels=tuple(data.get("in_labels", ())),
-        out_labels=tuple(data.get("out_labels", ())),
-    )
 
 
 def _format_float(x: float) -> str:

@@ -206,18 +206,6 @@ def _measure_kraus(q: float) -> np.ndarray:
     return np.concatenate([np.sqrt(1.0 - q) * _COPY, np.sqrt(q) * (_REGISTER_FLIP @ _COPY)])
 
 
-def apply_gate(rho: np.ndarray, dims, name: str, targets, controls=()) -> np.ndarray:
-    """Apply a (possibly controlled) named gate; trace is preserved."""
-    positions = tuple(controls) + tuple(targets)
-    return apply_local(rho, dims, _gate_kraus(name, len(controls), 0.0), positions)
-
-
-def depolarize(rho: np.ndarray, dims, qubit: int, p: float) -> np.ndarray:
-    """Symmetric single-qubit depolarizing: p = 1 yields the maximally mixed
-    marginal regardless of input."""
-    return apply_local(rho, dims, _depolarizing_kraus(1, p), [qubit])
-
-
 def _flip_matrix(q: float) -> np.ndarray:
     return np.array([[1.0 - q, q], [q, 1.0 - q]])
 

@@ -237,13 +237,6 @@ def pauli_pvm(axis: str) -> Pvm:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
-def fourier_pvm(dim: int) -> Pvm:
-    """Rank-one PVM in the discrete Fourier basis."""
-    w = np.exp(2j * np.pi / dim)
-    vecs = [np.array([w ** (j * k) for k in range(dim)]) / np.sqrt(dim) for j in range(dim)]
-    return Pvm.from_basis(vecs)
-
-
 def measure(
     rho: DensityOperator, pvm: Pvm, measured: str, register_label: str
 ) -> DensityOperator:
@@ -314,17 +307,6 @@ def incompatibility_c(x_pvm: Pvm, z_pvm: Pvm) -> float:
     return min(best, 1.0)
 
 
-def isometric_extension(pvm: Pvm) -> np.ndarray:
-    """Isometry ``sum_x |x> (x) |x> (x) P_x`` from A into X, X', A."""
-    n, d = len(pvm), pvm.dim
-    u = np.zeros((n * n * d, d), dtype=complex)
-    for x, p in enumerate(pvm.projectors):
-        e = np.zeros((n, 1), dtype=complex)
-        e[x] = 1.0
-        u += np.kron(np.kron(e, e), p)
-    return u
-
-
 def purify(rho: DensityOperator, purifier_label: str = "R") -> DensityOperator:
     """Pure state on a doubled space whose reduction returns ``rho``.
 
@@ -346,9 +328,8 @@ def purified_marginal(
     """
     _check_free_label(rho, purifier_label)
     pos = rho.label_index(keep_label)
-    m = _purified_marginal(support_eig(rho.matrix), rho.dims, pos)
-    d = rho.dims[pos]
-    return DensityOperator(m, (d, m.shape[0] // d), (keep_label, purifier_label))
+    m, dims = _purified_marginal(support_eig(rho.matrix), rho.dims, pos)
+    return DensityOperator(m, dims, (keep_label, purifier_label))
 
 
 def _check_free_label(rho: DensityOperator, label: str) -> None:
@@ -356,14 +337,14 @@ def _check_free_label(rho: DensityOperator, label: str) -> None:
         raise InvalidStateError(f"label {label!r} already in use")
 
 
-def _purified_marginal(rho_eig, dims, pos: int) -> np.ndarray:
-    """The array behind :func:`purified_marginal`: subsystem ``pos`` and the
-    purifier, shape (d * rank, d * rank), from ``rho_eig`` =
+def _purified_marginal(rho_eig, dims, pos: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """The array behind :func:`purified_marginal`: the matrix on subsystem
+    ``pos`` and the purifier, and its dims (d, rank), from ``rho_eig`` =
     :func:`~eurqsi.linalg.support_eig` of the state."""
     psi = _purifying_vector(rho_eig, dims)
     d, rank = dims[pos], psi.shape[-1]
     psi = np.moveaxis(psi, pos, 0).reshape(d, -1, rank)
-    return np.einsum("abk,cbl->akcl", psi, psi.conj()).reshape(d * rank, d * rank)
+    return np.einsum("abk,cbl->akcl", psi, psi.conj()).reshape(d * rank, d * rank), (d, rank)
 
 
 def _purifying_vector(rho_eig, dims) -> np.ndarray:

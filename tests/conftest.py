@@ -10,8 +10,9 @@ of the library's closed form.
 Some oracles keep earlier library constructions as plain functions: the
 measured state as blocks ``Tr_A[(P_x (x) I) rho]`` taken by partial trace,
 the doubly measured state by its rank-one formula, the measurement
-channel with one Kraus operator per outcome and basis state, and the
-relation checks that measure the whole state before reducing it.  The
+channel with one Kraus operator per outcome and basis state, the
+Fourier PVM, the isometric extension of a PVM, the identity channel, and
+the relation checks that measure the whole state before reducing it.  The
 latter are built from library primitives.  The circuit simulator is kept
 step by step: each gate, then depolarizing on each qubit it touches, a
 register appended in |0> before the outcome is copied into it, and shot
@@ -222,6 +223,27 @@ def choi_of_kraus(kraus):
     """sum_k vec(K_k) vec(K_k)^dag with column-stacking vec (input index slow)."""
     vecs = [np.ravel(np.asarray(k), order="F") for k in kraus]
     return sum(np.outer(v, v.conj()) for v in vecs)
+
+
+def fourier_pvm(dim):
+    """Rank-one PVM in the discrete Fourier basis."""
+    w = np.exp(2j * np.pi / dim)
+    return Pvm.from_basis([[w ** (j * k) / np.sqrt(dim) for k in range(dim)]
+                           for j in range(dim)])
+
+
+def isometric_extension(pvm):
+    """Isometry ``sum_x |x> (x) |x> (x) P_x`` from A into X, X', A."""
+    n = len(pvm)
+    return sum(np.kron(np.kron(e, e), p)
+               for e, p in zip(np.eye(n).reshape(n, n, 1), pvm.projectors))
+
+
+def identity_map(dims, labels=()):
+    """The identity channel on ``dims``, trace-preserving everywhere."""
+    eye = np.eye(int(np.prod(dims)), dtype=complex)
+    return CpMap.from_kraus((eye,), in_dims=tuple(dims), out_dims=tuple(dims), support=eye,
+                            in_labels=tuple(labels), out_labels=tuple(labels))
 
 
 def incompatibility_loop_oracle(x_pvm, z_pvm):

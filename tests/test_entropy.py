@@ -13,7 +13,6 @@ from eurqsi.states import (
     KET_PLUS,
     KET_PLUS_Y,
     bell_phi,
-    isometric_extension,
     ket_bra,
     maximally_mixed,
     measure,
@@ -24,7 +23,7 @@ from eurqsi.states import (
     random_state,
 )
 
-from conftest import rotated_spectrum
+from conftest import isometric_extension, rotated_spectrum
 
 
 def qubit_state(mat):

@@ -10,7 +10,6 @@ from eurqsi.recovery import (
     apply_map,
     choi_from_kraus,
     eur_recovery_map,
-    identity_channel,
     kraus_from_choi,
     measurement_channel,
     petz_map,
@@ -41,6 +40,7 @@ from conftest import (
     choi_of_kraus,
     dagger,
     haar_unitary,
+    identity_map,
     measurement_kraus_nd_oracle,
     pinched_state_oracle,
     rank_one_vectors,
@@ -105,7 +105,7 @@ class TestMeasurementChannel:
 class TestPetz:
     def test_identity_channel_fixed_point(self):
         sig = random_state(2, 1, 3).matrix  # rank deficient on purpose
-        rec = petz_map(sig, identity_channel((2,)))
+        rec = petz_map(sig, identity_map((2,)))
         supp = support_projector(sig)
         probe = supp @ random_state(2, 2, 9).matrix @ supp
         assert np.abs(rec.apply_matrix(probe) - probe).max() < 1e-10
@@ -301,7 +301,7 @@ class TestEurRecoveryMap:
 class TestApplyMap:
     def test_identity(self):
         rho = random_multipartite_state((2, 2), 4, 5, ("X", "B"))
-        out = apply_map(identity_channel((2, 2), ("X", "B")), rho)
+        out = apply_map(identity_map((2, 2), ("X", "B")), rho)
         assert np.abs(out.matrix - rho.matrix).max() < 1e-12
 
     def test_r1_on_uniform_input(self):
@@ -324,18 +324,12 @@ class TestApplyMap:
         assert trace_distance(out.matrix, np.eye(4) / 4) < 1e-9
 
     def test_dimension_mismatch(self):
-        rec = identity_channel((2,))
+        rec = identity_map((2,))
         with pytest.raises(ValueError):
             apply_map(rec, random_multipartite_state((2, 2), 4, 1, ("X", "B")))
 
 
 class TestVerifyCptp:
-    def test_identity_channel_clean(self):
-        report = verify_cptp(identity_channel((2, 2)))
-        assert report.ok
-        assert report.trace_preservation_defect < 1e-12
-        assert report.choi_min_eigenvalue > -1e-12
-
     def test_all_constructors_yield_channels(self):
         for seed in range(6):
             d = 2 + seed % 2
@@ -347,16 +341,6 @@ class TestVerifyCptp:
             rec = eur_recovery_map(rho, random_pvm(d, [seed, 64]),
                                    random_pvm(d, [seed, 65]))
             assert verify_cptp(rec).ok
-
-    def test_cpmap_json_export_roundtrip(self):
-        from eurqsi.serialize import cpmap_from_dict, cpmap_to_dict
-        rho = random_multipartite_state((2, 2), 4, 71, ("A", "B"))
-        rec = eur_recovery_map(rho, pauli_pvm("X"), pauli_pvm("Z"))
-        back = cpmap_from_dict(cpmap_to_dict(rec))
-        assert np.array_equal(back.choi, rec.choi)
-        assert back.in_dims == rec.in_dims and back.out_dims == rec.out_dims
-        assert back.in_labels == rec.in_labels
-        assert np.array_equal(back.support, rec.support)
 
     def test_r3_kraus_completeness_direct_sum(self):
         from eurqsi.gallery import recovery_map_r3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eurqsi import entropy, recovery, relations
+from eurqsi import entropy, recovery, relations, states
 from eurqsi.entropy import relative, von_neumann
 from eurqsi.linalg import EPS_SUPP, fidelity, support_eig, tensor
 from eurqsi.relations import EurReport, check_bipartite, check_tripartite, fuzz
@@ -131,10 +131,12 @@ class TestTripartite:
         assert abs((tri.h_ze - tri.h_zb) - (-tri.h_ab)) < 1e-8
 
     def test_rejects_mixed_without_flag(self):
+        # a mixed input is refused and pointed to purify, which appends the
+        # purifier to the E side
         rho = DensityOperator(np.eye(8) / 8, (2, 2, 2), ("A", "B", "E"))
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidStateError, match="purify"):
             check_tripartite(rho, X, Z)
-        report = check_tripartite(rho, X, Z, purify_if_mixed=True)
+        report = check_tripartite(purify(rho, "R"), X, Z)
         assert report.slack_refined >= -1e-6
 
     def test_non_rank_one_z_allowed(self):
@@ -190,7 +192,7 @@ class TestMeasuredMarginals:
         rho = random_multipartite_state((3, 2, 2), 3, 305, ("A", "B", "E"))
         xp, zp = random_pvm(3, [305, 1]), random_pvm(3, [305, 2])
         _assert_reports_agree(
-            check_tripartite(rho, xp, zp, purify_if_mixed=True),
+            check_tripartite(purify(rho, "R"), xp, zp),
             tripartite_report_oracle(rho, xp, zp, purify_if_mixed=True),
         )
 
@@ -199,6 +201,8 @@ class TestMeasuredMarginals:
         # run on arrays and construct no state and no map
         rho_ab = random_multipartite_state((3, 3), 9, 306, ("A", "B"))
         rho_abe = purify(rho_ab, "E")
+        # a mixed ABE state, purified before counting: E is two subsystems
+        rho_aber = purify(random_multipartite_state((3, 2, 2), 3, 306, ("A", "B", "E")), "R")
         xp, zp = random_pvm(3, [306, 1]), random_pvm(3, [306, 2])
         built, maps = [], []
         post_init = DensityOperator.__post_init__
@@ -216,7 +220,7 @@ class TestMeasuredMarginals:
         monkeypatch.setattr(recovery.CpMap, "__post_init__", counting_map_post_init)
         check_tripartite(rho_abe, xp, zp)
         check_bipartite(rho_ab, xp, zp)
-        check_tripartite(rho_ab, xp, zp, purify_if_mixed=True)
+        check_tripartite(rho_aber, xp, zp)
         assert built == []
         assert maps == []
 
@@ -325,7 +329,7 @@ def _round_off_states():
 def test_round_off_negative_eigenvalue_state_is_checked():
     for name, rho in _round_off_states():
         reports = (check_bipartite(rho, X, Z),
-                   check_tripartite(rho, X, Z, purify_if_mixed=True))
+                   check_tripartite(purify(rho, "E"), X, Z))
         for report in reports:
             assert 0.0 <= report.f <= 1.0, name
             assert report.slack_refined <= report.slack_original + 1e-9, name
@@ -351,7 +355,7 @@ def test_state_with_reductions_beyond_the_threshold_is_checked():
     for seed in range(3):
         xp, zp = random_pvm(3, [seed, 1]), random_pvm(3, [seed, 2])
         for report in (check_bipartite(rho, xp, zp),
-                       check_tripartite(rho, xp, zp, purify_if_mixed=True)):
+                       check_tripartite(purify(rho, "E"), xp, zp)):
             assert 0.0 <= report.f <= 1.0
             assert report.slack_refined <= report.slack_original + 1e-9
 
@@ -466,10 +470,47 @@ class TestFuzz:
         s_orig = fuzz("bipartite", 4, 2, 77)
         assert s_orig.min_slack >= s_ref.min_slack - 1e-12
 
+    @pytest.mark.parametrize("d, trials, seed", [(2, 60, 601), (3, 20, 602)])
+    def test_tripartite_fuzz_matches_checks_on_the_purified_instances(self, d, trials, seed):
+        # oracle: the same seeded instances through the public check on the
+        # explicit purification
+        slacks, gaps = [], []
+        for trial in range(trials):
+            rho = random_multipartite_state((d, d), d * d, [seed, trial, 0], ("A", "B"))
+            xp, zp = ((X, Z) if d == 2 else
+                      (random_pvm(d, [seed, trial, 1]), random_pvm(d, [seed, trial, 2])))
+            report = check_tripartite(purify(rho, "E"), xp, zp)
+            slacks.append(report.slack_refined)
+            gaps.append(report.slack_refined - report.slack_original)
+        s = fuzz("tripartite_refined", trials, d, seed)
+        assert s.worst_trial == int(np.argmin(slacks))
+        assert abs(s.min_slack - min(slacks)) <= 1e-12
+        assert abs(s.max_refinement_gap - max(gaps)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tripartite_fuzz_trial_builds_no_purification(self, d, monkeypatch):
+        # the trial feeds the kernel the purified AE marginal as an array:
+        # no purify call and no state larger than rho_AB
+        purified, built = [], []
+        purify_fn, post_init = states.purify, DensityOperator.__post_init__
+
+        def counting_purify(*args, **kwargs):
+            purified.append(1)
+            return purify_fn(*args, **kwargs)
+
+        def counting_post_init(self):
+            post_init(self)
+            built.append(self.dim)
+
+        for mod in (states, relations):
+            monkeypatch.setattr(mod, "purify", counting_purify, raising=False)
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting_post_init)
+        fuzz("tripartite_refined", 1, d, 603)
+        assert purified == []
+        assert built and max(built) <= d * d
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             fuzz("bipartite_refined", 0, 2, 1)
         with pytest.raises(ValueError):
             fuzz("sideways", 1, 2, 1)
-        with pytest.raises(ValueError):
-            fuzz("bipartite_refined", 1, 3, 1, pvm_mode="pauli")

@@ -14,9 +14,9 @@ from eurqsi.simulate import (
     NoiseSpec,
     Recovery,
     ShotTable,
-    apply_gate,
+    _depolarizing_kraus,
+    _gate_kraus,
     bloch_tomography,
-    depolarize,
     experiment_circuit,
     flip_distribution,
     run_circuit,
@@ -41,21 +41,21 @@ from conftest import circuit_oracle, experiment_oracle, r1_register_map
 class TestGates:
     def test_hadamard_makes_plus(self):
         rho = ket_bra(np.array([1, 0], dtype=complex))
-        out = apply_gate(rho, (2,), "h", (0,))
+        out = apply_local(rho, (2,), _gate_kraus("h", 0, 0.0), [0])
         assert np.abs(out - ket_bra(KET_PLUS)).max() < 1e-12
 
     def test_cnot_makes_bell(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
         rho = ket_bra(psi)
-        rho = apply_gate(rho, (2, 2), "h", (0,))
-        rho = apply_gate(rho, (2, 2), "x", (1,), controls=(0,))
+        rho = apply_local(rho, (2, 2), _gate_kraus("h", 0, 0.0), [0])
+        rho = apply_local(rho, (2, 2), _gate_kraus("x", 1, 0.0), [0, 1])
         assert np.abs(rho - ket_bra(bell_phi())).max() < 1e-12
 
     def test_trace_preserved(self):
         rho = random_multipartite_state((2, 2, 2), 8, 3, ("a", "b", "c")).matrix
         for name in ("h", "s", "x", "y", "z", "t"):
-            out = apply_gate(rho, (2, 2, 2), name, (1,), controls=(0,))
+            out = apply_local(rho, (2, 2, 2), _gate_kraus(name, 1, 0.0), [0, 1])
             assert abs(np.trace(out).real - 1.0) < 1e-12
 
     def test_embed_operator_position(self):
@@ -95,14 +95,14 @@ class TestCircuitValidation:
 class TestNoise:
     def test_full_depolarizing_gives_maximally_mixed(self):
         rho = ket_bra(np.array([1, 0], dtype=complex))
-        out = depolarize(rho, (2,), 0, 1.0)
+        out = apply_local(rho, (2,), _depolarizing_kraus(1, 1.0), [0])
         assert np.abs(out - maximally_mixed(2)).max() < 1e-12
 
     def test_depolarizing_closed_form(self):
         # (1 - p) rho + p Tr_1(rho) (x) I/2 on qubit 1; qubit 0 untouched
         for seed, p in enumerate((0.1, 0.37, 1.0)):
             rho = random_multipartite_state((2, 2), 4, seed, ("a", "b")).matrix
-            out = depolarize(rho, (2, 2), 1, p)
+            out = apply_local(rho, (2, 2), _depolarizing_kraus(1, p), [1])
             marginal = partial_trace(rho, (2, 2), [0])
             want = (1.0 - p) * rho + p * np.kron(marginal, maximally_mixed(2))
             assert np.abs(out - want).max() < 1e-12
@@ -141,8 +141,8 @@ class TestRecoveryRealization:
             dims = (2, 2, 2)
             # the X register is measured already: pinch it
             big = apply_local(big, dims, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0])
-            big = apply_gate(big, dims, "x", (2,), controls=(1,))
-            big = apply_gate(big, dims, "z", (1,), controls=(0,))
+            big = apply_local(big, dims, _gate_kraus("x", 1, 0.0), [1, 2])
+            big = apply_local(big, dims, _gate_kraus("z", 1, 0.0), [0, 1])
             got = partial_trace(big, dims, [1, 2])  # (B, A')
             swap = np.eye(4)[[0, 2, 1, 3]]
             got = apply_local(got, (2, 2), [swap], [0, 1])  # (A', B)

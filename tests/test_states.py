@@ -20,9 +20,7 @@ from eurqsi.states import (
     KET_PLUS,
     Pvm,
     bell_phi,
-    fourier_pvm,
     incompatibility_c,
-    isometric_extension,
     ket_bra,
     maximally_mixed,
     measure,
@@ -37,6 +35,7 @@ from eurqsi.states import (
 )
 
 from conftest import (
+    fourier_pvm,
     incompatibility_loop_oracle,
     measured_state_oracle,
     rank2_plus_rank1_pvm,
@@ -269,30 +268,6 @@ class TestIncompatibility:
                     assert top <= c + 1e-10
 
 
-class TestIsometricExtension:
-    def test_isometry_property(self):
-        u = isometric_extension(pauli_pvm("Z"))
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
-
-    def test_reproduces_measurement_channel(self):
-        for seed in range(20):
-            pvm = random_pvm(2, seed)
-            u = isometric_extension(pvm)
-            rho = random_state(2, 2, seed + 7).matrix
-            big = u @ rho @ u.conj().T
-            got = partial_trace(big, [2, 2, 2], [0])  # keep X
-            want = np.diag([np.trace(p @ rho) for p in pvm.projectors])
-            assert np.abs(got - want).max() < 1e-10
-
-    def test_plus_state_output_vector(self):
-        # oracle: U|+> = sum_x |x,x> (x) P_x|+> = |0,0,+> for the X basis
-        u = isometric_extension(pauli_pvm("X"))
-        got = u @ KET_PLUS
-        want = np.zeros(8, dtype=complex)
-        want[:2] = KET_PLUS  # (x=0, x'=0) block holds |+>
-        assert np.abs(got - want).max() < 1e-12
-
-
 class TestPurify:
     def test_pure_state_trivial_purifier(self):
         rho = DensityOperator(ket_bra(KET_PLUS), (2,), ("A",))
@@ -339,8 +314,7 @@ class TestPurify:
         out = purify(rho, "E")
         assert out.dims == dims + (d - 1,)
         assert np.abs(out.reduce(["A", "B"]).matrix - rho.matrix).max() < 1e-8
-        report = check_tripartite(rho, random_pvm(dims[0], 362), random_pvm(dims[0], 363),
-                                  purify_if_mixed=True)
+        report = check_tripartite(out, random_pvm(dims[0], 362), random_pvm(dims[0], 363))
         assert report.slack_refined <= report.slack_original + 1e-9
 
 
