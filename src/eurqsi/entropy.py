@@ -4,9 +4,10 @@ The relative entropy returns ``math.inf`` (never a float overflow) when the
 first argument has weight outside the support of the second.
 
 :func:`von_neumann` and :func:`conditional` take a :class:`DensityOperator`
-and check the labels; the array kernels they wrap (``_entropy`` and
-``_conditional``) are what the checks in :mod:`eurqsi.relations` call on
-the arrays they derive from a validated input.  Every function here
+and check the labels.  The checks in :mod:`eurqsi.relations` call
+``_block_entropies`` instead: the entropies of block-diagonal
+(classical-quantum) matrices given as stacks of their blocks, with one
+batched eigensolve for all of them.  Every function here
 accepts what :class:`DensityOperator` accepts: spectra are cut to their
 support by :func:`~eurqsi.linalg._on_support`, so round-off negative
 eigenvalues never reach a log, and :func:`relative` rejects its second
@@ -16,6 +17,7 @@ argument only through :func:`~eurqsi.linalg._check_psd`.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,7 +30,9 @@ SUPPORT_MASS_TOL = 1e-9
 
 
 def entropy_of_spectrum(eigenvalues) -> float:
-    """Shannon entropy in bits of a spectrum cut to its support, 0 log 0 := 0."""
+    """Shannon entropy in bits of a spectrum cut to its support, 0 log 0 := 0.
+    An array of any shape is one spectrum: a block stack's eigenvalues are
+    cut against the top of their union, as on the block-diagonal matrix."""
     vals = np.asarray(eigenvalues, dtype=float)
     vals = vals[_on_support(vals)]
     if vals.size == 0:
@@ -51,7 +55,7 @@ def conditional(rho: DensityOperator, cond_subsystems) -> float:
     if set(cond) == set(rho.labels):
         raise ValueError("conditioning on every subsystem leaves nothing")
     keep = [rho.label_index(s) for s in cond]
-    return _conditional(rho.matrix, rho.dims, keep)
+    return _entropy(rho.matrix) - _entropy(partial_trace(rho.matrix, rho.dims, keep))
 
 
 def _entropy(m: np.ndarray) -> float:
@@ -60,10 +64,12 @@ def _entropy(m: np.ndarray) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(m))
 
 
-def _conditional(m: np.ndarray, dims, keep) -> float:
-    """The kernel of :func:`conditional`: H(rest | keep) of the matrix ``m``
-    on subsystems ``dims``, ``keep`` listing subsystem indices."""
-    return _entropy(m) - _entropy(partial_trace(m, dims, keep))
+def _block_entropies(*stacks) -> list[float]:
+    """Entropy in bits of each block-diagonal matrix given as the stack of
+    its blocks, every block of one shape, from one batched ``eigvalsh``."""
+    vals = np.linalg.eigvalsh(np.concatenate(stacks))
+    ends = list(accumulate((len(s) for s in stacks), initial=0))
+    return [entropy_of_spectrum(vals[i:j]) for i, j in zip(ends, ends[1:])]
 
 
 def relative(rho: DensityOperator | np.ndarray, sigma: np.ndarray) -> float:

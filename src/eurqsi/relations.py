@@ -12,15 +12,15 @@ was constructed), the labels, the rank-one guard and the PVM dimensions.
 It then hands plain arrays to the kernel: :func:`check_bipartite` the AE
 marginal of the purification (:func:`~eurqsi.states.purified_marginal`),
 :func:`check_tripartite` the AB and AE reductions of its pure input.  The
-kernel works through the kernels behind :func:`~eurqsi.states.measure`,
-:func:`~eurqsi.entropy.conditional` and :func:`~eurqsi.linalg.fidelity`
-and constructs no state and no map.  It takes every entropy on the
-measured marginal it needs (X or Z applied to the AB or AE reduction,
-never to the whole state), evaluates R(sigma_XB) in block form (no
+kernel constructs no state and no map.  Every entropy it takes is that of
+a classical-quantum state, held as the stack of its blocks that
+:func:`~eurqsi.states._measured` returns for X or Z applied to the AB or
+AE reduction: rho_B and rho_E are the sums of those blocks, H(B), H(XB)
+and H(ZB) come from one batched eigensolve, and H(ZE) and H(E) from
+another.  f evaluates R(sigma_XB) in block form from the same stacks (no
 recovery channel is built; :mod:`eurqsi.recovery` has the explicit
-channel), reduces to B once (H(B) is subtracted from H(XB), H(ZB) and
-H(AB)), and uses the one support pair of rho_AB its caller took
-(:func:`~eurqsi.linalg.support_eig`) for H(AB) and sqrt(rho_AB) in f.
+channel), and the one support pair of rho_AB its caller took
+(:func:`~eurqsi.linalg.support_eig`) serves H(AB) and sqrt(rho_AB) in f.
 H(Z|E) stays an explicit entropy of the measured AE marginal, never
 derived from H(AB) through the duality, so the two remain independent
 cross-checks.  :func:`fuzz` calls the kernel on each trial's rho_AB and
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _conditional, _entropy, entropy_of_spectrum
+from .entropy import _block_entropies, entropy_of_spectrum
 from .linalg import (_fidelity, _on_support, _sinhc, apply_local, dagger, partial_trace,
                      support_eig)
 from .states import (
@@ -47,7 +47,6 @@ from .states import (
     _check_pvm_dim,
     _measured,
     _purified_marginal,
-    _reordered,
     incompatibility_c,
     pauli_pvm,
     random_multipartite_state,
@@ -136,7 +135,7 @@ def _reversibility(
     pos: int,
     x_pvm: Pvm,
     z_pvm: Pvm,
-    sigma_xb: np.ndarray,
+    sigma_x: np.ndarray,
     rho_eig: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """f = F(rho_AB, R(sigma_XB)) with R the rotated Petz recovery of the X
@@ -162,27 +161,19 @@ def _reversibility(
     explicit channel.
 
     ``rho_ab`` lives on ``dims`` with the measured subsystem A at ``pos``
-    and B the rest; it is reordered A first when A is not, and so are the
-    rows of the eigenvectors in ``rho_eig``, its
-    :func:`~eurqsi.linalg.support_eig` pair, which gives sqrt(rho_AB) to the
-    fidelity.  ``sigma_xb`` is the register-first X-measured state.
+    and B the rest, a layout tau and R(sigma_XB) keep; ``rho_eig``, its
+    :func:`~eurqsi.linalg.support_eig` pair, gives sqrt(rho_AB) to the
+    fidelity.  ``sigma_x`` is the stack of the blocks sigma_x, as
+    :func:`~eurqsi.states._measured` returns it, and so is N(tau).
 
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
-    if pos != 0:
-        order = [pos] + [i for i in range(len(dims)) if i != pos]
-        rho_ab = _reordered(rho_ab, dims, order)
-        vals, vecs = rho_eig
-        vecs = vecs.reshape(tuple(dims) + (-1,)).transpose(order + [len(dims)])
-        rho_eig = vals, vecs.reshape(rho_ab.shape[0], -1)
-    d_a, n = x_pvm.dim, len(x_pvm)
-    d_b = rho_ab.shape[0] // d_a
-    tau = apply_local(rho_ab, (d_a, d_b), z_pvm.projectors, [0])
+    d_a, n = dims[pos], len(x_pvm)
+    tau = apply_local(rho_ab, dims, z_pvm.projectors, [pos])
     lam, v = support_eig(tau)
     tau = (v * lam) @ dagger(v)
-    n_tau = apply_local(tau, (d_a, d_b), x_pvm.kraus, [0]).reshape(n, d_b, n, d_b)
-    mu, w = np.linalg.eigh(np.einsum("xbxc->xbc", n_tau))
+    mu, w = np.linalg.eigh(_measured(tau, dims, x_pvm, pos))
     keep = _on_support(mu)
     # off the support: unit eigenvalues keep the logs finite, and zeroed
     # eigenvectors drop the terms
@@ -190,9 +181,9 @@ def _reversibility(
     w = w * keep[:, None, :]
     # h[x, k, (a, j)] = <v_k (x) w_xj|a>, zero unless x is the outcome of k
     kraus = x_pvm.kraus
-    h = np.einsum("kxi,xbj,iba->xkaj", kraus, w.conj(), v.reshape(d_a, d_b, -1))
+    v_ab = np.moveaxis(v.reshape(tuple(dims) + (-1,)), pos, 0).reshape(d_a, -1, len(lam))
+    h = np.einsum("kxi,xbj,iba->xkaj", kraus, w.conj(), v_ab)
     h = h.reshape(n, len(kraus), -1)
-    sigma_x = np.einsum("xbxc->xbc", sigma_xb.reshape(n, d_b, n, d_b))
     m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
     phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
     kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
@@ -219,17 +210,17 @@ def _scalars(
     and ``rho_eig`` is its :func:`~eurqsi.linalg.support_eig` pair; ``rho_ae``
     lives on ``ae_dims`` with A at ``a_in_ae`` and E the rest.  Measuring A
     commutes with tracing out B or E, so each entropy is taken on the
-    measured marginal it needs.
+    block stack of the measured marginal it needs.
     """
-    b = [i for i in range(len(ab_dims)) if i != a_in_ab]
-    h_b = _entropy(partial_trace(rho_ab, ab_dims, b))
-    sigma_xb, _ = _measured(rho_ab, ab_dims, x_pvm, a_in_ab)
-    h_xb = _entropy(sigma_xb) - h_b
-    h_zb = _entropy(_measured(rho_ab, ab_dims, z_pvm, a_in_ab)[0]) - h_b
-    h_ze = _conditional(*_measured(rho_ae, ae_dims, z_pvm, a_in_ae), range(1, len(ae_dims)))
+    sigma_x = _measured(rho_ab, ab_dims, x_pvm, a_in_ab)
+    omega_z = _measured(rho_ab, ab_dims, z_pvm, a_in_ab)
+    h_b, h_xb, h_zb = _block_entropies(sigma_x.sum(axis=0, keepdims=True), sigma_x, omega_z)
+    omega_ze = _measured(rho_ae, ae_dims, z_pvm, a_in_ae)
+    h_ze, h_e = _block_entropies(omega_ze, omega_ze.sum(axis=0, keepdims=True))
+    h_xb, h_zb, h_ze = h_xb - h_b, h_zb - h_b, h_ze - h_e
     h_ab = entropy_of_spectrum(rho_eig[0]) - h_b
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(rho_ab, ab_dims, a_in_ab, x_pvm, z_pvm, sigma_xb, rho_eig)
+    f = _reversibility(rho_ab, ab_dims, a_in_ab, x_pvm, z_pvm, sigma_x, rho_eig)
     return h_xb, h_zb, h_ze, h_ab, c, f
 
 

@@ -4,15 +4,17 @@ A :class:`DensityOperator` is a dense matrix plus an ordered list of
 subsystem dimensions and labels.  A measurement writes its outcome into a
 classical register, stored as one more subsystem of a block-diagonal
 density operator, so the entropy code treats classical registers like any
-other subsystem.  Every measurement applies the PVM's measurement Kraus
-operators :attr:`Pvm.kraus`.
+other subsystem.  One kernel, ``_measured``, computes every measurement:
+one contraction with the PVM's measurement Kraus operators
+:attr:`Pvm.kraus` gives the stack of the diagonal blocks, which
+:func:`measure` places on the diagonal and the checks use as they are.
 
 Validation happens at the boundary: :class:`DensityOperator` and
 :class:`Pvm` check their invariants when they are constructed, and the
 public functions check their arguments.  Each public operation that the
 checks in :mod:`eurqsi.relations` need wraps an array kernel
-(``_measured``, ``_purified_marginal``, ``_reordered``); the checks call
-the kernels on arrays derived from an input they validated once.
+(``_measured``, ``_purified_marginal``); the checks call the kernels on
+arrays derived from an input they validated once.
 """
 
 from __future__ import annotations
@@ -244,13 +246,17 @@ def measure(
 
     The measured subsystem is consumed.  The result is block diagonal with
     the register as subsystem 0 and the other subsystems in their original
-    order; block ``x`` is ``Tr_measured{(P_x (x) I) rho}``.
+    order; block ``x`` is ``Tr_measured{(P_x (x) I) rho}`` (:func:`_measured`).
     """
     pos = rho.label_index(measured)
     _check_pvm_dim(pvm, rho.dims[pos], measured)
-    m, dims = _measured(rho.matrix, rho.dims, pvm, pos)
+    blocks = _measured(rho.matrix, rho.dims, pvm, pos)
+    n, r = blocks.shape[:2]
+    m = np.zeros((n, r, n, r), dtype=complex)
+    m[np.arange(n), :, np.arange(n), :] = blocks
+    dims = (n,) + rho.dims[:pos] + rho.dims[pos + 1:]
     labels = (register_label,) + rho.labels[:pos] + rho.labels[pos + 1:]
-    return DensityOperator(m, dims, labels)
+    return DensityOperator(m.reshape(n * r, n * r), dims, labels)
 
 
 def _check_pvm_dim(pvm: Pvm, dim: int, measured: str) -> None:
@@ -260,13 +266,21 @@ def _check_pvm_dim(pvm: Pvm, dim: int, measured: str) -> None:
         )
 
 
-def _measured(m: np.ndarray, dims, pvm: Pvm, pos: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The array behind :func:`measure`: the measured matrix and its dims,
-    register first, the other subsystems in their original order."""
-    out = apply_local(m, dims, pvm.kraus, [pos])
-    out_dims = tuple(dims[:pos]) + (len(pvm),) + tuple(dims[pos + 1:])
-    order = [pos] + [i for i in range(len(dims)) if i != pos]
-    return _reordered(out, out_dims, order), tuple(out_dims[i] for i in order)
+def _measured(m: np.ndarray, dims, pvm: Pvm, pos: int) -> np.ndarray:
+    """The blocks behind :func:`measure`: the ``(outcomes, r, r)`` stack of
+    ``Tr_pos[(P_x (x) I) m]``, the other subsystems in their original order.
+
+    One contraction with the Kraus operators ``|x><v|`` of :attr:`Pvm.kraus`:
+    their rows against the measured row index, then their conjugates
+    against the measured column index, summed over the operators.
+    """
+    d, r = dims[pos], m.shape[0] // dims[pos]
+    if pos != 0:
+        m = _reordered(m, dims, [pos] + [i for i in range(len(dims)) if i != pos])
+    kraus = pvm.kraus.reshape(-1, d)
+    t = (kraus @ m.reshape(d, r * d * r)).reshape(len(kraus), r, d, r)
+    t = t.transpose(0, 1, 3, 2) @ kraus.conj()[:, None, :, None]
+    return t.reshape(-1, len(pvm), r, r).sum(axis=0)
 
 
 def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:
@@ -359,21 +373,21 @@ def _purifying_vector(rho_eig, dims) -> np.ndarray:
 
 def random_state(dim: int, rank: int, seed, label: str = "A") -> DensityOperator:
     """Random state from partial trace of a Gaussian pure state on dim x rank."""
+    return random_multipartite_state((dim,), rank, seed, (label,))
+
+
+def random_multipartite_state(dims, rank: int, seed, labels) -> DensityOperator:
+    """Random state on an explicit subsystem layout: G G^dag / Tr(G G^dag)
+    for a complex Gaussian G with prod(dims) rows and ``rank`` columns."""
+    dims = tuple(int(d) for d in dims)
+    dim = math.prod(dims)
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ dagger(g)
     m /= np.trace(m).real
-    return DensityOperator(m, (dim,), (label,))
-
-
-def random_multipartite_state(dims, rank: int, seed, labels) -> DensityOperator:
-    """Random state on an explicit subsystem layout."""
-    dims = tuple(int(d) for d in dims)
-    full = math.prod(dims)
-    rho = random_state(full, rank, seed)
-    return DensityOperator(rho.matrix, dims, tuple(labels))
+    return DensityOperator(m, dims, tuple(labels))
 
 
 def random_pvm(dim: int, seed) -> Pvm:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from eurqsi.entropy import conditional, relative, von_neumann
-from eurqsi.linalg import tensor
+from eurqsi.entropy import (_block_entropies, _entropy, conditional, entropy_of_spectrum,
+                            relative, von_neumann)
+from eurqsi.linalg import EPS_SUPP, tensor
 from eurqsi.recovery import measurement_channel
 from eurqsi.states import (
     DensityOperator,
@@ -41,6 +42,24 @@ class TestVonNeumann:
         got = von_neumann(qubit_state(np.diag([0.25, 0.75])))
         want = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
         assert abs(got - want) < 1e-12
+
+
+class TestBlockEntropies:
+    def test_support_is_cut_against_the_top_of_the_union(self):
+        # the small block's eigenvalues sit at 2x and 0.5x the cutoff of the
+        # big block's top: the union keeps the first and drops the second,
+        # while the small block alone would keep both
+        top = 0.6
+        big = rotated_spectrum([top, 0.4 - 2.5 * EPS_SUPP * top], 5)
+        small = rotated_spectrum([2 * EPS_SUPP * top, 0.5 * EPS_SUPP * top], 6)
+        assembled = np.kron(np.diag([1.0, 0.0]), big) + np.kron(np.diag([0.0, 1.0]), small)
+        got, alone = _block_entropies(np.stack([big, small]), small[None])
+        assert abs(got - _entropy(assembled)) <= 1e-12
+        assert abs(alone - _entropy(small)) <= 1e-12
+        per_block = _entropy(big) + _entropy(small)
+        assert abs(per_block - _entropy(assembled)) > 1e-10
+        assert abs(entropy_of_spectrum(np.linalg.eigvalsh(np.stack([big, small])))
+                   - _entropy(assembled)) <= 1e-12
 
 
 class TestConditional:

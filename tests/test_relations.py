@@ -17,6 +17,7 @@ from eurqsi.states import (
     KET_PLUS,
     KET_PLUS_Y,
     Pvm,
+    _measured,
     bell_phi,
     ket_bra,
     maximally_mixed,
@@ -226,15 +227,17 @@ class TestMeasuredMarginals:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_each_check_reduces_to_b_once_and_decomposes_rho_ab_once(self, d, monkeypatch):
-        # bipartite: Tr_A for H(B) and Tr_E for H(Z|E); tripartite: the AB and
-        # AE marginals, then the same two.  Eigensolves: H(B), H(XB), H(ZB),
-        # rho_AB (H(AB), purification, sqrt in f), H(ZE) and H(E), and the
-        # pinched state, the blocks of N(tau) and the fidelity's inner matrix
+        # bipartite: no partial trace, rho_B and rho_E are sums of measured
+        # blocks; tripartite: the AB and AE marginals.  One apply_local, the Z
+        # pinch in f.  Eigensolves: rho_AB (H(AB), purification, sqrt in f),
+        # the AB block stack (H(B), H(XB), H(ZB)), the AE block stack (H(ZE),
+        # H(E)), the pinched state, the blocks of N(tau) and the fidelity's
+        # inner matrix
         rho_ab = random_multipartite_state((d, d), d * d, 307, ("A", "B"))
         rho_abe = purify(rho_ab, "E")
         xp, zp = (X, Z) if d == 2 else (random_pvm(3, [307, 1]), random_pvm(3, [307, 2]))
         xp.kraus, zp.kraus  # cached before counting
-        counts = {"partial_trace": 0, "eig": 0, "prod": 0}
+        counts = {"partial_trace": 0, "apply_local": 0, "eig": 0, "prod": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -242,16 +245,19 @@ class TestMeasuredMarginals:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (relations, entropy):
-            monkeypatch.setattr(mod, "partial_trace", counted("partial_trace", mod.partial_trace))
+        for mod in (relations, states, entropy):
+            for name in ("partial_trace", "apply_local"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
         monkeypatch.setattr(np, "prod", counted("prod", np.prod))
-        for check, rho, traces in ((check_bipartite, rho_ab, 2), (check_tripartite, rho_abe, 4)):
-            counts.update(partial_trace=0, eig=0, prod=0)
+        for check, rho, traces in ((check_bipartite, rho_ab, 0), (check_tripartite, rho_abe, 2)):
+            counts.update(partial_trace=0, apply_local=0, eig=0, prod=0)
             check(rho, xp, zp)
             assert counts["partial_trace"] <= traces, check.__name__
-            assert counts["eig"] <= 9, check.__name__
+            assert counts["apply_local"] <= 1, check.__name__
+            assert counts["eig"] <= 6, check.__name__
             assert counts["prod"] == 0, check.__name__
 
     def test_each_kraus_map_builds_its_choi_once(self, monkeypatch):
@@ -301,9 +307,11 @@ F_CASES = {
 def test_block_reversibility_matches_the_recovery_channel(case):
     # the Choi path: apply_map(rotated_petz_map(pinched, M_X (x) id), sigma_XB)
     rho, xp, zp, measured = F_CASES[case]
+    pos = rho.label_index(measured)
     sigma = measure(rho, xp, measured, "X")
-    got = relations._reversibility(rho.matrix, rho.dims, rho.label_index(measured),
-                                   xp, zp, sigma.matrix, support_eig(rho.matrix))
+    got = relations._reversibility(rho.matrix, rho.dims, pos, xp, zp,
+                                   _measured(rho.matrix, rho.dims, xp, pos),
+                                   support_eig(rho.matrix))
     assert abs(got - _reversibility_nd_oracle(rho, xp, zp, sigma, measured)) <= 1e-12
 
 
@@ -508,6 +516,18 @@ class TestFuzz:
         fuzz("tripartite_refined", 1, d, 603)
         assert purified == []
         assert built and max(built) <= d * d
+
+    def test_each_fuzz_state_is_validated_once(self, monkeypatch):
+        built = []
+        post_init = DensityOperator.__post_init__
+
+        def counting_post_init(self):
+            post_init(self)
+            built.append(self.dims)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting_post_init)
+        fuzz("tripartite_refined", 1, 3, 0)
+        assert built == [(3, 3)]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

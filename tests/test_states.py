@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eurqsi.linalg import herm_eig, op_norm, partial_trace, tensor
 from eurqsi.serialize import (
@@ -19,6 +21,7 @@ from eurqsi.states import (
     KET_1,
     KET_PLUS,
     Pvm,
+    _measured,
     bell_phi,
     incompatibility_c,
     ket_bra,
@@ -206,6 +209,35 @@ class TestMeasureOracles:
         assert theta.labels == ("X",) + tuple(s for s in rho.labels if s != measured)
         want = theta_state_oracle(rho.matrix, dims, pos, x_pvm, z_pvm)
         assert np.abs(theta.matrix - want).max() <= 1e-14
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random state of any rank on (2, 3, 2) or (3, 2, 2), the measured
+    subsystem first, middle or last, and a Haar rank-one PVM or, on the
+    qutrit, the rank-2 + rank-1 PVM."""
+    dims = draw(st.sampled_from([(2, 3, 2), (3, 2, 2)]))
+    pos = draw(st.integers(0, 2))
+    rank = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rho = random_multipartite_state(dims, rank, [seed, 0], ("P", "Q", "R"))
+    if dims[pos] == 3 and draw(st.booleans()):
+        return rho, pos, rank2_plus_rank1_pvm([seed, 1])
+    return rho, pos, random_pvm(dims[pos], [seed, 1])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_block_stack_and_measure_match_the_oracle(case):
+    rho, pos, pvm = case
+    n, r = len(pvm), rho.dim // rho.dims[pos]
+    want = measured_state_oracle(rho.matrix, rho.dims, pos, pvm)
+    blocks = _measured(rho.matrix, rho.dims, pvm, pos)
+    assert blocks.shape == (n, r, r)
+    assert np.abs(blocks - np.einsum("xbxc->xbc", want.reshape(n, r, n, r))).max() <= 1e-14
+    sigma = measure(rho, pvm, rho.labels[pos], "X")
+    assert sigma.dims == (n,) + rho.dims[:pos] + rho.dims[pos + 1:]
+    assert np.abs(sigma.matrix - want).max() <= 1e-14
 
 
 class TestThetaState:
