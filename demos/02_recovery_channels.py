@@ -14,6 +14,7 @@ Z measurement, whatever the input state.
 import numpy as np
 
 from eurqsi import (
+    CpMap,
     apply_map,
     eur_recovery_map,
     fidelity,
@@ -24,7 +25,6 @@ from eurqsi import (
     verify_cptp,
 )
 from eurqsi.linalg import op_norm
-from eurqsi.recovery import tensor_with_identity
 from eurqsi.states import (
     measure,
     pauli_pvm,
@@ -53,10 +53,10 @@ rho = random_multipartite_state((2, 2), 4, seed=21, labels=("A", "B"))
 x_pvm, z_pvm = random_pvm(2, 22), random_pvm(2, 23)
 
 explicit = eur_recovery_map(rho, x_pvm, z_pvm)
-generic = rotated_petz_map(
-    pinch(rho, z_pvm, "A").matrix,
-    tensor_with_identity(measurement_channel(x_pvm), (2,), ("B",)),
-)
+# the X measurement on A alongside the identity on B: Kraus operators K (x) I
+measure_x = CpMap.from_kraus([np.kron(k, np.eye(2)) for k in x_pvm.kraus],
+                             in_dims=(2, 2), out_dims=(2, 2))
+generic = rotated_petz_map(pinch(rho, z_pvm, "A").matrix, measure_x)
 print("reversal channel vs rotated Petz of the pinched state (theta is full rank here):")
 print(f"  Choi distance (on the full space) = {op_norm(explicit.choi - generic.choi):.2e}")
 report = verify_cptp(explicit)

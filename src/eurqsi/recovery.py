@@ -12,7 +12,27 @@ The rotated Petz construction averages unitary rotations by imaginary
 operator powers against the density ``p(t) = (pi/2) / (cosh(pi t) + 1)``.
 Its characteristic function is ``E[exp(i w t)] = w / sinh(w)``, so the
 average is computed exactly in the eigenbases of the reference state and
-its image.
+its image (:func:`rotated_petz_map`).
+
+The measurement-reversal map R is that recovery for the X measurement
+N = M_X (x) id relative to the Z-pinched state tau, and one kernel,
+:func:`_reversal`, computes it in block form for both of its users: the
+reversibility term f of :mod:`eurqsi.relations` and the explicit channel
+:func:`eur_recovery_map`.  N(tau) is the direct sum over the outcomes x of
+the blocks tau_x = Tr_A[(P_x (x) I) tau], so with tau = sum_a l_a |a><a|
+(eigenvectors V) and tau_x = sum_j m_xj |w_xj><w_xj|, each restricted to
+its support, the Choi matrix of R vanishes between different outcomes and
+its block x is
+
+    sum_{a j a' j'} |w*_xj><w*_xj'| (x) sqrt(l_a l_a' / (m_xj m_xj'))
+                    K[x, a, j, a', j'] |a><a'|
+
+with ``K = Gram o sinhc``: ``Gram[x, a, j, a', j'] = sum_v <a|v (x) w_xj>
+<v (x) w_xj'|a'>`` over the Kraus operators |x><v| of outcome x, and
+``sinhc(phi_a,xj - phi_a',xj')`` with ``phi_a,xj = (ln l_a - ln m_xj) / 2``.
+tau is cut to its support once and the blocks tau_x are formed from the cut
+tau; the support of N(tau) is cut by the same rule against the top of its
+whole spectrum, the union of the block spectra.
 """
 
 from __future__ import annotations
@@ -22,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_check_psd, _on_support, _sinhc, as_matrix, dagger, eigenvalue_below,
-                     herm_eig, support_eig)
-from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, pinch
+from .linalg import (_check_psd, _on_support, _sinhc, apply_local, as_matrix, dagger,
+                     eigenvalue_below, herm_eig, support_eig)
+from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _measured
 
 CHOI_TOL = 1e-8
 
@@ -115,14 +135,12 @@ class CpMap:
             return out
         return np.einsum("ij,iajb->ab", xi, self.choi_blocks())
 
-    def trace_preservation_defect(self, support: np.ndarray | None = None) -> float:
+    def trace_preservation_defect(self) -> float:
         """Max deviation of Tr_out(choi) from the support projector."""
-        target = support if support is not None else self.support
-        if target is None:
-            target = np.eye(self.in_dim, dtype=complex)
+        target = self.support if self.support is not None else np.eye(self.in_dim)
         tr_out = np.einsum("iaja->ij", self.choi_blocks())
         # Tr{map(E_ij)} = P[j, i], hence the transpose.
-        return float(np.abs(tr_out - as_matrix(target).T).max())
+        return float(np.abs(tr_out - target.T).max())
 
 
 def vec_operator(k: np.ndarray) -> np.ndarray:
@@ -150,10 +168,8 @@ def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int):
     return tuple(kraus)
 
 
-def measurement_channel(
-    pvm: Pvm, measured_label: str = "A", register_label: str = "X"
-) -> CpMap:
-    """Channel mapping a state to its measurement statistics register.
+def measurement_channel(pvm: Pvm) -> CpMap:
+    """Channel mapping a state on A to its measurement statistics register X.
 
     Its Kraus operators are the PVM's measurement operators :attr:`Pvm.kraus`.
     """
@@ -162,29 +178,8 @@ def measurement_channel(
         in_dims=(pvm.dim,),
         out_dims=(len(pvm),),
         support=np.eye(pvm.dim, dtype=complex),
-        in_labels=(measured_label,),
-        out_labels=(register_label,),
-    )
-
-
-def tensor_with_identity(channel: CpMap, side_dims, side_labels) -> CpMap:
-    """Extend a channel to act as ``channel (x) id`` on appended subsystems."""
-    if channel.kraus is None:
-        raise ValueError("need Kraus operators to extend a channel")
-    side_dims = tuple(int(d) for d in side_dims)
-    eye = np.eye(math.prod(side_dims), dtype=complex)
-    kraus = tuple(np.kron(k, eye) for k in channel.kraus)
-    support = np.kron(
-        channel.support if channel.support is not None else np.eye(channel.in_dim),
-        eye,
-    )
-    return CpMap.from_kraus(
-        kraus,
-        in_dims=channel.in_dims + side_dims,
-        out_dims=channel.out_dims + side_dims,
-        support=support,
-        in_labels=channel.in_labels + tuple(side_labels),
-        out_labels=channel.out_labels + tuple(side_labels),
+        in_labels=("A",),
+        out_labels=("X",),
     )
 
 
@@ -265,6 +260,36 @@ def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     )
 
 
+def _reversal(rho: np.ndarray, dims: tuple[int, ...], pos: int, x_pvm: Pvm, z_pvm: Pvm):
+    """Block form of the measurement-reversal map R (see the module docstring).
+
+    ``rho`` lives on ``dims`` with the measured subsystem A at ``pos`` and B
+    the rest, a layout tau and the output of R keep.  Returns the cut tau,
+    its support pair ``(l, V)``, the block pairs ``(m_x, W_x)`` of N(tau)
+    as an ``(outcomes, r)`` and an ``(outcomes, r, r)`` stack, and the
+    kernel ``K = Gram o sinhc`` on axes ``(x, a, j, a', j')``.  Off the
+    support of N(tau) the eigenvalues are 1, which keeps the logs finite,
+    and the eigenvectors are zero, which drops their terms.
+    """
+    d_a, n = dims[pos], len(x_pvm)
+    tau = apply_local(rho, dims, z_pvm.projectors, [pos])
+    lam, v = support_eig(tau)
+    tau = (v * lam) @ dagger(v)
+    mu, w = np.linalg.eigh(_measured(tau, dims, x_pvm, pos))
+    keep = _on_support(mu)
+    mu = np.where(keep, mu, 1.0)
+    w = w * keep[:, None, :]
+    # h[x, k, (a, j)] = <v_k (x) w_xj|a>, zero unless x is the outcome of k
+    kraus = x_pvm.kraus
+    v_ab = np.moveaxis(v.reshape(tuple(dims) + (-1,)), pos, 0).reshape(d_a, -1, len(lam))
+    h = np.einsum("kxi,xbj,iba->xkaj", kraus, w.conj(), v_ab)
+    h = h.reshape(n, len(kraus), -1)
+    phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
+    kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
+    gram = (h.conj().transpose(0, 2, 1) @ h).reshape(kernel.shape)
+    return tau, lam, v, mu, w, gram * kernel
+
+
 def eur_recovery_map(
     rho_ab: DensityOperator,
     x_pvm: Pvm,
@@ -278,8 +303,12 @@ def eur_recovery_map(
     Acts on the (register, rest) space and restores the measured subsystem
     in front of the rest.  On the support of the doubly measured state it
     is the rotated Petz recovery of the X measurement relative to the
-    Z-pinched state; a completion branch routes the orthogonal complement
-    to the pinched state, so the channel is trace-preserving everywhere.
+    Z-pinched state, assembled from :func:`_reversal`; a completion branch
+    routes the orthogonal complement to the pinched state, so the channel
+    is trace-preserving everywhere.  R reads only the diagonal register
+    blocks of its input, so its Choi matrix is block diagonal in the
+    outcome, and the completion of block x is
+    ``(I - W_x W_x^dag)^T (x) tau / Tr tau``.
     """
     if not z_pvm.is_rank_one():
         raise InvalidStateError("eur_recovery_map needs a rank-one Z measurement")
@@ -288,21 +317,24 @@ def eur_recovery_map(
     _check_pvm_dim(z_pvm, d_a, measured)
     rest_labels = [s for s in rho_ab.labels if s != measured]
     rho_ord = rho_ab.permute([measured] + rest_labels)
-    tau = pinch(rho_ord, z_pvm, measured).matrix
-    chan = tensor_with_identity(
-        measurement_channel(x_pvm, measured, register_label),
-        rho_ord.dims[1:], rest_labels,
-    )
-    rec = rotated_petz_map(tau, chan)
-    eye = np.eye(rec.in_dim, dtype=complex)
-    completion = np.kron((eye - rec.support).T, tau / float(np.trace(tau).real))
+    tau, lam, v, mu, w, kernel = _reversal(rho_ord.matrix, rho_ord.dims, 0, x_pvm, z_pvm)
+    n, r, d = w.shape[0], w.shape[1], len(tau)
+    # u[x, (b, q), (a, j)] = conj(w_xj[b]) / sqrt(m_xj) * sqrt(l_a) V[q, a]
+    u = np.einsum("xbj,qa->xbqaj", w.conj() / np.sqrt(mu[:, None, :]), v * np.sqrt(lam))
+    u = u.reshape(n, r * d, -1)
+    blocks = u @ kernel.reshape(n, u.shape[2], -1) @ u.conj().transpose(0, 2, 1)
+    complement = np.eye(r) - w.conj() @ w.transpose(0, 2, 1)  # (I - W_x W_x^dag)^T
+    tau = tau / float(np.trace(tau).real)
+    blocks += np.einsum("xbc,qs->xbqcs", complement, tau).reshape(blocks.shape)
+    choi = np.zeros((n, r * d, n, r * d), dtype=complex)
+    choi[np.arange(n), :, np.arange(n), :] = blocks
     return CpMap(
-        choi=rec.choi + completion,
-        in_dims=rec.in_dims,
-        out_dims=rec.out_dims,
-        support=eye,
-        in_labels=rec.in_labels,
-        out_labels=rec.out_labels,
+        choi=choi.reshape(n * r * d, n * r * d),
+        in_dims=(n,) + rho_ord.dims[1:],
+        out_dims=rho_ord.dims,
+        support=np.eye(n * r, dtype=complex),
+        in_labels=(register_label,) + tuple(rest_labels),
+        out_labels=rho_ord.labels,
     )
 
 
@@ -342,27 +374,22 @@ class CptpReport:
         return self.cp_ok and self.tp_ok and extra
 
 
-def verify_cptp(
-    cpmap: CpMap, support: np.ndarray | None = None, tol: float = CHOI_TOL
-) -> CptpReport:
-    """Check Choi positivity and trace preservation on the declared support."""
+def verify_cptp(cpmap: CpMap) -> CptpReport:
+    """Check Choi positivity and trace preservation on the map's support."""
     min_eig = float(np.linalg.eigvalsh(cpmap.choi).min())
-    tp_defect = cpmap.trace_preservation_defect(support)
     kraus_complete = None
     kraus_choi = None
     if cpmap.kraus is not None:
-        target = support if support is not None else cpmap.support
-        if target is None:
-            target = np.eye(cpmap.in_dim, dtype=complex)
+        target = cpmap.support if cpmap.support is not None else np.eye(cpmap.in_dim)
         acc = np.zeros((cpmap.in_dim, cpmap.in_dim), dtype=complex)
         for k in cpmap.kraus:
             acc += dagger(k) @ k
-        kraus_complete = float(np.abs(acc - as_matrix(target)).max())
+        kraus_complete = float(np.abs(acc - target).max())
         kraus_choi = float(np.abs(choi_from_kraus(cpmap.kraus) - cpmap.choi).max())
     return CptpReport(
         choi_min_eigenvalue=min_eig,
-        trace_preservation_defect=tp_defect,
+        trace_preservation_defect=cpmap.trace_preservation_defect(),
         kraus_completeness_defect=kraus_complete,
         kraus_choi_defect=kraus_choi,
-        tolerance=tol,
+        tolerance=CHOI_TOL,
     )

@@ -17,10 +17,12 @@ a classical-quantum state, held as the stack of its blocks that
 :func:`~eurqsi.states._measured` returns for X or Z applied to the AB or
 AE reduction: rho_B and rho_E are the sums of those blocks, H(B), H(XB)
 and H(ZB) come from one batched eigensolve, and H(ZE) and H(E) from
-another.  f evaluates R(sigma_XB) in block form from the same stacks (no
-recovery channel is built; :mod:`eurqsi.recovery` has the explicit
-channel), and the one support pair of rho_AB its caller took
-(:func:`~eurqsi.linalg.support_eig`) serves H(AB) and sqrt(rho_AB) in f.
+another.  f evaluates R(sigma_XB) from the X stack on the block-form
+kernel of the measurement-reversal map, :func:`~eurqsi.recovery._reversal`
+(derived in :mod:`eurqsi.recovery`, which assembles the explicit channel
+from the same kernel); no channel is built here.  The one support pair of
+rho_AB its caller took (:func:`~eurqsi.linalg.support_eig`) serves H(AB)
+and sqrt(rho_AB) in f.
 H(Z|E) stays an explicit entropy of the measured AE marginal, never
 derived from H(AB) through the duality, so the two remain independent
 cross-checks.  :func:`fuzz` calls the kernel on each trial's rho_AB and
@@ -38,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import _block_entropies, entropy_of_spectrum
-from .linalg import (_fidelity, _on_support, _sinhc, apply_local, dagger, partial_trace,
-                     support_eig)
+from .linalg import _fidelity, dagger, partial_trace, support_eig
+from .recovery import _reversal
 from .states import (
     DensityOperator,
     InvalidStateError,
@@ -141,55 +143,27 @@ def _reversibility(
     """f = F(rho_AB, R(sigma_XB)) with R the rotated Petz recovery of the X
     measurement N = M_X (x) id relative to the Z-pinched state tau.
 
-    R(sigma_XB) is evaluated in block form, with no recovery channel built.
-    N(tau) is the direct sum of the blocks tau_x = Tr_A[(P_x (x) I) tau]
-    and sigma_XB that of its blocks sigma_x.  With tau = sum_a l_a |a><a|
-    (eigenvectors V) and tau_x = sum_j m_xj |w_xj><w_xj|, each restricted
-    to the support, the p(t) average of the rotated Petz map is
+    R(sigma_XB) is evaluated in block form on the kernel
+    :func:`~eurqsi.recovery._reversal`, with no recovery channel built:
+    sigma_XB is the direct sum of its blocks sigma_x, so
 
-        R(sigma)_aa' = sum_x sum_v sum_jj' C_v[a, j] M_x[j, j']
-                       conj(C_v[a', j']) sinhc(phi_a,xj - phi_a',xj')
+        R(sigma)_aa' = sqrt(l_a l_a') sum_x sum_jj' K[x, a, j, a', j'] M_x[j, j']
 
-    with v over the Kraus operators |x><v| of :attr:`Pvm.kraus`,
-    ``C_v[a, j] = sqrt(l_a) <a|v (x) w_xj>``,
-    ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')`` and
-    ``phi_a,xj = (ln l_a - ln m_xj) / 2``.  As in the explicit Petz maps,
-    tau is cut to its support once and the blocks tau_x are formed from the
-    cut tau; the support of N(tau) is cut by the same rule against the top
-    of its whole spectrum, the union of the block spectra.
-    :func:`~eurqsi.recovery.eur_recovery_map` builds the same recovery as an
-    explicit channel.
+    with ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')``.
 
     ``rho_ab`` lives on ``dims`` with the measured subsystem A at ``pos``
     and B the rest, a layout tau and R(sigma_XB) keep; ``rho_eig``, its
     :func:`~eurqsi.linalg.support_eig` pair, gives sqrt(rho_AB) to the
     fidelity.  ``sigma_x`` is the stack of the blocks sigma_x, as
-    :func:`~eurqsi.states._measured` returns it, and so is N(tau).
+    :func:`~eurqsi.states._measured` returns it.
 
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
-    d_a, n = dims[pos], len(x_pvm)
-    tau = apply_local(rho_ab, dims, z_pvm.projectors, [pos])
-    lam, v = support_eig(tau)
-    tau = (v * lam) @ dagger(v)
-    mu, w = np.linalg.eigh(_measured(tau, dims, x_pvm, pos))
-    keep = _on_support(mu)
-    # off the support: unit eigenvalues keep the logs finite, and zeroed
-    # eigenvectors drop the terms
-    mu = np.where(keep, mu, 1.0)
-    w = w * keep[:, None, :]
-    # h[x, k, (a, j)] = <v_k (x) w_xj|a>, zero unless x is the outcome of k
-    kraus = x_pvm.kraus
-    v_ab = np.moveaxis(v.reshape(tuple(dims) + (-1,)), pos, 0).reshape(d_a, -1, len(lam))
-    h = np.einsum("kxi,xbj,iba->xkaj", kraus, w.conj(), v_ab)
-    h = h.reshape(n, len(kraus), -1)
+    _, lam, v, mu, w, kernel = _reversal(rho_ab, dims, pos, x_pvm, z_pvm)
     m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
-    phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
-    kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
-    gram = (h.conj().transpose(0, 2, 1) @ h).reshape(kernel.shape)
     root = np.sqrt(lam)
-    r = np.einsum("xajbl,xjl->ab", gram * kernel, m) * np.outer(root, root)
+    r = np.einsum("xajbl,xjl->ab", kernel, m) * np.outer(root, root)
     return _fidelity(rho_eig, v @ r @ dagger(v))
 
 

@@ -43,18 +43,13 @@ class InvalidStateError(ValueError):
     """An operator violates a state/PVM invariant (used for exit code 3)."""
 
 
-# Computational-basis kets and the standard qubit operators.
+# Computational-basis kets and the Pauli X and Y eigenstates.
 KET_0 = np.array([1.0, 0.0], dtype=complex)
 KET_1 = np.array([0.0, 1.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 KET_PLUS_Y = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
 KET_MINUS_Y = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def ket_bra(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -163,7 +158,6 @@ class Pvm:
     """Orthogonal projectors summing to identity on one subsystem."""
 
     projectors: tuple[np.ndarray, ...]
-    outcome_labels: tuple[int, ...] = ()
 
     def __post_init__(self):
         projs = tuple(as_matrix(p) for p in self.projectors)
@@ -171,10 +165,6 @@ class Pvm:
         if not projs:
             raise InvalidStateError("PVM needs at least one projector")
         d = projs[0].shape[0]
-        labels = self.outcome_labels or tuple(range(len(projs)))
-        object.__setattr__(self, "outcome_labels", tuple(int(x) for x in labels))
-        if len(self.outcome_labels) != len(projs):
-            raise InvalidStateError("outcome label count mismatch")
         total = np.zeros((d, d), dtype=complex)
         for i, p in enumerate(projs):
             if p.shape != (d, d):

@@ -10,8 +10,10 @@ of the library's closed form.
 Some oracles keep earlier library constructions as plain functions: the
 measured state as blocks ``Tr_A[(P_x (x) I) rho]`` taken by partial trace,
 the doubly measured state by its rank-one formula, the measurement
-channel with one Kraus operator per outcome and basis state, the
-Fourier PVM, the isometric extension of a PVM, the identity channel, and
+channel with one Kraus operator per outcome and basis state, its
+extension by the identity on the other subsystems (so the generic rotated
+Petz map gives the measurement-reversal map as an independent
+construction), the Fourier PVM, the isometric extension of a PVM, the identity channel, and
 the relation checks that measure the whole state before reducing it.  The
 latter are built from library primitives.  The circuit simulator is kept
 step by step: each gate, then depolarizing on each qubit it touches, a
@@ -24,7 +26,7 @@ import scipy.linalg
 
 from eurqsi.entropy import conditional
 from eurqsi.linalg import apply_local, fidelity, partial_trace
-from eurqsi.recovery import CpMap, apply_map, rotated_petz_map, tensor_with_identity
+from eurqsi.recovery import CpMap, apply_map, rotated_petz_map
 from eurqsi.relations import EurReport
 from eurqsi.simulate import (GATES, Gate, Measure, Recovery, experiment_circuit,
                              flip_distribution, sample_distribution)
@@ -258,6 +260,22 @@ def measurement_kraus_nd_oracle(pvm):
     n, d = len(pvm), pvm.dim
     return [np.outer(np.eye(n)[x], np.eye(d)[j]) @ p
             for x, p in enumerate(pvm.projectors) for j in range(d)]
+
+
+def tensor_with_identity(channel, side_dims, side_labels):
+    """``channel (x) id`` on appended subsystems, one Kraus operator
+    ``K (x) I`` per Kraus operator K of ``channel``."""
+    side_dims = tuple(int(d) for d in side_dims)
+    eye = np.eye(int(np.prod(side_dims)), dtype=complex)
+    support = channel.support if channel.support is not None else np.eye(channel.in_dim)
+    return CpMap.from_kraus(
+        tuple(np.kron(k, eye) for k in channel.kraus),
+        in_dims=channel.in_dims + side_dims,
+        out_dims=channel.out_dims + side_dims,
+        support=np.kron(support, eye),
+        in_labels=channel.in_labels + tuple(side_labels),
+        out_labels=channel.out_labels + tuple(side_labels),
+    )
 
 
 def _reversibility_nd_oracle(rho_ab, x_pvm, z_pvm, sigma_xb, measured):

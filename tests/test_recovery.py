@@ -14,7 +14,6 @@ from eurqsi.recovery import (
     measurement_channel,
     petz_map,
     rotated_petz_map,
-    tensor_with_identity,
     verify_cptp,
 )
 from eurqsi.states import (
@@ -48,6 +47,7 @@ from conftest import (
     rotated_petz_choi_oracle,
     rotated_spectrum,
     support_projector,
+    tensor_with_identity,
 )
 
 
@@ -273,17 +273,40 @@ class TestEurRecoveryMap:
         assert worst < 1e-7
 
     def test_agrees_with_generic_rotated_petz_on_support(self):
-        for seed in range(10):
-            d = 2 if seed % 2 else 3
-            rho = random_multipartite_state((d, d), d * d, [seed, 31], ("A", "B"))
-            xp, zp = random_pvm(d, [seed, 32]), random_pvm(d, [seed, 33])
+        # two independent constructions of R: the block-form kernel behind
+        # eur_recovery_map, and the generic rotated Petz map of M_X (x) id
+        # relative to the pinched state
+        cases = [((d, d), d * d, ("A", "B"), random_pvm(d, [seed, 32]), seed)
+                 for seed, d in enumerate([3, 2] * 5)]
+        cases += [
+            ((3, 3), 1, ("A", "B"), random_pvm(3, [10, 32]), 10),
+            ((3, 3), 2, ("A", "B"), random_pvm(3, [11, 32]), 11),
+            # d_B > d_A * rank: theta is rank deficient and the completion
+            # branch is on
+            ((2, 3), 1, ("A", "B"), random_pvm(2, [19, 32]), 19),
+            ((3, 2), 1, ("B", "A"), random_pvm(2, [20, 32]), 20),
+            ((2, 3), 6, ("A", "B"), random_pvm(2, [12, 32]), 12),
+            ((3, 2), 6, ("A", "B"), random_pvm(3, [13, 32]), 13),
+            ((3, 2), 6, ("B", "A"), random_pvm(2, [14, 32]), 14),
+            ((2, 3), 2, ("B", "A"), random_pvm(3, [15, 32]), 15),
+            ((3, 2), 6, ("A", "B"), rank2_plus_rank1_pvm([16, 32]), 16),
+            ((3, 2), 1, ("A", "B"), rank2_plus_rank1_pvm([17, 32]), 17),
+            ((2, 3), 2, ("B", "A"), rank2_plus_rank1_pvm([18, 32]), 18),
+        ]
+        for dims, rank, labels, xp, seed in cases:
+            rho = random_multipartite_state(dims, rank, [seed, 31], labels)
+            d_a = rho.dims[rho.label_index("A")]
+            zp = random_pvm(d_a, [seed, 33])
             explicit = eur_recovery_map(rho, xp, zp)
-            chan = tensor_with_identity(measurement_channel(xp), (d,), ("B",))
-            generic = rotated_petz_map(pinch(rho, zp, "A").matrix, chan)
+            assert verify_cptp(explicit).ok, seed
+            chan = tensor_with_identity(measurement_channel(xp), (rho.dim // d_a,), ("B",))
+            generic = rotated_petz_map(pinch(rho.permute(["A", "B"]), zp, "A").matrix, chan)
             theta = theta_state(rho, xp, zp)
-            lift = np.kron(support_projector(theta.matrix), np.eye(d * d))
+            # restricting the input to a subspace P conjugates the Choi
+            # matrix by P.T (x) I
+            lift = np.kron(support_projector(theta.matrix).T, np.eye(rho.dim))
             diff = lift @ (explicit.choi - generic.choi) @ lift
-            assert op_norm(diff) < 1e-7
+            assert op_norm(diff) < 1e-7, seed
 
     def test_completion_branch_makes_map_globally_tp(self):
         # a rank-deficient theta leaves a complement; the channel must still
@@ -349,7 +372,7 @@ class TestVerifyCptp:
         for k in rec.kraus:
             acc += dagger(k) @ k  # direct matrix-sum oracle
         assert np.abs(acc - np.eye(4)).max() < 1e-12
-        report = verify_cptp(rec, support=np.eye(4))
+        report = verify_cptp(rec)
         assert report.ok and report.kraus_completeness_defect < 1e-12
 
     def test_trace_increasing_map_reported(self):

@@ -245,7 +245,7 @@ class TestMeasuredMarginals:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (relations, states, entropy):
+        for mod in (relations, recovery, states, entropy):
             for name in ("partial_trace", "apply_local"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
@@ -260,20 +260,29 @@ class TestMeasuredMarginals:
             assert counts["eig"] <= 6, check.__name__
             assert counts["prod"] == 0, check.__name__
 
-    def test_each_kraus_map_builds_its_choi_once(self, monkeypatch):
-        # the measurement channel and its extension by id_B, one Choi each;
-        # the checks build no map at all (see the test above)
+    def test_recovery_channel_builds_one_map_and_one_state(self, monkeypatch):
+        # eur_recovery_map assembles its one Choi matrix from the block-form
+        # kernel: the permuted input is its one state, the channel its one
+        # map, and no Choi matrix comes from Kraus operators
         rho_ab, xp, zp = MARGINAL_CASES["3x3 haar"]
-        calls = []
-        choi_from_kraus = recovery.choi_from_kraus
+        xp.kraus, zp.kraus  # cached before counting
+        counts = {"CpMap": 0, "DensityOperator": 0, "choi_from_kraus": 0, "cholesky": 0}
 
-        def counting_choi_from_kraus(*args, **kwargs):
-            calls.append(1)
-            return choi_from_kraus(*args, **kwargs)
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(recovery, "choi_from_kraus", counting_choi_from_kraus)
+        monkeypatch.setattr(recovery.CpMap, "__post_init__",
+                            counted("CpMap", recovery.CpMap.__post_init__))
+        monkeypatch.setattr(DensityOperator, "__post_init__",
+                            counted("DensityOperator", DensityOperator.__post_init__))
+        monkeypatch.setattr(recovery, "choi_from_kraus",
+                            counted("choi_from_kraus", recovery.choi_from_kraus))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         recovery.eur_recovery_map(rho_ab, xp, zp)
-        assert len(calls) <= 2
+        assert counts == {"CpMap": 1, "DensityOperator": 1, "choi_from_kraus": 0, "cholesky": 2}
 
 
 def _small_x_block_case():
