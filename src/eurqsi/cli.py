@@ -16,10 +16,9 @@ import sys
 import tempfile
 
 from . import gallery
-from .relations import RELATION_IDS, check_bipartite, fuzz
+from .relations import FIDELITY_TOL, RELATION_IDS, check_bipartite, fuzz
 from .serialize import canonical_json, load_scenario
 from .simulate import NoiseSpec, run_experiment
-from .states import InvalidStateError
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -75,6 +74,14 @@ def _parse_noise(spec: str | None) -> NoiseSpec:
     return NoiseSpec(depolarizing_p=values["depolarizing"], readout_flip=values["readout"])
 
 
+def _verdict(name: str, slack: float, tolerance: float) -> int:
+    """Exit 1, with one stderr line, when ``slack`` is below ``-tolerance``."""
+    if slack >= -tolerance:
+        return EXIT_OK
+    sys.stderr.write(f"violation: {name} {slack:.3e} < -{tolerance:g} (--tolerance)\n")
+    return EXIT_TOLERANCE
+
+
 def cmd_examples(args) -> int:
     rows = gallery.run_all(tolerance_override=args.tolerance)
     ok = gallery.all_ok(rows)
@@ -112,9 +119,6 @@ def cmd_check(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot read scenario: {exc}\n")
         return EXIT_PARSE
-    except InvalidStateError as exc:
-        sys.stderr.write(f"error: invalid scenario: {exc}\n")
-        return EXIT_VALIDATION
     payload = {"command": "check", "scenario": str(args.scenario),
                "report": report.to_dict()}
     if args.format == "json":
@@ -125,7 +129,7 @@ def cmd_check(args) -> int:
     else:
         text = report.table() + "\n"
     _emit(text, f"check.{args.format}")
-    return EXIT_OK if report.slack_refined >= -args.tolerance else EXIT_TOLERANCE
+    return _verdict("slack_refined", report.slack_refined, args.tolerance)
 
 
 def cmd_fuzz(args) -> int:
@@ -147,7 +151,7 @@ def cmd_fuzz(args) -> int:
                                     "max_refinement_gap")]
         text = _aligned([(k, str(v)) for k, v in rows])
     _emit(text, f"fuzz.{args.format}")
-    return EXIT_OK if summary.min_slack >= -args.tolerance else EXIT_TOLERANCE
+    return _verdict("min_slack", summary.min_slack, args.tolerance)
 
 
 def cmd_experiment(args) -> int:
@@ -220,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="audit the relations on a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON path")
-    common(p, tolerance=1e-6)
+    common(p, tolerance=FIDELITY_TOL)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="stress the inequalities on random instances")
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dimension of the measured system")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--relation", choices=RELATION_IDS, default="bipartite_refined")
-    common(p, tolerance=1e-6)
+    common(p, tolerance=FIDELITY_TOL)
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("experiment", help="simulate one of the six circuit protocols")
@@ -247,12 +251,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidStateError as exc:
+    except ValueError as exc:  # InvalidStateError included: exit 3 for any rejected input
         sys.stderr.write(f"error: invalid input: {exc}\n")
         return EXIT_VALIDATION
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_TOLERANCE if "slack" in str(exc) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ import numpy as np
 
 from .linalg import (_check_psd, _on_support, _sinhc, apply_local, as_matrix, dagger,
                      eigenvalue_below, herm_eig, support_eig)
-from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _measured
+from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _in_order, _measured
 
 CHOI_TOL = 1e-8
 
@@ -260,29 +260,28 @@ def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     )
 
 
-def _reversal(rho: np.ndarray, dims: tuple[int, ...], pos: int, x_pvm: Pvm, z_pvm: Pvm):
+def _reversal(rho: np.ndarray, dims: tuple[int, ...], x_pvm: Pvm, z_pvm: Pvm):
     """Block form of the measurement-reversal map R (see the module docstring).
 
-    ``rho`` lives on ``dims`` with the measured subsystem A at ``pos`` and B
-    the rest, a layout tau and the output of R keep.  Returns the cut tau,
+    ``rho`` lives on ``dims`` with the measured subsystem A first and B the
+    rest, a layout tau and the output of R keep.  Returns the cut tau,
     its support pair ``(l, V)``, the block pairs ``(m_x, W_x)`` of N(tau)
     as an ``(outcomes, r)`` and an ``(outcomes, r, r)`` stack, and the
     kernel ``K = Gram o sinhc`` on axes ``(x, a, j, a', j')``.  Off the
     support of N(tau) the eigenvalues are 1, which keeps the logs finite,
     and the eigenvectors are zero, which drops their terms.
     """
-    d_a, n = dims[pos], len(x_pvm)
-    tau = apply_local(rho, dims, z_pvm.projectors, [pos])
+    d_a, n = dims[0], len(x_pvm)
+    tau = apply_local(rho, dims, z_pvm.projectors, [0])
     lam, v = support_eig(tau)
     tau = (v * lam) @ dagger(v)
-    mu, w = np.linalg.eigh(_measured(tau, dims, x_pvm, pos))
+    mu, w = np.linalg.eigh(_measured(tau, dims, x_pvm, 0))
     keep = _on_support(mu)
     mu = np.where(keep, mu, 1.0)
     w = w * keep[:, None, :]
     # h[x, k, (a, j)] = <v_k (x) w_xj|a>, zero unless x is the outcome of k
     kraus = x_pvm.kraus
-    v_ab = np.moveaxis(v.reshape(tuple(dims) + (-1,)), pos, 0).reshape(d_a, -1, len(lam))
-    h = np.einsum("kxi,xbj,iba->xkaj", kraus, w.conj(), v_ab)
+    h = np.einsum("kxi,xbj,iba->xkaj", kraus, w.conj(), v.reshape(d_a, -1, len(lam)))
     h = h.reshape(n, len(kraus), -1)
     phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
     kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
@@ -312,12 +311,14 @@ def eur_recovery_map(
     """
     if not z_pvm.is_rank_one():
         raise InvalidStateError("eur_recovery_map needs a rank-one Z measurement")
-    d_a = rho_ab.dims[rho_ab.label_index(measured)]
-    _check_pvm_dim(x_pvm, d_a, measured)
-    _check_pvm_dim(z_pvm, d_a, measured)
-    rest_labels = [s for s in rho_ab.labels if s != measured]
-    rho_ord = rho_ab.permute([measured] + rest_labels)
-    tau, lam, v, mu, w, kernel = _reversal(rho_ord.matrix, rho_ord.dims, 0, x_pvm, z_pvm)
+    dims, pos = rho_ab.dims, rho_ab.label_index(measured)
+    _check_pvm_dim(x_pvm, dims[pos], measured)
+    _check_pvm_dim(z_pvm, dims[pos], measured)
+    # the channel restores A in front of the rest: the kernel runs in that order
+    order = [pos] + [i for i in range(len(dims)) if i != pos]
+    rho, out_dims = _in_order(rho_ab.matrix, dims, order)
+    out_labels = tuple(rho_ab.labels[i] for i in order)
+    tau, lam, v, mu, w, kernel = _reversal(rho, out_dims, x_pvm, z_pvm)
     n, r, d = w.shape[0], w.shape[1], len(tau)
     # u[x, (b, q), (a, j)] = conj(w_xj[b]) / sqrt(m_xj) * sqrt(l_a) V[q, a]
     u = np.einsum("xbj,qa->xbqaj", w.conj() / np.sqrt(mu[:, None, :]), v * np.sqrt(lam))
@@ -330,11 +331,11 @@ def eur_recovery_map(
     choi[np.arange(n), :, np.arange(n), :] = blocks
     return CpMap(
         choi=choi.reshape(n * r * d, n * r * d),
-        in_dims=(n,) + rho_ord.dims[1:],
-        out_dims=rho_ord.dims,
+        in_dims=(n,) + out_dims[1:],
+        out_dims=out_dims,
         support=np.eye(n * r, dtype=complex),
-        in_labels=(register_label,) + tuple(rest_labels),
-        out_labels=rho_ord.labels,
+        in_labels=(register_label,) + out_labels[1:],
+        out_labels=out_labels,
     )
 
 

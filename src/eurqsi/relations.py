@@ -4,43 +4,45 @@ One kernel, two reports.  For a pure psi_ABE the bipartite and the
 tripartite relation are built from the same six scalars (Coles et al.,
 PRL 108, 210405): H(X|B), H(Z|B), H(Z|E), H(A|B), the incompatibility
 constant c and the reversibility term f.  :func:`_scalars` computes them
-from rho_AB and the AE marginal, whichever caller supplies them, and
-:func:`_report` assembles the inequality of either relation from them.
+from rho_AB and the AE marginal, whichever caller supplies them, and an
+:class:`EurReport` holds them and derives the inequality of its relation.
 
 Each check validates once, at entry: the input state (validated when it
 was constructed), the labels, the rank-one guard and the PVM dimensions.
 It then hands plain arrays to the kernel: :func:`check_bipartite` the AE
 marginal of the purification (:func:`~eurqsi.states.purified_marginal`),
-:func:`check_tripartite` the AB and AE reductions of its pure input.  The
-kernel constructs no state and no map.  Every entropy it takes is that of
-a classical-quantum state, held as the stack of its blocks that
-:func:`~eurqsi.states._measured` returns for X or Z applied to the AB or
-AE reduction: rho_B and rho_E are the sums of those blocks, H(B), H(XB)
-and H(ZB) come from one batched eigensolve, and H(ZE) and H(E) from
-another.  f evaluates R(sigma_XB) from the X stack on the block-form
-kernel of the measurement-reversal map, :func:`~eurqsi.recovery._reversal`
-(derived in :mod:`eurqsi.recovery`, which assembles the explicit channel
-from the same kernel); no channel is built here.  The one support pair of
-rho_AB its caller took (:func:`~eurqsi.linalg.support_eig`) serves H(AB)
-and sqrt(rho_AB) in f.
+:func:`check_tripartite` the AB and AE reductions of its pure input, each
+with the measured subsystem first.  The kernel constructs no state and no
+map.  Every entropy it takes is that of a classical-quantum state, held as
+the stack of its blocks that :func:`~eurqsi.states._measured` returns for X
+or Z applied to the AB or AE reduction: rho_B and rho_E are the sums of
+those blocks, H(B), H(XB) and H(ZB) come from one batched eigensolve, and
+H(ZE) and H(E) from another.  f evaluates R(sigma_XB) from the X stack on
+the block-form kernel of the measurement-reversal map,
+:func:`~eurqsi.recovery._reversal` (derived in :mod:`eurqsi.recovery`,
+which assembles the explicit channel from the same kernel); no channel is
+built here.  The one support pair of rho_AB its caller took
+(:func:`~eurqsi.linalg.support_eig`) serves H(AB) and sqrt(rho_AB) in f.
 H(Z|E) stays an explicit entropy of the measured AE marginal, never
 derived from H(AB) through the duality, so the two remain independent
 cross-checks.  :func:`fuzz` calls the kernel on each trial's rho_AB and
 its purified AE marginal, so the pure state on ABE is never formed.
 
-Entropy terms are eigenvalue-exact (1e-9); the refined inequality counts as
-violated only when its slack is below -1e-6; the report carries both
-tolerances.
+Entropy terms are eigenvalue-exact (1e-9); by default the refined
+inequality counts as violated when its slack is below -1e-6, and the report
+carries both tolerances.  A violation is data: a report with negative slack
+is built like any other, and only the command line turns it into exit 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .entropy import _block_entropies, entropy_of_spectrum
-from .linalg import _fidelity, dagger, partial_trace, support_eig
+from .linalg import _fidelity, dagger, support_eig
 from .recovery import _reversal
 from .states import (
     DensityOperator,
@@ -48,6 +50,7 @@ from .states import (
     Pvm,
     _check_pvm_dim,
     _measured,
+    _in_order,
     _purified_marginal,
     incompatibility_c,
     pauli_pvm,
@@ -63,7 +66,14 @@ RELATION_IDS = ("tripartite", "tripartite_refined", "bipartite", "bipartite_refi
 
 @dataclass(frozen=True)
 class EurReport:
-    """All scalar quantities of one uncertainty-relation check (bits)."""
+    """One uncertainty-relation check (bits): the six scalars and the
+    inequality of ``relation_id`` derived from them.
+
+    Bipartite: H(Z|B) + H(X|B) >= -log c + H(A|B).  Tripartite:
+    H(Z|E) + H(X|B) >= -log c.  The refinement subtracts log f from each
+    right-hand side, so it can never loosen exactly when f <= 1.  A negative
+    slack is a violation the report carries, not an error.
+    """
 
     relation_id: str
     h_xb: float
@@ -72,25 +82,29 @@ class EurReport:
     h_ab: float
     c: float
     f: float
-    lhs: float
-    rhs_original: float
-    rhs_refined: float
-    slack_original: float
-    slack_refined: float
-    entropy_tolerance: float = ENTROPY_TOL
-    fidelity_tolerance: float = FIDELITY_TOL
+    lhs: float = field(init=False)
+    rhs_original: float = field(init=False)
+    rhs_refined: float = field(init=False)
+    slack_original: float = field(init=False)
+    slack_refined: float = field(init=False)
+    entropy_tolerance: ClassVar[float] = ENTROPY_TOL
+    fidelity_tolerance: ClassVar[float] = FIDELITY_TOL
 
     def __post_init__(self):
         if self.relation_id not in RELATION_IDS:
             raise ValueError(f"unknown relation_id {self.relation_id!r}")
-        if self.slack_refined > self.slack_original + 1e-9:
-            raise ValueError(
-                "refined slack exceeds original slack: the refinement can never loosen"
-            )
-        if self.slack_refined < -self.fidelity_tolerance:
-            raise ValueError(
-                f"refined inequality violated: slack {self.slack_refined:.3e}"
-            )
+        if not 0.0 <= self.f <= 1.0:
+            raise ValueError(f"f = {self.f!r} outside [0, 1]: the refinement would loosen")
+        rhs_original, rhs_refined = -np.log2(self.c), -np.log2(self.c) - np.log2(self.f)
+        if self.relation_id.startswith("bipartite"):
+            lhs = self.h_zb + self.h_xb
+            rhs_original, rhs_refined = rhs_original + self.h_ab, rhs_refined + self.h_ab
+        else:
+            lhs = self.h_ze + self.h_xb
+        derived = dict(lhs=lhs, rhs_original=rhs_original, rhs_refined=rhs_refined,
+                       slack_original=lhs - rhs_original, slack_refined=lhs - rhs_refined)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {
@@ -134,7 +148,6 @@ class EurReport:
 def _reversibility(
     rho_ab: np.ndarray,
     dims: tuple[int, ...],
-    pos: int,
     x_pvm: Pvm,
     z_pvm: Pvm,
     sigma_x: np.ndarray,
@@ -151,8 +164,8 @@ def _reversibility(
 
     with ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')``.
 
-    ``rho_ab`` lives on ``dims`` with the measured subsystem A at ``pos``
-    and B the rest, a layout tau and R(sigma_XB) keep; ``rho_eig``, its
+    ``rho_ab`` lives on ``dims`` with the measured subsystem A first and B
+    the rest, a layout tau and R(sigma_XB) keep; ``rho_eig``, its
     :func:`~eurqsi.linalg.support_eig` pair, gives sqrt(rho_AB) to the
     fidelity.  ``sigma_x`` is the stack of the blocks sigma_x, as
     :func:`~eurqsi.states._measured` returns it.
@@ -160,7 +173,7 @@ def _reversibility(
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
-    _, lam, v, mu, w, kernel = _reversal(rho_ab, dims, pos, x_pvm, z_pvm)
+    _, lam, v, mu, w, kernel = _reversal(rho_ab, dims, x_pvm, z_pvm)
     m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
     root = np.sqrt(lam)
     r = np.einsum("xajbl,xjl->ab", kernel, m) * np.outer(root, root)
@@ -170,54 +183,30 @@ def _reversibility(
 def _scalars(
     rho_ab: np.ndarray,
     ab_dims: tuple[int, ...],
-    a_in_ab: int,
     rho_eig: tuple[np.ndarray, np.ndarray],
     rho_ae: np.ndarray,
     ae_dims: tuple[int, ...],
-    a_in_ae: int,
     x_pvm: Pvm,
     z_pvm: Pvm,
 ) -> tuple[float, float, float, float, float, float]:
     """H(X|B), H(Z|B), H(Z|E), H(A|B), c and f, the scalars of both relations.
 
-    ``rho_ab`` lives on ``ab_dims`` with A at ``a_in_ab`` and B the rest,
-    and ``rho_eig`` is its :func:`~eurqsi.linalg.support_eig` pair; ``rho_ae``
-    lives on ``ae_dims`` with A at ``a_in_ae`` and E the rest.  Measuring A
+    ``rho_ab`` lives on ``ab_dims`` with A first and B the rest, and
+    ``rho_eig`` is its :func:`~eurqsi.linalg.support_eig` pair; ``rho_ae``
+    lives on ``ae_dims`` with A first and E the rest.  Measuring A
     commutes with tracing out B or E, so each entropy is taken on the
     block stack of the measured marginal it needs.
     """
-    sigma_x = _measured(rho_ab, ab_dims, x_pvm, a_in_ab)
-    omega_z = _measured(rho_ab, ab_dims, z_pvm, a_in_ab)
+    sigma_x = _measured(rho_ab, ab_dims, x_pvm, 0)
+    omega_z = _measured(rho_ab, ab_dims, z_pvm, 0)
     h_b, h_xb, h_zb = _block_entropies(sigma_x.sum(axis=0, keepdims=True), sigma_x, omega_z)
-    omega_ze = _measured(rho_ae, ae_dims, z_pvm, a_in_ae)
+    omega_ze = _measured(rho_ae, ae_dims, z_pvm, 0)
     h_ze, h_e = _block_entropies(omega_ze, omega_ze.sum(axis=0, keepdims=True))
     h_xb, h_zb, h_ze = h_xb - h_b, h_zb - h_b, h_ze - h_e
     h_ab = entropy_of_spectrum(rho_eig[0]) - h_b
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(rho_ab, ab_dims, a_in_ab, x_pvm, z_pvm, sigma_x, rho_eig)
+    f = _reversibility(rho_ab, ab_dims, x_pvm, z_pvm, sigma_x, rho_eig)
     return h_xb, h_zb, h_ze, h_ab, c, f
-
-
-def _report(relation: str, h_xb, h_zb, h_ze, h_ab, c, f) -> EurReport:
-    """The report of ``relation``, "bipartite" or "tripartite", from the
-    scalars of :func:`_scalars`.
-
-    Bipartite: H(Z|B) + H(X|B) >= -log c + H(A|B).  Tripartite:
-    H(Z|E) + H(X|B) >= -log c.  The refinement subtracts log f from each
-    right-hand side.
-    """
-    rhs_original, rhs_refined = -np.log2(c), -np.log2(c) - np.log2(f)
-    if relation == "bipartite":
-        lhs = h_zb + h_xb
-        rhs_original, rhs_refined = rhs_original + h_ab, rhs_refined + h_ab
-    else:
-        lhs = h_ze + h_xb
-    return EurReport(
-        relation_id=relation + "_refined",
-        h_xb=h_xb, h_zb=h_zb, h_ze=h_ze, h_ab=h_ab, c=c, f=f,
-        lhs=lhs, rhs_original=rhs_original, rhs_refined=rhs_refined,
-        slack_original=lhs - rhs_original, slack_refined=lhs - rhs_refined,
-    )
 
 
 def check_bipartite(
@@ -240,10 +229,12 @@ def check_bipartite(
     pos = rho_ab.label_index(measured)
     _check_pvm_dim(x_pvm, dims[pos], measured)
     _check_pvm_dim(z_pvm, dims[pos], measured)
-    # the input is checked; everything below is a plain array built from it
+    # the input is checked; below are plain arrays with the measured subsystem first
+    m, dims = _in_order(m, dims, [pos] + [i for i in range(len(dims)) if i != pos])
     rho_eig = support_eig(m)
-    rho_ae, ae_dims = _purified_marginal(rho_eig, dims, pos)
-    return _report("bipartite", *_scalars(m, dims, pos, rho_eig, rho_ae, ae_dims, 0, x_pvm, z_pvm))
+    rho_ae, ae_dims = _purified_marginal(rho_eig, dims, 0)
+    return EurReport("bipartite_refined",
+                     *_scalars(m, dims, rho_eig, rho_ae, ae_dims, x_pvm, z_pvm))
 
 
 def check_tripartite(
@@ -273,13 +264,11 @@ def check_tripartite(
         raise InvalidStateError("tripartite state has no E subsystem")
     _check_pvm_dim(x_pvm, dims[a], a_label)
     _check_pvm_dim(z_pvm, dims[a], a_label)
-    # the input is checked; everything below is a plain array built from it
-    ab, ae = sorted((a, b)), sorted([a] + e)
-    rho_ab = partial_trace(m, dims, ab)
-    return _report("tripartite", *_scalars(
-        rho_ab, tuple(dims[i] for i in ab), ab.index(a), support_eig(rho_ab),
-        partial_trace(m, dims, ae), tuple(dims[i] for i in ae), ae.index(a), x_pvm, z_pvm,
-    ))
+    # the input is checked; below are plain arrays with the measured subsystem first
+    rho_ab, ab_dims = _in_order(m, dims, [a, b])
+    rho_ae, ae_dims = _in_order(m, dims, [a] + e)
+    return EurReport("tripartite_refined", *_scalars(
+        rho_ab, ab_dims, support_eig(rho_ab), rho_ae, ae_dims, x_pvm, z_pvm))
 
 
 @dataclass(frozen=True)
@@ -312,10 +301,6 @@ class FuzzSummary:
         }
 
 
-def _slack_of(report: EurReport, relation_id: str) -> float:
-    return report.slack_refined if relation_id.endswith("refined") else report.slack_original
-
-
 def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
     """Stress the chosen relation on random states and measurements.
 
@@ -335,7 +320,9 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
     d_a, d_b = int(dims[0]), int(dims[1])
     dims = (d_a, d_b)
     pvm_mode = "pauli" if d_a == 2 else "random"
-    relation = relation_id.removesuffix("_refined")
+    # the report holds both slacks and is filed under the refined relation
+    report_id = relation_id.removesuffix("_refined") + "_refined"
+    refined = relation_id == report_id
 
     from .serialize import scenario_to_dict  # deferred: serialize imports states
 
@@ -352,9 +339,9 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
             z_pvm = random_pvm(d_a, [seed, trial, 2])
         rho_eig = support_eig(rho.matrix)
         rho_ae, ae_dims = _purified_marginal(rho_eig, dims, 0)
-        report = _report(relation, *_scalars(
-            rho.matrix, dims, 0, rho_eig, rho_ae, ae_dims, 0, x_pvm, z_pvm))
-        slack = _slack_of(report, relation_id)
+        report = EurReport(report_id, *_scalars(
+            rho.matrix, dims, rho_eig, rho_ae, ae_dims, x_pvm, z_pvm))
+        slack = report.slack_refined if refined else report.slack_original
         max_gap = max(max_gap, report.slack_refined - report.slack_original)
         if slack < min_slack:
             min_slack = slack

@@ -51,7 +51,12 @@ def scenario_from_dict(data: dict) -> tuple[DensityOperator, Pvm, Pvm]:
     for key in ("dims", "state", "x_pvm", "z_pvm"):
         if key not in data:
             raise InvalidStateError(f"scenario is missing required key {key!r}")
-    dims = tuple(int(d) for d in data["dims"])
+    dims = data["dims"]
+    if not (isinstance(dims, list) and dims and all(type(d) is int and d > 0 for d in dims)):
+        raise InvalidStateError(f"scenario dims must be a list of positive integers, got {dims!r}")
+    for key in ("x_pvm", "z_pvm"):
+        if not isinstance(data[key], list):
+            raise InvalidStateError(f"scenario {key} must be a list of projector matrices")
     rho = DensityOperator(decode_matrix(data["state"]), dims, _default_labels(len(dims)))
     x_pvm = Pvm(tuple(decode_matrix(p) for p in data["x_pvm"]))
     z_pvm = Pvm(tuple(decode_matrix(p) for p in data["z_pvm"]))

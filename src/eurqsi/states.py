@@ -120,23 +120,16 @@ class DensityOperator:
         if isinstance(keep_labels, str):
             keep_labels = [keep_labels]
         keep = sorted(self.label_index(s) for s in keep_labels)
-        reduced = partial_trace(self.matrix, self.dims, keep)
-        return DensityOperator(
-            reduced,
-            tuple(self.dims[i] for i in keep),
-            tuple(self.labels[i] for i in keep),
-        )
+        m, dims = _in_order(self.matrix, self.dims, keep)
+        return DensityOperator(m, dims, tuple(self.labels[i] for i in keep))
 
     def permute(self, label_order) -> "DensityOperator":
         """Reorder subsystems to the given label sequence."""
         order = [self.label_index(s) for s in label_order]
         if sorted(order) != list(range(len(self.dims))):
             raise InvalidStateError(f"{label_order!r} is not a permutation of {self.labels}")
-        return DensityOperator(
-            _reordered(self.matrix, self.dims, order),
-            tuple(self.dims[i] for i in order),
-            tuple(self.labels[i] for i in order),
-        )
+        m, dims = _in_order(self.matrix, self.dims, order)
+        return DensityOperator(m, dims, tuple(self.labels[i] for i in order))
 
     def purity(self) -> float:
         """Tr(rho^2), the squared Frobenius norm of the Hermitian matrix."""
@@ -151,6 +144,15 @@ def _reordered(m: np.ndarray, dims, order) -> np.ndarray:
     n = len(dims)
     t = m.reshape(tuple(dims) * 2).transpose(list(order) + [n + i for i in order])
     return t.reshape(m.shape)
+
+
+def _in_order(m: np.ndarray, dims, order) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``m`` reduced to the subsystems ``order``, put in that order, and its dims."""
+    keep = sorted(order)
+    if len(keep) < len(dims):
+        m = partial_trace(m, dims, keep)
+    m = _reordered(m, [dims[i] for i in keep], [keep.index(i) for i in order])
+    return m, tuple(dims[i] for i in order)
 
 
 @dataclass(frozen=True)

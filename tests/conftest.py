@@ -27,7 +27,6 @@ import scipy.linalg
 from eurqsi.entropy import conditional
 from eurqsi.linalg import apply_local, fidelity, partial_trace
 from eurqsi.recovery import CpMap, apply_map, rotated_petz_map
-from eurqsi.relations import EurReport
 from eurqsi.simulate import (GATES, Gate, Measure, Recovery, experiment_circuit,
                              flip_distribution, sample_distribution)
 from eurqsi.states import (KET_MINUS, KET_PLUS, DensityOperator, Pvm, ket_bra, measure,
@@ -290,16 +289,19 @@ def _reversibility_nd_oracle(rho_ab, x_pvm, z_pvm, sigma_xb, measured):
 
 
 def _report(relation_id, h_xb, h_zb, h_ze, h_ab, c, f):
+    """The report of ``relation_id`` as a plain dict with the keys of
+    ``EurReport.to_dict``, its inequality computed here."""
     if relation_id == "bipartite_refined":
         lhs, rhs = h_zb + h_xb, -np.log2(c) + h_ab
     else:
         lhs, rhs = h_ze + h_xb, -np.log2(c)
     refined = rhs - np.log2(f)
-    return EurReport(
-        relation_id=relation_id, h_xb=h_xb, h_zb=h_zb, h_ze=h_ze, h_ab=h_ab, c=c,
-        f=f, lhs=lhs, rhs_original=rhs, rhs_refined=refined,
-        slack_original=lhs - rhs, slack_refined=lhs - refined,
-    )
+    return {
+        "relation_id": relation_id, "H_XB": h_xb, "H_ZB": h_zb, "H_ZE": h_ze,
+        "H_AB": h_ab, "c": c, "f": f, "lhs": lhs, "rhs_original": rhs,
+        "rhs_refined": refined, "slack_original": lhs - rhs, "slack_refined": lhs - refined,
+        "entropy_tolerance": 1e-9, "fidelity_tolerance": 1e-6,
+    }
 
 
 def bipartite_report_oracle(rho_ab, x_pvm, z_pvm, measured="A"):

@@ -4,7 +4,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from eurqsi.cli import main
+from eurqsi import relations
+from eurqsi.cli import build_parser, main
 from eurqsi.linalg import tensor
 from eurqsi.serialize import save_scenario
 from eurqsi.states import (
@@ -111,6 +112,19 @@ class TestCheckCommand:
         assert main(["check", "--scenario", str(path)]) == 3
         assert "idempotent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("dims", 2), ("dims", "22"), ("dims", [2.5, 2]), ("dims", [-2, -2]),
+        ("x_pvm", 5), ("z_pvm", 5),
+    ])
+    def test_malformed_scenario_exit_3(self, tmp_path, capsys, max_uncertainty_scenario,
+                                       key, value):
+        data = json.loads(open(max_uncertainty_scenario).read())
+        data[key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--scenario", str(path)]) == 3
+        assert f"scenario {key}" in capsys.readouterr().err
+
     def test_csv_projection(self, capsys, max_uncertainty_scenario):
         assert main(["check", "--scenario", max_uncertainty_scenario,
                      "--format", "csv"]) == 0
@@ -145,6 +159,61 @@ class TestFuzzCommand:
         assert main(["fuzz", "--trials", "2", "--dim", "3", "--seed", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pvm_mode"] == "random"
+
+
+class TestVerdict:
+    """f/4 injected into both relations lowers every refined slack by 2 bits.
+    The violation is reported in full, and only the comparison with
+    ``--tolerance`` turns it into exit 1."""
+
+    FUZZ = ["fuzz", "--trials", "20", "--seed", "3"]
+
+    @pytest.fixture
+    def quarter_f(self, monkeypatch):
+        reversibility = relations._reversibility
+        monkeypatch.setattr(relations, "_reversibility", lambda *args: reversibility(*args) / 4)
+
+    def test_fuzz_prints_the_witness_and_exits_1(self, capsys, quarter_f):
+        assert main(self.FUZZ) == 1
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["min_slack"] < -1.0
+        assert payload["worst_report"]["slack_refined"] == payload["min_slack"]
+        assert set(payload["worst_instance"]) == {"dims", "state", "x_pvm", "z_pvm"}
+        assert err.count("\n") == 1 and "min_slack" in err and "1e-06" in err
+        assert main(self.FUZZ + ["--tolerance", "10"]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
+
+    def test_check_on_the_witness_exits_1_with_its_slack(self, tmp_path, capsys, quarter_f):
+        main(self.FUZZ)
+        fuzzed = json.loads(capsys.readouterr().out)
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(fuzzed["worst_instance"]))
+        assert main(["check", "--scenario", str(path)]) == 1
+        out, err = capsys.readouterr()
+        report = json.loads(out)["report"]
+        assert abs(report["slack_refined"] - fuzzed["min_slack"]) <= 1e-12
+        assert err.count("\n") == 1 and "slack_refined" in err and "1e-06" in err
+
+    def test_loose_tolerance_passes_the_witness(self, tmp_path, capsys, quarter_f):
+        main(self.FUZZ)
+        fuzzed = json.loads(capsys.readouterr().out)
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(fuzzed["worst_instance"]))
+        assert main(["check", "--scenario", str(path), "--tolerance", "10"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["report"]["slack_refined"] < -1.0 and err == ""
+
+    def test_default_tolerance_is_the_reports_threshold(self):
+        for argv in (["check", "--scenario", "s.json"], ["fuzz"]):
+            assert build_parser().parse_args(argv).tolerance == relations.FIDELITY_TOL
+
+    def test_value_error_is_a_validation_failure(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("refined slack of a broken kernel")
+        monkeypatch.setattr(relations, "_reversibility", broken)
+        assert main(self.FUZZ) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestExperimentCommand:

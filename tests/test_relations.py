@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -153,12 +154,15 @@ class TestTripartite:
 
 
 def _assert_reports_agree(got, want):
-    for fld in dataclasses.fields(EurReport):
-        a, b = getattr(got, fld.name), getattr(want, fld.name)
+    """``got``, an EurReport, against ``want``, an oracle's dict: all 14 keys."""
+    got = got.to_dict()
+    assert len(got) == 14 and got.keys() == want.keys()
+    for key, b in want.items():
+        a = got[key]
         if isinstance(a, str):
             assert a == b
         else:
-            assert abs(a - b) <= 1e-12, (fld.name, a, b)
+            assert abs(a - b) <= 1e-12, (key, a, b)
 
 
 MARGINAL_CASES = {
@@ -260,10 +264,11 @@ class TestMeasuredMarginals:
             assert counts["eig"] <= 6, check.__name__
             assert counts["prod"] == 0, check.__name__
 
-    def test_recovery_channel_builds_one_map_and_one_state(self, monkeypatch):
+    def test_recovery_channel_builds_one_map_and_no_state(self, monkeypatch):
         # eur_recovery_map assembles its one Choi matrix from the block-form
-        # kernel: the permuted input is its one state, the channel its one
-        # map, and no Choi matrix comes from Kraus operators
+        # kernel on the input's arrays: the channel is its one map and its
+        # one Cholesky (the PSD check of the Choi matrix), no state is
+        # validated, and no Choi matrix comes from Kraus operators
         rho_ab, xp, zp = MARGINAL_CASES["3x3 haar"]
         xp.kraus, zp.kraus  # cached before counting
         counts = {"CpMap": 0, "DensityOperator": 0, "choi_from_kraus": 0, "cholesky": 0}
@@ -282,7 +287,7 @@ class TestMeasuredMarginals:
                             counted("choi_from_kraus", recovery.choi_from_kraus))
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         recovery.eur_recovery_map(rho_ab, xp, zp)
-        assert counts == {"CpMap": 1, "DensityOperator": 1, "choi_from_kraus": 0, "cholesky": 2}
+        assert counts == {"CpMap": 1, "DensityOperator": 0, "choi_from_kraus": 0, "cholesky": 1}
 
 
 def _small_x_block_case():
@@ -316,11 +321,10 @@ F_CASES = {
 def test_block_reversibility_matches_the_recovery_channel(case):
     # the Choi path: apply_map(rotated_petz_map(pinched, M_X (x) id), sigma_XB)
     rho, xp, zp, measured = F_CASES[case]
-    pos = rho.label_index(measured)
     sigma = measure(rho, xp, measured, "X")
-    got = relations._reversibility(rho.matrix, rho.dims, pos, xp, zp,
-                                   _measured(rho.matrix, rho.dims, xp, pos),
-                                   support_eig(rho.matrix))
+    first = rho.permute([measured] + [s for s in rho.labels if s != measured])
+    m, dims = first.matrix, first.dims
+    got = relations._reversibility(m, dims, xp, zp, _measured(m, dims, xp, 0), support_eig(m))
     assert abs(got - _reversibility_nd_oracle(rho, xp, zp, sigma, measured)) <= 1e-12
 
 
@@ -401,17 +405,25 @@ def test_pvm_dimension_must_match_the_measured_subsystem(which):
 @st.composite
 def instances(draw):
     """A random AB state of any rank, d_A, d_B in {2, 3}, and rank-one X and
-    Z on the measured side, A or B."""
+    Z on the measured side, A or B.  Half the states are near pure,
+    (1 - eps) pure + eps full rank with eps in [1e-13, 1e-7], so their small
+    eigenvalues fall on either side of the support cutoff EPS_SUPP."""
     d_a, d_b = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
-    rank = draw(st.integers(1, d_a * d_b))
     seed = draw(st.integers(0, 2**32 - 1))
     measured = draw(st.sampled_from(["A", "B"]))
-    rho = random_multipartite_state((d_a, d_b), rank, [seed, 0], ("A", "B"))
+    if draw(st.booleans()):
+        eps = 10.0 ** draw(st.floats(-13.0, -7.0))
+        pure, full = (random_multipartite_state((d_a, d_b), rank, [seed, k], ("A", "B")).matrix
+                      for k, rank in ((0, 1), (3, d_a * d_b)))
+        rho = DensityOperator((1.0 - eps) * pure + eps * full, (d_a, d_b), ("A", "B"))
+    else:
+        rank = draw(st.integers(1, d_a * d_b))
+        rho = random_multipartite_state((d_a, d_b), rank, [seed, 0], ("A", "B"))
     d = rho.dims[rho.label_index(measured)]
     return rho, random_pvm(d, [seed, 1]), random_pvm(d, [seed, 2]), measured
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(instances())
 def test_reports_match_the_oracles(instance):
     rho, xp, zp, measured = instance
@@ -426,27 +438,68 @@ def test_reports_match_the_oracles(instance):
         _assert_reports_agree(got, want)
         assert 0.0 <= got.f <= 1.0
         assert got.slack_refined <= got.slack_original + 1e-9
+    # the checks run with the measured subsystem first, so the order of the
+    # input's subsystems changes no bit of the report
+    assert (check_bipartite(rho.permute([measured, side]), xp, zp, measured).to_dict()
+            == check_bipartite(rho, xp, zp, measured).to_dict())
+    assert (check_tripartite(rho_abe.permute([side, measured, "E"]), xp, zp, measured, side)
+            .to_dict() == check_tripartite(rho_abe, xp, zp, measured, side).to_dict())
 
 
 class TestEurReportInvariants:
-    def _base(self, **kw):
-        d = dict(relation_id="bipartite_refined", h_xb=1.0, h_zb=1.0, h_ze=1.0,
-                 h_ab=0.0, c=0.5, f=1.0, lhs=2.0, rhs_original=1.0,
-                 rhs_refined=1.0, slack_original=1.0, slack_refined=1.0)
-        d.update(kw)
-        return EurReport(**d)
+    SCALARS = dict(h_xb=1.0, h_zb=1.0, h_ze=1.0, h_ab=0.0, c=0.5, f=1.0)
 
-    def test_rejects_loosening_refinement(self):
-        with pytest.raises(ValueError):
-            self._base(slack_refined=1.5)
+    def _base(self, relation_id="bipartite_refined", **kw):
+        return EurReport(relation_id, **{**self.SCALARS, **kw})
 
-    def test_rejects_violated_inequality(self):
-        with pytest.raises(ValueError):
-            self._base(slack_refined=-1e-3, slack_original=1.0)
+    def test_takes_the_six_scalars_and_derives_the_rest(self):
+        init = [fld.name for fld in dataclasses.fields(EurReport) if fld.init]
+        assert init == ["relation_id", "h_xb", "h_zb", "h_ze", "h_ab", "c", "f"]
+        with pytest.raises(TypeError):
+            self._base(slack_refined=1.0)
 
     def test_rejects_unknown_relation(self):
-        with pytest.raises(ValueError):
-            self._base(relation_id="pentapartite")
+        with pytest.raises(ValueError, match="unknown relation_id"):
+            self._base("pentapartite")
+
+    def test_rejects_loosening_refinement(self):
+        # the refined slack exceeds the original exactly when log2 f > 0
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            self._base(f=1.5)
+
+    @pytest.mark.parametrize("f", [-0.25, float("nan")])
+    def test_rejects_f_with_no_logarithm(self, f):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            self._base(f=f)
+
+    def test_carries_a_violated_inequality(self):
+        # lhs 0.2 against -log2 0.5 + 0.1 = 1.1, refined by -log2 0.25 = 2
+        report = self._base(h_xb=0.1, h_zb=0.1, h_ab=0.1, f=0.25)
+        assert abs(report.slack_original - (0.2 - 1.1)) <= 1e-12
+        assert abs(report.slack_refined - (0.2 - 3.1)) <= 1e-12
+        assert report.to_dict()["slack_refined"] == report.slack_refined
+        assert report.slack_refined < -report.fidelity_tolerance
+
+    @pytest.mark.parametrize("relation_id", relations.RELATION_IDS)
+    def test_derived_fields_match_independent_arithmetic(self, relation_id):
+        scalars = dict(h_xb=0.3, h_zb=0.7, h_ze=0.9, h_ab=-0.4, c=0.5, f=0.8)
+        report = EurReport(relation_id, **scalars)
+        if relation_id.startswith("bipartite"):
+            lhs, rhs = 0.7 + 0.3, 1.0 - 0.4
+        else:
+            lhs, rhs = 0.9 + 0.3, 1.0
+        refined = rhs - math.log2(0.8)
+        assert abs(report.lhs - lhs) <= 1e-12
+        assert abs(report.rhs_original - rhs) <= 1e-12
+        assert abs(report.rhs_refined - refined) <= 1e-12
+        assert abs(report.slack_original - (lhs - rhs)) <= 1e-12
+        assert abs(report.slack_refined - (lhs - refined)) <= 1e-12
+
+    def test_keeps_the_sign_of_a_zero_bound(self):
+        # -log2 1 is -0.0, and the canonical JSON writes it so
+        report = self._base("tripartite_refined", c=1.0)
+        assert math.copysign(1.0, report.to_dict()["rhs_original"]) == -1.0
+        assert '"rhs_original": -0.0' in canonical_json(report.to_dict())
 
     def test_table_and_dict(self):
         report = self._base()
@@ -454,6 +507,7 @@ class TestEurReportInvariants:
         d = report.to_dict()
         assert d["relation_id"] == "bipartite_refined"
         assert d["H_XB"] == 1.0
+        assert d["entropy_tolerance"] == 1e-9 and d["fidelity_tolerance"] == 1e-6
 
 
 class TestFuzz:
