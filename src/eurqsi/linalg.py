@@ -90,8 +90,13 @@ def _check_psd(vals: np.ndarray) -> None:
 
 def support_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues on the support, as :func:`_on_support` selects them, and
-    their eigenvectors, descending."""
-    vals, vecs = herm_eig(m)
+    their eigenvectors, descending.
+
+    ``m`` is a Hermitian ndarray its caller validated or built, so it is not
+    checked again; :func:`herm_eig` is the checked entry point.
+    """
+    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     keep = _on_support(vals)
     return vals[keep], vecs[:, keep]
 

@@ -30,9 +30,13 @@ its block x is
 with ``K = Gram o sinhc``: ``Gram[x, a, j, a', j'] = sum_v <a|v (x) w_xj>
 <v (x) w_xj'|a'>`` over the Kraus operators |x><v| of outcome x, and
 ``sinhc(phi_a,xj - phi_a',xj')`` with ``phi_a,xj = (ln l_a - ln m_xj) / 2``.
-tau is cut to its support once and the blocks tau_x are formed from the cut
-tau; the support of N(tau) is cut by the same rule against the top of its
-whole spectrum, the union of the block spectra.
+tau is block diagonal in Z's basis: with R_z the isometry onto range(Q_z),
+its blocks are ``(R_z (x) I) rho (R_z^dag (x) I)``, so its eigenpairs come
+from one batched eigensolve of those blocks, each eigenvector mapped back
+through ``R_z^dag (x) I``.  tau is cut to its support once, against the top
+of the union of the block spectra, and the blocks tau_x are formed from the
+cut eigenpairs; the support of N(tau) is cut by the same rule against the
+top of its whole spectrum, the union of the block spectra.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_check_psd, _on_support, _sinhc, apply_local, as_matrix, dagger,
+from .linalg import (_check_psd, _on_support, _sinhc, as_matrix, dagger,
                      eigenvalue_below, herm_eig, support_eig)
-from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _in_order, _measured
+from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _compressed, _in_order
 
 CHOI_TOL = 1e-8
 
@@ -260,33 +264,43 @@ def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     )
 
 
-def _reversal(rho: np.ndarray, dims: tuple[int, ...], x_pvm: Pvm, z_pvm: Pvm):
+def _reversal(z_blocks: np.ndarray, x_pvm: Pvm, z_pvm: Pvm):
     """Block form of the measurement-reversal map R (see the module docstring).
 
-    ``rho`` lives on ``dims`` with the measured subsystem A first and B the
-    rest, a layout tau and the output of R keep.  Returns the cut tau,
-    its support pair ``(l, V)``, the block pairs ``(m_x, W_x)`` of N(tau)
-    as an ``(outcomes, r)`` and an ``(outcomes, r, r)`` stack, and the
-    kernel ``K = Gram o sinhc`` on axes ``(x, a, j, a', j')``.  Off the
+    The state has the measured subsystem A first and B the rest, a layout
+    tau and the output of R keep.  ``z_blocks`` is its compression to each
+    range of Z, ``(R_z (x) I) rho (R_z^dag (x) I)``, as
+    :func:`~eurqsi.states._compressed` returns it: tau is block diagonal in
+    Z's basis with these blocks, so one batched ``eigh`` of them gives its
+    spectrum, and each eigenvector maps back through ``R_z^dag (x) I``.
+
+    Returns tau's support pair ``(l, V)``, the block pairs ``(m_x, W_x)`` of
+    N(tau) as an ``(outcomes, r)`` and an ``(outcomes, r, r)`` stack, and
+    the kernel ``K = Gram o sinhc`` on axes ``(x, a, j, a', j')``.  Off the
     support of N(tau) the eigenvalues are 1, which keeps the logs finite,
     and the eigenvectors are zero, which drops their terms.
     """
-    d_a, n = dims[0], len(x_pvm)
-    tau = apply_local(rho, dims, z_pvm.projectors, [0])
-    lam, v = support_eig(tau)
-    tau = (v * lam) @ dagger(v)
-    mu, w = np.linalg.eigh(_measured(tau, dims, x_pvm, 0))
+    d_a, n = x_pvm.dim, len(x_pvm)
+    z_ranges, x_ranges = z_pvm._ranges, x_pvm._ranges
+    n_z, r_z = z_ranges.shape[:2]
+    vals, vecs = np.linalg.eigh(z_blocks)
+    keep = _on_support(vals)
+    lam = vals[keep]
+    # V[(i, b), (z, s)] = sum_j conj(R_z[j, i]) u_zs[j, b]
+    v = np.einsum("zji,zjbs->ibzs", z_ranges.conj(), vecs.reshape(n_z, r_z, -1, vecs.shape[-1]))
+    v = v.reshape(-1, *keep.shape)[:, keep]
+    # y[x, k, b, a] = (<x_k| (x) I)|a>; the blocks of N(tau) are sum_k y l y^dag
+    y = np.einsum("xki,iba->xkba", x_ranges, v.reshape(d_a, -1, len(lam)))
+    mu, w = np.linalg.eigh(((y * lam) @ y.conj().transpose(0, 1, 3, 2)).sum(axis=1))
     keep = _on_support(mu)
     mu = np.where(keep, mu, 1.0)
     w = w * keep[:, None, :]
-    # h[x, k, (a, j)] = <v_k (x) w_xj|a>, zero unless x is the outcome of k
-    kraus = x_pvm.kraus
-    h = np.einsum("kxi,xbj,iba->xkaj", kraus, w.conj(), v.reshape(d_a, -1, len(lam)))
-    h = h.reshape(n, len(kraus), -1)
+    # h[x, k, (a, j)] = <x_k (x) w_xj|a>, zero on padded slots k
+    h = np.einsum("xbj,xkba->xkaj", w.conj(), y).reshape(n, x_ranges.shape[1], -1)
     phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
     kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
     gram = (h.conj().transpose(0, 2, 1) @ h).reshape(kernel.shape)
-    return tau, lam, v, mu, w, gram * kernel
+    return lam, v, mu, w, gram * kernel
 
 
 def eur_recovery_map(
@@ -318,14 +332,14 @@ def eur_recovery_map(
     order = [pos] + [i for i in range(len(dims)) if i != pos]
     rho, out_dims = _in_order(rho_ab.matrix, dims, order)
     out_labels = tuple(rho_ab.labels[i] for i in order)
-    tau, lam, v, mu, w, kernel = _reversal(rho, out_dims, x_pvm, z_pvm)
-    n, r, d = w.shape[0], w.shape[1], len(tau)
+    lam, v, mu, w, kernel = _reversal(_compressed(rho, out_dims, z_pvm, 0), x_pvm, z_pvm)
+    n, r, d = w.shape[0], w.shape[1], len(v)
     # u[x, (b, q), (a, j)] = conj(w_xj[b]) / sqrt(m_xj) * sqrt(l_a) V[q, a]
     u = np.einsum("xbj,qa->xbqaj", w.conj() / np.sqrt(mu[:, None, :]), v * np.sqrt(lam))
     u = u.reshape(n, r * d, -1)
     blocks = u @ kernel.reshape(n, u.shape[2], -1) @ u.conj().transpose(0, 2, 1)
     complement = np.eye(r) - w.conj() @ w.transpose(0, 2, 1)  # (I - W_x W_x^dag)^T
-    tau = tau / float(np.trace(tau).real)
+    tau = (v * (lam / lam.sum())) @ dagger(v)
     blocks += np.einsum("xbc,qs->xbqcs", complement, tau).reshape(blocks.shape)
     choi = np.zeros((n, r * d, n, r * d), dtype=complex)
     choi[np.arange(n), :, np.arange(n), :] = blocks

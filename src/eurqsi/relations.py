@@ -17,8 +17,13 @@ map.  Every entropy it takes is that of a classical-quantum state, held as
 the stack of its blocks that :func:`~eurqsi.states._measured` returns for X
 or Z applied to the AB or AE reduction: rho_B and rho_E are the sums of
 those blocks, H(B), H(XB) and H(ZB) come from one batched eigensolve, and
-H(ZE) and H(E) from another.  f evaluates R(sigma_XB) from the X stack on
-the block-form kernel of the measurement-reversal map,
+H(ZE) and H(E) from another.  rho_AB is compressed to each range of Z
+once (:func:`~eurqsi.states._compressed`): the Z stack is the trace of
+those blocks over the range slots (for a rank-one Z, the blocks
+themselves), and the reversal kernel takes the spectrum of the Z-pinched
+state from them.  c comes from the overlap of the two PVMs' bases.  f
+evaluates R(sigma_XB) from the X stack on the block-form kernel of the
+measurement-reversal map,
 :func:`~eurqsi.recovery._reversal` (derived in :mod:`eurqsi.recovery`,
 which assembles the explicit channel from the same kernel); no channel is
 built here.  The one support pair of rho_AB its caller took
@@ -49,9 +54,11 @@ from .states import (
     InvalidStateError,
     Pvm,
     _check_pvm_dim,
+    _compressed,
     _measured,
     _in_order,
     _purified_marginal,
+    _range_traced,
     incompatibility_c,
     pauli_pvm,
     random_multipartite_state,
@@ -146,8 +153,7 @@ class EurReport:
 
 
 def _reversibility(
-    rho_ab: np.ndarray,
-    dims: tuple[int, ...],
+    z_blocks: np.ndarray,
     x_pvm: Pvm,
     z_pvm: Pvm,
     sigma_x: np.ndarray,
@@ -164,16 +170,17 @@ def _reversibility(
 
     with ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')``.
 
-    ``rho_ab`` lives on ``dims`` with the measured subsystem A first and B
-    the rest, a layout tau and R(sigma_XB) keep; ``rho_eig``, its
-    :func:`~eurqsi.linalg.support_eig` pair, gives sqrt(rho_AB) to the
-    fidelity.  ``sigma_x`` is the stack of the blocks sigma_x, as
-    :func:`~eurqsi.states._measured` returns it.
+    rho_AB has the measured subsystem A first and B the rest, a layout tau
+    and R(sigma_XB) keep; ``z_blocks`` is its compression to each range of
+    Z (:func:`~eurqsi.states._compressed`), from which tau's spectrum comes,
+    and ``rho_eig``, its :func:`~eurqsi.linalg.support_eig` pair, gives
+    sqrt(rho_AB) to the fidelity.  ``sigma_x`` is the stack of the blocks
+    sigma_x, as :func:`~eurqsi.states._measured` returns it.
 
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
-    _, lam, v, mu, w, kernel = _reversal(rho_ab, dims, x_pvm, z_pvm)
+    lam, v, mu, w, kernel = _reversal(z_blocks, x_pvm, z_pvm)
     m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
     root = np.sqrt(lam)
     r = np.einsum("xajbl,xjl->ab", kernel, m) * np.outer(root, root)
@@ -198,14 +205,16 @@ def _scalars(
     block stack of the measured marginal it needs.
     """
     sigma_x = _measured(rho_ab, ab_dims, x_pvm, 0)
-    omega_z = _measured(rho_ab, ab_dims, z_pvm, 0)
+    # one compression to Z's ranges serves H(ZB) and the pinched state in f
+    z_blocks = _compressed(rho_ab, ab_dims, z_pvm, 0)
+    omega_z = _range_traced(z_blocks, z_pvm)
     h_b, h_xb, h_zb = _block_entropies(sigma_x.sum(axis=0, keepdims=True), sigma_x, omega_z)
     omega_ze = _measured(rho_ae, ae_dims, z_pvm, 0)
     h_ze, h_e = _block_entropies(omega_ze, omega_ze.sum(axis=0, keepdims=True))
     h_xb, h_zb, h_ze = h_xb - h_b, h_zb - h_b, h_ze - h_e
     h_ab = entropy_of_spectrum(rho_eig[0]) - h_b
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(rho_ab, ab_dims, x_pvm, z_pvm, sigma_x, rho_eig)
+    f = _reversibility(z_blocks, x_pvm, z_pvm, sigma_x, rho_eig)
     return h_xb, h_zb, h_ze, h_ab, c, f
 
 
@@ -320,9 +329,7 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
     d_a, d_b = int(dims[0]), int(dims[1])
     dims = (d_a, d_b)
     pvm_mode = "pauli" if d_a == 2 else "random"
-    # the report holds both slacks and is filed under the refined relation
-    report_id = relation_id.removesuffix("_refined") + "_refined"
-    refined = relation_id == report_id
+    refined = relation_id.endswith("_refined")
 
     from .serialize import scenario_to_dict  # deferred: serialize imports states
 
@@ -339,7 +346,7 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
             z_pvm = random_pvm(d_a, [seed, trial, 2])
         rho_eig = support_eig(rho.matrix)
         rho_ae, ae_dims = _purified_marginal(rho_eig, dims, 0)
-        report = EurReport(report_id, *_scalars(
+        report = EurReport(relation_id, *_scalars(
             rho.matrix, dims, rho_eig, rho_ae, ae_dims, x_pvm, z_pvm))
         slack = report.slack_refined if refined else report.slack_original
         max_gap = max(max_gap, report.slack_refined - report.slack_original)

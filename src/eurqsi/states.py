@@ -4,10 +4,12 @@ A :class:`DensityOperator` is a dense matrix plus an ordered list of
 subsystem dimensions and labels.  A measurement writes its outcome into a
 classical register, stored as one more subsystem of a block-diagonal
 density operator, so the entropy code treats classical registers like any
-other subsystem.  One kernel, ``_measured``, computes every measurement:
-one contraction with the PVM's measurement Kraus operators
-:attr:`Pvm.kraus` gives the stack of the diagonal blocks, which
-:func:`measure` places on the diagonal and the checks use as they are.
+other subsystem.  A :class:`Pvm` holds one orthonormal basis of the
+measured space, each vector in the range of one projector, and every
+measurement is computed from it: one contraction, ``_compressed``, gives
+the state compressed to each range, and ``_measured`` traces those blocks
+to the stack of the diagonal blocks, which :func:`measure` places on the
+diagonal and the checks use as they are.
 
 Validation happens at the boundary: :class:`DensityOperator` and
 :class:`Pvm` check their invariants when they are constructed, and the
@@ -157,7 +159,16 @@ def _in_order(m: np.ndarray, dims, order) -> tuple[np.ndarray, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Pvm:
-    """Orthogonal projectors summing to identity on one subsystem."""
+    """Orthogonal projectors summing to identity on one subsystem.
+
+    Everything a check needs from a PVM comes from one orthonormal basis of
+    the measured space, each vector in the range of one projector: the
+    measurement Kraus operators :attr:`kraus`, the range stack ``_ranges``
+    that compresses a state to each outcome, and the incompatibility
+    constant.  :meth:`from_basis` keeps the family it was given as that
+    basis; a PVM built from its projectors finds one by a stacked ``eigh``
+    on first use.
+    """
 
     projectors: tuple[np.ndarray, ...]
 
@@ -185,8 +196,11 @@ class Pvm:
 
     @classmethod
     def from_basis(cls, vectors) -> "Pvm":
-        """Rank-one PVM from an orthonormal family of kets."""
-        return cls(tuple(ket_bra(v) for v in vectors))
+        """Rank-one PVM from an orthonormal family of kets, kept as its basis."""
+        kets = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+        pvm = cls(tuple(ket_bra(v) for v in kets))
+        object.__setattr__(pvm, "_basis", (np.arange(len(kets)), np.conj(kets)))
+        return pvm
 
     @property
     def dim(self) -> int:
@@ -202,20 +216,41 @@ class Pvm:
         return all(r == 1 for r in self.ranks())
 
     @cached_property
+    def _basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, bras)``: row k of ``bras`` is <v_k|, the v_k an orthonormal
+        basis grouped by outcome, v_k in range(P_{x_k}) and ``x`` ascending.
+
+        :meth:`from_basis` sets it; otherwise one stacked ``eigh`` over the
+        validated projectors finds it, each range's vectors in descending
+        eigenvalue order.
+        """
+        d = self.dim
+        vals, vecs = np.linalg.eigh(np.stack(self.projectors))
+        x, j = np.nonzero(vals[:, ::-1] > 0.5)
+        return x, vecs[x, :, d - 1 - j].conj()
+
+    @cached_property
     def kraus(self) -> np.ndarray:
         """Measurement Kraus operators ``|x><v|``, shape (d, outcomes, d).
 
-        One operator per vector v of an orthonormal basis of each range(P_x);
-        together they map the measured subsystem to the outcome register.
+        One operator per basis vector v, x its outcome; together they map
+        the measured subsystem to the outcome register.
         """
-        n, d = len(self), self.dim
-        # one stacked solve over the validated projectors; columns taken in
-        # descending eigenvalue order, as herm_eig sorts them
-        vals, vecs = np.linalg.eigh(np.stack(self.projectors))
-        x, j = np.nonzero(vals[:, ::-1] > 0.5)
-        kraus = np.zeros((len(x), n, d), dtype=complex)
-        kraus[np.arange(len(x)), x] = vecs[x, :, d - 1 - j].conj()
+        x, bras = self._basis
+        kraus = np.zeros((len(x), len(self), self.dim), dtype=complex)
+        kraus[np.arange(len(x)), x] = bras
         return kraus
+
+    @cached_property
+    def _ranges(self) -> np.ndarray:
+        """The bras of the basis stacked by outcome, shape (outcomes, r, d):
+        block x is the isometry R_x onto range(P_x) (R_x^dag R_x = P_x), padded
+        with zero rows to the largest rank r."""
+        x, bras = self._basis
+        slot = np.arange(len(x)) - np.searchsorted(x, x)
+        ranges = np.zeros((len(self), slot.max() + 1, self.dim), dtype=complex)
+        ranges[x, slot] = bras
+        return ranges
 
 
 def pauli_pvm(axis: str) -> Pvm:
@@ -262,17 +297,36 @@ def _measured(m: np.ndarray, dims, pvm: Pvm, pos: int) -> np.ndarray:
     """The blocks behind :func:`measure`: the ``(outcomes, r, r)`` stack of
     ``Tr_pos[(P_x (x) I) m]``, the other subsystems in their original order.
 
-    One contraction with the Kraus operators ``|x><v|`` of :attr:`Pvm.kraus`:
-    their rows against the measured row index, then their conjugates
-    against the measured column index, summed over the operators.
+    Each is block x of :func:`_compressed` traced over its range slots; for
+    a rank-one PVM the two stacks are equal.
     """
-    d, r = dims[pos], m.shape[0] // dims[pos]
+    return _range_traced(_compressed(m, dims, pvm, pos), pvm)
+
+
+def _range_traced(blocks: np.ndarray, pvm: Pvm) -> np.ndarray:
+    """The stack of :func:`_measured` from the stack of :func:`_compressed`:
+    each block traced over its range slots."""
+    n, s, r = blocks.shape[0], blocks.shape[1], pvm._ranges.shape[1]
+    return blocks.reshape(n, r, s // r, r, s // r).trace(axis1=1, axis2=3)
+
+
+def _compressed(m: np.ndarray, dims, pvm: Pvm, pos: int) -> np.ndarray:
+    """The ``(outcomes, r * rest, r * rest)`` stack of ``(R_x (x) I) m
+    (R_x^dag (x) I)``, with R_x the padded range isometries of
+    :attr:`Pvm._ranges`: m compressed to each range(P_x) (x) rest, the other
+    subsystems in their original order.
+
+    One contraction: the bras of R against the measured row index, then
+    their conjugates against the measured column index.
+    """
+    d, rest = dims[pos], m.shape[0] // dims[pos]
     if pos != 0:
         m = _reordered(m, dims, [pos] + [i for i in range(len(dims)) if i != pos])
-    kraus = pvm.kraus.reshape(-1, d)
-    t = (kraus @ m.reshape(d, r * d * r)).reshape(len(kraus), r, d, r)
-    t = t.transpose(0, 1, 3, 2) @ kraus.conj()[:, None, :, None]
-    return t.reshape(-1, len(pvm), r, r).sum(axis=0)
+    ranges = pvm._ranges
+    n, r = ranges.shape[:2]
+    t = (ranges.reshape(n * r, d) @ m.reshape(d, rest * d * rest)).reshape(n, r * rest, d, rest)
+    t = t.transpose(0, 1, 3, 2) @ ranges.conj().transpose(0, 2, 1)[:, None]
+    return t.reshape(n, r, rest, rest, r).transpose(0, 1, 2, 4, 3).reshape(n, r * rest, r * rest)
 
 
 def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:
@@ -305,12 +359,24 @@ def theta_state(
 
 
 def incompatibility_c(x_pvm: Pvm, z_pvm: Pvm) -> float:
-    """Largest squared operator norm of products of projector pairs."""
+    """c = max over outcome pairs of ||P_x Q_z||^2 = ||R_x R_z^dag||^2.
+
+    One overlap matmul of the two bases gives every block R_x R_z^dag,
+    padded to the largest ranks.  A block with one row or one column has its
+    norm as its one singular value, so rank-one PVMs give
+    c = max |<x|z>|^2 with no SVD; larger blocks take their top singular
+    value.
+    """
     if x_pvm.dim != z_pvm.dim:
         raise InvalidStateError("PVMs act on different dimensions")
-    products = np.stack(x_pvm.projectors)[:, None] @ np.stack(z_pvm.projectors)[None]
-    best = float(np.linalg.norm(products, 2, axis=(-2, -1)).max()) ** 2
-    return min(best, 1.0)
+    (nx, rx, d), (nz, rz, _) = x_pvm._ranges.shape, z_pvm._ranges.shape
+    overlap = x_pvm._ranges.reshape(nx * rx, d) @ z_pvm._ranges.reshape(nz * rz, d).conj().T
+    blocks = overlap.reshape(nx, rx, nz, rz).transpose(0, 2, 1, 3)
+    if min(rx, rz) == 1:
+        squares = (blocks.real ** 2 + blocks.imag ** 2).sum(axis=(-2, -1))
+    else:
+        squares = np.linalg.svd(blocks, compute_uv=False)[..., 0] ** 2
+    return min(float(squares.max()), 1.0)
 
 
 def purify(rho: DensityOperator, purifier_label: str = "R") -> DensityOperator:

@@ -155,6 +155,12 @@ class TestFuzzCommand:
             assert exc.value.code == 2
             assert "must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("relation", relations.RELATION_IDS)
+    def test_worst_report_is_filed_under_the_requested_relation(self, capsys, relation):
+        assert main(["fuzz", "--trials", "3", "--relation", relation]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["relation_id"] == payload["worst_report"]["relation_id"] == relation
+
     def test_dim3_random_pvms(self, capsys):
         assert main(["fuzz", "--trials", "2", "--dim", "3", "--seed", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -18,6 +18,7 @@ from eurqsi.states import (
     KET_PLUS,
     KET_PLUS_Y,
     Pvm,
+    _compressed,
     _measured,
     bell_phi,
     ket_bra,
@@ -35,6 +36,7 @@ from conftest import (
     ROUND_OFF_MASSES,
     _reversibility_nd_oracle,
     bipartite_report_oracle,
+    haar_unitary,
     rank2_plus_rank1_pvm,
     rotated_spectrum,
     shannon_bits,
@@ -229,19 +231,27 @@ class TestMeasuredMarginals:
         assert built == []
         assert maps == []
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_each_check_reduces_to_b_once_and_decomposes_rho_ab_once(self, d, monkeypatch):
+    @pytest.mark.parametrize("case", ["2x2 pauli", "3x3 haar", "3x2 rank-2 z"])
+    def test_each_check_reduces_to_b_once_and_decomposes_rho_ab_once(self, case, monkeypatch):
         # bipartite: no partial trace, rho_B and rho_E are sums of measured
-        # blocks; tripartite: the AB and AE marginals.  One apply_local, the Z
-        # pinch in f.  Eigensolves: rho_AB (H(AB), purification, sqrt in f),
-        # the AB block stack (H(B), H(XB), H(ZB)), the AE block stack (H(ZE),
-        # H(E)), the pinched state, the blocks of N(tau) and the fidelity's
-        # inner matrix
-        rho_ab = random_multipartite_state((d, d), d * d, 307, ("A", "B"))
+        # blocks; tripartite: the AB and AE marginals.  No apply_local: tau's
+        # spectrum comes from the blocks of rho_AB in Z's range basis, which
+        # also give H(ZB).  Eigensolves: rho_AB (H(AB), purification, sqrt in
+        # f), the AB block stack (H(B), H(XB), H(ZB)), the AE block stack
+        # (H(ZE), H(E)), the Z range blocks, the blocks of N(tau) and the
+        # fidelity's inner matrix.  No SVD: c comes from the overlap of the
+        # two bases, which fresh from_basis PVMs hold without an eigensolve.
+        rho_ab, _, _ = MARGINAL_CASES[case]
+        d = rho_ab.dims[0]
         rho_abe = purify(rho_ab, "E")
-        xp, zp = (X, Z) if d == 2 else (random_pvm(3, [307, 1]), random_pvm(3, [307, 2]))
-        xp.kraus, zp.kraus  # cached before counting
-        counts = {"partial_trace": 0, "apply_local": 0, "eig": 0, "prod": 0}
+        if d == 2:
+            xp, zp = pauli_pvm("X"), pauli_pvm("Z")
+        elif "rank-2 z" in case:
+            xp, zp = Pvm.from_basis(haar_unitary(d, [307, 1]).T), rank2_plus_rank1_pvm([307, 2])
+            zp.kraus  # a PVM built from projectors finds its basis once, here
+        else:
+            xp, zp = (Pvm.from_basis(haar_unitary(d, [307, k]).T) for k in (1, 2))
+        counts = {"partial_trace": 0, "apply_local": 0, "eig": 0, "svd": 0, "prod": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -255,13 +265,26 @@ class TestMeasuredMarginals:
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted("eig", getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        norm = np.linalg.norm
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            # a matrix 2-norm reaches numpy's svd without the patched name
+            counts["svd"] += ord in (2, -2, "nuc")
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
         monkeypatch.setattr(np, "prod", counted("prod", np.prod))
-        for check, rho, traces in ((check_bipartite, rho_ab, 0), (check_tripartite, rho_abe, 2)):
-            counts.update(partial_trace=0, apply_local=0, eig=0, prod=0)
+        checks = [(check_tripartite, rho_abe, 2)]
+        if zp.is_rank_one():
+            checks.insert(0, (check_bipartite, rho_ab, 0))
+        for check, rho, traces in checks:
+            counts.update(partial_trace=0, apply_local=0, eig=0, svd=0, prod=0)
             check(rho, xp, zp)
             assert counts["partial_trace"] <= traces, check.__name__
-            assert counts["apply_local"] <= 1, check.__name__
+            assert counts["apply_local"] == 0, check.__name__
             assert counts["eig"] <= 6, check.__name__
+            assert counts["svd"] == 0, check.__name__
             assert counts["prod"] == 0, check.__name__
 
     def test_recovery_channel_builds_one_map_and_no_state(self, monkeypatch):
@@ -324,7 +347,8 @@ def test_block_reversibility_matches_the_recovery_channel(case):
     sigma = measure(rho, xp, measured, "X")
     first = rho.permute([measured] + [s for s in rho.labels if s != measured])
     m, dims = first.matrix, first.dims
-    got = relations._reversibility(m, dims, xp, zp, _measured(m, dims, xp, 0), support_eig(m))
+    got = relations._reversibility(_compressed(m, dims, zp, 0), xp, zp,
+                                   _measured(m, dims, xp, 0), support_eig(m))
     assert abs(got - _reversibility_nd_oracle(rho, xp, zp, sigma, measured)) <= 1e-12
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eurqsi.linalg import herm_eig, op_norm, partial_trace, tensor
+from eurqsi.linalg import dagger, herm_eig, op_norm, partial_trace, tensor
 from eurqsi.serialize import (
     canonical_json,
     load_scenario,
@@ -21,6 +21,7 @@ from eurqsi.states import (
     KET_1,
     KET_PLUS,
     Pvm,
+    _compressed,
     _measured,
     bell_phi,
     incompatibility_c,
@@ -39,6 +40,7 @@ from eurqsi.states import (
 
 from conftest import (
     fourier_pvm,
+    haar_unitary,
     incompatibility_loop_oracle,
     measured_state_oracle,
     rank2_plus_rank1_pvm,
@@ -127,20 +129,40 @@ class TestPvm:
                      np.diag([0, 0, 1, 1]).astype(complex)))
         assert not rank2.is_rank_one()
 
-    @pytest.mark.parametrize("pvm", [pauli_pvm("X"), random_pvm(3, 5), rank2_plus_rank1_pvm(6),
-                                     Pvm((np.diag([1, 1, 0, 0]).astype(complex),
-                                          np.diag([0, 0, 1, 1]).astype(complex)))])
-    def test_kraus_matches_one_herm_eig_per_projector(self, pvm):
-        # the per-projector construction that the stacked solve replaced
-        n, d = len(pvm), pvm.dim
-        want = []
+    # from_basis keeps its kets; a PVM built from projectors finds a basis
+    PVMS = {
+        "pauli X": pauli_pvm("X"),
+        "haar 3": random_pvm(3, 5),
+        "fourier 4": fourier_pvm(4),
+        "projectors of haar 3": Pvm(random_pvm(3, 5).projectors),
+        "rank 2+1": rank2_plus_rank1_pvm(6),
+        "rank 2+2": Pvm((np.diag([1, 1, 0, 0]).astype(complex),
+                         np.diag([0, 0, 1, 1]).astype(complex))),
+    }
+
+    def test_from_basis_kraus_rows_are_the_given_kets(self):
+        kets = haar_unitary(3, 7).T
+        want = np.zeros((3, 3, 3), dtype=complex)
+        want[np.arange(3), np.arange(3)] = kets.conj()
+        assert np.array_equal(Pvm.from_basis(kets).kraus, want)
+        assert np.array_equal(Pvm.from_basis(list(kets)).kraus, want)
+
+    @pytest.mark.parametrize("name", sorted(PVMS))
+    def test_kraus_is_complete(self, name):
+        pvm = self.PVMS[name]
+        k = pvm.kraus
+        assert k.shape == (pvm.dim, len(pvm), pvm.dim)
+        assert np.abs(np.einsum("kxi,kxj->ij", k.conj(), k) - np.eye(pvm.dim)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(PVMS))
+    def test_kraus_rows_of_each_outcome_span_its_projector(self, name):
+        pvm = self.PVMS[name]
+        # each operator |x><v| has one nonzero row, the row of its outcome
+        assert np.array_equal(np.count_nonzero(np.abs(pvm.kraus).max(axis=2), axis=1),
+                              np.ones(pvm.dim))
         for x, p in enumerate(pvm.projectors):
-            vals, vecs = herm_eig(p)
-            for v in vecs[:, vals > 0.5].T:
-                k = np.zeros((n, d), dtype=complex)
-                k[x] = v.conj()
-                want.append(k)
-        assert np.array_equal(pvm.kraus, np.stack(want))
+            rows = pvm.kraus[:, x]
+            assert np.abs(rows.conj().T @ rows - p).max() < 1e-12
 
 
 class TestMeasure:
@@ -288,16 +310,25 @@ class TestIncompatibility:
         assert abs(incompatibility_c(comp, four) - 1 / 3) < 1e-12
 
     def test_operator_bound_q_p_q(self):
-        # Q_z P_x Q_z <= c I for every pair, on random PVMs
+        # Q_z P_x Q_z <= c I for every pair, on random PVMs; for rank one,
+        # ||P_x Q_z||^2 = Tr(P_x Q_z), here in extended precision
         for seed in range(50):
             d = 2 + seed % 3
             xp, zp = random_pvm(d, [seed, 0]), random_pvm(d, [seed, 1])
             c = incompatibility_c(xp, zp)
-            assert abs(c - incompatibility_loop_oracle(xp, zp)) < 1e-15
+            want = max(np.trace(p.astype(np.clongdouble) @ q.astype(np.clongdouble)).real
+                       for p in xp.projectors for q in zp.projectors)
+            assert abs(c - want) < 5e-16
             for q in zp.projectors:
                 for p in xp.projectors:
                     top = np.linalg.eigvalsh(q @ p @ q).max()
                     assert top <= c + 1e-10
+
+    def test_rank_two_blocks_match_the_svd_loop(self):
+        # both PVMs with a rank-2 projector: the padded blocks take an SVD
+        for seed in range(20):
+            xp, zp = rank2_plus_rank1_pvm([seed, 0]), rank2_plus_rank1_pvm([seed, 1])
+            assert abs(incompatibility_c(xp, zp) - incompatibility_loop_oracle(xp, zp)) < 4e-15
 
 
 class TestPurify:
@@ -419,3 +450,22 @@ class TestScenarioFiles:
         assert "0.33333333333333331" in s  # 17 significant digits
         assert '"inf"' in s  # distinguished value, not an overflow
         assert json.loads(s)["b"] == 1 / 3  # bit-exact round trip
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_compressed_blocks_rebuild_the_pinched_state(case):
+    # sum_x (R_x^dag (x) I) B_x (R_x (x) I) = sum_x (P_x (x) I) rho (P_x (x) I),
+    # and each B_x has the spectrum of its term
+    rho, pos, pvm = case
+    first = rho.permute([rho.labels[pos]] + [s for i, s in enumerate(rho.labels) if i != pos])
+    blocks = _compressed(rho.matrix, rho.dims, pvm, pos)
+    rest = rho.dim // rho.dims[pos]
+    lift = np.stack([np.kron(dagger(rx), np.eye(rest)) for rx in pvm._ranges])
+    terms = [np.kron(p, np.eye(rest)) @ first.matrix @ np.kron(p, np.eye(rest))
+             for p in pvm.projectors]
+    assert np.abs((lift @ blocks @ lift.conj().transpose(0, 2, 1)).sum(axis=0)
+                  - sum(terms)).max() <= 1e-14
+    for b, term in zip(blocks, terms):
+        want = np.sort(np.linalg.eigvalsh(term))[-len(b):]
+        assert np.abs(np.sort(np.linalg.eigvalsh(b)) - want).max() <= 1e-14
