@@ -9,6 +9,8 @@ Every support and negativity decision on a spectrum is made here, once:
 ``EPS_SUPP`` times the largest, signed), and :func:`_check_psd` is the one
 guard that rejects an eigenvalue below ``-_NEG_TOL * max(1, top)``, where
 :class:`~eurqsi.states.DensityOperator` rejects a state.
+:func:`support_eig` applies both, and its support pairs are the factored
+form in which :func:`_fidelity` takes both of its arguments.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def _on_support(vals: np.ndarray) -> np.ndarray:
 def _check_psd(vals: np.ndarray) -> None:
     """Raise on an eigenvalue that a state may not have: one below
     ``-_NEG_TOL * max(1, top)``."""
-    if vals.min(initial=0.0) < -_NEG_TOL * max(1.0, float(vals.max(initial=0.0))):
+    lo = vals.min(initial=0.0)
+    if lo < 0.0 and lo < -_NEG_TOL * max(1.0, float(vals.max(initial=0.0))):
         raise ValueError("matrix has negative eigenvalues beyond tolerance")
 
 
@@ -92,11 +95,12 @@ def support_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues on the support, as :func:`_on_support` selects them, and
     their eigenvectors, descending.
 
-    ``m`` is a Hermitian ndarray its caller validated or built, so it is not
-    checked again; :func:`herm_eig` is the checked entry point.
+    ``m`` is a Hermitian ndarray its caller validated or built; only its
+    full spectrum is checked, by :func:`_check_psd` before the cut.
     """
     vals, vecs = np.linalg.eigh(m)
     vals, vecs = vals[::-1], vecs[:, ::-1]
+    _check_psd(vals)
     keep = _on_support(vals)
     return vals[keep], vecs[:, keep]
 
@@ -233,38 +237,32 @@ def _check_state_matrix(rho: np.ndarray, what: str) -> np.ndarray:
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity: squared trace norm of ``sqrt(rho) sqrt(sigma)``.
 
-    Both arguments must be Hermitian with unit trace; :func:`_fidelity`
-    computes the value.
+    Both arguments must be Hermitian with unit trace and pass
+    :func:`_check_psd`; :func:`_fidelity` computes the value from their
+    support pairs.
     """
     rho = _check_state_matrix(rho, "fidelity argument")
     sigma = _check_state_matrix(sigma, "fidelity argument")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return _fidelity(support_eig(rho), sigma)
+    return _fidelity(support_eig(rho), support_eig(sigma))
 
 
-def _fidelity(rho_eig: tuple[np.ndarray, np.ndarray], sigma: np.ndarray) -> float:
-    """The spectral part of :func:`fidelity`, on matrices it does not check.
+def _fidelity(rho_eig: tuple[np.ndarray, np.ndarray],
+              sigma_eig: tuple[np.ndarray, np.ndarray]) -> float:
+    """The spectral part of :func:`fidelity`, on support pairs it does not check.
 
-    ``rho_eig`` is :func:`support_eig` of ``rho``, so a caller that already
-    holds it does not decompose ``rho`` again.  The value is computed
-    through the spectrum of ``sqrt(rho) sigma sqrt(rho)``, which keeps every
-    intermediate Hermitian, with ``sqrt(rho)`` taken on the support.  Both
-    parts are normalized first: the kept spectrum of ``rho`` by its sum and
-    ``sigma`` by its trace, so that round-off negative eigenvalues, dropped
-    from one and kept in the other, cannot push the value past 1.  The
-    square roots are summed over the support of the inner spectrum, and the
-    result is clipped to 1 after a guard band of ``_FIDELITY_GUARD``.
+    ``rho_eig`` = (l, U) and ``sigma_eig`` = (m, W) are :func:`support_eig`
+    pairs, or any eigenpairs with orthonormal vectors.  ``sqrt(rho)
+    sqrt(sigma)`` has the singular values of ``(U sqrt(l))^dag (W sqrt(m))``,
+    so F = (their sum)^2 / (sum(l) sum(m)) takes no square root of a small
+    eigenvalue of a product and cuts none.  It is clipped to 1 after a guard
+    band of ``_FIDELITY_GUARD``.
     """
-    # sqrt(rho) sigma sqrt(rho) has the nonzero spectrum of its compression
-    # to supp(rho)
-    lam, v = rho_eig
-    half = v * np.sqrt(lam / lam.sum())
-    inner = dagger(half) @ sigma @ half / np.trace(sigma).real
-    # eigh noise on zero modes is O(eps); summing their square roots would
-    # cost ~1e-8, so they count as zero
-    vals = np.linalg.eigvalsh(inner)
-    f = float(np.sum(np.sqrt(np.where(_on_support(vals), vals, 0.0))) ** 2)
+    lam, u = rho_eig
+    mu, w = sigma_eig
+    overlap = dagger(u * np.sqrt(lam)) @ (w * np.sqrt(mu))
+    f = float(np.linalg.svd(overlap, compute_uv=False).sum() ** 2 / (lam.sum() * mu.sum()))
     if f > 1.0 + _FIDELITY_GUARD:
         raise ValueError(f"fidelity {f} outside [0, 1] beyond guard band")
     return min(f, 1.0)

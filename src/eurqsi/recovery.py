@@ -1,12 +1,14 @@
 """Recovery channels: Petz, rotated Petz, and the measurement-reversal map.
 
-Completely positive maps are stored by their Choi matrix, built as
-``(id (x) map)`` applied to the unnormalized maximally entangled operator
-with the input system first: ``choi = sum_ij E_ij (x) map(E_ij)``.  In this
-convention a map that preserves trace on a subspace with projector ``P``
-satisfies ``Tr_out(choi) = P.T``.  A map given by Kraus operators gets its
-Choi matrix once, from :meth:`CpMap.from_kraus`; the measurement channel's
-Kraus operators are the PVM's own :attr:`~eurqsi.states.Pvm.kraus`.
+A completely positive map is its Choi matrix, built as ``(id (x) map)``
+applied to the unnormalized maximally entangled operator with the input
+system first: ``choi = sum_ij E_ij (x) map(E_ij)``.  In this convention a
+map that preserves trace on a subspace with projector ``P`` satisfies
+``Tr_out(choi) = P.T``.  The Choi matrix is the one form that is checked and
+applied; Kraus operators are a derived form (:attr:`CpMap.kraus`), kept
+from :meth:`CpMap.from_kraus` or found once from the Choi matrix.  The
+measurement channel's Kraus operators are the PVM's own
+:attr:`~eurqsi.states.Pvm.kraus`.
 
 The rotated Petz construction averages unitary rotations by imaginary
 operator powers against the density ``p(t) = (pi/2) / (cosh(pi t) + 1)``.
@@ -43,11 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import (_check_psd, _on_support, _sinhc, as_matrix, dagger,
-                     eigenvalue_below, herm_eig, support_eig)
+from .linalg import (_on_support, _sinhc, as_matrix, dagger, eigenvalue_below, herm_eig,
+                     is_hermitian, support_eig)
 from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _compressed, _in_order
 
 CHOI_TOL = 1e-8
@@ -58,16 +61,14 @@ class CpMap:
     """Completely positive map between labeled multipartite spaces.
 
     ``support`` is the projector on the input space where the map is
-    trace-preserving (identity when None).  Kraus operators are optional;
-    rotated Petz maps keep only the Choi matrix.  A map known by its Kraus
-    operators is built with :meth:`from_kraus`; a Choi matrix and Kraus
-    operators passed together are checked against each other.
+    trace-preserving (identity when None).  The Choi matrix is the map: it
+    is validated once, here, and every application goes through it.  A map
+    known by its Kraus operators is built with :meth:`from_kraus`.
     """
 
     choi: np.ndarray
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
-    kraus: tuple[np.ndarray, ...] | None = None
     support: np.ndarray | None = None
     in_labels: tuple[str, ...] = ()
     out_labels: tuple[str, ...] = ()
@@ -91,28 +92,25 @@ class CpMap:
             raise ValueError("Choi matrix is not Hermitian")
         if eigenvalue_below(choi, CHOI_TOL * scale) is not None:
             raise ValueError("Choi matrix is not positive semidefinite")
-        if self.kraus is not None:
-            kraus = self._checked_kraus(self.kraus)
-            object.__setattr__(self, "kraus", kraus)
-            if np.abs(choi_from_kraus(kraus) - choi).max() > CHOI_TOL * scale:
-                raise ValueError("Choi matrix inconsistent with Kraus operators")
         if self.support is not None:
             object.__setattr__(self, "support", as_matrix(self.support))
 
     @classmethod
     def from_kraus(cls, kraus, in_dims, out_dims, **fields) -> "CpMap":
-        """Map ``sum_k K_k (.) K_k^dag``, its Choi matrix built once from ``kraus``."""
-        kraus = tuple(kraus)
+        """Map ``sum_k K_k (.) K_k^dag``: its Choi matrix built once from
+        ``kraus``, which it keeps as :attr:`kraus`."""
+        kraus = tuple(as_matrix(k) for k in kraus)
         cpmap = cls(choi_from_kraus(kraus), in_dims, out_dims, **fields)
-        object.__setattr__(cpmap, "kraus", cpmap._checked_kraus(kraus))
+        if any(k.shape != (cpmap.out_dim, cpmap.in_dim) for k in kraus):
+            raise ValueError("Kraus operator shape mismatch")
+        object.__setattr__(cpmap, "kraus", kraus)
         return cpmap
 
-    def _checked_kraus(self, kraus) -> tuple[np.ndarray, ...]:
-        kraus = tuple(as_matrix(k) for k in kraus)
-        for k in kraus:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise ValueError("Kraus operator shape mismatch")
-        return kraus
+    @cached_property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        """Kraus operators of the map: those :meth:`from_kraus` was given,
+        or :func:`kraus_from_choi` of the Choi matrix, found on first use."""
+        return kraus_from_choi(self.choi, self.in_dim, self.out_dim)
 
     @property
     def in_dim(self) -> int:
@@ -132,11 +130,6 @@ class CpMap:
         xi = as_matrix(xi)
         if xi.shape != (self.in_dim, self.in_dim):
             raise ValueError(f"input shape {xi.shape} does not match {self.in_dim}")
-        if self.kraus is not None:
-            out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-            for k in self.kraus:
-                out += k @ xi @ dagger(k)
-            return out
         return np.einsum("ij,iajb->ab", xi, self.choi_blocks())
 
     def trace_preservation_defect(self) -> float:
@@ -147,16 +140,10 @@ class CpMap:
         return float(np.abs(tr_out - target.T).max())
 
 
-def vec_operator(k: np.ndarray) -> np.ndarray:
-    """Column-stacking vec matching the Choi convention (input index slow)."""
-    return np.ravel(as_matrix(k), order="F")
-
-
-def choi_from_kraus(kraus, weights=None) -> np.ndarray:
-    """Choi matrix of ``sum_k w_k K_k (.) K_k^dag``."""
-    vecs = np.stack([vec_operator(k) for k in kraus])
-    if weights is not None:
-        vecs = vecs * np.sqrt(np.asarray(weights, dtype=float))[:, None]
+def choi_from_kraus(kraus) -> np.ndarray:
+    """Choi matrix of ``sum_k K_k (.) K_k^dag``: the sum of vec(K_k) vec(K_k)^dag
+    with the column-stacking vec (input index slow) of the Choi convention."""
+    vecs = np.stack([np.ravel(as_matrix(k), order="F") for k in kraus])
     return vecs.T @ vecs.conj()
 
 
@@ -164,12 +151,9 @@ def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int):
     """Kraus operators from the spectral decomposition of a Choi matrix,
     one per eigenvalue above 1e-12 times max(1, top)."""
     vals, vecs = herm_eig(choi)
-    top = float(vals.max(initial=0.0))
-    kraus = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > 1e-12 * max(top, 1.0):
-            kraus.append(np.sqrt(lam) * v.reshape(in_dim, out_dim).T)
-    return tuple(kraus)
+    keep = vals > 1e-12 * max(float(vals.max(initial=0.0)), 1.0)
+    ops = (vecs[:, keep] * np.sqrt(vals[keep])).T.reshape(-1, in_dim, out_dim)
+    return tuple(ops.transpose(0, 2, 1))
 
 
 def measurement_channel(pvm: Pvm) -> CpMap:
@@ -187,11 +171,12 @@ def measurement_channel(pvm: Pvm) -> CpMap:
     )
 
 
-def _petz_spectra(sigma: np.ndarray, channel: CpMap, name: str):
+def _petz_spectra(sigma: np.ndarray, channel: CpMap):
     """Support eigenpairs ``(l, V)`` of ``sigma`` and ``(m, W)`` of N(sigma).
 
-    ``sigma`` is rejected only through :func:`~eurqsi.linalg._check_psd`,
-    then cut to its support once, and N is applied to the cut ``sigma``, so
+    ``sigma`` must be Hermitian and is rejected as non-PSD only through
+    :func:`~eurqsi.linalg._check_psd` (in :func:`~eurqsi.linalg.support_eig`);
+    it is cut to its support once, and N is applied to the cut ``sigma``, so
     both Petz maps see one operator and preserve trace on supp(N(sigma)).
     """
     sigma = as_matrix(sigma)
@@ -199,12 +184,9 @@ def _petz_spectra(sigma: np.ndarray, channel: CpMap, name: str):
         raise ValueError(
             f"sigma dimension {sigma.shape[0]} incompatible with channel input {channel.in_dim}"
         )
-    if channel.kraus is None:
-        raise ValueError(f"{name} needs a channel with Kraus operators")
-    vals, vecs = herm_eig(sigma)
-    _check_psd(vals)
-    keep = _on_support(vals)
-    lam, v = vals[keep], vecs[:, keep]
+    if not is_hermitian(sigma):
+        raise ValueError("sigma is not Hermitian within tolerance")
+    lam, v = support_eig(sigma)
     mu, w = support_eig(channel.apply_matrix((v * lam) @ dagger(v)))
     return lam, v, mu, w
 
@@ -216,7 +198,7 @@ def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     on its support; the map restores ``sigma`` from ``N(sigma)`` and is
     trace-preserving on supp(N(sigma)).
     """
-    lam, v, mu, w = _petz_spectra(sigma, channel, "petz_map")
+    lam, v, mu, w = _petz_spectra(sigma, channel)
     sqrt_sigma = (v * np.sqrt(lam)) @ dagger(v)
     inv_sqrt_n = (w / np.sqrt(mu)) @ dagger(w)
     kraus = tuple(sqrt_sigma @ dagger(k) @ inv_sqrt_n for k in channel.kraus)
@@ -244,7 +226,7 @@ def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     the Choi matrix is ``U (Gram(C) o sinhc) U^dag`` with
     ``U = conj(W) (x) V``.
     """
-    lam, v, mu, w = _petz_spectra(sigma, channel, "rotated_petz_map")
+    lam, v, mu, w = _petz_spectra(sigma, channel)
     k_dag = np.stack([dagger(k) for k in channel.kraus])      # (nk, din, dout)
     # vec index of a recovery Kraus operator: input c slow, output a fast
     coef = np.einsum("ia,kij,jc->kca", v.conj(), k_dag, w)
@@ -369,8 +351,6 @@ class CptpReport:
 
     choi_min_eigenvalue: float
     trace_preservation_defect: float
-    kraus_completeness_defect: float | None
-    kraus_choi_defect: float | None
     tolerance: float
 
     @property
@@ -383,28 +363,18 @@ class CptpReport:
 
     @property
     def ok(self) -> bool:
-        extra = True
-        if self.kraus_completeness_defect is not None:
-            extra = self.kraus_completeness_defect <= self.tolerance
-        return self.cp_ok and self.tp_ok and extra
+        return self.cp_ok and self.tp_ok
 
 
 def verify_cptp(cpmap: CpMap) -> CptpReport:
-    """Check Choi positivity and trace preservation on the map's support."""
-    min_eig = float(np.linalg.eigvalsh(cpmap.choi).min())
-    kraus_complete = None
-    kraus_choi = None
-    if cpmap.kraus is not None:
-        target = cpmap.support if cpmap.support is not None else np.eye(cpmap.in_dim)
-        acc = np.zeros((cpmap.in_dim, cpmap.in_dim), dtype=complex)
-        for k in cpmap.kraus:
-            acc += dagger(k) @ k
-        kraus_complete = float(np.abs(acc - target).max())
-        kraus_choi = float(np.abs(choi_from_kraus(cpmap.kraus) - cpmap.choi).max())
+    """Check Choi positivity and trace preservation on the map's support.
+
+    Both are properties of the Choi matrix: for a map built from Kraus
+    operators, its trace-preservation defect is the completeness defect of
+    ``sum_k K_k^dag K_k`` against the support, transposed.
+    """
     return CptpReport(
-        choi_min_eigenvalue=min_eig,
+        choi_min_eigenvalue=float(np.linalg.eigvalsh(cpmap.choi).min()),
         trace_preservation_defect=cpmap.trace_preservation_defect(),
-        kraus_completeness_defect=kraus_complete,
-        kraus_choi_defect=kraus_choi,
         tolerance=CHOI_TOL,
     )

@@ -27,11 +27,13 @@ measurement-reversal map,
 :func:`~eurqsi.recovery._reversal` (derived in :mod:`eurqsi.recovery`,
 which assembles the explicit channel from the same kernel); no channel is
 built here.  The one support pair of rho_AB its caller took
-(:func:`~eurqsi.linalg.support_eig`) serves H(AB) and sqrt(rho_AB) in f.
-H(Z|E) stays an explicit entropy of the measured AE marginal, never
-derived from H(AB) through the duality, so the two remain independent
-cross-checks.  :func:`fuzz` calls the kernel on each trial's rho_AB and
-its purified AE marginal, so the pure state on ABE is never formed.
+(:func:`~eurqsi.linalg.support_eig`) serves H(AB) and is rho_AB's factor in
+f, which takes R(sigma_XB) factored too.  H(Z|E) stays an explicit entropy
+of the measured AE marginal, never derived from H(AB) through the duality,
+so the two remain independent cross-checks.  :func:`check_bipartite` and
+:func:`fuzz` reach the kernel through one helper,
+:func:`_bipartite_scalars`, on rho_AB and its purified AE marginal, so the
+pure state on ABE is never formed.
 
 Entropy terms are eigenvalue-exact (1e-9); by default the refined
 inequality counts as violated when its slack is below -1e-6, and the report
@@ -47,7 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from .entropy import _block_entropies, entropy_of_spectrum
-from .linalg import _fidelity, dagger, support_eig
+from .linalg import _fidelity, support_eig
 from .recovery import _reversal
 from .states import (
     DensityOperator,
@@ -174,8 +176,10 @@ def _reversibility(
     and R(sigma_XB) keep; ``z_blocks`` is its compression to each range of
     Z (:func:`~eurqsi.states._compressed`), from which tau's spectrum comes,
     and ``rho_eig``, its :func:`~eurqsi.linalg.support_eig` pair, gives
-    sqrt(rho_AB) to the fidelity.  ``sigma_x`` is the stack of the blocks
-    sigma_x, as :func:`~eurqsi.states._measured` returns it.
+    rho_AB's factor to the fidelity.  ``sigma_x`` is the stack of the blocks
+    sigma_x, as :func:`~eurqsi.states._measured` returns it.  R(sigma_XB) =
+    V r V^dag reaches the fidelity factored: the support pair (m, Q) of the
+    matrix r, which is the size of tau's rank, with vectors V Q.
 
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
@@ -184,7 +188,8 @@ def _reversibility(
     m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
     root = np.sqrt(lam)
     r = np.einsum("xajbl,xjl->ab", kernel, m) * np.outer(root, root)
-    return _fidelity(rho_eig, v @ r @ dagger(v))
+    vals, q = support_eig(r)
+    return _fidelity(rho_eig, (vals, v @ q))
 
 
 def _scalars(
@@ -218,6 +223,14 @@ def _scalars(
     return h_xb, h_zb, h_ze, h_ab, c, f
 
 
+def _bipartite_scalars(rho_ab: np.ndarray, dims: tuple[int, ...], x_pvm: Pvm, z_pvm: Pvm):
+    """:func:`_scalars` of ``rho_ab`` (A first, B the rest) and the AE
+    marginal of its purification, both from one support pair of rho_AB."""
+    rho_eig = support_eig(rho_ab)
+    rho_ae, ae_dims = _purified_marginal(rho_eig, dims, 0)
+    return _scalars(rho_ab, dims, rho_eig, rho_ae, ae_dims, x_pvm, z_pvm)
+
+
 def check_bipartite(
     rho_ab: DensityOperator,
     x_pvm: Pvm,
@@ -240,10 +253,7 @@ def check_bipartite(
     _check_pvm_dim(z_pvm, dims[pos], measured)
     # the input is checked; below are plain arrays with the measured subsystem first
     m, dims = _in_order(m, dims, [pos] + [i for i in range(len(dims)) if i != pos])
-    rho_eig = support_eig(m)
-    rho_ae, ae_dims = _purified_marginal(rho_eig, dims, 0)
-    return EurReport("bipartite_refined",
-                     *_scalars(m, dims, rho_eig, rho_ae, ae_dims, x_pvm, z_pvm))
+    return EurReport("bipartite_refined", *_bipartite_scalars(m, dims, x_pvm, z_pvm))
 
 
 def check_tripartite(
@@ -315,8 +325,8 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
 
     ``dims`` is the A dimension or an explicit (A, B) pair.  Measurements
     are Pauli X/Z for qubit A and Haar-random rank-one PVMs otherwise.
-    Each trial makes one :func:`_scalars` call on its rho_AB and the AE
-    marginal of its purification, and reports the requested relation.
+    Each trial makes one :func:`_bipartite_scalars` call on its rho_AB,
+    as :func:`check_bipartite` does, and reports the requested relation.
     Deterministic under ``seed``; the worst instance is serialized in the
     scenario dialect for replay.
     """
@@ -344,10 +354,7 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
         if pvm_mode == "random":
             x_pvm = random_pvm(d_a, [seed, trial, 1])
             z_pvm = random_pvm(d_a, [seed, trial, 2])
-        rho_eig = support_eig(rho.matrix)
-        rho_ae, ae_dims = _purified_marginal(rho_eig, dims, 0)
-        report = EurReport(relation_id, *_scalars(
-            rho.matrix, dims, rho_eig, rho_ae, ae_dims, x_pvm, z_pvm))
+        report = EurReport(relation_id, *_bipartite_scalars(rho.matrix, dims, x_pvm, z_pvm))
         slack = report.slack_refined if refined else report.slack_original
         max_gap = max(max_gap, report.slack_refined - report.slack_original)
         if slack < min_slack:

@@ -7,8 +7,10 @@ the computational outcome into a classical register with the operators
 ``|m>|m><m|`` on the target, the readout flip folded into the same set, and
 the register is then moved last; the register is a decohered subsystem, so
 recovery channels conditioned on it are exact.  A recovery applies its
-map's Kraus operators to the subsystems it reads.  Shots are sampled from
-the exact final distribution; there is no per-shot re-execution.
+map's Kraus operators (:attr:`~eurqsi.recovery.CpMap.kraus`, derived from
+the Choi matrix when the map was not built from them) to the subsystems it
+reads.  Shots are sampled from the exact final distribution; there is no
+per-shot re-execution.
 
 :func:`run_circuit` returns the validated final state.  :func:`run_experiment`
 uses only the recovery map its circuit names, built once per process,
@@ -30,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from .linalg import apply_local, partial_trace
-from .recovery import CpMap, kraus_from_choi
+from .recovery import CpMap
 from .states import (
     DensityOperator,
     KET_0,
@@ -256,11 +258,8 @@ class _SimState:
         positions = [self.index(s) for s in in_labels]
         rest = [i for i in range(len(self.dims)) if i not in positions]
         t = _reordered(self.rho, self.dims, positions + rest)
-        kraus = cpmap.kraus
-        if kraus is None:
-            kraus = kraus_from_choi(cpmap.choi, cpmap.in_dim, cpmap.out_dim)
         rest_dims = [self.dims[i] for i in rest]
-        self.rho = apply_local(t, [cpmap.in_dim] + rest_dims, kraus, [0])
+        self.rho = apply_local(t, [cpmap.in_dim] + rest_dims, cpmap.kraus, [0])
         self.dims = list(cpmap.out_dims) + rest_dims
         self.labels = list(out_labels) + [self.labels[i] for i in rest]
 

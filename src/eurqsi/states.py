@@ -12,22 +12,24 @@ to the stack of the diagonal blocks, which :func:`measure` places on the
 diagonal and the checks use as they are.
 
 Validation happens at the boundary: :class:`DensityOperator` and
-:class:`Pvm` check their invariants when they are constructed, and the
-public functions check their arguments.  Each public operation that the
-checks in :mod:`eurqsi.relations` need wraps an array kernel
-(``_measured``, ``_purified_marginal``); the checks call the kernels on
-arrays derived from an input they validated once.
+:class:`Pvm` check their invariants once, when they are constructed, and
+the public functions check their arguments; a PVM's basis comes from the
+step that validates it.  Each public operation that the checks in
+:mod:`eurqsi.relations` need wraps an array kernel (``_measured``,
+``_purified_marginal``); the checks call the kernels on arrays derived from
+an input they validated once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
+    HERM_TOL,
     _NEG_TOL,
     apply_local,
     as_matrix,
@@ -161,45 +163,76 @@ def _in_order(m: np.ndarray, dims, order) -> tuple[np.ndarray, tuple[int, ...]]:
 class Pvm:
     """Orthogonal projectors summing to identity on one subsystem.
 
-    Everything a check needs from a PVM comes from one orthonormal basis of
-    the measured space, each vector in the range of one projector: the
-    measurement Kraus operators :attr:`kraus`, the range stack ``_ranges``
-    that compresses a state to each outcome, and the incompatibility
-    constant.  :meth:`from_basis` keeps the family it was given as that
-    basis; a PVM built from its projectors finds one by a stacked ``eigh``
-    on first use.
+    A PVM holds its projectors and one orthonormal basis of the measured
+    space, each vector in the range of one projector, both set and checked
+    once, when it is made.  Everything a check needs comes from the basis:
+    the measurement Kraus operators :attr:`kraus`, the range stack
+    ``_ranges`` that compresses a state to each outcome, and the
+    incompatibility constant.
     """
 
     projectors: tuple[np.ndarray, ...]
+    # (x, bras): row k of bras is <v_k|, the v_k an orthonormal basis grouped
+    # by outcome, v_k in range(P_{x_k}) and x ascending
+    _basis: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Validate the projectors and find the basis in one stacked ``eigh``.
+
+        Each P_x passes :func:`~eurqsi.linalg.is_hermitian`'s test and their
+        sum is I entrywise within ``PVM_TOL``.  The eigenvectors of P_x above
+        1/2 span its spectral projector Pi_x and join the basis.  With t the
+        largest distance of an eigenvalue from {0, 1} plus ||P_x - P_x^dag||_F,
+        ||P_x - Pi_x|| <= t, so no entry of P_x^2 - P_x exceeds t + t^2; with
+        g = ||G - I||_F for the Gram matrix G of the d basis vectors, no entry
+        of P_x P_y (x != y) exceeds g + 2t + t^2 <= ``PVM_TOL``.
+        """
         projs = tuple(as_matrix(p) for p in self.projectors)
-        object.__setattr__(self, "projectors", projs)
         if not projs:
             raise InvalidStateError("PVM needs at least one projector")
         d = projs[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for i, p in enumerate(projs):
-            if p.shape != (d, d):
-                raise InvalidStateError("PVM projectors differ in dimension")
-            if not is_hermitian(p):
-                raise InvalidStateError(f"projector {i} is not Hermitian")
-            if np.abs(p @ p - p).max() > PVM_TOL:
-                raise InvalidStateError(f"projector {i} is not idempotent")
-            total += p
-        if np.abs(total - np.eye(d)).max() > PVM_TOL:
+        if any(p.shape != (d, d) for p in projs):
+            raise InvalidStateError("PVM projectors differ in dimension")
+        stack = np.stack(projs)
+        skew = stack - stack.conj().transpose(0, 2, 1)
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        bad = np.flatnonzero(np.abs(skew).max(axis=(1, 2)) > HERM_TOL * scale)
+        if bad.size:
+            raise InvalidStateError(f"projector {bad[0]} is not Hermitian")
+        vals, vecs = np.linalg.eigh(stack)
+        t = np.abs(vals - (vals > 0.5)).max(axis=1) + np.linalg.norm(skew, axis=(1, 2))
+        if (t + t ** 2).max() > PVM_TOL:
+            raise InvalidStateError(f"projector {t.argmax()} is not idempotent")
+        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > PVM_TOL:
             raise InvalidStateError("PVM projectors do not sum to identity")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.abs(projs[i] @ projs[j]).max() > PVM_TOL:
-                    raise InvalidStateError(f"projectors {i},{j} are not orthogonal")
+        x, j = np.nonzero(vals[:, ::-1] > 0.5)
+        bras = vecs[x, :, d - 1 - j].conj()
+        t = t.max()
+        if len(x) != d or _gram_defect(bras) + 2 * t + t ** 2 > PVM_TOL:
+            raise InvalidStateError("PVM projectors are not orthogonal")
+        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "_basis", (x, bras))
 
     @classmethod
     def from_basis(cls, vectors) -> "Pvm":
-        """Rank-one PVM from an orthonormal family of kets, kept as its basis."""
+        """Rank-one PVM from an orthonormal family of kets, kept as its basis.
+
+        One Gram matmul validates the d kets: with g = ||G - I||_F,
+        g (1 + g) <= ``PVM_TOL`` bounds every entry of P_x^2 - P_x, of
+        P_x P_y (x != y) and of sum P_x - I by ``PVM_TOL``, where the
+        projectors P_x = |v_x><v_x| are derived from the kets.
+        """
         kets = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        pvm = cls(tuple(ket_bra(v) for v in kets))
-        object.__setattr__(pvm, "_basis", (np.arange(len(kets)), np.conj(kets)))
+        if not kets or len({len(v) for v in kets}) != 1:
+            raise InvalidStateError("PVM needs kets of one dimension")
+        bras = as_matrix(np.conj(kets))
+        g = _gram_defect(bras)
+        if bras.shape[0] != bras.shape[1] or g * (1.0 + g) > PVM_TOL:
+            raise InvalidStateError(f"{len(kets)} kets with ||G - I||_F = {g:.3g} "
+                                    f"are not an orthonormal basis of dimension {bras.shape[1]}")
+        pvm = object.__new__(cls)
+        object.__setattr__(pvm, "projectors", tuple(bras.conj()[:, :, None] * bras[:, None, :]))
+        object.__setattr__(pvm, "_basis", (np.arange(len(kets)), bras))
         return pvm
 
     @property
@@ -210,24 +243,11 @@ class Pvm:
         return len(self.projectors)
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(int(round(float(np.trace(p).real))) for p in self.projectors)
+        """The rank of each projector: its number of basis vectors."""
+        return tuple(int(r) for r in np.bincount(self._basis[0], minlength=len(self)))
 
     def is_rank_one(self) -> bool:
         return all(r == 1 for r in self.ranks())
-
-    @cached_property
-    def _basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, bras)``: row k of ``bras`` is <v_k|, the v_k an orthonormal
-        basis grouped by outcome, v_k in range(P_{x_k}) and ``x`` ascending.
-
-        :meth:`from_basis` sets it; otherwise one stacked ``eigh`` over the
-        validated projectors finds it, each range's vectors in descending
-        eigenvalue order.
-        """
-        d = self.dim
-        vals, vecs = np.linalg.eigh(np.stack(self.projectors))
-        x, j = np.nonzero(vals[:, ::-1] > 0.5)
-        return x, vecs[x, :, d - 1 - j].conj()
 
     @cached_property
     def kraus(self) -> np.ndarray:
@@ -251,6 +271,11 @@ class Pvm:
         ranges = np.zeros((len(self), slot.max() + 1, self.dim), dtype=complex)
         ranges[x, slot] = bras
         return ranges
+
+
+def _gram_defect(bras: np.ndarray) -> float:
+    """Frobenius norm of G - I, G the Gram matrix of the rows of ``bras``."""
+    return float(np.linalg.norm(bras @ bras.conj().T - np.eye(len(bras))))
 
 
 def pauli_pvm(axis: str) -> Pvm:
@@ -352,9 +377,7 @@ def theta_state(
     """
     if not z_pvm.is_rank_one():
         raise InvalidStateError("theta_state needs a rank-one Z measurement")
-    pos = rho.label_index(measured)
-    _check_pvm_dim(x_pvm, rho.dims[pos], measured)
-    _check_pvm_dim(z_pvm, rho.dims[pos], measured)
+    # pinch and measure check the PVM dimensions
     return measure(pinch(rho, z_pvm, measured), x_pvm, measured, register_label)
 
 

@@ -220,6 +220,18 @@ def rank2_plus_rank1_pvm(seed):
     return Pvm((u[:, :2] @ dagger(u[:, :2]), u[:, 2:] @ dagger(u[:, 2:])))
 
 
+def pvm_entrywise_defect(projectors):
+    """The largest entry of P_x^2 - P_x, of P_x P_y (x < y) and of
+    sum P_x - I, and of P_x - P_x^dag: the PVM tests as entrywise loops."""
+    d = projectors[0].shape[0]
+    worst = max(np.abs(p @ p - p).max() for p in projectors)
+    worst = max(worst, np.abs(sum(projectors) - np.eye(d)).max())
+    for i, p in enumerate(projectors):
+        worst = max([worst, np.abs(p - dagger(p)).max()]
+                    + [np.abs(p @ q).max() for q in projectors[i + 1:]])
+    return worst
+
+
 def choi_of_kraus(kraus):
     """sum_k vec(K_k) vec(K_k)^dag with column-stacking vec (input index slow)."""
     vecs = [np.ravel(np.asarray(k), order="F") for k in kraus]
@@ -282,7 +294,7 @@ def _reversibility_nd_oracle(rho_ab, x_pvm, z_pvm, sigma_xb, measured):
     rest = [s for s in rho_ab.labels if s != measured]
     rho_ord = rho_ab.permute([measured] + rest)
     kraus = tuple(measurement_kraus_nd_oracle(x_pvm))
-    chan = CpMap(choi_of_kraus(kraus), (x_pvm.dim,), (len(x_pvm),), kraus=kraus)
+    chan = CpMap.from_kraus(kraus, (x_pvm.dim,), (len(x_pvm),))
     chan = tensor_with_identity(chan, rho_ord.dims[1:], rest)
     rec = rotated_petz_map(pinch(rho_ord, z_pvm, measured).matrix, chan)
     return fidelity(rho_ord.matrix, apply_map(rec, sigma_xb).matrix)

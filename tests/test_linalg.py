@@ -17,6 +17,7 @@ from eurqsi.states import KET_0, KET_1, KET_PLUS, bell_phi, ket_bra, random_stat
 
 from conftest import (
     embedded_operator_oracle,
+    haar_unitary,
     loop_partial_trace,
     pinched_state_oracle,
     sqrtm_fidelity,
@@ -199,6 +200,37 @@ def test_fidelity_against_sqrtm_oracle():
         rho = random_state(3, 3, seed).matrix
         sig = random_state(3, 2, seed + 50).matrix
         assert abs(fidelity(rho, sig) - sqrtm_fidelity(rho, sig)) < 5e-8
+
+
+def _near_pure(d, eps, seed):
+    """(1 - eps) |psi><psi| + eps * (a full-rank state), psi Haar-random."""
+    psi = haar_unitary(d, [seed, 0])[:, 0]
+    m = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * random_state(d, d, [seed, 1]).matrix
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fidelity_on_near_pure_states_keeps_small_eigenvalues():
+    # sqrt(rho) sigma sqrt(rho) of two near-pure states has genuine
+    # eigenvalues near EPS_SUPP times its top; each carries about
+    # 2 sqrt(l top) of F, so cutting them at EPS_SUPP biased F low by up to
+    # ~5e-7 here.  sqrtm's own accuracy on these inputs is ~2.5e-8.
+    worst = 0.0
+    for seed in range(60):
+        d = (4, 9)[seed % 2]
+        eps = 10.0 ** np.random.default_rng([seed, 9]).uniform(-12, -6, size=2)
+        rho, sig = _near_pure(d, eps[0], [seed, 2]), _near_pure(d, eps[1], [seed, 3])
+        worst = max(worst, abs(fidelity(rho, sig) - sqrtm_fidelity(rho, sig)))
+    assert worst < 1e-7
+
+
+@pytest.mark.parametrize("rho, sigma", [
+    (np.diag([1.5, -0.5]), np.diag([1.0, 0.0])),
+    (np.eye(2) / 2, np.diag([1.2, -0.2])),
+])
+def test_fidelity_rejects_a_negative_eigenvalue(rho, sigma):
+    with pytest.raises(ValueError, match="negative eigenvalues beyond tolerance"):
+        fidelity(rho, sigma)
 
 
 def test_fidelity_dimension_mismatch():

@@ -236,11 +236,12 @@ class TestMeasuredMarginals:
         # bipartite: no partial trace, rho_B and rho_E are sums of measured
         # blocks; tripartite: the AB and AE marginals.  No apply_local: tau's
         # spectrum comes from the blocks of rho_AB in Z's range basis, which
-        # also give H(ZB).  Eigensolves: rho_AB (H(AB), purification, sqrt in
-        # f), the AB block stack (H(B), H(XB), H(ZB)), the AE block stack
-        # (H(ZE), H(E)), the Z range blocks, the blocks of N(tau) and the
-        # fidelity's inner matrix.  No SVD: c comes from the overlap of the
-        # two bases, which fresh from_basis PVMs hold without an eigensolve.
+        # also give H(ZB).  Eigensolves: rho_AB (H(AB), purification, its
+        # factor in f), the AB block stack (H(B), H(XB), H(ZB)), the AE block
+        # stack (H(ZE), H(E)), the Z range blocks, the blocks of N(tau) and
+        # the matrix of R(sigma_XB) on tau's support.  One SVD, of the
+        # fidelity's factor overlap: c comes from the overlap of the two
+        # bases, which every PVM holds from its construction.
         rho_ab, _, _ = MARGINAL_CASES[case]
         d = rho_ab.dims[0]
         rho_abe = purify(rho_ab, "E")
@@ -248,7 +249,6 @@ class TestMeasuredMarginals:
             xp, zp = pauli_pvm("X"), pauli_pvm("Z")
         elif "rank-2 z" in case:
             xp, zp = Pvm.from_basis(haar_unitary(d, [307, 1]).T), rank2_plus_rank1_pvm([307, 2])
-            zp.kraus  # a PVM built from projectors finds its basis once, here
         else:
             xp, zp = (Pvm.from_basis(haar_unitary(d, [307, k]).T) for k in (1, 2))
         counts = {"partial_trace": 0, "apply_local": 0, "eig": 0, "svd": 0, "prod": 0}
@@ -284,7 +284,7 @@ class TestMeasuredMarginals:
             assert counts["partial_trace"] <= traces, check.__name__
             assert counts["apply_local"] == 0, check.__name__
             assert counts["eig"] <= 6, check.__name__
-            assert counts["svd"] == 0, check.__name__
+            assert counts["svd"] <= 1, check.__name__
             assert counts["prod"] == 0, check.__name__
 
     def test_recovery_channel_builds_one_map_and_no_state(self, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from eurqsi.states import (
     KET_0,
     KET_1,
     KET_PLUS,
+    PVM_TOL,
     Pvm,
     _compressed,
     _measured,
@@ -43,6 +45,7 @@ from conftest import (
     haar_unitary,
     incompatibility_loop_oracle,
     measured_state_oracle,
+    pvm_entrywise_defect,
     rank2_plus_rank1_pvm,
     rotated_spectrum,
     support_projector,
@@ -130,6 +133,7 @@ class TestPvm:
         assert not rank2.is_rank_one()
 
     # from_basis keeps its kets; a PVM built from projectors finds a basis
+    # when it is made
     PVMS = {
         "pauli X": pauli_pvm("X"),
         "haar 3": random_pvm(3, 5),
@@ -163,6 +167,102 @@ class TestPvm:
         for x, p in enumerate(pvm.projectors):
             rows = pvm.kraus[:, x]
             assert np.abs(rows.conj().T @ rows - p).max() < 1e-12
+
+
+# Each way a family can fail to be a PVM, missed by 2 * PVM_TOL
+_TWICE = 2 * PVM_TOL
+_E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_TILTED = np.array([np.sin(_TWICE), np.cos(_TWICE)], dtype=complex)
+NEAR_MISS_PROJECTORS = {
+    # the pairs sum to I exactly
+    "non-hermitian": (np.diag([1.0, 0.0]) + _TWICE * _E01, np.diag([0.0, 1.0]) - _TWICE * _E01),
+    "non-idempotent": (np.diag([1.0 + _TWICE, 0.0]), np.diag([-_TWICE, 1.0])),
+    "non-orthogonal": (np.diag([1.0, 0.0]), ket_bra(_TILTED)),
+    # each projector is idempotent within PVM_TOL, their sum is not I
+    "not summing to identity": (np.diag([1.0, 0.0, PVM_TOL]), np.diag([0.0, 1.0, PVM_TOL]),
+                                np.diag([0.0, 0.0, 1.0])),
+}
+NEAR_MISS_KETS = {
+    "non-orthogonal": (np.array([1.0, 0.0]), _TILTED),
+    "non-normalized": (np.array([1.0 + _TWICE, 0.0]), np.array([0.0, 1.0])),
+    "too few": (np.eye(3)[0], np.eye(3)[1]),
+    "too many": (np.eye(2)[0], np.eye(2)[1], _TILTED),
+}
+
+
+class TestPvmValidation:
+    @pytest.mark.parametrize("name", sorted(NEAR_MISS_PROJECTORS))
+    def test_projectors_missed_by_twice_the_tolerance_are_rejected(self, name):
+        with pytest.raises(InvalidStateError):
+            Pvm(tuple(np.asarray(p, dtype=complex) for p in NEAR_MISS_PROJECTORS[name]))
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISS_KETS))
+    def test_kets_missed_by_twice_the_tolerance_are_rejected(self, name):
+        with pytest.raises(InvalidStateError):
+            Pvm.from_basis(NEAR_MISS_KETS[name])
+
+    def test_never_accepts_what_the_entrywise_tests_refuse(self):
+        # families perturbed around PVM_TOL: whatever the one-step validation
+        # accepts passes the entrywise loop tests at PVM_TOL
+        rng = np.random.default_rng(416)
+        accepted = 0
+        for trial in range(300):
+            d = 2 + trial % 3
+            u = haar_unitary(d, [416, trial])
+            scale = 10.0 ** rng.uniform(-11.5, -9.3)
+            noise = rng.normal(size=(d, d, d)) + 1j * rng.normal(size=(d, d, d))
+            if trial % 2:
+                noise = noise + noise.conj().transpose(0, 2, 1)
+            projs = tuple(np.outer(u[:, k], u[:, k].conj()) + scale * noise[k] / np.abs(noise[k]).max()
+                          for k in range(d))
+            kets = u.T + scale * noise[0]
+            for build, family in ((lambda: Pvm(projs), projs),
+                                  (lambda: Pvm.from_basis(kets), [ket_bra(v) for v in kets])):
+                try:
+                    build()
+                except InvalidStateError:
+                    continue
+                accepted += 1
+                assert pvm_entrywise_defect(family) <= PVM_TOL
+        assert accepted > 100
+
+    def test_round_off_far_below_the_tolerance_is_accepted(self):
+        u = haar_unitary(3, 411)
+        kets = u.T + 1e-13 * haar_unitary(3, 412)
+        assert Pvm.from_basis(kets).is_rank_one()
+        projs = tuple(p + 1e-13 * np.eye(3) for p in random_pvm(3, 413).projectors)
+        assert Pvm(projs).ranks() == (1, 1, 1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_from_basis_decomposes_nothing_and_projectors_take_one_stacked_eigh(
+            self, d, monkeypatch):
+        kets = haar_unitary(d, [414, d]).T
+        rank2 = rank2_plus_rank1_pvm([414, d]).projectors
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls[name, np.shape(a)] += 1
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        pvm = Pvm.from_basis(kets)
+        assert pvm.is_rank_one() and pvm.kraus.shape == (d, d, d)
+        assert np.array_equal(pvm._ranges[:, 0], kets.conj())
+        assert calls == Counter()
+        # every later use reads the basis found here
+        for projs in (pvm.projectors, rank2):
+            calls.clear()
+            built = Pvm(projs)
+            built.ranks(), built.kraus, built._ranges
+            assert calls == Counter({("eigh", np.shape(projs)): 1})
+
+    def test_from_basis_projectors_are_the_kets_outer_products(self):
+        kets = haar_unitary(3, 415).T
+        for p, v in zip(Pvm.from_basis(kets).projectors, kets):
+            assert np.array_equal(p, ket_bra(v))
 
 
 class TestMeasure:
