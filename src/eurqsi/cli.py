@@ -62,16 +62,16 @@ def _emit(text: str, out_name: str) -> None:
 def _parse_noise(spec: str | None) -> NoiseSpec:
     if not spec or spec == "none":
         return NoiseSpec()
-    values = {"depolarizing": 0.0, "readout": 0.0}
+    values = {}
     for part in spec.split(","):
         key, _, raw = part.partition("=")
         key = key.strip()
-        if key not in values or not raw:
+        if key not in ("depolarizing", "readout") or not raw or key in values:
             raise ValueError(
-                f"noise spec must look like depolarizing=P,readout=Q; got {spec!r}"
+                f"noise spec must look like depolarizing=P,readout=Q, each key once; got {spec!r}"
             )
         values[key] = float(raw)
-    return NoiseSpec(depolarizing_p=values["depolarizing"], readout_flip=values["readout"])
+    return NoiseSpec(values.get("depolarizing", 0.0), values.get("readout", 0.0))
 
 
 def _verdict(name: str, slack: float, tolerance: float) -> int:
@@ -189,7 +189,7 @@ def cmd_experiment(args) -> int:
 
 def _positive_float(raw: str) -> float:
     value = float(raw)
-    if value <= 0.0:
+    if not value > 0.0:  # NaN included
         raise argparse.ArgumentTypeError(f"tolerance must be positive, got {raw}")
     return value
 

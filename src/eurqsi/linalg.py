@@ -4,6 +4,14 @@ Everything here works on plain ``numpy`` complex matrices.  Subsystem
 ordering is fixed package-wide: subsystem 0 is the slowest-varying tensor
 factor, i.e. ``tensor(a, b)`` puts ``a`` on subsystem 0.
 
+Two kernels are the only code in the package that lays a matrix out on its
+subsystem axes.  :func:`_in_order` traces out the subsystems not listed and
+puts the kept ones in the order listed; :func:`_local_stack` applies a
+stack of operators to the listed subsystems and returns the unsummed
+stack, those subsystems first.  :func:`partial_trace` and
+:func:`apply_local` are their checked public forms, and every reduction,
+reordering, measurement compression and Kraus step elsewhere calls them.
+
 Every support and negativity decision on a spectrum is made here, once:
 :func:`_on_support` is the one support cutoff (an eigenvalue above
 ``EPS_SUPP`` times the largest, signed), and :func:`_check_psd` is the one
@@ -119,41 +127,28 @@ def eigenvalue_below(m: np.ndarray, tol: float) -> float | None:
         return lo if lo < -tol else None
 
 
-def _subsystem_axes(dims, total_dim: int):
+def _on_subsystems(m, dims, indices, what: str):
+    """``m`` as a square matrix on ``dims`` and ``indices`` as distinct
+    subsystems of it, checked for the public function ``what``."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} needs a square matrix")
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    if math.prod(dims) != total_dim:
-        raise ValueError(f"product of dims {dims} != matrix dimension {total_dim}")
-    return dims
+    if math.prod(dims) != m.shape[0]:
+        raise ValueError(f"product of dims {dims} != matrix dimension {m.shape[0]}")
+    indices = [int(i) for i in indices]
+    if len(set(indices)) != len(indices) or any(i < 0 or i >= len(dims) for i in indices):
+        raise ValueError(f"subsystems {indices} repeat or are out of range for {len(dims)}")
+    return m, dims, indices
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    Parameters
-    ----------
-    m : square matrix on the tensor product of ``dims``
-    dims : dimension of each subsystem, subsystem 0 slowest-varying
-    keep : iterable of subsystem indices to retain (original order kept)
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("partial_trace needs a square matrix")
-    dims = _subsystem_axes(dims, m.shape[0])
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-
-    t = m.reshape(dims + dims)
-    # Row axis i and column axis n+i of each traced subsystem share a label.
-    row = list(range(n))
-    col = [n + i if i in keep else i for i in range(n)]
-    out_axes = [i for i in keep] + [n + i for i in keep]
-    kept_dim = math.prod(dims[i] for i in keep)
-    reduced = np.einsum(t, row + col, out_axes)
-    return reduced.reshape(kept_dim, kept_dim)
+    """Trace the square matrix ``m`` on subsystems ``dims`` over every
+    subsystem not listed in ``keep``; the kept ones stay in their order."""
+    m, dims, keep = _on_subsystems(m, dims, sorted(set(keep)), "partial_trace")
+    return _in_order(m, dims, keep)[0]
 
 
 def apply_local(m: np.ndarray, dims, kraus, positions) -> np.ndarray:
@@ -166,35 +161,63 @@ def apply_local(m: np.ndarray, dims, kraus, positions) -> np.ndarray:
     subsystem's dimension to ``d_out``, and ``d_out = 1`` contracts it away
     as ``<v| . |v>``.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("apply_local needs a square matrix")
-    dims = _subsystem_axes(dims, m.shape[0])
-    n = len(dims)
-    positions = [int(p) for p in positions]
-    if len(set(positions)) != len(positions) or any(p < 0 or p >= n for p in positions):
-        raise ValueError(f"positions {positions} repeat or fall outside {n} subsystems")
+    m, dims, positions = _on_subsystems(m, dims, positions, "apply_local")
     ks = np.asarray(kraus, dtype=complex)
     d_in = math.prod(dims[p] for p in positions)
     if ks.ndim != 3 or ks.shape[2] != d_in or (len(positions) != 1 and ks.shape[1] != d_in):
         raise ValueError(f"Kraus shape {ks.shape[1:]} does not fit positions {positions}")
-    d_out = ks.shape[1]
+    order = positions + [i for i in range(len(dims)) if i not in positions]
+    out_dims = [ks.shape[1]] if len(positions) == 1 else [dims[p] for p in positions]
+    out_dims += [dims[i] for i in order[len(positions):]]
+    # the summed stack has its subsystems in ``order``: put each back in its place
+    out = _local_stack(m, dims, ks, positions).sum(axis=0)
+    return _in_order(out, out_dims, [order.index(i) for i in range(len(dims))])[0]
+
+
+def _in_order(m: np.ndarray, dims, order) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``m`` on subsystems ``dims`` reduced to the subsystems ``order``, put
+    in that order, and its dims; nothing is checked.
+
+    One ``einsum``: the row and column axes of each subsystem not in
+    ``order`` share a label, which traces it out.
+    """
+    n = len(dims)
+    col = [n + i if i in order else i for i in range(n)]
+    kept = tuple(dims[i] for i in order)
+    d = math.prod(kept)
+    t = np.einsum(m.reshape(tuple(dims) * 2), list(range(n)) + col,
+                  list(order) + [n + i for i in order])
+    return t.reshape(d, d), kept
+
+
+def _local_stack(m: np.ndarray, dims, ops: np.ndarray, positions) -> np.ndarray:
+    """The unsummed stack ``(K_k (x) I) m (K_k^dag (x) I)`` of the
+    ``(k, d_out, d_in)`` operators ``ops`` on the subsystems ``positions``,
+    in the order listed; nothing is checked.  The listed subsystems come
+    first, as one factor of dimension d_out, and the rest follow in order.
+
+    ``m`` is laid out once with rows ordered (positions, rest) and columns
+    (rest, positions), so that both actions are plain matmuls on a
+    contiguous axis; the stack is put back in row order at the end.
+    """
+    n = len(dims)
+    k, d_out, d_in = ops.shape
     rest = [i for i in range(n) if i not in positions]
-    rest_dim = m.shape[0] // d_in
-    # Rows ordered (positions, rest) and columns (rest, positions), so that
-    # both Kraus actions are plain batched matmuls on a contiguous axis.
-    axes = positions + rest + [n + i for i in rest] + [n + i for i in positions]
-    t = m.reshape(dims + dims).transpose(axes).reshape(d_in, rest_dim * rest_dim * d_in)
-    t = (ks @ t).reshape(len(ks), d_out * rest_dim * rest_dim, d_in)
-    t = (t @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
-    out_dims = list(dims)
-    if len(positions) == 1:
-        out_dims[positions[0]] = d_out
-    pos_dims = [out_dims[p] for p in positions]
-    rest_dims = [dims[i] for i in rest]
-    t = t.reshape(pos_dims + rest_dims + rest_dims + pos_dims)
-    d = d_out * rest_dim
-    return t.transpose(sorted(range(len(axes)), key=axes.__getitem__)).reshape(d, d)
+    r = m.shape[0] // d_in
+    axes = list(positions) + rest + [n + i for i in rest] + [n + i for i in positions]
+    t = m.reshape(tuple(dims) * 2).transpose(axes).reshape(d_in, r * r * d_in)
+    t = (ops.reshape(k * d_out, d_in) @ t).reshape(k, d_out * r * r, d_in)
+    t = (t @ ops.conj().transpose(0, 2, 1)).reshape(k, d_out, r, r, d_out)
+    return t.transpose(0, 1, 2, 4, 3).reshape(k, d_out * r, d_out * r)
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The ``(n s, n s)`` matrix with the ``(n, s, s)`` stack ``blocks`` on
+    its diagonal."""
+    n, s = blocks.shape[:2]
+    out = np.zeros((n, s, n, s), dtype=complex)
+    out[np.arange(n), :, np.arange(n), :] = blocks
+    return out.reshape(n * s, n * s)
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:

@@ -49,9 +49,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (_on_support, _sinhc, as_matrix, dagger, eigenvalue_below, herm_eig,
-                     is_hermitian, support_eig)
-from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _compressed, _in_order
+from .linalg import (_block_diagonal, _on_support, _sinhc, as_matrix, dagger,
+                     eigenvalue_below, herm_eig, is_hermitian, support_eig)
+from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _compressed
 
 CHOI_TOL = 1e-8
 
@@ -310,11 +310,10 @@ def eur_recovery_map(
     dims, pos = rho_ab.dims, rho_ab.label_index(measured)
     _check_pvm_dim(x_pvm, dims[pos], measured)
     _check_pvm_dim(z_pvm, dims[pos], measured)
-    # the channel restores A in front of the rest: the kernel runs in that order
+    # the channel restores A in front of the rest, the layout of the compression
     order = [pos] + [i for i in range(len(dims)) if i != pos]
-    rho, out_dims = _in_order(rho_ab.matrix, dims, order)
-    out_labels = tuple(rho_ab.labels[i] for i in order)
-    lam, v, mu, w, kernel = _reversal(_compressed(rho, out_dims, z_pvm, 0), x_pvm, z_pvm)
+    out_dims, out_labels = tuple(dims[i] for i in order), tuple(rho_ab.labels[i] for i in order)
+    lam, v, mu, w, kernel = _reversal(_compressed(rho_ab.matrix, dims, z_pvm, pos), x_pvm, z_pvm)
     n, r, d = w.shape[0], w.shape[1], len(v)
     # u[x, (b, q), (a, j)] = conj(w_xj[b]) / sqrt(m_xj) * sqrt(l_a) V[q, a]
     u = np.einsum("xbj,qa->xbqaj", w.conj() / np.sqrt(mu[:, None, :]), v * np.sqrt(lam))
@@ -323,10 +322,8 @@ def eur_recovery_map(
     complement = np.eye(r) - w.conj() @ w.transpose(0, 2, 1)  # (I - W_x W_x^dag)^T
     tau = (v * (lam / lam.sum())) @ dagger(v)
     blocks += np.einsum("xbc,qs->xbqcs", complement, tau).reshape(blocks.shape)
-    choi = np.zeros((n, r * d, n, r * d), dtype=complex)
-    choi[np.arange(n), :, np.arange(n), :] = blocks
     return CpMap(
-        choi=choi.reshape(n * r * d, n * r * d),
+        choi=_block_diagonal(blocks),
         in_dims=(n,) + out_dims[1:],
         out_dims=out_dims,
         support=np.eye(n * r, dtype=complex),

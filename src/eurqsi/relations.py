@@ -49,7 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from .entropy import _block_entropies, entropy_of_spectrum
-from .linalg import _fidelity, support_eig
+from .linalg import _fidelity, _in_order, support_eig
 from .recovery import _reversal
 from .states import (
     DensityOperator,
@@ -58,7 +58,6 @@ from .states import (
     _check_pvm_dim,
     _compressed,
     _measured,
-    _in_order,
     _purified_marginal,
     _range_traced,
     incompatibility_c,

@@ -22,11 +22,18 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(data) -> np.ndarray:
+    """Rows of ``[re, im]`` entries, each a list of exactly two numbers."""
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        rows = [[_decode_entry(entry) for entry in row] for row in data]
+    except TypeError as exc:
         raise InvalidStateError(f"malformed complex matrix: {exc}") from exc
     return np.array(rows, dtype=complex)
+
+
+def _decode_entry(entry) -> complex:
+    if type(entry) is list and len(entry) == 2 and {type(v) for v in entry} <= {int, float}:
+        return complex(entry[0], entry[1])
+    raise InvalidStateError(f"malformed complex matrix: entry {entry!r} is not [re, im]")
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -92,15 +99,15 @@ def _format_float(x: float) -> str:
     return s
 
 
-def canonical_json(obj, indent: int = 2) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, 17-significant-digit floats, two-space indent."""
     pieces: list[str] = []
-    _write_json(obj, pieces, 0, indent)
+    _write_json(obj, pieces, 0)
     return "".join(pieces)
 
 
-def _write_json(obj, out: list[str], level: int, indent: int) -> None:
-    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+def _write_json(obj, out: list[str], level: int) -> None:
+    pad, pad_in = "  " * level, "  " * (level + 1)
     if obj is None or isinstance(obj, bool):
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
@@ -117,7 +124,7 @@ def _write_json(obj, out: list[str], level: int, indent: int) -> None:
         out.append("{\n")
         for i, k in enumerate(keys):
             out.append(f"{pad_in}{json.dumps(k)}: ")
-            _write_json(obj[k], out, level + 1, indent)
+            _write_json(obj[k], out, level + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -130,7 +137,7 @@ def _write_json(obj, out: list[str], level: int, indent: int) -> None:
                not isinstance(v, bool) for v in items) and len(items) <= 8:
             out.append("[")
             for i, v in enumerate(items):
-                _write_json(v, out, 0, 0)
+                _write_json(v, out, 0)
                 if i < len(items) - 1:
                     out.append(", ")
             out.append("]")
@@ -138,7 +145,7 @@ def _write_json(obj, out: list[str], level: int, indent: int) -> None:
         out.append("[\n")
         for i, v in enumerate(items):
             out.append(pad_in)
-            _write_json(v, out, level + 1, indent)
+            _write_json(v, out, level + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     else:

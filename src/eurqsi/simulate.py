@@ -1,16 +1,18 @@
 """Density-matrix circuit simulator with shot sampling and optional noise.
 
-Every circuit op is one Kraus step, one :func:`~eurqsi.linalg.apply_local`
-call on the subsystems it touches.  A gate and the depolarizing noise on
-its qubits form one Kraus set on controls + targets.  A measurement copies
-the computational outcome into a classical register with the operators
-``|m>|m><m|`` on the target, the readout flip folded into the same set, and
-the register is then moved last; the register is a decohered subsystem, so
-recovery channels conditioned on it are exact.  A recovery applies its
-map's Kraus operators (:attr:`~eurqsi.recovery.CpMap.kraus`, derived from
-the Choi matrix when the map was not built from them) to the subsystems it
-reads.  Shots are sampled from the exact final distribution; there is no
-per-shot re-execution.
+Every circuit op is one Kraus step, one call of the operator-stack kernel
+:func:`~eurqsi.linalg._local_stack` on the subsystems it touches.  A gate
+and the depolarizing noise on its qubits form one Kraus set on controls +
+targets, applied by :func:`~eurqsi.linalg.apply_local`.  A measurement
+copies the computational outcome into a classical register with the
+operators ``|m>|m><m|`` on the target, the readout flip folded into the
+same set, and one :func:`~eurqsi.linalg._in_order` puts the target back
+and the register last; the register is a decohered subsystem, so recovery
+channels conditioned on it are exact.  A recovery applies its map's Kraus
+operators (:attr:`~eurqsi.recovery.CpMap.kraus`, derived from the Choi
+matrix when the map was not built from them) to the subsystems it reads,
+which the kernel leaves in front as the map's outputs.  Shots are sampled
+from the exact final distribution; there is no per-shot re-execution.
 
 :func:`run_circuit` returns the validated final state.  :func:`run_experiment`
 uses only the recovery map its circuit names, built once per process,
@@ -31,7 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import apply_local, partial_trace
+from .linalg import _in_order, _local_stack, apply_local
 from .recovery import CpMap
 from .states import (
     DensityOperator,
@@ -41,7 +43,6 @@ from .states import (
     KET_MINUS_Y,
     KET_PLUS,
     KET_PLUS_Y,
-    _reordered,
     bell_phi,
     ket_bra,
     maximally_mixed,
@@ -243,24 +244,23 @@ class _SimState:
         self.rho = apply_local(self.rho, self.dims, kraus, positions)
 
     def measure(self, op: Measure, noise: NoiseSpec):
-        """Copy the outcome into a register placed right after the target,
-        then move the register last."""
+        """Copy the outcome into a register; the Kraus step leaves (target,
+        register) in front, and the target goes back, the register last."""
         pos = self.index(f"q{op.target}")
-        rho = apply_local(self.rho, self.dims, _measure_kraus(noise.readout_flip), [pos])
-        dims = self.dims[:pos] + [2, 2] + self.dims[pos + 1:]
-        order = [i for i in range(len(dims)) if i != pos + 1] + [pos + 1]
-        self.rho = _reordered(rho, dims, order)
-        self.dims = [dims[i] for i in order]
+        rho = _local_stack(self.rho, self.dims, _measure_kraus(noise.readout_flip), [pos])
+        dims = [2, 2] + self.dims[:pos] + self.dims[pos + 1:]
+        order = list(range(2, pos + 2)) + [0] + list(range(pos + 2, len(dims))) + [1]
+        self.rho, dims = _in_order(rho.sum(axis=0), dims, order)
+        self.dims = list(dims)
         self.labels.append(op.register)
 
     def recover(self, cpmap: CpMap, in_labels, out_labels):
         """Replace ``in_labels`` by the map's outputs, placed at the front."""
         positions = [self.index(s) for s in in_labels]
+        rho = _local_stack(self.rho, self.dims, np.asarray(cpmap.kraus), positions)
+        self.rho = rho.sum(axis=0)
         rest = [i for i in range(len(self.dims)) if i not in positions]
-        t = _reordered(self.rho, self.dims, positions + rest)
-        rest_dims = [self.dims[i] for i in rest]
-        self.rho = apply_local(t, [cpmap.in_dim] + rest_dims, cpmap.kraus, [0])
-        self.dims = list(cpmap.out_dims) + rest_dims
+        self.dims = list(cpmap.out_dims) + [self.dims[i] for i in rest]
         self.labels = list(out_labels) + [self.labels[i] for i in rest]
 
 
@@ -463,11 +463,8 @@ def run_experiment(
     ideal = _ideal_state(exp_id)
     # the recovered subsystems, which the ideal state names
     keep = sorted(state.index(s) for s in ideal.labels)
-    final = DensityOperator(
-        partial_trace(state.rho, state.dims, keep),
-        tuple(state.dims[i] for i in keep),
-        tuple(state.labels[i] for i in keep),
-    )
+    m, dims = _in_order(state.rho, state.dims, keep)
+    final = DensityOperator(m, dims, tuple(state.labels[i] for i in keep))
     rng = np.random.default_rng([int(seed), int(exp_id)])
     if exp_id <= 4:
         keys, bases, outcomes = ("X", "Y", "Z"), _PAULI_BASES, ("0", "1")

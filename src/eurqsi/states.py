@@ -6,10 +6,13 @@ classical register, stored as one more subsystem of a block-diagonal
 density operator, so the entropy code treats classical registers like any
 other subsystem.  A :class:`Pvm` holds one orthonormal basis of the
 measured space, each vector in the range of one projector, and every
-measurement is computed from it: one contraction, ``_compressed``, gives
-the state compressed to each range, and ``_measured`` traces those blocks
-to the stack of the diagonal blocks, which :func:`measure` places on the
-diagonal and the checks use as they are.
+measurement is computed from it: ``_compressed``, the operator-stack kernel
+:func:`~eurqsi.linalg._local_stack` with the range isometries, gives the
+state compressed to each range, and ``_measured`` traces those blocks to
+the stack of the diagonal blocks, which :func:`measure` places on the
+diagonal and the checks use as they are.  Reductions and reorderings of a
+state are :func:`~eurqsi.linalg._in_order`; no code here reshapes a matrix
+into subsystem axes.
 
 Validation happens at the boundary: :class:`DensityOperator` and
 :class:`Pvm` check their invariants once, when they are constructed, and
@@ -31,12 +34,14 @@ import numpy as np
 from .linalg import (
     HERM_TOL,
     _NEG_TOL,
+    _block_diagonal,
+    _in_order,
+    _local_stack,
     apply_local,
     as_matrix,
     dagger,
     eigenvalue_below,
     is_hermitian,
-    partial_trace,
     support_eig,
 )
 
@@ -141,22 +146,6 @@ class DensityOperator:
 
     def is_pure(self) -> bool:
         return self.purity() >= 1.0 - 1e-8
-
-
-def _reordered(m: np.ndarray, dims, order) -> np.ndarray:
-    """Matrix ``m`` on subsystems ``dims`` with the subsystems put in ``order``."""
-    n = len(dims)
-    t = m.reshape(tuple(dims) * 2).transpose(list(order) + [n + i for i in order])
-    return t.reshape(m.shape)
-
-
-def _in_order(m: np.ndarray, dims, order) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``m`` reduced to the subsystems ``order``, put in that order, and its dims."""
-    keep = sorted(order)
-    if len(keep) < len(dims):
-        m = partial_trace(m, dims, keep)
-    m = _reordered(m, [dims[i] for i in keep], [keep.index(i) for i in order])
-    return m, tuple(dims[i] for i in order)
 
 
 @dataclass(frozen=True)
@@ -302,13 +291,10 @@ def measure(
     """
     pos = rho.label_index(measured)
     _check_pvm_dim(pvm, rho.dims[pos], measured)
-    blocks = _measured(rho.matrix, rho.dims, pvm, pos)
-    n, r = blocks.shape[:2]
-    m = np.zeros((n, r, n, r), dtype=complex)
-    m[np.arange(n), :, np.arange(n), :] = blocks
-    dims = (n,) + rho.dims[:pos] + rho.dims[pos + 1:]
+    m = _block_diagonal(_measured(rho.matrix, rho.dims, pvm, pos))
+    dims = (len(pvm),) + rho.dims[:pos] + rho.dims[pos + 1:]
     labels = (register_label,) + rho.labels[:pos] + rho.labels[pos + 1:]
-    return DensityOperator(m.reshape(n * r, n * r), dims, labels)
+    return DensityOperator(m, dims, labels)
 
 
 def _check_pvm_dim(pvm: Pvm, dim: int, measured: str) -> None:
@@ -336,22 +322,10 @@ def _range_traced(blocks: np.ndarray, pvm: Pvm) -> np.ndarray:
 
 
 def _compressed(m: np.ndarray, dims, pvm: Pvm, pos: int) -> np.ndarray:
-    """The ``(outcomes, r * rest, r * rest)`` stack of ``(R_x (x) I) m
-    (R_x^dag (x) I)``, with R_x the padded range isometries of
-    :attr:`Pvm._ranges`: m compressed to each range(P_x) (x) rest, the other
-    subsystems in their original order.
-
-    One contraction: the bras of R against the measured row index, then
-    their conjugates against the measured column index.
-    """
-    d, rest = dims[pos], m.shape[0] // dims[pos]
-    if pos != 0:
-        m = _reordered(m, dims, [pos] + [i for i in range(len(dims)) if i != pos])
-    ranges = pvm._ranges
-    n, r = ranges.shape[:2]
-    t = (ranges.reshape(n * r, d) @ m.reshape(d, rest * d * rest)).reshape(n, r * rest, d, rest)
-    t = t.transpose(0, 1, 3, 2) @ ranges.conj().transpose(0, 2, 1)[:, None]
-    return t.reshape(n, r, rest, rest, r).transpose(0, 1, 2, 4, 3).reshape(n, r * rest, r * rest)
+    """The stack of ``(R_x (x) I) m (R_x^dag (x) I)``, R_x the padded range
+    isometries of :attr:`Pvm._ranges`: m compressed to each range(P_x) (x)
+    rest, the other subsystems in order (:func:`~eurqsi.linalg._local_stack`)."""
+    return _local_stack(m, dims, pvm._ranges, [pos])
 
 
 def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:

@@ -125,6 +125,18 @@ class TestCheckCommand:
         assert main(["check", "--scenario", str(path)]) == 3
         assert f"scenario {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [{"re": 1}, [1, 0, 0], [1], "1", [True, 0], 1.0],
+                             ids=["object", "three numbers", "one number", "string",
+                                  "bool", "bare number"])
+    def test_entry_that_is_not_a_pair_of_numbers_exits_3(self, tmp_path, capsys,
+                                                         max_uncertainty_scenario, entry):
+        data = json.loads(open(max_uncertainty_scenario).read())
+        data["state"][0][0] = entry
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--scenario", str(path)]) == 3
+        assert "is not [re, im]" in capsys.readouterr().err
+
     def test_csv_projection(self, capsys, max_uncertainty_scenario):
         assert main(["check", "--scenario", max_uncertainty_scenario,
                      "--format", "csv"]) == 0
@@ -154,6 +166,15 @@ class TestFuzzCommand:
                 main(["fuzz", flag, raw])
             assert exc.value.code == 2
             assert "must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command",
+                             [["fuzz"], ["examples"], ["check", "--scenario", "s.json"]])
+    @pytest.mark.parametrize("raw", ["nan", "-nan", "0", "-1e-6"])
+    def test_tolerance_that_is_not_positive_exits_2(self, capsys, command, raw):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [f"--tolerance={raw}"])
+        assert exc.value.code == 2
+        assert "tolerance must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("relation", relations.RELATION_IDS)
     def test_worst_report_is_filed_under_the_requested_relation(self, capsys, relation):
@@ -255,6 +276,13 @@ class TestExperimentCommand:
         assert payload["noise"]["depolarizing_p"] == 0.05
         assert payload["noise"]["readout_flip"] == 0.01
         assert main(["experiment", "1", "--noise", "bogus"]) == 2
+
+    def test_repeated_noise_key_exits_2(self, capsys):
+        for spec in ("depolarizing=0.1,depolarizing=0.2",
+                     "readout=0.1,depolarizing=0,readout=0.1"):
+            assert main(["experiment", "1", "--shots", "64", "--noise", spec]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "each key once" in err
 
     def test_non_positive_shots_exits_2(self, capsys):
         for raw in ("0", "-5"):

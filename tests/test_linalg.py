@@ -1,9 +1,15 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eurqsi.linalg import (
     EPS_SUPP,
+    _block_diagonal,
     _check_psd,
+    _in_order,
+    _local_stack,
     _on_support,
     apply_local,
     fidelity,
@@ -19,6 +25,7 @@ from conftest import (
     embedded_operator_oracle,
     haar_unitary,
     loop_partial_trace,
+    permutation_matrix,
     pinched_state_oracle,
     sqrtm_fidelity,
 )
@@ -65,6 +72,56 @@ def test_partial_trace_against_loop_oracle():
             want = loop_partial_trace(m, [2, 2, 2], keep)
             assert np.abs(got - want).max() < 1e-12
         assert abs(np.trace(partial_trace(m, [2, 2, 2], [1])) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 1, 2)])
+def test_in_order_against_loop_partial_trace_and_a_permutation(dims):
+    # every ordered choice of kept subsystems: the loop oracle traces out
+    # the others, a permutation matrix puts the kept ones in order
+    rng = np.random.default_rng(13)
+    d = int(np.prod(dims))
+    m = _random_matrix(rng, d, d)
+    for size in (1, 2, 3):
+        for order in permutations(range(3), size):
+            keep = sorted(order)
+            p = permutation_matrix([dims[i] for i in keep], [keep.index(i) for i in order])
+            want = p @ loop_partial_trace(m, dims, keep) @ p.conj().T
+            got, got_dims = _in_order(m, dims, list(order))
+            assert got_dims == tuple(dims[i] for i in order)
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dims, positions, d_out", [
+    ((2, 3, 2), [1], None),
+    ((2, 3, 2), [2, 0], None),      # reversed and not contiguous
+    ((2, 3, 2), [0, 2], None),      # not contiguous
+    ((2, 2, 2), [1, 0], None),      # reversed
+    ((2, 3, 2), [0, 1, 2], None),   # no rest
+    ((2, 3, 2), [1], 4),            # non-square, one position
+    ((3, 2), [0], 1),               # a bra, one position
+    ((2, 3, 2), [2, 0], 3),         # non-square, two positions
+    ((2, 3, 2), [0, 1], 2),         # non-square, two positions, leading
+])
+def test_local_stack_against_dense_kronecker_oracle(dims, positions, d_out):
+    # operator k of the stack is (K_k (x) I) P m P^dag (K_k^dag (x) I), with
+    # P the permutation that puts ``positions`` first and the rest in order
+    rng = np.random.default_rng(17)
+    d = int(np.prod(dims))
+    m = _random_matrix(rng, d, d)
+    d_in = int(np.prod([dims[p] for p in positions]))
+    ops = np.stack([_random_matrix(rng, d_out or d_in, d_in) for _ in range(3)])
+    rest = [i for i in range(len(dims)) if i not in positions]
+    p = permutation_matrix(dims, positions + rest)
+    eye = np.eye(d // d_in)
+    want = [np.kron(k, eye) @ p @ m @ p.conj().T @ np.kron(k, eye).conj().T for k in ops]
+    got = _local_stack(m, dims, ops, positions)
+    assert got.shape == (3,) + want[0].shape
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_block_diagonal_places_each_block():
+    blocks = _random_matrix(np.random.default_rng(19), 9, 3).reshape(3, 3, 3)
+    assert np.array_equal(_block_diagonal(blocks), scipy.linalg.block_diag(*blocks))
 
 
 def test_partial_trace_dimension_mismatch():
