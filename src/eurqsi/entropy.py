@@ -4,14 +4,14 @@ The relative entropy returns ``math.inf`` (never a float overflow) when the
 first argument has weight outside the support of the second.
 
 :func:`von_neumann` and :func:`conditional` take a :class:`DensityOperator`
-and check the labels.  The checks in :mod:`eurqsi.relations` call
-``_block_entropies`` instead: the entropies of block-diagonal
-(classical-quantum) matrices given as stacks of their blocks, with one
-batched eigensolve for all of them.  Every function here
-accepts what :class:`DensityOperator` accepts: spectra are cut to their
-support by :func:`~eurqsi.linalg._on_support`, so round-off negative
-eigenvalues never reach a log, and :func:`relative` rejects its second
-argument only through :func:`~eurqsi.linalg._check_psd`.
+and check the labels.  The checks in :mod:`eurqsi.relations` take their
+spectra themselves, from batched eigensolves of the block stacks of
+classical-quantum states, and reduce all six with one :func:`_entropies`
+pass, of which :func:`entropy_of_spectrum` is the one-spectrum case.  Every
+function here accepts what :class:`DensityOperator` accepts: spectra are
+cut to their support by :func:`~eurqsi.linalg._on_support`, so round-off
+negative eigenvalues never reach a log, and :func:`relative` rejects its
+second argument only through :func:`~eurqsi.linalg._check_psd`.
 """
 
 from __future__ import annotations
@@ -33,11 +33,24 @@ def entropy_of_spectrum(eigenvalues) -> float:
     """Shannon entropy in bits of a spectrum cut to its support, 0 log 0 := 0.
     An array of any shape is one spectrum: a block stack's eigenvalues are
     cut against the top of their union, as on the block-diagonal matrix."""
-    vals = np.asarray(eigenvalues, dtype=float)
-    vals = vals[_on_support(vals)]
-    if vals.size == 0:
-        return 0.0
-    return float(-np.sum(vals * np.log2(vals)))
+    return _entropies([np.asarray(eigenvalues, dtype=float)])[0]
+
+
+def _entropies(spectra) -> list[float]:
+    """:func:`entropy_of_spectrum` of each float array in ``spectra`` in one
+    pass: each is cut against its own top, and x log x is summed by segment
+    reductions over their concatenation."""
+    sizes = [s.size for s in spectra]
+    if 0 in sizes:  # reduceat would give an empty segment the next value
+        full = iter(_entropies([s for s in spectra if s.size]) if any(sizes) else ())
+        return [next(full) if n else 0.0 for n in sizes]
+    vals = np.concatenate(spectra, axis=None)
+    starts = list(accumulate(sizes[:-1], initial=0))
+    tops = np.maximum(np.maximum.reduceat(vals, starts), 0.0)
+    keep = _on_support(vals, np.repeat(tops, sizes))
+    x = np.where(keep, vals, 1.0)
+    # -0.0 adds nothing, so a spectrum with no support gives +0.0
+    return (-np.add.reduceat(np.where(keep, x * np.log2(x), -0.0), starts)).tolist()
 
 
 def von_neumann(rho: DensityOperator) -> float:
@@ -62,14 +75,6 @@ def _entropy(m: np.ndarray) -> float:
     """The kernel of :func:`von_neumann`: entropy in bits of the Hermitian
     matrix ``m``."""
     return entropy_of_spectrum(np.linalg.eigvalsh(m))
-
-
-def _block_entropies(*stacks) -> list[float]:
-    """Entropy in bits of each block-diagonal matrix given as the stack of
-    its blocks, every block of one shape, from one batched ``eigvalsh``."""
-    vals = np.linalg.eigvalsh(np.concatenate(stacks))
-    ends = list(accumulate((len(s) for s in stacks), initial=0))
-    return [entropy_of_spectrum(vals[i:j]) for i, j in zip(ends, ends[1:])]
 
 
 def relative(rho: DensityOperator | np.ndarray, sigma: np.ndarray) -> float:

@@ -84,11 +84,12 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1], vecs[:, ::-1]
 
 
-def _on_support(vals: np.ndarray) -> np.ndarray:
+def _on_support(vals: np.ndarray, top=None) -> np.ndarray:
     """Mask of the eigenvalues that count as support: above ``EPS_SUPP``
-    times the largest.  This is the one support cutoff of the package; it is
-    signed, so round-off negative eigenvalues never enter."""
-    return vals > EPS_SUPP * vals.max(initial=0.0)
+    times the largest, or times ``top``, the top of each one's own spectrum
+    broadcast against ``vals``.  This is the one support cutoff of the
+    package; it is signed, so round-off negative eigenvalues never enter."""
+    return vals > EPS_SUPP * (vals.max(initial=0.0) if top is None else top)
 
 
 def _check_psd(vals: np.ndarray) -> None:

@@ -34,11 +34,12 @@ with ``K = Gram o sinhc``: ``Gram[x, a, j, a', j'] = sum_v <a|v (x) w_xj>
 ``sinhc(phi_a,xj - phi_a',xj')`` with ``phi_a,xj = (ln l_a - ln m_xj) / 2``.
 tau is block diagonal in Z's basis: with R_z the isometry onto range(Q_z),
 its blocks are ``(R_z (x) I) rho (R_z^dag (x) I)``, so its eigenpairs come
-from one batched eigensolve of those blocks, each eigenvector mapped back
-through ``R_z^dag (x) I``.  tau is cut to its support once, against the top
-of the union of the block spectra, and the blocks tau_x are formed from the
-cut eigenpairs; the support of N(tau) is cut by the same rule against the
-top of its whole spectrum, the union of the block spectra.
+from one batched eigensolve of those blocks, which the caller takes (for Z
+with one range slot, the checks share it with H(ZB)), each eigenvector
+mapped back through ``R_z^dag (x) I``.  tau is cut to its support once,
+against the top of the union of the block spectra, and the blocks tau_x are
+formed from the cut eigenpairs; the support of N(tau) is cut by the same
+rule against the top of its whole spectrum, the union of the block spectra.
 """
 
 from __future__ import annotations
@@ -246,15 +247,15 @@ def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     )
 
 
-def _reversal(z_blocks: np.ndarray, x_pvm: Pvm, z_pvm: Pvm):
+def _reversal(z_eig: tuple[np.ndarray, np.ndarray], x_pvm: Pvm, z_pvm: Pvm):
     """Block form of the measurement-reversal map R (see the module docstring).
 
     The state has the measured subsystem A first and B the rest, a layout
-    tau and the output of R keep.  ``z_blocks`` is its compression to each
-    range of Z, ``(R_z (x) I) rho (R_z^dag (x) I)``, as
-    :func:`~eurqsi.states._compressed` returns it: tau is block diagonal in
-    Z's basis with these blocks, so one batched ``eigh`` of them gives its
-    spectrum, and each eigenvector maps back through ``R_z^dag (x) I``.
+    tau and the output of R keep.  ``z_eig`` is the batched ``eigh`` of its
+    compression to each range of Z, ``(R_z (x) I) rho (R_z^dag (x) I)``
+    (:func:`~eurqsi.states._compressed`): tau is block diagonal in Z's basis
+    with these blocks, so this is its spectrum, and each eigenvector maps
+    back through ``R_z^dag (x) I``.
 
     Returns tau's support pair ``(l, V)``, the block pairs ``(m_x, W_x)`` of
     N(tau) as an ``(outcomes, r)`` and an ``(outcomes, r, r)`` stack, and
@@ -265,7 +266,7 @@ def _reversal(z_blocks: np.ndarray, x_pvm: Pvm, z_pvm: Pvm):
     d_a, n = x_pvm.dim, len(x_pvm)
     z_ranges, x_ranges = z_pvm._ranges, x_pvm._ranges
     n_z, r_z = z_ranges.shape[:2]
-    vals, vecs = np.linalg.eigh(z_blocks)
+    vals, vecs = z_eig
     keep = _on_support(vals)
     lam = vals[keep]
     # V[(i, b), (z, s)] = sum_j conj(R_z[j, i]) u_zs[j, b]
@@ -313,7 +314,8 @@ def eur_recovery_map(
     # the channel restores A in front of the rest, the layout of the compression
     order = [pos] + [i for i in range(len(dims)) if i != pos]
     out_dims, out_labels = tuple(dims[i] for i in order), tuple(rho_ab.labels[i] for i in order)
-    lam, v, mu, w, kernel = _reversal(_compressed(rho_ab.matrix, dims, z_pvm, pos), x_pvm, z_pvm)
+    z_eig = np.linalg.eigh(_compressed(rho_ab.matrix, dims, z_pvm, pos))
+    lam, v, mu, w, kernel = _reversal(z_eig, x_pvm, z_pvm)
     n, r, d = w.shape[0], w.shape[1], len(v)
     # u[x, (b, q), (a, j)] = conj(w_xj[b]) / sqrt(m_xj) * sqrt(l_a) V[q, a]
     u = np.einsum("xbj,qa->xbqaj", w.conj() / np.sqrt(mu[:, None, :]), v * np.sqrt(lam))

@@ -9,31 +9,32 @@ from rho_AB and the AE marginal, whichever caller supplies them, and an
 
 Each check validates once, at entry: the input state (validated when it
 was constructed), the labels, the rank-one guard and the PVM dimensions.
-It then hands plain arrays to the kernel: :func:`check_bipartite` the AE
-marginal of the purification (:func:`~eurqsi.states.purified_marginal`),
-:func:`check_tripartite` the AB and AE reductions of its pure input, each
-with the measured subsystem first.  The kernel constructs no state and no
-map.  Every entropy it takes is that of a classical-quantum state, held as
-the stack of its blocks that :func:`~eurqsi.states._measured` returns for X
-or Z applied to the AB or AE reduction: rho_B and rho_E are the sums of
-those blocks, H(B), H(XB) and H(ZB) come from one batched eigensolve, and
-H(ZE) and H(E) from another.  rho_AB is compressed to each range of Z
-once (:func:`~eurqsi.states._compressed`): the Z stack is the trace of
-those blocks over the range slots (for a rank-one Z, the blocks
-themselves), and the reversal kernel takes the spectrum of the Z-pinched
-state from them.  c comes from the overlap of the two PVMs' bases.  f
-evaluates R(sigma_XB) from the X stack on the block-form kernel of the
-measurement-reversal map,
-:func:`~eurqsi.recovery._reversal` (derived in :mod:`eurqsi.recovery`,
-which assembles the explicit channel from the same kernel); no channel is
-built here.  The one support pair of rho_AB its caller took
-(:func:`~eurqsi.linalg.support_eig`) serves H(AB) and is rho_AB's factor in
-f, which takes R(sigma_XB) factored too.  H(Z|E) stays an explicit entropy
-of the measured AE marginal, never derived from H(AB) through the duality,
-so the two remain independent cross-checks.  :func:`check_bipartite` and
-:func:`fuzz` reach the kernel through one helper,
-:func:`_bipartite_scalars`, on rho_AB and its purified AE marginal, so the
-pure state on ABE is never formed.
+It then hands plain arrays to the kernel, with the measured subsystem
+first: rho_AB, its :func:`~eurqsi.linalg.support_eig` pair and the stack
+of the Z-measured AE marginal.  :func:`check_tripartite` measures the AE
+reduction of its pure input; :func:`check_bipartite` and :func:`fuzz` go
+through :func:`_bipartite_scalars`, which compresses A of rho_AB's
+purifying vector to Z's ranges and contracts B, so neither the pure state
+on ABE nor its AE marginal is formed.  The kernel constructs no state and
+no map.  Every entropy it takes is that of a classical-quantum state, held
+as the stack of its blocks that :func:`~eurqsi.states._measured` returns:
+rho_B and rho_E are the sums of those blocks.  rho_AB is compressed to each
+range of Z once (:func:`~eurqsi.states._compressed`), and the Z stack is
+those blocks traced over the range slots.  One ``eigh`` takes the AB stack
+(rho_B, the X stack, the Z stack), one ``eigvalsh`` the ZE stack and rho_E,
+and one :func:`~eurqsi.entropy._entropies` pass reduces the six spectra,
+rho_AB's among them.  For Z with one range slot the Z stack is the range
+blocks themselves, and their eigenpairs from the AB stack give the
+reversal kernel the Z-pinched state; a coarser Z decomposes the blocks
+once more.  c comes from the overlap of the two PVMs' bases.  f evaluates
+R(sigma_XB) from the X stack on the block-form kernel of the
+measurement-reversal map, :func:`~eurqsi.recovery._reversal` (derived in
+:mod:`eurqsi.recovery`, which assembles the explicit channel from the same
+kernel); no channel is built here.  rho_AB's support pair is its factor in
+f, which takes R(sigma_XB) factored too.  A check takes 5 eigensolves and
+1 SVD for a Z with one range slot, 6 and 1 otherwise.  H(Z|E) stays an
+explicit entropy of the measured AE marginal, never derived from H(AB)
+through the duality, so the two remain independent cross-checks.
 
 Entropy terms are eigenvalue-exact (1e-9); by default the refined
 inequality counts as violated when its slack is below -1e-6, and the report
@@ -48,7 +49,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .entropy import _block_entropies, entropy_of_spectrum
+from .entropy import _entropies
 from .linalg import _fidelity, _in_order, support_eig
 from .recovery import _reversal
 from .states import (
@@ -58,7 +59,7 @@ from .states import (
     _check_pvm_dim,
     _compressed,
     _measured,
-    _purified_marginal,
+    _purifying_vector,
     _range_traced,
     incompatibility_c,
     pauli_pvm,
@@ -154,7 +155,7 @@ class EurReport:
 
 
 def _reversibility(
-    z_blocks: np.ndarray,
+    z_eig: tuple[np.ndarray, np.ndarray],
     x_pvm: Pvm,
     z_pvm: Pvm,
     sigma_x: np.ndarray,
@@ -172,18 +173,19 @@ def _reversibility(
     with ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')``.
 
     rho_AB has the measured subsystem A first and B the rest, a layout tau
-    and R(sigma_XB) keep; ``z_blocks`` is its compression to each range of
-    Z (:func:`~eurqsi.states._compressed`), from which tau's spectrum comes,
-    and ``rho_eig``, its :func:`~eurqsi.linalg.support_eig` pair, gives
-    rho_AB's factor to the fidelity.  ``sigma_x`` is the stack of the blocks
-    sigma_x, as :func:`~eurqsi.states._measured` returns it.  R(sigma_XB) =
-    V r V^dag reaches the fidelity factored: the support pair (m, Q) of the
-    matrix r, which is the size of tau's rank, with vectors V Q.
+    and R(sigma_XB) keep; ``z_eig`` is the batched ``eigh`` of its
+    compression to each range of Z (:func:`~eurqsi.states._compressed`),
+    from which tau's spectrum comes, and ``rho_eig``, its
+    :func:`~eurqsi.linalg.support_eig` pair, gives rho_AB's factor to the
+    fidelity.  ``sigma_x`` is the stack of the blocks sigma_x, as
+    :func:`~eurqsi.states._measured` returns it.  R(sigma_XB) = V r V^dag
+    reaches the fidelity factored: the support pair (m, Q) of the matrix r,
+    which is the size of tau's rank, with vectors V Q.
 
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
-    lam, v, mu, w, kernel = _reversal(z_blocks, x_pvm, z_pvm)
+    lam, v, mu, w, kernel = _reversal(z_eig, x_pvm, z_pvm)
     m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
     root = np.sqrt(lam)
     r = np.einsum("xajbl,xjl->ab", kernel, m) * np.outer(root, root)
@@ -195,39 +197,44 @@ def _scalars(
     rho_ab: np.ndarray,
     ab_dims: tuple[int, ...],
     rho_eig: tuple[np.ndarray, np.ndarray],
-    rho_ae: np.ndarray,
-    ae_dims: tuple[int, ...],
+    omega_ze: np.ndarray,
     x_pvm: Pvm,
     z_pvm: Pvm,
 ) -> tuple[float, float, float, float, float, float]:
     """H(X|B), H(Z|B), H(Z|E), H(A|B), c and f, the scalars of both relations.
 
     ``rho_ab`` lives on ``ab_dims`` with A first and B the rest, and
-    ``rho_eig`` is its :func:`~eurqsi.linalg.support_eig` pair; ``rho_ae``
-    lives on ``ae_dims`` with A first and E the rest.  Measuring A
-    commutes with tracing out B or E, so each entropy is taken on the
+    ``rho_eig`` is its :func:`~eurqsi.linalg.support_eig` pair;
+    ``omega_ze`` is the block stack of the Z-measured AE marginal.  Measuring
+    A commutes with tracing out B or E, so each entropy is taken on the
     block stack of the measured marginal it needs.
     """
     sigma_x = _measured(rho_ab, ab_dims, x_pvm, 0)
     # one compression to Z's ranges serves H(ZB) and the pinched state in f
     z_blocks = _compressed(rho_ab, ab_dims, z_pvm, 0)
-    omega_z = _range_traced(z_blocks, z_pvm)
-    h_b, h_xb, h_zb = _block_entropies(sigma_x.sum(axis=0, keepdims=True), sigma_x, omega_z)
-    omega_ze = _measured(rho_ae, ae_dims, z_pvm, 0)
-    h_ze, h_e = _block_entropies(omega_ze, omega_ze.sum(axis=0, keepdims=True))
-    h_xb, h_zb, h_ze = h_xb - h_b, h_zb - h_b, h_ze - h_e
-    h_ab = entropy_of_spectrum(rho_eig[0]) - h_b
+    omega_z, n = _range_traced(z_blocks, z_pvm), len(z_blocks)
+    ab_vals, ab_vecs = np.linalg.eigh(
+        np.concatenate([sigma_x.sum(axis=0, keepdims=True), sigma_x, omega_z]))
+    # with one range slot the Z stack is z_blocks itself: its eigenpairs serve f too
+    z_eig = (ab_vals[-n:], ab_vecs[-n:]) if omega_z is z_blocks else np.linalg.eigh(z_blocks)
+    ze_vals = np.linalg.eigvalsh(np.concatenate([omega_ze, omega_ze.sum(axis=0, keepdims=True)]))
+    h_b, h_xb, h_zb, h_ze, h_e, h_rho = _entropies(
+        [ab_vals[:1], ab_vals[1:-n], ab_vals[-n:], ze_vals[:-1], ze_vals[-1:], rho_eig[0]])
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(z_blocks, x_pvm, z_pvm, sigma_x, rho_eig)
-    return h_xb, h_zb, h_ze, h_ab, c, f
+    f = _reversibility(z_eig, x_pvm, z_pvm, sigma_x, rho_eig)
+    return h_xb - h_b, h_zb - h_b, h_ze - h_e, h_rho - h_b, c, f
 
 
 def _bipartite_scalars(rho_ab: np.ndarray, dims: tuple[int, ...], x_pvm: Pvm, z_pvm: Pvm):
     """:func:`_scalars` of ``rho_ab`` (A first, B the rest) and the AE
-    marginal of its purification, both from one support pair of rho_AB."""
+    marginal of its purification, both from one support pair of rho_AB: A
+    of the purifying vector is compressed to Z's ranges and B contracted,
+    which gives the Z-measured AE stack with no AE matrix formed."""
     rho_eig = support_eig(rho_ab)
-    rho_ae, ae_dims = _purified_marginal(rho_eig, dims, 0)
-    return _scalars(rho_ab, dims, rho_eig, rho_ae, ae_dims, x_pvm, z_pvm)
+    psi = _purifying_vector(rho_eig, dims).reshape(dims[0], -1)
+    phi = (z_pvm._ranges.reshape(-1, dims[0]) @ psi).reshape(len(z_pvm), -1, len(rho_eig[0]))
+    omega_ze = phi.transpose(0, 2, 1) @ phi.conj()
+    return _scalars(rho_ab, dims, rho_eig, omega_ze, x_pvm, z_pvm)
 
 
 def check_bipartite(
@@ -251,7 +258,8 @@ def check_bipartite(
     _check_pvm_dim(x_pvm, dims[pos], measured)
     _check_pvm_dim(z_pvm, dims[pos], measured)
     # the input is checked; below are plain arrays with the measured subsystem first
-    m, dims = _in_order(m, dims, [pos] + [i for i in range(len(dims)) if i != pos])
+    if pos:
+        m, dims = _in_order(m, dims, [pos] + [i for i in range(len(dims)) if i != pos])
     return EurReport("bipartite_refined", *_bipartite_scalars(m, dims, x_pvm, z_pvm))
 
 
@@ -284,9 +292,9 @@ def check_tripartite(
     _check_pvm_dim(z_pvm, dims[a], a_label)
     # the input is checked; below are plain arrays with the measured subsystem first
     rho_ab, ab_dims = _in_order(m, dims, [a, b])
-    rho_ae, ae_dims = _in_order(m, dims, [a] + e)
+    omega_ze = _measured(*_in_order(m, dims, [a] + e), z_pvm, 0)
     return EurReport("tripartite_refined", *_scalars(
-        rho_ab, ab_dims, support_eig(rho_ab), rho_ae, ae_dims, x_pvm, z_pvm))
+        rho_ab, ab_dims, support_eig(rho_ab), omega_ze, x_pvm, z_pvm))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ Validation happens at the boundary: :class:`DensityOperator` and
 the public functions check their arguments; a PVM's basis comes from the
 step that validates it.  Each public operation that the checks in
 :mod:`eurqsi.relations` need wraps an array kernel (``_measured``,
-``_purified_marginal``); the checks call the kernels on arrays derived from
+``_purifying_vector``); the checks call the kernels on arrays derived from
 an input they validated once.
 """
 
@@ -318,6 +318,8 @@ def _range_traced(blocks: np.ndarray, pvm: Pvm) -> np.ndarray:
     """The stack of :func:`_measured` from the stack of :func:`_compressed`:
     each block traced over its range slots."""
     n, s, r = blocks.shape[0], blocks.shape[1], pvm._ranges.shape[1]
+    if r == 1:  # one slot: each block is its own trace
+        return blocks
     return blocks.reshape(n, r, s // r, r, s // r).trace(axis1=1, axis2=3)
 
 
@@ -397,23 +399,16 @@ def purified_marginal(
     """
     _check_free_label(rho, purifier_label)
     pos = rho.label_index(keep_label)
-    m, dims = _purified_marginal(support_eig(rho.matrix), rho.dims, pos)
-    return DensityOperator(m, dims, (keep_label, purifier_label))
+    psi = _purifying_vector(support_eig(rho.matrix), rho.dims)
+    d, rank = rho.dims[pos], psi.shape[-1]
+    psi = np.moveaxis(psi, pos, 0).reshape(d, -1, rank)
+    m = np.einsum("abk,cbl->akcl", psi, psi.conj()).reshape(d * rank, d * rank)
+    return DensityOperator(m, (d, rank), (keep_label, purifier_label))
 
 
 def _check_free_label(rho: DensityOperator, label: str) -> None:
     if label in rho.labels:
         raise InvalidStateError(f"label {label!r} already in use")
-
-
-def _purified_marginal(rho_eig, dims, pos: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """The array behind :func:`purified_marginal`: the matrix on subsystem
-    ``pos`` and the purifier, and its dims (d, rank), from ``rho_eig`` =
-    :func:`~eurqsi.linalg.support_eig` of the state."""
-    psi = _purifying_vector(rho_eig, dims)
-    d, rank = dims[pos], psi.shape[-1]
-    psi = np.moveaxis(psi, pos, 0).reshape(d, -1, rank)
-    return np.einsum("abk,cbl->akcl", psi, psi.conj()).reshape(d * rank, d * rank), (d, rank)
 
 
 def _purifying_vector(rho_eig, dims) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eurqsi.entropy import (_block_entropies, _entropy, conditional, entropy_of_spectrum,
+from eurqsi.entropy import (_entropies, _entropy, conditional, entropy_of_spectrum,
                             relative, von_neumann)
 from eurqsi.linalg import EPS_SUPP, tensor
 from eurqsi.recovery import measurement_channel
@@ -44,7 +44,14 @@ class TestVonNeumann:
         assert abs(got - want) < 1e-12
 
 
-class TestBlockEntropies:
+def plain_entropy(vals):
+    """Entropy in bits of a spectrum cut against its own top, term by term."""
+    vals = [float(v) for v in np.ravel(vals)]
+    top = max(vals + [0.0])
+    return -sum(v * math.log2(v) for v in vals if v > EPS_SUPP * top)
+
+
+class TestEntropies:
     def test_support_is_cut_against_the_top_of_the_union(self):
         # the small block's eigenvalues sit at 2x and 0.5x the cutoff of the
         # big block's top: the union keeps the first and drops the second,
@@ -53,13 +60,45 @@ class TestBlockEntropies:
         big = rotated_spectrum([top, 0.4 - 2.5 * EPS_SUPP * top], 5)
         small = rotated_spectrum([2 * EPS_SUPP * top, 0.5 * EPS_SUPP * top], 6)
         assembled = np.kron(np.diag([1.0, 0.0]), big) + np.kron(np.diag([0.0, 1.0]), small)
-        got, alone = _block_entropies(np.stack([big, small]), small[None])
+        got, alone = _entropies([np.linalg.eigvalsh(np.stack([big, small])),
+                                 np.linalg.eigvalsh(small)])
         assert abs(got - _entropy(assembled)) <= 1e-12
         assert abs(alone - _entropy(small)) <= 1e-12
         per_block = _entropy(big) + _entropy(small)
         assert abs(per_block - _entropy(assembled)) > 1e-10
         assert abs(entropy_of_spectrum(np.linalg.eigvalsh(np.stack([big, small])))
                    - _entropy(assembled)) <= 1e-12
+
+    def test_groups_of_unequal_size_each_match_their_entropy_alone(self):
+        # scales 1e-11 apart: a cut against a shared top would drop the small
+        # groups whole; the last value of each group of four or more straddles
+        # its own cutoff, and the 3x3 block stack is one spectrum
+        rng = np.random.default_rng(41)
+        groups = [rng.random(size) * scale for size, scale in
+                  ((1, 0.5), (4, 1e-11), (9, 0.3), (6, 1e-22), (2, 0.9))]
+        for vals, factor in ((groups[1], 1.5), (groups[2], 0.5), (groups[3], 2.0)):
+            vals[-1] = factor * EPS_SUPP * vals.max()
+        groups[2] = groups[2].reshape(3, 3)
+        got = _entropies(groups)
+        assert len(got) == len(groups)
+        for h, vals in zip(got, groups):
+            assert abs(h - entropy_of_spectrum(vals)) <= 1e-15
+            assert abs(h - plain_entropy(vals)) <= 1e-14
+            assert h > 0.0
+
+    def test_a_group_without_support_is_exactly_zero(self):
+        mixed = np.array([0.5, 0.25, 0.25])
+        zeros = np.array([0.0, -3e-17, 0.0, -1e-19])
+        got = _entropies([mixed, zeros, mixed[::-1]])
+        assert got[1] == 0.0 and math.copysign(1.0, got[1]) == 1.0
+        assert got[0] == got[2] == 1.5
+        assert entropy_of_spectrum(zeros) == 0.0
+
+    def test_an_empty_spectrum_is_zero_and_leaves_its_neighbours(self):
+        assert entropy_of_spectrum([]) == 0.0
+        half = np.array([0.5, 0.5])
+        assert _entropies([np.zeros(0), half, np.zeros(0), half[:1], np.zeros(0)]) == [
+            0.0, 1.0, 0.0, 0.5, 0.0]
 
 
 class TestConditional:

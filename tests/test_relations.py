@@ -233,16 +233,18 @@ class TestMeasuredMarginals:
 
     @pytest.mark.parametrize("case", ["2x2 pauli", "3x3 haar", "3x2 rank-2 z"])
     def test_each_check_reduces_to_b_once_and_decomposes_rho_ab_once(self, case, monkeypatch):
-        # bipartite: no partial trace (its one _in_order call only puts the
-        # measured subsystem first), rho_B and rho_E are sums of measured
-        # blocks; tripartite: the AB and AE marginals.  No apply_local: tau's
+        # bipartite: no layout call at all (the measured subsystem is already
+        # first, so no reorder), rho_B and rho_E are sums of measured blocks;
+        # tripartite: the AB and AE marginals.  No apply_local: tau's
         # spectrum comes from the blocks of rho_AB in Z's range basis, which
-        # also give H(ZB).  Eigensolves: rho_AB (H(AB), purification, its
-        # factor in f), the AB block stack (H(B), H(XB), H(ZB)), the AE block
-        # stack (H(ZE), H(E)), the Z range blocks, the blocks of N(tau) and
-        # the matrix of R(sigma_XB) on tau's support.  One SVD, of the
-        # fidelity's factor overlap: c comes from the overlap of the two
-        # bases, which every PVM holds from its construction.
+        # also give H(ZB).
+        # Eigensolves: rho_AB (H(AB), purification, its factor in f), the AB
+        # block stack (H(B), H(XB), H(ZB) and, for one range slot, tau), the
+        # AE block stack (H(ZE), H(E)), the blocks of N(tau) and the matrix of
+        # R(sigma_XB) on tau's support: 5.  A rank-2 Z adds one eigensolve of
+        # its range blocks for tau: 6.  One SVD, of the fidelity's factor
+        # overlap: c comes from the overlap of the two bases, which every PVM
+        # holds from its construction.
         rho_ab, _, _ = MARGINAL_CASES[case]
         d = rho_ab.dims[0]
         rho_abe = purify(rho_ab, "E")
@@ -252,7 +254,7 @@ class TestMeasuredMarginals:
             xp, zp = Pvm.from_basis(haar_unitary(d, [307, 1]).T), rank2_plus_rank1_pvm([307, 2])
         else:
             xp, zp = (Pvm.from_basis(haar_unitary(d, [307, k]).T) for k in (1, 2))
-        counts = {"trace": 0, "apply_local": 0, "eig": 0, "svd": 0, "prod": 0}
+        counts = {"in_order": 0, "trace": 0, "apply_local": 0, "eig": 0, "svd": 0, "prod": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -265,6 +267,7 @@ class TestMeasuredMarginals:
         def tracing(m, dims, order):
             # every partial trace of the package is an _in_order call that
             # drops a subsystem
+            counts["in_order"] += 1
             counts["trace"] += len(order) < len(dims)
             return in_order(m, dims, order)
 
@@ -289,13 +292,28 @@ class TestMeasuredMarginals:
         if zp.is_rank_one():
             checks.insert(0, (check_bipartite, rho_ab, 0))
         for check, rho, traces in checks:
-            counts.update(trace=0, apply_local=0, eig=0, svd=0, prod=0)
+            counts.update(in_order=0, trace=0, apply_local=0, eig=0, svd=0, prod=0)
             check(rho, xp, zp)
-            assert counts["trace"] == traces, check.__name__
+            assert counts["in_order"] == counts["trace"] == traces, check.__name__
             assert counts["apply_local"] == 0, check.__name__
-            assert counts["eig"] <= 6, check.__name__
-            assert counts["svd"] <= 1, check.__name__
+            assert counts["eig"] == (5 if zp.is_rank_one() else 6), check.__name__
+            assert counts["svd"] == 1, check.__name__
             assert counts["prod"] == 0, check.__name__
+
+    def test_a_zero_projector_keeps_the_shared_eigensolve_exact(self, monkeypatch):
+        # ranks (1, 1, 1, 0): not rank one, yet one range slot, so the Z
+        # stack is still the range blocks, and tau shares their eigensolve
+        rho_ab, xp, zp = MARGINAL_CASES["3x3 haar"]
+        padded = Pvm(zp.projectors + (np.zeros((3, 3)),))
+        assert padded.ranks() == (1, 1, 1, 0) and padded._ranges.shape[1] == 1
+        rho_abe = purify(rho_ab, "E")
+        want = check_tripartite(rho_abe, xp, zp).to_dict()
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+        _assert_reports_agree(check_tripartite(rho_abe, xp, padded), want)
+        assert len(calls) == 5
 
     def test_recovery_channel_builds_one_map_and_no_state(self, monkeypatch):
         # eur_recovery_map assembles its one Choi matrix from the block-form
@@ -357,7 +375,7 @@ def test_block_reversibility_matches_the_recovery_channel(case):
     sigma = measure(rho, xp, measured, "X")
     first = rho.permute([measured] + [s for s in rho.labels if s != measured])
     m, dims = first.matrix, first.dims
-    got = relations._reversibility(_compressed(m, dims, zp, 0), xp, zp,
+    got = relations._reversibility(np.linalg.eigh(_compressed(m, dims, zp, 0)), xp, zp,
                                    _measured(m, dims, xp, 0), support_eig(m))
     assert abs(got - _reversibility_nd_oracle(rho, xp, zp, sigma, measured)) <= 1e-12
 
