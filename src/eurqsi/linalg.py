@@ -11,6 +11,8 @@ stack of operators to the listed subsystems and returns the unsummed
 stack, those subsystems first.  :func:`partial_trace` and
 :func:`apply_local` are their checked public forms, and every reduction,
 reordering, measurement compression and Kraus step elsewhere calls them.
+A CP map's Choi contraction takes its input with the map's subsystems put
+first by :func:`_in_order`, and reads it only as (inputs, rest).
 
 Every support and negativity decision on a spectrum is made here, once:
 :func:`_on_support` is the one support cutoff (an eigenvalue above

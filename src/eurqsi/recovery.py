@@ -4,17 +4,18 @@ A completely positive map is its Choi matrix, built as ``(id (x) map)``
 applied to the unnormalized maximally entangled operator with the input
 system first: ``choi = sum_ij E_ij (x) map(E_ij)``.  In this convention a
 map that preserves trace on a subspace with projector ``P`` satisfies
-``Tr_out(choi) = P.T``.  The Choi matrix is the one form that is checked and
-applied; Kraus operators are a derived form (:attr:`CpMap.kraus`), kept
-from :meth:`CpMap.from_kraus` or found once from the Choi matrix.  The
-measurement channel's Kraus operators are the PVM's own
-:attr:`~eurqsi.states.Pvm.kraus`.
+``Tr_out(choi) = P.T``.  The Choi matrix is the map: it is the one form
+that is kept, checked and applied, by one contraction that can carry other
+subsystems along (:meth:`CpMap._apply`).  Kraus operators are only an
+input form (:meth:`CpMap.from_kraus`); the measurement channel is built
+from the PVM's own :attr:`~eurqsi.states.Pvm.kraus`.
 
 The rotated Petz construction averages unitary rotations by imaginary
 operator powers against the density ``p(t) = (pi/2) / (cosh(pi t) + 1)``.
 Its characteristic function is ``E[exp(i w t)] = w / sinh(w)``, so the
 average is computed exactly in the eigenbases of the reference state and
-its image (:func:`rotated_petz_map`).
+its image (:func:`rotated_petz_map`).  Both Petz maps are read off one
+congruence of the channel's Choi matrix by those eigenbases (:func:`_petz`).
 
 The measurement-reversal map R is that recovery for the X measurement
 N = M_X (x) id relative to the Z-pinched state tau, and one kernel,
@@ -46,12 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .linalg import (_block_diagonal, _on_support, _sinhc, as_matrix, dagger,
-                     eigenvalue_below, herm_eig, is_hermitian, support_eig)
+                     eigenvalue_below, is_hermitian, support_eig)
 from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _compressed
 
 CHOI_TOL = 1e-8
@@ -94,24 +94,20 @@ class CpMap:
         if eigenvalue_below(choi, CHOI_TOL * scale) is not None:
             raise ValueError("Choi matrix is not positive semidefinite")
         if self.support is not None:
-            object.__setattr__(self, "support", as_matrix(self.support))
+            support = as_matrix(self.support)
+            if support.shape != (self.in_dim, self.in_dim):
+                raise ValueError(f"support shape {support.shape} does not match input {self.in_dim}")
+            object.__setattr__(self, "support", support)
 
     @classmethod
     def from_kraus(cls, kraus, in_dims, out_dims, **fields) -> "CpMap":
-        """Map ``sum_k K_k (.) K_k^dag``: its Choi matrix built once from
-        ``kraus``, which it keeps as :attr:`kraus`."""
-        kraus = tuple(as_matrix(k) for k in kraus)
-        cpmap = cls(choi_from_kraus(kraus), in_dims, out_dims, **fields)
-        if any(k.shape != (cpmap.out_dim, cpmap.in_dim) for k in kraus):
-            raise ValueError("Kraus operator shape mismatch")
-        object.__setattr__(cpmap, "kraus", kraus)
-        return cpmap
-
-    @cached_property
-    def kraus(self) -> tuple[np.ndarray, ...]:
-        """Kraus operators of the map: those :meth:`from_kraus` was given,
-        or :func:`kraus_from_choi` of the Choi matrix, found on first use."""
-        return kraus_from_choi(self.choi, self.in_dim, self.out_dim)
+        """Map ``sum_k K_k (.) K_k^dag``, each ``K_k`` an (out, in) matrix;
+        only its Choi matrix is kept."""
+        kraus = [as_matrix(k) for k in kraus]
+        shape = (math.prod(out_dims), math.prod(in_dims))
+        if any(k.shape != shape for k in kraus):
+            raise ValueError(f"Kraus operator shape does not match {shape}")
+        return cls(choi_from_kraus(kraus), in_dims, out_dims, **fields)
 
     @property
     def in_dim(self) -> int:
@@ -131,7 +127,21 @@ class CpMap:
         xi = as_matrix(xi)
         if xi.shape != (self.in_dim, self.in_dim):
             raise ValueError(f"input shape {xi.shape} does not match {self.in_dim}")
-        return np.einsum("ij,iajb->ab", xi, self.choi_blocks())
+        return self._apply(xi)
+
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        """``(map (x) id)(m)`` for ``m`` laid out (input, rest), the rest
+        carried along behind the output; nothing is checked.
+
+        ``sum_ij m[(i, r), (j, s)] choi[(i, a), (j, b)]`` as one matmul of
+        the (r s, i j) and (i j, a b) layouts.
+        """
+        di, do = self.in_dim, self.out_dim
+        r = m.shape[0] // di
+        t = m.reshape(di, r, di, r).transpose(1, 3, 0, 2).reshape(r * r, di * di)
+        j = self.choi_blocks().transpose(0, 2, 1, 3).reshape(di * di, do * do)
+        out = (t @ j).reshape(r, r, do, do).transpose(2, 0, 3, 1)
+        return out.reshape(do * r, do * r)
 
     def trace_preservation_defect(self) -> float:
         """Max deviation of Tr_out(choi) from the support projector."""
@@ -146,15 +156,6 @@ def choi_from_kraus(kraus) -> np.ndarray:
     with the column-stacking vec (input index slow) of the Choi convention."""
     vecs = np.stack([np.ravel(as_matrix(k), order="F") for k in kraus])
     return vecs.T @ vecs.conj()
-
-
-def kraus_from_choi(choi: np.ndarray, in_dim: int, out_dim: int):
-    """Kraus operators from the spectral decomposition of a Choi matrix,
-    one per eigenvalue above 1e-12 times max(1, top)."""
-    vals, vecs = herm_eig(choi)
-    keep = vals > 1e-12 * max(float(vals.max(initial=0.0)), 1.0)
-    ops = (vecs[:, keep] * np.sqrt(vals[keep])).T.reshape(-1, in_dim, out_dim)
-    return tuple(ops.transpose(0, 2, 1))
 
 
 def measurement_channel(pvm: Pvm) -> CpMap:
@@ -195,47 +196,50 @@ def _petz_spectra(sigma: np.ndarray, channel: CpMap):
 def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     """Petz recovery of ``channel`` relative to the PSD operator ``sigma``.
 
-    Kraus operators ``sigma^{1/2} K^dag N(sigma)^{-1/2}``, each power taken
-    on its support; the map restores ``sigma`` from ``N(sigma)`` and is
-    trace-preserving on supp(N(sigma)).
+    ``Y -> sigma^{1/2} N^dag(N(sigma)^{-1/2} Y N(sigma)^{-1/2}) sigma^{1/2}``,
+    each power taken on its support; the map restores ``sigma`` from
+    ``N(sigma)`` and is trace-preserving on supp(N(sigma)).  Its Choi matrix
+    is ``U Gram(C) U^dag`` (see :func:`rotated_petz_map`).
     """
-    lam, v, mu, w = _petz_spectra(sigma, channel)
-    sqrt_sigma = (v * np.sqrt(lam)) @ dagger(v)
-    inv_sqrt_n = (w / np.sqrt(mu)) @ dagger(w)
-    kraus = tuple(sqrt_sigma @ dagger(k) @ inv_sqrt_n for k in channel.kraus)
-    return CpMap.from_kraus(
-        kraus,
-        in_dims=channel.out_dims,
-        out_dims=channel.in_dims,
-        support=w @ dagger(w),
-        in_labels=channel.out_labels,
-        out_labels=channel.in_labels,
-    )
+    return _petz(sigma, channel, rotated=False)
 
 
 def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     """Rotated Petz recovery: Petz conjugated by imaginary powers, averaged
     over p(t).
 
-    At rotation t the Kraus set is
-    ``sigma^{(1-it)/2} K^dag N(sigma)^{(-1+it)/2}``.  In the eigenbases of
-    sigma (eigenvalues l_a, vectors V) and N(sigma) (m_c, W), restricted to
-    their supports, the Kraus operators have entries
+    For a channel with Kraus operators K_k, the recovery at rotation t has
+    the Kraus operators ``sigma^{(1-it)/2} K^dag N(sigma)^{(-1+it)/2}``.  In
+    the eigenbases of sigma (eigenvalues l_a, vectors V) and N(sigma)
+    (m_c, W), restricted to their supports, these have entries
     ``C_k[a, c] exp(-i t phi_ac)`` with ``C_k[a, c] = sqrt(l_a / m_c)
     <a|K_k^dag|c>`` and ``phi_ac = (ln l_a - ln m_c) / 2``.  The p(t)
     average turns the phase products into ``sinhc(phi_ac - phi_a'c')``, so
     the Choi matrix is ``U (Gram(C) o sinhc) U^dag`` with
-    ``U = conj(W) (x) V``.
+    ``U = conj(W) (x) V``; t = 0 alone gives the Petz map.
+    """
+    return _petz(sigma, channel, rotated=True)
+
+
+def _petz(sigma: np.ndarray, channel: CpMap, rotated: bool) -> CpMap:
+    """The Petz map, or with ``rotated`` the rotated Petz map, of ``channel``
+    relative to ``sigma``, from the channel's Choi matrix J alone.
+
+    ``Gram(C)[(c, a), (c', a')] = sum_k C_k[a, c] conj(C_k[a', c'])`` is
+    ``sqrt(l_a l_a' / (m_c m_c'))`` times the entry ``((a, c), (a', c'))``
+    of the congruence ``T^dag J^T T`` with ``T = V (x) conj(W)``, since
+    ``sum_k conj(K_k[x, i]) K_k[y, j] = J^T[(i, x), (j, y)]``.
     """
     lam, v, mu, w = _petz_spectra(sigma, channel)
-    k_dag = np.stack([dagger(k) for k in channel.kraus])      # (nk, din, dout)
-    # vec index of a recovery Kraus operator: input c slow, output a fast
-    coef = np.einsum("ia,kij,jc->kca", v.conj(), k_dag, w)
-    coef = coef * np.sqrt(lam[None, None, :] / mu[None, :, None])
-    phi = 0.5 * (np.log(lam)[None, :] - np.log(mu)[:, None])  # (c, a)
-    coef = coef.reshape(len(channel.kraus), -1)
-    phi = phi.ravel()
-    kernel = (coef.T @ coef.conj()) * _sinhc(phi[:, None] - phi[None, :])
+    n_a, n_c = len(lam), len(mu)
+    t = np.kron(v, w.conj())
+    gram = (dagger(t) @ channel.choi.T @ t).reshape(n_a, n_c, n_a, n_c)
+    gram = gram.transpose(1, 0, 3, 2).reshape(n_c * n_a, -1)     # (c, a) order
+    scale = np.sqrt(lam[None, :] / mu[:, None]).ravel()
+    kernel = gram * np.outer(scale, scale)
+    if rotated:
+        phi = 0.5 * (np.log(lam)[None, :] - np.log(mu)[:, None]).ravel()
+        kernel = kernel * _sinhc(phi[:, None] - phi[None, :])
     u = np.kron(w.conj(), v)
     return CpMap(
         choi=u @ kernel @ dagger(u),

@@ -1,18 +1,20 @@
 """Density-matrix circuit simulator with shot sampling and optional noise.
 
-Every circuit op is one Kraus step, one call of the operator-stack kernel
-:func:`~eurqsi.linalg._local_stack` on the subsystems it touches.  A gate
+Every gate and measurement is one Kraus step, one call of the
+operator-stack kernel :func:`~eurqsi.linalg._local_stack` on the
+subsystems it touches, and every recovery one Choi step.  A gate
 and the depolarizing noise on its qubits form one Kraus set on controls +
 targets, applied by :func:`~eurqsi.linalg.apply_local`.  A measurement
 copies the computational outcome into a classical register with the
 operators ``|m>|m><m|`` on the target, the readout flip folded into the
 same set, and one :func:`~eurqsi.linalg._in_order` puts the target back
 and the register last; the register is a decohered subsystem, so recovery
-channels conditioned on it are exact.  A recovery applies its map's Kraus
-operators (:attr:`~eurqsi.recovery.CpMap.kraus`, derived from the Choi
-matrix when the map was not built from them) to the subsystems it reads,
-which the kernel leaves in front as the map's outputs.  Shots are sampled
-from the exact final distribution; there is no per-shot re-execution.
+channels conditioned on it are exact.  A recovery is its map's Choi
+matrix: one :func:`~eurqsi.linalg._in_order` puts the subsystems it reads
+in front, and one Choi contraction (:meth:`~eurqsi.recovery.CpMap._apply`)
+replaces them by the map's outputs and carries the rest along.  Shots are
+sampled from the exact final distribution; there is no per-shot
+re-execution.
 
 :func:`run_circuit` returns the validated final state.  :func:`run_experiment`
 uses only the recovery map its circuit names, built once per process,
@@ -141,6 +143,8 @@ class ShotTable:
     def __post_init__(self):
         counts = {str(k): int(v) for k, v in self.counts.items()}
         object.__setattr__(self, "counts", counts)
+        if self.shots < 1 or any(v < 0 for v in counts.values()):
+            raise ValueError("shots must be positive and counts non-negative")
         if sum(counts.values()) != self.shots:
             raise ValueError("counts do not sum to shots")
 
@@ -257,9 +261,8 @@ class _SimState:
     def recover(self, cpmap: CpMap, in_labels, out_labels):
         """Replace ``in_labels`` by the map's outputs, placed at the front."""
         positions = [self.index(s) for s in in_labels]
-        rho = _local_stack(self.rho, self.dims, np.asarray(cpmap.kraus), positions)
-        self.rho = rho.sum(axis=0)
         rest = [i for i in range(len(self.dims)) if i not in positions]
+        self.rho = cpmap._apply(_in_order(self.rho, self.dims, positions + rest)[0])
         self.dims = list(cpmap.out_dims) + [self.dims[i] for i in rest]
         self.labels = list(out_labels) + [self.labels[i] for i in rest]
 
@@ -279,7 +282,8 @@ def run_circuit(
 
 
 def _evolve(circuit: Circuit, recovery_bindings: dict | None, noise: NoiseSpec) -> _SimState:
-    """The array kernel behind :func:`run_circuit`: one Kraus step per op."""
+    """The array kernel behind :func:`run_circuit`: one Kraus or Choi step
+    per op."""
     state = _SimState(circuit.qubit_count)
     for op in circuit.ops:
         if isinstance(op, Gate):
@@ -348,8 +352,8 @@ def _recovery_binding(map_id: str) -> tuple[CpMap, tuple, tuple]:
     reads and writes.
 
     Both maps are closed forms with no parameter, so each is built and
-    validated once per process; its arrays are read-only, as it is shared
-    by every later run.
+    validated once per process; its Choi matrix is read-only, as it is
+    shared by every later run.
     """
     if map_id == "r1":
         binding = _r1_register_map(), ("X",), ("Ap",)
@@ -357,9 +361,7 @@ def _recovery_binding(map_id: str) -> tuple[CpMap, tuple, tuple]:
         from .gallery import recovery_map_r3
 
         binding = recovery_map_r3(), ("X", "q1"), ("Ap", "B")
-    cpmap = binding[0]
-    for a in (cpmap.choi,) + cpmap.kraus:
-        a.flags.writeable = False
+    binding[0].choi.flags.writeable = False
     return binding
 
 

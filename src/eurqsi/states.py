@@ -389,23 +389,6 @@ def purify(rho: DensityOperator, purifier_label: str = "R") -> DensityOperator:
     return DensityOperator.from_vector(psi, psi.shape, rho.labels + (purifier_label,))
 
 
-def purified_marginal(
-    rho: DensityOperator, keep_label: str, purifier_label: str = "R"
-) -> DensityOperator:
-    """Reduction of :func:`purify`'s pure state to ``keep_label`` and the purifier.
-
-    The other subsystems are contracted out of the purifying vector, so the
-    pure state on the doubled space is never formed.
-    """
-    _check_free_label(rho, purifier_label)
-    pos = rho.label_index(keep_label)
-    psi = _purifying_vector(support_eig(rho.matrix), rho.dims)
-    d, rank = rho.dims[pos], psi.shape[-1]
-    psi = np.moveaxis(psi, pos, 0).reshape(d, -1, rank)
-    m = np.einsum("abk,cbl->akcl", psi, psi.conj()).reshape(d * rank, d * rank)
-    return DensityOperator(m, (d, rank), (keep_label, purifier_label))
-
-
 def _check_free_label(rho: DensityOperator, label: str) -> None:
     if label in rho.labels:
         raise InvalidStateError(f"label {label!r} already in use")

@@ -274,13 +274,20 @@ def measurement_kraus_nd_oracle(pvm):
 
 
 def tensor_with_identity(channel, side_dims, side_labels):
-    """``channel (x) id`` on appended subsystems, one Kraus operator
-    ``K (x) I`` per Kraus operator K of ``channel``."""
+    """``channel (x) id`` on appended subsystems, its Choi matrix the
+    product of ``channel.choi`` and the unnormalized maximally entangled
+    operator on the side, with the factors regrouped as (in, side, out, side)."""
     side_dims = tuple(int(d) for d in side_dims)
-    eye = np.eye(int(np.prod(side_dims)), dtype=complex)
-    support = channel.support if channel.support is not None else np.eye(channel.in_dim)
-    return CpMap.from_kraus(
-        tuple(np.kron(k, eye) for k in channel.kraus),
+    d_s = int(np.prod(side_dims))
+    eye = np.eye(d_s, dtype=complex)
+    omega = eye.reshape(-1)
+    di, do = channel.in_dim, channel.out_dim
+    choi = np.kron(channel.choi, np.outer(omega, omega.conj()))
+    choi = choi.reshape(di, do, d_s, d_s, di, do, d_s, d_s).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    d = di * do * d_s * d_s
+    support = channel.support if channel.support is not None else np.eye(di)
+    return CpMap(
+        choi=choi.reshape(d, d),
         in_dims=channel.in_dims + side_dims,
         out_dims=channel.out_dims + side_dims,
         support=np.kron(support, eye),
@@ -379,7 +386,8 @@ def circuit_oracle(circuit, bindings, noise):
     measurement appends its register in |0>, copies the outcome with the
     operators ``|m><m| (x) |m><0|`` on (target, register) and flips the
     register.  A recovery permutes its inputs to the front by a permutation
-    matrix and applies the map's Kraus operators there.
+    matrix and applies the map there as ``Tr_in[(rho^T_in (x) I_out)
+    (choi (x) I_rest)]``, the rest carried along.
     """
     dims = [2] * circuit.qubit_count
     labels = [f"q{i}" for i in range(circuit.qubit_count)]
@@ -411,10 +419,22 @@ def circuit_oracle(circuit, bindings, noise):
             rest = [i for i in range(len(dims)) if i not in positions]
             perm = permutation_matrix(dims, positions + rest)
             rest_dims = [dims[i] for i in rest]
-            rho = apply_local(perm @ rho @ perm.T, [cpmap.in_dim] + rest_dims, cpmap.kraus, [0])
+            rho = choi_action_oracle(cpmap, perm @ rho @ perm.T)
             dims = list(cpmap.out_dims) + rest_dims
             labels = list(out_labels) + [labels[i] for i in rest]
     return rho, dims, labels
+
+
+def choi_action_oracle(cpmap, m):
+    """``(map (x) id)(m)`` for ``m`` laid out (input, rest), by the textbook
+    formula ``Tr_in[(m^T_in (x) I_out) (choi (x) I_rest)]`` with both
+    factors on (in, out, rest)."""
+    d_in, d_out = cpmap.in_dim, cpmap.out_dim
+    r = m.shape[0] // d_in
+    m_t = m.reshape(d_in, r, d_in, r).transpose(2, 1, 0, 3).reshape(m.shape)
+    perm = permutation_matrix((d_in, r, d_out), (0, 2, 1))
+    lhs = perm @ np.kron(m_t, np.eye(d_out)) @ perm.T
+    return partial_trace(lhs @ np.kron(cpmap.choi, np.eye(r)), (d_in, d_out, r), [1, 2])
 
 
 def r1_register_map():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -105,7 +106,7 @@ class TestCheckCommand:
 
     def test_non_projective_pvm_exit_3(self, tmp_path, capsys,
                                         max_uncertainty_scenario):
-        data = json.loads(open(max_uncertainty_scenario).read())
+        data = json.loads(Path(max_uncertainty_scenario).read_text())
         data["x_pvm"][0][0][0] = [0.9, 0.0]
         path = tmp_path / "nonproj.json"
         path.write_text(json.dumps(data))
@@ -118,7 +119,7 @@ class TestCheckCommand:
     ])
     def test_malformed_scenario_exit_3(self, tmp_path, capsys, max_uncertainty_scenario,
                                        key, value):
-        data = json.loads(open(max_uncertainty_scenario).read())
+        data = json.loads(Path(max_uncertainty_scenario).read_text())
         data[key] = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(data))
@@ -130,7 +131,7 @@ class TestCheckCommand:
                                   "bool", "bare number"])
     def test_entry_that_is_not_a_pair_of_numbers_exits_3(self, tmp_path, capsys,
                                                          max_uncertainty_scenario, entry):
-        data = json.loads(open(max_uncertainty_scenario).read())
+        data = json.loads(Path(max_uncertainty_scenario).read_text())
         data["state"][0][0] = entry
         path = tmp_path / "entry.json"
         path.write_text(json.dumps(data))

@@ -10,7 +10,6 @@ from eurqsi.recovery import (
     apply_map,
     choi_from_kraus,
     eur_recovery_map,
-    kraus_from_choi,
     measurement_channel,
     petz_map,
     rotated_petz_map,
@@ -70,51 +69,64 @@ class TestCpMap:
             with pytest.raises(ValueError, match="^Choi matrix is not positive semidefinite$"):
                 CpMap(choi=choi, in_dims=(2,), out_dims=(2,))
 
-    def test_kraus_roundtrip_through_choi(self):
-        chan = measurement_channel(random_pvm(3, 5))
-        kraus = kraus_from_choi(chan.choi, chan.in_dim, chan.out_dim)
-        assert np.abs(choi_from_kraus(kraus) - chan.choi).max() < 1e-10
+    def test_rejects_a_support_of_the_wrong_shape(self):
+        choi = choi_from_kraus([np.eye(2)])
+        for support in (np.eye(1), np.eye(3), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="support shape"):
+                CpMap(choi, (2,), (2,), support=support)
+        assert verify_cptp(CpMap(choi, (2,), (2,), support=np.eye(2))).ok
+
+    def test_from_kraus_rejects_a_kraus_operator_of_the_wrong_shape(self):
+        # (out, in) = (3, 2): a (2, 3) operator is its transpose, not the map
+        with pytest.raises(ValueError, match="Kraus operator shape"):
+            CpMap.from_kraus([np.ones((2, 3))], (2,), (3,))
+        with pytest.raises(ValueError, match="Kraus operator shape"):
+            CpMap.from_kraus([np.eye(2), np.eye(3)], (2,), (2,))
 
 
 class TestChoiOnlyMap:
-    """eur_recovery_map keeps only its Choi matrix; a consumer that needs
-    Kraus operators derives them, and the map still acts as its Choi matrix."""
+    """A map is its Choi matrix alone: no Kraus form is kept or derived,
+    and the map acts as its Choi matrix in a circuit and as a channel."""
 
-    def _map(self):
+    def _maps(self):
         rho = random_multipartite_state((2, 2), 4, 421, ("A", "B"))
-        rec = eur_recovery_map(rho, random_pvm(2, 422), pauli_pvm("Z"))
-        assert "kraus" not in vars(rec)
-        return rec
+        xp = random_pvm(2, 422)
+        chan = tensor_with_identity(measurement_channel(xp), (2,), ("B",))
+        maps = (eur_recovery_map(rho, xp, pauli_pvm("Z")),
+                rotated_petz_map(pinch(rho, pauli_pvm("Z"), "A").matrix, chan))
+        for rec in maps:
+            assert not hasattr(rec, "kraus")
+        return maps
 
     def test_run_circuit(self):
         from eurqsi.simulate import Circuit, Gate, Measure, Recovery, run_circuit
-        rec = self._map()
         ops = (Gate("h", (0,)), Gate("x", (1,), controls=(0,)), Gate("t", (1,)), Measure(0, "X"))
         before = run_circuit(Circuit(2, ops)).permute(["X", "q1", "q0"])
-        after = run_circuit(Circuit(2, ops + (Recovery("r"),)),
-                            {"r": (rec, ("X", "q1"), ("Ap", "B"))})
-        assert after.labels == ("Ap", "B", "q0")
-        # the Choi matrix on (X, q1), with q0 carried along
-        t = before.matrix.reshape(4, 2, 4, 2)
-        want = np.einsum("irjs,iajb->arbs", t, rec.choi_blocks()).reshape(8, 8)
-        assert np.abs(after.matrix - want).max() < 1e-12
+        for rec in self._maps():
+            after = run_circuit(Circuit(2, ops + (Recovery("r"),)),
+                                {"r": (rec, ("X", "q1"), ("Ap", "B"))})
+            assert after.labels == ("Ap", "B", "q0")
+            # the Choi matrix on (X, q1), with q0 carried along
+            t = before.matrix.reshape(4, 2, 4, 2)
+            want = np.einsum("irjs,iajb->arbs", t, rec.choi_blocks()).reshape(8, 8)
+            assert np.abs(after.matrix - want).max() < 1e-12
 
     def test_petz_map(self):
-        rec = self._map()
         sigma = random_state(4, 4, 423).matrix
-        petz = petz_map(sigma, rec)
-        # oracle: sigma^1/2 N^dag(N(sigma)^-1/2 Y N(sigma)^-1/2) sigma^1/2, with
-        # N(X) = sum_ij X_ij C[i, :, j, :] and its adjoint read off the Choi matrix
-        blocks = rec.choi_blocks()
-        vals, vecs = np.linalg.eigh(rec.apply_matrix(sigma))
-        keep = vals > 1e-10 * vals.max()
-        inv_sqrt = (vecs[:, keep] / np.sqrt(vals[keep])) @ dagger(vecs[:, keep])
         sqrt_sigma = scipy.linalg.sqrtm(sigma)
-        for seed in range(3):
-            y = rec.apply_matrix(random_state(4, 4, [424, seed]).matrix)
-            adj = np.einsum("ab,jbia->ij", inv_sqrt @ y @ inv_sqrt, blocks)
-            want = sqrt_sigma @ adj @ sqrt_sigma
-            assert np.abs(petz.apply_matrix(y) - want).max() < 1e-10
+        for rec in self._maps():
+            petz = petz_map(sigma, rec)
+            # oracle: sigma^1/2 N^dag(N(sigma)^-1/2 Y N(sigma)^-1/2) sigma^1/2, with
+            # N(X) = sum_ij X_ij C[i, :, j, :] and its adjoint read off the Choi matrix
+            blocks = rec.choi_blocks()
+            vals, vecs = np.linalg.eigh(rec.apply_matrix(sigma))
+            keep = vals > 1e-10 * vals.max()
+            inv_sqrt = (vecs[:, keep] / np.sqrt(vals[keep])) @ dagger(vecs[:, keep])
+            for seed in range(3):
+                y = rec.apply_matrix(random_state(4, 4, [424, seed]).matrix)
+                adj = np.einsum("ab,jbia->ij", inv_sqrt @ y @ inv_sqrt, blocks)
+                want = sqrt_sigma @ adj @ sqrt_sigma
+                assert np.abs(petz.apply_matrix(y) - want).max() < 1e-10
 
 
 MEASUREMENT_PVMS = {
@@ -129,8 +141,8 @@ class TestMeasurementChannel:
     def test_d_kraus_operators_same_channel(self, name):
         pvm = MEASUREMENT_PVMS[name]
         chan = measurement_channel(pvm)
-        assert len(chan.kraus) == pvm.dim
-        completeness = sum(dagger(k) @ k for k in chan.kraus)
+        assert len(pvm.kraus) == pvm.dim
+        completeness = sum(dagger(k) @ k for k in pvm.kraus)
         assert np.abs(completeness - np.eye(pvm.dim)).max() < 1e-14
         want = choi_of_kraus(measurement_kraus_nd_oracle(pvm))
         assert np.abs(chan.choi - want).max() < 1e-14
@@ -227,29 +239,31 @@ class TestRotatedPetz:
         xp2, xp3 = pauli_pvm("X"), random_pvm(3, 81)
         rank_def_b = random_multipartite_state((3, 3), 2, 84, ("A", "B"))
         cases = [
-            # (sigma, channel): 2x2, 3x2 and 3x3 X-after-Z pinched states
-            (random_state(2, 2, 80).matrix, measurement_channel(xp2)),
+            # (sigma, X, d_B): 2x2, 3x2 and 3x3 X-after-Z pinched states
+            (random_state(2, 2, 80).matrix, xp2, 1),
             *[
                 (pinch(random_multipartite_state((3, d_b), 3 * d_b, 82 + d_b, ("A", "B")),
-                       random_pvm(3, 83), "A").matrix,
-                 tensor_with_identity(measurement_channel(xp3), (d_b,), ("B",)))
+                       random_pvm(3, 83), "A").matrix, xp3, d_b)
                 for d_b in (2, 3)
             ],
             # eigenvalues on both sides of the support cutoff, in sigma and
             # in N(sigma)
-            (np.kron(np.diag([0.55, 0.45]), np.diag([1.0 - 3.05e-10, 3e-10, 5e-12])),
-             tensor_with_identity(measurement_channel(xp2), (3,), ("B",))),
+            (np.kron(np.diag([0.55, 0.45]), np.diag([1.0 - 3.05e-10, 3e-10, 5e-12])), xp2, 3),
             # near-pure
-            (np.diag([1.0 - 1e-9, 1e-9]).astype(complex), measurement_channel(xp2)),
+            (np.diag([1.0 - 1e-9, 1e-9]).astype(complex), xp2, 1),
             # B of rank 2 in dimension 3
-            (pinch(rank_def_b, random_pvm(3, 86), "A").matrix,
-             tensor_with_identity(measurement_channel(xp3), (3,), ("B",))),
+            (pinch(rank_def_b, random_pvm(3, 86), "A").matrix, xp3, 3),
             # unnormalized
-            (2.5 * random_state(3, 3, 87).matrix, measurement_channel(xp3)),
+            (2.5 * random_state(3, 3, 87).matrix, xp3, 1),
         ]
-        for sigma, chan in cases:
+        for sigma, xp, d_b in cases:
+            chan = measurement_channel(xp)
+            if d_b > 1:
+                chan = tensor_with_identity(chan, (d_b,), ("B",))
             got = rotated_petz_map(sigma, chan).choi
-            want = rotated_petz_choi_oracle(sigma, chan.kraus)
+            # the channel's Kraus set: K_x = |x><v| (x) I_B
+            kraus = [np.kron(k, np.eye(d_b)) for k in xp.kraus]
+            want = rotated_petz_choi_oracle(sigma, kraus)
             assert np.abs(got - want).max() <= 1e-12
 
 
@@ -403,8 +417,13 @@ class TestVerifyCptp:
     def test_r3_kraus_completeness_direct_sum(self):
         from eurqsi.gallery import recovery_map_r3
         rec = recovery_map_r3()
+        # K_x = sum_z (-1)^{xz} |zz><xz| on (X, B) -> (A', B)
+        kets = np.eye(4)
+        kraus = [sum((-1.0) ** (x * z) * np.outer(kets[3 * z], kets[2 * x + z]) for z in (0, 1))
+                 for x in (0, 1)]
+        assert np.abs(choi_from_kraus(kraus) - rec.choi).max() < 1e-12
         acc = np.zeros((4, 4), dtype=complex)
-        for k in rec.kraus:
+        for k in kraus:
             acc += dagger(k) @ k  # direct matrix-sum oracle
         assert np.abs(acc - np.eye(4)).max() < 1e-12
         report = verify_cptp(rec)

@@ -178,6 +178,11 @@ class TestShotTable:
             se = np.sqrt(p * (1 - p) / 8192)
             assert abs(t.frequency(out) - p) < 4 * se
 
+    @pytest.mark.parametrize("counts, shots", [({"0": -1, "1": 2}, 1), ({}, 0)])
+    def test_rejects_negative_counts_and_no_shots(self, counts, shots):
+        with pytest.raises(ValueError, match="shots must be positive and counts non-negative"):
+            ShotTable(counts, shots)
+
 
 class TestBlochTomography:
     def test_ideal_plus_state(self):
@@ -347,9 +352,9 @@ class TestAgainstStepwiseOracle:
         for map_id in ("r1", "r3"):
             cpmap = simulate._recovery_binding(map_id)[0]
             assert simulate._recovery_binding(map_id)[0] is cpmap
-            for a in (cpmap.choi,) + cpmap.kraus:
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0, 0] = 0.0
+            assert not hasattr(cpmap, "kraus")
+            with pytest.raises(ValueError, match="read-only"):
+                cpmap.choi[0, 0] = 0.0
 
     def test_one_run_builds_one_map_two_states_and_one_kraus_step_per_op(self, monkeypatch):
         counts = Counter()
@@ -362,19 +367,24 @@ class TestAgainstStepwiseOracle:
 
         for cls in (CpMap, DensityOperator, Pvm):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-        # every Kraus step, through apply_local or not, is one kernel call
+        # every gate and measure step, through apply_local or not, is one
+        # kernel call, and every recovery step one Choi contraction
         kernel = counted("kernel", linalg._local_stack)
         for mod in (linalg, simulate):
             monkeypatch.setattr(mod, "_local_stack", kernel)
+        monkeypatch.setattr(CpMap, "_apply", counted("choi", CpMap._apply))
         # r1 (experiments 1-4) and r3 (5-6) are each built once per process:
         # after one warm-up run of each, a run builds no map
         for exp_id in (1, 5):
             run_experiment(exp_id, shots=64)
         for exp_id in range(1, 7):
-            ops = len(experiment_circuit(exp_id).ops)
+            ops = experiment_circuit(exp_id).ops
+            recoveries = sum(isinstance(op, Recovery) for op in ops)
             counts.clear()
             run_experiment(exp_id, shots=64, noise=NoiseSpec(depolarizing_p=0.1, readout_flip=0.05))
             assert counts["CpMap"] == 0
             assert counts["DensityOperator"] == 2  # final and ideal
             assert counts["Pvm"] == 0
-            assert counts["kernel"] == ops
+            assert recoveries == 1
+            assert counts["kernel"] == len(ops) - recoveries
+            assert counts["choi"] == recoveries
