@@ -17,30 +17,16 @@ average is computed exactly in the eigenbases of the reference state and
 its image (:func:`rotated_petz_map`).  Both Petz maps are read off one
 congruence of the channel's Choi matrix by those eigenbases (:func:`_petz`).
 
-The measurement-reversal map R is that recovery for the X measurement
-N = M_X (x) id relative to the Z-pinched state tau, and one kernel,
-:func:`_reversal`, computes it in block form for both of its users: the
-reversibility term f of :mod:`eurqsi.relations` and the explicit channel
-:func:`eur_recovery_map`.  N(tau) is the direct sum over the outcomes x of
-the blocks tau_x = Tr_A[(P_x (x) I) tau], so with tau = sum_a l_a |a><a|
-(eigenvectors V) and tau_x = sum_j m_xj |w_xj><w_xj|, each restricted to
-its support, the Choi matrix of R vanishes between different outcomes and
-its block x is
-
-    sum_{a j a' j'} |w*_xj><w*_xj'| (x) sqrt(l_a l_a' / (m_xj m_xj'))
-                    K[x, a, j, a', j'] |a><a'|
-
-with ``K = Gram o sinhc``: ``Gram[x, a, j, a', j'] = sum_v <a|v (x) w_xj>
-<v (x) w_xj'|a'>`` over the Kraus operators |x><v| of outcome x, and
-``sinhc(phi_a,xj - phi_a',xj')`` with ``phi_a,xj = (ln l_a - ln m_xj) / 2``.
-tau is block diagonal in Z's basis: with R_z the isometry onto range(Q_z),
-its blocks are ``(R_z (x) I) rho (R_z^dag (x) I)``, so its eigenpairs come
-from one batched eigensolve of those blocks, which the caller takes (for Z
-with one range slot, the checks share it with H(ZB)), each eigenvector
-mapped back through ``R_z^dag (x) I``.  tau is cut to its support once,
-against the top of the union of the block spectra, and the blocks tau_x are
-formed from the cut eigenpairs; the support of N(tau) is cut by the same
-rule against the top of its whole spectrum, the union of the block spectra.
+The measurement-reversal map R is the rotated Petz recovery of the X
+measurement N = M_X (x) id relative to the Z-pinched state tau, both with
+the measured subsystem first.  :func:`eur_recovery_map` builds N from the
+PVM's Kraus operators and tau by pinching, and runs the same builder with
+one more Choi term: the completion ``(I - P)^T (x) tau / Tr tau``, P the
+projector onto supp(N(tau)), which sends the inputs R is not defined on
+to tau and makes the channel trace-preserving everywhere.  The
+reversibility term f of :mod:`eurqsi.relations` needs only the one state
+R(sigma_XB) and evaluates it in block form, with no channel built
+(:func:`~eurqsi.relations._reversibility`).
 """
 
 from __future__ import annotations
@@ -50,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_block_diagonal, _on_support, _sinhc, as_matrix, dagger,
-                     eigenvalue_below, is_hermitian, support_eig)
-from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim, _compressed
+from .linalg import (_local_stack, _sinhc, as_matrix, dagger, eigenvalue_below, is_hermitian,
+                     support_eig)
+from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim
 
 CHOI_TOL = 1e-8
 
@@ -85,6 +71,10 @@ class CpMap:
             object.__setattr__(self, "in_labels", tuple(f"in{i}" for i in range(len(in_dims))))
         if not self.out_labels:
             object.__setattr__(self, "out_labels", tuple(f"out{i}" for i in range(len(out_dims))))
+        for side, dims_, labels in (("input", in_dims, self.in_labels),
+                                    ("output", out_dims, self.out_labels)):
+            if len(labels) != len(dims_) or len(set(labels)) != len(labels):
+                raise ValueError(f"{side} labels {labels} are not {len(dims_)} distinct names")
         d = self.in_dim * self.out_dim
         if choi.shape != (d, d):
             raise ValueError(f"Choi shape {choi.shape} does not match dims ({d}, {d})")
@@ -173,24 +163,18 @@ def measurement_channel(pvm: Pvm) -> CpMap:
     )
 
 
-def _petz_spectra(sigma: np.ndarray, channel: CpMap):
-    """Support eigenpairs ``(l, V)`` of ``sigma`` and ``(m, W)`` of N(sigma).
+def _reference(sigma: np.ndarray, channel: CpMap) -> np.ndarray:
+    """``sigma`` as a Hermitian matrix on the channel's input space.
 
-    ``sigma`` must be Hermitian and is rejected as non-PSD only through
-    :func:`~eurqsi.linalg._check_psd` (in :func:`~eurqsi.linalg.support_eig`);
-    it is cut to its support once, and N is applied to the cut ``sigma``, so
-    both Petz maps see one operator and preserve trace on supp(N(sigma)).
+    It is rejected as non-PSD only through :func:`~eurqsi.linalg._check_psd`
+    (in :func:`~eurqsi.linalg.support_eig`, which :func:`_petz` calls).
     """
     sigma = as_matrix(sigma)
     if sigma.shape != (channel.in_dim, channel.in_dim):
-        raise ValueError(
-            f"sigma dimension {sigma.shape[0]} incompatible with channel input {channel.in_dim}"
-        )
+        raise ValueError(f"sigma shape {sigma.shape} does not fit channel input {channel.in_dim}")
     if not is_hermitian(sigma):
         raise ValueError("sigma is not Hermitian within tolerance")
-    lam, v = support_eig(sigma)
-    mu, w = support_eig(channel.apply_matrix((v * lam) @ dagger(v)))
-    return lam, v, mu, w
+    return sigma
 
 
 def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
@@ -201,7 +185,7 @@ def petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     ``N(sigma)`` and is trace-preserving on supp(N(sigma)).  Its Choi matrix
     is ``U Gram(C) U^dag`` (see :func:`rotated_petz_map`).
     """
-    return _petz(sigma, channel, rotated=False)
+    return _petz(_reference(sigma, channel), channel, rotated=False)
 
 
 def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
@@ -218,19 +202,28 @@ def rotated_petz_map(sigma: np.ndarray, channel: CpMap) -> CpMap:
     the Choi matrix is ``U (Gram(C) o sinhc) U^dag`` with
     ``U = conj(W) (x) V``; t = 0 alone gives the Petz map.
     """
-    return _petz(sigma, channel, rotated=True)
+    return _petz(_reference(sigma, channel), channel, rotated=True)
 
 
-def _petz(sigma: np.ndarray, channel: CpMap, rotated: bool) -> CpMap:
+def _petz(sigma: np.ndarray, channel: CpMap, rotated: bool, complete: bool = False) -> CpMap:
     """The Petz map, or with ``rotated`` the rotated Petz map, of ``channel``
-    relative to ``sigma``, from the channel's Choi matrix J alone.
+    relative to the Hermitian ``sigma``, from the channel's Choi matrix J
+    alone; nothing is checked but sigma's spectrum.
+
+    sigma is cut to its support once, and N is applied to the cut sigma, so
+    the map sees one operator and preserves trace on supp(N(sigma)), with
+    projector P.  With ``complete`` it also sends the complement of that
+    support to sigma / Tr sigma, the Choi term ``(I - P)^T (x) sigma / Tr
+    sigma``, and preserves trace everywhere.
 
     ``Gram(C)[(c, a), (c', a')] = sum_k C_k[a, c] conj(C_k[a', c'])`` is
     ``sqrt(l_a l_a' / (m_c m_c'))`` times the entry ``((a, c), (a', c'))``
     of the congruence ``T^dag J^T T`` with ``T = V (x) conj(W)``, since
     ``sum_k conj(K_k[x, i]) K_k[y, j] = J^T[(i, x), (j, y)]``.
     """
-    lam, v, mu, w = _petz_spectra(sigma, channel)
+    lam, v = support_eig(sigma)
+    sigma = (v * lam) @ dagger(v)
+    mu, w = support_eig(channel._apply(sigma))
     n_a, n_c = len(lam), len(mu)
     t = np.kron(v, w.conj())
     gram = (dagger(t) @ channel.choi.T @ t).reshape(n_a, n_c, n_a, n_c)
@@ -241,53 +234,19 @@ def _petz(sigma: np.ndarray, channel: CpMap, rotated: bool) -> CpMap:
         phi = 0.5 * (np.log(lam)[None, :] - np.log(mu)[:, None]).ravel()
         kernel = kernel * _sinhc(phi[:, None] - phi[None, :])
     u = np.kron(w.conj(), v)
+    choi, support = u @ kernel @ dagger(u), w @ dagger(w)
+    if complete:
+        eye = np.eye(len(support), dtype=complex)
+        choi += np.kron((eye - support).T, sigma / lam.sum())
+        support = eye
     return CpMap(
-        choi=u @ kernel @ dagger(u),
+        choi=choi,
         in_dims=channel.out_dims,
         out_dims=channel.in_dims,
-        support=w @ dagger(w),
+        support=support,
         in_labels=channel.out_labels,
         out_labels=channel.in_labels,
     )
-
-
-def _reversal(z_eig: tuple[np.ndarray, np.ndarray], x_pvm: Pvm, z_pvm: Pvm):
-    """Block form of the measurement-reversal map R (see the module docstring).
-
-    The state has the measured subsystem A first and B the rest, a layout
-    tau and the output of R keep.  ``z_eig`` is the batched ``eigh`` of its
-    compression to each range of Z, ``(R_z (x) I) rho (R_z^dag (x) I)``
-    (:func:`~eurqsi.states._compressed`): tau is block diagonal in Z's basis
-    with these blocks, so this is its spectrum, and each eigenvector maps
-    back through ``R_z^dag (x) I``.
-
-    Returns tau's support pair ``(l, V)``, the block pairs ``(m_x, W_x)`` of
-    N(tau) as an ``(outcomes, r)`` and an ``(outcomes, r, r)`` stack, and
-    the kernel ``K = Gram o sinhc`` on axes ``(x, a, j, a', j')``.  Off the
-    support of N(tau) the eigenvalues are 1, which keeps the logs finite,
-    and the eigenvectors are zero, which drops their terms.
-    """
-    d_a, n = x_pvm.dim, len(x_pvm)
-    z_ranges, x_ranges = z_pvm._ranges, x_pvm._ranges
-    n_z, r_z = z_ranges.shape[:2]
-    vals, vecs = z_eig
-    keep = _on_support(vals)
-    lam = vals[keep]
-    # V[(i, b), (z, s)] = sum_j conj(R_z[j, i]) u_zs[j, b]
-    v = np.einsum("zji,zjbs->ibzs", z_ranges.conj(), vecs.reshape(n_z, r_z, -1, vecs.shape[-1]))
-    v = v.reshape(-1, *keep.shape)[:, keep]
-    # y[x, k, b, a] = (<x_k| (x) I)|a>; the blocks of N(tau) are sum_k y l y^dag
-    y = np.einsum("xki,iba->xkba", x_ranges, v.reshape(d_a, -1, len(lam)))
-    mu, w = np.linalg.eigh(((y * lam) @ y.conj().transpose(0, 1, 3, 2)).sum(axis=1))
-    keep = _on_support(mu)
-    mu = np.where(keep, mu, 1.0)
-    w = w * keep[:, None, :]
-    # h[x, k, (a, j)] = <x_k (x) w_xj|a>, zero on padded slots k
-    h = np.einsum("xbj,xkba->xkaj", w.conj(), y).reshape(n, x_ranges.shape[1], -1)
-    phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
-    kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
-    gram = (h.conj().transpose(0, 2, 1) @ h).reshape(kernel.shape)
-    return lam, v, mu, w, gram * kernel
 
 
 def eur_recovery_map(
@@ -301,41 +260,26 @@ def eur_recovery_map(
     rank-one Z measurement.
 
     Acts on the (register, rest) space and restores the measured subsystem
-    in front of the rest.  On the support of the doubly measured state it
-    is the rotated Petz recovery of the X measurement relative to the
-    Z-pinched state, assembled from :func:`_reversal`; a completion branch
-    routes the orthogonal complement to the pinched state, so the channel
-    is trace-preserving everywhere.  R reads only the diagonal register
-    blocks of its input, so its Choi matrix is block diagonal in the
-    outcome, and the completion of block x is
-    ``(I - W_x W_x^dag)^T (x) tau / Tr tau``.
+    in front of the rest.  It is the rotated Petz recovery (:func:`_petz`)
+    of the X measurement N = M_X (x) id relative to the Z-pinched state
+    tau, both with the measured subsystem first, completed by the branch
+    that routes the complement of supp(N(tau)) to tau / Tr tau, so the
+    channel is trace-preserving everywhere.
     """
     if not z_pvm.is_rank_one():
         raise InvalidStateError("eur_recovery_map needs a rank-one Z measurement")
     dims, pos = rho_ab.dims, rho_ab.label_index(measured)
     _check_pvm_dim(x_pvm, dims[pos], measured)
     _check_pvm_dim(z_pvm, dims[pos], measured)
-    # the channel restores A in front of the rest, the layout of the compression
     order = [pos] + [i for i in range(len(dims)) if i != pos]
-    out_dims, out_labels = tuple(dims[i] for i in order), tuple(rho_ab.labels[i] for i in order)
-    z_eig = np.linalg.eigh(_compressed(rho_ab.matrix, dims, z_pvm, pos))
-    lam, v, mu, w, kernel = _reversal(z_eig, x_pvm, z_pvm)
-    n, r, d = w.shape[0], w.shape[1], len(v)
-    # u[x, (b, q), (a, j)] = conj(w_xj[b]) / sqrt(m_xj) * sqrt(l_a) V[q, a]
-    u = np.einsum("xbj,qa->xbqaj", w.conj() / np.sqrt(mu[:, None, :]), v * np.sqrt(lam))
-    u = u.reshape(n, r * d, -1)
-    blocks = u @ kernel.reshape(n, u.shape[2], -1) @ u.conj().transpose(0, 2, 1)
-    complement = np.eye(r) - w.conj() @ w.transpose(0, 2, 1)  # (I - W_x W_x^dag)^T
-    tau = (v * (lam / lam.sum())) @ dagger(v)
-    blocks += np.einsum("xbc,qs->xbqcs", complement, tau).reshape(blocks.shape)
-    return CpMap(
-        choi=_block_diagonal(blocks),
-        in_dims=(n,) + out_dims[1:],
-        out_dims=out_dims,
-        support=np.eye(n * r, dtype=complex),
-        in_labels=(register_label,) + out_labels[1:],
-        out_labels=out_labels,
-    )
+    in_dims, labels = tuple(dims[i] for i in order), tuple(rho_ab.labels[i] for i in order)
+    # N and tau = sum_z (Q_z (x) I) rho (Q_z (x) I), both laid out (measured, rest)
+    eye = np.eye(rho_ab.dim // dims[pos])
+    channel = CpMap.from_kraus([np.kron(k, eye) for k in x_pvm.kraus], in_dims,
+                               (len(x_pvm),) + in_dims[1:], in_labels=labels,
+                               out_labels=(register_label,) + labels[1:])
+    tau = _local_stack(rho_ab.matrix, dims, np.stack(z_pvm.projectors), [pos]).sum(axis=0)
+    return _petz(tau, channel, rotated=True, complete=True)
 
 
 def apply_map(cpmap: CpMap, state: DensityOperator) -> DensityOperator:

@@ -24,17 +24,17 @@ those blocks traced over the range slots.  One ``eigh`` takes the AB stack
 (rho_B, the X stack, the Z stack), one ``eigvalsh`` the ZE stack and rho_E,
 and one :func:`~eurqsi.entropy._entropies` pass reduces the six spectra,
 rho_AB's among them.  For Z with one range slot the Z stack is the range
-blocks themselves, and their eigenpairs from the AB stack give the
-reversal kernel the Z-pinched state; a coarser Z decomposes the blocks
-once more.  c comes from the overlap of the two PVMs' bases.  f evaluates
-R(sigma_XB) from the X stack on the block-form kernel of the
-measurement-reversal map, :func:`~eurqsi.recovery._reversal` (derived in
-:mod:`eurqsi.recovery`, which assembles the explicit channel from the same
-kernel); no channel is built here.  rho_AB's support pair is its factor in
-f, which takes R(sigma_XB) factored too.  A check takes 5 eigensolves and
-1 SVD for a Z with one range slot, 6 and 1 otherwise.  H(Z|E) stays an
-explicit entropy of the measured AE marginal, never derived from H(AB)
-through the duality, so the two remain independent cross-checks.
+blocks themselves, and their eigenpairs from the AB stack give f the
+Z-pinched state; a coarser Z decomposes the blocks once more.  c comes
+from the overlap of the two PVMs' bases.  f evaluates R(sigma_XB) from the
+X stack in block form (:func:`_reversibility`, where the block form is
+derived); R is the channel that :func:`~eurqsi.recovery.eur_recovery_map`
+builds, but no channel is built here, and nothing is imported from
+:mod:`eurqsi.recovery`.  rho_AB's support pair is its factor in f, which
+takes R(sigma_XB) factored too.  A check takes 5 eigensolves and 1 SVD for
+a Z with one range slot, 6 and 1 otherwise.  H(Z|E) stays an explicit
+entropy of the measured AE marginal, never derived from H(AB) through the
+duality, so the two remain independent cross-checks.
 
 Entropy terms are eigenvalue-exact (1e-9); by default the refined
 inequality counts as violated when its slack is below -1e-6, and the report
@@ -50,8 +50,7 @@ from typing import ClassVar
 import numpy as np
 
 from .entropy import _entropies
-from .linalg import _fidelity, _in_order, support_eig
-from .recovery import _reversal
+from .linalg import _fidelity, _in_order, _on_support, _sinhc, support_eig
 from .states import (
     DensityOperator,
     InvalidStateError,
@@ -162,33 +161,66 @@ def _reversibility(
     rho_eig: tuple[np.ndarray, np.ndarray],
 ) -> float:
     """f = F(rho_AB, R(sigma_XB)) with R the rotated Petz recovery of the X
-    measurement N = M_X (x) id relative to the Z-pinched state tau.
+    measurement N = M_X (x) id relative to the Z-pinched state tau
+    (:func:`~eurqsi.recovery.rotated_petz_map`), evaluated in block form
+    with no recovery channel built.
 
-    R(sigma_XB) is evaluated in block form on the kernel
-    :func:`~eurqsi.recovery._reversal`, with no recovery channel built:
-    sigma_XB is the direct sum of its blocks sigma_x, so
+    rho_AB has the measured subsystem A first and B the rest, a layout tau
+    and R(sigma_XB) keep.  ``z_eig`` is the batched ``eigh`` of its
+    compression to each range of Z, ``(R_z (x) I) rho (R_z^dag (x) I)``
+    (:func:`~eurqsi.states._compressed`): tau is block diagonal in Z's
+    basis with these blocks, so this is its spectrum, and each eigenvector
+    maps back through ``R_z^dag (x) I``.  tau is cut to its support once,
+    against the top of the union of the block spectra: ``tau = sum_a l_a
+    |a><a|`` (eigenvectors V).  N(tau) is the direct sum over the outcomes x
+    of the blocks ``tau_x = Tr_A[(P_x (x) I) tau] = sum_j m_xj |w_xj><w_xj|``,
+    formed from the cut eigenpairs and cut by the same rule against the top
+    of the union of their spectra.  Off that support the eigenvalues are
+    set to 1, which keeps the logs finite, and the eigenvectors to zero,
+    which drops their terms.  The Choi matrix of R then vanishes between
+    different outcomes, and its block x is
+
+        sum_{a j a' j'} |w*_xj><w*_xj'| (x) sqrt(l_a l_a' / (m_xj m_xj'))
+                        K[x, a, j, a', j'] |a><a'|
+
+    with ``K = Gram o sinhc``: ``Gram[x, a, j, a', j'] = sum_v <a|v (x) w_xj>
+    <v (x) w_xj'|a'>`` over the Kraus operators |x><v| of outcome x, and
+    ``sinhc(phi_a,xj - phi_a',xj')`` with ``phi_a,xj = (ln l_a - ln m_xj) / 2``.
+    sigma_XB is the direct sum of its blocks sigma_x, the stack ``sigma_x``
+    that :func:`~eurqsi.states._measured` returns, so
 
         R(sigma)_aa' = sqrt(l_a l_a') sum_x sum_jj' K[x, a, j, a', j'] M_x[j, j']
 
-    with ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')``.
-
-    rho_AB has the measured subsystem A first and B the rest, a layout tau
-    and R(sigma_XB) keep; ``z_eig`` is the batched ``eigh`` of its
-    compression to each range of Z (:func:`~eurqsi.states._compressed`),
-    from which tau's spectrum comes, and ``rho_eig``, its
-    :func:`~eurqsi.linalg.support_eig` pair, gives rho_AB's factor to the
-    fidelity.  ``sigma_x`` is the stack of the blocks sigma_x, as
-    :func:`~eurqsi.states._measured` returns it.  R(sigma_XB) = V r V^dag
-    reaches the fidelity factored: the support pair (m, Q) of the matrix r,
-    which is the size of tau's rank, with vectors V Q.
+    with ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')``.  R(sigma_XB) =
+    V r V^dag reaches the fidelity factored: the support pair (m, Q) of the
+    matrix r, which is the size of tau's rank, with vectors V Q; ``rho_eig``,
+    rho_AB's :func:`~eurqsi.linalg.support_eig` pair, is the other factor.
 
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
-    lam, v, mu, w, kernel = _reversal(z_eig, x_pvm, z_pvm)
+    z_ranges, x_ranges = z_pvm._ranges, x_pvm._ranges
+    vals, vecs = z_eig
+    keep = _on_support(vals)
+    lam = vals[keep]
+    # V[(i, b), (z, s)] = sum_j conj(R_z[j, i]) u_zs[j, b]
+    u = vecs.reshape(*z_ranges.shape[:2], -1, vecs.shape[-1])
+    v = np.einsum("zji,zjbs->ibzs", z_ranges.conj(), u)
+    v = v.reshape(-1, *keep.shape)[:, keep]
+    # y[x, k, b, a] = (<x_k| (x) I)|a>; the blocks of N(tau) are sum_k y l y^dag
+    y = np.einsum("xki,iba->xkba", x_ranges, v.reshape(x_pvm.dim, -1, len(lam)))
+    mu, w = np.linalg.eigh(((y * lam) @ y.conj().transpose(0, 1, 3, 2)).sum(axis=1))
+    keep = _on_support(mu)
+    mu = np.where(keep, mu, 1.0)
+    w = w * keep[:, None, :]
+    # h[x, k, (a, j)] = <x_k (x) w_xj|a>, zero on padded slots k
+    h = np.einsum("xbj,xkba->xkaj", w.conj(), y).reshape(*x_ranges.shape[:2], -1)
+    phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
+    kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
+    gram = (h.conj().transpose(0, 2, 1) @ h).reshape(kernel.shape)
     m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
     root = np.sqrt(lam)
-    r = np.einsum("xajbl,xjl->ab", kernel, m) * np.outer(root, root)
+    r = np.einsum("xajbl,xjl->ab", gram * kernel, m) * np.outer(root, root)
     vals, q = support_eig(r)
     return _fidelity(rho_eig, (vals, v @ q))
 

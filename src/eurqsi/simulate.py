@@ -294,6 +294,11 @@ def _evolve(circuit: Circuit, recovery_bindings: dict | None, noise: NoiseSpec) 
             if not recovery_bindings or op.map_id not in recovery_bindings:
                 raise ValueError(f"no binding for recovery map {op.map_id!r}")
             cpmap, in_labels, out_labels = recovery_bindings[op.map_id]
+            dims = dict(zip(state.labels, state.dims))
+            bound = (tuple(dims.get(s) for s in in_labels), len(set(in_labels)), len(out_labels))
+            if bound != (cpmap.in_dims, len(in_labels), len(cpmap.out_dims)):
+                raise ValueError(f"recovery map {op.map_id!r} on dims {cpmap.in_dims} does not "
+                                 f"fit its binding {tuple(in_labels)} -> {tuple(out_labels)}")
             state.recover(cpmap, in_labels, out_labels)
     return state
 

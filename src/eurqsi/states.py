@@ -129,6 +129,8 @@ class DensityOperator:
         if isinstance(keep_labels, str):
             keep_labels = [keep_labels]
         keep = sorted(self.label_index(s) for s in keep_labels)
+        if len(set(keep)) != len(keep):
+            raise InvalidStateError(f"{keep_labels!r} repeats a subsystem")
         m, dims = _in_order(self.matrix, self.dims, keep)
         return DensityOperator(m, dims, tuple(self.labels[i] for i in keep))
 

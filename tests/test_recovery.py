@@ -76,6 +76,18 @@ class TestCpMap:
                 CpMap(choi, (2,), (2,), support=support)
         assert verify_cptp(CpMap(choi, (2,), (2,), support=np.eye(2))).ok
 
+    @pytest.mark.parametrize("labels", [
+        dict(in_labels=("a", "b", "c"), out_labels=("x",)),
+        dict(out_labels=("x", "y")),
+        dict(in_labels=("a", "b"), in_dims=(2, 2), out_labels=("x", "x"), out_dims=(2, 2)),
+        dict(in_labels=("a", "a"), in_dims=(2, 2), out_dims=(2, 2)),
+    ])
+    def test_rejects_labels_that_do_not_name_its_subsystems(self, labels):
+        fields = {"in_dims": (2,), "out_dims": (2,), **labels}
+        d = int(np.prod(fields["in_dims"]))
+        with pytest.raises(ValueError, match="distinct names"):
+            CpMap(choi_from_kraus([np.eye(d)]), **fields)
+
     def test_from_kraus_rejects_a_kraus_operator_of_the_wrong_shape(self):
         # (out, in) = (3, 2): a (2, 3) operator is its transpose, not the map
         with pytest.raises(ValueError, match="Kraus operator shape"):
@@ -322,9 +334,10 @@ class TestEurRecoveryMap:
         assert worst < 1e-7
 
     def test_agrees_with_generic_rotated_petz_on_support(self):
-        # two independent constructions of R: the block-form kernel behind
-        # eur_recovery_map, and the generic rotated Petz map of M_X (x) id
-        # relative to the pinched state
+        # eur_recovery_map is the generic rotated Petz map of M_X (x) id
+        # relative to the pinched state plus a completion term: on the
+        # support of theta the completion must leave the map alone (the
+        # map's core has its own oracle, test_matches_quadrature_oracle)
         cases = [((d, d), d * d, ("A", "B"), random_pvm(d, [seed, 32]), seed)
                  for seed, d in enumerate([3, 2] * 5)]
         cases += [

@@ -315,14 +315,17 @@ class TestMeasuredMarginals:
         _assert_reports_agree(check_tripartite(rho_abe, xp, padded), want)
         assert len(calls) == 5
 
-    def test_recovery_channel_builds_one_map_and_no_state(self, monkeypatch):
-        # eur_recovery_map assembles its one Choi matrix from the block-form
-        # kernel on the input's arrays: the channel is its one map and its
-        # one Cholesky (the PSD check of the Choi matrix), no state is
-        # validated, and no Choi matrix comes from Kraus operators
+    def test_recovery_channel_builds_two_maps_and_no_state(self, monkeypatch):
+        # eur_recovery_map builds the measurement N = M_X (x) id from the
+        # PVM's Kraus operators and runs the one Petz builder on the pinched
+        # input's array: two maps (N and R, the completion folded into R's
+        # Choi matrix before it is checked), one Cholesky each (the PSD
+        # check of a Choi matrix), one Choi matrix from Kraus operators (N's),
+        # no state validated, and the pinched state not checked again
         rho_ab, xp, zp = MARGINAL_CASES["3x3 haar"]
         xp.kraus, zp.kraus  # cached before counting
-        counts = {"CpMap": 0, "DensityOperator": 0, "choi_from_kraus": 0, "cholesky": 0}
+        counts = {"CpMap": 0, "DensityOperator": 0, "choi_from_kraus": 0, "cholesky": 0,
+                  "is_hermitian": 0, "_petz": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -334,11 +337,15 @@ class TestMeasuredMarginals:
                             counted("CpMap", recovery.CpMap.__post_init__))
         monkeypatch.setattr(DensityOperator, "__post_init__",
                             counted("DensityOperator", DensityOperator.__post_init__))
-        monkeypatch.setattr(recovery, "choi_from_kraus",
-                            counted("choi_from_kraus", recovery.choi_from_kraus))
+        for name in ("choi_from_kraus", "is_hermitian", "_petz"):
+            monkeypatch.setattr(recovery, name, counted(name, getattr(recovery, name)))
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
-        recovery.eur_recovery_map(rho_ab, xp, zp)
-        assert counts == {"CpMap": 1, "DensityOperator": 0, "choi_from_kraus": 0, "cholesky": 1}
+        rec = recovery.eur_recovery_map(rho_ab, xp, zp)
+        assert counts == {"CpMap": 2, "DensityOperator": 0, "choi_from_kraus": 1, "cholesky": 2,
+                          "is_hermitian": 0, "_petz": 1}
+        assert rec.in_dims == (3, 3) and rec.out_dims == (3, 3)
+        assert rec.in_labels == ("X", "B") and rec.out_labels == ("A", "B")
+        assert np.array_equal(rec.support, np.eye(9))
 
 
 def _small_x_block_case():

@@ -320,6 +320,22 @@ class TestRunCircuit:
         with pytest.raises(ValueError):
             run_circuit(circ)
 
+    @pytest.mark.parametrize("in_dims, in_labels, out_labels", [
+        ((2,), ("q0", "q1"), ("a", "b")),   # two labels for a one-qubit map
+        ((2, 2), ("X",), ("a",)),           # one label for a two-qubit map
+        ((2,), ("Z",), ("a",)),             # a label the state does not have
+        ((2, 2), ("X", "X"), ("a", "b")),   # one subsystem twice
+        ((2,), ("X",), ("a", "b")),         # two outputs for one
+    ])
+    def test_recovery_binding_must_fit_its_map(self, in_dims, in_labels, out_labels):
+        d = int(np.prod(in_dims))
+        cpmap = CpMap(np.outer(np.eye(d).ravel(), np.eye(d).ravel()), in_dims, in_dims)
+        circ = Circuit(2, (Gate("h", (0,)), Measure(0, "X"), Recovery("r")))
+        with pytest.raises(ValueError, match="recovery map 'r'"):
+            run_circuit(circ, {"r": (cpmap, in_labels, out_labels)})
+        fits = {"r": (cpmap, ("X", "q1")[:len(in_dims)], ("a", "b")[:len(in_dims)])}
+        assert run_circuit(circ, fits).labels[:len(in_dims)] == ("a", "b")[:len(in_dims)]
+
 
 class TestAgainstStepwiseOracle:
     @pytest.mark.parametrize("exp_id", range(1, 7))

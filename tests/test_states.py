@@ -104,6 +104,11 @@ class TestDensityOperator:
         want = partial_trace(rho.matrix, (2, 3, 2), [0, 2])
         assert np.abs(red.matrix - want).max() < 1e-12
 
+    def test_reduce_rejects_a_repeated_label(self):
+        rho = random_multipartite_state((2, 3), 6, 4, ("A", "B"))
+        with pytest.raises(InvalidStateError, match="repeats a subsystem"):
+            rho.reduce(["A", "A"])
+
     def test_permute_matches_kron_structure(self):
         a = random_state(2, 2, 1).matrix
         b = random_state(3, 3, 2).matrix
