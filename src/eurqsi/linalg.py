@@ -107,13 +107,14 @@ def support_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     their eigenvectors, descending.
 
     ``m`` is a Hermitian ndarray its caller validated or built; only its
-    full spectrum is checked, by :func:`_check_psd` before the cut.
+    full spectrum is checked, by :func:`_check_psd` before the cut.  The
+    cut keeps a top segment of the ascending spectrum, so the pair is that
+    segment sliced in reverse, a view of the ``eigh`` output.
     """
     vals, vecs = np.linalg.eigh(m)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
     _check_psd(vals)
-    keep = _on_support(vals)
-    return vals[keep], vecs[:, keep]
+    stop = -1 - np.count_nonzero(_on_support(vals))
+    return vals[:stop:-1], vecs[:, :stop:-1]
 
 
 def eigenvalue_below(m: np.ndarray, tol: float) -> float | None:
@@ -227,10 +228,11 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     """``x / sinh(x)`` with the removable singularity at 0 filled by 1.
 
     It is the characteristic function of the rotated Petz density
-    ``p(t) = (pi/2) / (cosh(pi t) + 1)``.
+    ``p(t) = (pi/2) / (cosh(pi t) + 1)``.  The quotient is taken only where
+    x is nonzero, into an array of ones, so 0/0 is never formed; elsewhere
+    it is ``x / sinh(x)`` as computed.
     """
-    with np.errstate(invalid="ignore"):
-        return np.where(x == 0.0, 1.0, x / np.sinh(x))
+    return np.divide(x, np.sinh(x), out=np.ones_like(x), where=x != 0.0)
 
 
 def op_norm(m: np.ndarray) -> float:

@@ -186,41 +186,49 @@ def _reversibility(
     with ``K = Gram o sinhc``: ``Gram[x, a, j, a', j'] = sum_v <a|v (x) w_xj>
     <v (x) w_xj'|a'>`` over the Kraus operators |x><v| of outcome x, and
     ``sinhc(phi_a,xj - phi_a',xj')`` with ``phi_a,xj = (ln l_a - ln m_xj) / 2``.
+    The square root folds into the Gram factor once, as the weight of
+    ``h[x, j, k, a] = sqrt(l_a / m_xj) <x_k (x) w_xj|a>`` over the basis
+    vectors x_k of outcome x, so that ``G[x, j, j', a, a'] = sum_k
+    conj(h[x, j, k, a]) h[x, j', k, a']`` is the whole weighted Gram factor.
     sigma_XB is the direct sum of its blocks sigma_x, the stack ``sigma_x``
     that :func:`~eurqsi.states._measured` returns, so
 
-        R(sigma)_aa' = sqrt(l_a l_a') sum_x sum_jj' K[x, a, j, a', j'] M_x[j, j']
+        R(sigma)_aa' = sum_x sum_jj' (G o sinhc)[x, j, j', a, a'] M_x[j, j']
 
-    with ``M_x = W_x^dag sigma_x W_x / sqrt(m_xj m_xj')``.  R(sigma_XB) =
-    V r V^dag reaches the fidelity factored: the support pair (m, Q) of the
-    matrix r, which is the size of tau's rank, with vectors V Q; ``rho_eig``,
-    rho_AB's :func:`~eurqsi.linalg.support_eig` pair, is the other factor.
+    with ``M_x = W_x^dag sigma_x W_x``, undivided: with (x, j, j') leading,
+    the sum is the vector M times G o sinhc read as a matrix with rows
+    (x, j, j').  R(sigma_XB) = V r V^dag reaches the fidelity factored: the
+    support pair (m, Q) of the matrix r, which is the size of tau's rank,
+    with vectors V Q; ``rho_eig``, rho_AB's
+    :func:`~eurqsi.linalg.support_eig` pair, is the other factor.
 
     No completion is needed: the pinching inequality puts supp(sigma_XB)
     inside the support of the doubly measured state, where R is defined.
     """
     z_ranges, x_ranges = z_pvm._ranges, x_pvm._ranges
+    (n_z, r_z, d_a), (n_x, r_x, _) = z_ranges.shape, x_ranges.shape
     vals, vecs = z_eig
+    d_b = vals.shape[1] // r_z
     keep = _on_support(vals)
     lam = vals[keep]
-    # V[(i, b), (z, s)] = sum_j conj(R_z[j, i]) u_zs[j, b]
-    u = vecs.reshape(*z_ranges.shape[:2], -1, vecs.shape[-1])
-    v = np.einsum("zji,zjbs->ibzs", z_ranges.conj(), u)
-    v = v.reshape(-1, *keep.shape)[:, keep]
-    # y[x, k, b, a] = (<x_k| (x) I)|a>; the blocks of N(tau) are sum_k y l y^dag
-    y = np.einsum("xki,iba->xkba", x_ranges, v.reshape(x_pvm.dim, -1, len(lam)))
-    mu, w = np.linalg.eigh(((y * lam) @ y.conj().transpose(0, 1, 3, 2)).sum(axis=1))
+    # V[(i, b), (z, s)] = sum_j conj(R_z[j, i]) u_zs[j, b], the kept columns
+    v = z_ranges.conj().transpose(0, 2, 1) @ vecs.reshape(n_z, r_z, -1)
+    v = v.reshape(n_z, d_a * d_b, -1).transpose(1, 0, 2)[:, keep]
+    # y[x, b, (k, a)] = (<x_k| (x) I)|a>; the blocks of N(tau) are y l y^dag
+    y = (x_ranges.reshape(-1, d_a) @ v.reshape(d_a, -1)).reshape(n_x, r_x, d_b, -1)
+    y = y.transpose(0, 2, 1, 3).reshape(n_x, d_b, -1)
+    mu, w = np.linalg.eigh((y * np.tile(lam, r_x)) @ y.conj().transpose(0, 2, 1))
     keep = _on_support(mu)
     mu = np.where(keep, mu, 1.0)
     w = w * keep[:, None, :]
-    # h[x, k, (a, j)] = <x_k (x) w_xj|a>, zero on padded slots k
-    h = np.einsum("xbj,xkba->xkaj", w.conj(), y).reshape(*x_ranges.shape[:2], -1)
-    phi = 0.5 * (np.log(lam)[None, :, None] - np.log(mu)[:, None, :])      # (x, a, j)
-    kernel = _sinhc(phi[:, :, :, None, None] - phi[:, None, None, :, :])  # (x, a, j, a', j')
-    gram = (h.conj().transpose(0, 2, 1) @ h).reshape(kernel.shape)
-    m = w.conj().transpose(0, 2, 1) @ sigma_x @ w / np.sqrt(mu[:, :, None] * mu[:, None, :])
-    root = np.sqrt(lam)
-    r = np.einsum("xajbl,xjl->ab", gram * kernel, m) * np.outer(root, root)
+    # h[x, j, k, a] = sqrt(l_a / m_xj) <x_k (x) w_xj|a>, zero on padded slots k
+    h = (w.conj().transpose(0, 2, 1) @ y).reshape(n_x, d_b, r_x, -1)
+    h = h * np.sqrt(lam / mu[:, :, None])[:, :, None, :]
+    phi = 0.5 * (np.log(lam) - np.log(mu)[:, :, None])                   # (x, j, a)
+    kernel = _sinhc(phi[:, :, None, :, None] - phi[:, None, :, None, :])  # (x, j, j', a, a')
+    gram = h[:, :, None].conj().transpose(0, 1, 2, 4, 3) @ h[:, None]
+    m = w.conj().transpose(0, 2, 1) @ sigma_x @ w
+    r = (m.reshape(-1) @ (gram * kernel).reshape(m.size, -1)).reshape(len(lam), -1)
     vals, q = support_eig(r)
     return _fidelity(rho_eig, (vals, v @ q))
 

@@ -283,7 +283,8 @@ def run_circuit(
 
 def _evolve(circuit: Circuit, recovery_bindings: dict | None, noise: NoiseSpec) -> _SimState:
     """The array kernel behind :func:`run_circuit`: one Kraus or Choi step
-    per op."""
+    per op, once :func:`_check_bindings` has passed."""
+    _check_bindings(circuit, recovery_bindings)
     state = _SimState(circuit.qubit_count)
     for op in circuit.ops:
         if isinstance(op, Gate):
@@ -291,16 +292,36 @@ def _evolve(circuit: Circuit, recovery_bindings: dict | None, noise: NoiseSpec) 
         elif isinstance(op, Measure):
             state.measure(op, noise)
         elif isinstance(op, Recovery):
+            state.recover(*recovery_bindings[op.map_id])
+    return state
+
+
+def _check_bindings(circuit: Circuit, recovery_bindings: dict | None) -> None:
+    """Check every recovery binding before any op runs, against the
+    subsystems that the circuit has at that step; ``ValueError`` names the map.
+
+    The inputs must be distinct subsystems with the map's input dims.  The
+    outputs must be one distinct label per output of the map, none of them
+    a subsystem that the map leaves alone.  A register may not name a
+    recovery output either.  Only the labels and dims are followed.
+    """
+    dims = {f"q{i}": 2 for i in range(circuit.qubit_count)}
+    for op in circuit.ops:
+        if isinstance(op, Measure):
+            if op.register in dims:
+                raise ValueError(f"register {op.register!r} is already a subsystem")
+            dims[op.register] = 2
+        elif isinstance(op, Recovery):
             if not recovery_bindings or op.map_id not in recovery_bindings:
                 raise ValueError(f"no binding for recovery map {op.map_id!r}")
             cpmap, in_labels, out_labels = recovery_bindings[op.map_id]
-            dims = dict(zip(state.labels, state.dims))
-            bound = (tuple(dims.get(s) for s in in_labels), len(set(in_labels)), len(out_labels))
-            if bound != (cpmap.in_dims, len(in_labels), len(cpmap.out_dims)):
+            kept = {s: d for s, d in dims.items() if s not in in_labels}
+            bound = (tuple(dims.get(s) for s in in_labels), len(set(in_labels)),
+                     len(set(out_labels) - kept.keys()), len(out_labels))
+            if bound != (cpmap.in_dims, len(in_labels), len(cpmap.out_dims), len(cpmap.out_dims)):
                 raise ValueError(f"recovery map {op.map_id!r} on dims {cpmap.in_dims} does not "
                                  f"fit its binding {tuple(in_labels)} -> {tuple(out_labels)}")
-            state.recover(cpmap, in_labels, out_labels)
-    return state
+            dims = dict(zip(out_labels, cpmap.out_dims)) | kept
 
 
 def sample_distribution(probs, outcome_labels, shots: int, rng) -> ShotTable:

@@ -17,7 +17,10 @@ into subsystem axes.
 Validation happens at the boundary: :class:`DensityOperator` and
 :class:`Pvm` check their invariants once, when they are constructed, and
 the public functions check their arguments; a PVM's basis comes from the
-step that validates it.  Each public operation that the checks in
+step that validates it.  :meth:`DensityOperator.from_vector` validates its
+vector and derives the pure state's matrix from it, as
+:meth:`Pvm.from_basis` validates a basis and derives the projectors, so a
+matrix built from a checked vector is not checked again.  Each public operation that the checks in
 :mod:`eurqsi.relations` need wraps an array kernel (``_measured``,
 ``_purifying_vector``); the checks call the kernels on arrays derived from
 an input they validated once.
@@ -86,19 +89,12 @@ class DensityOperator:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
-        labels = tuple(str(s) for s in self.labels)
+        if m.shape[0] != m.shape[1]:
+            raise InvalidStateError(f"matrix shape {m.shape} is not square")
+        dims, labels = _layout(self.dims, self.labels, m.shape[0])
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
-        if len(dims) != len(labels):
-            raise InvalidStateError("dims and labels length mismatch")
-        if len(set(labels)) != len(labels):
-            raise InvalidStateError(f"duplicate subsystem labels {labels}")
-        if m.shape[0] != m.shape[1] or m.shape[0] != math.prod(dims):
-            raise InvalidStateError(
-                f"matrix shape {m.shape} does not match dims {dims}"
-            )
         if not is_hermitian(m):
             raise InvalidStateError("density operator is not Hermitian")
         tr = float(np.trace(m).real)
@@ -110,9 +106,31 @@ class DensityOperator:
 
     @classmethod
     def from_vector(cls, psi, dims, labels) -> "DensityOperator":
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        return cls(ket_bra(psi), tuple(dims), tuple(labels))
+        """The pure state ``|psi><psi| / <psi|psi>``, validated as its vector.
+
+        psi must have finite entries, not all zero, and prod(dims) of them;
+        dims and labels pass the layout checks of the constructor.  psi is
+        divided by its largest real or imaginary part, as doubles, before
+        it is normalized, so no norm overflows or underflows.  The matrix is
+        derived from the unit vector and is Hermitian, unit-trace and
+        positive by construction, so it is not checked again, as
+        :meth:`Pvm.from_basis` derives the projectors from a checked basis.
+        """
+        parts = np.ascontiguousarray(psi, dtype=complex).reshape(-1).view(float)
+        dims, labels = _layout(dims, labels, parts.size // 2)
+        if not np.all(np.isfinite(parts)):
+            raise InvalidStateError("state vector has non-finite entries")
+        scale = np.abs(parts).max()
+        if scale == 0.0:
+            raise InvalidStateError("state vector is zero")
+        # divided as doubles: a complex quotient by a subnormal scale overflows
+        psi = (parts / scale).view(complex)
+        psi /= np.linalg.norm(psi)
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", ket_bra(psi))
+        object.__setattr__(state, "dims", dims)
+        object.__setattr__(state, "labels", labels)
+        return state
 
     @property
     def dim(self) -> int:
@@ -262,6 +280,23 @@ class Pvm:
         ranges = np.zeros((len(self), slot.max() + 1, self.dim), dtype=complex)
         ranges[x, slot] = bras
         return ranges
+
+
+def _layout(dims, labels, size: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """``dims`` and ``labels`` as tuples, checked as the layout of a space of
+    dimension ``size``: one distinct label per dim, every dim at least 1, and
+    their product ``size``."""
+    dims = tuple(int(d) for d in dims)
+    labels = tuple(str(s) for s in labels)
+    if len(dims) != len(labels):
+        raise InvalidStateError("dims and labels length mismatch")
+    if len(set(labels)) != len(labels):
+        raise InvalidStateError(f"duplicate subsystem labels {labels}")
+    if any(d < 1 for d in dims):
+        raise InvalidStateError(f"subsystem dimensions must be positive, got {dims}")
+    if math.prod(dims) != size:
+        raise InvalidStateError(f"dimension {size} does not match dims {dims}")
+    return dims, labels
 
 
 def _gram_defect(bras: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import decimal
 from itertools import permutations
 
 import numpy as np
@@ -11,11 +12,13 @@ from eurqsi.linalg import (
     _in_order,
     _local_stack,
     _on_support,
+    _sinhc,
     apply_local,
     fidelity,
     herm_eig,
     op_norm,
     partial_trace,
+    support_eig,
     tensor,
     trace_distance,
 )
@@ -221,6 +224,46 @@ def test_support_cutoff_is_signed_and_relative():
     vals = np.array([top, 2 * EPS_SUPP * top, 0.5 * EPS_SUPP * top, 0.0, -5e-9])
     assert _on_support(vals).tolist() == [True, True, False, False, False]
     assert not _on_support(np.array([0.0, -1e-12])).any()
+
+
+@pytest.mark.parametrize("vals", [
+    [0.5, 0.3, 0.2],
+    [0.6, 0.4, 0.5 * EPS_SUPP * 0.6, 0.0, -1e-12],
+    [1.0, 2 * EPS_SUPP, 0.0],
+    [0.0, 0.0],
+])
+def test_support_eig_is_the_cut_spectrum_descending(vals):
+    u = haar_unitary(len(vals), 41)
+    lam, v = support_eig((u * vals) @ u.conj().T)
+    want = sorted((x for x in vals if _on_support(np.array([x]), max(vals))), reverse=True)
+    assert np.abs(lam - want).max(initial=0.0) <= 1e-15
+    assert v.shape == (len(vals), len(want))
+    assert np.abs(v.conj().T @ v - np.eye(len(want))).max(initial=0.0) <= 1e-14
+    assert np.abs((u * vals) @ u.conj().T @ v - v * lam).max(initial=0.0) <= 1e-15
+
+
+def _sinhc_reference(x: float) -> float:
+    """x / sinh(x) from the Taylor series of sinh in 60-digit decimals."""
+    if x == 0.0:
+        return 1.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(x)
+        term, total, k = x, x, 1
+        while abs(term) > abs(total) * decimal.Decimal(10) ** -60:
+            term *= x * x / ((2 * k) * (2 * k + 1))
+            total += term
+            k += 1
+        return float(x / total)
+
+
+def test_sinhc_is_one_at_zero_and_x_over_sinh_x_elsewhere():
+    x = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0])
+    with np.errstate(all="raise"):
+        got = _sinhc(x)
+    want = np.array([_sinhc_reference(v) for v in x])
+    assert got[0] == 1.0
+    assert np.all(np.abs(got - want) <= np.spacing(want))
 
 
 @pytest.mark.parametrize("top", [0.5, 10.0])

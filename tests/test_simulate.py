@@ -336,6 +336,27 @@ class TestRunCircuit:
         fits = {"r": (cpmap, ("X", "q1")[:len(in_dims)], ("a", "b")[:len(in_dims)])}
         assert run_circuit(circ, fits).labels[:len(in_dims)] == ("a", "b")[:len(in_dims)]
 
+    @pytest.mark.parametrize("in_dims, in_labels, out_labels", [
+        ((2,), ("X",), ("q1",)),            # an output names a subsystem the map leaves alone
+        ((2, 2), ("X", "q1"), ("y", "y")),  # one output label twice
+    ])
+    def test_recovery_outputs_are_new_distinct_labels(self, monkeypatch, in_dims, in_labels,
+                                                      out_labels):
+        d = int(np.prod(in_dims))
+        cpmap = CpMap(np.outer(np.eye(d).ravel(), np.eye(d).ravel()), in_dims, in_dims)
+        circ = Circuit(2, (Gate("h", (0,)), Measure(0, "X"), Recovery("r"), Gate("x", (1,))))
+        steps = []
+        monkeypatch.setattr(simulate._SimState, "gate", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="recovery map 'r'"):
+            run_circuit(circ, {"r": (cpmap, in_labels, out_labels)})
+        assert steps == []  # rejected before any op ran
+
+    def test_a_register_may_not_name_a_recovery_output(self):
+        cpmap = CpMap(np.outer(np.eye(2).ravel(), np.eye(2).ravel()), (2,), (2,))
+        circ = Circuit(2, (Measure(0, "X"), Recovery("r"), Measure(1, "a")))
+        with pytest.raises(ValueError, match="register 'a'"):
+            run_circuit(circ, {"r": (cpmap, ("X",), ("a",))})
+
 
 class TestAgainstStepwiseOracle:
     @pytest.mark.parametrize("exp_id", range(1, 7))

@@ -96,6 +96,13 @@ class TestDensityOperator:
         with pytest.raises(InvalidStateError):
             DensityOperator(np.eye(4) / 4, (2, 2), ("A", "A"))
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4)])
+    def test_rejects_non_positive_dims_whose_product_fits(self, dims):
+        with pytest.raises(InvalidStateError, match="must be positive"):
+            DensityOperator(np.eye(4) / 4, dims, ("A", "B"))
+        with pytest.raises(InvalidStateError, match="must be positive"):
+            DensityOperator.from_vector(np.ones(4), dims, ("A", "B"))
+
     def test_reduce_keeps_order(self):
         rho = random_multipartite_state((2, 3, 2), 6, 4, ("A", "B", "E"))
         red = rho.reduce(["E", "A"])
@@ -119,6 +126,57 @@ class TestDensityOperator:
         assert np.abs(swapped.permute(["A", "B"]).matrix - rho.matrix).max() < 1e-12
         with pytest.raises(InvalidStateError):
             rho.permute(["A", "A"])
+
+
+@st.composite
+def state_vectors(draw):
+    """A vector of length 1-81 on a one- or two-subsystem layout: real or
+    complex Gaussian entries, or one nonzero entry, scaled by 10**e for e
+    in [-150, 150]; with the unit vector it stands for."""
+    n = draw(st.integers(1, 81))
+    d = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["real", "complex", "one entry"]))
+    if kind == "one entry":
+        unit = np.zeros(n, dtype=complex)
+        unit[rng.integers(n)] = rng.choice([1.0, -1.0, 1j, -1j])
+    else:
+        unit = rng.normal(size=n) + (1j * rng.normal(size=n) if kind == "complex" else 0.0)
+        unit = unit / np.linalg.norm(unit)
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    return unit * scale, (d, n // d), unit
+
+
+class TestFromVector:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(state_vectors())
+    def test_every_state_passes_the_matrix_validator(self, case):
+        psi, dims, unit = case
+        s = DensityOperator.from_vector(psi, dims, ("A", "B"))
+        assert (s.dims, s.labels) == (dims, ("A", "B"))
+        DensityOperator(s.matrix, s.dims, s.labels)
+        assert np.abs(s.matrix - np.outer(unit, unit.conj())).max() <= 1e-14
+
+    @pytest.mark.parametrize("entry", [1e200, 1e308, 1e-200, 5e-324, 1e308 + 1e308j])
+    def test_a_norm_out_of_range_is_normalized(self, entry):
+        # ||psi||^2 over- or underflows as a double; the direction does not
+        s = DensityOperator.from_vector([entry, entry, 0.0, -entry], (2, 2), ("A", "B"))
+        unit = np.array([1.0, 1.0, 0.0, -1.0]) / np.sqrt(3.0)
+        assert np.abs(s.matrix - np.outer(unit, unit)).max() <= 1e-15
+        DensityOperator(s.matrix, s.dims, s.labels)
+
+    @pytest.mark.parametrize("psi, dims, labels, message", [
+        (np.zeros(4), (2, 2), ("A", "B"), "is zero"),
+        ([1.0, np.nan, 0.0, 0.0], (2, 2), ("A", "B"), "non-finite"),
+        ([1.0, 0.0, np.inf, 0.0], (2, 2), ("A", "B"), "non-finite"),
+        ([1.0, 0.0, 0.0, complex(0.0, -np.inf)], (2, 2), ("A", "B"), "non-finite"),
+        (np.ones(6), (2, 2), ("A", "B"), "does not match dims"),
+        (np.ones(4), (2, 2), ("A", "A"), "duplicate subsystem labels"),
+        (np.ones(4), (2, 2), ("A",), "length mismatch"),
+    ])
+    def test_rejects_what_is_not_a_state(self, psi, dims, labels, message):
+        with pytest.raises(InvalidStateError, match=message):
+            DensityOperator.from_vector(psi, dims, labels)
 
 
 class TestPvm:
