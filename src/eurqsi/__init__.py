@@ -37,15 +37,10 @@ from .relations import EurReport, FuzzSummary, check_bipartite, check_tripartite
 from .gallery import build as build_example
 from .gallery import run_all as run_examples
 from .simulate import (
-    Circuit,
     ExperimentResult,
-    Gate,
-    Measure,
     NoiseSpec,
-    Recovery,
     ShotTable,
     bloch_tomography,
-    run_circuit,
     run_experiment,
 )
 
@@ -61,7 +56,6 @@ __all__ = [
     "petz_map", "rotated_petz_map", "verify_cptp",
     "EurReport", "FuzzSummary", "check_bipartite", "check_tripartite", "fuzz",
     "build_example", "run_examples",
-    "Circuit", "ExperimentResult", "Gate", "Measure", "NoiseSpec",
-    "Recovery", "ShotTable", "bloch_tomography", "run_circuit",
+    "ExperimentResult", "NoiseSpec", "ShotTable", "bloch_tomography",
     "run_experiment",
 ]

@@ -201,6 +201,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eurqsi",
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--dim", type=_positive_int, default=2,
                    help="dimension of the measured system")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--relation", choices=RELATION_IDS, default="bipartite_refined")
     common(p, tolerance=FIDELITY_TOL)
     p.set_defaults(func=cmd_fuzz)
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiment number, 1-6")
     p.add_argument("--shots", type=_positive_int, default=8192)
     p.add_argument("--noise", default=None, metavar="depolarizing=P,readout=Q")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     common(p, tolerance=None)
     p.set_defaults(func=cmd_experiment)
     return parser

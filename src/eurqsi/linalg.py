@@ -131,18 +131,32 @@ def eigenvalue_below(m: np.ndarray, tol: float) -> float | None:
         return lo if lo < -tol else None
 
 
+def _integers(values, what: str, error=ValueError) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ``error`` names ``what`` when one of
+    them is not an integer value.  numpy integers and integral floats pass,
+    but 2.5 is rejected, not truncated to 2."""
+    values = tuple(values)
+    try:
+        ints = tuple(int(v) for v in values)
+    except (OverflowError, ValueError):
+        ints = None
+    if ints != values:
+        raise error(f"{what} must be integers, got {values}")
+    return ints
+
+
 def _on_subsystems(m, dims, indices, what: str):
     """``m`` as a square matrix on ``dims`` and ``indices`` as distinct
     subsystems of it, checked for the public function ``what``."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} needs a square matrix")
-    dims = tuple(int(d) for d in dims)
+    dims = _integers(dims, "subsystem dimensions")
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     if math.prod(dims) != m.shape[0]:
         raise ValueError(f"product of dims {dims} != matrix dimension {m.shape[0]}")
-    indices = [int(i) for i in indices]
+    indices = list(_integers(indices, "subsystem indices"))
     if len(set(indices)) != len(indices) or any(i < 0 or i >= len(dims) for i in indices):
         raise ValueError(f"subsystems {indices} repeat or are out of range for {len(dims)}")
     return m, dims, indices

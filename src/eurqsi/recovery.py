@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_local_stack, _sinhc, as_matrix, dagger, eigenvalue_below, is_hermitian,
-                     support_eig)
+from .linalg import (_integers, _local_stack, _sinhc, as_matrix, dagger, eigenvalue_below,
+                     is_hermitian, support_eig)
 from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim
 
 CHOI_TOL = 1e-8
@@ -62,8 +62,8 @@ class CpMap:
 
     def __post_init__(self):
         choi = as_matrix(self.choi)
-        in_dims = tuple(int(d) for d in self.in_dims)
-        out_dims = tuple(int(d) for d in self.out_dims)
+        in_dims = _integers(self.in_dims, "input dims")
+        out_dims = _integers(self.out_dims, "output dims")
         object.__setattr__(self, "choi", choi)
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)

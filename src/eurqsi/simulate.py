@@ -1,26 +1,35 @@
-"""Density-matrix circuit simulator with shot sampling and optional noise.
+"""Density-matrix simulator of the paper's six circuit experiments, with shot
+sampling and optional noise.
 
-Every gate and measurement is one Kraus step, one call of the
-operator-stack kernel :func:`~eurqsi.linalg._local_stack` on the
-subsystems it touches, and every recovery one Choi step.  A gate
-and the depolarizing noise on its qubits form one Kraus set on controls +
-targets, applied by :func:`~eurqsi.linalg.apply_local`.  A measurement
-copies the computational outcome into a classical register with the
-operators ``|m>|m><m|`` on the target, the readout flip folded into the
-same set, and one :func:`~eurqsi.linalg._in_order` puts the target back
-and the register last; the register is a decohered subsystem, so recovery
-channels conditioned on it are exact.  A recovery is its map's Choi
-matrix: one :func:`~eurqsi.linalg._in_order` puts the subsystems it reads
-in front, and one Choi contraction (:meth:`~eurqsi.recovery.CpMap._apply`)
-replaces them by the map's outputs and carries the rest along.  Shots are
+Each experiment is a fixed private program: the qubits it starts from in
+|0...0>, a tuple of gate, measure and recover steps, and its ideal output
+state.  A gate or a measurement is one Kraus step, one call of the
+operator-stack kernel :func:`~eurqsi.linalg._local_stack` on the subsystems
+it touches, summed; the kernel leaves those subsystems in front, and the
+labels are permuted to match, so no step puts a subsystem back.  A gate and
+the depolarizing noise on its qubits form one Kraus set: every Pauli
+product on those qubits times the gate, weighted by the noise.  A
+measurement copies the computational outcome into a classical register
+with the operators ``|m>|m><m|`` on the target, the readout flip folded
+into the same set; the register is a decohered subsystem, so the recovery
+conditioned on it is exact.  A recovery is its map's Choi matrix: one
+:func:`~eurqsi.linalg._in_order` puts the subsystems it reads in front, and
+one Choi contraction (:meth:`~eurqsi.recovery.CpMap._apply`) replaces them
+by the map's outputs and carries the rest along.
+
+:func:`run_experiment` checks its arguments before any step, reduces the
+final state with one :func:`~eurqsi.linalg._in_order` straight to the ideal
+state's subsystems and label order, validates that one state and reads
+every shot table from it through constant basis matrices.  Shots are
 sampled from the exact final distribution; there is no per-shot
 re-execution.
 
-:func:`run_circuit` returns the validated final state.  :func:`run_experiment`
-uses only the recovery map its circuit names, built once per process,
-reduces the final state once to the recovered subsystems, validates that
-one state and reads every shot table from it through constant basis
-matrices.
+Only the protocol's fixed data are built at import: the gates times their
+Pauli products, the two recovery maps, and the ideal states and Bloch
+vectors, the states through the validating constructor.  Each program's
+steps are checked once, when it is built, so a run checks no step.  Every
+shared array is read-only.  A run computes its noise weights and keeps
+nothing.
 
 Noise model: symmetric depolarizing with strength ``depolarizing_p`` on
 every qubit a gate touches, plus a classical bit flip with probability
@@ -31,11 +40,13 @@ calibration data is not modeled; noisy results are model-dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _in_order, _local_stack, apply_local
+from .gallery import recovery_map_r3
+from .linalg import _in_order, _integers, _local_stack
 from .recovery import CpMap
 from .states import (
     DensityOperator,
@@ -50,69 +61,24 @@ from .states import (
     maximally_mixed,
 )
 
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only: it is shared by every run."""
+    a.flags.writeable = False
+    return a
+
+
 GATES = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "t": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
+    name: _frozen(np.array(m, dtype=complex))
+    for name, m in (
+        ("i", [[1, 0], [0, 1]]),
+        ("x", [[0, 1], [1, 0]]),
+        ("y", [[0, -1j], [1j, 0]]),
+        ("z", [[1, 0], [0, -1]]),
+        ("h", np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
+        ("s", [[1, 0], [0, 1j]]),
+    )
 }
-
-
-@dataclass(frozen=True)
-class Gate:
-    name: str
-    targets: tuple[int, ...]
-    controls: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class Measure:
-    target: int
-    register: str
-
-
-@dataclass(frozen=True)
-class Recovery:
-    map_id: str
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """Ordered gate/measure/recovery program on ``qubit_count`` qubits."""
-
-    qubit_count: int
-    ops: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        qubit_labels = {f"q{i}" for i in range(self.qubit_count)}
-        seen_registers = set()
-        for op in self.ops:
-            if isinstance(op, Gate):
-                touched = op.targets + op.controls
-                for q in touched:
-                    if not 0 <= q < self.qubit_count:
-                        raise ValueError(f"gate touches qubit {q} out of range")
-                if len(set(touched)) != len(touched):
-                    raise ValueError(f"gate {op.name!r} repeats a qubit in {touched}")
-                if len(op.targets) != 1:
-                    raise ValueError(f"gate {op.name!r} needs one target, got {op.targets}")
-                if op.name not in GATES:
-                    raise ValueError(f"unknown gate {op.name!r}")
-            elif isinstance(op, Measure):
-                if not 0 <= op.target < self.qubit_count:
-                    raise ValueError(f"measure target {op.target} out of range")
-                if op.register in qubit_labels:
-                    raise ValueError(f"register {op.register!r} collides with a qubit label")
-                if op.register in seen_registers:
-                    raise ValueError(f"register {op.register!r} written twice")
-                seen_registers.add(op.register)
-            elif not isinstance(op, Recovery):
-                raise TypeError(f"unknown circuit op {op!r}")
 
 
 @dataclass(frozen=True)
@@ -141,11 +107,14 @@ class ShotTable:
     shots: int
 
     def __post_init__(self):
-        counts = {str(k): int(v) for k, v in self.counts.items()}
+        keys = [str(k) for k in self.counts]
+        (shots,) = _integers([self.shots], "shots")
+        counts = dict(zip(keys, _integers(self.counts.values(), "counts")))
         object.__setattr__(self, "counts", counts)
-        if self.shots < 1 or any(v < 0 for v in counts.values()):
+        object.__setattr__(self, "shots", shots)
+        if shots < 1 or any(v < 0 for v in counts.values()):
             raise ValueError("shots must be positive and counts non-negative")
-        if sum(counts.values()) != self.shots:
+        if sum(counts.values()) != shots:
             raise ValueError("counts do not sum to shots")
 
     def frequency(self, outcome: str) -> float:
@@ -170,39 +139,83 @@ class ShotTable:
         return {"shots": self.shots, "outcomes": self.to_rows()}
 
 
-_PAULIS = np.stack([GATES[a] for a in ("i", "x", "y", "z")])
+_PAULIS = _frozen(np.stack([GATES[a] for a in ("i", "x", "y", "z")]))
+# Every product of one Pauli per qubit on one and on two qubits, the first
+# qubit's index slowest; the identity product comes first.
+_PAULI_PRODUCTS = {
+    1: _PAULIS,
+    2: _frozen(np.stack([np.kron(a, b) for a in _PAULIS for b in _PAULIS])),
+}
 
 # |m>|m><m| for m = 0, 1: the target keeps the outcome and the register,
-# the second factor, receives a copy of it
-_COPY = np.stack([np.outer(np.kron(e, e), e) for e in np.eye(2, dtype=complex)])
-_REGISTER_FLIP = np.kron(GATES["i"], GATES["x"])
+# the second factor, receives a copy of it; then the same with the copy flipped
+_COPY = _frozen(np.stack([np.outer(np.kron(e, e), e) for e in np.eye(2, dtype=complex)]))
+_FLIPPED_COPY = _frozen(np.stack([np.outer(np.kron(e, e[::-1]), e)
+                                  for e in np.eye(2, dtype=complex)]))
 
 
-def _kron_sets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every ``a_i (x) b_j`` of two stacks of operators, ``i`` slowest."""
-    rows, cols = a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
-    out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return out.reshape(len(a) * len(b), rows, cols)
+class _Gate(NamedTuple):
+    """A gate on ``qubits``, controls first.  ``kraus`` holds every Pauli
+    product on those qubits times the gate; the first is the gate itself."""
+
+    qubits: tuple[str, ...]
+    kraus: np.ndarray
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        return self.qubits
+
+    writes = reads
 
 
-def _depolarizing_kraus(n_qubits: int, p: float) -> np.ndarray:
-    """Kraus operators of symmetric depolarizing of strength ``p`` on each
-    of ``n_qubits`` qubits; only the identity when ``p`` is 0."""
+class _Measure(NamedTuple):
+    """A computational-basis measurement of ``qubit`` copied into ``register``."""
+
+    qubit: str
+    register: str
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        return (self.qubit,)
+
+    @property
+    def writes(self) -> tuple[str, ...]:
+        return (self.qubit, self.register)
+
+
+class _Recover(NamedTuple):
+    """``cpmap`` on the subsystems ``reads``, whose outputs are named ``writes``."""
+
+    cpmap: CpMap
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+class _Program(NamedTuple):
+    """One experiment: ``qubits`` qubits in |0...0>, its steps, and the
+    ideal state of the recovered subsystems with its Bloch vector (1-4)."""
+
+    qubits: int
+    steps: tuple
+    ideal: DensityOperator
+    bloch_ideal: tuple[float, float, float] | None
+
+
+def _gate(unitary: np.ndarray, *qubits: str) -> _Gate:
+    n = 2 ** len(qubits)
+    if unitary.shape != (n, n) or not np.allclose(unitary.conj().T @ unitary, np.eye(n)):
+        raise ValueError(f"a gate on {qubits} must be a {n}x{n} unitary")
+    return _Gate(qubits, _frozen(_PAULI_PRODUCTS[len(qubits)] @ unitary))
+
+
+def _gate_kraus(gate: _Gate, p: float) -> np.ndarray:
+    """Kraus set of ``gate`` followed by symmetric depolarizing of strength
+    ``p`` on each of its qubits; the gate alone when ``p`` is 0."""
     if p == 0.0:
-        return np.eye(2 ** n_qubits, dtype=complex)[None]
-    one = _PAULIS * np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])[:, None, None]
-    kraus = np.ones((1, 1, 1), dtype=complex)
-    for _ in range(n_qubits):
-        kraus = _kron_sets(kraus, one)
-    return kraus
-
-
-def _gate_kraus(name: str, n_controls: int, p: float) -> np.ndarray:
-    """A named gate on (controls, target), acting when every control is |1>,
-    followed by depolarizing of strength ``p`` on each of those qubits."""
-    g = np.eye(2 ** (n_controls + 1), dtype=complex)
-    g[-2:, -2:] = GATES[name]
-    return _depolarizing_kraus(n_controls + 1, p) @ g
+        return gate.kraus[:1]
+    one = np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
+    weights = reduce(np.multiply.outer, [one] * len(gate.qubits)).ravel()
+    return weights[:, None, None] * gate.kraus
 
 
 def _measure_kraus(q: float) -> np.ndarray:
@@ -210,7 +223,56 @@ def _measure_kraus(q: float) -> np.ndarray:
     register bit ``f`` flips with probability ``q``."""
     if q == 0.0:
         return _COPY
-    return np.concatenate([np.sqrt(1.0 - q) * _COPY, np.sqrt(q) * (_REGISTER_FLIP @ _COPY)])
+    return np.concatenate([np.sqrt(1.0 - q) * _COPY, np.sqrt(q) * _FLIPPED_COPY])
+
+
+def _evolve(qubits: int, steps, noise: NoiseSpec) -> tuple[np.ndarray, list[str]]:
+    """The final matrix and labels of ``steps`` run from |0...0> on qubits
+    ``q0``, ``q1``, ...: one Kraus or Choi step each.
+
+    Every subsystem of the six programs, register and recovered output
+    included, is a qubit, so the dims are always ``(2,) * len(labels)``.
+    Each step leaves the subsystems it writes in front and the rest in
+    their order.
+    """
+    labels = [f"q{i}" for i in range(qubits)]
+    rho = np.zeros((2 ** qubits, 2 ** qubits), dtype=complex)
+    rho[0, 0] = 1.0
+    for step in steps:
+        dims = (2,) * len(labels)
+        positions = [labels.index(s) for s in step.reads]
+        rest = [i for i in range(len(labels)) if i not in positions]
+        if isinstance(step, _Recover):
+            rho = step.cpmap._apply(_in_order(rho, dims, positions + rest)[0])
+        else:
+            kraus = (_gate_kraus(step, noise.depolarizing_p) if isinstance(step, _Gate)
+                     else _measure_kraus(noise.readout_flip))
+            rho = _local_stack(rho, dims, kraus, positions).sum(axis=0)
+        labels = list(step.writes) + [labels[i] for i in rest]
+    return rho, labels
+
+
+def _checked(qubits: int, steps: tuple) -> tuple:
+    """``steps``, once it is known that :func:`_evolve` can run them from
+    qubits ``q0``, ``q1``, ...: each step reads distinct subsystems that are
+    there, a recovery as many qubits as its map takes and writes as many as
+    it gives, and no step writes a subsystem twice or one it leaves alone.
+    A program is checked when it is built, so a run checks no step.
+    """
+    labels = [f"q{i}" for i in range(qubits)]
+    for i, step in enumerate(steps):
+        reads, writes = step.reads, step.writes
+        rest = [s for s in labels if s not in reads]
+        if len(set(reads)) != len(reads) or len(rest) + len(reads) != len(labels):
+            raise ValueError(f"step {i} reads {reads}: not distinct subsystems of {labels}")
+        if len(set(writes)) != len(writes) or set(writes) & set(rest):
+            raise ValueError(f"step {i} writes {writes}: not distinct and new beside {rest}")
+        if isinstance(step, _Recover) and (step.cpmap.in_dims, step.cpmap.out_dims) != (
+                (2,) * len(reads), (2,) * len(writes)):
+            raise ValueError(f"step {i} binds {reads} -> {writes} to a map from "
+                             f"{step.cpmap.in_dims} to {step.cpmap.out_dims}")
+        labels = list(writes) + rest
+    return steps
 
 
 def _flip_matrix(q: float) -> np.ndarray:
@@ -227,101 +289,6 @@ def flip_distribution(probs: np.ndarray, q: float) -> np.ndarray:
         t = np.tensordot(_flip_matrix(q), t, axes=([1], [axis]))
         t = np.moveaxis(t, 0, axis)
     return t.reshape(-1)
-
-
-class _SimState:
-    """Mutable density matrix with tracked subsystem labels."""
-
-    def __init__(self, qubit_count: int):
-        self.dims = [2] * qubit_count
-        self.labels = [f"q{i}" for i in range(qubit_count)]
-        psi = np.zeros(2 ** qubit_count, dtype=complex)
-        psi[0] = 1.0
-        self.rho = ket_bra(psi)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def gate(self, op: Gate, noise: NoiseSpec):
-        positions = [self.index(f"q{i}") for i in op.controls + op.targets]
-        kraus = _gate_kraus(op.name, len(op.controls), noise.depolarizing_p)
-        self.rho = apply_local(self.rho, self.dims, kraus, positions)
-
-    def measure(self, op: Measure, noise: NoiseSpec):
-        """Copy the outcome into a register; the Kraus step leaves (target,
-        register) in front, and the target goes back, the register last."""
-        pos = self.index(f"q{op.target}")
-        rho = _local_stack(self.rho, self.dims, _measure_kraus(noise.readout_flip), [pos])
-        dims = [2, 2] + self.dims[:pos] + self.dims[pos + 1:]
-        order = list(range(2, pos + 2)) + [0] + list(range(pos + 2, len(dims))) + [1]
-        self.rho, dims = _in_order(rho.sum(axis=0), dims, order)
-        self.dims = list(dims)
-        self.labels.append(op.register)
-
-    def recover(self, cpmap: CpMap, in_labels, out_labels):
-        """Replace ``in_labels`` by the map's outputs, placed at the front."""
-        positions = [self.index(s) for s in in_labels]
-        rest = [i for i in range(len(self.dims)) if i not in positions]
-        self.rho = cpmap._apply(_in_order(self.rho, self.dims, positions + rest)[0])
-        self.dims = list(cpmap.out_dims) + [self.dims[i] for i in rest]
-        self.labels = list(out_labels) + [self.labels[i] for i in rest]
-
-
-def run_circuit(
-    circuit: Circuit,
-    recovery_bindings: dict | None = None,
-    noise: NoiseSpec = NOISELESS,
-) -> DensityOperator:
-    """Exact noisy evolution; returns the full final state with labels.
-
-    ``recovery_bindings`` maps a ``Recovery.map_id`` to a tuple
-    ``(cpmap, in_labels, out_labels)``.
-    """
-    state = _evolve(circuit, recovery_bindings, noise)
-    return DensityOperator(state.rho, tuple(state.dims), tuple(state.labels))
-
-
-def _evolve(circuit: Circuit, recovery_bindings: dict | None, noise: NoiseSpec) -> _SimState:
-    """The array kernel behind :func:`run_circuit`: one Kraus or Choi step
-    per op, once :func:`_check_bindings` has passed."""
-    _check_bindings(circuit, recovery_bindings)
-    state = _SimState(circuit.qubit_count)
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            state.gate(op, noise)
-        elif isinstance(op, Measure):
-            state.measure(op, noise)
-        elif isinstance(op, Recovery):
-            state.recover(*recovery_bindings[op.map_id])
-    return state
-
-
-def _check_bindings(circuit: Circuit, recovery_bindings: dict | None) -> None:
-    """Check every recovery binding before any op runs, against the
-    subsystems that the circuit has at that step; ``ValueError`` names the map.
-
-    The inputs must be distinct subsystems with the map's input dims.  The
-    outputs must be one distinct label per output of the map, none of them
-    a subsystem that the map leaves alone.  A register may not name a
-    recovery output either.  Only the labels and dims are followed.
-    """
-    dims = {f"q{i}": 2 for i in range(circuit.qubit_count)}
-    for op in circuit.ops:
-        if isinstance(op, Measure):
-            if op.register in dims:
-                raise ValueError(f"register {op.register!r} is already a subsystem")
-            dims[op.register] = 2
-        elif isinstance(op, Recovery):
-            if not recovery_bindings or op.map_id not in recovery_bindings:
-                raise ValueError(f"no binding for recovery map {op.map_id!r}")
-            cpmap, in_labels, out_labels = recovery_bindings[op.map_id]
-            kept = {s: d for s, d in dims.items() if s not in in_labels}
-            bound = (tuple(dims.get(s) for s in in_labels), len(set(in_labels)),
-                     len(set(out_labels) - kept.keys()), len(out_labels))
-            if bound != (cpmap.in_dims, len(in_labels), len(cpmap.out_dims), len(cpmap.out_dims)):
-                raise ValueError(f"recovery map {op.map_id!r} on dims {cpmap.in_dims} does not "
-                                 f"fit its binding {tuple(in_labels)} -> {tuple(out_labels)}")
-            dims = dict(zip(out_labels, cpmap.out_dims)) | kept
 
 
 def sample_distribution(probs, outcome_labels, shots: int, rng) -> ShotTable:
@@ -358,12 +325,12 @@ def _r1_register_map() -> CpMap:
 
 
 # Columns: the +1 and -1 eigenvectors of Pauli X, Y and Z, one basis per row
-_PAULI_BASES = np.stack([
+_PAULI_BASES = _frozen(np.stack([
     np.column_stack(kets)
     for kets in ((KET_PLUS, KET_MINUS), (KET_PLUS_Y, KET_MINUS_Y), (KET_0, KET_1))
-])
+]))
 # The joint bases of (sigma_axis, sigma_axis*) on two qubits
-_PAIR_BASES = np.stack([np.kron(u, u.conj()) for u in _PAULI_BASES])
+_PAIR_BASES = _frozen(np.stack([np.kron(u, u.conj()) for u in _PAULI_BASES]))
 
 
 def _basis_probabilities(rho: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -372,23 +339,50 @@ def _basis_probabilities(rho: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return np.einsum("aji,jk,aki->ai", bases.conj(), rho, bases).real
 
 
-@cache
-def _recovery_binding(map_id: str) -> tuple[CpMap, tuple, tuple]:
-    """The recovery map an experiment circuit names, with the labels it
-    reads and writes.
+def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
+    """An experiment with its ideal state on ``Ap`` (and ``B``), validated
+    once, here, and read-only; one recovered qubit gets its Bloch vector."""
+    labels = ("Ap", "B")[:qubits]
+    state = DensityOperator(ideal, (2,) * qubits, labels)
+    _frozen(state.matrix)
+    bloch = None
+    if qubits == 1:
+        bloch = tuple(float(np.trace(p @ state.matrix).real) for p in _PAULIS[1:])
+    return _Program(qubits, _checked(qubits, steps), state, bloch)
 
-    Both maps are closed forms with no parameter, so each is built and
-    validated once per process; its Choi matrix is read-only, as it is
-    shared by every later run.
+
+def _programs() -> dict[int, _Program]:
+    """The six protocol variants.
+
+    A Pauli-X measurement is a computational measurement conjugated by
+    Hadamards; the register itself always reads the computational basis.
+    Experiments 3 and 4 prepare |+_Y> = S H |0>, 2, 4 and 6 measure Z first,
+    and 5 and 6 start from the Bell state of H and a CNOT.
     """
-    if map_id == "r1":
-        binding = _r1_register_map(), ("X",), ("Ap",)
-    else:
-        from .gallery import recovery_map_r3
+    cnot = np.eye(4, dtype=complex)
+    cnot[2:, 2:] = GATES["x"]
+    h = _gate(GATES["h"], "q0")
+    x_measurement = (h, _Measure("q0", "X"), h)
+    z_measurement = (_Measure("q0", "Z"),)
+    r1 = (_Recover(_r1_register_map(), ("X",), ("Ap",)),)
+    r3 = (_Recover(recovery_map_r3(), ("X", "q1"), ("Ap", "B")),)
+    for rec in r1 + r3:
+        _frozen(rec.cpmap.choi)
+    plus, plus_y = (h,), (h, _gate(GATES["s"], "q0"))
+    bell = (h, _gate(cnot, "q0", "q1"))
+    mixed = maximally_mixed(2)
+    correlated = 0.5 * (ket_bra(np.eye(4)[0]) + ket_bra(np.eye(4)[3]))
+    return {
+        1: _program(1, plus + x_measurement + r1, ket_bra(KET_PLUS)),
+        2: _program(1, plus + z_measurement + x_measurement + r1, mixed),
+        3: _program(1, plus_y + x_measurement + r1, mixed),
+        4: _program(1, plus_y + z_measurement + x_measurement + r1, mixed),
+        5: _program(2, bell + x_measurement + r3, ket_bra(bell_phi())),
+        6: _program(2, bell + z_measurement + x_measurement + r3, correlated),
+    }
 
-        binding = recovery_map_r3(), ("X", "q1"), ("Ap", "B")
-    binding[0].choi.flags.writeable = False
-    return binding
+
+_PROGRAMS = _programs()
 
 
 @dataclass(frozen=True)
@@ -411,9 +405,7 @@ class ExperimentResult:
         if self.bloch_estimate is None:
             return None
         x, y, z = self.bloch_estimate
-        paulis = (GATES["x"], GATES["y"], GATES["z"])
-        m = 0.5 * (np.eye(2, dtype=complex) + x * paulis[0] + y * paulis[1] + z * paulis[2])
-        return m
+        return 0.5 * (np.eye(2, dtype=complex) + x * _PAULIS[1] + y * _PAULIS[2] + z * _PAULIS[3])
 
     def to_dict(self) -> dict:
         out = {
@@ -433,42 +425,13 @@ class ExperimentResult:
         return out
 
 
-def experiment_circuit(exp_id: int) -> Circuit:
-    """The logical circuit of one of the six protocol variants.
-
-    A Pauli-X measurement is a computational measurement conjugated by
-    Hadamards; the register op itself always reads the computational basis.
-    """
-    x_measurement = [Gate("h", (0,)), Measure(0, "X"), Gate("h", (0,))]
-    if exp_id in (1, 2, 3, 4):
-        ops = [Gate("h", (0,))]
-        if exp_id in (3, 4):
-            ops.append(Gate("s", (0,)))  # |+> -> |+_Y>
-        if exp_id in (2, 4):
-            ops.append(Measure(0, "Z"))
-        ops += x_measurement + [Recovery("r1")]
-        return Circuit(1, tuple(ops))
-    if exp_id in (5, 6):
-        ops = [Gate("h", (0,)), Gate("x", (1,), controls=(0,))]
-        if exp_id == 6:
-            ops.append(Measure(0, "Z"))
-        ops += x_measurement + [Recovery("r3")]
-        return Circuit(2, tuple(ops))
-    raise ValueError(f"experiment id must be 1..6, got {exp_id}")
-
-
-def _ideal_state(exp_id: int) -> DensityOperator:
-    if exp_id == 1:
-        return DensityOperator(ket_bra(KET_PLUS), (2,), ("Ap",))
-    if exp_id in (2, 3, 4):
-        return DensityOperator(maximally_mixed(2), (2,), ("Ap",))
-    if exp_id == 5:
-        return DensityOperator(ket_bra(bell_phi()), (2, 2), ("Ap", "B"))
-    correlated = 0.5 * (
-        ket_bra(np.array([1, 0, 0, 0], dtype=complex))
-        + ket_bra(np.array([0, 0, 0, 1], dtype=complex))
-    )
-    return DensityOperator(correlated, (2, 2), ("Ap", "B"))
+def _integer_argument(name: str, value, low: int, high: float, what: str) -> int:
+    """``value`` as an int, or ``ValueError`` naming the argument when it is
+    not an integer (bools excluded) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not low <= value <= high:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
 
 
 def run_experiment(
@@ -481,19 +444,19 @@ def run_experiment(
 
     Experiments 1-4 finish with Bloch tomography of the recovered qubit;
     5-6 with the three two-qubit correlation measurements.  Deterministic
-    under ``seed``.
+    under ``seed``.  The experiment must be an integer in 1..6, ``shots`` a
+    positive integer and ``seed`` a non-negative one; ``ValueError`` names
+    the first argument that is not, before any step runs.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    circuit = experiment_circuit(exp_id)
-    map_id = next(op.map_id for op in circuit.ops if isinstance(op, Recovery))
-    state = _evolve(circuit, {map_id: _recovery_binding(map_id)}, noise)
-    ideal = _ideal_state(exp_id)
-    # the recovered subsystems, which the ideal state names
-    keep = sorted(state.index(s) for s in ideal.labels)
-    m, dims = _in_order(state.rho, state.dims, keep)
-    final = DensityOperator(m, dims, tuple(state.labels[i] for i in keep))
-    rng = np.random.default_rng([int(seed), int(exp_id)])
+    exp_id = _integer_argument("experiment", exp_id, 1, 6, "an integer in 1..6")
+    shots = _integer_argument("shots", shots, 1, np.inf, "a positive integer")
+    seed = _integer_argument("seed", seed, 0, np.inf, "a non-negative integer")
+    program = _PROGRAMS[exp_id]
+    rho, labels = _evolve(program.qubits, program.steps, noise)
+    ideal = program.ideal
+    m, dims = _in_order(rho, (2,) * len(labels), [labels.index(s) for s in ideal.labels])
+    final = DensityOperator(m, dims, ideal.labels)
+    rng = np.random.default_rng([seed, exp_id])
     if exp_id <= 4:
         keys, bases, outcomes = ("X", "Y", "Z"), _PAULI_BASES, ("0", "1")
     else:
@@ -503,10 +466,9 @@ def run_experiment(
         probs = flip_distribution(probs, noise.readout_flip)
         tables[key] = sample_distribution(probs, outcomes, shots, rng)
     bloch = {}
-    if exp_id <= 4:
-        bloch_ideal = (float(np.trace(GATES[a] @ ideal.matrix).real) for a in ("x", "y", "z"))
-        bloch = dict(bloch_estimate=bloch_tomography(tables), bloch_ideal=tuple(bloch_ideal))
+    if program.bloch_ideal is not None:
+        bloch = dict(bloch_estimate=bloch_tomography(tables), bloch_ideal=program.bloch_ideal)
     return ExperimentResult(
-        experiment=exp_id, shots=shots, seed=int(seed), noise=noise,
+        experiment=exp_id, shots=shots, seed=seed, noise=noise,
         tables=tables, final_state=final, ideal_state=ideal, **bloch,
     )

@@ -39,6 +39,7 @@ from .linalg import (
     _NEG_TOL,
     _block_diagonal,
     _in_order,
+    _integers,
     _local_stack,
     apply_local,
     as_matrix,
@@ -285,8 +286,8 @@ class Pvm:
 def _layout(dims, labels, size: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """``dims`` and ``labels`` as tuples, checked as the layout of a space of
     dimension ``size``: one distinct label per dim, every dim at least 1, and
-    their product ``size``."""
-    dims = tuple(int(d) for d in dims)
+    their product ``size``; a dim that is not an integer value is rejected."""
+    dims = _integers(dims, "subsystem dimensions", InvalidStateError)
     labels = tuple(str(s) for s in labels)
     if len(dims) != len(labels):
         raise InvalidStateError("dims and labels length mismatch")

@@ -27,8 +27,8 @@ import scipy.linalg
 from eurqsi.entropy import conditional
 from eurqsi.linalg import apply_local, fidelity, partial_trace
 from eurqsi.recovery import CpMap, apply_map, rotated_petz_map
-from eurqsi.simulate import (GATES, Gate, Measure, Recovery, experiment_circuit,
-                             flip_distribution, sample_distribution)
+from eurqsi.simulate import (_PROGRAMS, GATES, _Gate, _Measure, flip_distribution,
+                             sample_distribution)
 from eurqsi.states import (KET_MINUS, KET_PLUS, DensityOperator, Pvm, ket_bra, measure,
                            pauli_pvm, pinch, purify)
 
@@ -361,16 +361,6 @@ def tripartite_report_oracle(rho_abe, x_pvm, z_pvm, a_label="A", b_label="B",
     )
 
 
-def _stepwise_gate(rho, dims, name, targets, controls):
-    g = GATES[name]
-    if controls:
-        ctrl_dim = int(np.prod([dims[c] for c in controls]))
-        ones = np.zeros((ctrl_dim, ctrl_dim), dtype=complex)
-        ones[-1, -1] = 1.0  # all controls in |1>
-        g = np.kron(np.eye(ctrl_dim) - ones, np.eye(2)) + np.kron(ones, g)
-    return apply_local(rho, dims, [g], controls + targets)
-
-
 def _stepwise_depolarize(rho, dims, qubit, p):
     if p == 0.0:
         return rho
@@ -379,49 +369,49 @@ def _stepwise_depolarize(rho, dims, qubit, p):
     return apply_local(rho, dims, kraus, [qubit])
 
 
-def circuit_oracle(circuit, bindings, noise):
-    """Final ``(rho, dims, labels)`` of a circuit, one elementary step at a time.
+def program_oracle(qubits, steps, noise):
+    """Final ``(rho, dims, labels)`` of a simulator program, one elementary
+    step at a time, every subsystem kept in its place.
 
-    A gate is applied, then each qubit it touches is depolarized.  A
-    measurement appends its register in |0>, copies the outcome with the
-    operators ``|m><m| (x) |m><0|`` on (target, register) and flips the
-    register.  A recovery permutes its inputs to the front by a permutation
-    matrix and applies the map there as ``Tr_in[(rho^T_in (x) I_out)
-    (choi (x) I_rest)]``, the rest carried along.
+    A gate is applied as its unitary alone (the first of its Kraus stack,
+    the identity Pauli product times the gate), then each qubit it touches
+    is depolarized.  A measurement appends its register in |0>, copies the
+    outcome with the operators ``|m><m| (x) |m><0|`` on (target, register)
+    and flips the register.  A recovery permutes its inputs to the front by
+    a permutation matrix and applies the map there as ``Tr_in[(rho^T_in (x)
+    I_out) (choi (x) I_rest)]``, the rest carried along.
     """
-    dims = [2] * circuit.qubit_count
-    labels = [f"q{i}" for i in range(circuit.qubit_count)]
-    psi = np.zeros(2 ** circuit.qubit_count, dtype=complex)
+    dims = [2] * qubits
+    labels = [f"q{i}" for i in range(qubits)]
+    psi = np.zeros(2 ** qubits, dtype=complex)
     psi[0] = 1.0
     rho = ket_bra(psi)
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            targets = tuple(labels.index(f"q{i}") for i in op.targets)
-            controls = tuple(labels.index(f"q{i}") for i in op.controls)
-            rho = _stepwise_gate(rho, dims, op.name, targets, controls)
-            for pos in targets + controls:
+    for step in steps:
+        if isinstance(step, _Gate):
+            positions = [labels.index(q) for q in step.qubits]
+            rho = apply_local(rho, dims, [step.kraus[0]], positions)
+            for pos in positions:
                 rho = _stepwise_depolarize(rho, dims, pos, noise.depolarizing_p)
-        elif isinstance(op, Measure):
-            pos = labels.index(f"q{op.target}")
+        elif isinstance(step, _Measure):
+            pos = labels.index(step.qubit)
             basis = np.eye(2, dtype=complex)
             rho = np.kron(rho, ket_bra(basis[0]))
             dims.append(2)
-            labels.append(op.register)
+            labels.append(step.register)
             kraus = [np.kron(ket_bra(e), ket_bra(e, basis[0])) for e in basis]
             rho = apply_local(rho, dims, kraus, [pos, len(dims) - 1])
             q = noise.readout_flip
             if q > 0.0:
                 flips = [np.sqrt(1.0 - q) * GATES["i"], np.sqrt(q) * GATES["x"]]
                 rho = apply_local(rho, dims, flips, [len(dims) - 1])
-        elif isinstance(op, Recovery):
-            cpmap, in_labels, out_labels = bindings[op.map_id]
-            positions = [labels.index(s) for s in in_labels]
+        else:
+            positions = [labels.index(s) for s in step.reads]
             rest = [i for i in range(len(dims)) if i not in positions]
             perm = permutation_matrix(dims, positions + rest)
             rest_dims = [dims[i] for i in rest]
-            rho = choi_action_oracle(cpmap, perm @ rho @ perm.T)
-            dims = list(cpmap.out_dims) + rest_dims
-            labels = list(out_labels) + [labels[i] for i in rest]
+            rho = choi_action_oracle(step.cpmap, perm @ rho @ perm.T)
+            dims = list(step.cpmap.out_dims) + rest_dims
+            labels = list(step.writes) + [labels[i] for i in rest]
     return rho, dims, labels
 
 
@@ -447,17 +437,13 @@ def experiment_oracle(exp_id, shots, noise, seed):
     """Final state and shot counts of one experiment, as ``run_experiment``
     computed them before each op became one Kraus step.
 
-    Both recovery maps are bound, the whole final state is validated, and
-    each table reduces it and sums ``Tr(P rho)`` over the Pauli projectors
-    (``P_a (x) P_b*`` for the two-qubit correlations).
+    The experiment's program is walked by :func:`program_oracle`, the
+    whole final state is validated, and each table reduces it and sums
+    ``Tr(P rho)`` over the Pauli projectors (``P_a (x) P_b*`` for the
+    two-qubit correlations).
     """
-    from eurqsi.gallery import recovery_map_r3
-
-    bindings = {
-        "r1": (r1_register_map(), ("X",), ("Ap",)),
-        "r3": (recovery_map_r3(), ("X", "q1"), ("Ap", "B")),
-    }
-    rho, dims, labels = circuit_oracle(experiment_circuit(exp_id), bindings, noise)
+    program = _PROGRAMS[exp_id]
+    rho, dims, labels = program_oracle(program.qubits, program.steps, noise)
     final = DensityOperator(rho, dims, labels)
     rng = np.random.default_rng([int(seed), int(exp_id)])
     counts = {}

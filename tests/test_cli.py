@@ -168,6 +168,17 @@ class TestFuzzCommand:
             assert exc.value.code == 2
             assert "must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["fuzz"], ["experiment", "1"]])
+    def test_negative_seed_exits_2(self, capsys, monkeypatch, command):
+        # checked at parse time, before any trial or step runs
+        monkeypatch.setattr("eurqsi.cli.fuzz", lambda *a: pytest.fail("a trial ran"))
+        monkeypatch.setattr("eurqsi.cli.run_experiment", lambda *a, **k: pytest.fail("a step ran"))
+        for raw in ("-1", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--seed", raw])
+            assert exc.value.code == 2
+            assert "must be a non-negative integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command",
                              [["fuzz"], ["examples"], ["check", "--scenario", "s.json"]])
     @pytest.mark.parametrize("raw", ["nan", "-nan", "0", "-1e-6"])

@@ -143,7 +143,10 @@ NAN_STATE[1, 2] = np.nan
     (np.eye(4) / 4, [2, 2], [-1], "out of range"),
     (np.ones((4, 2)), [2, 2], [0], "square"),
     (NAN_STATE, [2, 2], [0], "non-finite"),
-], ids=["zero dim", "negative dims", "keep past end", "negative keep", "non-square", "nan"])
+    (np.eye(4) / 4, [2.5, 2.2], [0], "must be integers"),   # int() would truncate to (2, 2)
+    (np.eye(4) / 4, [2, 2], [0.5], "must be integers"),
+], ids=["zero dim", "negative dims", "keep past end", "negative keep", "non-square", "nan",
+        "fractional dims", "fractional keep"])
 def test_partial_trace_rejects(m, dims, keep, message):
     with pytest.raises(ValueError, match=message):
         partial_trace(m, dims, keep)

@@ -88,6 +88,14 @@ class TestCpMap:
         with pytest.raises(ValueError, match="distinct names"):
             CpMap(choi_from_kraus([np.eye(d)]), **fields)
 
+    @pytest.mark.parametrize("dims", [dict(in_dims=(2.5,)), dict(out_dims=(2, 1.5))])
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        # int() alone would truncate each to a layout whose Choi shape fits
+        fields = {"in_dims": (2,), "out_dims": (2,), **dims}
+        with pytest.raises(ValueError, match="dims must be integers"):
+            CpMap(choi_from_kraus([np.eye(2)]), **fields)
+        assert CpMap(choi_from_kraus([np.eye(2)]), (np.int64(2),), (2.0,)).out_dims == (2,)
+
     def test_from_kraus_rejects_a_kraus_operator_of_the_wrong_shape(self):
         # (out, in) = (3, 2): a (2, 3) operator is its transpose, not the map
         with pytest.raises(ValueError, match="Kraus operator shape"):
@@ -111,17 +119,22 @@ class TestChoiOnlyMap:
         return maps
 
     def test_run_circuit(self):
-        from eurqsi.simulate import Circuit, Gate, Measure, Recovery, run_circuit
-        ops = (Gate("h", (0,)), Gate("x", (1,), controls=(0,)), Gate("t", (1,)), Measure(0, "X"))
-        before = run_circuit(Circuit(2, ops)).permute(["X", "q1", "q0"])
+        # a simulator program whose last step is the map, on (X, q1) of three qubits
+        from eurqsi.simulate import GATES, NOISELESS, _evolve, _gate, _Measure, _Recover
+        cnot = np.eye(4, dtype=complex)
+        cnot[2:, 2:] = GATES["x"]
+        steps = (_gate(GATES["h"], "q0"), _gate(cnot, "q0", "q1"), _gate(GATES["s"], "q1"),
+                 _Measure("q0", "X"))
+        rho, labels = _evolve(2, steps, NOISELESS)
+        before = DensityOperator(rho, (2, 2, 2), labels).permute(["X", "q1", "q0"])
         for rec in self._maps():
-            after = run_circuit(Circuit(2, ops + (Recovery("r"),)),
-                                {"r": (rec, ("X", "q1"), ("Ap", "B"))})
-            assert after.labels == ("Ap", "B", "q0")
+            rho, labels = _evolve(2, steps + (_Recover(rec, ("X", "q1"), ("Ap", "B")),),
+                                  NOISELESS)
+            assert labels == ["Ap", "B", "q0"]
             # the Choi matrix on (X, q1), with q0 carried along
             t = before.matrix.reshape(4, 2, 4, 2)
             want = np.einsum("irjs,iajb->arbs", t, rec.choi_blocks()).reshape(8, 8)
-            assert np.abs(after.matrix - want).max() < 1e-12
+            assert np.abs(rho - want).max() < 1e-12
 
     def test_petz_map(self):
         sigma = random_state(4, 4, 423).matrix

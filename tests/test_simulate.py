@@ -1,4 +1,3 @@
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,20 +6,24 @@ import eurqsi.linalg as linalg
 import eurqsi.simulate as simulate
 from eurqsi.gallery import recovery_map_r3
 from eurqsi.linalg import apply_local, fidelity, partial_trace, trace_distance
+from eurqsi.serialize import canonical_json
 from eurqsi.simulate import (
+    _PAULI_PRODUCTS,
+    _PAULIS,
+    _PROGRAMS,
     GATES,
-    Circuit,
-    Gate,
-    Measure,
+    NOISELESS,
     NoiseSpec,
-    Recovery,
     ShotTable,
-    _depolarizing_kraus,
+    _checked,
+    _evolve,
+    _gate,
+    _Gate,
     _gate_kraus,
+    _Measure,
+    _Recover,
     bloch_tomography,
-    experiment_circuit,
     flip_distribution,
-    run_circuit,
     run_experiment,
     sample_distribution,
 )
@@ -36,28 +39,45 @@ from eurqsi.states import (
     random_multipartite_state,
 )
 
-from conftest import circuit_oracle, experiment_oracle, r1_register_map
+from conftest import experiment_oracle, program_oracle, r1_register_map
+
+
+def _controlled(name):
+    """The two-qubit gate that applies GATES[name] to the second qubit when
+    the first is |1>."""
+    g = np.eye(4, dtype=complex)
+    g[2:, 2:] = GATES[name]
+    return g
 
 
 class TestGates:
     def test_hadamard_makes_plus(self):
         rho = ket_bra(np.array([1, 0], dtype=complex))
-        out = apply_local(rho, (2,), _gate_kraus("h", 0, 0.0), [0])
+        out = apply_local(rho, (2,), _gate_kraus(_gate(GATES["h"], "q0"), 0.0), [0])
         assert np.abs(out - ket_bra(KET_PLUS)).max() < 1e-12
 
     def test_cnot_makes_bell(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
         rho = ket_bra(psi)
-        rho = apply_local(rho, (2, 2), _gate_kraus("h", 0, 0.0), [0])
-        rho = apply_local(rho, (2, 2), _gate_kraus("x", 1, 0.0), [0, 1])
+        rho = apply_local(rho, (2, 2), _gate_kraus(_gate(GATES["h"], "q0"), 0.0), [0])
+        rho = apply_local(rho, (2, 2), _gate_kraus(_gate(_controlled("x"), "q0", "q1"), 0.0),
+                          [0, 1])
         assert np.abs(rho - ket_bra(bell_phi())).max() < 1e-12
 
     def test_trace_preserved(self):
         rho = random_multipartite_state((2, 2, 2), 8, 3, ("a", "b", "c")).matrix
-        for name in ("h", "s", "x", "y", "z", "t"):
-            out = apply_local(rho, (2, 2, 2), _gate_kraus(name, 1, 0.0), [0, 1])
-            assert abs(np.trace(out).real - 1.0) < 1e-12
+        for name in GATES:
+            for p in (0.0, 0.3, 1.0):
+                kraus = _gate_kraus(_gate(_controlled(name), "a", "b"), p)
+                out = apply_local(rho, (2, 2, 2), kraus, [0, 1])
+                assert abs(np.trace(out).real - 1.0) < 1e-12
+
+    def test_noiseless_kraus_set_is_the_gate_alone(self):
+        for gate in (_gate(GATES["h"], "q0"), _gate(_controlled("x"), "q0", "q1")):
+            kraus = _gate_kraus(gate, 0.0)
+            assert kraus.shape[0] == 1 and np.array_equal(kraus[0], gate.kraus[0])
+        assert np.array_equal(_gate(GATES["s"], "q0").kraus[0], GATES["s"])
 
     def test_embed_operator_position(self):
         z = GATES["z"]
@@ -67,43 +87,17 @@ class TestGates:
         assert np.abs(got - full @ rho @ full).max() < 1e-12
 
 
-class TestCircuitValidation:
-    def test_rejects_out_of_range_target(self):
-        with pytest.raises(ValueError):
-            Circuit(1, (Gate("h", (1,)),))
-
-    def test_rejects_register_rewrite(self):
-        with pytest.raises(ValueError):
-            Circuit(1, (Measure(0, "X"), Measure(0, "X")))
-
-    def test_rejects_unknown_gate(self):
-        with pytest.raises(ValueError):
-            Circuit(1, (Gate("qft", (0,)),))
-
-    def test_rejects_gate_repeating_a_qubit(self):
-        with pytest.raises(ValueError):
-            Circuit(1, (Gate("x", (0,), controls=(0,)),))
-
-    def test_rejects_multi_target_gate(self):
-        with pytest.raises(ValueError):
-            Circuit(2, (Gate("h", (0, 1)),))
-
-    def test_rejects_register_named_like_a_qubit(self):
-        with pytest.raises(ValueError):
-            Circuit(2, (Measure(0, "q1"),))
-
-
 class TestNoise:
     def test_full_depolarizing_gives_maximally_mixed(self):
         rho = ket_bra(np.array([1, 0], dtype=complex))
-        out = apply_local(rho, (2,), _depolarizing_kraus(1, 1.0), [0])
+        out = apply_local(rho, (2,), _gate_kraus(_gate(GATES["i"], "q0"), 1.0), [0])
         assert np.abs(out - maximally_mixed(2)).max() < 1e-12
 
     def test_depolarizing_closed_form(self):
         # (1 - p) rho + p Tr_1(rho) (x) I/2 on qubit 1; qubit 0 untouched
         for seed, p in enumerate((0.1, 0.37, 1.0)):
             rho = random_multipartite_state((2, 2), 4, seed, ("a", "b")).matrix
-            out = apply_local(rho, (2, 2), _depolarizing_kraus(1, p), [1])
+            out = apply_local(rho, (2, 2), _gate_kraus(_gate(GATES["i"], "q1"), p), [1])
             marginal = partial_trace(rho, (2, 2), [0])
             want = (1.0 - p) * rho + p * np.kron(marginal, maximally_mixed(2))
             assert np.abs(out - want).max() < 1e-12
@@ -142,8 +136,8 @@ class TestRecoveryRealization:
             dims = (2, 2, 2)
             # the X register is measured already: pinch it
             big = apply_local(big, dims, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0])
-            big = apply_local(big, dims, _gate_kraus("x", 1, 0.0), [1, 2])
-            big = apply_local(big, dims, _gate_kraus("z", 1, 0.0), [0, 1])
+            big = apply_local(big, dims, [_controlled("x")], [1, 2])
+            big = apply_local(big, dims, [_controlled("z")], [0, 1])
             got = partial_trace(big, dims, [1, 2])  # (B, A')
             swap = np.eye(4)[[0, 2, 1, 3]]
             got = apply_local(got, (2, 2), [swap], [0, 1])  # (A', B)
@@ -183,6 +177,20 @@ class TestShotTable:
         with pytest.raises(ValueError, match="shots must be positive and counts non-negative"):
             ShotTable(counts, shots)
 
+    @pytest.mark.parametrize("counts, shots, message", [
+        ({"0": 2.9}, 2, "counts must be integers"),   # int() would store a count of 2
+        ({"0": 1, "1": 1.5}, 2, "counts must be integers"),
+        ({"0": 2}, 2.5, "shots must be integers"),
+    ])
+    def test_rejects_counts_and_shots_that_are_not_integers(self, counts, shots, message):
+        with pytest.raises(ValueError, match=message):
+            ShotTable(counts, shots)
+
+    def test_integer_valued_counts_of_any_type_are_stored_as_ints(self):
+        t = ShotTable({"0": np.int64(3), "1": 1.0}, np.int32(4))
+        assert t.counts == {"0": 3, "1": 1} and t.shots == 4
+        assert all(type(v) is int for v in (*t.counts.values(), t.shots))
+
 
 class TestBlochTomography:
     def test_ideal_plus_state(self):
@@ -213,6 +221,26 @@ class TestExperiments:
             run_experiment(7)
         with pytest.raises(ValueError):
             run_experiment(1, shots=0)
+
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((1.0,), {}, "experiment"),
+        ((True,), {}, "experiment"),
+        ((0,), {}, "experiment"),
+        (("1",), {}, "experiment"),
+        ((1,), {"shots": 100.5}, "shots"),
+        ((1,), {"shots": True}, "shots"),
+        ((1,), {"seed": -1}, "seed"),
+        ((1,), {"seed": 1.5}, "seed"),
+    ])
+    def test_arguments_are_checked_before_any_step(self, monkeypatch, args, kwargs, name):
+        monkeypatch.setattr(simulate, "_evolve", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run_experiment(*args, **kwargs)
+
+    def test_numpy_integer_arguments_give_the_same_result(self):
+        want = canonical_json(run_experiment(2, shots=64, seed=3).to_dict())
+        got = run_experiment(np.int64(2), shots=np.int32(64), seed=np.uint8(3))
+        assert canonical_json(got.to_dict()) == want
 
     def test_exact_states_match_ideal(self):
         for exp_id in range(1, 7):
@@ -276,10 +304,16 @@ class TestExperiments:
         assert a.tables["Y"].counts == b.tables["Y"].counts
 
     def test_circuit_structure_exposed(self):
-        c = experiment_circuit(2)
-        kinds = [type(op).__name__ for op in c.ops]
-        assert kinds.count("Measure") == 2
-        assert kinds[-1] == "Recovery"
+        # experiment 2: H, a Z measurement, the X measurement between two
+        # Hadamards, and the register-only recovery last
+        steps = _PROGRAMS[2].steps
+        kinds = [type(step).__name__ for step in steps]
+        assert kinds == ["_Gate", "_Measure", "_Gate", "_Measure", "_Gate", "_Recover"]
+        assert [step.register for step in steps if isinstance(step, _Measure)] == ["Z", "X"]
+        for step in steps:
+            if isinstance(step, _Gate):
+                assert np.array_equal(step.kraus[0], GATES["h"])
+        assert (steps[-1].reads, steps[-1].writes) == (("X",), ("Ap",))
 
     def test_noise_sweep_fidelity_non_increasing(self):
         # tomography-based estimate at 8192 shots, 2 sigma statistical slack
@@ -306,19 +340,52 @@ class TestExperiments:
         assert t.frequency("01") > 0.05  # 2 q (1-q) = 0.32 expected mass spread
 
 
+def _identity_map(in_dims):
+    d = int(np.prod(in_dims))
+    return CpMap(np.outer(np.eye(d).ravel(), np.eye(d).ravel()), in_dims, in_dims)
+
+
+class TestCircuitValidation:
+    # a program's steps are checked once, when the program is built
+
+    def test_rejects_out_of_range_target(self):
+        with pytest.raises(ValueError, match="step 0 reads"):
+            _checked(1, (_gate(GATES["h"], "q1"),))
+
+    def test_rejects_register_rewrite(self):
+        with pytest.raises(ValueError, match="step 1 writes"):
+            _checked(1, (_Measure("q0", "X"), _Measure("q0", "X")))
+
+    def test_rejects_unknown_gate(self):
+        # a matrix that is no unitary is no gate
+        with pytest.raises(ValueError, match="unitary"):
+            _gate(np.ones((2, 2), dtype=complex), "q0")
+
+    def test_rejects_gate_repeating_a_qubit(self):
+        with pytest.raises(ValueError, match="step 0 reads"):
+            _checked(1, (_gate(_controlled("x"), "q0", "q0"),))
+
+    def test_rejects_multi_target_gate(self):
+        with pytest.raises(ValueError, match="unitary"):
+            _gate(GATES["h"], "q0", "q1")
+
+    def test_rejects_register_named_like_a_qubit(self):
+        with pytest.raises(ValueError, match="step 0 writes"):
+            _checked(2, (_Measure("q0", "q1"),))
+
+
 class TestRunCircuit:
     def test_register_correlates_with_outcome(self):
-        circ = Circuit(1, (Gate("h", (0,)), Measure(0, "M")))
-        out = run_circuit(circ)
-        assert out.labels == ("q0", "M")
+        rho, labels = _evolve(1, (_gate(GATES["h"], "q0"), _Measure("q0", "M")), NOISELESS)
+        assert labels == ["q0", "M"]
         # perfectly correlated classical pair
         want = 0.5 * np.diag([1.0, 0.0, 0.0, 1.0])
-        assert np.abs(out.matrix - want).max() < 1e-12
+        assert np.abs(rho - want).max() < 1e-12
 
     def test_missing_recovery_binding(self):
-        circ = Circuit(1, (Recovery("nope"),))
-        with pytest.raises(ValueError):
-            run_circuit(circ)
+        # a recovery bound to no subsystem
+        with pytest.raises(ValueError, match="step 0 binds"):
+            _checked(1, (_Recover(r1_register_map(), (), ()),))
 
     @pytest.mark.parametrize("in_dims, in_labels, out_labels", [
         ((2,), ("q0", "q1"), ("a", "b")),   # two labels for a one-qubit map
@@ -328,13 +395,14 @@ class TestRunCircuit:
         ((2,), ("X",), ("a", "b")),         # two outputs for one
     ])
     def test_recovery_binding_must_fit_its_map(self, in_dims, in_labels, out_labels):
-        d = int(np.prod(in_dims))
-        cpmap = CpMap(np.outer(np.eye(d).ravel(), np.eye(d).ravel()), in_dims, in_dims)
-        circ = Circuit(2, (Gate("h", (0,)), Measure(0, "X"), Recovery("r")))
-        with pytest.raises(ValueError, match="recovery map 'r'"):
-            run_circuit(circ, {"r": (cpmap, in_labels, out_labels)})
-        fits = {"r": (cpmap, ("X", "q1")[:len(in_dims)], ("a", "b")[:len(in_dims)])}
-        assert run_circuit(circ, fits).labels[:len(in_dims)] == ("a", "b")[:len(in_dims)]
+        cpmap = _identity_map(in_dims)
+        h = _gate(GATES["h"], "q0")
+        with pytest.raises(ValueError, match="step 2"):
+            _checked(2, (h, _Measure("q0", "X"), _Recover(cpmap, in_labels, out_labels)))
+        n = len(in_dims)
+        fits = _checked(2, (h, _Measure("q0", "X"),
+                            _Recover(cpmap, ("X", "q1")[:n], ("a", "b")[:n])))
+        assert tuple(_evolve(2, fits, NOISELESS)[1][:n]) == ("a", "b")[:n]
 
     @pytest.mark.parametrize("in_dims, in_labels, out_labels", [
         ((2,), ("X",), ("q1",)),            # an output names a subsystem the map leaves alone
@@ -342,20 +410,20 @@ class TestRunCircuit:
     ])
     def test_recovery_outputs_are_new_distinct_labels(self, monkeypatch, in_dims, in_labels,
                                                       out_labels):
-        d = int(np.prod(in_dims))
-        cpmap = CpMap(np.outer(np.eye(d).ravel(), np.eye(d).ravel()), in_dims, in_dims)
-        circ = Circuit(2, (Gate("h", (0,)), Measure(0, "X"), Recovery("r"), Gate("x", (1,))))
-        steps = []
-        monkeypatch.setattr(simulate._SimState, "gate", lambda *args: steps.append(args))
-        with pytest.raises(ValueError, match="recovery map 'r'"):
-            run_circuit(circ, {"r": (cpmap, in_labels, out_labels)})
-        assert steps == []  # rejected before any op ran
+        steps = (_gate(GATES["h"], "q0"), _Measure("q0", "X"),
+                 _Recover(_identity_map(in_dims), in_labels, out_labels),
+                 _gate(GATES["x"], "q1"))
+        calls = []
+        monkeypatch.setattr(simulate, "_local_stack", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="step 2 writes"):
+            simulate._program(2, steps, maximally_mixed(4))
+        assert calls == []  # rejected before any step ran
 
     def test_a_register_may_not_name_a_recovery_output(self):
-        cpmap = CpMap(np.outer(np.eye(2).ravel(), np.eye(2).ravel()), (2,), (2,))
-        circ = Circuit(2, (Measure(0, "X"), Recovery("r"), Measure(1, "a")))
-        with pytest.raises(ValueError, match="register 'a'"):
-            run_circuit(circ, {"r": (cpmap, ("X",), ("a",))})
+        steps = (_Measure("q0", "X"), _Recover(_identity_map((2,)), ("X",), ("a",)),
+                 _Measure("q1", "a"))
+        with pytest.raises(ValueError, match="step 2 writes"):
+            _checked(2, steps)
 
 
 class TestAgainstStepwiseOracle:
@@ -372,56 +440,78 @@ class TestAgainstStepwiseOracle:
     def test_noisy_circuit_with_late_control_and_middle_measurement(self):
         # the CZ's control comes after its target, the middle qubit is
         # measured and later used as a control, and a recovery reads its register
-        circ = Circuit(3, (
-            Gate("h", (0,)), Gate("h", (2,)), Gate("x", (1,), controls=(0,)),
-            Gate("z", (0,), controls=(2,)), Gate("t", (1,)), Measure(1, "M"),
-            Gate("h", (1,)), Gate("y", (2,), controls=(1,)), Recovery("m"),
-            Gate("s", (0,)), Measure(2, "N"),
+        t = np.diag([1.0, np.exp(0.25j * np.pi)])
+        steps = _checked(3, (
+            _gate(GATES["h"], "q0"), _gate(GATES["h"], "q2"), _gate(_controlled("x"), "q0", "q1"),
+            _gate(_controlled("z"), "q2", "q0"), _gate(t, "q1"), _Measure("q1", "M"),
+            _gate(GATES["h"], "q1"), _gate(_controlled("y"), "q1", "q2"),
+            _Recover(r1_register_map(), ("M",), ("R",)),
+            _gate(GATES["s"], "q0"), _Measure("q2", "N"),
         ))
-        bindings = {"m": (r1_register_map(), ("M",), ("R",))}
-        for noise in (NoiseSpec(), NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
-            rho, dims, labels = circuit_oracle(circ, bindings, noise)
-            got = run_circuit(circ, bindings, noise)
-            assert got.labels == tuple(labels) and got.dims == tuple(dims)
-            assert np.abs(got.matrix - rho).max() < 1e-14
+        for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
+            rho, dims, labels = program_oracle(3, steps, noise)
+            got, got_labels = _evolve(3, steps, noise)
+            # the oracle keeps every subsystem in place; _evolve leaves each
+            # step's outputs in front
+            assert sorted(got_labels) == sorted(labels) and dims == [2] * len(labels)
+            got, _ = linalg._in_order(got, tuple(dims), [got_labels.index(s) for s in labels])
+            assert np.abs(got - rho).max() < 1e-14
 
     def test_recovery_maps_are_shared_and_read_only(self):
-        for map_id in ("r1", "r3"):
-            cpmap = simulate._recovery_binding(map_id)[0]
-            assert simulate._recovery_binding(map_id)[0] is cpmap
+        # r1 (experiments 1-4) and r3 (5-6) are each built once, and equal
+        # their independent constructions
+        for exp_ids, want in (((1, 2, 3, 4), r1_register_map()), ((5, 6), recovery_map_r3())):
+            maps = {id(_PROGRAMS[e].steps[-1].cpmap) for e in exp_ids}
+            assert len(maps) == 1
+            cpmap = _PROGRAMS[exp_ids[0]].steps[-1].cpmap
             assert not hasattr(cpmap, "kraus")
+            assert np.array_equal(cpmap.choi, want.choi)
             with pytest.raises(ValueError, match="read-only"):
                 cpmap.choi[0, 0] = 0.0
 
-    def test_one_run_builds_one_map_two_states_and_one_kraus_step_per_op(self, monkeypatch):
-        counts = Counter()
+    def test_fixed_data_are_read_only_and_left_unchanged_by_runs(self):
+        arrays = [*GATES.values(), _PAULIS, *_PAULI_PRODUCTS.values(),
+                  simulate._COPY, simulate._FLIPPED_COPY, simulate._PAULI_BASES,
+                  simulate._PAIR_BASES]
+        for program in _PROGRAMS.values():
+            arrays.append(program.ideal.matrix)
+            arrays += [step.kraus for step in program.steps if isinstance(step, _Gate)]
+        before = [a.copy() for a in arrays]
+        blochs = {e: program.bloch_ideal for e, program in _PROGRAMS.items()}
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.5
+        for exp_id, program in _PROGRAMS.items():
+            for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
+                res = run_experiment(exp_id, shots=64, noise=noise)
+                assert res.ideal_state is program.ideal
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert {e: program.bloch_ideal for e, program in _PROGRAMS.items()} == blochs
+
+    def test_run_is_one_kernel_call_per_op_and_one_validation(self, monkeypatch):
+        calls = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                calls.append(name)
                 return fn(*args, **kwargs)
             return wrapper
 
         for cls in (CpMap, DensityOperator, Pvm):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-        # every gate and measure step, through apply_local or not, is one
-        # kernel call, and every recovery step one Choi contraction
-        kernel = counted("kernel", linalg._local_stack)
-        for mod in (linalg, simulate):
-            monkeypatch.setattr(mod, "_local_stack", kernel)
+        monkeypatch.setattr(simulate, "_local_stack", counted("kernel", linalg._local_stack))
+        monkeypatch.setattr(simulate, "_in_order", counted("in_order", linalg._in_order))
         monkeypatch.setattr(CpMap, "_apply", counted("choi", CpMap._apply))
-        # r1 (experiments 1-4) and r3 (5-6) are each built once per process:
-        # after one warm-up run of each, a run builds no map
-        for exp_id in (1, 5):
-            run_experiment(exp_id, shots=64)
-        for exp_id in range(1, 7):
-            ops = experiment_circuit(exp_id).ops
-            recoveries = sum(isinstance(op, Recovery) for op in ops)
-            counts.clear()
-            run_experiment(exp_id, shots=64, noise=NoiseSpec(depolarizing_p=0.1, readout_flip=0.05))
-            assert counts["CpMap"] == 0
-            assert counts["DensityOperator"] == 2  # final and ideal
-            assert counts["Pvm"] == 0
-            assert recoveries == 1
-            assert counts["kernel"] == len(ops) - recoveries
-            assert counts["choi"] == recoveries
+        assert not hasattr(simulate, "apply_local")
+        for exp_id, program in _PROGRAMS.items():
+            for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
+                calls.clear()
+                run_experiment(exp_id, shots=64, noise=noise)
+                # every gate and measurement is one kernel call that leaves its
+                # subsystems in front; the recovery, last in every program, puts
+                # its inputs first and contracts once; one reduction and one
+                # validation make the final state
+                kraus_steps = len(program.steps) - 1
+                assert isinstance(program.steps[-1], _Recover)
+                assert calls == ["kernel"] * kraus_steps + [
+                    "in_order", "choi", "in_order", "DensityOperator"]

@@ -103,6 +103,19 @@ class TestDensityOperator:
         with pytest.raises(InvalidStateError, match="must be positive"):
             DensityOperator.from_vector(np.ones(4), dims, ("A", "B"))
 
+    @pytest.mark.parametrize("dims", [(2.5, 2.2), (2, 2.5), (4.9, 1), ("2", "2")])
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        # int() alone would truncate (2.5, 2.2) to (2, 2), whose product fits
+        with pytest.raises(InvalidStateError, match="must be integers"):
+            DensityOperator(np.eye(4) / 4, dims, ("A", "B"))
+        with pytest.raises(InvalidStateError, match="must be integers"):
+            DensityOperator.from_vector(np.ones(4), dims, ("A", "B"))
+
+    def test_integer_valued_dims_of_any_type_are_accepted(self):
+        for dims in ((np.int64(2), np.int32(2)), (2.0, 2.0)):
+            assert DensityOperator(np.eye(4) / 4, dims, ("A", "B")).dims == (2, 2)
+            assert DensityOperator.from_vector(np.ones(4), dims, ("A", "B")).dims == (2, 2)
+
     def test_reduce_keeps_order(self):
         rho = random_multipartite_state((2, 3, 2), 6, 4, ("A", "B", "E"))
         red = rho.reduce(["E", "A"])

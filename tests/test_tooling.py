@@ -1,5 +1,8 @@
-"""The test configuration keeps a session going past a failing test."""
+"""Checks that need a fresh interpreter: the test configuration keeps a
+session going past a failing test, and experiment output replays across
+processes."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +34,27 @@ def test_a_failing_property_does_not_end_the_session(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]
+
+
+REPLAY = '''
+from eurqsi.cli import main
+
+for noise in ("none", "depolarizing=0.1,readout=0.02"):
+    for exp_id in range(1, 7):
+        main(["experiment", str(exp_id), "--noise", noise])
+'''
+
+
+def test_experiments_replay_byte_identical_across_processes():
+    """All six experiments, noiseless and noisy, print the same bytes in two
+    fresh interpreters, so nothing built at import differs between
+    processes."""
+    env = {k: v for k, v in os.environ.items() if k != "EURQSI_OUTDIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run([sys.executable, "-c", REPLAY], env=env, capture_output=True,
+                       timeout=120, check=True).stdout
+        for _ in range(2)
+    ]
+    assert outputs[0].count(b'"command": "experiment"') == 12
+    assert outputs[0] == outputs[1]
