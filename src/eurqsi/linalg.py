@@ -4,13 +4,15 @@ Everything here works on plain ``numpy`` complex matrices.  Subsystem
 ordering is fixed package-wide: subsystem 0 is the slowest-varying tensor
 factor, i.e. ``tensor(a, b)`` puts ``a`` on subsystem 0.
 
-Two kernels are the only code in the package that lays a matrix out on its
-subsystem axes.  :func:`_in_order` traces out the subsystems not listed and
-puts the kept ones in the order listed; :func:`_local_stack` applies a
+Three kernels are the only code in the package that lays a matrix out on
+its subsystem axes.  :func:`_in_order` traces out the subsystems not listed
+and puts the kept ones in the order listed; :func:`_local_stack` applies a
 stack of operators to the listed subsystems and returns the unsummed
-stack, those subsystems first.  :func:`partial_trace` and
-:func:`apply_local` are their checked public forms, and every reduction,
-reordering, measurement compression and Kraus step elsewhere calls them.
+stack, those subsystems first; :func:`_local_operators` writes that stack
+out as operators on the whole space, for a layout that is fixed in
+advance.  :func:`partial_trace` and :func:`apply_local` are the checked
+public forms of the first two, and every reduction, reordering,
+measurement compression and Kraus step elsewhere calls one of the three.
 A CP map's Choi contraction takes its input with the map's subsystems put
 first by :func:`_in_order`, and reads it only as (inputs, rest).
 
@@ -145,6 +147,15 @@ def _integers(values, what: str, error=ValueError) -> tuple[int, ...]:
     return ints
 
 
+def _integer_argument(name: str, value, low: int, high: float, what: str) -> int:
+    """``value`` as an int, or ``ValueError`` naming the argument when it is
+    not an integer (bools excluded) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not low <= value <= high:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 def _on_subsystems(m, dims, indices, what: str):
     """``m`` as a square matrix on ``dims`` and ``indices`` as distinct
     subsystems of it, checked for the public function ``what``."""
@@ -227,6 +238,22 @@ def _local_stack(m: np.ndarray, dims, ops: np.ndarray, positions) -> np.ndarray:
     t = (ops.reshape(k * d_out, d_in) @ t).reshape(k, d_out * r * r, d_in)
     t = (t @ ops.conj().transpose(0, 2, 1)).reshape(k, d_out, r, r, d_out)
     return t.transpose(0, 1, 2, 4, 3).reshape(k, d_out * r, d_out * r)
+
+
+def _local_operators(dims, ops: np.ndarray, positions) -> np.ndarray:
+    """The ``(k, d_out r, d)`` operators ``O_k`` on the whole space of
+    ``dims`` with ``O_k m O_k^dag`` the k-th matrix of
+    :func:`_local_stack` of ``m``: ``K_k (x) I`` after the permutation that
+    brings ``positions`` to the front; nothing is checked.
+
+    Each entry of ``O_k`` is an entry of ``K_k`` or zero, exactly.
+    """
+    n = len(dims)
+    k, d_out, d_in = ops.shape
+    rest = [i for i in range(n) if i not in positions]
+    d = math.prod(dims)
+    perm = np.eye(d).reshape(tuple(dims) + (d,)).transpose(list(positions) + rest + [n])
+    return (ops.reshape(k * d_out, d_in) @ perm.reshape(d_in, -1)).reshape(k, -1, d)
 
 
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:

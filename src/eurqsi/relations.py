@@ -50,7 +50,8 @@ from typing import ClassVar
 import numpy as np
 
 from .entropy import _entropies
-from .linalg import _fidelity, _in_order, _on_support, _sinhc, support_eig
+from .linalg import (_fidelity, _in_order, _integer_argument, _integers, _on_support, _sinhc,
+                     support_eig)
 from .states import (
     DensityOperator,
     InvalidStateError,
@@ -375,16 +376,18 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
     Each trial makes one :func:`_bipartite_scalars` call on its rho_AB,
     as :func:`check_bipartite` does, and reports the requested relation.
     Deterministic under ``seed``; the worst instance is serialized in the
-    scenario dialect for replay.
+    scenario dialect for replay.  ``trials`` must be a positive integer,
+    ``dims`` integral and at least 1 and ``seed`` a non-negative integer;
+    ``ValueError`` names the first argument that is not, before any trial.
     """
     if relation_id not in RELATION_IDS:
         raise ValueError(f"unknown relation_id {relation_id!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if np.isscalar(dims):
-        dims = (int(dims), int(dims))
-    d_a, d_b = int(dims[0]), int(dims[1])
-    dims = (d_a, d_b)
+    trials = _integer_argument("trials", trials, 1, np.inf, "a positive integer")
+    dims = _integers((dims, dims) if np.isscalar(dims) else dims, "dims")
+    if len(dims) != 2 or min(dims) < 1:
+        raise ValueError(f"dims must be one or two integers of at least 1, got {dims}")
+    seed = _integer_argument("seed", seed, 0, np.inf, "a non-negative integer")
+    d_a, d_b = dims
     pvm_mode = "pauli" if d_a == 2 else "random"
     refined = relation_id.endswith("_refined")
 
@@ -412,7 +415,7 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
         relation_id=relation_id,
         trials=trials,
         dims=dims,
-        seed=int(seed),
+        seed=seed,
         pvm_mode=pvm_mode,
         min_slack=float(min_slack),
         worst_trial=worst_trial,

@@ -3,33 +3,42 @@ sampling and optional noise.
 
 Each experiment is a fixed private program: the qubits it starts from in
 |0...0>, a tuple of gate, measure and recover steps, and its ideal output
-state.  A gate or a measurement is one Kraus step, one call of the
-operator-stack kernel :func:`~eurqsi.linalg._local_stack` on the subsystems
-it touches, summed; the kernel leaves those subsystems in front, and the
-labels are permuted to match, so no step puts a subsystem back.  A gate and
-the depolarizing noise on its qubits form one Kraus set: every Pauli
-product on those qubits times the gate, weighted by the noise.  A
-measurement copies the computational outcome into a classical register
-with the operators ``|m>|m><m|`` on the target, the readout flip folded
-into the same set; the register is a decohered subsystem, so the recovery
-conditioned on it is exact.  A recovery is its map's Choi matrix: one
-:func:`~eurqsi.linalg._in_order` puts the subsystems it reads in front, and
-one Choi contraction (:meth:`~eurqsi.recovery.CpMap._apply`) replaces them
-by the map's outputs and carries the rest along.
+state.  A gate and the depolarizing noise on its qubits form one Kraus
+set: every Pauli product on those qubits times the gate, weighted by the
+noise.  A measurement copies the computational outcome into a classical
+register with the operators ``|m>|m><m|`` on the target, the readout flip
+folded into the same set; the register is a decohered subsystem, so the
+recovery conditioned on it is exact.  A recovery is its map's Choi matrix,
+applied by one Choi contraction (:meth:`~eurqsi.recovery.CpMap._apply`)
+that replaces the subsystems it reads by the map's outputs and carries the
+rest along.
 
-:func:`run_experiment` checks its arguments before any step, reduces the
-final state with one :func:`~eurqsi.linalg._in_order` straight to the ideal
-state's subsystems and label order, validates that one state and reads
-every shot table from it through constant basis matrices.  Shots are
-sampled from the exact final distribution; there is no per-shot
-re-execution.
+Every subsystem a program holds is a qubit, and where each one sits before
+each step is fixed by the program, so the layout is done once, when the
+program is built, by :func:`_checked`.  A gate or a measurement stores its
+Kraus set as operators on the whole state
+(:func:`~eurqsi.linalg._local_operators`), which also bring the subsystems
+it touches to the front, as :func:`~eurqsi.linalg._local_stack` does; a
+recovery stores the reorder that puts its inputs first, for one
+:func:`~eurqsi.linalg._in_order`; the program stores the reduction of its
+final matrix to the ideal state's subsystems and label order.  A run
+scales each stored stack by its noise amplitudes and applies it as
+``(ops @ rho @ ops^dag).sum(0)``, two batched matmuls, and tracks no
+label.
+
+:func:`run_experiment` checks its arguments before any step, validates the
+one reduced final state and reads every shot table from it in one pass:
+one outcome distribution per basis through constant basis matrices, the
+readout flips on the bit axes of every row at once, and one multinomial
+call that draws the rows in order.  Shots are sampled from the exact
+final distribution; there is no per-shot re-execution.
 
 Only the protocol's fixed data are built at import: the gates times their
-Pauli products, the two recovery maps, and the ideal states and Bloch
-vectors, the states through the validating constructor.  Each program's
-steps are checked once, when it is built, so a run checks no step.  Every
-shared array is read-only.  A run computes its noise weights and keeps
-nothing.
+Pauli products, the two recovery maps, each step's laid-out operators or
+reorder, and the ideal states and Bloch vectors, the states through the
+validating constructor.  Each program's steps are checked once, when it is
+built, so a run checks no step.  Every shared array is read-only.  A run
+computes its noise weights and keeps nothing.
 
 Noise model: symmetric depolarizing with strength ``depolarizing_p`` on
 every qubit a gate touches, plus a classical bit flip with probability
@@ -40,13 +49,12 @@ calibration data is not modeled; noisy results are model-dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .gallery import recovery_map_r3
-from .linalg import _in_order, _integers, _local_stack
+from .linalg import _in_order, _integer_argument, _integers, _local_operators
 from .recovery import CpMap
 from .states import (
     DensityOperator,
@@ -147,19 +155,21 @@ _PAULI_PRODUCTS = {
     2: _frozen(np.stack([np.kron(a, b) for a in _PAULIS for b in _PAULIS])),
 }
 
-# |m>|m><m| for m = 0, 1: the target keeps the outcome and the register,
-# the second factor, receives a copy of it; then the same with the copy flipped
-_COPY = _frozen(np.stack([np.outer(np.kron(e, e), e) for e in np.eye(2, dtype=complex)]))
-_FLIPPED_COPY = _frozen(np.stack([np.outer(np.kron(e, e[::-1]), e)
-                                  for e in np.eye(2, dtype=complex)]))
+# |m>|m xor f><m| for f = 0, 1 (slowest) and m = 0, 1: the target keeps the
+# outcome and the register, the second factor, receives a copy of it,
+# flipped when f is 1
+_COPIES = _frozen(np.array([np.outer(np.kron(np.eye(2)[m], np.eye(2)[m ^ f]), np.eye(2)[m])
+                            for f in (0, 1) for m in (0, 1)], dtype=complex))
 
 
 class _Gate(NamedTuple):
     """A gate on ``qubits``, controls first.  ``kraus`` holds every Pauli
-    product on those qubits times the gate; the first is the gate itself."""
+    product on those qubits times the gate; the first is the gate itself.
+    ``ops`` is that stack on the whole state, laid out by :func:`_checked`."""
 
     qubits: tuple[str, ...]
     kraus: np.ndarray
+    ops: np.ndarray | None = None
 
     @property
     def reads(self) -> tuple[str, ...]:
@@ -169,10 +179,13 @@ class _Gate(NamedTuple):
 
 
 class _Measure(NamedTuple):
-    """A computational-basis measurement of ``qubit`` copied into ``register``."""
+    """A computational-basis measurement of ``qubit`` copied into
+    ``register``.  ``ops`` is the copy, then the flipped copy, on the whole
+    state, laid out by :func:`_checked`."""
 
     qubit: str
     register: str
+    ops: np.ndarray | None = None
 
     @property
     def reads(self) -> tuple[str, ...]:
@@ -184,21 +197,29 @@ class _Measure(NamedTuple):
 
 
 class _Recover(NamedTuple):
-    """``cpmap`` on the subsystems ``reads``, whose outputs are named ``writes``."""
+    """``cpmap`` on the subsystems ``reads``, whose outputs are named
+    ``writes``.  ``reorder``, the dims and order with which
+    :func:`~eurqsi.linalg._in_order` puts ``reads`` first, is laid out by
+    :func:`_checked`."""
 
     cpmap: CpMap
     reads: tuple[str, ...]
     writes: tuple[str, ...]
+    reorder: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
 class _Program(NamedTuple):
-    """One experiment: ``qubits`` qubits in |0...0>, its steps, and the
-    ideal state of the recovered subsystems with its Bloch vector (1-4)."""
+    """One experiment: ``qubits`` qubits in |0...0>, its laid-out steps,
+    the ideal state of the recovered subsystems with its Bloch vector
+    (1-4), and the dims and order with which
+    :func:`~eurqsi.linalg._in_order` reduces the final matrix to the ideal
+    state's subsystems."""
 
     qubits: int
     steps: tuple
     ideal: DensityOperator
     bloch_ideal: tuple[float, float, float] | None
+    reorder: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _gate(unitary: np.ndarray, *qubits: str) -> _Gate:
@@ -208,58 +229,50 @@ def _gate(unitary: np.ndarray, *qubits: str) -> _Gate:
     return _Gate(qubits, _frozen(_PAULI_PRODUCTS[len(qubits)] @ unitary))
 
 
-def _gate_kraus(gate: _Gate, p: float) -> np.ndarray:
-    """Kraus set of ``gate`` followed by symmetric depolarizing of strength
-    ``p`` on each of its qubits; the gate alone when ``p`` is 0."""
-    if p == 0.0:
-        return gate.kraus[:1]
-    one = np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
-    weights = reduce(np.multiply.outer, [one] * len(gate.qubits)).ravel()
-    return weights[:, None, None] * gate.kraus
+def _evolve(rho: np.ndarray, steps, noise: NoiseSpec) -> np.ndarray:
+    """The matrix of the laid-out ``steps`` run from ``rho``, laid out as
+    the first step expects: one Kraus or Choi step each, no label tracked.
 
-
-def _measure_kraus(q: float) -> np.ndarray:
-    """Kraus operators ``|m>|m xor f><m|`` of a qubit measurement whose
-    register bit ``f`` flips with probability ``q``."""
-    if q == 0.0:
-        return _COPY
-    return np.concatenate([np.sqrt(1.0 - q) * _COPY, np.sqrt(q) * _FLIPPED_COPY])
-
-
-def _evolve(qubits: int, steps, noise: NoiseSpec) -> tuple[np.ndarray, list[str]]:
-    """The final matrix and labels of ``steps`` run from |0...0> on qubits
-    ``q0``, ``q1``, ...: one Kraus or Choi step each.
-
-    Every subsystem of the six programs, register and recovered output
-    included, is a qubit, so the dims are always ``(2,) * len(labels)``.
-    Each step leaves the subsystems it writes in front and the rest in
-    their order.
+    A gate's stored stack is scaled by the amplitude of each Pauli product
+    in depolarizing of strength p on each of its qubits, the first qubit's
+    index slowest, or is the gate alone without noise; a measurement's by
+    the readout flip, or is the copy alone.  The amplitudes are computed
+    once per run, for each gate arity.
     """
-    labels = [f"q{i}" for i in range(qubits)]
-    rho = np.zeros((2 ** qubits, 2 ** qubits), dtype=complex)
-    rho[0, 0] = 1.0
+    p, q = noise.depolarizing_p, noise.readout_flip
+    paulis = flips = None
+    if p:
+        one = np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
+        paulis = {1: one.reshape(-1, 1, 1), 2: np.multiply.outer(one, one).reshape(-1, 1, 1)}
+    if q:
+        flips = np.sqrt([1.0 - q, 1.0 - q, q, q]).reshape(-1, 1, 1)
     for step in steps:
-        dims = (2,) * len(labels)
-        positions = [labels.index(s) for s in step.reads]
-        rest = [i for i in range(len(labels)) if i not in positions]
         if isinstance(step, _Recover):
-            rho = step.cpmap._apply(_in_order(rho, dims, positions + rest)[0])
+            rho = step.cpmap._apply(_in_order(rho, *step.reorder)[0])
+            continue
+        if isinstance(step, _Gate):
+            ops = step.ops[:1] if paulis is None else paulis[len(step.qubits)] * step.ops
         else:
-            kraus = (_gate_kraus(step, noise.depolarizing_p) if isinstance(step, _Gate)
-                     else _measure_kraus(noise.readout_flip))
-            rho = _local_stack(rho, dims, kraus, positions).sum(axis=0)
-        labels = list(step.writes) + [labels[i] for i in rest]
-    return rho, labels
+            ops = step.ops[:2] if flips is None else flips * step.ops
+        rho = (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    return rho
 
 
-def _checked(qubits: int, steps: tuple) -> tuple:
-    """``steps``, once it is known that :func:`_evolve` can run them from
-    qubits ``q0``, ``q1``, ...: each step reads distinct subsystems that are
-    there, a recovery as many qubits as its map takes and writes as many as
-    it gives, and no step writes a subsystem twice or one it leaves alone.
-    A program is checked when it is built, so a run checks no step.
+def _checked(qubits: int, steps: tuple) -> tuple[tuple, tuple[str, ...]]:
+    """``steps`` laid out for :func:`_evolve` from qubits ``q0``, ``q1``,
+    ..., and the labels of the final matrix, once it is known that each
+    step reads distinct subsystems that are there, a recovery as many
+    qubits as its map takes and writes as many as it gives, and no step
+    writes a subsystem twice or one it leaves alone.
+
+    Each step leaves the subsystems it writes in front and the rest in
+    their order.  A gate or a measurement gets its stack as read-only
+    operators on the whole state before it, a recovery the reorder that
+    puts its inputs first.  A program is checked and laid out when it is
+    built, so a run checks no step.
     """
     labels = [f"q{i}" for i in range(qubits)]
+    laid_out = []
     for i, step in enumerate(steps):
         reads, writes = step.reads, step.writes
         rest = [s for s in labels if s not in reads]
@@ -271,36 +284,42 @@ def _checked(qubits: int, steps: tuple) -> tuple:
                 (2,) * len(reads), (2,) * len(writes)):
             raise ValueError(f"step {i} binds {reads} -> {writes} to a map from "
                              f"{step.cpmap.in_dims} to {step.cpmap.out_dims}")
+        dims = (2,) * len(labels)
+        order = tuple(labels.index(s) for s in [*reads, *rest])
+        if isinstance(step, _Recover):
+            step = step._replace(reorder=(dims, order))
+        else:
+            kraus = step.kraus if isinstance(step, _Gate) else _COPIES
+            step = step._replace(ops=_frozen(_local_operators(dims, kraus, order[:len(reads)])))
+        laid_out.append(step)
         labels = list(writes) + rest
-    return steps
+    return tuple(laid_out), tuple(labels)
 
 
-def _flip_matrix(q: float) -> np.ndarray:
-    return np.array([[1.0 - q, q], [q, 1.0 - q]])
-
-
-def flip_distribution(probs: np.ndarray, q: float) -> np.ndarray:
-    """Independent classical bit flips on a 2**n outcome distribution."""
-    if q == 0.0:
+def _flipped(probs: np.ndarray, q: float) -> np.ndarray:
+    """Each row of ``probs``, an outcome distribution over the same bits,
+    after an independent flip of each bit with probability ``q``: one
+    update of the whole array per bit axis."""
+    if not q:
         return probs
-    n_bits = int(np.log2(len(probs)))
-    t = probs.reshape((2,) * n_bits)
-    for axis in range(n_bits):
-        t = np.tensordot(_flip_matrix(q), t, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis)
-    return t.reshape(-1)
+    rows, k = probs.shape
+    t = probs.reshape((rows,) + (2,) * (k.bit_length() - 1))
+    for axis in range(1, t.ndim):
+        t = (1.0 - q) * t + q * np.flip(t, axis)
+    return t.reshape(rows, k)
 
 
-def sample_distribution(probs, outcome_labels, shots: int, rng) -> ShotTable:
-    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+def _shot_counts(probs: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Counts of ``shots`` draws from each row of ``probs``: one clip, snap
+    and normalization of every row, and one multinomial call that draws
+    the rows in order from ``rng``, as one call per row would."""
+    probs = np.maximum(probs, 0.0)
     # numpy's binomial draw branches on p <= 1/2, so round-off of one ulp
     # either side of an exact 1/2 would swap the counts.  Sampling from the
     # probabilities snapped to a 1e-12 grid keeps the counts a function of
     # the distribution rather than of the order of floating-point operations.
-    probs = np.round(probs / probs.sum(), 12)
-    probs = probs / probs.sum()
-    counts = rng.multinomial(shots, probs)
-    return ShotTable(dict(zip(outcome_labels, (int(c) for c in counts))), shots)
+    probs = np.round(probs / probs.sum(axis=1, keepdims=True), 12)
+    return rng.multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
 
 
 def bloch_tomography(tables: dict) -> tuple[float, float, float]:
@@ -340,15 +359,18 @@ def _basis_probabilities(rho: np.ndarray, bases: np.ndarray) -> np.ndarray:
 
 
 def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
-    """An experiment with its ideal state on ``Ap`` (and ``B``), validated
-    once, here, and read-only; one recovered qubit gets its Bloch vector."""
-    labels = ("Ap", "B")[:qubits]
-    state = DensityOperator(ideal, (2,) * qubits, labels)
+    """An experiment with its steps checked and laid out and its ideal
+    state on ``Ap`` (and ``B``) validated, once, here, and read-only; one
+    recovered qubit gets its Bloch vector."""
+    ideal_labels = ("Ap", "B")[:qubits]
+    state = DensityOperator(ideal, (2,) * qubits, ideal_labels)
     _frozen(state.matrix)
     bloch = None
     if qubits == 1:
         bloch = tuple(float(np.trace(p @ state.matrix).real) for p in _PAULIS[1:])
-    return _Program(qubits, _checked(qubits, steps), state, bloch)
+    steps, labels = _checked(qubits, steps)
+    reorder = ((2,) * len(labels), tuple(labels.index(s) for s in ideal_labels))
+    return _Program(qubits, steps, state, bloch, reorder)
 
 
 def _programs() -> dict[int, _Program]:
@@ -425,15 +447,6 @@ class ExperimentResult:
         return out
 
 
-def _integer_argument(name: str, value, low: int, high: float, what: str) -> int:
-    """``value`` as an int, or ``ValueError`` naming the argument when it is
-    not an integer (bools excluded) in [low, high]."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or not low <= value <= high:
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return int(value)
-
-
 def run_experiment(
     exp_id: int,
     shots: int = 8192,
@@ -445,26 +458,29 @@ def run_experiment(
     Experiments 1-4 finish with Bloch tomography of the recovered qubit;
     5-6 with the three two-qubit correlation measurements.  Deterministic
     under ``seed``.  The experiment must be an integer in 1..6, ``shots`` a
-    positive integer and ``seed`` a non-negative one; ``ValueError`` names
-    the first argument that is not, before any step runs.
+    positive integer, ``noise`` a :class:`NoiseSpec` and ``seed`` a
+    non-negative integer; ``ValueError`` names the first argument that is
+    not, before any step runs.
     """
     exp_id = _integer_argument("experiment", exp_id, 1, 6, "an integer in 1..6")
     shots = _integer_argument("shots", shots, 1, np.inf, "a positive integer")
+    if not isinstance(noise, NoiseSpec):
+        raise ValueError(f"noise must be a NoiseSpec, got {noise!r}")
     seed = _integer_argument("seed", seed, 0, np.inf, "a non-negative integer")
     program = _PROGRAMS[exp_id]
-    rho, labels = _evolve(program.qubits, program.steps, noise)
+    rho = np.zeros((2 ** program.qubits,) * 2, dtype=complex)
+    rho[0, 0] = 1.0
+    rho = _evolve(rho, program.steps, noise)
     ideal = program.ideal
-    m, dims = _in_order(rho, (2,) * len(labels), [labels.index(s) for s in ideal.labels])
-    final = DensityOperator(m, dims, ideal.labels)
-    rng = np.random.default_rng([seed, exp_id])
+    final = DensityOperator(*_in_order(rho, *program.reorder), ideal.labels)
     if exp_id <= 4:
         keys, bases, outcomes = ("X", "Y", "Z"), _PAULI_BASES, ("0", "1")
     else:
         keys, bases, outcomes = ("XX", "YY*", "ZZ"), _PAIR_BASES, ("00", "01", "10", "11")
-    tables = {}
-    for key, probs in zip(keys, _basis_probabilities(final.matrix, bases)):
-        probs = flip_distribution(probs, noise.readout_flip)
-        tables[key] = sample_distribution(probs, outcomes, shots, rng)
+    probs = _flipped(_basis_probabilities(final.matrix, bases), noise.readout_flip)
+    counts = _shot_counts(probs, shots, np.random.default_rng([seed, exp_id]))
+    tables = {key: ShotTable(dict(zip(outcomes, row.tolist())), shots)
+              for key, row in zip(keys, counts)}
     bloch = {}
     if program.bloch_ideal is not None:
         bloch = dict(bloch_estimate=bloch_tomography(tables), bloch_ideal=program.bloch_ideal)

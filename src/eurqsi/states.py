@@ -449,8 +449,9 @@ def random_state(dim: int, rank: int, seed, label: str = "A") -> DensityOperator
 
 def random_multipartite_state(dims, rank: int, seed, labels) -> DensityOperator:
     """Random state on an explicit subsystem layout: G G^dag / Tr(G G^dag)
-    for a complex Gaussian G with prod(dims) rows and ``rank`` columns."""
-    dims = tuple(int(d) for d in dims)
+    for a complex Gaussian G with prod(dims) rows and ``rank`` columns; a
+    dim that is not an integer value is rejected."""
+    dims = _integers(dims, "subsystem dimensions", InvalidStateError)
     dim = math.prod(dims)
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
@@ -471,8 +472,9 @@ def random_pvm(dim: int, seed) -> Pvm:
 
 
 def random_pure_state(dims, seed, labels) -> DensityOperator:
-    """Haar-random pure state on the given subsystem layout."""
-    dims = tuple(int(d) for d in dims)
+    """Haar-random pure state on the given subsystem layout; a dim that is
+    not an integer value is rejected."""
+    dims = _integers(dims, "subsystem dimensions", InvalidStateError)
     full = math.prod(dims)
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=full) + 1j * rng.normal(size=full)

@@ -18,7 +18,8 @@ the relation checks that measure the whole state before reducing it.  The
 latter are built from library primitives.  The circuit simulator is kept
 step by step: each gate, then depolarizing on each qubit it touches, a
 register appended in |0> before the outcome is copied into it, and shot
-tables from per-axis reductions and Pauli projectors.
+tables from per-axis reductions and Pauli projectors, each table flipped
+bit by bit and drawn by its own multinomial call.
 """
 
 import numpy as np
@@ -27,8 +28,7 @@ import scipy.linalg
 from eurqsi.entropy import conditional
 from eurqsi.linalg import apply_local, fidelity, partial_trace
 from eurqsi.recovery import CpMap, apply_map, rotated_petz_map
-from eurqsi.simulate import (_PROGRAMS, GATES, _Gate, _Measure, flip_distribution,
-                             sample_distribution)
+from eurqsi.simulate import _PROGRAMS, GATES, ShotTable, _Gate, _Measure
 from eurqsi.states import (KET_MINUS, KET_PLUS, DensityOperator, Pvm, ket_bra, measure,
                            pauli_pvm, pinch, purify)
 
@@ -433,6 +433,29 @@ def r1_register_map():
     return CpMap.from_kraus(kraus, in_dims=(2,), out_dims=(2,))
 
 
+def flip_distribution(probs, q):
+    """Independent classical bit flips on one 2**n outcome distribution, one
+    bit axis at a time by a 2x2 stochastic matrix."""
+    if q == 0.0:
+        return probs
+    n_bits = int(np.log2(len(probs)))
+    t = probs.reshape((2,) * n_bits)
+    for axis in range(n_bits):
+        t = np.tensordot(np.array([[1.0 - q, q], [q, 1.0 - q]]), t, axes=([1], [axis]))
+        t = np.moveaxis(t, 0, axis)
+    return t.reshape(-1)
+
+
+def sample_distribution(probs, outcome_labels, shots, rng):
+    """One shot table drawn from one distribution, snapped to the 1e-12 grid
+    as the simulator snaps it."""
+    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    probs = np.round(probs / probs.sum(), 12)
+    probs = probs / probs.sum()
+    counts = rng.multinomial(shots, probs)
+    return ShotTable(dict(zip(outcome_labels, (int(c) for c in counts))), shots)
+
+
 def experiment_oracle(exp_id, shots, noise, seed):
     """Final state and shot counts of one experiment, as ``run_experiment``
     computed them before each op became one Kraus step.
@@ -440,7 +463,8 @@ def experiment_oracle(exp_id, shots, noise, seed):
     The experiment's program is walked by :func:`program_oracle`, the
     whole final state is validated, and each table reduces it and sums
     ``Tr(P rho)`` over the Pauli projectors (``P_a (x) P_b*`` for the
-    two-qubit correlations).
+    two-qubit correlations); each table is drawn on its own, in turn, from
+    the one generator.
     """
     program = _PROGRAMS[exp_id]
     rho, dims, labels = program_oracle(program.qubits, program.steps, noise)

@@ -120,17 +120,20 @@ class TestChoiOnlyMap:
 
     def test_run_circuit(self):
         # a simulator program whose last step is the map, on (X, q1) of three qubits
-        from eurqsi.simulate import GATES, NOISELESS, _evolve, _gate, _Measure, _Recover
+        from eurqsi.simulate import GATES, NOISELESS, _checked, _evolve, _gate, _Measure, _Recover
         cnot = np.eye(4, dtype=complex)
         cnot[2:, 2:] = GATES["x"]
         steps = (_gate(GATES["h"], "q0"), _gate(cnot, "q0", "q1"), _gate(GATES["s"], "q1"),
                  _Measure("q0", "X"))
-        rho, labels = _evolve(2, steps, NOISELESS)
+        start = np.zeros((4, 4), dtype=complex)
+        start[0, 0] = 1.0
+        laid_out, labels = _checked(2, steps)
+        rho = _evolve(start, laid_out, NOISELESS)
         before = DensityOperator(rho, (2, 2, 2), labels).permute(["X", "q1", "q0"])
         for rec in self._maps():
-            rho, labels = _evolve(2, steps + (_Recover(rec, ("X", "q1"), ("Ap", "B")),),
-                                  NOISELESS)
-            assert labels == ["Ap", "B", "q0"]
+            laid_out, labels = _checked(2, steps + (_Recover(rec, ("X", "q1"), ("Ap", "B")),))
+            rho = _evolve(start, laid_out, NOISELESS)
+            assert labels == ("Ap", "B", "q0")
             # the Choi matrix on (X, q1), with q0 carried along
             t = before.matrix.reshape(4, 2, 4, 2)
             want = np.einsum("irjs,iajb->arbs", t, rec.choi_blocks()).reshape(8, 8)

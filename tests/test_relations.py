@@ -661,3 +661,32 @@ class TestFuzz:
             fuzz("bipartite_refined", 0, 2, 1)
         with pytest.raises(ValueError):
             fuzz("sideways", 1, 2, 1)
+
+    @pytest.mark.parametrize("trials, dims, seed, name", [
+        (True, 2, 1, "trials"),      # would run and report trials: True
+        (1.0, 2, 1, "trials"),
+        (-3, 2, 1, "trials"),
+        ("5", 2, 1, "trials"),
+        (1, 2.5, 1, "dims"),         # would run at 2x2
+        (1, (2, 2.7), 1, "dims"),
+        (1, 0, 1, "dims"),
+        (1, (2, 0), 1, "dims"),
+        (1, (2, 2, 2), 1, "dims"),
+        (1, 2, -5, "seed"),          # would fail inside numpy
+        (1, 2, 1.5, "seed"),
+        (1, 2, True, "seed"),
+    ])
+    def test_arguments_are_checked_before_any_trial(self, monkeypatch, trials, dims, seed,
+                                                    name):
+        monkeypatch.setattr(relations, "random_multipartite_state",
+                            lambda *a: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fuzz("bipartite_refined", trials, dims, seed)
+
+    def test_integer_valued_arguments_of_any_type_give_the_same_summary(self):
+        want = canonical_json(fuzz("bipartite_refined", 2, (2, 3), 4).to_dict())
+        for trials, dims, seed in ((np.int64(2), (np.int32(2), 3.0), np.uint8(4)),
+                                   (2, (2.0, 3), np.int64(4))):
+            got = fuzz("bipartite_refined", trials, dims, seed)
+            assert canonical_json(got.to_dict()) == want
+            assert type(got.trials) is int and type(got.seed) is int

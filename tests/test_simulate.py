@@ -17,15 +17,14 @@ from eurqsi.simulate import (
     ShotTable,
     _checked,
     _evolve,
+    _flipped,
     _gate,
     _Gate,
-    _gate_kraus,
     _Measure,
     _Recover,
+    _shot_counts,
     bloch_tomography,
-    flip_distribution,
     run_experiment,
-    sample_distribution,
 )
 from eurqsi.recovery import CpMap
 from eurqsi.states import (
@@ -39,7 +38,8 @@ from eurqsi.states import (
     random_multipartite_state,
 )
 
-from conftest import experiment_oracle, program_oracle, r1_register_map
+from conftest import (experiment_oracle, flip_distribution, program_oracle, r1_register_map,
+                      sample_distribution)
 
 
 def _controlled(name):
@@ -50,33 +50,52 @@ def _controlled(name):
     return g
 
 
+def _zeros(qubits):
+    """|0...0><0...0| on ``qubits`` qubits."""
+    rho = np.zeros((2 ** qubits, 2 ** qubits), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+def _run(rho, steps, noise=NOISELESS):
+    """``steps`` checked, laid out and run from ``rho`` on qubits q0, q1,
+    ...: the final matrix and its labels."""
+    steps, labels = _checked(rho.shape[0].bit_length() - 1, steps)
+    return _evolve(rho, steps, noise), labels
+
+
 class TestGates:
     def test_hadamard_makes_plus(self):
-        rho = ket_bra(np.array([1, 0], dtype=complex))
-        out = apply_local(rho, (2,), _gate_kraus(_gate(GATES["h"], "q0"), 0.0), [0])
+        out, _ = _run(_zeros(1), (_gate(GATES["h"], "q0"),))
         assert np.abs(out - ket_bra(KET_PLUS)).max() < 1e-12
 
     def test_cnot_makes_bell(self):
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = 1.0
-        rho = ket_bra(psi)
-        rho = apply_local(rho, (2, 2), _gate_kraus(_gate(GATES["h"], "q0"), 0.0), [0])
-        rho = apply_local(rho, (2, 2), _gate_kraus(_gate(_controlled("x"), "q0", "q1"), 0.0),
-                          [0, 1])
+        rho, labels = _run(_zeros(2), (_gate(GATES["h"], "q0"),
+                                       _gate(_controlled("x"), "q0", "q1")))
+        assert labels == ("q0", "q1")
         assert np.abs(rho - ket_bra(bell_phi())).max() < 1e-12
 
     def test_trace_preserved(self):
         rho = random_multipartite_state((2, 2, 2), 8, 3, ("a", "b", "c")).matrix
         for name in GATES:
             for p in (0.0, 0.3, 1.0):
-                kraus = _gate_kraus(_gate(_controlled(name), "a", "b"), p)
-                out = apply_local(rho, (2, 2, 2), kraus, [0, 1])
+                out, _ = _run(rho, (_gate(_controlled(name), "q0", "q1"),),
+                              NoiseSpec(depolarizing_p=p))
                 assert abs(np.trace(out).real - 1.0) < 1e-12
 
     def test_noiseless_kraus_set_is_the_gate_alone(self):
-        for gate in (_gate(GATES["h"], "q0"), _gate(_controlled("x"), "q0", "q1")):
-            kraus = _gate_kraus(gate, 0.0)
-            assert kraus.shape[0] == 1 and np.array_equal(kraus[0], gate.kraus[0])
+        # without noise a run applies the first stored operator, the gate
+        # laid out, and nothing else
+        rho = random_multipartite_state((2, 2), 4, 5, ("a", "b")).matrix
+        for gate, positions in ((_gate(GATES["h"], "q1"), [1]),
+                                (_gate(_controlled("x"), "q1", "q0"), [1, 0])):
+            (step,), _ = _checked(2, (gate,))
+            assert np.array_equal(step.ops[0],
+                                  linalg._local_operators((2, 2), gate.kraus[:1], positions)[0])
+            want = step.ops[0] @ rho @ step.ops[0].conj().T
+            assert np.abs(_evolve(rho, (step,), NOISELESS) - want).max() < 1e-15
+            noisy = _evolve(rho, (step,), NoiseSpec(depolarizing_p=1e-3))
+            assert np.abs(noisy - want).max() > 1e-6
         assert np.array_equal(_gate(GATES["s"], "q0").kraus[0], GATES["s"])
 
     def test_embed_operator_position(self):
@@ -89,15 +108,16 @@ class TestGates:
 
 class TestNoise:
     def test_full_depolarizing_gives_maximally_mixed(self):
-        rho = ket_bra(np.array([1, 0], dtype=complex))
-        out = apply_local(rho, (2,), _gate_kraus(_gate(GATES["i"], "q0"), 1.0), [0])
+        out, _ = _run(_zeros(1), (_gate(GATES["i"], "q0"),), NoiseSpec(depolarizing_p=1.0))
         assert np.abs(out - maximally_mixed(2)).max() < 1e-12
 
     def test_depolarizing_closed_form(self):
         # (1 - p) rho + p Tr_1(rho) (x) I/2 on qubit 1; qubit 0 untouched
         for seed, p in enumerate((0.1, 0.37, 1.0)):
             rho = random_multipartite_state((2, 2), 4, seed, ("a", "b")).matrix
-            out = apply_local(rho, (2, 2), _gate_kraus(_gate(GATES["i"], "q1"), p), [1])
+            out, labels = _run(rho, (_gate(GATES["i"], "q1"),), NoiseSpec(depolarizing_p=p))
+            # the gate leaves q1 in front: put the qubits back to compare
+            out, _ = linalg._in_order(out, (2, 2), [labels.index("q0"), labels.index("q1")])
             marginal = partial_trace(rho, (2, 2), [0])
             want = (1.0 - p) * rho + p * np.kron(marginal, maximally_mixed(2))
             assert np.abs(out - want).max() < 1e-12
@@ -118,10 +138,11 @@ class TestNoise:
             NoiseSpec(readout_flip=-0.1)
 
     def test_flip_distribution_two_bits(self):
-        probs = np.array([1.0, 0.0, 0.0, 0.0])
-        out = flip_distribution(probs, 0.1)
-        want = np.array([0.81, 0.09, 0.09, 0.01])
+        probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        out = _flipped(probs, 0.1)
+        want = np.array([[0.81, 0.09, 0.09, 0.01], [0.01, 0.09, 0.09, 0.81]])
         assert np.abs(out - want).max() < 1e-12
+        assert _flipped(probs, 0.0) is probs
 
 
 class TestRecoveryRealization:
@@ -157,20 +178,42 @@ class TestShotTable:
 
     def test_counts_do_not_hinge_on_round_off_at_one_half(self):
         # numpy's binomial branches on p <= 1/2; one ulp must not swap counts
-        half_up = np.nextafter(0.5, 1.0)
-        exact = sample_distribution([0.5, 0.5], ("0", "1"), 8192, np.random.default_rng(3))
-        nudged = sample_distribution(
-            [half_up, 1.0 - half_up], ("0", "1"), 8192, np.random.default_rng(3)
-        )
-        assert nudged.counts == exact.counts
+        half_up, half_down = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
+        exact = _shot_counts(np.array([[0.5, 0.5]] * 3), 8192, np.random.default_rng(3))
+        nudged = _shot_counts(np.array([[0.5, 0.5], [half_up, 1.0 - half_up],
+                                        [half_down, 1.0 - half_down]]),
+                              8192, np.random.default_rng(3))
+        assert np.array_equal(nudged, exact)
 
     def test_sampling_matches_distribution_at_4_sigma(self):
         rng = np.random.default_rng(5)
-        probs = np.array([0.7, 0.3])
-        t = sample_distribution(probs, ("0", "1"), 8192, rng)
-        for out, p in zip(("0", "1"), probs):
-            se = np.sqrt(p * (1 - p) / 8192)
-            assert abs(t.frequency(out) - p) < 4 * se
+        probs = np.array([[0.7, 0.3], [0.2, 0.8]])
+        counts = _shot_counts(probs, 8192, rng)
+        assert counts.sum(axis=1).tolist() == [8192, 8192]
+        se = np.sqrt(probs * (1 - probs) / 8192)
+        assert (np.abs(counts / 8192 - probs) < 4 * se).all()
+
+    @pytest.mark.parametrize("q", [0.0, 0.02, 0.3])
+    @pytest.mark.parametrize("n_bits", [1, 2])
+    def test_batched_readout_equals_sequential_draws(self, n_bits, q):
+        # one flip of every row and one multinomial call give the counts of
+        # one flip and one draw per table, in turn, from the same generator;
+        # every fourth seed draws rows at 1/2 and one ulp either side
+        half_up, half_down = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
+        snapping = np.zeros((3, 2 ** n_bits))
+        snapping[:, [0, -1]] = [[0.5, 0.5], [half_up, 1.0 - half_up],
+                                [half_down, 1.0 - half_down]]
+        outcomes = [format(i, f"0{n_bits}b") for i in range(2 ** n_bits)]
+        for seed in range(40):
+            probs = snapping if seed % 4 == 0 else \
+                np.random.default_rng([seed, 1]).dirichlet(np.ones(2 ** n_bits), size=3)
+            flipped = _flipped(probs, q)
+            want = [flip_distribution(row, q) for row in probs]
+            assert np.abs(flipped - want).max() < 1e-15
+            rng = np.random.default_rng([seed, 2])
+            sequential = [sample_distribution(row, outcomes, 8192, rng).counts for row in want]
+            counts = _shot_counts(flipped, 8192, np.random.default_rng([seed, 2]))
+            assert [dict(zip(outcomes, row.tolist())) for row in counts] == sequential
 
     @pytest.mark.parametrize("counts, shots", [({"0": -1, "1": 2}, 1), ({}, 0)])
     def test_rejects_negative_counts_and_no_shots(self, counts, shots):
@@ -231,6 +274,9 @@ class TestExperiments:
         ((1,), {"shots": True}, "shots"),
         ((1,), {"seed": -1}, "seed"),
         ((1,), {"seed": 1.5}, "seed"),
+        ((1,), {"noise": None}, "noise"),
+        ((1,), {"noise": {"depolarizing_p": 0.1}}, "noise"),
+        ((1,), {"noise": (0.1, 0.0)}, "noise"),
     ])
     def test_arguments_are_checked_before_any_step(self, monkeypatch, args, kwargs, name):
         monkeypatch.setattr(simulate, "_evolve", lambda *a: pytest.fail("a step ran"))
@@ -340,6 +386,23 @@ class TestExperiments:
         assert t.frequency("01") > 0.05  # 2 q (1-q) = 0.32 expected mass spread
 
 
+def _local_kraus(step, noise):
+    """The Kraus set of a gate or a measurement on its own subsystems: the
+    gate's Pauli products weighted by depolarizing on each qubit, or the
+    copy operators ``|m>|m xor f><m|`` weighted by the readout flip, each
+    set cut to the noiseless operators when there is no noise."""
+    if isinstance(step, _Gate):
+        p = noise.depolarizing_p
+        one = np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
+        weights = one if len(step.qubits) == 1 else np.kron(one, one)
+        return weights[:, None, None] * step.kraus if p else step.kraus[:1]
+    q = noise.readout_flip
+    eye = np.eye(2, dtype=complex)
+    copy = [np.sqrt(1.0 - q) * np.outer(np.kron(e, e), e) for e in eye]
+    flipped = [np.sqrt(q) * np.outer(np.kron(e, e[::-1]), e) for e in eye]
+    return np.array(copy + flipped if q else copy)
+
+
 def _identity_map(in_dims):
     d = int(np.prod(in_dims))
     return CpMap(np.outer(np.eye(d).ravel(), np.eye(d).ravel()), in_dims, in_dims)
@@ -376,8 +439,8 @@ class TestCircuitValidation:
 
 class TestRunCircuit:
     def test_register_correlates_with_outcome(self):
-        rho, labels = _evolve(1, (_gate(GATES["h"], "q0"), _Measure("q0", "M")), NOISELESS)
-        assert labels == ["q0", "M"]
+        rho, labels = _run(_zeros(1), (_gate(GATES["h"], "q0"), _Measure("q0", "M")))
+        assert labels == ("q0", "M")
         # perfectly correlated classical pair
         want = 0.5 * np.diag([1.0, 0.0, 0.0, 1.0])
         assert np.abs(rho - want).max() < 1e-12
@@ -400,9 +463,9 @@ class TestRunCircuit:
         with pytest.raises(ValueError, match="step 2"):
             _checked(2, (h, _Measure("q0", "X"), _Recover(cpmap, in_labels, out_labels)))
         n = len(in_dims)
-        fits = _checked(2, (h, _Measure("q0", "X"),
-                            _Recover(cpmap, ("X", "q1")[:n], ("a", "b")[:n])))
-        assert tuple(_evolve(2, fits, NOISELESS)[1][:n]) == ("a", "b")[:n]
+        rho, labels = _run(_zeros(2), (h, _Measure("q0", "X"),
+                                       _Recover(cpmap, ("X", "q1")[:n], ("a", "b")[:n])))
+        assert labels[:n] == ("a", "b")[:n] and abs(np.trace(rho) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("in_dims, in_labels, out_labels", [
         ((2,), ("X",), ("q1",)),            # an output names a subsystem the map leaves alone
@@ -414,10 +477,11 @@ class TestRunCircuit:
                  _Recover(_identity_map(in_dims), in_labels, out_labels),
                  _gate(GATES["x"], "q1"))
         calls = []
-        monkeypatch.setattr(simulate, "_local_stack", lambda *args: calls.append(args))
+        monkeypatch.setattr(simulate, "_evolve", lambda *args: calls.append(args))
+        monkeypatch.setattr(CpMap, "_apply", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="step 2 writes"):
             simulate._program(2, steps, maximally_mixed(4))
-        assert calls == []  # rejected before any step ran
+        assert calls == []  # rejected when the program is built, before any step ran
 
     def test_a_register_may_not_name_a_recovery_output(self):
         steps = (_Measure("q0", "X"), _Recover(_identity_map((2,)), ("X",), ("a",)),
@@ -441,16 +505,17 @@ class TestAgainstStepwiseOracle:
         # the CZ's control comes after its target, the middle qubit is
         # measured and later used as a control, and a recovery reads its register
         t = np.diag([1.0, np.exp(0.25j * np.pi)])
-        steps = _checked(3, (
+        steps = (
             _gate(GATES["h"], "q0"), _gate(GATES["h"], "q2"), _gate(_controlled("x"), "q0", "q1"),
             _gate(_controlled("z"), "q2", "q0"), _gate(t, "q1"), _Measure("q1", "M"),
             _gate(GATES["h"], "q1"), _gate(_controlled("y"), "q1", "q2"),
             _Recover(r1_register_map(), ("M",), ("R",)),
             _gate(GATES["s"], "q0"), _Measure("q2", "N"),
-        ))
+        )
+        steps, got_labels = _checked(3, steps)
         for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
             rho, dims, labels = program_oracle(3, steps, noise)
-            got, got_labels = _evolve(3, steps, noise)
+            got = _evolve(_zeros(3), steps, noise)
             # the oracle keeps every subsystem in place; _evolve leaves each
             # step's outputs in front
             assert sorted(got_labels) == sorted(labels) and dims == [2] * len(labels)
@@ -471,13 +536,16 @@ class TestAgainstStepwiseOracle:
 
     def test_fixed_data_are_read_only_and_left_unchanged_by_runs(self):
         arrays = [*GATES.values(), _PAULIS, *_PAULI_PRODUCTS.values(),
-                  simulate._COPY, simulate._FLIPPED_COPY, simulate._PAULI_BASES,
-                  simulate._PAIR_BASES]
+                  simulate._COPIES, simulate._PAULI_BASES, simulate._PAIR_BASES]
         for program in _PROGRAMS.values():
             arrays.append(program.ideal.matrix)
             arrays += [step.kraus for step in program.steps if isinstance(step, _Gate)]
+            arrays += [step.ops for step in program.steps if not isinstance(step, _Recover)]
         before = [a.copy() for a in arrays]
         blochs = {e: program.bloch_ideal for e, program in _PROGRAMS.items()}
+        reorders = {e: (program.reorder, [step.reorder for step in program.steps
+                                          if isinstance(step, _Recover)])
+                    for e, program in _PROGRAMS.items()}
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0.5
@@ -487,6 +555,36 @@ class TestAgainstStepwiseOracle:
                 assert res.ideal_state is program.ideal
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
         assert {e: program.bloch_ideal for e, program in _PROGRAMS.items()} == blochs
+        assert {e: (program.reorder, [step.reorder for step in program.steps
+                                      if isinstance(step, _Recover)])
+                for e, program in _PROGRAMS.items()} == reorders
+
+    @pytest.mark.parametrize("exp_id", range(1, 7))
+    def test_stored_operators_match_the_local_stack(self, exp_id):
+        # each laid-out step, run on a random state, equals the operator-stack
+        # kernel applied to the step's own Kraus set at positions found from
+        # the labels, as a run applied it before the layout moved to import
+        program = _PROGRAMS[exp_id]
+        for p in (0.0, 0.05, 0.1, 0.2):
+            for q in (0.0, 0.05):
+                noise = NoiseSpec(depolarizing_p=p, readout_flip=q)
+                labels = [f"q{i}" for i in range(program.qubits)]
+                for i, step in enumerate(program.steps):
+                    dims = (2,) * len(labels)
+                    positions = [labels.index(s) for s in step.reads]
+                    rest = [j for j in range(len(labels)) if j not in positions]
+                    rho = random_multipartite_state(dims, 2 ** len(dims), [exp_id, i],
+                                                    labels).matrix
+                    if isinstance(step, _Recover):
+                        assert step.reorder == (dims, tuple(positions + rest))
+                        want = step.cpmap._apply(linalg._in_order(rho, dims, positions + rest)[0])
+                    else:
+                        kraus = _local_kraus(step, noise)
+                        want = linalg._local_stack(rho, dims, kraus, positions).sum(axis=0)
+                    assert np.abs(_evolve(rho, (step,), noise) - want).max() < 1e-15
+                    labels = list(step.writes) + [labels[j] for j in rest]
+                assert program.reorder == ((2,) * len(labels),
+                                           tuple(labels.index(s) for s in program.ideal.labels))
 
     def test_run_is_one_kernel_call_per_op_and_one_validation(self, monkeypatch):
         calls = []
@@ -497,21 +595,25 @@ class TestAgainstStepwiseOracle:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for cls in (CpMap, DensityOperator, Pvm):
+        for cls in (CpMap, DensityOperator, Pvm, ShotTable):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-        monkeypatch.setattr(simulate, "_local_stack", counted("kernel", linalg._local_stack))
+        monkeypatch.setattr(simulate, "_local_operators",
+                            counted("layout", linalg._local_operators))
         monkeypatch.setattr(simulate, "_in_order", counted("in_order", linalg._in_order))
         monkeypatch.setattr(CpMap, "_apply", counted("choi", CpMap._apply))
-        assert not hasattr(simulate, "apply_local")
+        for name in ("_basis_probabilities", "_flipped", "_shot_counts"):
+            monkeypatch.setattr(simulate, name, counted(name, getattr(simulate, name)))
+        assert not hasattr(simulate, "apply_local") and not hasattr(simulate, "_local_stack")
         for exp_id, program in _PROGRAMS.items():
             for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
                 calls.clear()
                 run_experiment(exp_id, shots=64, noise=noise)
-                # every gate and measurement is one kernel call that leaves its
-                # subsystems in front; the recovery, last in every program, puts
-                # its inputs first and contracts once; one reduction and one
-                # validation make the final state
-                kraus_steps = len(program.steps) - 1
+                # every gate and measurement is two matmuls on its stored
+                # operators, with no call and no layout; the recovery, last in
+                # every program, puts its inputs first and contracts once; one
+                # reduction and one validation make the final state, and one
+                # pass reads the three tables from it
                 assert isinstance(program.steps[-1], _Recover)
-                assert calls == ["kernel"] * kraus_steps + [
-                    "in_order", "choi", "in_order", "DensityOperator"]
+                assert calls == ["in_order", "choi", "in_order", "DensityOperator",
+                                 "_basis_probabilities", "_flipped", "_shot_counts",
+                                 "ShotTable", "ShotTable", "ShotTable"]

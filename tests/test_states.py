@@ -34,6 +34,7 @@ from eurqsi.states import (
     pinch,
     purify,
     random_multipartite_state,
+    random_pure_state,
     random_pvm,
     random_state,
     theta_state,
@@ -115,6 +116,23 @@ class TestDensityOperator:
         for dims in ((np.int64(2), np.int32(2)), (2.0, 2.0)):
             assert DensityOperator(np.eye(4) / 4, dims, ("A", "B")).dims == (2, 2)
             assert DensityOperator.from_vector(np.ones(4), dims, ("A", "B")).dims == (2, 2)
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2, 2.7), ("2", "2")])
+    def test_random_states_reject_dims_that_are_not_integers(self, dims):
+        # int() would build (2.5, 2) as a 2x2 state
+        with pytest.raises(InvalidStateError, match="must be integers"):
+            random_multipartite_state(dims, 4, 1, ("A", "B"))
+        with pytest.raises(InvalidStateError, match="must be integers"):
+            random_pure_state(dims, 1, ("A", "B"))
+
+    def test_random_states_accept_integer_valued_dims_of_any_type(self):
+        for dims in ((np.int64(2), np.int32(3)), (2.0, 3.0)):
+            want = random_multipartite_state((2, 3), 4, 1, ("A", "B"))
+            got = random_multipartite_state(dims, 4, 1, ("A", "B"))
+            assert got.dims == (2, 3) and np.array_equal(got.matrix, want.matrix)
+            want = random_pure_state((2, 3), 1, ("A", "B"))
+            got = random_pure_state(dims, 1, ("A", "B"))
+            assert got.dims == (2, 3) and np.array_equal(got.matrix, want.matrix)
 
     def test_reduce_keeps_order(self):
         rho = random_multipartite_state((2, 3, 2), 6, 4, ("A", "B", "E"))
