@@ -44,6 +44,9 @@ _NEG_TOL = 1e-8
 # Band by which a computed fidelity may leave [0, 1] before it is an error.
 _FIDELITY_GUARD = 1e-9
 
+# Types equal to 0 and 1 that _integers still refuses as integers.
+_BOOLS = frozenset((bool, np.bool_))
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex ndarray, rejecting non-finite entries."""
@@ -136,13 +139,14 @@ def eigenvalue_below(m: np.ndarray, tol: float) -> float | None:
 def _integers(values, what: str, error=ValueError) -> tuple[int, ...]:
     """``values`` as a tuple of ints; ``error`` names ``what`` when one of
     them is not an integer value.  numpy integers and integral floats pass,
-    but 2.5 is rejected, not truncated to 2."""
+    but 2.5 is rejected, not truncated to 2, and a bool, Python's or
+    numpy's, is rejected, not read as 0 or 1."""
     values = tuple(values)
     try:
-        ints = tuple(int(v) for v in values)
+        ints = tuple(map(int, values))
     except (OverflowError, ValueError):
         ints = None
-    if ints != values:
+    if ints != values or not _BOOLS.isdisjoint(map(type, values)):
         raise error(f"{what} must be integers, got {values}")
     return ints
 

@@ -4,18 +4,23 @@ One kernel, two reports.  For a pure psi_ABE the bipartite and the
 tripartite relation are built from the same six scalars (Coles et al.,
 PRL 108, 210405): H(X|B), H(Z|B), H(Z|E), H(A|B), the incompatibility
 constant c and the reversibility term f.  :func:`_scalars` computes them
-from rho_AB and the AE marginal, whichever caller supplies them, and an
-:class:`EurReport` holds them and derives the inequality of its relation.
+from rho_AB and a factor G of it, rho_AB = G G^dag, which is a purification
+psi_ABE read as a (AB, E) matrix; an :class:`EurReport` holds them and
+derives the inequality of its relation.
 
-Each check validates once, at entry: the input state (validated when it
-was constructed), the labels, the rank-one guard and the PVM dimensions.
-It then hands plain arrays to the kernel, with the measured subsystem
-first: rho_AB, its :func:`~eurqsi.linalg.support_eig` pair and the stack
-of the Z-measured AE marginal.  :func:`check_tripartite` measures the AE
-reduction of its pure input; :func:`check_bipartite` and :func:`fuzz` go
-through :func:`_bipartite_scalars`, which compresses A of rho_AB's
-purifying vector to Z's ranges and contracts B, so neither the pure state
-on ABE nor its AE marginal is formed.  The kernel constructs no state and
+Each check validates once, at entry: the input state (validated when it was
+constructed), the labels, the rank-one guard and the PVM dimensions.  It
+then hands plain arrays to the kernel, with the measured subsystem first:
+rho_AB, its :func:`~eurqsi.linalg.support_eig` pair and G.
+:func:`check_tripartite` takes G from the vector its pure input was made
+from, with its axes put in the order (A, B, E), and sums rho_AB from G's
+columns; a pure input given as a matrix gives its column of largest
+diagonal entry, normalized, as the vector, with no eigensolve.
+:func:`check_bipartite` and :func:`fuzz` go through
+:func:`_bipartite_scalars`, whose G is rho_AB's purifying vector.  The
+kernel compresses A of G to Z's ranges and contracts B, which gives the
+stack of the Z-measured AE marginal, so neither the pure state on ABE nor
+its AE marginal is formed as a matrix.  The kernel constructs no state and
 no map.  Every entropy it takes is that of a classical-quantum state, held
 as the stack of its blocks that :func:`~eurqsi.states._measured` returns:
 rho_B and rho_E are the sums of those blocks.  rho_AB is compressed to each
@@ -25,16 +30,16 @@ those blocks traced over the range slots.  One ``eigh`` takes the AB stack
 and one :func:`~eurqsi.entropy._entropies` pass reduces the six spectra,
 rho_AB's among them.  For Z with one range slot the Z stack is the range
 blocks themselves, and their eigenpairs from the AB stack give f the
-Z-pinched state; a coarser Z decomposes the blocks once more.  c comes
-from the overlap of the two PVMs' bases.  f evaluates R(sigma_XB) from the
-X stack in block form (:func:`_reversibility`, where the block form is
+Z-pinched state; a coarser Z decomposes the blocks once more.  c comes from
+the overlap of the two PVMs' bases.  f evaluates R(sigma_XB) from the X
+stack in block form (:func:`_reversibility`, where the block form is
 derived); R is the channel that :func:`~eurqsi.recovery.eur_recovery_map`
 builds, but no channel is built here, and nothing is imported from
 :mod:`eurqsi.recovery`.  rho_AB's support pair is its factor in f, which
 takes R(sigma_XB) factored too.  A check takes 5 eigensolves and 1 SVD for
-a Z with one range slot, 6 and 1 otherwise.  H(Z|E) stays an explicit
-entropy of the measured AE marginal, never derived from H(AB) through the
-duality, so the two remain independent cross-checks.
+a Z with one range slot, 6 and 1 otherwise.  H(Z|E) stays an explicit entropy
+of the measured AE marginal, never derived from H(AB) through the duality,
+so the two remain independent cross-checks.
 
 Entropy terms are eigenvalue-exact (1e-9); by default the refined
 inequality counts as violated when its slack is below -1e-6, and the report
@@ -238,18 +243,24 @@ def _scalars(
     rho_ab: np.ndarray,
     ab_dims: tuple[int, ...],
     rho_eig: tuple[np.ndarray, np.ndarray],
-    omega_ze: np.ndarray,
+    g: np.ndarray,
     x_pvm: Pvm,
     z_pvm: Pvm,
 ) -> tuple[float, float, float, float, float, float]:
     """H(X|B), H(Z|B), H(Z|E), H(A|B), c and f, the scalars of both relations.
 
     ``rho_ab`` lives on ``ab_dims`` with A first and B the rest, and
-    ``rho_eig`` is its :func:`~eurqsi.linalg.support_eig` pair;
-    ``omega_ze`` is the block stack of the Z-measured AE marginal.  Measuring
-    A commutes with tracing out B or E, so each entropy is taken on the
-    block stack of the measured marginal it needs.
+    ``rho_eig`` is its :func:`~eurqsi.linalg.support_eig` pair.  ``g`` is
+    a factor of it, rho_AB = g g^dag, with rows on ``ab_dims`` and one
+    column per basis vector of E: a purification psi_ABE read as a matrix.
+    Measuring A commutes with tracing out B or E, so each entropy is taken
+    on the block stack of the measured marginal it needs; the Z-measured AE
+    stack comes from A of g compressed to Z's ranges, with B contracted, so
+    no AE matrix is formed.
     """
+    d_a, d_e = ab_dims[0], g.shape[-1]
+    phi = (z_pvm._ranges.reshape(-1, d_a) @ g.reshape(d_a, -1)).reshape(len(z_pvm), -1, d_e)
+    omega_ze = phi.transpose(0, 2, 1) @ phi.conj()
     sigma_x = _measured(rho_ab, ab_dims, x_pvm, 0)
     # one compression to Z's ranges serves H(ZB) and the pinched state in f
     z_blocks = _compressed(rho_ab, ab_dims, z_pvm, 0)
@@ -267,15 +278,10 @@ def _scalars(
 
 
 def _bipartite_scalars(rho_ab: np.ndarray, dims: tuple[int, ...], x_pvm: Pvm, z_pvm: Pvm):
-    """:func:`_scalars` of ``rho_ab`` (A first, B the rest) and the AE
-    marginal of its purification, both from one support pair of rho_AB: A
-    of the purifying vector is compressed to Z's ranges and B contracted,
-    which gives the Z-measured AE stack with no AE matrix formed."""
+    """:func:`_scalars` of ``rho_ab`` (A first, B the rest) with its
+    purifying vector as the factor, both from one support pair of rho_AB."""
     rho_eig = support_eig(rho_ab)
-    psi = _purifying_vector(rho_eig, dims).reshape(dims[0], -1)
-    phi = (z_pvm._ranges.reshape(-1, dims[0]) @ psi).reshape(len(z_pvm), -1, len(rho_eig[0]))
-    omega_ze = phi.transpose(0, 2, 1) @ phi.conj()
-    return _scalars(rho_ab, dims, rho_eig, omega_ze, x_pvm, z_pvm)
+    return _scalars(rho_ab, dims, rho_eig, _purifying_vector(rho_eig, dims), x_pvm, z_pvm)
 
 
 def check_bipartite(
@@ -315,14 +321,22 @@ def check_tripartite(
 
     The input must be pure; :func:`~eurqsi.states.purify` turns a mixed
     state into one whose E side holds the purifier.  Z need not be rank one
-    here.
+    here.  A state made from its vector is read as that vector.  A pure
+    state given as a matrix is read as its column of largest diagonal entry,
+    normalized, with no eigensolve: psi up to a phase when the matrix is
+    |psi><psi|, and for a matrix of purity in [1 - 1e-8, 1), which counts
+    as pure, the pure state along that column.
     """
-    if not rho_abe.is_pure():
-        raise InvalidStateError(
-            "tripartite checker needs a pure state; purify a mixed one first "
-            "(eurqsi.purify appends the purifier to the E side)"
-        )
-    m, dims = rho_abe.matrix, rho_abe.dims
+    psi, dims = rho_abe._vector, rho_abe.dims
+    if psi is None:
+        if not rho_abe.is_pure():
+            raise InvalidStateError(
+                "tripartite checker needs a pure state; purify a mixed one first "
+                "(eurqsi.purify appends the purifier to the E side)"
+            )
+        m = rho_abe.matrix
+        k = np.argmax(m.diagonal().real)
+        psi = m[:, k] / np.linalg.norm(m[:, k])
     a, b = rho_abe.label_index(a_label), rho_abe.label_index(b_label)
     if a == b:
         raise InvalidStateError(f"A and B are the same subsystem {a_label!r}")
@@ -332,10 +346,13 @@ def check_tripartite(
     _check_pvm_dim(x_pvm, dims[a], a_label)
     _check_pvm_dim(z_pvm, dims[a], a_label)
     # the input is checked; below are plain arrays with the measured subsystem first
-    rho_ab, ab_dims = _in_order(m, dims, [a, b])
-    omega_ze = _measured(*_in_order(m, dims, [a] + e), z_pvm, 0)
+    ab_dims = (dims[a], dims[b])
+    g = psi.reshape(dims).transpose([a, b] + e).reshape(dims[a] * dims[b], -1)
+    # rho_AB = sum_e g_e g_e^dag over the columns of g, added in E order, as
+    # the partial trace of psi psi^dag adds them
+    rho_ab = np.add.accumulate(g.T[:, :, None] * g.T.conj()[:, None, :])[-1]
     return EurReport("tripartite_refined", *_scalars(
-        rho_ab, ab_dims, support_eig(rho_ab), omega_ze, x_pvm, z_pvm))
+        rho_ab, ab_dims, support_eig(rho_ab), g, x_pvm, z_pvm))
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,13 @@ the public functions check their arguments; a PVM's basis comes from the
 step that validates it.  :meth:`DensityOperator.from_vector` validates its
 vector and derives the pure state's matrix from it, as
 :meth:`Pvm.from_basis` validates a basis and derives the projectors, so a
-matrix built from a checked vector is not checked again.  Each public operation that the checks in
-:mod:`eurqsi.relations` need wraps an array kernel (``_measured``,
-``_purifying_vector``); the checks call the kernels on arrays derived from
-an input they validated once.
+matrix built from a checked vector is not checked again.  Each input keeps
+the form it was validated in, for the checks to read: a pure state made
+from its vector keeps the unit vector (and :meth:`DensityOperator.permute`
+carries it), and a PVM sets its range stack when it is made.  Each public
+operation that the checks in :mod:`eurqsi.relations` need wraps an array
+kernel (``_measured``, ``_purifying_vector``); the checks call the kernels
+on arrays derived from an input they validated once.
 """
 
 from __future__ import annotations
@@ -87,6 +90,9 @@ class DensityOperator:
     matrix: np.ndarray
     dims: tuple[int, ...]
     labels: tuple[str, ...]
+    # the unit vector of a state made by from_vector, flat; None for one
+    # made from its matrix
+    _vector: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
@@ -116,6 +122,9 @@ class DensityOperator:
         derived from the unit vector and is Hermitian, unit-trace and
         positive by construction, so it is not checked again, as
         :meth:`Pvm.from_basis` derives the projectors from a checked basis.
+        The state keeps the unit vector, which
+        :func:`~eurqsi.relations.check_tripartite` reads instead of the
+        matrix.
         """
         parts = np.ascontiguousarray(psi, dtype=complex).reshape(-1).view(float)
         dims, labels = _layout(dims, labels, parts.size // 2)
@@ -127,10 +136,17 @@ class DensityOperator:
         # divided as doubles: a complex quotient by a subnormal scale overflows
         psi = (parts / scale).view(complex)
         psi /= np.linalg.norm(psi)
+        return cls._pure(psi, dims, labels)
+
+    @classmethod
+    def _pure(cls, psi: np.ndarray, dims, labels) -> "DensityOperator":
+        """The state of the flat unit vector ``psi`` on a checked layout,
+        built with no further check."""
         state = object.__new__(cls)
         object.__setattr__(state, "matrix", ket_bra(psi))
         object.__setattr__(state, "dims", dims)
         object.__setattr__(state, "labels", labels)
+        object.__setattr__(state, "_vector", psi)
         return state
 
     @property
@@ -154,12 +170,21 @@ class DensityOperator:
         return DensityOperator(m, dims, tuple(self.labels[i] for i in keep))
 
     def permute(self, label_order) -> "DensityOperator":
-        """Reorder subsystems to the given label sequence."""
+        """Reorder subsystems to the given label sequence.
+
+        A state made from its vector keeps it: the result is made from the
+        vector with its axes transposed, whose outer product is the
+        reordered matrix entry for entry.
+        """
         order = [self.label_index(s) for s in label_order]
         if sorted(order) != list(range(len(self.dims))):
             raise InvalidStateError(f"{label_order!r} is not a permutation of {self.labels}")
+        labels = tuple(self.labels[i] for i in order)
+        if self._vector is not None:
+            psi = self._vector.reshape(self.dims).transpose(order).reshape(-1)
+            return DensityOperator._pure(psi, tuple(self.dims[i] for i in order), labels)
         m, dims = _in_order(self.matrix, self.dims, order)
-        return DensityOperator(m, dims, tuple(self.labels[i] for i in order))
+        return DensityOperator(m, dims, labels)
 
     def purity(self) -> float:
         """Tr(rho^2), the squared Frobenius norm of the Hermitian matrix."""
@@ -175,16 +200,21 @@ class Pvm:
 
     A PVM holds its projectors and one orthonormal basis of the measured
     space, each vector in the range of one projector, both set and checked
-    once, when it is made.  Everything a check needs comes from the basis:
-    the measurement Kraus operators :attr:`kraus`, the range stack
-    ``_ranges`` that compresses a state to each outcome, and the
-    incompatibility constant.
+    once, when it is made, and the basis stacked by outcome as the range
+    stack ``_ranges``, which compresses a state to each outcome.
+    Everything a check needs comes from these: the measurement Kraus
+    operators :attr:`kraus`, the compressed blocks and the incompatibility
+    constant.
     """
 
     projectors: tuple[np.ndarray, ...]
     # (x, bras): row k of bras is <v_k|, the v_k an orthonormal basis grouped
     # by outcome, v_k in range(P_{x_k}) and x ascending
     _basis: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # the bras stacked by outcome, shape (outcomes, r, d): block x is the
+    # isometry R_x onto range(P_x) (R_x^dag R_x = P_x), padded with zero rows
+    # to the largest rank r
+    _ranges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Validate the projectors and find the basis in one stacked ``eigh``.
@@ -220,8 +250,12 @@ class Pvm:
         t = t.max()
         if len(x) != d or _gram_defect(bras) + 2 * t + t ** 2 > PVM_TOL:
             raise InvalidStateError("PVM projectors are not orthogonal")
+        slot = np.arange(d) - np.searchsorted(x, x)
+        ranges = np.zeros((len(projs), slot.max() + 1, d), dtype=complex)
+        ranges[x, slot] = bras
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "_basis", (x, bras))
+        object.__setattr__(self, "_ranges", ranges)
 
     @classmethod
     def from_basis(cls, vectors) -> "Pvm":
@@ -243,6 +277,7 @@ class Pvm:
         pvm = object.__new__(cls)
         object.__setattr__(pvm, "projectors", tuple(bras.conj()[:, :, None] * bras[:, None, :]))
         object.__setattr__(pvm, "_basis", (np.arange(len(kets)), bras))
+        object.__setattr__(pvm, "_ranges", bras[:, None, :])
         return pvm
 
     @property
@@ -270,17 +305,6 @@ class Pvm:
         kraus = np.zeros((len(x), len(self), self.dim), dtype=complex)
         kraus[np.arange(len(x)), x] = bras
         return kraus
-
-    @cached_property
-    def _ranges(self) -> np.ndarray:
-        """The bras of the basis stacked by outcome, shape (outcomes, r, d):
-        block x is the isometry R_x onto range(P_x) (R_x^dag R_x = P_x), padded
-        with zero rows to the largest rank r."""
-        x, bras = self._basis
-        slot = np.arange(len(x)) - np.searchsorted(x, x)
-        ranges = np.zeros((len(self), slot.max() + 1, self.dim), dtype=complex)
-        ranges[x, slot] = bras
-        return ranges
 
 
 def _layout(dims, labels, size: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
@@ -363,7 +387,7 @@ def _range_traced(blocks: np.ndarray, pvm: Pvm) -> np.ndarray:
 
 def _compressed(m: np.ndarray, dims, pvm: Pvm, pos: int) -> np.ndarray:
     """The stack of ``(R_x (x) I) m (R_x^dag (x) I)``, R_x the padded range
-    isometries of :attr:`Pvm._ranges`: m compressed to each range(P_x) (x)
+    isometries of the range stack ``Pvm._ranges``: m compressed to each range(P_x) (x)
     rest, the other subsystems in order (:func:`~eurqsi.linalg._local_stack`)."""
     return _local_stack(m, dims, pvm._ranges, [pos])
 

@@ -28,6 +28,7 @@ from eurqsi.states import (
     pinch,
     purify,
     random_multipartite_state,
+    random_pure_state,
     random_pvm,
     theta_state,
 )
@@ -143,6 +144,22 @@ class TestTripartite:
         report = check_tripartite(purify(rho, "R"), X, Z)
         assert report.slack_refined >= -1e-6
 
+    def test_a_nearly_pure_matrix_is_read_as_its_largest_column(self):
+        # purity 1 - 0.99e-8 counts as pure; the check evaluates the pure
+        # state along the column of largest diagonal entry, not the mixture
+        psi = random_pure_state((3, 2, 4), 320, ("A", "B", "E"))._vector
+        eps = 0.99e-8 / (2 * (1 - 1 / 24))
+        rho = DensityOperator((1 - eps) * ket_bra(psi) + eps * np.eye(24) / 24, (3, 2, 4),
+                              ("A", "B", "E"))
+        assert 1 - 1e-8 <= rho.purity() < 1
+        xp, zp = random_pvm(3, [320, 1]), random_pvm(3, [320, 2])
+        k = np.argmax(rho.matrix.diagonal().real)
+        column = DensityOperator.from_vector(rho.matrix[:, k], rho.dims, rho.labels)
+        _assert_reports_agree(check_tripartite(rho, xp, zp),
+                              check_tripartite(column, xp, zp).to_dict(), 1e-14)
+        _assert_reports_agree(check_tripartite(rho, xp, zp), check_tripartite(
+            DensityOperator.from_vector(psi, rho.dims, rho.labels), xp, zp).to_dict(), 1e-9)
+
     def test_non_rank_one_z_allowed(self):
         rank2_z = Pvm((np.diag([1, 1, 0, 0]).astype(complex),
                        np.diag([0, 0, 1, 1]).astype(complex)))
@@ -155,8 +172,9 @@ class TestTripartite:
         assert report.slack_refined <= report.slack_original + 1e-9
 
 
-def _assert_reports_agree(got, want):
-    """``got``, an EurReport, against ``want``, an oracle's dict: all 14 keys."""
+def _assert_reports_agree(got, want, tol=1e-12):
+    """``got``, an EurReport, against ``want``, an oracle's dict: all 14
+    keys, within ``tol``."""
     got = got.to_dict()
     assert len(got) == 14 and got.keys() == want.keys()
     for key, b in want.items():
@@ -164,7 +182,7 @@ def _assert_reports_agree(got, want):
         if isinstance(a, str):
             assert a == b
         else:
-            assert abs(a - b) <= 1e-12, (key, a, b)
+            assert abs(a - b) <= tol, (key, a, b)
 
 
 MARGINAL_CASES = {
@@ -233,11 +251,12 @@ class TestMeasuredMarginals:
 
     @pytest.mark.parametrize("case", ["2x2 pauli", "3x3 haar", "3x2 rank-2 z"])
     def test_each_check_reduces_to_b_once_and_decomposes_rho_ab_once(self, case, monkeypatch):
-        # bipartite: no layout call at all (the measured subsystem is already
-        # first, so no reorder), rho_B and rho_E are sums of measured blocks;
-        # tripartite: the AB and AE marginals.  No apply_local: tau's
-        # spectrum comes from the blocks of rho_AB in Z's range basis, which
-        # also give H(ZB).
+        # no layout call at all: the bipartite check's measured subsystem is
+        # already first, so no reorder, and the tripartite check reads the
+        # kept vector of its input, never the matrix, and sums rho_AB from
+        # its columns; rho_B and rho_E are sums of measured blocks.  No
+        # apply_local: tau's spectrum comes from the blocks of rho_AB in Z's
+        # range basis, which also give H(ZB).
         # Eigensolves: rho_AB (H(AB), purification, its factor in f), the AB
         # block stack (H(B), H(XB), H(ZB) and, for one range slot, tau), the
         # AE block stack (H(ZE), H(E)), the blocks of N(tau) and the matrix of
@@ -288,13 +307,15 @@ class TestMeasuredMarginals:
 
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
         monkeypatch.setattr(np, "prod", counted("prod", np.prod))
-        checks = [(check_tripartite, rho_abe, 2)]
+        # any read of the matrix of the vector-built input fails
+        object.__setattr__(rho_abe, "matrix", None)
+        checks = [(check_tripartite, rho_abe)]
         if zp.is_rank_one():
-            checks.insert(0, (check_bipartite, rho_ab, 0))
-        for check, rho, traces in checks:
+            checks.insert(0, (check_bipartite, rho_ab))
+        for check, rho in checks:
             counts.update(in_order=0, trace=0, apply_local=0, eig=0, svd=0, prod=0)
             check(rho, xp, zp)
-            assert counts["in_order"] == counts["trace"] == traces, check.__name__
+            assert counts["in_order"] == counts["trace"] == 0, check.__name__
             assert counts["apply_local"] == 0, check.__name__
             assert counts["eig"] == (5 if zp.is_rank_one() else 6), check.__name__
             assert counts["svd"] == 1, check.__name__
@@ -510,6 +531,56 @@ def test_reports_match_the_oracles(instance):
             .to_dict() == check_tripartite(rho_abe, xp, zp, measured, side).to_dict())
 
 
+@st.composite
+def pure_abe_states(draw):
+    """A pure ABE state made from its vector: d_A, d_B in {2, 3}, rho_AB of
+    any rank r, E split over two subsystems E and F with d_E d_F >= r, and
+    the four subsystems in a drawn order; with rank-one X on A and a Z that
+    is rank one or, at d_A = 3, has a rank-2 projector, and the seed."""
+    d_a, d_b = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(1, d_a * d_b))
+    d_e = draw(st.integers(1, 3))
+    d_f = -(-rank // d_e) + draw(st.integers(0, 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng([seed, 0])
+    g = rng.normal(size=(d_a * d_b, rank)) + 1j * rng.normal(size=(d_a * d_b, rank))
+    # r orthonormal rows on EF: rho_AB = g g^dag, of rank r
+    psi = g @ haar_unitary(d_e * d_f, [seed, 3])[:rank]
+    state = DensityOperator.from_vector(psi, (d_a, d_b, d_e, d_f), ("A", "B", "E", "F"))
+    state = state.permute(draw(st.permutations(["A", "B", "E", "F"])))
+    coarse = d_a == 3 and draw(st.booleans())
+    zp = rank2_plus_rank1_pvm([seed, 2]) if coarse else random_pvm(d_a, [seed, 2])
+    return state, random_pvm(d_a, [seed, 1]), zp, seed
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(pure_abe_states())
+def test_a_pure_state_given_as_its_matrix_gives_the_report_of_its_vector(case):
+    # the check reads a vector-built state's vector and takes a matrix's
+    # column of largest diagonal entry: one pure state, two inputs
+    state, xp, zp, _ = case
+    as_matrix = DensityOperator(state.matrix, state.dims, state.labels)
+    assert as_matrix._vector is None
+    _assert_reports_agree(check_tripartite(as_matrix, xp, zp),
+                          check_tripartite(state, xp, zp).to_dict())
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(pure_abe_states())
+def test_a_unitary_on_e_leaves_the_six_scalars(case):
+    # every purification of rho_AB gives the same six scalars; c does not
+    # read the state at all
+    state, xp, zp, seed = case
+    pure = purify(state.reduce(["A", "B"]), "R")
+    u = haar_unitary(pure.dims[-1], [seed, 4])
+    turned = DensityOperator.from_vector(pure._vector.reshape(-1, len(u)) @ u.T, pure.dims,
+                                         pure.labels)
+    got, want = check_tripartite(turned, xp, zp), check_tripartite(pure, xp, zp)
+    assert got.c == want.c
+    for name in ("h_xb", "h_zb", "h_ze", "h_ab", "f"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13, name
+
+
 class TestEurReportInvariants:
     SCALARS = dict(h_xb=1.0, h_zb=1.0, h_ze=1.0, h_ab=0.0, c=0.5, f=1.0)
 
@@ -672,6 +743,9 @@ class TestFuzz:
         (1, 0, 1, "dims"),
         (1, (2, 0), 1, "dims"),
         (1, (2, 2, 2), 1, "dims"),
+        (1, (True, 2), 1, "dims"),   # would run at 1x2
+        (1, (2, np.True_), 1, "dims"),
+        (1, True, 1, "dims"),
         (1, 2, -5, "seed"),          # would fail inside numpy
         (1, 2, 1.5, "seed"),
         (1, 2, True, "seed"),

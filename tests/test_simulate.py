@@ -224,6 +224,9 @@ class TestShotTable:
         ({"0": 2.9}, 2, "counts must be integers"),   # int() would store a count of 2
         ({"0": 1, "1": 1.5}, 2, "counts must be integers"),
         ({"0": 2}, 2.5, "shots must be integers"),
+        ({"0": True, "1": 1}, 2, "counts must be integers"),   # would store a count of 1
+        ({"0": np.True_, "1": 1}, 2, "counts must be integers"),
+        ({"0": 1}, True, "shots must be integers"),
     ])
     def test_rejects_counts_and_shots_that_are_not_integers(self, counts, shots, message):
         with pytest.raises(ValueError, match=message):

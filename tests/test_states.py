@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -112,6 +113,16 @@ class TestDensityOperator:
         with pytest.raises(InvalidStateError, match="must be integers"):
             DensityOperator.from_vector(np.ones(4), dims, ("A", "B"))
 
+    @pytest.mark.parametrize("dims", [(True, 2), (2, np.True_), (np.False_, 2)])
+    def test_rejects_bools_as_dims(self, dims):
+        # True == 1, so a test of integer value alone builds dims (1, 2)
+        with pytest.raises(InvalidStateError, match="must be integers"):
+            DensityOperator(np.eye(2) / 2, dims, ("A", "B"))
+        with pytest.raises(InvalidStateError, match="must be integers"):
+            DensityOperator.from_vector(np.ones(2), dims, ("A", "B"))
+        with pytest.raises(InvalidStateError, match="must be integers"):
+            random_multipartite_state(dims, 2, 1, ("A", "B"))
+
     def test_integer_valued_dims_of_any_type_are_accepted(self):
         for dims in ((np.int64(2), np.int32(2)), (2.0, 2.0)):
             assert DensityOperator(np.eye(4) / 4, dims, ("A", "B")).dims == (2, 2)
@@ -157,6 +168,48 @@ class TestDensityOperator:
         assert np.abs(swapped.permute(["A", "B"]).matrix - rho.matrix).max() < 1e-12
         with pytest.raises(InvalidStateError):
             rho.permute(["A", "A"])
+
+
+class TestKeptVector:
+    """A pure state made from its vector keeps the unit vector, and keeps it
+    through a reordering; a state made from a matrix, or reduced, has none."""
+
+    def test_from_vector_keeps_the_unit_vector(self):
+        psi = np.arange(1.0, 7.0) * (1.0 - 0.5j)
+        s = DensityOperator.from_vector(psi, (2, 3), ("A", "B"))
+        assert s._vector.shape == (6,)
+        assert abs(np.linalg.norm(s._vector) - 1.0) <= 1e-15
+        assert np.abs(s._vector - psi / np.linalg.norm(psi)).max() <= 1e-15
+        assert np.array_equal(s.matrix, ket_bra(s._vector))
+
+    def test_purify_keeps_the_purifying_vector(self):
+        rho = random_multipartite_state((2, 3), 3, 416, ("A", "B"))
+        pure = purify(rho, "E")
+        assert pure._vector is not None
+        assert np.array_equal(pure.matrix, ket_bra(pure._vector))
+
+    def test_permute_carries_the_transposed_vector(self):
+        pure = random_pure_state((2, 3, 4), 417, ("A", "B", "E"))
+        order = ["E", "A", "B"]
+        moved = pure.permute(order)
+        assert (moved.dims, moved.labels) == ((4, 2, 3), ("E", "A", "B"))
+        want = pure._vector.reshape(2, 3, 4).transpose(2, 0, 1).reshape(-1)
+        assert np.array_equal(moved._vector, want)
+        # the outer product of the transposed vector is the reordered matrix, bit for bit
+        as_matrix = DensityOperator(pure.matrix, pure.dims, pure.labels).permute(order)
+        assert as_matrix._vector is None
+        assert np.array_equal(moved.matrix, as_matrix.matrix)
+        assert np.array_equal(moved.permute(["A", "B", "E"])._vector, pure._vector)
+
+    def test_matrix_and_reduced_states_have_no_vector(self):
+        pure = random_pure_state((2, 3), 418, ("A", "B"))
+        assert DensityOperator(pure.matrix, pure.dims, pure.labels)._vector is None
+        assert pure.reduce(["A"])._vector is None
+        assert random_multipartite_state((2, 3), 1, 418, ("A", "B"))._vector is None
+
+    def test_the_vector_is_no_argument_and_no_part_of_repr_or_equality(self):
+        field = {f.name: f for f in dataclasses.fields(DensityOperator)}["_vector"]
+        assert not (field.init or field.repr or field.compare)
 
 
 @st.composite
@@ -356,6 +409,29 @@ class TestPvmValidation:
         kets = haar_unitary(3, 415).T
         for p, v in zip(Pvm.from_basis(kets).projectors, kets):
             assert np.array_equal(p, ket_bra(v))
+
+    @pytest.mark.parametrize("kind", ["from_basis", "rank 2", "zero projector"])
+    def test_range_stack_is_set_at_construction(self, kind):
+        if kind == "from_basis":
+            pvm = Pvm.from_basis(haar_unitary(3, 420).T)
+        elif kind == "rank 2":
+            pvm = rank2_plus_rank1_pvm(420)
+        else:
+            pvm = Pvm(random_pvm(3, 420).projectors + (np.zeros((3, 3)),))
+        assert "_ranges" in vars(pvm)
+        assert np.array_equal(pvm._ranges, _ranges_oracle(pvm))
+        if kind == "from_basis":  # a view of the basis, no copy
+            assert np.shares_memory(pvm._ranges, pvm._basis[1])
+
+
+def _ranges_oracle(pvm):
+    """The range stack as it was built on first use: the bras of the basis
+    written into a zero stack, block x slot by slot."""
+    x, bras = pvm._basis
+    slot = np.arange(len(x)) - np.searchsorted(x, x)
+    ranges = np.zeros((len(pvm), slot.max() + 1, pvm.dim), dtype=complex)
+    ranges[x, slot] = bras
+    return ranges
 
 
 class TestMeasure:
