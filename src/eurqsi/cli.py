@@ -18,7 +18,7 @@ import tempfile
 from . import gallery
 from .relations import FIDELITY_TOL, RELATION_IDS, check_bipartite, fuzz
 from .serialize import canonical_json, load_scenario
-from .simulate import NoiseSpec, run_experiment
+from .simulate import MAX_SHOTS, NoiseSpec, run_experiment
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -201,6 +201,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _shot_count(raw: str) -> int:
+    value = _positive_int(raw)
+    if value > MAX_SHOTS:
+        raise argparse.ArgumentTypeError(f"must be at most 2**63 - 1, got {raw}")
+    return value
+
+
 def _non_negative_int(raw: str) -> int:
     value = int(raw)
     if value < 0:
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="simulate one of the six circuit protocols")
     p.add_argument("id", type=int, choices=range(1, 7), metavar="ID",
                    help="experiment number, 1-6")
-    p.add_argument("--shots", type=_positive_int, default=8192)
+    p.add_argument("--shots", type=_shot_count, default=8192)
     p.add_argument("--noise", default=None, metavar="depolarizing=P,readout=Q")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     common(p, tolerance=None)

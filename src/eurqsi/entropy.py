@@ -94,7 +94,7 @@ def relative(rho: DensityOperator | np.ndarray, sigma: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {rho_m.shape} vs {sigma.shape}")
 
     sig_vals, sig_vecs = herm_eig(sigma)
-    _check_psd(sig_vals)
+    _check_psd(sig_vals[-1], sig_vals[0])
     sig_mask = _on_support(sig_vals)
 
     # Weight of rho on the orthogonal complement of supp(sigma).

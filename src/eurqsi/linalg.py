@@ -99,11 +99,11 @@ def _on_support(vals: np.ndarray, top=None) -> np.ndarray:
     return vals > EPS_SUPP * (vals.max(initial=0.0) if top is None else top)
 
 
-def _check_psd(vals: np.ndarray) -> None:
-    """Raise on an eigenvalue that a state may not have: one below
-    ``-_NEG_TOL * max(1, top)``."""
-    lo = vals.min(initial=0.0)
-    if lo < 0.0 and lo < -_NEG_TOL * max(1.0, float(vals.max(initial=0.0))):
+def _check_psd(lo, top) -> None:
+    """Raise on a spectrum that a state may not have: one whose lowest
+    eigenvalue ``lo`` is below ``-_NEG_TOL * max(1, top)``, ``top`` its
+    highest."""
+    if lo < 0.0 and lo < -_NEG_TOL * max(1.0, top):
         raise ValueError("matrix has negative eigenvalues beyond tolerance")
 
 
@@ -111,15 +111,19 @@ def support_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues on the support, as :func:`_on_support` selects them, and
     their eigenvectors, descending.
 
-    ``m`` is a Hermitian ndarray its caller validated or built; only its
-    full spectrum is checked, by :func:`_check_psd` before the cut.  The
-    cut keeps a top segment of the ascending spectrum, so the pair is that
-    segment sliced in reverse, a view of the ``eigh`` output.
+    ``m`` is a nonempty Hermitian ndarray its caller validated or built;
+    only its spectrum is checked, by :func:`_check_psd` before the cut.
+    ``eigh``'s spectrum is ascending, so both decisions read its two ends:
+    the guard takes them as its lowest and highest eigenvalue, and the cut
+    keeps a top segment, the whole spectrum when its lowest eigenvalue is
+    on the support.  The pair is that segment sliced in reverse, a view of
+    the ``eigh`` output.
     """
     vals, vecs = np.linalg.eigh(m)
-    _check_psd(vals)
-    stop = -1 - np.count_nonzero(_on_support(vals))
-    return vals[:stop:-1], vecs[:, :stop:-1]
+    lo, top = vals[0], vals[-1]
+    _check_psd(lo, top)
+    kept = len(vals) if _on_support(lo, top) else np.count_nonzero(_on_support(vals, top))
+    return vals[:-1 - kept:-1], vecs[:, :-1 - kept:-1]
 
 
 def eigenvalue_below(m: np.ndarray, tol: float) -> float | None:

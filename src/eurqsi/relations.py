@@ -24,14 +24,15 @@ its AE marginal is formed as a matrix.  The kernel constructs no state and
 no map.  Every entropy it takes is that of a classical-quantum state, held
 as the stack of its blocks that :func:`~eurqsi.states._measured` returns:
 rho_B and rho_E are the sums of those blocks.  rho_AB is compressed to each
-range of Z once (:func:`~eurqsi.states._compressed`), and the Z stack is
-those blocks traced over the range slots.  One ``eigh`` takes the AB stack
-(rho_B, the X stack, the Z stack), one ``eigvalsh`` the ZE stack and rho_E,
-and one :func:`~eurqsi.entropy._entropies` pass reduces the six spectra,
-rho_AB's among them.  For Z with one range slot the Z stack is the range
-blocks themselves, and their eigenpairs from the AB stack give f the
-Z-pinched state; a coarser Z decomposes the blocks once more.  c comes from
-the overlap of the two PVMs' bases.  f evaluates R(sigma_XB) from the X
+range of X and of Z in one call (:func:`~eurqsi.states._compressed`), and
+the X and Z stacks are those blocks traced over the range slots.  One
+``eigh`` takes the AB stack (rho_B, the X stack, the Z stack), one
+``eigvalsh`` the ZE stack and rho_E, and one
+:func:`~eurqsi.entropy._entropies` pass reduces the six spectra, rho_AB's
+among them.  For Z with one range slot the Z stack is Z's range blocks
+themselves, and their eigenpairs from the AB stack give f the Z-pinched
+state; a coarser Z decomposes its blocks once more.  c comes from the
+overlap of the two PVMs' bases.  f evaluates R(sigma_XB) from the X
 stack in block form (:func:`_reversibility`, where the block form is
 derived); R is the channel that :func:`~eurqsi.recovery.eur_recovery_map`
 builds, but no channel is built here, and nothing is imported from
@@ -63,7 +64,6 @@ from .states import (
     Pvm,
     _check_pvm_dim,
     _compressed,
-    _measured,
     _purifying_vector,
     _range_traced,
     incompatibility_c,
@@ -174,12 +174,13 @@ def _reversibility(
     rho_AB has the measured subsystem A first and B the rest, a layout tau
     and R(sigma_XB) keep.  ``z_eig`` is the batched ``eigh`` of its
     compression to each range of Z, ``(R_z (x) I) rho (R_z^dag (x) I)``
-    (:func:`~eurqsi.states._compressed`): tau is block diagonal in Z's
-    basis with these blocks, so this is its spectrum, and each eigenvector
-    maps back through ``R_z^dag (x) I``.  tau is cut to its support once,
-    against the top of the union of the block spectra: ``tau = sum_a l_a
-    |a><a|`` (eigenvectors V).  N(tau) is the direct sum over the outcomes x
-    of the blocks ``tau_x = Tr_A[(P_x (x) I) tau] = sum_j m_xj |w_xj><w_xj|``,
+    (:func:`~eurqsi.states._compressed`), on Z's own range slots: tau is
+    block diagonal in Z's basis with these blocks, so this is its spectrum,
+    and each eigenvector maps back through ``R_z^dag (x) I``.  tau is cut
+    to its support once, against the top of the union of the block
+    spectra: ``tau = sum_a l_a |a><a|`` (eigenvectors V).  N(tau) is the
+    direct sum over the outcomes x of the blocks
+    ``tau_x = Tr_A[(P_x (x) I) tau] = sum_j m_xj |w_xj><w_xj|``,
     formed from the cut eigenpairs and cut by the same rule against the top
     of the union of their spectra.  Off that support the eigenvalues are
     set to 1, which keeps the logs finite, and the eigenvectors to zero,
@@ -220,20 +221,23 @@ def _reversibility(
     # V[(i, b), (z, s)] = sum_j conj(R_z[j, i]) u_zs[j, b], the kept columns
     v = z_ranges.conj().transpose(0, 2, 1) @ vecs.reshape(n_z, r_z, -1)
     v = v.reshape(n_z, d_a * d_b, -1).transpose(1, 0, 2)[:, keep]
-    # y[x, b, (k, a)] = (<x_k| (x) I)|a>; the blocks of N(tau) are y l y^dag
+    # y[x, b, k, a] = (<x_k| (x) I)|a>; with (k, a) read as one axis, the
+    # blocks of N(tau) are y l y^dag, l broadcast over the slots k
     y = (x_ranges.reshape(-1, d_a) @ v.reshape(d_a, -1)).reshape(n_x, r_x, d_b, -1)
     y = y.transpose(0, 2, 1, 3).reshape(n_x, d_b, -1)
-    mu, w = np.linalg.eigh((y * np.tile(lam, r_x)) @ y.conj().transpose(0, 2, 1))
+    ly = (y.reshape(n_x, d_b, r_x, -1) * lam).reshape(y.shape)
+    mu, w = np.linalg.eigh(ly @ y.conj().transpose(0, 2, 1))
     keep = _on_support(mu)
     mu = np.where(keep, mu, 1.0)
     w = w * keep[:, None, :]
+    w_dag = w.conj().transpose(0, 2, 1)
     # h[x, j, k, a] = sqrt(l_a / m_xj) <x_k (x) w_xj|a>, zero on padded slots k
-    h = (w.conj().transpose(0, 2, 1) @ y).reshape(n_x, d_b, r_x, -1)
+    h = (w_dag @ y).reshape(n_x, d_b, r_x, -1)
     h = h * np.sqrt(lam / mu[:, :, None])[:, :, None, :]
     phi = 0.5 * (np.log(lam) - np.log(mu)[:, :, None])                   # (x, j, a)
     kernel = _sinhc(phi[:, :, None, :, None] - phi[:, None, :, None, :])  # (x, j, j', a, a')
     gram = h[:, :, None].conj().transpose(0, 1, 2, 4, 3) @ h[:, None]
-    m = w.conj().transpose(0, 2, 1) @ sigma_x @ w
+    m = w_dag @ sigma_x @ w
     r = (m.reshape(-1) @ (gram * kernel).reshape(m.size, -1)).reshape(len(lam), -1)
     vals, q = support_eig(r)
     return _fidelity(rho_eig, (vals, v @ q))
@@ -259,21 +263,24 @@ def _scalars(
     no AE matrix is formed.
     """
     d_a, d_e = ab_dims[0], g.shape[-1]
-    phi = (z_pvm._ranges.reshape(-1, d_a) @ g.reshape(d_a, -1)).reshape(len(z_pvm), -1, d_e)
+    (n_x, r_x, _), (n_z, r_z, _) = x_pvm._ranges.shape, z_pvm._ranges.shape
+    phi = (z_pvm._ranges.reshape(-1, d_a) @ g.reshape(d_a, -1)).reshape(n_z, -1, d_e)
     omega_ze = phi.transpose(0, 2, 1) @ phi.conj()
-    sigma_x = _measured(rho_ab, ab_dims, x_pvm, 0)
-    # one compression to Z's ranges serves H(ZB) and the pinched state in f
-    z_blocks = _compressed(rho_ab, ab_dims, z_pvm, 0)
-    omega_z, n = _range_traced(z_blocks, z_pvm), len(z_blocks)
+    # one compression to X's and Z's ranges serves H(XB), H(ZB) and the
+    # pinched state in f; traced over its slots it is the X stack, then the Z stack
+    blocks = _compressed(rho_ab, ab_dims, [x_pvm, z_pvm], 0)
+    measured = _range_traced(blocks, max(r_x, r_z))
     ab_vals, ab_vecs = np.linalg.eigh(
-        np.concatenate([sigma_x.sum(axis=0, keepdims=True), sigma_x, omega_z]))
-    # with one range slot the Z stack is z_blocks itself: its eigenpairs serve f too
-    z_eig = (ab_vals[-n:], ab_vecs[-n:]) if omega_z is z_blocks else np.linalg.eigh(z_blocks)
+        np.concatenate([measured[:n_x].sum(axis=0, keepdims=True), measured]))
+    # with one range slot the Z stack is Z's compression: its eigenpairs serve
+    # f too; a coarser Z's compression is the corner of its blocks on its slots
+    s = r_z * measured.shape[1]
+    z_eig = (ab_vals[-n_z:], ab_vecs[-n_z:]) if r_z == 1 else np.linalg.eigh(blocks[n_x:, :s, :s])
     ze_vals = np.linalg.eigvalsh(np.concatenate([omega_ze, omega_ze.sum(axis=0, keepdims=True)]))
     h_b, h_xb, h_zb, h_ze, h_e, h_rho = _entropies(
-        [ab_vals[:1], ab_vals[1:-n], ab_vals[-n:], ze_vals[:-1], ze_vals[-1:], rho_eig[0]])
+        [ab_vals[:1], ab_vals[1:n_x + 1], ab_vals[-n_z:], ze_vals[:-1], ze_vals[-1:], rho_eig[0]])
     c = incompatibility_c(x_pvm, z_pvm)
-    f = _reversibility(z_eig, x_pvm, z_pvm, sigma_x, rho_eig)
+    f = _reversibility(z_eig, x_pvm, z_pvm, measured[:n_x], rho_eig)
     return h_xb - h_b, h_zb - h_b, h_ze - h_e, h_rho - h_b, c, f
 
 

@@ -106,6 +106,9 @@ class NoiseSpec:
 
 NOISELESS = NoiseSpec()
 
+# The most shots one run draws: numpy's multinomial counts are int64.
+MAX_SHOTS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class ShotTable:
@@ -457,13 +460,14 @@ def run_experiment(
 
     Experiments 1-4 finish with Bloch tomography of the recovered qubit;
     5-6 with the three two-qubit correlation measurements.  Deterministic
-    under ``seed``.  The experiment must be an integer in 1..6, ``shots`` a
-    positive integer, ``noise`` a :class:`NoiseSpec` and ``seed`` a
-    non-negative integer; ``ValueError`` names the first argument that is
-    not, before any step runs.
+    under ``seed``.  The experiment must be an integer in 1..6, ``shots`` an
+    integer in 1..``MAX_SHOTS`` (2**63 - 1), ``noise`` a :class:`NoiseSpec`
+    and ``seed`` a non-negative integer; ``ValueError`` names the first
+    argument that is not, before any step runs.
     """
     exp_id = _integer_argument("experiment", exp_id, 1, 6, "an integer in 1..6")
-    shots = _integer_argument("shots", shots, 1, np.inf, "a positive integer")
+    shots = _integer_argument("shots", shots, 1, MAX_SHOTS,
+                              "a positive integer of at most 2**63 - 1")
     if not isinstance(noise, NoiseSpec):
         raise ValueError(f"noise must be a NoiseSpec, got {noise!r}")
     seed = _integer_argument("seed", seed, 0, np.inf, "a non-negative integer")

@@ -7,10 +7,10 @@ density operator, so the entropy code treats classical registers like any
 other subsystem.  A :class:`Pvm` holds one orthonormal basis of the
 measured space, each vector in the range of one projector, and every
 measurement is computed from it: ``_compressed``, the operator-stack kernel
-:func:`~eurqsi.linalg._local_stack` with the range isometries, gives the
-state compressed to each range, and ``_measured`` traces those blocks to
-the stack of the diagonal blocks, which :func:`measure` places on the
-diagonal and the checks use as they are.  Reductions and reorderings of a
+:func:`~eurqsi.linalg._local_stack` with the range isometries of one or
+more PVMs, gives the state compressed to each range, and ``_measured``
+traces those blocks to the stack of the diagonal blocks, which
+:func:`measure` places on the diagonal and the checks use as they are.  Reductions and reorderings of a
 state are :func:`~eurqsi.linalg._in_order`; no code here reshapes a matrix
 into subsystem axes.
 
@@ -373,23 +373,38 @@ def _measured(m: np.ndarray, dims, pvm: Pvm, pos: int) -> np.ndarray:
     Each is block x of :func:`_compressed` traced over its range slots; for
     a rank-one PVM the two stacks are equal.
     """
-    return _range_traced(_compressed(m, dims, pvm, pos), pvm)
+    return _range_traced(_compressed(m, dims, [pvm], pos), pvm._ranges.shape[1])
 
 
-def _range_traced(blocks: np.ndarray, pvm: Pvm) -> np.ndarray:
-    """The stack of :func:`_measured` from the stack of :func:`_compressed`:
-    each block traced over its range slots."""
-    n, s, r = blocks.shape[0], blocks.shape[1], pvm._ranges.shape[1]
-    if r == 1:  # one slot: each block is its own trace
+def _range_traced(blocks: np.ndarray, slots: int) -> np.ndarray:
+    """The stack of :func:`_measured` from a stack of :func:`_compressed`
+    with ``slots`` range slots: each block traced over its slots."""
+    if slots == 1:  # one slot: each block is its own trace
         return blocks
-    return blocks.reshape(n, r, s // r, r, s // r).trace(axis1=1, axis2=3)
+    n, s = blocks.shape[0], blocks.shape[1] // slots
+    return blocks.reshape(n, slots, s, slots, s).trace(axis1=1, axis2=3)
 
 
-def _compressed(m: np.ndarray, dims, pvm: Pvm, pos: int) -> np.ndarray:
-    """The stack of ``(R_x (x) I) m (R_x^dag (x) I)``, R_x the padded range
-    isometries of the range stack ``Pvm._ranges``: m compressed to each range(P_x) (x)
-    rest, the other subsystems in order (:func:`~eurqsi.linalg._local_stack`)."""
-    return _local_stack(m, dims, pvm._ranges, [pos])
+def _compressed(m: np.ndarray, dims, pvms, pos: int) -> np.ndarray:
+    """The stack of ``(R_x (x) I) m (R_x^dag (x) I)`` over the outcomes of
+    each PVM of ``pvms`` in turn, R_x the padded range isometries of the
+    range stack ``Pvm._ranges``: m compressed to each range(P_x) (x) rest,
+    the other subsystems in order, in one
+    :func:`~eurqsi.linalg._local_stack` call.
+
+    The range stacks are padded with zero slots to the largest slot count,
+    so a PVM with fewer slots has exact zeros in the padded ones: its own
+    blocks are the leading corners, and tracing over every slot
+    (:func:`_range_traced`) adds exact zeros.
+    """
+    ranges = [pvm._ranges for pvm in pvms]
+    stack = np.zeros((sum(map(len, ranges)), max(r.shape[1] for r in ranges),
+                      ranges[0].shape[2]), dtype=complex)
+    start = 0
+    for r in ranges:
+        stack[start:start + len(r), :r.shape[1]] = r
+        start += len(r)
+    return _local_stack(m, dims, stack, [pos])
 
 
 def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:
@@ -423,15 +438,18 @@ def incompatibility_c(x_pvm: Pvm, z_pvm: Pvm) -> float:
     """c = max over outcome pairs of ||P_x Q_z||^2 = ||R_x R_z^dag||^2.
 
     One overlap matmul of the two bases gives every block R_x R_z^dag,
-    padded to the largest ranks.  A block with one row or one column has its
-    norm as its one singular value, so rank-one PVMs give
-    c = max |<x|z>|^2 with no SVD; larger blocks take their top singular
-    value.
+    padded to the largest ranks.  When both PVMs have one range slot, as
+    rank-one PVMs do, each block is the one entry <x|z>, so
+    c = max |<x|z>|^2 is read off the overlap.  A block
+    with one row or one column has its norm as its one singular value;
+    larger blocks take their top singular value.
     """
     if x_pvm.dim != z_pvm.dim:
         raise InvalidStateError("PVMs act on different dimensions")
     (nx, rx, d), (nz, rz, _) = x_pvm._ranges.shape, z_pvm._ranges.shape
     overlap = x_pvm._ranges.reshape(nx * rx, d) @ z_pvm._ranges.reshape(nz * rz, d).conj().T
+    if rx == rz == 1:
+        return min(float((overlap.real ** 2 + overlap.imag ** 2).max()), 1.0)
     blocks = overlap.reshape(nx, rx, nz, rz).transpose(0, 2, 1, 3)
     if min(rx, rz) == 1:
         squares = (blocks.real ** 2 + blocks.imag ** 2).sum(axis=(-2, -1))

@@ -303,6 +303,15 @@ class TestExperimentCommand:
             assert exc.value.code == 2
             assert "must be a positive integer" in capsys.readouterr().err
 
+    def test_shots_above_int64_exit_2_and_the_largest_runs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "1", "--shots", str(2**63)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be at most 2**63 - 1" in err
+        assert main(["experiment", "1", "--shots", str(2**63 - 1)]) == 0
+        assert json.loads(capsys.readouterr().out)["shots"] == 2**63 - 1
+
     def test_outdir_env_writes_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EURQSI_OUTDIR", str(tmp_path / "out"))
         assert main(["experiment", "1", "--shots", "64", "--seed", "9"]) == 0

@@ -272,9 +272,9 @@ def test_sinhc_is_one_at_zero_and_x_over_sinh_x_elsewhere():
 @pytest.mark.parametrize("top", [0.5, 10.0])
 def test_negativity_guard_scales_with_max_one_top(top):
     scale = max(1.0, top)
-    _check_psd(np.array([top, -0.5e-8 * scale]))
+    _check_psd(-0.5e-8 * scale, top)
     with pytest.raises(ValueError, match="negative eigenvalues beyond tolerance"):
-        _check_psd(np.array([top, -2e-8 * scale]))
+        _check_psd(-2e-8 * scale, top)
 
 
 def test_fidelity_identity_and_orthogonal():

@@ -286,6 +286,16 @@ class TestExperiments:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             run_experiment(*args, **kwargs)
 
+    def test_shots_are_bounded_by_the_multinomial_counts(self, monkeypatch):
+        # numpy draws int64 counts: 2**63 - 1 shots run, one more is
+        # rejected before any step instead of overflowing in the draw
+        res = run_experiment(1, shots=2**63 - 1)
+        assert all(sum(t.counts.values()) == 2**63 - 1 for t in res.tables.values())
+        monkeypatch.setattr(simulate, "_evolve", lambda *a: pytest.fail("a step ran"))
+        for shots in (2**63, np.uint64(2**63), 2**100):
+            with pytest.raises(ValueError, match="^shots must be .* at most 2\\*\\*63 - 1"):
+                run_experiment(1, shots=shots)
+
     def test_numpy_integer_arguments_give_the_same_result(self):
         want = canonical_json(run_experiment(2, shots=64, seed=3).to_dict())
         got = run_experiment(np.int64(2), shots=np.int32(64), seed=np.uint8(3))

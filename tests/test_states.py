@@ -718,7 +718,7 @@ def test_compressed_blocks_rebuild_the_pinched_state(case):
     # and each B_x has the spectrum of its term
     rho, pos, pvm = case
     first = rho.permute([rho.labels[pos]] + [s for i, s in enumerate(rho.labels) if i != pos])
-    blocks = _compressed(rho.matrix, rho.dims, pvm, pos)
+    blocks = _compressed(rho.matrix, rho.dims, [pvm], pos)
     rest = rho.dim // rho.dims[pos]
     lift = np.stack([np.kron(dagger(rx), np.eye(rest)) for rx in pvm._ranges])
     terms = [np.kron(p, np.eye(rest)) @ first.matrix @ np.kron(p, np.eye(rest))
@@ -728,3 +728,28 @@ def test_compressed_blocks_rebuild_the_pinched_state(case):
     for b, term in zip(blocks, terms):
         want = np.sort(np.linalg.eigvalsh(term))[-len(b):]
         assert np.abs(np.sort(np.linalg.eigvalsh(b)) - want).max() <= 1e-14
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(kernel_cases())
+def test_two_pvms_compressed_at_once_give_each_ones_blocks_and_zero_padding(case):
+    # one stack for the case's PVM and another, in either order, the other
+    # with a rank-2 projector on a qutrit: each PVM's blocks are the leading
+    # corners on its own slots, equal to its compression alone, and every
+    # padded slot holds exact zeros
+    rho, pos, pvm = case
+    d = rho.dims[pos]
+    other = rank2_plus_rank1_pvm([d, 7]) if d == 3 else random_pvm(d, [d, 7])
+    slots = max(pvm._ranges.shape[1], other._ranges.shape[1])
+    rest = rho.dim // rho.dims[pos]
+    for pair in ([pvm, other], [other, pvm]):
+        stack = _compressed(rho.matrix, rho.dims, pair, pos)
+        assert stack.shape == (len(pvm) + len(other), slots * rest, slots * rest)
+        start = 0
+        for p in pair:
+            own = _compressed(rho.matrix, rho.dims, [p], pos)
+            s = own.shape[1]
+            blocks = stack[start:start + len(p)]
+            assert np.abs(blocks[:, :s, :s] - own).max() <= 1e-15
+            assert not blocks[:, s:].any() and not blocks[:, :, s:].any()
+            start += len(p)
