@@ -72,20 +72,19 @@ def _classical_copy_map(assignments) -> CpMap:
     )
 
 
-def _bell_copy_map() -> CpMap:
+def _bell_copy_kraus() -> np.ndarray:
     """Measure X, coherently copy B to A with an x-controlled phase:
-    ``K_x = sum_z (-1)^(xz) |zz><xz|``."""
+    ``K_x = sum_z (-1)^(xz) |zz><xz|`` on (X, B) -> (A, B), read-only."""
     kraus = np.zeros((2, 4, 4), dtype=complex)
     for x in range(2):
         kraus[x, 0, 2 * x] = 1.0             # |00><x0|
         kraus[x, 3, 2 * x + 1] = (-1.0) ** x  # (-1)^x |11><x1|
-    return CpMap.from_kraus(
-        kraus,
-        in_dims=(2, 2),
-        out_dims=(2, 2),
-        in_labels=("X", "B"),
-        out_labels=("A", "B"),
-    )
+    kraus.flags.writeable = False
+    return kraus
+
+
+# r3's Kraus operators, the one copy that the circuit simulator shares
+_BELL_COPY_KRAUS = _bell_copy_kraus()
 
 
 def recovery_map_r1() -> CpMap:
@@ -100,7 +99,13 @@ def recovery_map_r2() -> CpMap:
 
 def recovery_map_r3() -> CpMap:
     """Closed form of the maximally entangled case (coherent copy B -> A)."""
-    return _bell_copy_map()
+    return CpMap.from_kraus(
+        _BELL_COPY_KRAUS,
+        in_dims=(2, 2),
+        out_dims=(2, 2),
+        in_labels=("X", "B"),
+        out_labels=("A", "B"),
+    )
 
 
 def recovery_map_r4() -> CpMap:

@@ -13,8 +13,6 @@ out as operators on the whole space, for a layout that is fixed in
 advance.  :func:`partial_trace` and :func:`apply_local` are the checked
 public forms of the first two, and every reduction, reordering,
 measurement compression and Kraus step elsewhere calls one of the three.
-A CP map's Choi contraction takes its input with the map's subsystems put
-first by :func:`_in_order`, and reads it only as (inputs, rest).
 
 Every support and negativity decision on a spectrum is made here, once:
 :func:`_on_support` is the one support cutoff (an eigenvalue above
@@ -164,15 +162,22 @@ def _integer_argument(name: str, value, low: int, high: float, what: str) -> int
     return int(value)
 
 
+def _dimensions(dims, what: str = "subsystem dimensions", error=ValueError) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints; ``error`` names ``what`` when one of
+    them is not an integer value, as :func:`_integers` decides, or is below 1."""
+    dims = _integers(dims, what, error)
+    if any(d < 1 for d in dims):
+        raise error(f"{what} must be positive, got {dims}")
+    return dims
+
+
 def _on_subsystems(m, dims, indices, what: str):
     """``m`` as a square matrix on ``dims`` and ``indices`` as distinct
     subsystems of it, checked for the public function ``what``."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} needs a square matrix")
-    dims = _integers(dims, "subsystem dimensions")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    dims = _dimensions(dims)
     if math.prod(dims) != m.shape[0]:
         raise ValueError(f"product of dims {dims} != matrix dimension {m.shape[0]}")
     indices = list(_integers(indices, "subsystem indices"))

@@ -5,10 +5,10 @@ applied to the unnormalized maximally entangled operator with the input
 system first: ``choi = sum_ij E_ij (x) map(E_ij)``.  In this convention a
 map that preserves trace on a subspace with projector ``P`` satisfies
 ``Tr_out(choi) = P.T``.  The Choi matrix is the map: it is the one form
-that is kept, checked and applied, by one contraction that can carry other
-subsystems along (:meth:`CpMap._apply`).  Kraus operators are only an
-input form (:meth:`CpMap.from_kraus`); the measurement channel is built
-from the PVM's own :attr:`~eurqsi.states.Pvm.kraus`.
+that is kept, checked and applied, by one contraction with an input-space
+matrix (:meth:`CpMap._apply`).  Kraus operators are only an input form
+(:meth:`CpMap.from_kraus`); the measurement channel is built from the
+PVM's own :attr:`~eurqsi.states.Pvm.kraus`.
 
 The rotated Petz construction averages unitary rotations by imaginary
 operator powers against the density ``p(t) = (pi/2) / (cosh(pi t) + 1)``.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_integers, _local_stack, _sinhc, as_matrix, dagger, eigenvalue_below,
+from .linalg import (_dimensions, _local_stack, _sinhc, as_matrix, dagger, eigenvalue_below,
                      is_hermitian, support_eig)
 from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim
 
@@ -62,8 +62,8 @@ class CpMap:
 
     def __post_init__(self):
         choi = as_matrix(self.choi)
-        in_dims = _integers(self.in_dims, "input dims")
-        out_dims = _integers(self.out_dims, "output dims")
+        in_dims = _dimensions(self.in_dims, "input dims")
+        out_dims = _dimensions(self.out_dims, "output dims")
         object.__setattr__(self, "choi", choi)
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
@@ -120,18 +120,14 @@ class CpMap:
         return self._apply(xi)
 
     def _apply(self, m: np.ndarray) -> np.ndarray:
-        """``(map (x) id)(m)`` for ``m`` laid out (input, rest), the rest
-        carried along behind the output; nothing is checked.
+        """The map of the input-space matrix ``m``; nothing is checked.
 
-        ``sum_ij m[(i, r), (j, s)] choi[(i, a), (j, b)]`` as one matmul of
-        the (r s, i j) and (i j, a b) layouts.
+        ``sum_ij m[i, j] choi[(i, a), (j, b)]`` as one matmul of the (i j)
+        and (i j, a b) layouts.
         """
         di, do = self.in_dim, self.out_dim
-        r = m.shape[0] // di
-        t = m.reshape(di, r, di, r).transpose(1, 3, 0, 2).reshape(r * r, di * di)
         j = self.choi_blocks().transpose(0, 2, 1, 3).reshape(di * di, do * do)
-        out = (t @ j).reshape(r, r, do, do).transpose(2, 0, 3, 1)
-        return out.reshape(do * r, do * r)
+        return (m.reshape(1, di * di) @ j).reshape(do, do)
 
     def trace_preservation_defect(self) -> float:
         """Max deviation of Tr_out(choi) from the support projector."""

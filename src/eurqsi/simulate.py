@@ -2,40 +2,37 @@
 sampling and optional noise.
 
 Each experiment is a fixed private program: the qubits it starts from in
-|0...0>, a tuple of gate, measure and recover steps, and its ideal output
-state.  A gate and the depolarizing noise on its qubits form one Kraus
-set: every Pauli product on those qubits times the gate, weighted by the
-noise.  A measurement copies the computational outcome into a classical
-register with the operators ``|m>|m><m|`` on the target, the readout flip
-folded into the same set; the register is a decohered subsystem, so the
-recovery conditioned on it is exact.  A recovery is its map's Choi matrix,
-applied by one Choi contraction (:meth:`~eurqsi.recovery.CpMap._apply`)
-that replaces the subsystems it reads by the map's outputs and carries the
-rest along.
+|0...0>, a tuple of steps, and its ideal output state.  Every step is one
+Kraus set from the subsystems it reads to those it writes, and the kind of
+noise that weights it.  A gate and the depolarizing noise on its qubits
+form one set: every Pauli product on those qubits times the gate, weighted
+by the noise.  A measurement copies the computational outcome into a
+classical register with the operators ``|m>|m><m|`` on the target, the
+readout flip folded into the same set; the register is a decohered
+subsystem, so the recovery conditioned on it is exact.  A recovery is its
+map's Kraus operators, and the last step traces out every subsystem the
+ideal state lacks with the bras ``<k|``; neither is weighted by noise.
 
 Every subsystem a program holds is a qubit, and where each one sits before
 each step is fixed by the program, so the layout is done once, when the
-program is built, by :func:`_checked`.  A gate or a measurement stores its
-Kraus set as operators on the whole state
-(:func:`~eurqsi.linalg._local_operators`), which also bring the subsystems
-it touches to the front, as :func:`~eurqsi.linalg._local_stack` does; a
-recovery stores the reorder that puts its inputs first, for one
-:func:`~eurqsi.linalg._in_order`; the program stores the reduction of its
-final matrix to the ideal state's subsystems and label order.  A run
-scales each stored stack by its noise amplitudes and applies it as
-``(ops @ rho @ ops^dag).sum(0)``, two batched matmuls, and tracks no
-label.
+program is built, by :func:`_checked`.  Each step stores its Kraus set as
+operators on the whole state (:func:`~eurqsi.linalg._local_operators`),
+which also bring the subsystems it writes to the front, as
+:func:`~eurqsi.linalg._local_stack` does.  A run scales each stored stack
+by its noise amplitudes and applies it as ``(ops @ rho @ ops^dag).sum(0)``,
+two batched matmuls, and tracks no label: the last step leaves the ideal
+state's subsystems in its order.
 
 :func:`run_experiment` checks its arguments before any step, validates the
-one reduced final state and reads every shot table from it in one pass:
-one outcome distribution per basis through constant basis matrices, the
+one final state and reads every shot table from it in one pass: one
+outcome distribution per basis through constant basis matrices, the
 readout flips on the bit axes of every row at once, and one multinomial
 call that draws the rows in order.  Shots are sampled from the exact
 final distribution; there is no per-shot re-execution.
 
 Only the protocol's fixed data are built at import: the gates times their
-Pauli products, the two recovery maps, each step's laid-out operators or
-reorder, and the ideal states and Bloch vectors, the states through the
+Pauli products, the recovery and trace operators, each step's laid-out
+operators, and the ideal states and Bloch vectors, the states through the
 validating constructor.  Each program's steps are checked once, when it is
 built, so a run checks no step.  Every shared array is read-only.  A run
 computes its noise weights and keeps nothing.
@@ -53,9 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gallery import recovery_map_r3
-from .linalg import _in_order, _integer_argument, _integers, _local_operators
-from .recovery import CpMap
+from .gallery import _BELL_COPY_KRAUS
+from .linalg import _integer_argument, _integers, _local_operators
 from .states import (
     DensityOperator,
     KET_0,
@@ -165,82 +161,59 @@ _COPIES = _frozen(np.array([np.outer(np.kron(np.eye(2)[m], np.eye(2)[m ^ f]), np
                             for f in (0, 1) for m in (0, 1)], dtype=complex))
 
 
-class _Gate(NamedTuple):
-    """A gate on ``qubits``, controls first.  ``kraus`` holds every Pauli
-    product on those qubits times the gate; the first is the gate itself.
-    ``ops`` is that stack on the whole state, laid out by :func:`_checked`."""
-
-    qubits: tuple[str, ...]
-    kraus: np.ndarray
-    ops: np.ndarray | None = None
-
-    @property
-    def reads(self) -> tuple[str, ...]:
-        return self.qubits
-
-    writes = reads
-
-
-class _Measure(NamedTuple):
-    """A computational-basis measurement of ``qubit`` copied into
-    ``register``.  ``ops`` is the copy, then the flipped copy, on the whole
+class _Step(NamedTuple):
+    """The Kraus set ``kraus``, a ``(k, 2**len(writes), 2**len(reads))``
+    stack, from the subsystems ``reads`` to the new ones ``writes``.
+    ``noise`` weights it: "depolarizing" on each qubit of a gate, whose
+    first operator is the gate itself; "readout" on a measurement's copy,
+    then its flipped copy; or None.  ``ops`` is the stack on the whole
     state, laid out by :func:`_checked`."""
 
-    qubit: str
-    register: str
-    ops: np.ndarray | None = None
-
-    @property
-    def reads(self) -> tuple[str, ...]:
-        return (self.qubit,)
-
-    @property
-    def writes(self) -> tuple[str, ...]:
-        return (self.qubit, self.register)
-
-
-class _Recover(NamedTuple):
-    """``cpmap`` on the subsystems ``reads``, whose outputs are named
-    ``writes``.  ``reorder``, the dims and order with which
-    :func:`~eurqsi.linalg._in_order` puts ``reads`` first, is laid out by
-    :func:`_checked`."""
-
-    cpmap: CpMap
     reads: tuple[str, ...]
     writes: tuple[str, ...]
-    reorder: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    kraus: np.ndarray
+    noise: str | None = None
+    ops: np.ndarray | None = None
 
 
 class _Program(NamedTuple):
     """One experiment: ``qubits`` qubits in |0...0>, its laid-out steps,
-    the ideal state of the recovered subsystems with its Bloch vector
-    (1-4), and the dims and order with which
-    :func:`~eurqsi.linalg._in_order` reduces the final matrix to the ideal
-    state's subsystems."""
+    and the ideal state of the recovered subsystems, which the steps end
+    on, with its Bloch vector (1-4)."""
 
     qubits: int
     steps: tuple
     ideal: DensityOperator
     bloch_ideal: tuple[float, float, float] | None
-    reorder: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _gate(unitary: np.ndarray, *qubits: str) -> _Gate:
+def _gate(unitary: np.ndarray, *qubits: str) -> _Step:
     n = 2 ** len(qubits)
     if unitary.shape != (n, n) or not np.allclose(unitary.conj().T @ unitary, np.eye(n)):
         raise ValueError(f"a gate on {qubits} must be a {n}x{n} unitary")
-    return _Gate(qubits, _frozen(_PAULI_PRODUCTS[len(qubits)] @ unitary))
+    return _Step(qubits, qubits, _frozen(_PAULI_PRODUCTS[len(qubits)] @ unitary), "depolarizing")
+
+
+def _measure(qubit: str, register: str) -> _Step:
+    """A computational-basis measurement of ``qubit`` copied into ``register``."""
+    return _Step((qubit,), (qubit, register), _COPIES, "readout")
+
+
+def _discard(*subsystems: str) -> _Step:
+    """The partial trace over ``subsystems``: the bras ``<k|`` on them."""
+    n = 2 ** len(subsystems)
+    return _Step(subsystems, (), _frozen(np.eye(n, dtype=complex).reshape(n, 1, n)))
 
 
 def _evolve(rho: np.ndarray, steps, noise: NoiseSpec) -> np.ndarray:
     """The matrix of the laid-out ``steps`` run from ``rho``, laid out as
-    the first step expects: one Kraus or Choi step each, no label tracked.
+    the first step expects: one Kraus step each, no label tracked.
 
     A gate's stored stack is scaled by the amplitude of each Pauli product
     in depolarizing of strength p on each of its qubits, the first qubit's
     index slowest, or is the gate alone without noise; a measurement's by
-    the readout flip, or is the copy alone.  The amplitudes are computed
-    once per run, for each gate arity.
+    the readout flip, or is the copy alone; any other stack is applied as
+    it is.  The amplitudes are computed once per run, for each gate arity.
     """
     p, q = noise.depolarizing_p, noise.readout_flip
     paulis = flips = None
@@ -250,13 +223,11 @@ def _evolve(rho: np.ndarray, steps, noise: NoiseSpec) -> np.ndarray:
     if q:
         flips = np.sqrt([1.0 - q, 1.0 - q, q, q]).reshape(-1, 1, 1)
     for step in steps:
-        if isinstance(step, _Recover):
-            rho = step.cpmap._apply(_in_order(rho, *step.reorder)[0])
-            continue
-        if isinstance(step, _Gate):
-            ops = step.ops[:1] if paulis is None else paulis[len(step.qubits)] * step.ops
-        else:
-            ops = step.ops[:2] if flips is None else flips * step.ops
+        ops = step.ops
+        if step.noise == "depolarizing":
+            ops = ops[:1] if paulis is None else paulis[len(step.reads)] * ops
+        elif step.noise == "readout":
+            ops = ops[:2] if flips is None else flips * ops
         rho = (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
     return rho
 
@@ -264,15 +235,14 @@ def _evolve(rho: np.ndarray, steps, noise: NoiseSpec) -> np.ndarray:
 def _checked(qubits: int, steps: tuple) -> tuple[tuple, tuple[str, ...]]:
     """``steps`` laid out for :func:`_evolve` from qubits ``q0``, ``q1``,
     ..., and the labels of the final matrix, once it is known that each
-    step reads distinct subsystems that are there, a recovery as many
-    qubits as its map takes and writes as many as it gives, and no step
-    writes a subsystem twice or one it leaves alone.
+    step reads distinct subsystems that are there, writes distinct ones
+    that it does not leave alone, and has a stack of the shape its reads
+    and writes fix.
 
     Each step leaves the subsystems it writes in front and the rest in
-    their order.  A gate or a measurement gets its stack as read-only
-    operators on the whole state before it, a recovery the reorder that
-    puts its inputs first.  A program is checked and laid out when it is
-    built, so a run checks no step.
+    their order, and gets its stack as read-only operators on the whole
+    state before it.  A program is checked and laid out when it is built,
+    so a run checks no step.
     """
     labels = [f"q{i}" for i in range(qubits)]
     laid_out = []
@@ -283,18 +253,13 @@ def _checked(qubits: int, steps: tuple) -> tuple[tuple, tuple[str, ...]]:
             raise ValueError(f"step {i} reads {reads}: not distinct subsystems of {labels}")
         if len(set(writes)) != len(writes) or set(writes) & set(rest):
             raise ValueError(f"step {i} writes {writes}: not distinct and new beside {rest}")
-        if isinstance(step, _Recover) and (step.cpmap.in_dims, step.cpmap.out_dims) != (
-                (2,) * len(reads), (2,) * len(writes)):
-            raise ValueError(f"step {i} binds {reads} -> {writes} to a map from "
-                             f"{step.cpmap.in_dims} to {step.cpmap.out_dims}")
-        dims = (2,) * len(labels)
-        order = tuple(labels.index(s) for s in [*reads, *rest])
-        if isinstance(step, _Recover):
-            step = step._replace(reorder=(dims, order))
-        else:
-            kraus = step.kraus if isinstance(step, _Gate) else _COPIES
-            step = step._replace(ops=_frozen(_local_operators(dims, kraus, order[:len(reads)])))
-        laid_out.append(step)
+        shape = (2 ** len(writes), 2 ** len(reads))
+        if step.kraus.ndim != 3 or step.kraus.shape[1:] != shape:
+            raise ValueError(f"step {i} maps {reads} -> {writes} by operators of shape "
+                             f"{step.kraus.shape[1:]}, not {shape}")
+        positions = [labels.index(s) for s in reads]
+        ops = _local_operators((2,) * len(labels), step.kraus, positions)
+        laid_out.append(step._replace(ops=_frozen(ops)))
         labels = list(writes) + rest
     return tuple(laid_out), tuple(labels)
 
@@ -337,15 +302,6 @@ def bloch_tomography(tables: dict) -> tuple[float, float, float]:
     return tuple(coords)
 
 
-def _r1_register_map() -> CpMap:
-    """Reversal of an X measurement from the register alone: 0 -> |+>, 1 -> |->."""
-    kraus = (
-        np.outer(KET_PLUS, [1.0, 0.0]),
-        np.outer(KET_MINUS, [0.0, 1.0]),
-    )
-    return CpMap.from_kraus(kraus, in_dims=(2,), out_dims=(2,))
-
-
 # Columns: the +1 and -1 eigenvectors of Pauli X, Y and Z, one basis per row
 _PAULI_BASES = _frozen(np.stack([
     np.column_stack(kets)
@@ -363,8 +319,8 @@ def _basis_probabilities(rho: np.ndarray, bases: np.ndarray) -> np.ndarray:
 
 def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
     """An experiment with its steps checked and laid out and its ideal
-    state on ``Ap`` (and ``B``) validated, once, here, and read-only; one
-    recovered qubit gets its Bloch vector."""
+    state on ``Ap`` (and ``B``), the subsystems the steps end on, validated,
+    once, here, and read-only; one recovered qubit gets its Bloch vector."""
     ideal_labels = ("Ap", "B")[:qubits]
     state = DensityOperator(ideal, (2,) * qubits, ideal_labels)
     _frozen(state.matrix)
@@ -372,8 +328,13 @@ def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
     if qubits == 1:
         bloch = tuple(float(np.trace(p @ state.matrix).real) for p in _PAULIS[1:])
     steps, labels = _checked(qubits, steps)
-    reorder = ((2,) * len(labels), tuple(labels.index(s) for s in ideal_labels))
-    return _Program(qubits, steps, state, bloch, reorder)
+    if labels != ideal_labels:
+        raise ValueError(f"the steps end on {labels}, not on the ideal state's {ideal_labels}")
+    return _Program(qubits, steps, state, bloch)
+
+
+# The reversal of an X measurement from its register alone: 0 -> |+>, 1 -> |->
+_R1_KRAUS = _frozen(np.stack([np.outer(KET_PLUS, KET_0), np.outer(KET_MINUS, KET_1)]))
 
 
 def _programs() -> dict[int, _Program]:
@@ -382,28 +343,28 @@ def _programs() -> dict[int, _Program]:
     A Pauli-X measurement is a computational measurement conjugated by
     Hadamards; the register itself always reads the computational basis.
     Experiments 3 and 4 prepare |+_Y> = S H |0>, 2, 4 and 6 measure Z first,
-    and 5 and 6 start from the Bell state of H and a CNOT.
+    and 5 and 6 start from the Bell state of H and a CNOT.  Every program
+    ends by tracing out the measured qubit and the Z register.
     """
     cnot = np.eye(4, dtype=complex)
     cnot[2:, 2:] = GATES["x"]
     h = _gate(GATES["h"], "q0")
-    x_measurement = (h, _Measure("q0", "X"), h)
-    z_measurement = (_Measure("q0", "Z"),)
-    r1 = (_Recover(_r1_register_map(), ("X",), ("Ap",)),)
-    r3 = (_Recover(recovery_map_r3(), ("X", "q1"), ("Ap", "B")),)
-    for rec in r1 + r3:
-        _frozen(rec.cpmap.choi)
+    x_measurement = (h, _measure("q0", "X"), h)
+    z_measurement = (_measure("q0", "Z"),)
+    r1 = _Step(("X",), ("Ap",), _R1_KRAUS)
+    r3 = _Step(("X", "q1"), ("Ap", "B"), _BELL_COPY_KRAUS)
+    x_only, after_z = (_discard("q0"),), (_discard("q0", "Z"),)
     plus, plus_y = (h,), (h, _gate(GATES["s"], "q0"))
     bell = (h, _gate(cnot, "q0", "q1"))
     mixed = maximally_mixed(2)
     correlated = 0.5 * (ket_bra(np.eye(4)[0]) + ket_bra(np.eye(4)[3]))
     return {
-        1: _program(1, plus + x_measurement + r1, ket_bra(KET_PLUS)),
-        2: _program(1, plus + z_measurement + x_measurement + r1, mixed),
-        3: _program(1, plus_y + x_measurement + r1, mixed),
-        4: _program(1, plus_y + z_measurement + x_measurement + r1, mixed),
-        5: _program(2, bell + x_measurement + r3, ket_bra(bell_phi())),
-        6: _program(2, bell + z_measurement + x_measurement + r3, correlated),
+        1: _program(1, plus + x_measurement + (r1,) + x_only, ket_bra(KET_PLUS)),
+        2: _program(1, plus + z_measurement + x_measurement + (r1,) + after_z, mixed),
+        3: _program(1, plus_y + x_measurement + (r1,) + x_only, mixed),
+        4: _program(1, plus_y + z_measurement + x_measurement + (r1,) + after_z, mixed),
+        5: _program(2, bell + x_measurement + (r3,) + x_only, ket_bra(bell_phi())),
+        6: _program(2, bell + z_measurement + x_measurement + (r3,) + after_z, correlated),
     }
 
 
@@ -474,9 +435,8 @@ def run_experiment(
     program = _PROGRAMS[exp_id]
     rho = np.zeros((2 ** program.qubits,) * 2, dtype=complex)
     rho[0, 0] = 1.0
-    rho = _evolve(rho, program.steps, noise)
     ideal = program.ideal
-    final = DensityOperator(*_in_order(rho, *program.reorder), ideal.labels)
+    final = DensityOperator(_evolve(rho, program.steps, noise), ideal.dims, ideal.labels)
     if exp_id <= 4:
         keys, bases, outcomes = ("X", "Y", "Z"), _PAULI_BASES, ("0", "1")
     else:

@@ -41,7 +41,9 @@ from .linalg import (
     HERM_TOL,
     _NEG_TOL,
     _block_diagonal,
+    _dimensions,
     _in_order,
+    _integer_argument,
     _integers,
     _local_stack,
     apply_local,
@@ -311,14 +313,12 @@ def _layout(dims, labels, size: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """``dims`` and ``labels`` as tuples, checked as the layout of a space of
     dimension ``size``: one distinct label per dim, every dim at least 1, and
     their product ``size``; a dim that is not an integer value is rejected."""
-    dims = _integers(dims, "subsystem dimensions", InvalidStateError)
+    dims = _dimensions(dims, error=InvalidStateError)
     labels = tuple(str(s) for s in labels)
     if len(dims) != len(labels):
         raise InvalidStateError("dims and labels length mismatch")
     if len(set(labels)) != len(labels):
         raise InvalidStateError(f"duplicate subsystem labels {labels}")
-    if any(d < 1 for d in dims):
-        raise InvalidStateError(f"subsystem dimensions must be positive, got {dims}")
     if math.prod(dims) != size:
         raise InvalidStateError(f"dimension {size} does not match dims {dims}")
     return dims, labels
@@ -485,18 +485,20 @@ def _purifying_vector(rho_eig, dims) -> np.ndarray:
 
 
 def random_state(dim: int, rank: int, seed, label: str = "A") -> DensityOperator:
-    """Random state from partial trace of a Gaussian pure state on dim x rank."""
+    """Random state from partial trace of a Gaussian pure state on dim x rank;
+    ``dim`` must be a positive integer."""
+    dim = _integer_argument("dim", dim, 1, np.inf, "a positive integer")
     return random_multipartite_state((dim,), rank, seed, (label,))
 
 
 def random_multipartite_state(dims, rank: int, seed, labels) -> DensityOperator:
     """Random state on an explicit subsystem layout: G G^dag / Tr(G G^dag)
     for a complex Gaussian G with prod(dims) rows and ``rank`` columns; a
-    dim that is not an integer value is rejected."""
-    dims = _integers(dims, "subsystem dimensions", InvalidStateError)
+    dim that is not a positive integer value, or a rank that is not an
+    integer in [1, prod(dims)], is rejected before anything is drawn."""
+    dims = _dimensions(dims, error=InvalidStateError)
     dim = math.prod(dims)
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must be in [1, {dim}], got {rank}")
+    rank = _integer_argument("rank", rank, 1, dim, f"an integer in [1, {dim}]")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ dagger(g)
@@ -505,7 +507,9 @@ def random_multipartite_state(dims, rank: int, seed, labels) -> DensityOperator:
 
 
 def random_pvm(dim: int, seed) -> Pvm:
-    """Haar-random rank-one PVM from QR of a Gaussian matrix."""
+    """Haar-random rank-one PVM from QR of a Gaussian matrix; ``dim`` must
+    be a positive integer."""
+    dim = _integer_argument("dim", dim, 1, np.inf, "a positive integer")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)

@@ -17,7 +17,8 @@ construction), the Fourier PVM, the isometric extension of a PVM, the identity c
 the relation checks that measure the whole state before reducing it.  The
 latter are built from library primitives.  The circuit simulator is kept
 step by step: each gate, then depolarizing on each qubit it touches, a
-register appended in |0> before the outcome is copied into it, and shot
+register appended in |0> before the outcome is copied into it, a recovery
+by the textbook action of its Choi matrix, a partial trace, and shot
 tables from per-axis reductions and Pauli projectors, each table flipped
 bit by bit and drawn by its own multinomial call.
 """
@@ -27,10 +28,9 @@ import scipy.linalg
 
 from eurqsi.entropy import conditional
 from eurqsi.linalg import apply_local, fidelity, partial_trace
-from eurqsi.recovery import CpMap, apply_map, rotated_petz_map
-from eurqsi.simulate import _PROGRAMS, GATES, ShotTable, _Gate, _Measure
-from eurqsi.states import (KET_MINUS, KET_PLUS, DensityOperator, Pvm, ket_bra, measure,
-                           pauli_pvm, pinch, purify)
+from eurqsi.recovery import CpMap, apply_map, choi_from_kraus, rotated_petz_map
+from eurqsi.simulate import _PROGRAMS, GATES, ShotTable
+from eurqsi.states import DensityOperator, Pvm, ket_bra, measure, pauli_pvm, pinch, purify
 
 
 def loop_partial_trace(m, dims, keep):
@@ -378,8 +378,9 @@ def program_oracle(qubits, steps, noise):
     is depolarized.  A measurement appends its register in |0>, copies the
     outcome with the operators ``|m><m| (x) |m><0|`` on (target, register)
     and flips the register.  A recovery permutes its inputs to the front by
-    a permutation matrix and applies the map there as ``Tr_in[(rho^T_in (x)
-    I_out) (choi (x) I_rest)]``, the rest carried along.
+    a permutation matrix and applies the Choi matrix of its Kraus operators
+    there as ``Tr_in[(rho^T_in (x) I_out) (choi (x) I_rest)]``, the rest
+    carried along.  A step that writes nothing is a partial trace.
     """
     dims = [2] * qubits
     labels = [f"q{i}" for i in range(qubits)]
@@ -387,31 +388,33 @@ def program_oracle(qubits, steps, noise):
     psi[0] = 1.0
     rho = ket_bra(psi)
     for step in steps:
-        if isinstance(step, _Gate):
-            positions = [labels.index(q) for q in step.qubits]
+        positions = [labels.index(s) for s in step.reads]
+        rest = [i for i in range(len(dims)) if i not in positions]
+        if step.noise == "depolarizing":
             rho = apply_local(rho, dims, [step.kraus[0]], positions)
             for pos in positions:
                 rho = _stepwise_depolarize(rho, dims, pos, noise.depolarizing_p)
-        elif isinstance(step, _Measure):
-            pos = labels.index(step.qubit)
+        elif step.noise == "readout":
             basis = np.eye(2, dtype=complex)
             rho = np.kron(rho, ket_bra(basis[0]))
             dims.append(2)
-            labels.append(step.register)
+            labels.append(step.writes[1])
             kraus = [np.kron(ket_bra(e), ket_bra(e, basis[0])) for e in basis]
-            rho = apply_local(rho, dims, kraus, [pos, len(dims) - 1])
+            rho = apply_local(rho, dims, kraus, positions + [len(dims) - 1])
             q = noise.readout_flip
             if q > 0.0:
                 flips = [np.sqrt(1.0 - q) * GATES["i"], np.sqrt(q) * GATES["x"]]
                 rho = apply_local(rho, dims, flips, [len(dims) - 1])
-        else:
-            positions = [labels.index(s) for s in step.reads]
-            rest = [i for i in range(len(dims)) if i not in positions]
+        elif step.writes:
             perm = permutation_matrix(dims, positions + rest)
-            rest_dims = [dims[i] for i in rest]
-            rho = choi_action_oracle(step.cpmap, perm @ rho @ perm.T)
-            dims = list(step.cpmap.out_dims) + rest_dims
+            cpmap = CpMap(choi_from_kraus(step.kraus), (2,) * len(step.reads),
+                          (2,) * len(step.writes))
+            rho = choi_action_oracle(cpmap, perm @ rho @ perm.T)
+            dims = list(cpmap.out_dims) + [dims[i] for i in rest]
             labels = list(step.writes) + [labels[i] for i in rest]
+        else:
+            rho = partial_trace(rho, dims, rest)
+            dims, labels = [dims[i] for i in rest], [labels[i] for i in rest]
     return rho, dims, labels
 
 
@@ -425,12 +428,6 @@ def choi_action_oracle(cpmap, m):
     perm = permutation_matrix((d_in, r, d_out), (0, 2, 1))
     lhs = perm @ np.kron(m_t, np.eye(d_out)) @ perm.T
     return partial_trace(lhs @ np.kron(cpmap.choi, np.eye(r)), (d_in, d_out, r), [1, 2])
-
-
-def r1_register_map():
-    """0 -> |+>, 1 -> |->, read from the X register alone."""
-    kraus = (np.outer(KET_PLUS, [1.0, 0.0]), np.outer(KET_MINUS, [0.0, 1.0]))
-    return CpMap.from_kraus(kraus, in_dims=(2,), out_dims=(2,))
 
 
 def flip_distribution(probs, q):
@@ -461,7 +458,7 @@ def experiment_oracle(exp_id, shots, noise, seed):
     computed them before each op became one Kraus step.
 
     The experiment's program is walked by :func:`program_oracle`, the
-    whole final state is validated, and each table reduces it and sums
+    final state is validated, and each table reduces it and sums
     ``Tr(P rho)`` over the Pauli projectors (``P_a (x) P_b*`` for the
     two-qubit correlations); each table is drawn on its own, in turn, from
     the one generator.

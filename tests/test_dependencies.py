@@ -1,4 +1,5 @@
-"""The package declares exactly the third-party packages it imports."""
+"""The package declares exactly the third-party packages it imports, and
+its modules import one another in the allowed direction only."""
 
 import ast
 import re
@@ -28,3 +29,14 @@ def test_declared_dependencies_are_the_imported_ones():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
                 for dep in project["dependencies"]}
     assert _third_party_imports(ROOT / "src" / "eurqsi") == declared == {"numpy"}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that the module at ``path`` imports relatively."""
+    return {node.module for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+
+
+def test_the_simulator_imports_nothing_from_recovery():
+    # a circuit step is a Kraus stack: the simulator needs no CP-map machinery
+    assert "recovery" not in _package_imports(ROOT / "src" / "eurqsi" / "simulate.py")

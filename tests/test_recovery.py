@@ -35,6 +35,7 @@ from eurqsi.states import (
 
 from conftest import (
     ROUND_OFF_MASSES,
+    choi_action_oracle,
     choi_of_kraus,
     dagger,
     haar_unitary,
@@ -96,6 +97,16 @@ class TestCpMap:
             CpMap(choi_from_kraus([np.eye(2)]), **fields)
         assert CpMap(choi_from_kraus([np.eye(2)]), (np.int64(2),), (2.0,)).out_dims == (2,)
 
+    @pytest.mark.parametrize("dims, side", [
+        (dict(in_dims=(-2,), out_dims=(-2,)), "input"),   # (-2)(-2) = 4 fits the Choi shape
+        (dict(in_dims=(0,)), "input"),
+        (dict(out_dims=(2, 0)), "output"),
+    ])
+    def test_rejects_dims_below_one(self, dims, side):
+        fields = {"in_dims": (2,), "out_dims": (2,), **dims}
+        with pytest.raises(ValueError, match=f"^{side} dims must be positive"):
+            CpMap(np.eye(4), **fields)
+
     def test_from_kraus_rejects_a_kraus_operator_of_the_wrong_shape(self):
         # (out, in) = (3, 2): a (2, 3) operator is its transpose, not the map
         with pytest.raises(ValueError, match="Kraus operator shape"):
@@ -106,7 +117,7 @@ class TestCpMap:
 
 class TestChoiOnlyMap:
     """A map is its Choi matrix alone: no Kraus form is kept or derived,
-    and the map acts as its Choi matrix in a circuit and as a channel."""
+    and the map acts as its Choi matrix as a channel."""
 
     def _maps(self):
         rho = random_multipartite_state((2, 2), 4, 421, ("A", "B"))
@@ -118,26 +129,13 @@ class TestChoiOnlyMap:
             assert not hasattr(rec, "kraus")
         return maps
 
-    def test_run_circuit(self):
-        # a simulator program whose last step is the map, on (X, q1) of three qubits
-        from eurqsi.simulate import GATES, NOISELESS, _checked, _evolve, _gate, _Measure, _Recover
-        cnot = np.eye(4, dtype=complex)
-        cnot[2:, 2:] = GATES["x"]
-        steps = (_gate(GATES["h"], "q0"), _gate(cnot, "q0", "q1"), _gate(GATES["s"], "q1"),
-                 _Measure("q0", "X"))
-        start = np.zeros((4, 4), dtype=complex)
-        start[0, 0] = 1.0
-        laid_out, labels = _checked(2, steps)
-        rho = _evolve(start, laid_out, NOISELESS)
-        before = DensityOperator(rho, (2, 2, 2), labels).permute(["X", "q1", "q0"])
+    def test_apply_matrix(self):
+        # the Choi contraction equals the textbook Tr_in[(xi^T (x) I) choi]
         for rec in self._maps():
-            laid_out, labels = _checked(2, steps + (_Recover(rec, ("X", "q1"), ("Ap", "B")),))
-            rho = _evolve(start, laid_out, NOISELESS)
-            assert labels == ("Ap", "B", "q0")
-            # the Choi matrix on (X, q1), with q0 carried along
-            t = before.matrix.reshape(4, 2, 4, 2)
-            want = np.einsum("irjs,iajb->arbs", t, rec.choi_blocks()).reshape(8, 8)
-            assert np.abs(rho - want).max() < 1e-12
+            for seed in range(3):
+                xi = random_state(4, 4, [425, seed]).matrix
+                want = choi_action_oracle(rec, xi)
+                assert np.abs(rec.apply_matrix(xi) - want).max() < 1e-13
 
     def test_petz_map(self):
         sigma = random_state(4, 4, 423).matrix

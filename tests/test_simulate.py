@@ -4,7 +4,7 @@ import pytest
 
 import eurqsi.linalg as linalg
 import eurqsi.simulate as simulate
-from eurqsi.gallery import recovery_map_r3
+from eurqsi.gallery import _BELL_COPY_KRAUS, recovery_map_r1, recovery_map_r3
 from eurqsi.linalg import apply_local, fidelity, partial_trace, trace_distance
 from eurqsi.serialize import canonical_json
 from eurqsi.simulate import (
@@ -16,17 +16,17 @@ from eurqsi.simulate import (
     NoiseSpec,
     ShotTable,
     _checked,
+    _discard,
     _evolve,
     _flipped,
     _gate,
-    _Gate,
-    _Measure,
-    _Recover,
+    _measure,
     _shot_counts,
+    _Step,
     bloch_tomography,
     run_experiment,
 )
-from eurqsi.recovery import CpMap
+from eurqsi.recovery import CpMap, choi_from_kraus
 from eurqsi.states import (
     KET_MINUS,
     KET_PLUS,
@@ -38,8 +38,7 @@ from eurqsi.states import (
     random_multipartite_state,
 )
 
-from conftest import (experiment_oracle, flip_distribution, program_oracle, r1_register_map,
-                      sample_distribution)
+from conftest import experiment_oracle, flip_distribution, program_oracle, sample_distribution
 
 
 def _controlled(name):
@@ -364,15 +363,18 @@ class TestExperiments:
 
     def test_circuit_structure_exposed(self):
         # experiment 2: H, a Z measurement, the X measurement between two
-        # Hadamards, and the register-only recovery last
+        # Hadamards, the register-only recovery, and the trace of the
+        # measured qubit and the Z register last
         steps = _PROGRAMS[2].steps
-        kinds = [type(step).__name__ for step in steps]
-        assert kinds == ["_Gate", "_Measure", "_Gate", "_Measure", "_Gate", "_Recover"]
-        assert [step.register for step in steps if isinstance(step, _Measure)] == ["Z", "X"]
+        kinds = [step.noise for step in steps]
+        assert kinds == ["depolarizing", "readout", "depolarizing", "readout", "depolarizing",
+                         None, None]
+        assert [step.writes[1] for step in steps if step.noise == "readout"] == ["Z", "X"]
         for step in steps:
-            if isinstance(step, _Gate):
+            if step.noise == "depolarizing":
                 assert np.array_equal(step.kraus[0], GATES["h"])
-        assert (steps[-1].reads, steps[-1].writes) == (("X",), ("Ap",))
+        assert (steps[-2].reads, steps[-2].writes) == (("X",), ("Ap",))
+        assert (steps[-1].reads, steps[-1].writes) == (("q0", "Z"), ())
 
     def test_noise_sweep_fidelity_non_increasing(self):
         # tomography-based estimate at 8192 shots, 2 sigma statistical slack
@@ -400,15 +402,18 @@ class TestExperiments:
 
 
 def _local_kraus(step, noise):
-    """The Kraus set of a gate or a measurement on its own subsystems: the
-    gate's Pauli products weighted by depolarizing on each qubit, or the
-    copy operators ``|m>|m xor f><m|`` weighted by the readout flip, each
-    set cut to the noiseless operators when there is no noise."""
-    if isinstance(step, _Gate):
+    """The Kraus set of a step on its own subsystems: a gate's Pauli
+    products weighted by depolarizing on each qubit, or a measurement's copy
+    operators ``|m>|m xor f><m|`` weighted by the readout flip, each set cut
+    to the noiseless operators when there is no noise; any other step's
+    stack as it is."""
+    if step.noise == "depolarizing":
         p = noise.depolarizing_p
         one = np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
-        weights = one if len(step.qubits) == 1 else np.kron(one, one)
+        weights = one if len(step.reads) == 1 else np.kron(one, one)
         return weights[:, None, None] * step.kraus if p else step.kraus[:1]
+    if step.noise is None:
+        return step.kraus
     q = noise.readout_flip
     eye = np.eye(2, dtype=complex)
     copy = [np.sqrt(1.0 - q) * np.outer(np.kron(e, e), e) for e in eye]
@@ -416,9 +421,11 @@ def _local_kraus(step, noise):
     return np.array(copy + flipped if q else copy)
 
 
-def _identity_map(in_dims):
-    d = int(np.prod(in_dims))
-    return CpMap(np.outer(np.eye(d).ravel(), np.eye(d).ravel()), in_dims, in_dims)
+def _identity(reads, writes, qubits=None):
+    """A step applying the identity of ``qubits`` qubits, by default as
+    many as it reads, from ``reads`` to ``writes``."""
+    d = 2 ** (len(reads) if qubits is None else qubits)
+    return _Step(tuple(reads), tuple(writes), np.eye(d, dtype=complex)[None])
 
 
 class TestCircuitValidation:
@@ -430,7 +437,7 @@ class TestCircuitValidation:
 
     def test_rejects_register_rewrite(self):
         with pytest.raises(ValueError, match="step 1 writes"):
-            _checked(1, (_Measure("q0", "X"), _Measure("q0", "X")))
+            _checked(1, (_measure("q0", "X"), _measure("q0", "X")))
 
     def test_rejects_unknown_gate(self):
         # a matrix that is no unitary is no gate
@@ -447,12 +454,12 @@ class TestCircuitValidation:
 
     def test_rejects_register_named_like_a_qubit(self):
         with pytest.raises(ValueError, match="step 0 writes"):
-            _checked(2, (_Measure("q0", "q1"),))
+            _checked(2, (_measure("q0", "q1"),))
 
 
 class TestRunCircuit:
     def test_register_correlates_with_outcome(self):
-        rho, labels = _run(_zeros(1), (_gate(GATES["h"], "q0"), _Measure("q0", "M")))
+        rho, labels = _run(_zeros(1), (_gate(GATES["h"], "q0"), _measure("q0", "M")))
         assert labels == ("q0", "M")
         # perfectly correlated classical pair
         want = 0.5 * np.diag([1.0, 0.0, 0.0, 1.0])
@@ -460,25 +467,36 @@ class TestRunCircuit:
 
     def test_missing_recovery_binding(self):
         # a recovery bound to no subsystem
-        with pytest.raises(ValueError, match="step 0 binds"):
-            _checked(1, (_Recover(r1_register_map(), (), ()),))
+        with pytest.raises(ValueError, match="step 0 maps"):
+            _checked(1, (_Step((), (), simulate._R1_KRAUS),))
 
     @pytest.mark.parametrize("in_dims, in_labels, out_labels", [
-        ((2,), ("q0", "q1"), ("a", "b")),   # two labels for a one-qubit map
-        ((2, 2), ("X",), ("a",)),           # one label for a two-qubit map
+        ((2,), ("q0", "q1"), ("a", "b")),   # two labels for a one-qubit stack
+        ((2, 2), ("X",), ("a",)),           # one label for a two-qubit stack
         ((2,), ("Z",), ("a",)),             # a label the state does not have
         ((2, 2), ("X", "X"), ("a", "b")),   # one subsystem twice
         ((2,), ("X",), ("a", "b")),         # two outputs for one
     ])
     def test_recovery_binding_must_fit_its_map(self, in_dims, in_labels, out_labels):
-        cpmap = _identity_map(in_dims)
-        h = _gate(GATES["h"], "q0")
-        with pytest.raises(ValueError, match="step 2"):
-            _checked(2, (h, _Measure("q0", "X"), _Recover(cpmap, in_labels, out_labels)))
+        # a stack whose shape does not fit its reads and writes, or reads
+        # that are not distinct subsystems of the state, is rejected at
+        # build and names the step
         n = len(in_dims)
-        rho, labels = _run(_zeros(2), (h, _Measure("q0", "X"),
-                                       _Recover(cpmap, ("X", "q1")[:n], ("a", "b")[:n])))
+        h = _gate(GATES["h"], "q0")
+        with pytest.raises(ValueError, match="step 2 (maps|reads)"):
+            _checked(2, (h, _measure("q0", "X"), _identity(in_labels, out_labels, n)))
+        rho, labels = _run(_zeros(2), (h, _measure("q0", "X"),
+                                       _identity(("X", "q1")[:n], ("a", "b")[:n])))
         assert labels[:n] == ("a", "b")[:n] and abs(np.trace(rho) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("kraus", [
+        np.eye(2, dtype=complex),                 # no stack
+        np.ones((1, 4, 2), dtype=complex),        # (out, in) swapped
+        np.ones((1, 2, 2, 1), dtype=complex),     # one axis too many
+    ])
+    def test_a_stack_of_the_wrong_shape_is_rejected_at_build(self, kraus):
+        with pytest.raises(ValueError, match=r"step 1 maps \('X', 'q1'\) -> \('a',\)"):
+            _checked(2, (_measure("q0", "X"), _Step(("X", "q1"), ("a",), kraus)))
 
     @pytest.mark.parametrize("in_dims, in_labels, out_labels", [
         ((2,), ("X",), ("q1",)),            # an output names a subsystem the map leaves alone
@@ -486,19 +504,27 @@ class TestRunCircuit:
     ])
     def test_recovery_outputs_are_new_distinct_labels(self, monkeypatch, in_dims, in_labels,
                                                       out_labels):
-        steps = (_gate(GATES["h"], "q0"), _Measure("q0", "X"),
-                 _Recover(_identity_map(in_dims), in_labels, out_labels),
-                 _gate(GATES["x"], "q1"))
+        steps = (_gate(GATES["h"], "q0"), _measure("q0", "X"),
+                 _identity(in_labels, out_labels), _gate(GATES["x"], "q1"))
         calls = []
         monkeypatch.setattr(simulate, "_evolve", lambda *args: calls.append(args))
-        monkeypatch.setattr(CpMap, "_apply", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="step 2 writes"):
             simulate._program(2, steps, maximally_mixed(4))
         assert calls == []  # rejected when the program is built, before any step ran
 
+    def test_a_program_must_end_on_the_ideal_state_subsystems(self):
+        # a program that leaves a qubit or a register untraced, or ends
+        # with its recovered qubits out of order, is rejected when it is built
+        r3 = _Step(("X", "q1"), ("Ap", "B"), _BELL_COPY_KRAUS)
+        for qubits, steps in (
+            (1, (_measure("q0", "X"), _Step(("X",), ("Ap",), simulate._R1_KRAUS))),
+            (2, (_measure("q0", "X"), r3, _discard("q0"), _identity(("B", "Ap"), ("B", "Ap")))),
+        ):
+            with pytest.raises(ValueError, match="the steps end on"):
+                simulate._program(qubits, steps, maximally_mixed(2 ** qubits))
+
     def test_a_register_may_not_name_a_recovery_output(self):
-        steps = (_Measure("q0", "X"), _Recover(_identity_map((2,)), ("X",), ("a",)),
-                 _Measure("q1", "a"))
+        steps = (_measure("q0", "X"), _identity(("X",), ("a",)), _measure("q1", "a"))
         with pytest.raises(ValueError, match="step 2 writes"):
             _checked(2, steps)
 
@@ -520,10 +546,10 @@ class TestAgainstStepwiseOracle:
         t = np.diag([1.0, np.exp(0.25j * np.pi)])
         steps = (
             _gate(GATES["h"], "q0"), _gate(GATES["h"], "q2"), _gate(_controlled("x"), "q0", "q1"),
-            _gate(_controlled("z"), "q2", "q0"), _gate(t, "q1"), _Measure("q1", "M"),
+            _gate(_controlled("z"), "q2", "q0"), _gate(t, "q1"), _measure("q1", "M"),
             _gate(GATES["h"], "q1"), _gate(_controlled("y"), "q1", "q2"),
-            _Recover(r1_register_map(), ("M",), ("R",)),
-            _gate(GATES["s"], "q0"), _Measure("q2", "N"),
+            _Step(("M",), ("R",), simulate._R1_KRAUS),
+            _gate(GATES["s"], "q0"), _measure("q2", "N"), _discard("q1", "R"),
         )
         steps, got_labels = _checked(3, steps)
         for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
@@ -536,29 +562,30 @@ class TestAgainstStepwiseOracle:
             assert np.abs(got - rho).max() < 1e-14
 
     def test_recovery_maps_are_shared_and_read_only(self):
-        # r1 (experiments 1-4) and r3 (5-6) are each built once, and equal
-        # their independent constructions
-        for exp_ids, want in (((1, 2, 3, 4), r1_register_map()), ((5, 6), recovery_map_r3())):
-            maps = {id(_PROGRAMS[e].steps[-1].cpmap) for e in exp_ids}
-            assert len(maps) == 1
-            cpmap = _PROGRAMS[exp_ids[0]].steps[-1].cpmap
-            assert not hasattr(cpmap, "kraus")
-            assert np.array_equal(cpmap.choi, want.choi)
+        # r1 (experiments 1-4) and r3 (5-6) are each one read-only stack,
+        # whose Choi matrix is the gallery's map: r1 reads the register
+        # alone, so it is the gallery's r1 with B left out
+        r1 = _PROGRAMS[1].steps[-2].kraus
+        r3 = _PROGRAMS[5].steps[-2].kraus
+        assert {id(_PROGRAMS[e].steps[-2].kraus) for e in (1, 2, 3, 4)} == {id(r1)}
+        assert {id(_PROGRAMS[e].steps[-2].kraus) for e in (5, 6)} == {id(r3)}
+        assert r3 is _BELL_COPY_KRAUS
+        r1_with_b = [np.kron(k, np.eye(2)) for k in r1]
+        assert np.array_equal(choi_from_kraus(r1_with_b), recovery_map_r1().choi)
+        assert np.array_equal(choi_from_kraus(r3), recovery_map_r3().choi)
+        for kraus in (r1, r3):
             with pytest.raises(ValueError, match="read-only"):
-                cpmap.choi[0, 0] = 0.0
+                kraus[0, 0, 0] = 0.0
 
     def test_fixed_data_are_read_only_and_left_unchanged_by_runs(self):
         arrays = [*GATES.values(), _PAULIS, *_PAULI_PRODUCTS.values(),
                   simulate._COPIES, simulate._PAULI_BASES, simulate._PAIR_BASES]
         for program in _PROGRAMS.values():
             arrays.append(program.ideal.matrix)
-            arrays += [step.kraus for step in program.steps if isinstance(step, _Gate)]
-            arrays += [step.ops for step in program.steps if not isinstance(step, _Recover)]
+            arrays += [step.kraus for step in program.steps]
+            arrays += [step.ops for step in program.steps]
         before = [a.copy() for a in arrays]
         blochs = {e: program.bloch_ideal for e, program in _PROGRAMS.items()}
-        reorders = {e: (program.reorder, [step.reorder for step in program.steps
-                                          if isinstance(step, _Recover)])
-                    for e, program in _PROGRAMS.items()}
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0.5
@@ -568,15 +595,13 @@ class TestAgainstStepwiseOracle:
                 assert res.ideal_state is program.ideal
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
         assert {e: program.bloch_ideal for e, program in _PROGRAMS.items()} == blochs
-        assert {e: (program.reorder, [step.reorder for step in program.steps
-                                      if isinstance(step, _Recover)])
-                for e, program in _PROGRAMS.items()} == reorders
 
     @pytest.mark.parametrize("exp_id", range(1, 7))
     def test_stored_operators_match_the_local_stack(self, exp_id):
         # each laid-out step, run on a random state, equals the operator-stack
         # kernel applied to the step's own Kraus set at positions found from
-        # the labels, as a run applied it before the layout moved to import
+        # the labels, as a run applied it before the layout moved to import;
+        # the last step leaves the ideal state's subsystems in its order
         program = _PROGRAMS[exp_id]
         for p in (0.0, 0.05, 0.1, 0.2):
             for q in (0.0, 0.05):
@@ -588,16 +613,11 @@ class TestAgainstStepwiseOracle:
                     rest = [j for j in range(len(labels)) if j not in positions]
                     rho = random_multipartite_state(dims, 2 ** len(dims), [exp_id, i],
                                                     labels).matrix
-                    if isinstance(step, _Recover):
-                        assert step.reorder == (dims, tuple(positions + rest))
-                        want = step.cpmap._apply(linalg._in_order(rho, dims, positions + rest)[0])
-                    else:
-                        kraus = _local_kraus(step, noise)
-                        want = linalg._local_stack(rho, dims, kraus, positions).sum(axis=0)
+                    kraus = _local_kraus(step, noise)
+                    want = linalg._local_stack(rho, dims, kraus, positions).sum(axis=0)
                     assert np.abs(_evolve(rho, (step,), noise) - want).max() < 1e-15
                     labels = list(step.writes) + [labels[j] for j in rest]
-                assert program.reorder == ((2,) * len(labels),
-                                           tuple(labels.index(s) for s in program.ideal.labels))
+                assert tuple(labels) == program.ideal.labels
 
     def test_run_is_one_kernel_call_per_op_and_one_validation(self, monkeypatch):
         calls = []
@@ -612,21 +632,18 @@ class TestAgainstStepwiseOracle:
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
         monkeypatch.setattr(simulate, "_local_operators",
                             counted("layout", linalg._local_operators))
-        monkeypatch.setattr(simulate, "_in_order", counted("in_order", linalg._in_order))
         monkeypatch.setattr(CpMap, "_apply", counted("choi", CpMap._apply))
         for name in ("_basis_probabilities", "_flipped", "_shot_counts"):
             monkeypatch.setattr(simulate, name, counted(name, getattr(simulate, name)))
-        assert not hasattr(simulate, "apply_local") and not hasattr(simulate, "_local_stack")
-        for exp_id, program in _PROGRAMS.items():
+        for name in ("apply_local", "_local_stack", "_in_order", "CpMap"):
+            assert not hasattr(simulate, name)
+        for exp_id in _PROGRAMS:
             for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
                 calls.clear()
                 run_experiment(exp_id, shots=64, noise=noise)
-                # every gate and measurement is two matmuls on its stored
-                # operators, with no call and no layout; the recovery, last in
-                # every program, puts its inputs first and contracts once; one
-                # reduction and one validation make the final state, and one
-                # pass reads the three tables from it
-                assert isinstance(program.steps[-1], _Recover)
-                assert calls == ["in_order", "choi", "in_order", "DensityOperator",
-                                 "_basis_probabilities", "_flipped", "_shot_counts",
-                                 "ShotTable", "ShotTable", "ShotTable"]
+                # every step, the recovery and the final trace among them, is
+                # two matmuls on its stored operators, with no call and no
+                # layout; one validation makes the final state, and one pass
+                # reads the three tables from it
+                assert calls == ["DensityOperator", "_basis_probabilities", "_flipped",
+                                 "_shot_counts", "ShotTable", "ShotTable", "ShotTable"]

@@ -145,6 +145,23 @@ class TestDensityOperator:
             got = random_pure_state(dims, 1, ("A", "B"))
             assert got.dims == (2, 3) and np.array_equal(got.matrix, want.matrix)
 
+    @pytest.mark.parametrize("build, args, name", [
+        (random_pvm, (2.5, 0), "dim"),
+        (random_pvm, (True, 0), "dim"),
+        (random_pvm, (0, 0), "dim"),
+        (random_state, (2.0, 1, 0), "dim"),
+        (random_state, (0, 1, 0), "dim"),
+        (random_state, (2, True, 0), "rank"),
+        (random_state, (2, 2.0, 0), "rank"),
+        (random_state, (2, 3, 0), "rank"),
+        (random_multipartite_state, ((2, 2), 0, 0, ("A", "B")), "rank"),
+    ], ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_random_builders_check_their_arguments_before_drawing(self, monkeypatch, build,
+                                                                  args, name):
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build(*args)
+
     def test_reduce_keeps_order(self):
         rho = random_multipartite_state((2, 3, 2), 6, 4, ("A", "B", "E"))
         red = rho.reduce(["E", "A"])
