@@ -51,7 +51,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -129,9 +129,14 @@ def eigenvalue_below(m: np.ndarray, tol: float) -> float | None:
 
     A Cholesky factorization of ``m + tol*I`` accepts at about a third of
     the cost of ``eigvalsh``; when it fails, ``eigvalsh`` decides exactly.
+    ``tol`` is added to the diagonal of a copy of ``m``: the bits of
+    ``m + tol * np.eye(n)``, up to the sign of a zero off the diagonal,
+    without building the identity.
     """
+    shifted = m.copy()
+    shifted.reshape(-1)[:: m.shape[0] + 1] += tol
     try:
-        np.linalg.cholesky(m + tol * np.eye(m.shape[0]))
+        np.linalg.cholesky(shifted)
         return None
     except np.linalg.LinAlgError:
         lo = float(np.linalg.eigvalsh(m).min())

@@ -24,18 +24,23 @@ two batched matmuls, and tracks no label: the last step leaves the ideal
 state's subsystems in its order.
 
 :func:`run_experiment` checks its arguments before any step, validates the
-one final state and reads every shot table from it in one pass: one
-outcome distribution per basis through constant basis matrices, the
-readout flips on the bit axes of every row at once, and one multinomial
-call that draws the rows in order.  Shots are sampled from the exact
-final distribution; there is no per-shot re-execution.
+one final state and reads every shot table from it in one pass: every
+outcome distribution of every basis by one matmul of a readout matrix with
+vec(rho), the readout flips on the bit axes of every row at once, and one
+multinomial call that draws the rows in order.  The drawn counts are
+checked as one array, non-negative integers with every row summing to the
+shots, which is what :class:`ShotTable` checks of one table, so the three
+tables are built from the checked rows with no further check.  Shots are
+sampled from the exact final distribution; there is no per-shot
+re-execution.
 
 Only the protocol's fixed data are built at import: the gates times their
 Pauli products, the recovery and trace operators, each step's laid-out
-operators, and the ideal states and Bloch vectors, the states through the
-validating constructor.  Each program's steps are checked once, when it is
-built, so a run checks no step.  Every shared array is read-only.  A run
-computes its noise weights and keeps nothing.
+operators, the readout matrix of each register width, and the ideal
+states and Bloch vectors, the states through the validating constructor.
+Each program's steps are checked once, when it is built, so a run checks
+no step.  Every shared array is read-only.  A run computes its noise
+weights and keeps nothing.
 
 Noise model: symmetric depolarizing with strength ``depolarizing_p`` on
 every qubit a gate touches, plus a classical bit flip with probability
@@ -85,6 +90,9 @@ GATES = {
 }
 
 
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Depolarizing strength per gate and classical readout flip probability."""
@@ -94,7 +102,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("depolarizing_p", "readout_flip"):
-            v = float(getattr(self, name))
+            value = getattr(self, name)
+            # float() would read True as 1.0 and "0.5" or b"0.5" as 0.5
+            if isinstance(value, _NOT_NUMBERS):
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+            v = float(value)
             object.__setattr__(self, name, v)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -115,6 +127,9 @@ class ShotTable:
 
     def __post_init__(self):
         keys = [str(k) for k in self.counts]
+        if len(set(keys)) != len(keys):
+            repeated = next(k for k in keys if keys.count(k) > 1)
+            raise ValueError(f"outcome {repeated!r} is given by more than one key")
         (shots,) = _integers([self.shots], "shots")
         counts = dict(zip(keys, _integers(self.counts.values(), "counts")))
         object.__setattr__(self, "counts", counts)
@@ -123,6 +138,16 @@ class ShotTable:
             raise ValueError("shots must be positive and counts non-negative")
         if sum(counts.values()) != shots:
             raise ValueError("counts do not sum to shots")
+
+    @classmethod
+    def _from_checked(cls, counts: dict, shots: int) -> "ShotTable":
+        """The table of ``counts``, str outcomes to ints, and the int
+        ``shots``, built with no further check: the caller has checked
+        them as :meth:`__post_init__` would, as :func:`_count_rows` does."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "counts", counts)
+        object.__setattr__(table, "shots", shots)
+        return table
 
     def frequency(self, outcome: str) -> float:
         return self.counts.get(str(outcome), 0) / self.shots
@@ -290,6 +315,18 @@ def _shot_counts(probs: np.ndarray, shots: int, rng) -> np.ndarray:
     return rng.multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
 
 
+def _count_rows(counts: np.ndarray, shots: int) -> list[list[int]]:
+    """The rows of the integer array ``counts`` as lists of ints, once it is
+    known that every entry is non-negative and every row sums to ``shots``:
+    the checks :class:`ShotTable` makes on one table, made on every row in
+    one pass, on Python ints, which cannot overflow."""
+    rows = counts.tolist()
+    if counts.dtype.kind not in "iu" or any(min(r) < 0 or sum(r) != shots for r in rows):
+        raise ValueError(f"shot counts {rows} are not non-negative integers "
+                         f"summing to {shots} in every row")
+    return rows
+
+
 def bloch_tomography(tables: dict) -> tuple[float, float, float]:
     """Bloch vector estimate from X/Y/Z-basis shot tables."""
     shots = {t.shots for t in tables.values()}
@@ -311,10 +348,24 @@ _PAULI_BASES = _frozen(np.stack([
 _PAIR_BASES = _frozen(np.stack([np.kron(u, u.conj()) for u in _PAULI_BASES]))
 
 
-def _basis_probabilities(rho: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Outcome distribution of ``rho`` in each basis: the diagonal of
-    ``U^dag rho U``, one row per basis ``U``."""
-    return np.einsum("aji,jk,aki->ai", bases.conj(), rho, bases).real
+def _readout(bases: np.ndarray) -> np.ndarray:
+    """The matrix that reads every outcome probability of every basis off
+    vec(rho): row (a, i) is ``conj(U_a[j, i]) U_a[k, i]`` at column (j, k),
+    so its product with ``rho.reshape(-1)`` is ``<u_ai| rho |u_ai>``."""
+    rows, d, k = bases.shape
+    return _frozen(np.einsum("aji,aki->aijk", bases.conj(), bases).reshape(rows * k, d * d))
+
+
+# The readout matrix of the Pauli bases (one recovered qubit) and of their
+# pairs (two), by register width
+_READOUTS = {1: _readout(_PAULI_BASES), 2: _readout(_PAIR_BASES)}
+
+
+def _basis_probabilities(rho: np.ndarray, readout: np.ndarray) -> np.ndarray:
+    """Outcome distribution of ``rho`` in each of the three bases of
+    ``readout``, a matrix of :func:`_readout`: one row per basis, read by
+    one matmul."""
+    return (readout @ rho.reshape(-1)).real.reshape(3, -1)
 
 
 def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
@@ -438,13 +489,14 @@ def run_experiment(
     ideal = program.ideal
     final = DensityOperator(_evolve(rho, program.steps, noise), ideal.dims, ideal.labels)
     if exp_id <= 4:
-        keys, bases, outcomes = ("X", "Y", "Z"), _PAULI_BASES, ("0", "1")
+        keys, outcomes = ("X", "Y", "Z"), ("0", "1")
     else:
-        keys, bases, outcomes = ("XX", "YY*", "ZZ"), _PAIR_BASES, ("00", "01", "10", "11")
-    probs = _flipped(_basis_probabilities(final.matrix, bases), noise.readout_flip)
-    counts = _shot_counts(probs, shots, np.random.default_rng([seed, exp_id]))
-    tables = {key: ShotTable(dict(zip(outcomes, row.tolist())), shots)
-              for key, row in zip(keys, counts)}
+        keys, outcomes = ("XX", "YY*", "ZZ"), ("00", "01", "10", "11")
+    probs = _basis_probabilities(final.matrix, _READOUTS[program.qubits])
+    counts = _shot_counts(_flipped(probs, noise.readout_flip), shots,
+                          np.random.default_rng([seed, exp_id]))
+    tables = {key: ShotTable._from_checked(dict(zip(outcomes, row)), shots)
+              for key, row in zip(keys, _count_rows(counts, shots))}
     bloch = {}
     if program.bloch_ideal is not None:
         bloch = dict(bloch_estimate=bloch_tomography(tables), bloch_ideal=program.bloch_ideal)

@@ -106,7 +106,7 @@ class DensityOperator:
         object.__setattr__(self, "labels", labels)
         if not is_hermitian(m):
             raise InvalidStateError("density operator is not Hermitian")
-        tr = float(np.trace(m).real)
+        tr = float(m.trace().real)
         if abs(tr - 1.0) > 1e-8:
             raise InvalidStateError(f"density operator has trace {tr}")
         lo = eigenvalue_below(m, _NEG_TOL)

@@ -20,7 +20,10 @@ step by step: each gate, then depolarizing on each qubit it touches, a
 register appended in |0> before the outcome is copied into it, a recovery
 by the textbook action of its Choi matrix, a partial trace, and shot
 tables from per-axis reductions and Pauli projectors, each table flipped
-bit by bit and drawn by its own multinomial call.
+bit by bit and drawn by its own multinomial call.  The outcome
+distributions in the Pauli bases are also kept as the einsum of the
+diagonal of ``U^dag rho U`` that the simulator used before it read them
+through one readout matrix.
 """
 
 import numpy as np
@@ -451,6 +454,12 @@ def sample_distribution(probs, outcome_labels, shots, rng):
     probs = probs / probs.sum()
     counts = rng.multinomial(shots, probs)
     return ShotTable(dict(zip(outcome_labels, (int(c) for c in counts))), shots)
+
+
+def basis_probabilities_oracle(rho, bases):
+    """Outcome distribution of ``rho`` in each basis ``U`` of ``bases``: the
+    diagonal of ``U^dag rho U``, one row per basis, by one einsum."""
+    return np.einsum("aji,jk,aki->ai", bases.conj(), rho, bases).real
 
 
 def experiment_oracle(exp_id, shots, noise, seed):

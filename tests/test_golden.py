@@ -10,6 +10,15 @@ change that is meant to alter the output, with::
 
     for i in 1 2 3 4 5 6; do eurqsi experiment $i --noise NOISE; done > FILE
 
+The ``csv`` and ``table`` formats print the same tables rebuilt from the
+counts; ``experiments_depolarizing_0.1_readout_0.02.FORMAT.stdout`` holds
+their stdout with that noise, written by the simulator that validated each
+shot table as it built it, and is compared byte for byte as well::
+
+    for i in 1 2 3 4 5 6; do
+        eurqsi experiment $i --format FORMAT --noise depolarizing=0.1,readout=0.02
+    done > experiments_depolarizing_0.1_readout_0.02.FORMAT.stdout
+
 The stdout of ``eurqsi fuzz --seed 7`` is compared with the ``fuzz_*``
 files: every byte outside a float literal exactly, the worst trial and
 the witness's shape among them, and each float within 1e-12, since LAPACK
@@ -42,6 +51,16 @@ def test_experiment_stdout_matches_the_golden_file(monkeypatch, capsysbinary, no
     monkeypatch.delenv("EURQSI_OUTDIR", raising=False)
     for exp_id in range(1, 7):
         assert main(["experiment", str(exp_id), "--noise", noise]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_experiment_csv_and_table_stdout_match_the_golden_files(monkeypatch, capsysbinary, fmt):
+    monkeypatch.delenv("EURQSI_OUTDIR", raising=False)
+    for exp_id in range(1, 7):
+        assert main(["experiment", str(exp_id), "--format", fmt,
+                     "--noise", "depolarizing=0.1,readout=0.02"]) == 0
+    name = f"experiments_depolarizing_0.1_readout_0.02.{fmt}.stdout"
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 

@@ -38,7 +38,13 @@ from eurqsi.states import (
     random_multipartite_state,
 )
 
-from conftest import experiment_oracle, flip_distribution, program_oracle, sample_distribution
+from conftest import (
+    basis_probabilities_oracle,
+    experiment_oracle,
+    flip_distribution,
+    program_oracle,
+    sample_distribution,
+)
 
 
 def _controlled(name):
@@ -135,6 +141,15 @@ class TestNoise:
             NoiseSpec(depolarizing_p=1.5)
         with pytest.raises(ValueError):
             NoiseSpec(readout_flip=-0.1)
+        # float() would read a bool as 0.0 or 1.0 and "0.5" or b"0.5" as 0.5
+        for name in ("depolarizing_p", "readout_flip"):
+            for value in (True, False, np.True_, np.False_, "0.5", "1", b"0.5"):
+                with pytest.raises(ValueError, match=f"^{name} must be a number in "
+                                                     f"\\[0, 1\\], got {value!r}$"):
+                    NoiseSpec(**{name: value})
+        noise = NoiseSpec(np.float32(0.25), 1)
+        assert noise == NoiseSpec(0.25, 1.0)
+        assert type(noise.depolarizing_p) is float and type(noise.readout_flip) is float
 
     def test_flip_distribution_two_bits(self):
         probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
@@ -230,6 +245,15 @@ class TestShotTable:
     def test_rejects_counts_and_shots_that_are_not_integers(self, counts, shots, message):
         with pytest.raises(ValueError, match=message):
             ShotTable(counts, shots)
+
+    @pytest.mark.parametrize("counts, repeated", [
+        ({0: 0, "0": 4, "1": 4}, "0"),     # str() would merge them into {"0": 4, "1": 4}
+        ({"1": 2, 1: 0, "0": 6}, "1"),
+        ({"0": 4, "None": 2, None: 2}, "None"),
+    ])
+    def test_rejects_outcome_keys_that_repeat_after_str(self, counts, repeated):
+        with pytest.raises(ValueError, match=f"outcome '{repeated}' is given by more than one key"):
+            ShotTable(counts, 8)
 
     def test_integer_valued_counts_of_any_type_are_stored_as_ints(self):
         t = ShotTable({"0": np.int64(3), "1": 1.0}, np.int32(4))
@@ -579,7 +603,8 @@ class TestAgainstStepwiseOracle:
 
     def test_fixed_data_are_read_only_and_left_unchanged_by_runs(self):
         arrays = [*GATES.values(), _PAULIS, *_PAULI_PRODUCTS.values(),
-                  simulate._COPIES, simulate._PAULI_BASES, simulate._PAIR_BASES]
+                  simulate._COPIES, simulate._PAULI_BASES, simulate._PAIR_BASES,
+                  *simulate._READOUTS.values()]
         for program in _PROGRAMS.values():
             arrays.append(program.ideal.matrix)
             arrays += [step.kraus for step in program.steps]
@@ -619,6 +644,42 @@ class TestAgainstStepwiseOracle:
                     labels = list(step.writes) + [labels[j] for j in rest]
                 assert tuple(labels) == program.ideal.labels
 
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_readout_matrix_matches_the_basis_einsum(self, qubits):
+        # one matmul of the readout matrix with vec(rho) gives the diagonal
+        # of U^dag rho U for every Pauli basis (pairs of them on two qubits)
+        bases = {1: simulate._PAULI_BASES, 2: simulate._PAIR_BASES}[qubits]
+        readout = simulate._READOUTS[qubits]
+        assert readout.shape == (3 * 2 ** qubits, 4 ** qubits)
+        labels = ("Ap", "B")[:qubits]
+        for seed in range(40):
+            rank = 1 + seed % 2 ** qubits
+            rho = random_multipartite_state((2,) * qubits, rank, [seed, qubits], labels).matrix
+            got = simulate._basis_probabilities(rho, readout)
+            assert got.shape == (3, 2 ** qubits)
+            assert np.abs(got - basis_probabilities_oracle(rho, bases)).max() < 1e-15
+
+    @pytest.mark.parametrize("counts", [
+        [[65, -1], [32, 32], [32, 32]],    # a negative count
+        [[32, 32], [32, 31], [32, 32]],    # a row that does not sum to the shots
+        [[32, 32], [32, 32], [64, 1]],
+        [[32.0, 32.0], [32.0, 32.0], [32.0, 32.0]],   # counts that are not integers
+    ])
+    def test_a_run_rejects_shot_counts_that_no_table_would_accept(self, monkeypatch, counts):
+        monkeypatch.setattr(simulate, "_shot_counts", lambda *a: np.array(counts))
+        with pytest.raises(ValueError, match="^shot counts .* summing to 64 in every row"):
+            run_experiment(1, shots=64)
+
+    def test_run_tables_equal_validated_tables(self):
+        # a table built without a check equals the one the validating
+        # constructor builds from the same counts, with str keys and int values
+        for exp_id in _PROGRAMS:
+            res = run_experiment(exp_id, shots=64, noise=NoiseSpec(0.1, 0.05), seed=exp_id)
+            for t in res.tables.values():
+                assert t == ShotTable(dict(t.counts), t.shots)
+                assert all(type(k) is str and type(v) is int for k, v in t.counts.items())
+                assert type(t.shots) is int and sum(t.counts.values()) == t.shots == 64
+
     def test_run_is_one_kernel_call_per_op_and_one_validation(self, monkeypatch):
         calls = []
 
@@ -644,6 +705,7 @@ class TestAgainstStepwiseOracle:
                 # every step, the recovery and the final trace among them, is
                 # two matmuls on its stored operators, with no call and no
                 # layout; one validation makes the final state, and one pass
-                # reads the three tables from it
+                # reads the three tables from it, whose counts are checked as
+                # one array, so no table is validated on its own
                 assert calls == ["DensityOperator", "_basis_probabilities", "_flipped",
-                                 "_shot_counts", "ShotTable", "ShotTable", "ShotTable"]
+                                 "_shot_counts"]
