@@ -4,6 +4,11 @@ Each case stores only inputs and golden outputs (entropies, the
 incompatibility and reversibility constants, recovery-channel closed forms
 and their action on selected states).  Every intermediate quantity is
 derived by the generic pipeline when :func:`run_all` replays the cases.
+
+Each closed-form reversal, r1, r2 and r3, is one read-only Kraus stack,
+which the circuit simulator of :mod:`eurqsi.simulate` runs too.  r1 and r2
+read the X register alone, and their maps take them with I_B; r3 acts on
+(X, B).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import op_norm, tensor, trace_distance
+from .linalg import _frozen, op_norm, tensor, trace_distance
 from .recovery import CpMap, apply_map, eur_recovery_map
 from .relations import check_bipartite
 from .states import (
@@ -57,55 +62,40 @@ def _ab(mat: np.ndarray) -> DensityOperator:
     return DensityOperator(mat, (2, 2), ("A", "B"))
 
 
-def _classical_copy_map(assignments) -> CpMap:
-    """Map reading the X register and preparing a pure A state per outcome."""
-    eye = np.eye(2, dtype=complex)
-    kraus = tuple(
-        np.kron(np.outer(ket, np.eye(2)[x].conj()), eye) for x, ket in assignments
-    )
-    return CpMap.from_kraus(
-        kraus,
-        in_dims=(2, 2),
-        out_dims=(2, 2),
-        in_labels=("X", "B"),
-        out_labels=("A", "B"),
-    )
+# The closed-form reversals, each one read-only Kraus stack: r1 and r2 read
+# the X register alone and prepare an A state per outcome, r1 |+> and |->,
+# r2 |0> for both; r3 measures X and coherently copies B to A with an
+# x-controlled phase, K_x = sum_z (-1)^(xz) |zz><xz| on (X, B) -> (A, B).
+# The circuit simulator runs the same stacks.
+_R1_KRAUS = _frozen(np.stack([np.outer(KET_PLUS, KET_0), np.outer(KET_MINUS, KET_1)]))
+_R2_KRAUS = _frozen(np.stack([np.outer(KET_0, KET_0), np.outer(KET_0, KET_1)]))
+_R3_KRAUS = np.zeros((2, 4, 4), dtype=complex)
+_R3_KRAUS[[0, 0, 1, 1], [0, 3, 0, 3], [0, 1, 2, 3]] = [1.0, 1.0, 1.0, -1.0]
+_frozen(_R3_KRAUS)
 
 
-def _bell_copy_kraus() -> np.ndarray:
-    """Measure X, coherently copy B to A with an x-controlled phase:
-    ``K_x = sum_z (-1)^(xz) |zz><xz|`` on (X, B) -> (A, B), read-only."""
-    kraus = np.zeros((2, 4, 4), dtype=complex)
-    for x in range(2):
-        kraus[x, 0, 2 * x] = 1.0             # |00><x0|
-        kraus[x, 3, 2 * x + 1] = (-1.0) ** x  # (-1)^x |11><x1|
-    kraus.flags.writeable = False
-    return kraus
-
-
-# r3's Kraus operators, the one copy that the circuit simulator shares
-_BELL_COPY_KRAUS = _bell_copy_kraus()
+def _reversal(kraus: np.ndarray) -> CpMap:
+    """The map (X, B) -> (A, B) of a closed-form reversal's Kraus stack: on
+    (X, B), or on the register alone, when it is taken with I_B."""
+    if kraus.shape[1:] == (2, 2):
+        kraus = [np.kron(k, np.eye(2)) for k in kraus]
+    return CpMap.from_kraus(kraus, in_dims=(2, 2), out_dims=(2, 2),
+                            in_labels=("X", "B"), out_labels=("A", "B"))
 
 
 def recovery_map_r1() -> CpMap:
     """Closed form of the X-eigenstate case: 0 -> |+>, 1 -> |->, B untouched."""
-    return _classical_copy_map([(0, KET_PLUS), (1, KET_MINUS)])
+    return _reversal(_R1_KRAUS)
 
 
 def recovery_map_r2() -> CpMap:
     """Closed form of the Z-eigenstate case: discard X, prepare |0> on A."""
-    return _classical_copy_map([(0, KET_0), (1, KET_0)])
+    return _reversal(_R2_KRAUS)
 
 
 def recovery_map_r3() -> CpMap:
     """Closed form of the maximally entangled case (coherent copy B -> A)."""
-    return CpMap.from_kraus(
-        _BELL_COPY_KRAUS,
-        in_dims=(2, 2),
-        out_dims=(2, 2),
-        in_labels=("X", "B"),
-        out_labels=("A", "B"),
-    )
+    return _reversal(_R3_KRAUS)
 
 
 def recovery_map_r4() -> CpMap:

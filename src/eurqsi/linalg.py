@@ -56,6 +56,12 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, for an array built once and shared."""
+    a.flags.writeable = False
+    return a
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(m.T)
 
@@ -309,16 +315,20 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(sv.sum())
 
 
-def _check_state_matrix(rho: np.ndarray, what: str) -> np.ndarray:
-    rho = as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"{what} must be square")
-    if not is_hermitian(rho):
-        raise ValueError(f"{what} is not Hermitian within tolerance")
-    tr = float(np.trace(rho).real)
+def _check_state_matrix(m, what: str = "density operator", error=ValueError) -> np.ndarray:
+    """``m`` as a matrix, once it is known to be what a state's matrix is
+    apart from its spectrum: square, Hermitian within ``HERM_TOL`` and of
+    unit trace within 1e-8; ``error`` names ``what`` when it is not.  Each
+    caller checks the spectrum its own way."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise error(f"{what} has shape {m.shape}, which is not square")
+    if not is_hermitian(m):
+        raise error(f"{what} is not Hermitian")
+    tr = float(m.trace().real)
     if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"{what} has trace {tr}, expected 1")
-    return rho
+        raise error(f"{what} has trace {tr}")
+    return m
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -58,6 +58,7 @@ import numpy as np
 from .entropy import _entropies
 from .linalg import (_fidelity, _in_order, _integer_argument, _integers, _on_support, _sinhc,
                      support_eig)
+from .serialize import scenario_to_dict
 from .states import (
     DensityOperator,
     InvalidStateError,
@@ -415,13 +416,10 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
     pvm_mode = "pauli" if d_a == 2 else "random"
     refined = relation_id.endswith("_refined")
 
-    from .serialize import scenario_to_dict  # deferred: serialize imports states
-
     min_slack = np.inf
     worst = None
     max_gap = -np.inf
-    if pvm_mode == "pauli":
-        # built once, so their cached Kraus operators serve every trial
+    if pvm_mode == "pauli":  # built once, for every trial
         x_pvm, z_pvm = pauli_pvm("X"), pauli_pvm("Z")
     for trial in range(trials):
         rho = random_multipartite_state(dims, d_a * d_b, [seed, trial, 0], ("A", "B"))

@@ -2,16 +2,19 @@
 sampling and optional noise.
 
 Each experiment is a fixed private program: the qubits it starts from in
-|0...0>, a tuple of steps, and its ideal output state.  Every step is one
-Kraus set from the subsystems it reads to those it writes, and the kind of
-noise that weights it.  A gate and the depolarizing noise on its qubits
-form one set: every Pauli product on those qubits times the gate, weighted
-by the noise.  A measurement copies the computational outcome into a
+|0...0>, a tuple of steps, and its ideal output state; the number of qubits
+it recovers, one or two, names its shot tables and their outcomes.  Every
+step is one Kraus set from the subsystems it reads to those it writes, and
+the kind of noise that weights it.  A gate and the depolarizing noise on
+its qubits form one set: every Pauli product on those qubits times the
+gate, weighted by the noise.  A measurement copies the computational outcome into a
 classical register with the operators ``|m>|m><m|`` on the target, the
 readout flip folded into the same set; the register is a decohered
-subsystem, so the recovery conditioned on it is exact.  A recovery is its
-map's Kraus operators, and the last step traces out every subsystem the
-ideal state lacks with the bras ``<k|``; neither is weighted by noise.
+subsystem, so the recovery conditioned on it is exact.  A recovery is one
+of the closed-form Kraus stacks of :mod:`eurqsi.gallery`, r1 on the
+register alone or r3 on the register and B, and the last step traces out
+every subsystem the ideal state lacks with the bras ``<k|``; neither is
+weighted by noise.
 
 Every subsystem a program holds is a qubit, and where each one sits before
 each step is fixed by the program, so the layout is done once, when the
@@ -35,9 +38,9 @@ sampled from the exact final distribution; there is no per-shot
 re-execution.
 
 Only the protocol's fixed data are built at import: the gates times their
-Pauli products, the recovery and trace operators, each step's laid-out
-operators, the readout matrix of each register width, and the ideal
-states and Bloch vectors, the states through the validating constructor.
+Pauli products, the trace operators, each step's laid-out operators, the
+readout matrix of each register width, and the ideal states and Bloch
+vectors, the states through the validating constructor.
 Each program's steps are checked once, when it is built, so a run checks
 no step.  Every shared array is read-only.  A run computes its noise
 weights and keeps nothing.
@@ -55,8 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gallery import _BELL_COPY_KRAUS
-from .linalg import _integer_argument, _integers, _local_operators
+from .gallery import _R1_KRAUS, _R3_KRAUS
+from .linalg import _frozen, _integer_argument, _integers, _local_operators
 from .states import (
     DensityOperator,
     KET_0,
@@ -69,12 +72,6 @@ from .states import (
     ket_bra,
     maximally_mixed,
 )
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only: it is shared by every run."""
-    a.flags.writeable = False
-    return a
 
 
 GATES = {
@@ -90,7 +87,8 @@ GATES = {
 }
 
 
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+# The types a noise parameter may have: Python's or numpy's ints and floats
+_REAL_SCALARS = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -103,13 +101,14 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("depolarizing_p", "readout_flip"):
             value = getattr(self, name)
-            # float() would read True as 1.0 and "0.5" or b"0.5" as 0.5
-            if isinstance(value, _NOT_NUMBERS):
+            # only a real scalar: float() would read True as 1.0, "0.5" or
+            # b"0.5" as 0.5, and a 0-d array as its entry
+            if isinstance(value, bool) or not isinstance(value, _REAL_SCALARS):
                 raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-            v = float(value)
-            object.__setattr__(self, name, v)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            # compared before float(), which overflows on a huge int
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, float(value))
 
 
 NOISELESS = NoiseSpec()
@@ -359,6 +358,8 @@ def _readout(bases: np.ndarray) -> np.ndarray:
 # The readout matrix of the Pauli bases (one recovered qubit) and of their
 # pairs (two), by register width
 _READOUTS = {1: _readout(_PAULI_BASES), 2: _readout(_PAIR_BASES)}
+# The names of the three shot tables and of their outcomes, by register width
+_TABLES = {1: (("X", "Y", "Z"), ("0", "1")), 2: (("XX", "YY*", "ZZ"), ("00", "01", "10", "11"))}
 
 
 def _basis_probabilities(rho: np.ndarray, readout: np.ndarray) -> np.ndarray:
@@ -384,10 +385,6 @@ def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
     return _Program(qubits, steps, state, bloch)
 
 
-# The reversal of an X measurement from its register alone: 0 -> |+>, 1 -> |->
-_R1_KRAUS = _frozen(np.stack([np.outer(KET_PLUS, KET_0), np.outer(KET_MINUS, KET_1)]))
-
-
 def _programs() -> dict[int, _Program]:
     """The six protocol variants.
 
@@ -403,7 +400,7 @@ def _programs() -> dict[int, _Program]:
     x_measurement = (h, _measure("q0", "X"), h)
     z_measurement = (_measure("q0", "Z"),)
     r1 = _Step(("X",), ("Ap",), _R1_KRAUS)
-    r3 = _Step(("X", "q1"), ("Ap", "B"), _BELL_COPY_KRAUS)
+    r3 = _Step(("X", "q1"), ("Ap", "B"), _R3_KRAUS)
     x_only, after_z = (_discard("q0"),), (_discard("q0", "Z"),)
     plus, plus_y = (h,), (h, _gate(GATES["s"], "q0"))
     bell = (h, _gate(cnot, "q0", "q1"))
@@ -488,10 +485,7 @@ def run_experiment(
     rho[0, 0] = 1.0
     ideal = program.ideal
     final = DensityOperator(_evolve(rho, program.steps, noise), ideal.dims, ideal.labels)
-    if exp_id <= 4:
-        keys, outcomes = ("X", "Y", "Z"), ("0", "1")
-    else:
-        keys, outcomes = ("XX", "YY*", "ZZ"), ("00", "01", "10", "11")
+    keys, outcomes = _TABLES[program.qubits]
     probs = _basis_probabilities(final.matrix, _READOUTS[program.qubits])
     counts = _shot_counts(_flipped(probs, noise.readout_flip), shots,
                           np.random.default_rng([seed, exp_id]))

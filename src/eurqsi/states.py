@@ -5,22 +5,27 @@ subsystem dimensions and labels.  A measurement writes its outcome into a
 classical register, stored as one more subsystem of a block-diagonal
 density operator, so the entropy code treats classical registers like any
 other subsystem.  A :class:`Pvm` holds one orthonormal basis of the
-measured space, each vector in the range of one projector, and every
-measurement is computed from it: ``_compressed``, the operator-stack kernel
+measured space, each vector in the range of one projector, kept in one
+form only, its range stack, and every measurement is computed from it:
+``_compressed``, the operator-stack kernel
 :func:`~eurqsi.linalg._local_stack` with the range isometries of one or
 more PVMs, gives the state compressed to each range, and ``_measured``
 traces those blocks to the stack of the diagonal blocks, which
-:func:`measure` places on the diagonal and the checks use as they are.  Reductions and reorderings of a
-state are :func:`~eurqsi.linalg._in_order`; no code here reshapes a matrix
-into subsystem axes.
+:func:`measure` places on the diagonal and the checks use as they are.
+Reductions and reorderings of a state are
+:func:`~eurqsi.linalg._in_order`; no code here reshapes a matrix into
+subsystem axes.
 
 Validation happens at the boundary: :class:`DensityOperator` and
 :class:`Pvm` check their invariants once, when they are constructed, and
-the public functions check their arguments; a PVM's basis comes from the
-step that validates it.  :meth:`DensityOperator.from_vector` validates its
-vector and derives the pure state's matrix from it, as
-:meth:`Pvm.from_basis` validates a basis and derives the projectors, so a
-matrix built from a checked vector is not checked again.  Each input keeps
+the public functions check their arguments.  A state's matrix passes
+:func:`~eurqsi.linalg._check_state_matrix`, the rule that
+:func:`~eurqsi.linalg.fidelity` applies to its arguments too, and then the
+PSD test; a PVM's basis comes from the step that validates it.
+:meth:`DensityOperator.from_vector` validates its vector and derives the
+pure state's matrix from it, as :meth:`Pvm.from_basis` validates a basis
+and derives the projectors, so a matrix built from a checked vector is not
+checked again.  Each input keeps
 the form it was validated in, for the checks to read: a pure state made
 from its vector keeps the unit vector (and :meth:`DensityOperator.permute`
 carries it), and a PVM sets its range stack when it is made.  Each public
@@ -41,6 +46,7 @@ from .linalg import (
     HERM_TOL,
     _NEG_TOL,
     _block_diagonal,
+    _check_state_matrix,
     _dimensions,
     _in_order,
     _integer_argument,
@@ -50,7 +56,6 @@ from .linalg import (
     as_matrix,
     dagger,
     eigenvalue_below,
-    is_hermitian,
     support_eig,
 )
 
@@ -97,18 +102,11 @@ class DensityOperator:
     _vector: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise InvalidStateError(f"matrix shape {m.shape} is not square")
+        m = _check_state_matrix(self.matrix, error=InvalidStateError)
         dims, labels = _layout(self.dims, self.labels, m.shape[0])
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
-        if not is_hermitian(m):
-            raise InvalidStateError("density operator is not Hermitian")
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > 1e-8:
-            raise InvalidStateError(f"density operator has trace {tr}")
         lo = eigenvalue_below(m, _NEG_TOL)
         if lo is not None:
             raise InvalidStateError(f"density operator has eigenvalue {lo}")
@@ -202,20 +200,17 @@ class Pvm:
 
     A PVM holds its projectors and one orthonormal basis of the measured
     space, each vector in the range of one projector, both set and checked
-    once, when it is made, and the basis stacked by outcome as the range
-    stack ``_ranges``, which compresses a state to each outcome.
-    Everything a check needs comes from these: the measurement Kraus
-    operators :attr:`kraus`, the compressed blocks and the incompatibility
-    constant.
+    once, when it is made.  The basis is kept in one form only, stacked by
+    outcome as the range stack ``_ranges``, which compresses a state to each
+    outcome.  Everything else comes from these: the ranks, the measurement
+    Kraus operators :attr:`kraus`, the compressed blocks and the
+    incompatibility constant.
     """
 
     projectors: tuple[np.ndarray, ...]
-    # (x, bras): row k of bras is <v_k|, the v_k an orthonormal basis grouped
-    # by outcome, v_k in range(P_{x_k}) and x ascending
-    _basis: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    # the bras stacked by outcome, shape (outcomes, r, d): block x is the
-    # isometry R_x onto range(P_x) (R_x^dag R_x = P_x), padded with zero rows
-    # to the largest rank r
+    # the basis as bras stacked by outcome, shape (outcomes, r, d): block x
+    # is the isometry R_x onto range(P_x) (R_x^dag R_x = P_x), its rows the
+    # basis vectors in range(P_x), padded with zero rows to the largest rank r
     _ranges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -256,7 +251,6 @@ class Pvm:
         ranges = np.zeros((len(projs), slot.max() + 1, d), dtype=complex)
         ranges[x, slot] = bras
         object.__setattr__(self, "projectors", projs)
-        object.__setattr__(self, "_basis", (x, bras))
         object.__setattr__(self, "_ranges", ranges)
 
     @classmethod
@@ -278,7 +272,6 @@ class Pvm:
                                     f"are not an orthonormal basis of dimension {bras.shape[1]}")
         pvm = object.__new__(cls)
         object.__setattr__(pvm, "projectors", tuple(bras.conj()[:, :, None] * bras[:, None, :]))
-        object.__setattr__(pvm, "_basis", (np.arange(len(kets)), bras))
         object.__setattr__(pvm, "_ranges", bras[:, None, :])
         return pvm
 
@@ -290,22 +283,26 @@ class Pvm:
         return len(self.projectors)
 
     def ranks(self) -> tuple[int, ...]:
-        """The rank of each projector: its number of basis vectors."""
-        return tuple(int(r) for r in np.bincount(self._basis[0], minlength=len(self)))
+        """The rank of each projector: its number of basis vectors, the
+        nonzero rows of its block of ``_ranges``."""
+        return tuple(np.any(self._ranges, axis=2).sum(axis=1).tolist())
 
     def is_rank_one(self) -> bool:
-        return all(r == 1 for r in self.ranks())
+        """Whether every projector has rank one: no block has a second row,
+        and the ranks, which sum to d, then count d outcomes."""
+        return self._ranges.shape[1] == 1 and len(self) == self.dim
 
     @cached_property
     def kraus(self) -> np.ndarray:
         """Measurement Kraus operators ``|x><v|``, shape (d, outcomes, d).
 
-        One operator per basis vector v, x its outcome; together they map
-        the measured subsystem to the outcome register.
+        One operator per basis vector v, x its outcome, in the order of the
+        nonzero rows of ``_ranges``; together they map the measured
+        subsystem to the outcome register.
         """
-        x, bras = self._basis
+        x, slot = np.nonzero(np.any(self._ranges, axis=2))
         kraus = np.zeros((len(x), len(self), self.dim), dtype=complex)
-        kraus[np.arange(len(x)), x] = bras
+        kraus[np.arange(len(x)), x] = self._ranges[x, slot]
         return kraus
 
 

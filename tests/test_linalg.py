@@ -7,8 +7,10 @@ import scipy.linalg
 
 from eurqsi.linalg import (
     EPS_SUPP,
+    _FIDELITY_GUARD,
     _block_diagonal,
     _check_psd,
+    _fidelity,
     _in_order,
     _local_stack,
     _on_support,
@@ -339,6 +341,24 @@ def test_fidelity_rejects_a_negative_eigenvalue(rho, sigma):
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         fidelity(np.eye(2) / 2, np.eye(3) / 3)
+
+
+# Eigenpairs (1/2 each, U = s I) whose vectors are not orthonormal: the raw
+# fidelity is s**4, (s**2 * sum of 1/2)**2 over (sum of 1/2)**2
+def _scaled_pair(s):
+    return np.array([0.5, 0.5]), s * np.eye(2)
+
+
+def test_fidelity_beyond_the_guard_band_is_an_error():
+    assert 1.001 ** 4 > 1.0 + _FIDELITY_GUARD
+    with pytest.raises(ValueError, match=r"fidelity 1\.004.* outside \[0, 1\] beyond guard band"):
+        _fidelity(_scaled_pair(1.001), _scaled_pair(1.001))
+
+
+def test_fidelity_inside_the_guard_band_is_clipped_to_one():
+    s = 1.0 + 1e-11
+    assert 1.0 < s ** 4 < 1.0 + _FIDELITY_GUARD
+    assert _fidelity(_scaled_pair(s), _scaled_pair(s)) == 1.0
 
 
 def test_op_norm_cases():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eurqsi import entropy, linalg, recovery, relations, states
+from eurqsi import entropy, gallery, linalg, recovery, relations, states
 from eurqsi.entropy import relative, von_neumann
 from eurqsi.linalg import EPS_SUPP, fidelity, support_eig, tensor
 from eurqsi.relations import EurReport, check_bipartite, check_tripartite, fuzz
@@ -15,6 +15,7 @@ from eurqsi.states import (
     DensityOperator,
     InvalidStateError,
     KET_0,
+    KET_MINUS,
     KET_PLUS,
     KET_PLUS_Y,
     Pvm,
@@ -610,13 +611,20 @@ def near_pure_factors(draw):
         eps, seed
 
 
+def _pvms_of_bases(ux, uz, coarse):
+    """X and Z with the bases in the columns of ``ux`` and ``uz``, Z's first
+    two columns one rank-2 projector when ``coarse``."""
+    xp = Pvm.from_basis(ux.T)
+    zp = (Pvm((uz[:, :2] @ uz[:, :2].conj().T, uz[:, 2:] @ uz[:, 2:].conj().T)) if coarse
+          else Pvm.from_basis(uz.T))
+    return xp, zp
+
+
 def _reports_of_factor(g, dims, ux, uz, coarse):
     """Both checks on the state with factor ``g``, X and Z the bases in the
     columns of ``ux`` and ``uz``: the bipartite check on G G^dag, unless Z
     is coarse, and the tripartite check on G read as the vector psi_ABE."""
-    xp = Pvm.from_basis(ux.T)
-    zp = (Pvm((uz[:, :2] @ uz[:, :2].conj().T, uz[:, 2:] @ uz[:, 2:].conj().T)) if coarse
-          else Pvm.from_basis(uz.T))
+    xp, zp = _pvms_of_bases(ux, uz, coarse)
     reports = [check_tripartite(
         DensityOperator.from_vector(g, dims + (g.shape[1],), ("A", "B", "E")), xp, zp)]
     if not coarse:
@@ -688,6 +696,111 @@ def test_complex_conjugation_changes_no_bit_of_the_reports(case):
     got = _reports_of_factor(g.conj(), dims, ux.conj(), uz.conj(), coarse)
     want = _reports_of_factor(g, dims, ux, uz, coarse)
     assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+
+
+# The proof of the refinement (Coles et al., PRL 108, 210405) term by term.
+# With tau = sum_z (Z_z (x) I) rho_AB (Z_z (x) I) and N the X measurement:
+# H(Z|E) of a pure psi_ABE is D(rho_AB || tau), which for a rank-one Z is
+# H(Z|B) - H(A|B); the recoverability gap D(rho || tau) - D(sigma_XB || N(tau))
+# + log f and the incompatibility gap D(sigma_XB || N(tau)) + log c + H(X|B)
+# are each non-negative and sum to slack_refined.
+
+
+def _proof_terms(rho, xp, zp):
+    """D(rho_AB || tau) and D(sigma_XB || N(tau)) in bits, A measured, from
+    the public relative, pinch and measure, which share no code path with
+    the checks' kernel beyond the support cut.  N(tau) is measure(tau, X),
+    as theta_state, which needs a rank-one Z, would give it."""
+    tau = pinch(rho, zp, "A")
+    return (relative(rho, tau.matrix),
+            relative(measure(rho, xp, "A", "X"), measure(tau, xp, "A", "X").matrix))
+
+
+def _proof_gaps(report, terms):
+    """The report's H(Z|E) (tripartite) or H(Z|B) - H(A|B) (bipartite)
+    minus D(rho_AB || tau), the recoverability gap and the incompatibility
+    gap, from the ``terms`` of :func:`_proof_terms`."""
+    d_tau, d_n = terms
+    h_z = report.h_ze if report.relation_id.startswith("tripartite") else report.h_zb - report.h_ab
+    return h_z - d_tau, d_tau - d_n + math.log2(report.f), d_n + math.log2(report.c) + report.h_xb
+
+
+def _proof_bounds(eps):
+    """Bounds on the identity and the gap sum, and on how far below 0 a gap
+    may go, for small eigenvalues in [0.2 eps, 0.9 eps]: about three times
+    the largest error measured on 240 inputs per decade, Pauli X and Z among
+    them.  Below the support cutoff, where the checks and the relative
+    entropies drop those eigenvalues, the incompatibility gap of a Pauli
+    pair, 0 in exact arithmetic, goes down to about -1.4 eps (measured
+    -1.6e-13 at 1e-13, -7.1e-11 at 1e-10); the identity is off by at most
+    8.7e-15 there, an exact rank included.  Above the cutoff the identity
+    is off by at most 1.5e-14 (at 1e-8), and a gap goes down to -8.7e-15."""
+    if 0.9 * eps < EPS_SUPP:
+        return 3e-14, 1e-14 + 5.0 * eps
+    return 5e-14, 3e-14
+
+
+def _assert_proof_chain(reports, terms, eps):
+    identity_tol, gap_tol = _proof_bounds(eps)
+    for report in reports:
+        identity, recoverability, incompatibility = _proof_gaps(report, terms)
+        assert abs(identity) <= identity_tol, report.relation_id
+        assert recoverability >= -gap_tol, report.relation_id
+        assert incompatibility >= -gap_tol, report.relation_id
+        assert abs(recoverability + incompatibility - report.slack_refined) <= identity_tol, \
+            report.relation_id
+
+
+@st.composite
+def proof_instances(draw):
+    """rho_AB on 2x2, 2x3 or 3x3 of rank 1, 2 or full; for a qubit A Pauli X
+    and Z or Haar-random rank-one ones, and for a qutrit A a Haar-random X
+    and a Z that is rank one or coarse, with a rank-2 projector."""
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    rank = draw(st.sampled_from([1, 2, dims[0] * dims[1]]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rho = random_multipartite_state(dims, rank, [seed, 0], ("A", "B"))
+    if dims[0] == 2 and draw(st.booleans()):
+        return rho, X, Z, False
+    coarse = dims[0] == 3 and draw(st.booleans())
+    zp = rank2_plus_rank1_pvm([seed, 2]) if coarse else random_pvm(dims[0], [seed, 2])
+    return rho, random_pvm(dims[0], [seed, 1]), zp, coarse
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(proof_instances())
+def test_the_proof_holds_term_by_term(instance):
+    # both checks, the tripartite one on a purification; a coarse Z has no
+    # bipartite check, and its H(Z|E) is D(rho || tau) all the same
+    rho, xp, zp, coarse = instance
+    reports = [check_tripartite(purify(rho, "E"), xp, zp)]
+    if not coarse:
+        reports.append(check_bipartite(rho, xp, zp))
+    _assert_proof_chain(reports, _proof_terms(rho, xp, zp), 0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(near_pure_factors(), st.booleans())
+def test_the_proof_holds_term_by_term_on_near_pure_states(case, pauli):
+    # a qubit A takes Pauli X and Z when drawn: their incompatibility gap is
+    # 0 in exact arithmetic
+    g, dims, ux, uz, coarse, eps, _ = case
+    if pauli and dims[0] == 2:
+        ux, uz = np.column_stack([KET_PLUS, KET_MINUS]), np.eye(2)
+    rho = DensityOperator(g @ g.conj().T, dims, ("A", "B"))
+    _assert_proof_chain(_reports_of_factor(g, dims, ux, uz, coarse),
+                        _proof_terms(rho, *_pvms_of_bases(ux, uz, coarse)), eps)
+
+
+@pytest.mark.parametrize("case_id", gallery.CASE_IDS)
+def test_the_gallery_cases_close_both_gaps(case_id):
+    # each case saturates the refined relation with both gaps at once
+    case = gallery.build(case_id)
+    rho, xp, zp = case.rho_ab, case.x_pvm, case.z_pvm
+    terms = _proof_terms(rho, xp, zp)
+    for report in (check_bipartite(rho, xp, zp), check_tripartite(purify(rho, "E"), xp, zp)):
+        _, recoverability, incompatibility = _proof_gaps(report, terms)
+        assert abs(recoverability) <= 1e-15 and abs(incompatibility) <= 1e-15, report.relation_id
 
 
 class TestEurReportInvariants:

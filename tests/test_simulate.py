@@ -1,10 +1,12 @@
 
+import re
+
 import numpy as np
 import pytest
 
 import eurqsi.linalg as linalg
 import eurqsi.simulate as simulate
-from eurqsi.gallery import _BELL_COPY_KRAUS, recovery_map_r1, recovery_map_r3
+from eurqsi.gallery import _R1_KRAUS, _R3_KRAUS, recovery_map_r1, recovery_map_r3
 from eurqsi.linalg import apply_local, fidelity, partial_trace, trace_distance
 from eurqsi.serialize import canonical_json
 from eurqsi.simulate import (
@@ -26,15 +28,20 @@ from eurqsi.simulate import (
     bloch_tomography,
     run_experiment,
 )
-from eurqsi.recovery import CpMap, choi_from_kraus
+from eurqsi.recovery import CpMap, apply_map, choi_from_kraus, eur_recovery_map
+from eurqsi.relations import check_bipartite
 from eurqsi.states import (
     KET_MINUS,
     KET_PLUS,
+    KET_PLUS_Y,
     DensityOperator,
     Pvm,
     bell_phi,
     ket_bra,
     maximally_mixed,
+    measure,
+    pauli_pvm,
+    pinch,
     random_multipartite_state,
 )
 
@@ -141,11 +148,16 @@ class TestNoise:
             NoiseSpec(depolarizing_p=1.5)
         with pytest.raises(ValueError):
             NoiseSpec(readout_flip=-0.1)
-        # float() would read a bool as 0.0 or 1.0 and "0.5" or b"0.5" as 0.5
+        for value in (float("nan"), 10**400):  # no float() overflow on the way
+            with pytest.raises(ValueError, match="^depolarizing_p must lie in"):
+                NoiseSpec(value)
+        # float() would read a bool as 0.0 or 1.0, "0.5" or b"0.5" as 0.5 and
+        # a 0-d array as its entry; an array of one entry is no number either
         for name in ("depolarizing_p", "readout_flip"):
-            for value in (True, False, np.True_, np.False_, "0.5", "1", b"0.5"):
+            for value in (True, False, np.True_, np.False_, "0.5", "1", b"0.5",
+                          np.array(True), np.array("0.5"), np.array([0.5])):
                 with pytest.raises(ValueError, match=f"^{name} must be a number in "
-                                                     f"\\[0, 1\\], got {value!r}$"):
+                                                     f"\\[0, 1\\], got {re.escape(repr(value))}$"):
                     NoiseSpec(**{name: value})
         noise = NoiseSpec(np.float32(0.25), 1)
         assert noise == NoiseSpec(0.25, 1.0)
@@ -492,7 +504,7 @@ class TestRunCircuit:
     def test_missing_recovery_binding(self):
         # a recovery bound to no subsystem
         with pytest.raises(ValueError, match="step 0 maps"):
-            _checked(1, (_Step((), (), simulate._R1_KRAUS),))
+            _checked(1, (_Step((), (), _R1_KRAUS),))
 
     @pytest.mark.parametrize("in_dims, in_labels, out_labels", [
         ((2,), ("q0", "q1"), ("a", "b")),   # two labels for a one-qubit stack
@@ -539,9 +551,9 @@ class TestRunCircuit:
     def test_a_program_must_end_on_the_ideal_state_subsystems(self):
         # a program that leaves a qubit or a register untraced, or ends
         # with its recovered qubits out of order, is rejected when it is built
-        r3 = _Step(("X", "q1"), ("Ap", "B"), _BELL_COPY_KRAUS)
+        r3 = _Step(("X", "q1"), ("Ap", "B"), _R3_KRAUS)
         for qubits, steps in (
-            (1, (_measure("q0", "X"), _Step(("X",), ("Ap",), simulate._R1_KRAUS))),
+            (1, (_measure("q0", "X"), _Step(("X",), ("Ap",), _R1_KRAUS))),
             (2, (_measure("q0", "X"), r3, _discard("q0"), _identity(("B", "Ap"), ("B", "Ap")))),
         ):
             with pytest.raises(ValueError, match="the steps end on"):
@@ -551,6 +563,26 @@ class TestRunCircuit:
         steps = (_measure("q0", "X"), _identity(("X",), ("a",)), _measure("q1", "a"))
         with pytest.raises(ValueError, match="step 2 writes"):
             _checked(2, steps)
+
+
+class TestAgainstTheChecker:
+    # the input of experiments 1 and 2, 3 and 4, and 5 and 6 as the checker
+    # reads it: |+> and |+_Y> with a trivial B, and the Bell state
+    INPUTS = {1: (KET_PLUS, (2, 1)), 3: (KET_PLUS_Y, (2, 1)), 5: (bell_phi(), (2, 2))}
+
+    @pytest.mark.parametrize("first", sorted(INPUTS))
+    def test_programs_end_on_the_recovered_and_on_the_pinched_input(self, first):
+        # the first program of a pair measures X and reverses it: it ends on
+        # R(sigma_XB), whose fidelity with the input is the checker's f; the
+        # second measures Z first and ends on tau, as R(N(tau)) = tau
+        ket, dims = self.INPUTS[first]
+        rho = DensityOperator.from_vector(ket, dims, ("A", "B"))
+        x, z = pauli_pvm("X"), pauli_pvm("Z")
+        recovered = apply_map(eur_recovery_map(rho, x, z), measure(rho, x, "A", "X")).matrix
+        ideal, pinched_ideal = (_PROGRAMS[e].ideal.matrix for e in (first, first + 1))
+        assert trace_distance(ideal, recovered) <= 1e-12
+        assert trace_distance(pinched_ideal, pinch(rho, z, "A").matrix) <= 1e-12
+        assert abs(fidelity(rho.matrix, ideal) - check_bipartite(rho, x, z).f) <= 1e-12
 
 
 class TestAgainstStepwiseOracle:
@@ -572,7 +604,7 @@ class TestAgainstStepwiseOracle:
             _gate(GATES["h"], "q0"), _gate(GATES["h"], "q2"), _gate(_controlled("x"), "q0", "q1"),
             _gate(_controlled("z"), "q2", "q0"), _gate(t, "q1"), _measure("q1", "M"),
             _gate(GATES["h"], "q1"), _gate(_controlled("y"), "q1", "q2"),
-            _Step(("M",), ("R",), simulate._R1_KRAUS),
+            _Step(("M",), ("R",), _R1_KRAUS),
             _gate(GATES["s"], "q0"), _measure("q2", "N"), _discard("q1", "R"),
         )
         steps, got_labels = _checked(3, steps)
@@ -586,14 +618,14 @@ class TestAgainstStepwiseOracle:
             assert np.abs(got - rho).max() < 1e-14
 
     def test_recovery_maps_are_shared_and_read_only(self):
-        # r1 (experiments 1-4) and r3 (5-6) are each one read-only stack,
-        # whose Choi matrix is the gallery's map: r1 reads the register
-        # alone, so it is the gallery's r1 with B left out
+        # r1 (experiments 1-4) and r3 (5-6) are each the gallery's one
+        # read-only stack, whose Choi matrix is the gallery's map: r1 reads
+        # the register alone, so it is the gallery's r1 with B left out
         r1 = _PROGRAMS[1].steps[-2].kraus
         r3 = _PROGRAMS[5].steps[-2].kraus
         assert {id(_PROGRAMS[e].steps[-2].kraus) for e in (1, 2, 3, 4)} == {id(r1)}
         assert {id(_PROGRAMS[e].steps[-2].kraus) for e in (5, 6)} == {id(r3)}
-        assert r3 is _BELL_COPY_KRAUS
+        assert r1 is _R1_KRAUS and r3 is _R3_KRAUS
         r1_with_b = [np.kron(k, np.eye(2)) for k in r1]
         assert np.array_equal(choi_from_kraus(r1_with_b), recovery_map_r1().choi)
         assert np.array_equal(choi_from_kraus(r3), recovery_map_r3().choi)

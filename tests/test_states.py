@@ -429,25 +429,44 @@ class TestPvmValidation:
 
     @pytest.mark.parametrize("kind", ["from_basis", "rank 2", "zero projector"])
     def test_range_stack_is_set_at_construction(self, kind):
+        # the range stack is the PVM's one copy of its basis: the ranks,
+        # the rank-one test and the Kraus operators are read off it
+        kets = haar_unitary(3, 420).T
         if kind == "from_basis":
-            pvm = Pvm.from_basis(haar_unitary(3, 420).T)
+            pvm, ranks = Pvm.from_basis(kets), (1, 1, 1)
         elif kind == "rank 2":
-            pvm = rank2_plus_rank1_pvm(420)
+            pvm, ranks = rank2_plus_rank1_pvm(420), (2, 1)
         else:
-            pvm = Pvm(random_pvm(3, 420).projectors + (np.zeros((3, 3)),))
-        assert "_ranges" in vars(pvm)
-        assert np.array_equal(pvm._ranges, _ranges_oracle(pvm))
-        if kind == "from_basis":  # a view of the basis, no copy
-            assert np.shares_memory(pvm._ranges, pvm._basis[1])
+            pvm, ranks = Pvm(random_pvm(3, 420).projectors + (np.zeros((3, 3)),)), (1, 1, 1, 0)
+        assert "_ranges" in vars(pvm) and not hasattr(pvm, "_basis")
+        if kind == "from_basis":  # the given kets, bit for bit
+            assert np.array_equal(pvm._ranges[:, 0], kets.conj())
+        else:
+            assert np.allclose(pvm._ranges, _ranges_oracle(pvm), rtol=0.0, atol=1e-15)
+        assert pvm.ranks() == ranks and all(type(r) is int for r in pvm.ranks())
+        assert pvm.is_rank_one() == (kind == "from_basis")
+        # one Kraus operator |x><v| per basis vector, outcomes ascending and
+        # each outcome's vectors in slot order: the nonzero rows of the stack
+        k = pvm.kraus
+        op, outcomes = np.nonzero(np.any(k, axis=2))
+        assert k.shape == (pvm.dim, len(pvm), pvm.dim) and np.array_equal(op, np.arange(pvm.dim))
+        assert np.array_equal(outcomes, np.repeat(np.arange(len(pvm)), ranks))
+        rows = [pvm._ranges[x, s] for x, r in enumerate(ranks) for s in range(r)]
+        assert np.array_equal(k.sum(axis=1), np.array(rows))
 
 
 def _ranges_oracle(pvm):
-    """The range stack as it was built on first use: the bras of the basis
-    written into a zero stack, block x slot by slot."""
-    x, bras = pvm._basis
-    slot = np.arange(len(x)) - np.searchsorted(x, x)
-    ranges = np.zeros((len(pvm), slot.max() + 1, pvm.dim), dtype=complex)
-    ranges[x, slot] = bras
+    """The range stack of a PVM made from its projectors, found projector
+    by projector: block x holds the bras of the eigenvectors of P_x above
+    1/2, the largest eigenvalue first, then zero rows up to the largest
+    rank."""
+    blocks = []
+    for p in pvm.projectors:
+        vals, vecs = np.linalg.eigh(p)
+        blocks.append(vecs[:, ::-1][:, vals[::-1] > 0.5].conj().T)
+    ranges = np.zeros((len(pvm), max(map(len, blocks)), pvm.dim), dtype=complex)
+    for x, bras in enumerate(blocks):
+        ranges[x, :len(bras)] = bras
     return ranges
 
 
