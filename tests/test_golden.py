@@ -27,6 +27,19 @@ that compressed rho_AB to X's and to Z's ranges in two calls; regenerate
 one only for a change that is meant to alter the output, with::
 
     eurqsi fuzz --seed 7 --dim D --trials N --relation R > fuzz_dimD_trialsN_R.stdout
+
+The other outputs of the command line are compared the same way: every
+format of ``eurqsi examples`` (``examples[.FORMAT].stdout``), the csv and
+table formats of ``eurqsi check`` on the scenario file
+``check_scenario.json`` (its json form embeds the file's path), and of
+``eurqsi fuzz --seed 7 --dim 3 --trials 100``.  They were written by the
+command line whose four commands each chose their own format; regenerate
+one only for a change that is meant to alter the output, with::
+
+    eurqsi examples [--format FORMAT] > examples[.FORMAT].stdout
+    eurqsi check --scenario check_scenario.json --format FORMAT > check_scenario.FORMAT.stdout
+    eurqsi fuzz --seed 7 --dim 3 --trials 100 --format FORMAT \\
+        > fuzz_dim3_trials100_bipartite_refined.FORMAT.stdout
 """
 
 import re
@@ -108,3 +121,23 @@ def test_golden_comparison_forgives_float_round_off_only():
     assert _golden_mismatch(text.replace("0.5", "0.500000000002"), text) is not None
     assert _golden_mismatch(text.replace('[1,', '[2,'), text) is not None
     assert _golden_mismatch(text.replace('"x1.0"', '"y1.0"'), text) is not None
+
+
+SCENARIO = str(GOLDEN / "check_scenario.json")
+FUZZ = ["fuzz", "--seed", "7", "--dim", "3", "--trials", "100"]
+CLI_RUNS = [
+    (["examples"], "examples.stdout"),
+    *[(["examples", "--format", fmt], f"examples.{fmt}.stdout") for fmt in ("csv", "table")],
+    *[(["check", "--scenario", SCENARIO, "--format", fmt], f"check_scenario.{fmt}.stdout")
+      for fmt in ("csv", "table")],
+    *[(FUZZ + ["--format", fmt], f"fuzz_dim3_trials100_bipartite_refined.{fmt}.stdout")
+      for fmt in ("csv", "table")],
+]
+
+
+@pytest.mark.parametrize("argv, name", CLI_RUNS, ids=[name for _, name in CLI_RUNS])
+def test_cli_stdout_matches_the_golden_file(monkeypatch, capsys, argv, name):
+    monkeypatch.delenv("EURQSI_OUTDIR", raising=False)
+    assert main(argv) == 0
+    want = (GOLDEN / name).read_text()
+    assert _golden_mismatch(capsys.readouterr().out, want) is None
