@@ -3,8 +3,12 @@
 Exit codes form a stable contract: 0 pass, 1 tolerance failure, 2 parse
 error, 3 input validation error.  JSON is the canonical output (17
 significant digits, sorted keys, byte-identical under replay); csv and
-table are projections of it.  If the EURQSI_OUTDIR environment variable is
-set, the rendered output is also written there atomically.
+table are projections of it.  Each command builds its payload, its csv rows
+and its table, and one renderer, :func:`_render`, writes the one that
+``--format`` asks for with :func:`_emit`; the csv header is read off the
+rows' keys.  If the EURQSI_OUTDIR environment variable is set, the rendered
+output is also written there atomically; when it cannot be, the command
+exits 2 with one stderr line.
 """
 
 from __future__ import annotations
@@ -30,14 +34,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
+def _csv(rows: list[dict]) -> str:
+    """The rows as csv, under a header of the first row's keys."""
+    lines = [",".join(rows[0])]
     for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            cells.append(_fmt(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -48,15 +49,40 @@ def _aligned(rows: list[tuple]) -> str:
     ) + "\n"
 
 
-def _emit(text: str, out_name: str) -> None:
+def _key_values(d: dict) -> list[dict]:
+    """One ``key, value`` row per entry of ``d``, a list value as its text."""
+    return [{"key": k, "value": str(v) if isinstance(v, list) else v} for k, v in d.items()]
+
+
+def _render(args, name: str, payload: dict, csv_rows: list[dict], table: str) -> int:
+    """Write ``payload`` as canonical JSON, or its projection ``csv_rows``
+    or ``table``, as ``--format`` asks, with :func:`_emit`; its exit code."""
+    if args.format == "json":
+        text = canonical_json(payload) + "\n"
+    elif args.format == "csv":
+        text = _csv(csv_rows)
+    else:
+        text = table
+    return _emit(text, f"{name}.{args.format}")
+
+
+def _emit(text: str, out_name: str) -> int:
+    """Write ``text`` to stdout and, atomically, to ``out_name`` in
+    EURQSI_OUTDIR when it is set; exit 2, with one stderr line, when that
+    file cannot be written."""
     sys.stdout.write(text)
     out_dir = os.environ.get("EURQSI_OUTDIR")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=out_name + ".")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, os.path.join(out_dir, out_name))
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=out_name + ".")
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, os.path.join(out_dir, out_name))
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write output: {exc}\n")
+            return EXIT_PARSE
+    return EXIT_OK
 
 
 def _parse_noise(spec: str | None) -> NoiseSpec:
@@ -85,25 +111,15 @@ def _verdict(name: str, slack: float, tolerance: float) -> int:
 def cmd_examples(args) -> int:
     rows = gallery.run_all(tolerance_override=args.tolerance)
     ok = gallery.all_ok(rows)
-    payload = {
-        "command": "examples",
-        "cases": len(gallery.CASE_IDS),
-        "all_ok": ok,
-        "checks": [r.to_dict() for r in rows],
-    }
-    if args.format == "json":
-        text = canonical_json(payload) + "\n"
-    elif args.format == "csv":
-        text = _csv([r.to_dict() for r in rows],
-                    ["case", "check", "residual", "tolerance", "ok"])
-    else:
-        table = [("case", "check", "residual", "tolerance", "ok")]
-        for r in rows:
-            table.append((r.case, r.check, f"{r.residual:.3e}", f"{r.tolerance:.0e}",
-                          "pass" if r.ok else "FAIL"))
-        text = _aligned(table) + f"all_ok: {ok}\n"
-    _emit(text, f"examples.{args.format}")
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    checks = [r.to_dict() for r in rows]
+    payload = {"command": "examples", "cases": len(gallery.CASE_IDS), "all_ok": ok,
+               "checks": checks}
+    table = [("case", "check", "residual", "tolerance", "ok")]
+    for r in rows:
+        table.append((r.case, r.check, f"{r.residual:.3e}", f"{r.tolerance:.0e}",
+                      "pass" if r.ok else "FAIL"))
+    return (_render(args, "examples", payload, checks, _aligned(table) + f"all_ok: {ok}\n")
+            or (EXIT_OK if ok else EXIT_TOLERANCE))
 
 
 def cmd_check(args) -> int:
@@ -119,39 +135,19 @@ def cmd_check(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot read scenario: {exc}\n")
         return EXIT_PARSE
-    payload = {"command": "check", "scenario": str(args.scenario),
-               "report": report.to_dict()}
-    if args.format == "json":
-        text = canonical_json(payload) + "\n"
-    elif args.format == "csv":
-        rows = [{"key": k, "value": v} for k, v in report.to_dict().items()]
-        text = _csv(rows, ["key", "value"])
-    else:
-        text = report.table() + "\n"
-    _emit(text, f"check.{args.format}")
-    return _verdict("slack_refined", report.slack_refined, args.tolerance)
+    d = report.to_dict()
+    payload = {"command": "check", "scenario": str(args.scenario), "report": d}
+    return (_render(args, "check", payload, _key_values(d), report.table() + "\n")
+            or _verdict("slack_refined", report.slack_refined, args.tolerance))
 
 
 def cmd_fuzz(args) -> int:
     summary = fuzz(args.relation, args.trials, args.dim, args.seed)
-    payload = {"command": "fuzz", **summary.to_dict()}
-    if args.format == "json":
-        text = canonical_json(payload) + "\n"
-    elif args.format == "csv":
-        flat = summary.to_dict()
-        flat.pop("worst_instance")
-        flat.pop("worst_report")
-        rows = [{"key": k, "value": v if not isinstance(v, list) else str(v)}
-                for k, v in flat.items()]
-        text = _csv(rows, ["key", "value"])
-    else:
-        d = summary.to_dict()
-        rows = [(k, d[k]) for k in ("relation_id", "trials", "dims", "seed",
-                                    "pvm_mode", "min_slack", "worst_trial",
-                                    "max_refinement_gap")]
-        text = _aligned([(k, str(v)) for k, v in rows])
-    _emit(text, f"fuzz.{args.format}")
-    return _verdict("min_slack", summary.min_slack, args.tolerance)
+    d = summary.to_dict()
+    rows = _key_values({k: v for k, v in d.items() if k not in ("worst_report", "worst_instance")})
+    table = _aligned([(r["key"], r["value"]) for r in rows])
+    return (_render(args, "fuzz", {"command": "fuzz", **d}, rows, table)
+            or _verdict("min_slack", summary.min_slack, args.tolerance))
 
 
 def cmd_experiment(args) -> int:
@@ -161,30 +157,20 @@ def cmd_experiment(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     result = run_experiment(args.id, shots=args.shots, noise=noise, seed=args.seed)
+    rows = []
+    lines = [f"experiment {result.experiment}  shots {result.shots}  seed {result.seed}"]
+    for name, t in sorted(result.tables.items()):
+        table = [("outcome", "count", "frequency", "stderr")]
+        for row in t.to_rows():
+            rows.append({"table": name, **row})
+            table.append((row["outcome"], row["count"],
+                          f"{row['frequency']:.6f}", f"{row['stderr']:.6f}"))
+        lines += [f"\n[{name}]", _aligned(table).rstrip("\n")]
+    if result.bloch_estimate is not None:
+        x, y, z = result.bloch_estimate
+        lines.append(f"\nbloch estimate  ({x:+.6f}, {y:+.6f}, {z:+.6f})")
     payload = {"command": "experiment", **result.to_dict()}
-    if args.format == "json":
-        text = canonical_json(payload) + "\n"
-    elif args.format == "csv":
-        rows = []
-        for name, t in sorted(result.tables.items()):
-            for row in t.to_rows():
-                rows.append({"table": name, **row})
-        text = _csv(rows, ["table", "outcome", "count", "frequency", "stderr"])
-    else:
-        lines = [f"experiment {result.experiment}  shots {result.shots}  seed {result.seed}"]
-        for name, t in sorted(result.tables.items()):
-            lines.append(f"\n[{name}]")
-            table = [("outcome", "count", "frequency", "stderr")]
-            for row in t.to_rows():
-                table.append((row["outcome"], row["count"],
-                              f"{row['frequency']:.6f}", f"{row['stderr']:.6f}"))
-            lines.append(_aligned(table).rstrip("\n"))
-        if result.bloch_estimate is not None:
-            x, y, z = result.bloch_estimate
-            lines.append(f"\nbloch estimate  ({x:+.6f}, {y:+.6f}, {z:+.6f})")
-        text = "\n".join(lines) + "\n"
-    _emit(text, f"experiment_{args.id}.{args.format}")
-    return EXIT_OK
+    return _render(args, f"experiment_{args.id}", payload, rows, "\n".join(lines) + "\n")
 
 
 def _positive_float(raw: str) -> float:

@@ -43,7 +43,7 @@ TOL_C = 1e-12
 TOL_MAP_PAIR = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GalleryCase:
     id: str
     rho_ab: DensityOperator

@@ -19,11 +19,13 @@ congruence of the channel's Choi matrix by those eigenbases (:func:`_petz`).
 
 The measurement-reversal map R is the rotated Petz recovery of the X
 measurement N = M_X (x) id relative to the Z-pinched state tau, both with
-the measured subsystem first.  :func:`eur_recovery_map` builds N from the
-PVM's Kraus operators and tau by pinching, and runs the same builder with
-one more Choi term: the completion ``(I - P)^T (x) tau / Tr tau``, P the
-projector onto supp(N(tau)), which sends the inputs R is not defined on
-to tau and makes the channel trace-preserving everywhere.  The
+the measured subsystem first.  :func:`eur_recovery_map` puts it first with
+:func:`~eurqsi.states._measured_first`, builds N from the PVM's Kraus
+operators (:func:`~eurqsi.linalg._local_operators`) and tau by pinching,
+and runs :func:`_petz` with one more Choi term: the completion
+``(I - P)^T (x) tau / Tr tau``, P the projector onto supp(N(tau)), which
+sends the inputs R is not defined on to tau and makes the channel
+trace-preserving everywhere.  The
 reversibility term f of :mod:`eurqsi.relations` needs only the one state
 R(sigma_XB) and evaluates it in block form, with no channel built
 (:func:`~eurqsi.relations._reversibility`).
@@ -36,14 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_dimensions, _local_stack, _sinhc, as_matrix, dagger, eigenvalue_below,
-                     is_hermitian, support_eig)
-from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim
+from .linalg import (_dimensions, _local_operators, _local_stack, _sinhc, as_matrix, dagger,
+                     eigenvalue_below, is_hermitian, support_eig)
+from .states import DensityOperator, Pvm, _measured_first
 
 CHOI_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpMap:
     """Completely positive map between labeled multipartite spaces.
 
@@ -262,19 +264,12 @@ def eur_recovery_map(
     that routes the complement of supp(N(tau)) to tau / Tr tau, so the
     channel is trace-preserving everywhere.
     """
-    if not z_pvm.is_rank_one():
-        raise InvalidStateError("eur_recovery_map needs a rank-one Z measurement")
-    dims, pos = rho_ab.dims, rho_ab.label_index(measured)
-    _check_pvm_dim(x_pvm, dims[pos], measured)
-    _check_pvm_dim(z_pvm, dims[pos], measured)
-    order = [pos] + [i for i in range(len(dims)) if i != pos]
-    in_dims, labels = tuple(dims[i] for i in order), tuple(rho_ab.labels[i] for i in order)
+    m, dims, labels = _measured_first(rho_ab, measured, x_pvm, z_pvm, "eur_recovery_map needs")
     # N and tau = sum_z (Q_z (x) I) rho (Q_z (x) I), both laid out (measured, rest)
-    eye = np.eye(rho_ab.dim // dims[pos])
-    channel = CpMap.from_kraus([np.kron(k, eye) for k in x_pvm.kraus], in_dims,
-                               (len(x_pvm),) + in_dims[1:], in_labels=labels,
+    channel = CpMap.from_kraus(_local_operators(dims, x_pvm.kraus, [0]), dims,
+                               (len(x_pvm),) + dims[1:], in_labels=labels,
                                out_labels=(register_label,) + labels[1:])
-    tau = _local_stack(rho_ab.matrix, dims, np.stack(z_pvm.projectors), [pos]).sum(axis=0)
+    tau = _local_stack(m, dims, np.stack(z_pvm.projectors), [0]).sum(axis=0)
     return _petz(tau, channel, rotated=True, complete=True)
 
 

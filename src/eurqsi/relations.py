@@ -9,7 +9,9 @@ psi_ABE read as a (AB, E) matrix; an :class:`EurReport` holds them and
 derives the inequality of its relation.
 
 Each check validates once, at entry: the input state (validated when it was
-constructed), the labels, the rank-one guard and the PVM dimensions.  It
+constructed), the labels, the rank-one guard and the PVM dimensions, with
+:func:`~eurqsi.states._measured_first` (bipartite) or
+:func:`~eurqsi.states._measured_position` (tripartite).  It
 then hands plain arrays to the kernel, with the measured subsystem first:
 rho_AB, its :func:`~eurqsi.linalg.support_eig` pair and G.
 :func:`check_tripartite` takes G from the vector its pure input was made
@@ -56,15 +58,15 @@ from typing import ClassVar
 import numpy as np
 
 from .entropy import _entropies
-from .linalg import (_fidelity, _in_order, _integer_argument, _integers, _on_support, _sinhc,
-                     support_eig)
+from .linalg import _fidelity, _integer_argument, _integers, _on_support, _sinhc, support_eig
 from .serialize import scenario_to_dict
 from .states import (
     DensityOperator,
     InvalidStateError,
     Pvm,
-    _check_pvm_dim,
     _compressed,
+    _measured_first,
+    _measured_position,
     _purifying_vector,
     _range_traced,
     incompatibility_c,
@@ -304,17 +306,9 @@ def check_bipartite(
     marginal of an explicit purification rather than through the duality
     identity, so the reported numbers stay independent cross-checks.
     """
-    if not z_pvm.is_rank_one():
-        raise InvalidStateError(
-            "the bipartite refined relation requires a rank-one Z measurement"
-        )
-    m, dims = rho_ab.matrix, rho_ab.dims
-    pos = rho_ab.label_index(measured)
-    _check_pvm_dim(x_pvm, dims[pos], measured)
-    _check_pvm_dim(z_pvm, dims[pos], measured)
+    m, dims, _ = _measured_first(rho_ab, measured, x_pvm, z_pvm,
+                                 "the bipartite refined relation requires")
     # the input is checked; below are plain arrays with the measured subsystem first
-    if pos:
-        m, dims = _in_order(m, dims, [pos] + [i for i in range(len(dims)) if i != pos])
     return EurReport("bipartite_refined", *_bipartite_scalars(m, dims, x_pvm, z_pvm))
 
 
@@ -345,14 +339,12 @@ def check_tripartite(
         m = rho_abe.matrix
         k = np.argmax(m.diagonal().real)
         psi = m[:, k] / np.linalg.norm(m[:, k])
-    a, b = rho_abe.label_index(a_label), rho_abe.label_index(b_label)
+    a, b = _measured_position(rho_abe, a_label, x_pvm, z_pvm), rho_abe.label_index(b_label)
     if a == b:
         raise InvalidStateError(f"A and B are the same subsystem {a_label!r}")
     e = [i for i in range(len(dims)) if i not in (a, b)]
     if not e:
         raise InvalidStateError("tripartite state has no E subsystem")
-    _check_pvm_dim(x_pvm, dims[a], a_label)
-    _check_pvm_dim(z_pvm, dims[a], a_label)
     # the input is checked; below are plain arrays with the measured subsystem first
     ab_dims = (dims[a], dims[b])
     g = psi.reshape(dims).transpose([a, b] + e).reshape(dims[a] * dims[b], -1)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .states import DensityOperator, InvalidStateError, Pvm, _check_pvm_dim
+from .states import DensityOperator, InvalidStateError, Pvm, _measured_position
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -67,8 +67,7 @@ def scenario_from_dict(data: dict) -> tuple[DensityOperator, Pvm, Pvm]:
     rho = DensityOperator(decode_matrix(data["state"]), dims, _default_labels(len(dims)))
     x_pvm = Pvm(tuple(decode_matrix(p) for p in data["x_pvm"]))
     z_pvm = Pvm(tuple(decode_matrix(p) for p in data["z_pvm"]))
-    _check_pvm_dim(x_pvm, dims[0], rho.labels[0])
-    _check_pvm_dim(z_pvm, dims[0], rho.labels[0])
+    _measured_position(rho, rho.labels[0], x_pvm, z_pvm)
     return rho, x_pvm, z_pvm
 
 
@@ -117,7 +116,10 @@ def _write_json(obj, out: list[str], level: int) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
-        keys = sorted(str(k) for k in obj)
+        for k in obj:
+            if not isinstance(k, str):
+                raise TypeError(f"cannot serialize the key {k!r}: keys must be str")
+        keys = sorted(obj)
         if not keys:
             out.append("{}")
             return

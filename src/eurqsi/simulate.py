@@ -419,7 +419,7 @@ def _programs() -> dict[int, _Program]:
 _PROGRAMS = _programs()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Shot tables plus exact and tomography-estimated output states."""
 

@@ -18,7 +18,13 @@ subsystem axes.
 
 Validation happens at the boundary: :class:`DensityOperator` and
 :class:`Pvm` check their invariants once, when they are constructed, and
-the public functions check their arguments.  A state's matrix passes
+the public functions check their arguments.  Every function that measures a
+subsystem finds it with :func:`_measured_position`, the one check that each
+PVM fits the subsystem's dimension; :func:`_measured_first` adds the
+rank-one-Z rule and puts the subsystem first, for
+:func:`~eurqsi.relations.check_bipartite` and
+:func:`~eurqsi.recovery.eur_recovery_map`.  The value types hold arrays,
+so they compare by identity.  A state's matrix passes
 :func:`~eurqsi.linalg._check_state_matrix`, the rule that
 :func:`~eurqsi.linalg.fidelity` applies to its arguments too, and then the
 PSD test; a PVM's basis comes from the step that validates it.
@@ -90,7 +96,7 @@ def bell_phi() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive unit-trace matrix on a labeled tensor product of subsystems."""
 
@@ -99,7 +105,7 @@ class DensityOperator:
     labels: tuple[str, ...]
     # the unit vector of a state made by from_vector, flat; None for one
     # made from its matrix
-    _vector: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _vector: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = _check_state_matrix(self.matrix, error=InvalidStateError)
@@ -194,7 +200,7 @@ class DensityOperator:
         return self.purity() >= 1.0 - 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pvm:
     """Orthogonal projectors summing to identity on one subsystem.
 
@@ -211,7 +217,7 @@ class Pvm:
     # the basis as bras stacked by outcome, shape (outcomes, r, d): block x
     # is the isometry R_x onto range(P_x) (R_x^dag R_x = P_x), its rows the
     # basis vectors in range(P_x), padded with zero rows to the largest rank r
-    _ranges: np.ndarray = field(init=False, repr=False, compare=False)
+    _ranges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         """Validate the projectors and find the basis in one stacked ``eigh``.
@@ -348,19 +354,38 @@ def measure(
     the register as subsystem 0 and the other subsystems in their original
     order; block ``x`` is ``Tr_measured{(P_x (x) I) rho}`` (:func:`_measured`).
     """
-    pos = rho.label_index(measured)
-    _check_pvm_dim(pvm, rho.dims[pos], measured)
+    pos = _measured_position(rho, measured, pvm)
     m = _block_diagonal(_measured(rho.matrix, rho.dims, pvm, pos))
     dims = (len(pvm),) + rho.dims[:pos] + rho.dims[pos + 1:]
     labels = (register_label,) + rho.labels[:pos] + rho.labels[pos + 1:]
     return DensityOperator(m, dims, labels)
 
 
-def _check_pvm_dim(pvm: Pvm, dim: int, measured: str) -> None:
-    if pvm.dim != dim:
-        raise InvalidStateError(
-            f"PVM dimension {pvm.dim} != subsystem {measured!r} dimension {dim}"
-        )
+def _measured_position(rho: DensityOperator, label: str, *pvms: Pvm) -> int:
+    """The index of the subsystem ``label`` of ``rho``, once every PVM of
+    ``pvms`` acts on its dimension: the one check of a measured subsystem."""
+    pos = rho.label_index(label)
+    for pvm in pvms:
+        if pvm.dim != rho.dims[pos]:
+            raise InvalidStateError(
+                f"PVM dimension {pvm.dim} != subsystem {label!r} dimension {rho.dims[pos]}"
+            )
+    return pos
+
+
+def _measured_first(rho: DensityOperator, label: str, x_pvm: Pvm, z_pvm: Pvm, needs: str):
+    """The matrix, dims and labels of ``rho`` with the subsystem ``label``
+    first and the rest in order, once Z is rank one and both PVMs fit that
+    subsystem (:func:`_measured_position`); ``needs`` begins the error for a
+    Z that is not rank one."""
+    if not z_pvm.is_rank_one():
+        raise InvalidStateError(f"{needs} a rank-one Z measurement")
+    pos = _measured_position(rho, label, x_pvm, z_pvm)
+    order = [pos] + [i for i in range(len(rho.dims)) if i != pos]
+    labels = tuple(rho.labels[i] for i in order)
+    if not pos:
+        return rho.matrix, rho.dims, labels
+    return (*_in_order(rho.matrix, rho.dims, order), labels)
 
 
 def _measured(m: np.ndarray, dims, pvm: Pvm, pos: int) -> np.ndarray:
@@ -406,8 +431,7 @@ def _compressed(m: np.ndarray, dims, pvms, pos: int) -> np.ndarray:
 
 def pinch(rho: DensityOperator, pvm: Pvm, measured: str) -> DensityOperator:
     """Apply the PVM and discard the outcome: rho -> sum_z Q_z rho Q_z."""
-    pos = rho.label_index(measured)
-    _check_pvm_dim(pvm, rho.dims[pos], measured)
+    pos = _measured_position(rho, measured, pvm)
     out = apply_local(rho.matrix, rho.dims, pvm.projectors, [pos])
     return DensityOperator(out, rho.dims, rho.labels)
 

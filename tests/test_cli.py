@@ -325,3 +325,22 @@ class TestExperimentCommand:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "1", "--shots", "64", "--seed", "9"],
+    ["fuzz", "--trials", "2"],
+    ["examples", "--format", "csv"],
+], ids=lambda argv: argv[0])
+def test_unwritable_outdir_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv):
+    # EURQSI_OUTDIR names a regular file: no directory can be made there
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("EURQSI_OUTDIR", str(blocker))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    monkeypatch.delenv("EURQSI_OUTDIR")
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out
+    assert err.count("\n") == 1 and err.startswith("error: cannot write output: ")
+    assert blocker.read_text() == ""

@@ -130,6 +130,14 @@ class TestConditional:
         with pytest.raises(KeyError):
             conditional(rho, ["C"])
 
+    @pytest.mark.parametrize("cond, message", [
+        ([], "list is empty"), (["A", "B"], "every subsystem"), (["B", "A"], "every subsystem"),
+    ])
+    def test_rejects_conditioning_on_nothing_or_everything(self, cond, message):
+        rho = random_multipartite_state((2, 2), 4, 0, ("A", "B"))
+        with pytest.raises(ValueError, match=message):
+            conditional(rho, cond)
+
 
 class TestRelative:
     def test_self_is_zero(self):
@@ -150,6 +158,10 @@ class TestRelative:
         rho = random_state(2, 2, 3)
         shifted = relative(rho, 2.0 * rho.matrix)
         assert abs(shifted - (-1.0)) < 1e-10  # log2 scaling comes out front
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(3, 3\)"):
+            relative(qubit_state(maximally_mixed(2)), np.eye(3) / 3)
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):

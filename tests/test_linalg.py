@@ -16,6 +16,7 @@ from eurqsi.linalg import (
     _on_support,
     _sinhc,
     apply_local,
+    as_matrix,
     fidelity,
     herm_eig,
     op_norm,
@@ -127,6 +128,15 @@ def test_local_stack_against_dense_kronecker_oracle(dims, positions, d_out):
 def test_block_diagonal_places_each_block():
     blocks = _random_matrix(np.random.default_rng(19), 9, 3).reshape(3, 3, 3)
     assert np.array_equal(_block_diagonal(blocks), scipy.linalg.block_diag(*blocks))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_matrix(np.zeros((2, 2, 2))), r"expected a matrix, got array of shape \(2, 2, 2\)"),
+    (lambda: tensor(), "needs at least one factor"),
+], ids=["3-D array", "no factors"])
+def test_what_is_no_matrix_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_partial_trace_dimension_mismatch():

@@ -56,6 +56,18 @@ class TestCpMap:
         with pytest.raises(ValueError):
             CpMap(choi=np.diag([1.0, -1.0, 0, 0]), in_dims=(2,), out_dims=(2,))
 
+    @pytest.mark.parametrize("choi, message", [
+        (np.eye(3), r"Choi shape \(3, 3\) does not match dims \(4, 4\)"),
+        (np.eye(4) + np.triu(np.ones((4, 4)), 1), "^Choi matrix is not Hermitian$"),
+    ], ids=["wrong shape", "not Hermitian"])
+    def test_rejects_a_choi_matrix_that_is_no_map_of_its_dims(self, choi, message):
+        with pytest.raises(ValueError, match=message):
+            CpMap(choi=choi, in_dims=(2,), out_dims=(2,))
+
+    def test_apply_matrix_rejects_an_input_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"input shape \(3, 3\) does not match 2"):
+            measurement_channel(pauli_pvm("X")).apply_matrix(np.eye(3) / 3)
+
     @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
     def test_psd_threshold_scales_with_the_choi(self, factor, accepted):
         u = haar_unitary(4, 311)
@@ -224,6 +236,15 @@ class TestPetz:
             # CPTP on supp(N(sigma)); sigma restored up to its negative mass
             assert verify_cptp(rec).ok, mass
             assert np.abs(rec.apply_matrix(chan.apply_matrix(sig)) - sig).max() < 2 * mass
+
+    @pytest.mark.parametrize("build", [petz_map, rotated_petz_map])
+    @pytest.mark.parametrize("sigma, message", [
+        (np.eye(3) / 3, r"sigma shape \(3, 3\) does not fit channel input 2"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "sigma is not Hermitian"),
+    ], ids=["wrong shape", "not Hermitian"])
+    def test_rejects_a_reference_that_is_no_operator_on_the_input(self, build, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            build(sigma, measurement_channel(pauli_pvm("X")))
 
     def test_rejects_what_a_density_operator_rejects(self):
         sig = rotated_spectrum([0.6, 0.3, 0.1 + 2e-8, -2e-8], 3)

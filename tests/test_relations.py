@@ -98,6 +98,15 @@ class TestBipartite:
 
 
 class TestTripartite:
+    @pytest.mark.parametrize("dims, b_label, message", [
+        ((2, 2, 2), "A", "A and B are the same subsystem 'A'"),
+        ((2, 2), "B", "tripartite state has no E subsystem"),
+    ], ids=["B is A", "no E"])
+    def test_rejects_a_layout_without_three_parts(self, dims, b_label, message):
+        rho = random_pure_state(dims, 17, ("A", "B", "E")[:len(dims)])
+        with pytest.raises(InvalidStateError, match=message):
+            check_tripartite(rho, X, Z, "A", b_label)
+
     def test_bell_with_trivial_eve(self):
         psi = np.kron(bell_phi(), KET_0)
         rho = DensityOperator.from_vector(psi, (2, 2, 2), ("A", "B", "E"))

@@ -392,6 +392,12 @@ class TestExperiments:
                 p = 0.25
                 assert abs(t.frequency(outcome) - p) <= 4 * np.sqrt(p * (1 - p) / 8192)
 
+    @pytest.mark.parametrize("exp_id", [5, 6])
+    def test_two_qubit_experiments_estimate_no_single_qubit_state(self, exp_id):
+        res = run_experiment(exp_id, shots=64, seed=0)
+        assert res.bloch_estimate is None and res.estimated_state() is None
+        assert "bloch_estimate" not in res.to_dict()
+
     def test_deterministic_replay(self):
         a = run_experiment(4, shots=2048, seed=77)
         b = run_experiment(4, shots=2048, seed=77)

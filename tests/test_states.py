@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import re
@@ -8,14 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eurqsi import gallery
 from eurqsi.linalg import dagger, herm_eig, op_norm, partial_trace, tensor
+from eurqsi.recovery import measurement_channel
 from eurqsi.serialize import (
     canonical_json,
     load_scenario,
     save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
 from eurqsi.relations import check_tripartite
+from eurqsi.simulate import run_experiment
 from eurqsi.states import (
     DensityOperator,
     InvalidStateError,
@@ -226,7 +231,9 @@ class TestKeptVector:
 
     def test_the_vector_is_no_argument_and_no_part_of_repr_or_equality(self):
         field = {f.name: f for f in dataclasses.fields(DensityOperator)}["_vector"]
-        assert not (field.init or field.repr or field.compare)
+        assert not (field.init or field.repr)
+        # a state equals only itself, so no field, the vector included, is compared
+        assert DensityOperator.__eq__ is object.__eq__
 
 
 @st.composite
@@ -288,6 +295,18 @@ class TestPvm:
     def test_rejects_incomplete(self):
         with pytest.raises(InvalidStateError):
             Pvm((np.diag([1.0, 0.0]),))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Pvm(()), "at least one projector"),
+        (lambda: Pvm((np.eye(2), np.eye(3))), "differ in dimension"),
+        (lambda: Pvm.from_basis([KET_0, np.ones(3)]), "kets of one dimension"),
+        (lambda: Pvm.from_basis([]), "kets of one dimension"),
+        (lambda: pauli_pvm("W"), "unknown Pauli axis 'W'"),
+    ], ids=["no projectors", "mixed dimensions", "mixed ket lengths", "no kets",
+            "unknown axis"])
+    def test_rejects_what_is_no_pvm(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_rank_one_detection(self):
         assert pauli_pvm("X").is_rank_one()
@@ -629,6 +648,10 @@ class TestIncompatibility:
                     top = np.linalg.eigvalsh(q @ p @ q).max()
                     assert top <= c + 1e-10
 
+    def test_rejects_pvms_of_different_dimensions(self):
+        with pytest.raises(InvalidStateError, match="different dimensions"):
+            incompatibility_c(pauli_pvm("X"), fourier_pvm(3))
+
     def test_rank_two_blocks_match_the_svd_loop(self):
         # both PVMs with a rank-2 projector: the padded blocks take an SVD
         for seed in range(20):
@@ -660,6 +683,10 @@ class TestPurify:
         psi = sum(np.sqrt(vals[k]) * np.kron(vecs[:, k], np.eye(2)[k]) for k in range(2))
         psi /= np.linalg.norm(psi)
         assert np.abs(out.matrix - np.outer(psi, psi.conj())).max() < 1e-15
+
+    def test_rejects_a_purifier_label_in_use(self):
+        with pytest.raises(InvalidStateError, match="label 'B' already in use"):
+            purify(plus_pi_state(), "B")
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
     def test_round_off_negative_eigenvalue_is_dropped(self, dims):
@@ -738,6 +765,26 @@ class TestScenarioFiles:
         with pytest.raises(InvalidStateError):
             scenario_from_dict({"dims": [2, 2]})
 
+    def test_a_json_array_is_no_scenario(self, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        with pytest.raises(InvalidStateError, match="must contain a JSON object"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("dims, labels", [
+        ((2,), ("A",)), ((2, 2), ("A", "B")), ((2, 1, 2), ("A", "B0", "B1")),
+    ])
+    def test_scenario_subsystems_are_a_then_b(self, dims, labels):
+        rho = random_multipartite_state(dims, 1, 7, [f"S{i}" for i in range(len(dims))])
+        got, xp, zp = scenario_from_dict(scenario_to_dict(rho, pauli_pvm("X"), pauli_pvm("Z")))
+        assert (got.dims, got.labels) == (dims, labels)
+        assert np.array_equal(got.matrix, rho.matrix)
+
+    @pytest.mark.parametrize("d", [{1: 2.0}, {1: 2.0, "1": 3.0}])
+    def test_canonical_json_rejects_a_key_that_is_no_str(self, d):
+        with pytest.raises(TypeError, match="cannot serialize the key 1: keys must be str"):
+            canonical_json(d)
+
     def test_canonical_json_formatting(self):
         d = {"b": 1 / 3, "a": [1, 2.5], "edge": float("inf")}
         s = canonical_json(d)
@@ -789,3 +836,23 @@ def test_two_pvms_compressed_at_once_give_each_ones_blocks_and_zero_padding(case
             assert np.abs(blocks[:, :s, :s] - own).max() <= 1e-15
             assert not blocks[:, s:].any() and not blocks[:, :, s:].any()
             start += len(p)
+
+
+# the five value types that hold arrays, each with a function making a fresh instance
+VALUE_TYPES = {
+    "Pvm": lambda: pauli_pvm("X"),
+    "DensityOperator": plus_pi_state,
+    "CpMap": lambda: measurement_channel(pauli_pvm("X")),
+    "ExperimentResult": lambda: run_experiment(1, shots=64, seed=0),
+    "GalleryCase": lambda: gallery.build("x_eigen"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_types_that_hold_arrays_compare_by_identity(name):
+    # == on their fields would ask numpy for the truth value of an array
+    x, y = VALUE_TYPES[name](), VALUE_TYPES[name]()
+    assert type(x).__name__ == name
+    assert x == x and x != copy.copy(x) and x != y
+    assert x in [y, x] and x not in [y]
+    assert {x, y} == {y, x} and len({x, x}) == 1
