@@ -68,10 +68,10 @@ from .states import (
     _measured_first,
     _measured_position,
     _purifying_vector,
+    _random_density_matrix,
     _range_traced,
     incompatibility_c,
     pauli_pvm,
-    random_multipartite_state,
     random_pvm,
 )
 
@@ -390,12 +390,16 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
 
     ``dims`` is the A dimension or an explicit (A, B) pair.  Measurements
     are Pauli X/Z for qubit A and Haar-random rank-one PVMs otherwise.
-    Each trial makes one :func:`_bipartite_scalars` call on its rho_AB,
-    as :func:`check_bipartite` does, and reports the requested relation.
-    Deterministic under ``seed``; the worst instance is serialized in the
-    scenario dialect for replay.  ``trials`` must be a positive integer,
-    ``dims`` integral and at least 1 and ``seed`` a non-negative integer;
-    ``ValueError`` names the first argument that is not, before any trial.
+    Each trial draws rho_AB = G G^dag / Tr(G G^dag), a density matrix by
+    construction, which it does not validate, and its random PVMs through
+    :func:`random_pvm`, which does; it makes one :func:`_bipartite_scalars`
+    call on them, as :func:`check_bipartite` does, to report the requested
+    relation.  Deterministic under ``seed``.  After the last trial, the
+    worst instance alone is validated as a :class:`DensityOperator` and
+    serialized in the scenario dialect for replay.  ``trials`` must be a
+    positive integer, ``dims`` integral and at least 1 and ``seed`` a
+    non-negative integer; ``ValueError`` names the first argument that is
+    not, before any trial.
     """
     if relation_id not in RELATION_IDS:
         raise ValueError(f"unknown relation_id {relation_id!r}")
@@ -414,17 +418,18 @@ def fuzz(relation_id: str, trials: int, dims, seed: int) -> FuzzSummary:
     if pvm_mode == "pauli":  # built once, for every trial
         x_pvm, z_pvm = pauli_pvm("X"), pauli_pvm("Z")
     for trial in range(trials):
-        rho = random_multipartite_state(dims, d_a * d_b, [seed, trial, 0], ("A", "B"))
+        matrix = _random_density_matrix(d_a * d_b, d_a * d_b, [seed, trial, 0])
         if pvm_mode == "random":
             x_pvm = random_pvm(d_a, [seed, trial, 1])
             z_pvm = random_pvm(d_a, [seed, trial, 2])
-        report = EurReport(relation_id, *_bipartite_scalars(rho.matrix, dims, x_pvm, z_pvm))
+        report = EurReport(relation_id, *_bipartite_scalars(matrix, dims, x_pvm, z_pvm))
         slack = report.slack_refined if refined else report.slack_original
         max_gap = max(max_gap, report.slack_refined - report.slack_original)
         if slack < min_slack:
             min_slack = slack
-            worst = (trial, report, scenario_to_dict(rho, x_pvm, z_pvm))
-    worst_trial, worst_report, worst_instance = worst
+            worst = (trial, report, matrix, x_pvm, z_pvm)
+    worst_trial, worst_report, matrix, x_pvm, z_pvm = worst
+    worst_instance = scenario_to_dict(DensityOperator(matrix, dims, ("A", "B")), x_pvm, z_pvm)
     return FuzzSummary(
         relation_id=relation_id,
         trials=trials,

@@ -18,7 +18,7 @@ weighted by noise.
 
 Every subsystem a program holds is a qubit, and where each one sits before
 each step is fixed by the program, so the layout is done once, when the
-program is built, by :func:`_checked`.  Each step stores its Kraus set as
+program is built, by :func:`_laid_out`.  Each step stores its Kraus set as
 operators on the whole state (:func:`~eurqsi.linalg._local_operators`),
 which also bring the subsystems it writes to the front, as
 :func:`~eurqsi.linalg._local_stack` does.  A run scales each stored stack
@@ -40,10 +40,12 @@ re-execution.
 Only the protocol's fixed data are built at import: the gates times their
 Pauli products, the trace operators, each step's laid-out operators, the
 readout matrix of each register width, and the ideal states and Bloch
-vectors, the states through the validating constructor.
-Each program's steps are checked once, when it is built, so a run checks
-no step.  Every shared array is read-only.  A run computes its noise
-weights and keeps nothing.
+vectors, the states through the validating constructor.  The programs
+are module constants that no caller builds, so their steps are laid out
+and not checked: the tests pin each one's data, every step
+trace-preserving, so every gate unitary, and the last step ending on the
+ideal state's subsystems.  Every shared array is read-only.  A run
+computes its noise weights and keeps nothing.
 
 Noise model: symmetric depolarizing with strength ``depolarizing_p`` on
 every qubit a gate touches, plus a classical bit flip with probability
@@ -191,7 +193,8 @@ class _Step(NamedTuple):
     ``noise`` weights it: "depolarizing" on each qubit of a gate, whose
     first operator is the gate itself; "readout" on a measurement's copy,
     then its flipped copy; or None.  ``ops`` is the stack on the whole
-    state, laid out by :func:`_checked`."""
+    state, laid out by :func:`_laid_out`.  Nothing checks a step: the six
+    programs are constants, and the tests pin their data."""
 
     reads: tuple[str, ...]
     writes: tuple[str, ...]
@@ -212,9 +215,6 @@ class _Program(NamedTuple):
 
 
 def _gate(unitary: np.ndarray, *qubits: str) -> _Step:
-    n = 2 ** len(qubits)
-    if unitary.shape != (n, n) or not np.allclose(unitary.conj().T @ unitary, np.eye(n)):
-        raise ValueError(f"a gate on {qubits} must be a {n}x{n} unitary")
     return _Step(qubits, qubits, _frozen(_PAULI_PRODUCTS[len(qubits)] @ unitary), "depolarizing")
 
 
@@ -256,35 +256,22 @@ def _evolve(rho: np.ndarray, steps, noise: NoiseSpec) -> np.ndarray:
     return rho
 
 
-def _checked(qubits: int, steps: tuple) -> tuple[tuple, tuple[str, ...]]:
+def _laid_out(qubits: int, steps: tuple) -> tuple[tuple, tuple[str, ...]]:
     """``steps`` laid out for :func:`_evolve` from qubits ``q0``, ``q1``,
-    ..., and the labels of the final matrix, once it is known that each
-    step reads distinct subsystems that are there, writes distinct ones
-    that it does not leave alone, and has a stack of the shape its reads
-    and writes fix.
+    ..., and the labels of the final matrix.
 
     Each step leaves the subsystems it writes in front and the rest in
     their order, and gets its stack as read-only operators on the whole
-    state before it.  A program is checked and laid out when it is built,
-    so a run checks no step.
+    state before it.  A program is laid out when it is built, so a run
+    lays out no step.
     """
     labels = [f"q{i}" for i in range(qubits)]
     laid_out = []
-    for i, step in enumerate(steps):
-        reads, writes = step.reads, step.writes
-        rest = [s for s in labels if s not in reads]
-        if len(set(reads)) != len(reads) or len(rest) + len(reads) != len(labels):
-            raise ValueError(f"step {i} reads {reads}: not distinct subsystems of {labels}")
-        if len(set(writes)) != len(writes) or set(writes) & set(rest):
-            raise ValueError(f"step {i} writes {writes}: not distinct and new beside {rest}")
-        shape = (2 ** len(writes), 2 ** len(reads))
-        if step.kraus.ndim != 3 or step.kraus.shape[1:] != shape:
-            raise ValueError(f"step {i} maps {reads} -> {writes} by operators of shape "
-                             f"{step.kraus.shape[1:]}, not {shape}")
-        positions = [labels.index(s) for s in reads]
+    for step in steps:
+        positions = [labels.index(s) for s in step.reads]
         ops = _local_operators((2,) * len(labels), step.kraus, positions)
         laid_out.append(step._replace(ops=_frozen(ops)))
-        labels = list(writes) + rest
+        labels = list(step.writes) + [s for s in labels if s not in step.reads]
     return tuple(laid_out), tuple(labels)
 
 
@@ -327,15 +314,24 @@ def _count_rows(counts: np.ndarray, shots: int) -> list[list[int]]:
 
 
 def bloch_tomography(tables: dict) -> tuple[float, float, float]:
-    """Bloch vector estimate from X/Y/Z-basis shot tables."""
-    shots = {t.shots for t in tables.values()}
-    if len(shots) != 1:
-        raise ValueError("tomography tables have mismatched shot counts")
-    coords = []
+    """Bloch vector estimate from X/Y/Z-basis shot tables: on each axis,
+    the frequency of "0" less that of "1".
+
+    Counts read through a readout flip q estimate (1 - 2q) r, not the
+    Bloch vector r of the measured state.  ``tables`` must hold an "X", a
+    "Y" and a "Z" table, each with outcomes within {"0", "1"}, and all its
+    tables the same shots; ``ValueError`` names the missing axis or the
+    table that is not so.
+    """
     for axis in ("X", "Y", "Z"):
-        t = tables[axis]
-        coords.append(t.frequency("0") - t.frequency("1"))
-    return tuple(coords)
+        if axis not in tables:
+            raise ValueError(f"tomography needs a {axis!r} table")
+        if not tables[axis].counts.keys() <= {"0", "1"}:
+            raise ValueError(f"the {axis!r} table has outcomes {sorted(tables[axis].counts)}, "
+                             "not within {'0', '1'}")
+    if len({t.shots for t in tables.values()}) != 1:
+        raise ValueError("tomography tables have mismatched shot counts")
+    return tuple(tables[a].frequency("0") - tables[a].frequency("1") for a in ("X", "Y", "Z"))
 
 
 # Columns: the +1 and -1 eigenvectors of Pauli X, Y and Z, one basis per row
@@ -370,18 +366,15 @@ def _basis_probabilities(rho: np.ndarray, readout: np.ndarray) -> np.ndarray:
 
 
 def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
-    """An experiment with its steps checked and laid out and its ideal
-    state on ``Ap`` (and ``B``), the subsystems the steps end on, validated,
-    once, here, and read-only; one recovered qubit gets its Bloch vector."""
-    ideal_labels = ("Ap", "B")[:qubits]
-    state = DensityOperator(ideal, (2,) * qubits, ideal_labels)
+    """An experiment with its steps laid out and its ideal state on ``Ap``
+    (and ``B``), the subsystems the steps end on, validated, once, here,
+    and read-only; one recovered qubit gets its Bloch vector."""
+    state = DensityOperator(ideal, (2,) * qubits, ("Ap", "B")[:qubits])
     _frozen(state.matrix)
     bloch = None
     if qubits == 1:
         bloch = tuple(float(np.trace(p @ state.matrix).real) for p in _PAULIS[1:])
-    steps, labels = _checked(qubits, steps)
-    if labels != ideal_labels:
-        raise ValueError(f"the steps end on {labels}, not on the ideal state's {ideal_labels}")
+    steps, _ = _laid_out(qubits, steps)
     return _Program(qubits, steps, state, bloch)
 
 
@@ -421,7 +414,12 @@ _PROGRAMS = _programs()
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """Shot tables plus exact and tomography-estimated output states."""
+    """Shot tables plus exact and tomography-estimated output states.
+
+    ``bloch_estimate`` (experiments 1-4) is read from the shot tables, so
+    under readout flip q it estimates (1 - 2q) r, where r is the Bloch
+    vector of ``final_state``: the flip blurs every sampled bit.
+    """
 
     experiment: int
     shots: int
@@ -435,7 +433,9 @@ class ExperimentResult:
     rng_algorithm: str = "numpy.random.PCG64"
 
     def estimated_state(self) -> np.ndarray | None:
-        """Single-qubit state reconstructed from the Bloch estimate."""
+        """Single-qubit state reconstructed from the Bloch estimate: under
+        readout flip q, an estimate of the state of (1 - 2q) r, not of
+        ``final_state``, whose Bloch vector is r."""
         if self.bloch_estimate is None:
             return None
         x, y, z = self.bloch_estimate

@@ -520,11 +520,18 @@ def random_multipartite_state(dims, rank: int, seed, labels) -> DensityOperator:
     dims = _dimensions(dims, error=InvalidStateError)
     dim = math.prod(dims)
     rank = _integer_argument("rank", rank, 1, dim, f"an integer in [1, {dim}]")
+    return DensityOperator(_random_density_matrix(dim, rank, seed), dims, tuple(labels))
+
+
+def _random_density_matrix(dim: int, rank: int, seed) -> np.ndarray:
+    """The matrix of :func:`random_multipartite_state` for ``dim`` rows and
+    ``rank`` columns, on arguments it does not check: G G^dag / Tr(G G^dag)
+    is a density matrix by construction, so it is not validated here."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ dagger(g)
     m /= np.trace(m).real
-    return DensityOperator(m, dims, tuple(labels))
+    return m
 
 
 def random_pvm(dim: int, seed) -> Pvm:

@@ -24,11 +24,24 @@ def _third_party_imports(package_dir: Path) -> set[str]:
     return names - set(sys.stdlib_module_names) - {package_dir.name}
 
 
-def test_declared_dependencies_are_the_imported_ones():
+def _declared(*extras: str) -> set[str]:
+    """The names of the project's dependencies and of those of ``extras``."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
-                for dep in project["dependencies"]}
-    assert _third_party_imports(ROOT / "src" / "eurqsi") == declared == {"numpy"}
+    deps = project["dependencies"] + [d for e in extras
+                                      for d in project["optional-dependencies"][e]]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in deps}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    assert _third_party_imports(ROOT / "src" / "eurqsi") == _declared() == {"numpy"}
+
+
+def test_the_test_extra_declares_what_the_tests_import():
+    # the tests' own helper module and the package under test are no
+    # third-party imports
+    imported = _third_party_imports(ROOT / "tests") - {"conftest", "eurqsi"}
+    assert imported == _declared("test") == {"hypothesis", "jsonschema", "numpy", "pytest",
+                                             "scipy"}
 
 
 def _package_imports(path: Path) -> set[str]:

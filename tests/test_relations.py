@@ -946,17 +946,50 @@ class TestFuzz:
         assert purified == []
         assert built and max(built) <= d * d
 
-    def test_each_fuzz_state_is_validated_once(self, monkeypatch):
+    def test_a_fuzz_run_validates_the_worst_state_alone(self, monkeypatch):
+        # each trial's draw is a density matrix by construction: the one
+        # state validated is the worst instance's, after the last trial
         built = []
         post_init = DensityOperator.__post_init__
 
         def counting_post_init(self):
             post_init(self)
-            built.append(self.dims)
+            built.append(self)
 
         monkeypatch.setattr(DensityOperator, "__post_init__", counting_post_init)
-        fuzz("tripartite_refined", 1, 3, 0)
-        assert built == [(3, 3)]
+        summary = fuzz("tripartite_refined", 6, 3, 0)
+        assert summary.worst_trial == 5 and len(built) == 1 and built[0].dims == (3, 3)
+        assert np.array_equal(built[0].matrix, states._random_density_matrix(9, 9, [0, 5, 0]))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_fuzz_run_serializes_the_worst_instance_once(self, monkeypatch, d):
+        # trial 0 and the later worst trial were each a new worst, yet the
+        # instance is serialized once, after the last trial, into the dict
+        # of the validated state and PVMs of the worst trial
+        calls = []
+        monkeypatch.setattr(relations, "scenario_to_dict",
+                            lambda *a: calls.append(a) or scenario_to_dict(*a))
+        summary = fuzz("bipartite_refined", 6, d, 0)
+        trial = summary.worst_trial
+        assert trial > 0 and len(calls) == 1
+        rho = random_multipartite_state((d, d), d * d, [0, trial, 0], ("A", "B"))
+        if d == 2:
+            x_pvm, z_pvm = pauli_pvm("X"), pauli_pvm("Z")
+        else:
+            x_pvm, z_pvm = random_pvm(d, [0, trial, 1]), random_pvm(d, [0, trial, 2])
+        want = scenario_to_dict(rho, x_pvm, z_pvm)
+        assert canonical_json(summary.worst_instance) == canonical_json(want)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
+    def test_the_fuzz_draw_is_the_validated_random_state(self, dims):
+        # the unchecked kernel gives the matrix of the validating wrapper,
+        # bit for bit, and that matrix passes the validating constructor
+        dim = math.prod(dims)
+        for seed in range(25):
+            matrix = states._random_density_matrix(dim, dim, [seed, 3, 0])
+            rho = random_multipartite_state(dims, dim, [seed, 3, 0], ("A", "B"))
+            assert np.array_equal(matrix, rho.matrix)
+            assert np.array_equal(DensityOperator(matrix, dims, ("A", "B")).matrix, matrix)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -983,7 +1016,7 @@ class TestFuzz:
     ])
     def test_arguments_are_checked_before_any_trial(self, monkeypatch, trials, dims, seed,
                                                     name):
-        monkeypatch.setattr(relations, "random_multipartite_state",
+        monkeypatch.setattr(relations, "_random_density_matrix",
                             lambda *a: pytest.fail("a trial ran"))
         with pytest.raises(ValueError, match=f"^{name} must be"):
             fuzz("bipartite_refined", trials, dims, seed)
