@@ -10,6 +10,11 @@ change that is meant to alter the output, with::
 
     for i in 1 2 3 4 5 6; do eurqsi experiment $i --noise NOISE; done > FILE
 
+``experiments_depolarizing_1_readout_0.5.stdout``, where the noise weights
+meet 0**0, and ``experiments_depolarizing_0.02.stdout`` were written the
+same way by the simulator that stepped each run through its program, before
+each program's final state became a polynomial in the noise built at import.
+
 The ``csv`` and ``table`` formats print the same tables rebuilt from the
 counts; ``experiments_depolarizing_0.1_readout_0.02.FORMAT.stdout`` holds
 their stdout with that noise, written by the simulator that validated each
@@ -59,6 +64,8 @@ FLOAT_TOL = 1e-12
 @pytest.mark.parametrize("noise, name", [
     ("none", "experiments_noiseless.stdout"),
     ("depolarizing=0.1,readout=0.02", "experiments_depolarizing_0.1_readout_0.02.stdout"),
+    ("depolarizing=1,readout=0.5", "experiments_depolarizing_1_readout_0.5.stdout"),
+    ("depolarizing=0.02", "experiments_depolarizing_0.02.stdout"),
 ])
 def test_experiment_stdout_matches_the_golden_file(monkeypatch, capsysbinary, noise, name):
     monkeypatch.delenv("EURQSI_OUTDIR", raising=False)

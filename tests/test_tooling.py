@@ -39,16 +39,17 @@ def test_a_failing_property_does_not_end_the_session(tmp_path):
 REPLAY = '''
 from eurqsi.cli import main
 
-for noise in ("none", "depolarizing=0.1,readout=0.02"):
+for noise in ("none", "depolarizing=0.1,readout=0.02", "depolarizing=1,readout=0.5",
+              "depolarizing=0.02"):
     for exp_id in range(1, 7):
         main(["experiment", str(exp_id), "--noise", noise])
 '''
 
 
 def test_experiments_replay_byte_identical_across_processes():
-    """All six experiments, noiseless and noisy, print the same bytes in two
-    fresh interpreters, so nothing built at import differs between
-    processes."""
+    """All six experiments, noiseless and under three noise settings, print
+    the same bytes in two fresh interpreters, so nothing built at import,
+    the programs' coefficient stacks among it, differs between processes."""
     env = {k: v for k, v in os.environ.items() if k != "EURQSI_OUTDIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     outputs = [
@@ -56,5 +57,5 @@ def test_experiments_replay_byte_identical_across_processes():
                        timeout=120, check=True).stdout
         for _ in range(2)
     ]
-    assert outputs[0].count(b'"command": "experiment"') == 12
+    assert outputs[0].count(b'"command": "experiment"') == 24
     assert outputs[0] == outputs[1]
