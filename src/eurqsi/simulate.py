@@ -21,16 +21,27 @@ each step is fixed by the program, so the layout is done once, when the
 program is built, by :func:`_laid_out`.  Each step stores its Kraus set as
 operators on the whole state (:func:`~eurqsi.linalg._local_operators`),
 which also bring the subsystems it writes to the front, as
-:func:`~eurqsi.linalg._local_stack` does.  A run scales each stored stack
-by its noise amplitudes and applies it as ``(ops @ rho @ ops^dag).sum(0)``,
-two batched matmuls, and tracks no label: the last step leaves the ideal
-state's subsystems in its order.
+:func:`~eurqsi.linalg._local_stack` does, and no label is tracked: the
+last step leaves the ideal state's subsystems in its order.
 
-:func:`run_experiment` checks its arguments before any step, validates the
-one final state and reads every shot table from it in one pass: every
-outcome distribution of every basis by one matmul of a readout matrix with
-vec(rho), the readout flips on the bit axes of every row at once, and one
-multinomial call that draws the rows in order.  The drawn counts are
+The steps run once, at import, and never in a run.  A program whose gates
+touch n qubits and which records m readout bits ends at depolarizing p and
+readout flip q in the state
+``sum_kj (1-p)**(n-k) p**k (1-q)**(m-j) q**j C[k, j]``, a polynomial in
+(p, q) in the Bernstein basis.  :func:`_coefficients` builds the
+coefficient stack ``C`` by running every step on all of it at once, from
+``C[0, 0] = |0...0><0...0|``: each noise branch of a step, the gate alone
+or the gate with its qubits depolarized, the copy or the flipped copy,
+applies its Kraus stack as ``(ops @ C @ ops^dag).sum(0)`` and raises the
+power of p or q it carries; the recovery and the final trace act on every
+coefficient.  A run evaluates the polynomial at its (p, q) with one
+contraction of the weights and the stack, :func:`_evaluate`.
+
+:func:`run_experiment` checks its arguments before it evaluates the
+polynomial, validates the one final state and reads every shot table from
+it in one pass: every outcome distribution of every basis by one matmul of
+a readout matrix with vec(rho), the readout flips on the bit axes of every
+row at once, and one multinomial call that draws the rows in order.  The drawn counts are
 checked as one array, non-negative integers with every row summing to the
 shots, which is what :class:`ShotTable` checks of one table, so the three
 tables are built from the checked rows with no further check.  Shots are
@@ -38,14 +49,15 @@ sampled from the exact final distribution; there is no per-shot
 re-execution.
 
 Only the protocol's fixed data are built at import: the gates times their
-Pauli products, the trace operators, each step's laid-out operators, the
-readout matrix of each register width, and the ideal states and Bloch
-vectors, the states through the validating constructor.  The programs
-are module constants that no caller builds, so their steps are laid out
-and not checked: the tests pin each one's data, every step
-trace-preserving, so every gate unitary, and the last step ending on the
-ideal state's subsystems.  Every shared array is read-only.  A run
-computes its noise weights and keeps nothing.
+Pauli products, the trace operators, each step's laid-out operators, each
+program's coefficient stack, the readout matrix of each register width,
+and the ideal states and Bloch vectors, the states through the validating
+constructor.  The programs are module constants that no caller builds, so
+their steps are laid out and not checked: the tests pin each one's data,
+every step trace-preserving, so every gate unitary, and the last step
+ending on the ideal state's subsystems, and each coefficient positive with
+its binomial trace.  Every shared array is read-only.  A run
+computes its Bernstein weights and keeps nothing.
 
 Noise model: symmetric depolarizing with strength ``depolarizing_p`` on
 every qubit a gate touches, plus a classical bit flip with probability
@@ -193,8 +205,9 @@ class _Step(NamedTuple):
     ``noise`` weights it: "depolarizing" on each qubit of a gate, whose
     first operator is the gate itself; "readout" on a measurement's copy,
     then its flipped copy; or None.  ``ops`` is the stack on the whole
-    state, laid out by :func:`_laid_out`.  Nothing checks a step: the six
-    programs are constants, and the tests pin their data."""
+    state, laid out by :func:`_laid_out`, which :func:`_coefficients` runs
+    once per program, at import.  Nothing checks a step: the six programs
+    are constants, and the tests pin their data."""
 
     reads: tuple[str, ...]
     writes: tuple[str, ...]
@@ -205,11 +218,14 @@ class _Step(NamedTuple):
 
 class _Program(NamedTuple):
     """One experiment: ``qubits`` qubits in |0...0>, its laid-out steps,
-    and the ideal state of the recovered subsystems, which the steps end
-    on, with its Bloch vector (1-4)."""
+    the read-only Bernstein coefficients of the state they end in, which
+    a run evaluates at its noise (:func:`_coefficients`), and the ideal
+    state of the recovered subsystems, which the steps end on, with its
+    Bloch vector (1-4)."""
 
     qubits: int
     steps: tuple
+    coefficients: np.ndarray
     ideal: DensityOperator
     bloch_ideal: tuple[float, float, float] | None
 
@@ -229,36 +245,79 @@ def _discard(*subsystems: str) -> _Step:
     return _Step(subsystems, (), _frozen(np.eye(n, dtype=complex).reshape(n, 1, n)))
 
 
-def _evolve(rho: np.ndarray, steps, noise: NoiseSpec) -> np.ndarray:
-    """The matrix of the laid-out ``steps`` run from ``rho``, laid out as
-    the first step expects: one Kraus step each, no label tracked.
+def _branches(step: _Step):
+    """The noise branches of the laid-out ``step``: ``(dk, dj, ops)``, the
+    powers of p and of q that the Kraus stack ``ops`` raises.
 
-    A gate's stored stack is scaled by the amplitude of each Pauli product
-    in depolarizing of strength p on each of its qubits, the first qubit's
-    index slowest, or is the gate alone without noise; a measurement's by
-    the readout flip, or is the copy alone; any other stack is applied as
-    it is.  The amplitudes are computed once per run, for each gate arity.
+    A gate on r qubits has one branch per set of qubits it depolarizes,
+    the first qubit's Pauli index slowest in its stored stack: the Pauli
+    products that are the identity off that set, with amplitude 1/2 per
+    qubit in it, so the clean branch is the gate alone and every branch
+    is trace-preserving.  A measurement's copy and its flipped copy are
+    each a branch; any other step is one branch, applied as it is.
     """
-    p, q = noise.depolarizing_p, noise.readout_flip
-    paulis = flips = None
-    if p:
-        one = np.sqrt([1.0 - 3.0 * p / 4.0, p / 4.0, p / 4.0, p / 4.0])
-        paulis = {1: one.reshape(-1, 1, 1), 2: np.multiply.outer(one, one).reshape(-1, 1, 1)}
-    if q:
-        flips = np.sqrt([1.0 - q, 1.0 - q, q, q]).reshape(-1, 1, 1)
+    ops = step.ops
+    if step.noise == "depolarizing":
+        r = len(step.reads)
+        paulis = ops.reshape((4,) * r + ops.shape[1:])
+        for noisy in np.ndindex((2,) * r):
+            k = sum(noisy)
+            kept = paulis[tuple(slice(None) if n else 0 for n in noisy)]
+            yield k, 0, 0.5 ** k * kept.reshape((-1,) + ops.shape[1:])
+    elif step.noise == "readout":
+        yield 0, 0, ops[:2]
+        yield 0, 1, ops[2:]
+    else:
+        yield 0, 0, ops
+
+
+def _coefficients(rho: np.ndarray, steps) -> np.ndarray:
+    """The Bernstein coefficients ``C[k, j]`` of the state the laid-out
+    ``steps`` make of ``rho``, laid out as the first step expects.
+
+    With n the qubits the gates touch and m the measurements, the final
+    state at depolarizing p and readout flip q is
+    ``sum_kj (1-p)**(n-k) p**k (1-q)**(m-j) q**j C[k, j]``, which
+    :func:`_evaluate` computes.  Every step runs once on the whole
+    ``(n+1, m+1, d, d)`` stack from ``C[0, 0] = rho``: each branch of
+    :func:`_branches` applies its Kraus stack, ``(ops @ C @ ops^dag)``
+    summed over the operators, to every coefficient and moves the result
+    up by the powers of p and q it raises.  Each C[k, j] is positive and
+    of trace ``binom(n, k) binom(m, j) Tr rho``.
+    """
+    n = sum(len(step.reads) for step in steps if step.noise == "depolarizing")
+    m = sum(step.noise == "readout" for step in steps)
+    c = np.zeros((n + 1, m + 1) + rho.shape, dtype=complex)
+    c[0, 0] = rho
     for step in steps:
-        ops = step.ops
-        if step.noise == "depolarizing":
-            ops = ops[:1] if paulis is None else paulis[len(step.reads)] * ops
-        elif step.noise == "readout":
-            ops = ops[:2] if flips is None else flips * ops
-        rho = (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
-    return rho
+        d_out = step.ops.shape[1]
+        out = np.zeros((n + 1, m + 1, d_out, d_out), dtype=complex)
+        for dk, dj, ops in _branches(step):
+            ops = ops[:, None, None]
+            out[dk:, dj:] += (ops @ c[: n + 1 - dk, : m + 1 - dj]
+                              @ ops.conj().swapaxes(-1, -2)).sum(0)
+        c = out
+    return c
+
+
+def _bernstein(x: float, n: int) -> np.ndarray:
+    """``(1 - x)**(n - k) x**k`` for k = 0..n, with 0**0 = 1."""
+    k = np.arange(n + 1)
+    return (1.0 - x) ** (n - k) * x ** k
+
+
+def _evaluate(coefficients: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """The state of :func:`_coefficients` at ``noise``: the Bernstein
+    weights of p and of q contracted with the coefficients, one matmul."""
+    rows, cols, d, _ = coefficients.shape
+    weights = np.outer(_bernstein(noise.depolarizing_p, rows - 1),
+                       _bernstein(noise.readout_flip, cols - 1))
+    return (weights.reshape(-1) @ coefficients.reshape(rows * cols, -1)).reshape(d, d)
 
 
 def _laid_out(qubits: int, steps: tuple) -> tuple[tuple, tuple[str, ...]]:
-    """``steps`` laid out for :func:`_evolve` from qubits ``q0``, ``q1``,
-    ..., and the labels of the final matrix.
+    """``steps`` laid out for :func:`_coefficients` from qubits ``q0``,
+    ``q1``, ..., and the labels of the final matrix.
 
     Each step leaves the subsystems it writes in front and the rest in
     their order, and gets its stack as read-only operators on the whole
@@ -366,16 +425,19 @@ def _basis_probabilities(rho: np.ndarray, readout: np.ndarray) -> np.ndarray:
 
 
 def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
-    """An experiment with its steps laid out and its ideal state on ``Ap``
-    (and ``B``), the subsystems the steps end on, validated, once, here,
-    and read-only; one recovered qubit gets its Bloch vector."""
+    """An experiment with its steps laid out and run from |0...0> into its
+    coefficient stack, and its ideal state on ``Ap`` (and ``B``), the
+    subsystems the steps end on, validated, once, here, and read-only; one
+    recovered qubit gets its Bloch vector."""
     state = DensityOperator(ideal, (2,) * qubits, ("Ap", "B")[:qubits])
     _frozen(state.matrix)
     bloch = None
     if qubits == 1:
         bloch = tuple(float(np.trace(p @ state.matrix).real) for p in _PAULIS[1:])
     steps, _ = _laid_out(qubits, steps)
-    return _Program(qubits, steps, state, bloch)
+    zeros = np.zeros((2 ** qubits,) * 2, dtype=complex)
+    zeros[0, 0] = 1.0
+    return _Program(qubits, steps, _frozen(_coefficients(zeros, steps)), state, bloch)
 
 
 def _programs() -> dict[int, _Program]:
@@ -472,7 +534,7 @@ def run_experiment(
     under ``seed``.  The experiment must be an integer in 1..6, ``shots`` an
     integer in 1..``MAX_SHOTS`` (2**63 - 1), ``noise`` a :class:`NoiseSpec`
     and ``seed`` a non-negative integer; ``ValueError`` names the first
-    argument that is not, before any step runs.
+    argument that is not, before the final state is evaluated.
     """
     exp_id = _integer_argument("experiment", exp_id, 1, 6, "an integer in 1..6")
     shots = _integer_argument("shots", shots, 1, MAX_SHOTS,
@@ -481,10 +543,8 @@ def run_experiment(
         raise ValueError(f"noise must be a NoiseSpec, got {noise!r}")
     seed = _integer_argument("seed", seed, 0, np.inf, "a non-negative integer")
     program = _PROGRAMS[exp_id]
-    rho = np.zeros((2 ** program.qubits,) * 2, dtype=complex)
-    rho[0, 0] = 1.0
     ideal = program.ideal
-    final = DensityOperator(_evolve(rho, program.steps, noise), ideal.dims, ideal.labels)
+    final = DensityOperator(_evaluate(program.coefficients, noise), ideal.dims, ideal.labels)
     keys, outcomes = _TABLES[program.qubits]
     probs = _basis_probabilities(final.matrix, _READOUTS[program.qubits])
     counts = _shot_counts(_flipped(probs, noise.readout_flip), shots,

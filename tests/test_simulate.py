@@ -1,4 +1,5 @@
 
+import math
 import re
 
 import numpy as np
@@ -17,8 +18,9 @@ from eurqsi.simulate import (
     NOISELESS,
     NoiseSpec,
     ShotTable,
+    _coefficients,
     _discard,
-    _evolve,
+    _evaluate,
     _flipped,
     _gate,
     _laid_out,
@@ -69,11 +71,17 @@ def _zeros(qubits):
     return rho
 
 
+def _stepped(rho, steps, noise):
+    """The laid-out ``steps`` run from ``rho`` at ``noise``: their
+    coefficients built from ``rho`` and evaluated at (p, q)."""
+    return _evaluate(_coefficients(rho, steps), noise)
+
+
 def _run(rho, steps, noise=NOISELESS):
     """``steps`` laid out and run from ``rho`` on qubits q0, q1, ...: the
     final matrix and its labels."""
     steps, labels = _laid_out(rho.shape[0].bit_length() - 1, steps)
-    return _evolve(rho, steps, noise), labels
+    return _stepped(rho, steps, noise), labels
 
 
 class TestGates:
@@ -105,8 +113,8 @@ class TestGates:
             assert np.array_equal(step.ops[0],
                                   linalg._local_operators((2, 2), gate.kraus[:1], positions)[0])
             want = step.ops[0] @ rho @ step.ops[0].conj().T
-            assert np.abs(_evolve(rho, (step,), NOISELESS) - want).max() < 1e-15
-            noisy = _evolve(rho, (step,), NoiseSpec(depolarizing_p=1e-3))
+            assert np.abs(_stepped(rho, (step,), NOISELESS) - want).max() < 1e-15
+            noisy = _stepped(rho, (step,), NoiseSpec(depolarizing_p=1e-3))
             assert np.abs(noisy - want).max() > 1e-6
         assert np.array_equal(_gate(GATES["s"], "q0").kraus[0], GATES["s"])
 
@@ -345,16 +353,19 @@ class TestExperiments:
         ((1,), {"noise": (0.1, 0.0)}, "noise"),
     ])
     def test_arguments_are_checked_before_any_step(self, monkeypatch, args, kwargs, name):
-        monkeypatch.setattr(simulate, "_evolve", lambda *a: pytest.fail("a step ran"))
+        monkeypatch.setattr(simulate, "_evaluate",
+                            lambda *a: pytest.fail("the polynomial was evaluated"))
         with pytest.raises(ValueError, match=f"^{name} must be"):
             run_experiment(*args, **kwargs)
 
     def test_shots_are_bounded_by_the_multinomial_counts(self, monkeypatch):
         # numpy draws int64 counts: 2**63 - 1 shots run, one more is
-        # rejected before any step instead of overflowing in the draw
+        # rejected before the final state is evaluated instead of
+        # overflowing in the draw
         res = run_experiment(1, shots=2**63 - 1)
         assert all(sum(t.counts.values()) == 2**63 - 1 for t in res.tables.values())
-        monkeypatch.setattr(simulate, "_evolve", lambda *a: pytest.fail("a step ran"))
+        monkeypatch.setattr(simulate, "_evaluate",
+                            lambda *a: pytest.fail("the polynomial was evaluated"))
         for shots in (2**63, np.uint64(2**63), 2**100):
             with pytest.raises(ValueError, match="^shots must be .* at most 2\\*\\*63 - 1"):
                 run_experiment(1, shots=shots)
@@ -529,19 +540,20 @@ class TestRunCircuit:
     @pytest.mark.parametrize("exp_id", range(1, 7))
     def test_every_program_step_is_trace_preserving_and_ends_on_the_ideal_labels(self, exp_id):
         # the programs are constants that nothing checks when they are
-        # built, so their data are pinned here: each laid-out step, weighted
-        # as a run weights it, takes the matrix unit E_ij of its input space
-        # to trace delta_ij, so its Kraus set is trace-preserving and each
-        # gate is unitary; and replaying the reads and writes from q0, q1,
-        # ... ends on the ideal state's labels
+        # built, so their data are pinned here: each laid-out step's
+        # coefficients, evaluated as a run evaluates them, take the matrix
+        # unit E_ij of its input space to trace delta_ij, so its Kraus set
+        # is trace-preserving and each gate is unitary; and replaying the
+        # reads and writes from q0, q1, ... ends on the ideal state's labels
         program = _PROGRAMS[exp_id]
         labels = [f"q{i}" for i in range(program.qubits)]
         for step in program.steps:
             d = step.ops.shape[2]
             units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+            coefficients = [_coefficients(e, (step,)) for e in units]
             for p, q in ((0, 0), (0.1, 0.02), (1, 0.5)):
                 noise = NoiseSpec(depolarizing_p=p, readout_flip=q)
-                traces = [np.trace(_evolve(e, (step,), noise)) for e in units]
+                traces = [np.trace(_evaluate(c, noise)) for c in coefficients]
                 assert np.abs(np.reshape(traces, (d, d)) - np.eye(d)).max() < 1e-12
             labels = list(step.writes) + [s for s in labels if s not in step.reads]
         assert tuple(labels) == program.ideal.labels
@@ -565,6 +577,46 @@ class TestAgainstTheChecker:
         assert trace_distance(ideal, recovered) <= 1e-12
         assert trace_distance(pinched_ideal, pinch(rho, z, "A").matrix) <= 1e-12
         assert abs(fidelity(rho.matrix, ideal) - check_bipartite(rho, x, z).f) <= 1e-12
+
+
+class TestCoefficients:
+    # (n, m) per program: the qubits its gates touch and its measurements;
+    # experiments 3 and 4 add S, 5 and 6 a two-qubit CNOT, 2, 4 and 6 the
+    # Z measurement
+    ORDERS = {1: (3, 1), 2: (3, 2), 3: (4, 1), 4: (4, 2), 5: (5, 1), 6: (5, 2)}
+
+    @pytest.mark.parametrize("exp_id", range(1, 7))
+    def test_orders_count_the_noisy_qubit_gates_and_the_readouts(self, exp_id):
+        program = _PROGRAMS[exp_id]
+        n, m = self.ORDERS[exp_id]
+        assert n == sum(len(s.reads) for s in program.steps if s.noise == "depolarizing")
+        assert m == sum(s.noise == "readout" for s in program.steps)
+        d = 2 ** program.qubits
+        assert program.coefficients.shape == (n + 1, m + 1, d, d)
+
+    @pytest.mark.parametrize("exp_id", range(1, 7))
+    def test_each_coefficient_is_positive_with_the_binomial_trace(self, exp_id):
+        # each C_kj is a sum of completely positive maps of |0...0><0...0|,
+        # and every branch preserves trace, so Tr C_kj counts the ways to
+        # pick k depolarized qubit-gates and j flipped readouts
+        c = _PROGRAMS[exp_id].coefficients
+        n, m = self.ORDERS[exp_id]
+        assert np.abs(c - c.conj().swapaxes(-1, -2)).max() <= 1e-15
+        assert np.linalg.eigvalsh(c).min() >= -1e-15
+        want = [[math.comb(n, k) * math.comb(m, j) for j in range(m + 1)] for k in range(n + 1)]
+        assert np.abs(np.trace(c, axis1=-2, axis2=-1) - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("exp_id", range(1, 7))
+    def test_evaluated_state_matches_the_stepwise_oracle(self, exp_id):
+        # at the ends of [0, 1], where the weights meet 0**0, at underflowing
+        # noise and in between
+        program = _PROGRAMS[exp_id]
+        for p in (0.0, 1e-300, 0.05, 0.5, 1.0):
+            for q in (0.0, 1e-320, 0.02, 0.5, 1.0):
+                noise = NoiseSpec(depolarizing_p=p, readout_flip=q)
+                rho, _, labels = program_oracle(program.qubits, program.steps, noise)
+                assert tuple(labels) == program.ideal.labels
+                assert np.abs(_evaluate(program.coefficients, noise) - rho).max() < 1e-14
 
 
 class TestAgainstStepwiseOracle:
@@ -592,9 +644,9 @@ class TestAgainstStepwiseOracle:
         steps, got_labels = _laid_out(3, steps)
         for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
             rho, dims, labels = program_oracle(3, steps, noise)
-            got = _evolve(_zeros(3), steps, noise)
-            # the oracle keeps every subsystem in place; _evolve leaves each
-            # step's outputs in front
+            got = _stepped(_zeros(3), steps, noise)
+            # the oracle keeps every subsystem in place; the coefficients
+            # leave each step's outputs in front
             assert sorted(got_labels) == sorted(labels) and dims == [2] * len(labels)
             got, _ = linalg._in_order(got, tuple(dims), [got_labels.index(s) for s in labels])
             assert np.abs(got - rho).max() < 1e-14
@@ -620,7 +672,7 @@ class TestAgainstStepwiseOracle:
                   simulate._COPIES, simulate._PAULI_BASES, simulate._PAIR_BASES,
                   *simulate._READOUTS.values()]
         for program in _PROGRAMS.values():
-            arrays.append(program.ideal.matrix)
+            arrays += [program.ideal.matrix, program.coefficients]
             arrays += [step.kraus for step in program.steps]
             arrays += [step.ops for step in program.steps]
         before = [a.copy() for a in arrays]
@@ -654,7 +706,7 @@ class TestAgainstStepwiseOracle:
                                                     labels).matrix
                     kraus = _local_kraus(step, noise)
                     want = linalg._local_stack(rho, dims, kraus, positions).sum(axis=0)
-                    assert np.abs(_evolve(rho, (step,), noise) - want).max() < 1e-15
+                    assert np.abs(_stepped(rho, (step,), noise) - want).max() < 1e-15
                     labels = list(step.writes) + [labels[j] for j in rest]
                 assert tuple(labels) == program.ideal.labels
 
@@ -708,7 +760,7 @@ class TestAgainstStepwiseOracle:
         monkeypatch.setattr(simulate, "_local_operators",
                             counted("layout", linalg._local_operators))
         monkeypatch.setattr(CpMap, "_apply", counted("choi", CpMap._apply))
-        for name in ("_basis_probabilities", "_flipped", "_shot_counts"):
+        for name in ("_evaluate", "_basis_probabilities", "_flipped", "_shot_counts"):
             monkeypatch.setattr(simulate, name, counted(name, getattr(simulate, name)))
         for name in ("apply_local", "_local_stack", "_in_order", "CpMap"):
             assert not hasattr(simulate, name)
@@ -716,10 +768,10 @@ class TestAgainstStepwiseOracle:
             for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
                 calls.clear()
                 run_experiment(exp_id, shots=64, noise=noise)
-                # every step, the recovery and the final trace among them, is
-                # two matmuls on its stored operators, with no call and no
-                # layout; one validation makes the final state, and one pass
-                # reads the three tables from it, whose counts are checked as
-                # one array, so no table is validated on its own
-                assert calls == ["DensityOperator", "_basis_probabilities", "_flipped",
-                                 "_shot_counts"]
+                # no step runs and nothing is laid out: one evaluation of the
+                # program's coefficients gives the final state, one
+                # validation makes it a state, and one pass reads the three
+                # tables from it, whose counts are checked as one array, so
+                # no table is validated on its own
+                assert calls == ["_evaluate", "DensityOperator", "_basis_probabilities",
+                                 "_flipped", "_shot_counts"]
