@@ -41,12 +41,12 @@ contraction of the weights and the stack, :func:`_evaluate`.
 polynomial, validates the one final state and reads every shot table from
 it in one pass: every outcome distribution of every basis by one matmul of
 a readout matrix with vec(rho), the readout flips on the bit axes of every
-row at once, and one multinomial call that draws the rows in order.  The drawn counts are
-checked as one array, non-negative integers with every row summing to the
-shots, which is what :class:`ShotTable` checks of one table, so the three
-tables are built from the checked rows with no further check.  Shots are
-sampled from the exact final distribution; there is no per-shot
-re-execution.
+row at once, and one multinomial call that draws the rows in order.  The
+drawn counts are checked as one array, non-negative integers with every
+row summing to the shots, which is what :class:`ShotTable` checks of one
+table, so the three tables are built from the checked rows with no further
+check.  Shots are sampled from the exact final distribution; there is no
+per-shot re-execution.
 
 Only the protocol's fixed data are built at import: the gates times their
 Pauli products, the trace operators, each step's laid-out operators, each
@@ -56,8 +56,8 @@ constructor.  The programs are module constants that no caller builds, so
 their steps are laid out and not checked: the tests pin each one's data,
 every step trace-preserving, so every gate unitary, and the last step
 ending on the ideal state's subsystems, and each coefficient positive with
-its binomial trace.  Every shared array is read-only.  A run
-computes its Bernstein weights and keeps nothing.
+its binomial trace.  Every shared array is read-only.  A run computes its
+Bernstein weights and keeps nothing.
 
 Noise model: symmetric depolarizing with strength ``depolarizing_p`` on
 every qubit a gate touches, plus a classical bit flip with probability
@@ -205,7 +205,7 @@ class _Step(NamedTuple):
     ``noise`` weights it: "depolarizing" on each qubit of a gate, whose
     first operator is the gate itself; "readout" on a measurement's copy,
     then its flipped copy; or None.  ``ops`` is the stack on the whole
-    state, laid out by :func:`_laid_out`, which :func:`_coefficients` runs
+    state, laid out by :func:`_laid_out`; :func:`_coefficients` applies it
     once per program, at import.  Nothing checks a step: the six programs
     are constants, and the tests pin their data."""
 
@@ -293,9 +293,8 @@ def _coefficients(rho: np.ndarray, steps) -> np.ndarray:
         d_out = step.ops.shape[1]
         out = np.zeros((n + 1, m + 1, d_out, d_out), dtype=complex)
         for dk, dj, ops in _branches(step):
-            ops = ops[:, None, None]
-            out[dk:, dj:] += (ops @ c[: n + 1 - dk, : m + 1 - dj]
-                              @ ops.conj().swapaxes(-1, -2)).sum(0)
+            for op in ops:
+                out[dk:, dj:] += op @ c[: n + 1 - dk, : m + 1 - dj] @ op.conj().T
         c = out
     return c
 
