@@ -125,16 +125,19 @@ def cmd_examples(args) -> int:
 def cmd_check(args) -> int:
     try:
         rho, x_pvm, z_pvm = load_scenario(args.scenario)
-        report = check_bipartite(rho, x_pvm, z_pvm)
     except json.JSONDecodeError as exc:
         sys.stderr.write(
             f"error: cannot parse scenario: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})\n"
         )
         return EXIT_PARSE
-    except OSError as exc:
+    except RecursionError as exc:  # nested deeper than the parser recurses
+        sys.stderr.write(f"error: cannot parse scenario: {exc}\n")
+        return EXIT_PARSE
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: cannot read scenario: {exc}\n")
         return EXIT_PARSE
+    report = check_bipartite(rho, x_pvm, z_pvm)
     d = report.to_dict()
     payload = {"command": "check", "scenario": str(args.scenario), "report": d}
     return (_render(args, "check", payload, _key_values(d), report.table() + "\n")

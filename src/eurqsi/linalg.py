@@ -4,15 +4,14 @@ Everything here works on plain ``numpy`` complex matrices.  Subsystem
 ordering is fixed package-wide: subsystem 0 is the slowest-varying tensor
 factor, i.e. ``tensor(a, b)`` puts ``a`` on subsystem 0.
 
-Three kernels are the only code in the package that lays a matrix out on
+Two kernels are the only code in the package that lays a matrix out on
 its subsystem axes.  :func:`_in_order` traces out the subsystems not listed
 and puts the kept ones in the order listed; :func:`_local_stack` applies a
 stack of operators to the listed subsystems and returns the unsummed
-stack, those subsystems first; :func:`_local_operators` writes that stack
-out as operators on the whole space, for a layout that is fixed in
-advance.  :func:`partial_trace` and :func:`apply_local` are the checked
-public forms of the first two, and every reduction, reordering,
-measurement compression and Kraus step elsewhere calls one of the three.
+stack, those subsystems first.  :func:`partial_trace` and
+:func:`apply_local` are their checked public forms, and every reduction
+and reordering elsewhere calls the first, every Kraus set (a measurement,
+a measurement compression, a circuit step) the second.
 
 Every support and negativity decision on a spectrum is made here, once:
 :func:`_on_support` is the one support cutoff (an eigenvalue above
@@ -262,31 +261,6 @@ def _local_stack(m: np.ndarray, dims, ops: np.ndarray, positions) -> np.ndarray:
     t = (ops.reshape(k * d_out, d_in) @ t).reshape(k, d_out * r * r, d_in)
     t = (t @ ops.conj().transpose(0, 2, 1)).reshape(k, d_out, r, r, d_out)
     return t.transpose(0, 1, 2, 4, 3).reshape(k, d_out * r, d_out * r)
-
-
-def _local_operators(dims, ops: np.ndarray, positions) -> np.ndarray:
-    """The ``(k, d_out r, d)`` operators ``O_k`` on the whole space of
-    ``dims`` with ``O_k m O_k^dag`` the k-th matrix of
-    :func:`_local_stack` of ``m``: ``K_k (x) I`` after the permutation that
-    brings ``positions`` to the front; nothing is checked.
-
-    Each entry of ``O_k`` is an entry of ``K_k`` or zero, exactly.
-    """
-    n = len(dims)
-    k, d_out, d_in = ops.shape
-    rest = [i for i in range(n) if i not in positions]
-    d = math.prod(dims)
-    perm = np.eye(d).reshape(tuple(dims) + (d,)).transpose(list(positions) + rest + [n])
-    return (ops.reshape(k * d_out, d_in) @ perm.reshape(d_in, -1)).reshape(k, -1, d)
-
-
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The ``(n s, n s)`` matrix with the ``(n, s, s)`` stack ``blocks`` on
-    its diagonal."""
-    n, s = blocks.shape[:2]
-    out = np.zeros((n, s, n, s), dtype=complex)
-    out[np.arange(n), :, np.arange(n), :] = blocks
-    return out.reshape(n * s, n * s)
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:

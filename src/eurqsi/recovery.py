@@ -21,8 +21,9 @@ The measurement-reversal map R is the rotated Petz recovery of the X
 measurement N = M_X (x) id relative to the Z-pinched state tau, both with
 the measured subsystem first.  :func:`eur_recovery_map` puts it first with
 :func:`~eurqsi.states._measured_first`, builds N from the PVM's Kraus
-operators (:func:`~eurqsi.linalg._local_operators`) and tau by pinching,
-and runs :func:`_petz` with one more Choi term: the completion
+operators as ``K_x (x) I`` and tau by pinching with
+:func:`~eurqsi.linalg._local_stack`, and runs :func:`_petz` with one more
+Choi term: the completion
 ``(I - P)^T (x) tau / Tr tau``, P the projector onto supp(N(tau)), which
 sends the inputs R is not defined on to tau and makes the channel
 trace-preserving everywhere.  The
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_dimensions, _local_operators, _local_stack, _sinhc, as_matrix, dagger,
-                     eigenvalue_below, is_hermitian, support_eig)
+from .linalg import (_dimensions, _local_stack, _sinhc, as_matrix, dagger, eigenvalue_below,
+                     is_hermitian, support_eig)
 from .states import DensityOperator, Pvm, _measured_first
 
 CHOI_TOL = 1e-8
@@ -266,7 +267,7 @@ def eur_recovery_map(
     """
     m, dims, labels = _measured_first(rho_ab, measured, x_pvm, z_pvm, "eur_recovery_map needs")
     # N and tau = sum_z (Q_z (x) I) rho (Q_z (x) I), both laid out (measured, rest)
-    channel = CpMap.from_kraus(_local_operators(dims, x_pvm.kraus, [0]), dims,
+    channel = CpMap.from_kraus(np.kron(x_pvm.kraus, np.eye(math.prod(dims[1:]))), dims,
                                (len(x_pvm),) + dims[1:], in_labels=labels,
                                out_labels=(register_label,) + labels[1:])
     tau = _local_stack(m, dims, np.stack(z_pvm.projectors), [0]).sum(axis=0)

@@ -24,7 +24,7 @@ kernel compresses A of G to Z's ranges and contracts B, which gives the
 stack of the Z-measured AE marginal, so neither the pure state on ABE nor
 its AE marginal is formed as a matrix.  The kernel constructs no state and
 no map.  Every entropy it takes is that of a classical-quantum state, held
-as the stack of its blocks that :func:`~eurqsi.states._measured` returns:
+as the stack of its blocks that :func:`~eurqsi.states._range_traced` returns:
 rho_B and rho_E are the sums of those blocks.  rho_AB is compressed to each
 range of X and of Z in one call (:func:`~eurqsi.states._compressed`), and
 the X and Z stacks are those blocks traced over the range slots.  One
@@ -201,7 +201,7 @@ def _reversibility(
     vectors x_k of outcome x, so that ``G[x, j, j', a, a'] = sum_k
     conj(h[x, j, k, a]) h[x, j', k, a']`` is the whole weighted Gram factor.
     sigma_XB is the direct sum of its blocks sigma_x, the stack ``sigma_x``
-    that :func:`~eurqsi.states._measured` returns, so
+    that :func:`~eurqsi.states._range_traced` returns, so
 
         R(sigma)_aa' = sum_x sum_jj' (G o sinhc)[x, j, j', a, a'] M_x[j, j']
 

@@ -32,7 +32,11 @@ def decode_matrix(data) -> np.ndarray:
 
 def _decode_entry(entry) -> complex:
     if type(entry) is list and len(entry) == 2 and {type(v) for v in entry} <= {int, float}:
-        return complex(entry[0], entry[1])
+        try:
+            return complex(entry[0], entry[1])
+        except OverflowError:  # an int that no float holds
+            raise InvalidStateError(f"malformed complex matrix: entry {entry!r} is not [re, im] "
+                                    "within the float range") from None
     raise InvalidStateError(f"malformed complex matrix: entry {entry!r} is not [re, im]")
 
 
@@ -78,7 +82,7 @@ def save_scenario(path, rho: DensityOperator, x_pvm: Pvm, z_pvm: Pvm) -> None:
 
 
 def load_scenario(path) -> tuple[DensityOperator, Pvm, Pvm]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InvalidStateError("scenario file must contain a JSON object")

@@ -16,13 +16,12 @@ register alone or r3 on the register and B, and the last step traces out
 every subsystem the ideal state lacks with the bras ``<k|``; neither is
 weighted by noise.
 
-Every subsystem a program holds is a qubit, and where each one sits before
-each step is fixed by the program, so the layout is done once, when the
-program is built, by :func:`_laid_out`.  Each step stores its Kraus set as
-operators on the whole state (:func:`~eurqsi.linalg._local_operators`),
-which also bring the subsystems it writes to the front, as
-:func:`~eurqsi.linalg._local_stack` does, and no label is tracked: the
-last step leaves the ideal state's subsystems in its order.
+Every subsystem a program holds is a qubit.  Each step stores only its
+Kraus set on its own subsystems; :func:`_coefficients` tracks the labels,
+finds where the subsystems a step reads sit, and applies the set there
+with :func:`~eurqsi.linalg._local_stack`, which brings the subsystems it
+writes to the front.  The last step leaves the ideal state's subsystems in
+its order.
 
 The steps run once, at import, and never in a run.  A program whose gates
 touch n qubits and which records m readout bits ends at depolarizing p and
@@ -32,10 +31,10 @@ readout flip q in the state
 coefficient stack ``C`` by running every step on all of it at once, from
 ``C[0, 0] = |0...0><0...0|``: each noise branch of a step, the gate alone
 or the gate with its qubits depolarized, the copy or the flipped copy,
-applies its Kraus stack as ``(ops @ C @ ops^dag).sum(0)`` and raises the
-power of p or q it carries; the recovery and the final trace act on every
-coefficient.  A run evaluates the polynomial at its (p, q) with one
-contraction of the weights and the stack, :func:`_evaluate`.
+applies its Kraus stack to each coefficient and raises the power of p or
+q it carries; the recovery and the final trace act on every coefficient.
+A run evaluates the polynomial at its (p, q) with one contraction of the
+weights and the stack, :func:`_evaluate`.
 
 :func:`run_experiment` checks its arguments before it evaluates the
 polynomial, validates the one final state and reads every shot table from
@@ -49,15 +48,14 @@ check.  Shots are sampled from the exact final distribution; there is no
 per-shot re-execution.
 
 Only the protocol's fixed data are built at import: the gates times their
-Pauli products, the trace operators, each step's laid-out operators, each
-program's coefficient stack, the readout matrix of each register width,
-and the ideal states and Bloch vectors, the states through the validating
-constructor.  The programs are module constants that no caller builds, so
-their steps are laid out and not checked: the tests pin each one's data,
-every step trace-preserving, so every gate unitary, and the last step
-ending on the ideal state's subsystems, and each coefficient positive with
-its binomial trace.  Every shared array is read-only.  A run computes its
-Bernstein weights and keeps nothing.
+Pauli products, the trace operators, each program's coefficient stack,
+the readout matrix of each register width, and the ideal states and Bloch
+vectors, the states through the validating constructor.  The programs are
+module constants that no caller builds, so their steps are not checked:
+the tests pin each one's data, every step trace-preserving, so every gate
+unitary, and the last step ending on the ideal state's subsystems, and
+each coefficient positive with its binomial trace.  Every shared array is
+read-only.  A run computes its Bernstein weights and keeps nothing.
 
 Noise model: symmetric depolarizing with strength ``depolarizing_p`` on
 every qubit a gate touches, plus a classical bit flip with probability
@@ -73,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gallery import _R1_KRAUS, _R3_KRAUS
-from .linalg import _frozen, _integer_argument, _integers, _local_operators
+from .linalg import _frozen, _integer_argument, _integers, _local_stack
 from .states import (
     DensityOperator,
     KET_0,
@@ -204,24 +202,22 @@ class _Step(NamedTuple):
     stack, from the subsystems ``reads`` to the new ones ``writes``.
     ``noise`` weights it: "depolarizing" on each qubit of a gate, whose
     first operator is the gate itself; "readout" on a measurement's copy,
-    then its flipped copy; or None.  ``ops`` is the stack on the whole
-    state, laid out by :func:`_laid_out`; :func:`_coefficients` applies it
-    once per program, at import.  Nothing checks a step: the six programs
-    are constants, and the tests pin their data."""
+    then its flipped copy; or None.  :func:`_coefficients` applies it once
+    per program, at import.  Nothing checks a step: the six programs are
+    constants, and the tests pin their data."""
 
     reads: tuple[str, ...]
     writes: tuple[str, ...]
     kraus: np.ndarray
     noise: str | None = None
-    ops: np.ndarray | None = None
 
 
 class _Program(NamedTuple):
-    """One experiment: ``qubits`` qubits in |0...0>, its laid-out steps,
-    the read-only Bernstein coefficients of the state they end in, which
-    a run evaluates at its noise (:func:`_coefficients`), and the ideal
-    state of the recovered subsystems, which the steps end on, with its
-    Bloch vector (1-4)."""
+    """One experiment: ``qubits`` qubits in |0...0>, its steps, the
+    read-only Bernstein coefficients of the state they end in, which a run
+    evaluates at its noise (:func:`_coefficients`), and the ideal state of
+    the recovered subsystems, which the steps end on, with its Bloch
+    vector (1-4)."""
 
     qubits: int
     steps: tuple
@@ -246,8 +242,8 @@ def _discard(*subsystems: str) -> _Step:
 
 
 def _branches(step: _Step):
-    """The noise branches of the laid-out ``step``: ``(dk, dj, ops)``, the
-    powers of p and of q that the Kraus stack ``ops`` raises.
+    """The noise branches of ``step``: ``(dk, dj, ops)``, the powers of p
+    and of q that the Kraus stack ``ops`` raises.
 
     A gate on r qubits has one branch per set of qubits it depolarizes,
     the first qubit's Pauli index slowest in its stored stack: the Pauli
@@ -256,47 +252,53 @@ def _branches(step: _Step):
     is trace-preserving.  A measurement's copy and its flipped copy are
     each a branch; any other step is one branch, applied as it is.
     """
-    ops = step.ops
+    kraus = step.kraus
     if step.noise == "depolarizing":
         r = len(step.reads)
-        paulis = ops.reshape((4,) * r + ops.shape[1:])
+        paulis = kraus.reshape((4,) * r + kraus.shape[1:])
         for noisy in np.ndindex((2,) * r):
             k = sum(noisy)
             kept = paulis[tuple(slice(None) if n else 0 for n in noisy)]
-            yield k, 0, 0.5 ** k * kept.reshape((-1,) + ops.shape[1:])
+            yield k, 0, 0.5 ** k * kept.reshape((-1,) + kraus.shape[1:])
     elif step.noise == "readout":
-        yield 0, 0, ops[:2]
-        yield 0, 1, ops[2:]
+        yield 0, 0, kraus[:2]
+        yield 0, 1, kraus[2:]
     else:
-        yield 0, 0, ops
+        yield 0, 0, kraus
 
 
-def _coefficients(rho: np.ndarray, steps) -> np.ndarray:
-    """The Bernstein coefficients ``C[k, j]`` of the state the laid-out
-    ``steps`` make of ``rho``, laid out as the first step expects.
+def _coefficients(rho: np.ndarray, labels, steps) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The Bernstein coefficients ``C[k, j]`` of the state ``steps`` make
+    of ``rho`` on the qubits ``labels``, and the labels of that state.
 
     With n the qubits the gates touch and m the measurements, the final
     state at depolarizing p and readout flip q is
     ``sum_kj (1-p)**(n-k) p**k (1-q)**(m-j) q**j C[k, j]``, which
     :func:`_evaluate` computes.  Every step runs once on the whole
     ``(n+1, m+1, d, d)`` stack from ``C[0, 0] = rho``: each branch of
-    :func:`_branches` applies its Kraus stack, ``(ops @ C @ ops^dag)``
-    summed over the operators, to every coefficient and moves the result
-    up by the powers of p and q it raises.  Each C[k, j] is positive and
-    of trace ``binom(n, k) binom(m, j) Tr rho``.
+    :func:`_branches` applies its Kraus stack to every coefficient that is
+    not still exactly zero, by :func:`~eurqsi.linalg._local_stack` summed
+    over the operators, and moves the result up by the powers of p and q it
+    raises.  Each step leaves the subsystems it writes in front and the
+    rest in their order.  Each C[k, j] is positive and of trace
+    ``binom(n, k) binom(m, j) Tr rho``.
     """
     n = sum(len(step.reads) for step in steps if step.noise == "depolarizing")
     m = sum(step.noise == "readout" for step in steps)
     c = np.zeros((n + 1, m + 1) + rho.shape, dtype=complex)
     c[0, 0] = rho
+    labels = list(labels)
     for step in steps:
-        d_out = step.ops.shape[1]
-        out = np.zeros((n + 1, m + 1, d_out, d_out), dtype=complex)
+        dims = (2,) * len(labels)
+        positions = [labels.index(s) for s in step.reads]
+        labels = list(step.writes) + [s for s in labels if s not in step.reads]
+        out = np.zeros((n + 1, m + 1) + (2 ** len(labels),) * 2, dtype=complex)
+        reached = [kj for kj in np.ndindex(n + 1, m + 1) if c[kj].any()]
         for dk, dj, ops in _branches(step):
-            for op in ops:
-                out[dk:, dj:] += op @ c[: n + 1 - dk, : m + 1 - dj] @ op.conj().T
+            for k, j in reached:
+                out[k + dk, j + dj] += _local_stack(c[k, j], dims, ops, positions).sum(0)
         c = out
-    return c
+    return c, tuple(labels)
 
 
 def _bernstein(x: float, n: int) -> np.ndarray:
@@ -312,25 +314,6 @@ def _evaluate(coefficients: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     weights = np.outer(_bernstein(noise.depolarizing_p, rows - 1),
                        _bernstein(noise.readout_flip, cols - 1))
     return (weights.reshape(-1) @ coefficients.reshape(rows * cols, -1)).reshape(d, d)
-
-
-def _laid_out(qubits: int, steps: tuple) -> tuple[tuple, tuple[str, ...]]:
-    """``steps`` laid out for :func:`_coefficients` from qubits ``q0``,
-    ``q1``, ..., and the labels of the final matrix.
-
-    Each step leaves the subsystems it writes in front and the rest in
-    their order, and gets its stack as read-only operators on the whole
-    state before it.  A program is laid out when it is built, so a run
-    lays out no step.
-    """
-    labels = [f"q{i}" for i in range(qubits)]
-    laid_out = []
-    for step in steps:
-        positions = [labels.index(s) for s in step.reads]
-        ops = _local_operators((2,) * len(labels), step.kraus, positions)
-        laid_out.append(step._replace(ops=_frozen(ops)))
-        labels = list(step.writes) + [s for s in labels if s not in step.reads]
-    return tuple(laid_out), tuple(labels)
 
 
 def _flipped(probs: np.ndarray, q: float) -> np.ndarray:
@@ -424,8 +407,8 @@ def _basis_probabilities(rho: np.ndarray, readout: np.ndarray) -> np.ndarray:
 
 
 def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
-    """An experiment with its steps laid out and run from |0...0> into its
-    coefficient stack, and its ideal state on ``Ap`` (and ``B``), the
+    """An experiment with its steps run from |0...0> on ``q0``, ``q1``, ...
+    into its coefficient stack, and its ideal state on ``Ap`` (and ``B``), the
     subsystems the steps end on, validated, once, here, and read-only; one
     recovered qubit gets its Bloch vector."""
     state = DensityOperator(ideal, (2,) * qubits, ("Ap", "B")[:qubits])
@@ -433,10 +416,10 @@ def _program(qubits: int, steps: tuple, ideal: np.ndarray) -> _Program:
     bloch = None
     if qubits == 1:
         bloch = tuple(float(np.trace(p @ state.matrix).real) for p in _PAULIS[1:])
-    steps, _ = _laid_out(qubits, steps)
     zeros = np.zeros((2 ** qubits,) * 2, dtype=complex)
     zeros[0, 0] = 1.0
-    return _Program(qubits, steps, _frozen(_coefficients(zeros, steps)), state, bloch)
+    coefficients, _ = _coefficients(zeros, [f"q{i}" for i in range(qubits)], steps)
+    return _Program(qubits, steps, _frozen(coefficients), state, bloch)
 
 
 def _programs() -> dict[int, _Program]:

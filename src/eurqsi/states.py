@@ -6,15 +6,16 @@ classical register, stored as one more subsystem of a block-diagonal
 density operator, so the entropy code treats classical registers like any
 other subsystem.  A :class:`Pvm` holds one orthonormal basis of the
 measured space, each vector in the range of one projector, kept in one
-form only, its range stack, and every measurement is computed from it:
-``_compressed``, the operator-stack kernel
-:func:`~eurqsi.linalg._local_stack` with the range isometries of one or
-more PVMs, gives the state compressed to each range, and ``_measured``
-traces those blocks to the stack of the diagonal blocks, which
-:func:`measure` places on the diagonal and the checks use as they are.
-Reductions and reorderings of a state are
-:func:`~eurqsi.linalg._in_order`; no code here reshapes a matrix into
-subsystem axes.
+form only, its range stack, and every measurement is computed from it by
+the operator-stack kernel :func:`~eurqsi.linalg._local_stack`.
+:func:`measure` applies the PVM's measurement Kraus operators
+:attr:`Pvm.kraus`, read off the range stack, and sums the stack.  For the
+checks, ``_compressed`` applies the range isometries of one or more PVMs,
+which gives the state compressed to each range, and ``_range_traced``
+traces those blocks to the stack of the diagonal blocks of the measured
+state, which the checks use as they are.  Reductions and reorderings of a
+state are :func:`~eurqsi.linalg._in_order`; no code here reshapes a matrix
+into subsystem axes.
 
 Validation happens at the boundary: :class:`DensityOperator` and
 :class:`Pvm` check their invariants once, when they are constructed, and
@@ -35,9 +36,10 @@ checked again.  Each input keeps
 the form it was validated in, for the checks to read: a pure state made
 from its vector keeps the unit vector (and :meth:`DensityOperator.permute`
 carries it), and a PVM sets its range stack when it is made.  Each public
-operation that the checks in :mod:`eurqsi.relations` need wraps an array
-kernel (``_measured``, ``_purifying_vector``); the checks call the kernels
-on arrays derived from an input they validated once.
+operation that the checks in :mod:`eurqsi.relations` need has an array
+kernel (``_compressed`` and ``_range_traced``, ``_purifying_vector``); the
+checks call the kernels on arrays derived from an input they validated
+once.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import numpy as np
 from .linalg import (
     HERM_TOL,
     _NEG_TOL,
-    _block_diagonal,
     _check_state_matrix,
     _dimensions,
     _in_order,
@@ -352,10 +353,12 @@ def measure(
 
     The measured subsystem is consumed.  The result is block diagonal with
     the register as subsystem 0 and the other subsystems in their original
-    order; block ``x`` is ``Tr_measured{(P_x (x) I) rho}`` (:func:`_measured`).
+    order; block ``x`` is ``Tr_measured{(P_x (x) I) rho}``.  It is the
+    PVM's measurement Kraus set :attr:`Pvm.kraus` applied by
+    :func:`~eurqsi.linalg._local_stack` and summed.
     """
     pos = _measured_position(rho, measured, pvm)
-    m = _block_diagonal(_measured(rho.matrix, rho.dims, pvm, pos))
+    m = _local_stack(rho.matrix, rho.dims, pvm.kraus, [pos]).sum(axis=0)
     dims = (len(pvm),) + rho.dims[:pos] + rho.dims[pos + 1:]
     labels = (register_label,) + rho.labels[:pos] + rho.labels[pos + 1:]
     return DensityOperator(m, dims, labels)
@@ -388,19 +391,11 @@ def _measured_first(rho: DensityOperator, label: str, x_pvm: Pvm, z_pvm: Pvm, ne
     return (*_in_order(rho.matrix, rho.dims, order), labels)
 
 
-def _measured(m: np.ndarray, dims, pvm: Pvm, pos: int) -> np.ndarray:
-    """The blocks behind :func:`measure`: the ``(outcomes, r, r)`` stack of
-    ``Tr_pos[(P_x (x) I) m]``, the other subsystems in their original order.
-
-    Each is block x of :func:`_compressed` traced over its range slots; for
-    a rank-one PVM the two stacks are equal.
-    """
-    return _range_traced(_compressed(m, dims, [pvm], pos), pvm._ranges.shape[1])
-
-
 def _range_traced(blocks: np.ndarray, slots: int) -> np.ndarray:
-    """The stack of :func:`_measured` from a stack of :func:`_compressed`
-    with ``slots`` range slots: each block traced over its slots."""
+    """The stack of ``Tr_pos[(P_x (x) I) m]`` over the outcomes of each
+    PVM, the diagonal blocks of the measured state, from a stack of
+    :func:`_compressed` with ``slots`` range slots: each block traced over
+    its slots.  With one slot the two stacks are equal."""
     if slots == 1:  # one slot: each block is its own trace
         return blocks
     n, s = blocks.shape[0], blocks.shape[1] // slots

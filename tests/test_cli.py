@@ -94,12 +94,18 @@ class TestCheckCommand:
         assert abs(payload["report"]["slack_refined"]) < 1e-6
         assert abs(payload["report"]["f"] - 0.5) < 1e-6
 
-    def test_malformed_json_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, message", [
+        (b'{"dims": [2, 2], "state": [[', "cannot parse scenario: Expecting value (line 1, column"),
+        (b"[" * 100_000, "cannot parse scenario: maximum recursion depth exceeded"),
+        ('{"dims": [2, 2]}'.encode("utf-16"), "cannot read scenario: 'utf-8' codec"),
+    ], ids=["truncated", "nested 100000 deep", "not UTF-8"])
+    def test_malformed_json_exit_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "broken.json"
-        path.write_text('{"dims": [2, 2], "state": [[')
+        path.write_bytes(content)
         assert main(["check", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "line" in err and "column" in err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_missing_file_exit_2(self):
         assert main(["check", "--scenario", "/nonexistent/s.json"]) == 2
@@ -126,9 +132,10 @@ class TestCheckCommand:
         assert main(["check", "--scenario", str(path)]) == 3
         assert f"scenario {key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [{"re": 1}, [1, 0, 0], [1], "1", [True, 0], 1.0],
+    @pytest.mark.parametrize("entry", [{"re": 1}, [1, 0, 0], [1], "1", [True, 0], 1.0,
+                                       [10**400, 0]],
                              ids=["object", "three numbers", "one number", "string",
-                                  "bool", "bare number"])
+                                  "bool", "bare number", "beyond the float range"])
     def test_entry_that_is_not_a_pair_of_numbers_exits_3(self, tmp_path, capsys,
                                                          max_uncertainty_scenario, entry):
         data = json.loads(Path(max_uncertainty_scenario).read_text())
@@ -136,7 +143,8 @@ class TestCheckCommand:
         path = tmp_path / "entry.json"
         path.write_text(json.dumps(data))
         assert main(["check", "--scenario", str(path)]) == 3
-        assert "is not [re, im]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "is not [re, im]" in err and err.count("\n") == 1 and "Traceback" not in err
 
     def test_csv_projection(self, capsys, max_uncertainty_scenario):
         assert main(["check", "--scenario", max_uncertainty_scenario,

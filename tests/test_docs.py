@@ -3,7 +3,9 @@ every code reference in the docstrings and the README names something that
 exists."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -93,6 +95,33 @@ def test_every_docstring_role_resolves():
             if all(_lookup(base, name) is None for base, name in tries):
                 stale.append(f"{module.__name__}: {target}")
     assert seen and stale == []
+
+
+def _package_names(modules):
+    """Every attribute of a package module and of a class defined in the
+    package, dataclass and NamedTuple fields included."""
+    names = set()
+    for module in modules.values():
+        names.update(dir(module))
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__.startswith("eurqsi"):
+                names.update(dir(cls))
+                if dataclasses.is_dataclass(cls):
+                    names.update(f.name for f in dataclasses.fields(cls))
+    return names
+
+
+def test_every_bare_private_name_exists():
+    # `_name` in the README and ``_name`` in a docstring name no module or
+    # class, so neither the role test nor the dotted-reference test sees them
+    modules = _modules()
+    refs = re.findall(r"`(_\w+)`", (ROOT / "README.md").read_text())
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                refs += re.findall(r"``(_\w+)``", ast.get_docstring(node) or "")
+    assert refs
+    assert sorted(set(refs) - _package_names(modules)) == []
 
 
 def test_every_dotted_readme_reference_resolves():

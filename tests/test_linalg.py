@@ -8,7 +8,6 @@ import scipy.linalg
 from eurqsi.linalg import (
     EPS_SUPP,
     _FIDELITY_GUARD,
-    _block_diagonal,
     _check_psd,
     _fidelity,
     _in_order,
@@ -123,11 +122,6 @@ def test_local_stack_against_dense_kronecker_oracle(dims, positions, d_out):
     got = _local_stack(m, dims, ops, positions)
     assert got.shape == (3,) + want[0].shape
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
-
-
-def test_block_diagonal_places_each_block():
-    blocks = _random_matrix(np.random.default_rng(19), 9, 3).reshape(3, 3, 3)
-    assert np.array_equal(_block_diagonal(blocks), scipy.linalg.block_diag(*blocks))
 
 
 @pytest.mark.parametrize("call, message", [

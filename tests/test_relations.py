@@ -20,7 +20,7 @@ from eurqsi.states import (
     KET_PLUS_Y,
     Pvm,
     _compressed,
-    _measured,
+    _range_traced,
     bell_phi,
     ket_bra,
     maximally_mixed,
@@ -421,8 +421,9 @@ def test_block_reversibility_matches_the_recovery_channel(case):
     sigma = measure(rho, xp, measured, "X")
     first = rho.permute([measured] + [s for s in rho.labels if s != measured])
     m, dims = first.matrix, first.dims
+    sigma_blocks = _range_traced(_compressed(m, dims, [xp], 0), xp._ranges.shape[1])
     got = relations._reversibility(np.linalg.eigh(_compressed(m, dims, [zp], 0)), xp, zp,
-                                   _measured(m, dims, xp, 0), support_eig(m))
+                                   sigma_blocks, support_eig(m))
     assert abs(got - _reversibility_nd_oracle(rho, xp, zp, sigma, measured)) <= 1e-12
 
 

@@ -23,7 +23,6 @@ from eurqsi.simulate import (
     _evaluate,
     _flipped,
     _gate,
-    _laid_out,
     _measure,
     _shot_counts,
     _Step,
@@ -51,6 +50,7 @@ from conftest import (
     basis_probabilities_oracle,
     experiment_oracle,
     flip_distribution,
+    permutation_matrix,
     program_oracle,
     sample_distribution,
 )
@@ -71,17 +71,14 @@ def _zeros(qubits):
     return rho
 
 
-def _stepped(rho, steps, noise):
-    """The laid-out ``steps`` run from ``rho`` at ``noise``: their
-    coefficients built from ``rho`` and evaluated at (p, q)."""
-    return _evaluate(_coefficients(rho, steps), noise)
-
-
-def _run(rho, steps, noise=NOISELESS):
-    """``steps`` laid out and run from ``rho`` on qubits q0, q1, ...: the
-    final matrix and its labels."""
-    steps, labels = _laid_out(rho.shape[0].bit_length() - 1, steps)
-    return _stepped(rho, steps, noise), labels
+def _run(rho, steps, noise=NOISELESS, labels=None):
+    """``steps`` run from ``rho`` on the qubits ``labels``, by default q0,
+    q1, ...: their coefficients built from ``rho`` and evaluated at (p, q),
+    and the labels of the final matrix."""
+    if labels is None:
+        labels = [f"q{i}" for i in range(rho.shape[0].bit_length() - 1)]
+    coefficients, labels = _coefficients(rho, labels, steps)
+    return _evaluate(coefficients, noise), labels
 
 
 class TestGates:
@@ -104,17 +101,22 @@ class TestGates:
                 assert abs(np.trace(out).real - 1.0) < 1e-12
 
     def test_noiseless_kraus_set_is_the_gate_alone(self):
-        # without noise a run applies the first stored operator, the gate
-        # laid out, and nothing else
+        # without noise a run applies the first stored operator, the gate,
+        # and nothing else: as a dense operator on the whole state, the gate
+        # on the qubits it reads after the permutation that brings them to
+        # the front, where the run leaves them
         rho = random_multipartite_state((2, 2), 4, 5, ("a", "b")).matrix
-        for gate, positions in ((_gate(GATES["h"], "q1"), [1]),
-                                (_gate(_controlled("x"), "q1", "q0"), [1, 0])):
-            (step,), _ = _laid_out(2, (gate,))
-            assert np.array_equal(step.ops[0],
-                                  linalg._local_operators((2, 2), gate.kraus[:1], positions)[0])
-            want = step.ops[0] @ rho @ step.ops[0].conj().T
-            assert np.abs(_stepped(rho, (step,), NOISELESS) - want).max() < 1e-15
-            noisy = _stepped(rho, (step,), NoiseSpec(depolarizing_p=1e-3))
+        for unitary, qubits, order in ((GATES["h"], ("q1",), [1, 0]),
+                                       (_controlled("x"), ("q1", "q0"), [1, 0])):
+            gate = _gate(unitary, *qubits)
+            assert np.array_equal(gate.kraus[0], unitary)
+            rest = np.eye(4 // len(unitary))
+            op = np.kron(unitary, rest) @ permutation_matrix((2, 2), order)
+            want = op @ rho @ op.conj().T
+            got, labels = _run(rho, (gate,))
+            assert labels == ("q1", "q0")
+            assert np.abs(got - want).max() < 1e-15
+            noisy, _ = _run(rho, (gate,), NoiseSpec(depolarizing_p=1e-3))
             assert np.abs(noisy - want).max() > 1e-6
         assert np.array_equal(_gate(GATES["s"], "q0").kraus[0], GATES["s"])
 
@@ -540,23 +542,23 @@ class TestRunCircuit:
     @pytest.mark.parametrize("exp_id", range(1, 7))
     def test_every_program_step_is_trace_preserving_and_ends_on_the_ideal_labels(self, exp_id):
         # the programs are constants that nothing checks when they are
-        # built, so their data are pinned here: each laid-out step's
-        # coefficients, evaluated as a run evaluates them, take the matrix
-        # unit E_ij of its input space to trace delta_ij, so its Kraus set
-        # is trace-preserving and each gate is unitary; and replaying the
-        # reads and writes from q0, q1, ... ends on the ideal state's labels
+        # built, so their data are pinned here: each step's coefficients,
+        # run on the subsystems it reads and evaluated as a run evaluates
+        # them, take the matrix unit E_ij of its input space to trace
+        # delta_ij, so its Kraus set is trace-preserving and each gate is
+        # unitary; and the steps run from q0, q1, ... end on the ideal
+        # state's labels
         program = _PROGRAMS[exp_id]
-        labels = [f"q{i}" for i in range(program.qubits)]
         for step in program.steps:
-            d = step.ops.shape[2]
+            d = 2 ** len(step.reads)
             units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-            coefficients = [_coefficients(e, (step,)) for e in units]
+            coefficients = [_coefficients(e, step.reads, (step,))[0] for e in units]
             for p, q in ((0, 0), (0.1, 0.02), (1, 0.5)):
                 noise = NoiseSpec(depolarizing_p=p, readout_flip=q)
                 traces = [np.trace(_evaluate(c, noise)) for c in coefficients]
                 assert np.abs(np.reshape(traces, (d, d)) - np.eye(d)).max() < 1e-12
-            labels = list(step.writes) + [s for s in labels if s not in step.reads]
-        assert tuple(labels) == program.ideal.labels
+        _, labels = _run(_zeros(program.qubits), program.steps)
+        assert labels == program.ideal.labels
 
 
 class TestAgainstTheChecker:
@@ -641,10 +643,9 @@ class TestAgainstStepwiseOracle:
             _Step(("M",), ("R",), _R1_KRAUS),
             _gate(GATES["s"], "q0"), _measure("q2", "N"), _discard("q1", "R"),
         )
-        steps, got_labels = _laid_out(3, steps)
         for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
             rho, dims, labels = program_oracle(3, steps, noise)
-            got = _stepped(_zeros(3), steps, noise)
+            got, got_labels = _run(_zeros(3), steps, noise)
             # the oracle keeps every subsystem in place; the coefficients
             # leave each step's outputs in front
             assert sorted(got_labels) == sorted(labels) and dims == [2] * len(labels)
@@ -674,7 +675,6 @@ class TestAgainstStepwiseOracle:
         for program in _PROGRAMS.values():
             arrays += [program.ideal.matrix, program.coefficients]
             arrays += [step.kraus for step in program.steps]
-            arrays += [step.ops for step in program.steps]
         before = [a.copy() for a in arrays]
         blochs = {e: program.bloch_ideal for e, program in _PROGRAMS.items()}
         for a in arrays:
@@ -689,10 +689,12 @@ class TestAgainstStepwiseOracle:
 
     @pytest.mark.parametrize("exp_id", range(1, 7))
     def test_stored_operators_match_the_local_stack(self, exp_id):
-        # each laid-out step, run on a random state, equals the operator-stack
-        # kernel applied to the step's own Kraus set at positions found from
-        # the labels, as a run applied it before the layout moved to import;
-        # the last step leaves the ideal state's subsystems in its order
+        # each step's stored Kraus set, run on a random state as its
+        # Bernstein coefficients and evaluated, equals the operator-stack
+        # kernel applied to that set weighted by the noise directly, at
+        # positions found from the labels; the step leaves its outputs in
+        # front, and the last one leaves the ideal state's subsystems in its
+        # order
         program = _PROGRAMS[exp_id]
         for p in (0.0, 0.05, 0.1, 0.2):
             for q in (0.0, 0.05):
@@ -706,8 +708,10 @@ class TestAgainstStepwiseOracle:
                                                     labels).matrix
                     kraus = _local_kraus(step, noise)
                     want = linalg._local_stack(rho, dims, kraus, positions).sum(axis=0)
-                    assert np.abs(_stepped(rho, (step,), noise) - want).max() < 1e-15
+                    got, got_labels = _run(rho, (step,), noise, labels)
+                    assert np.abs(got - want).max() < 1e-15
                     labels = list(step.writes) + [labels[j] for j in rest]
+                    assert got_labels == tuple(labels)
                 assert tuple(labels) == program.ideal.labels
 
     @pytest.mark.parametrize("qubits", [1, 2])
@@ -757,19 +761,18 @@ class TestAgainstStepwiseOracle:
 
         for cls in (CpMap, DensityOperator, Pvm, ShotTable):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-        monkeypatch.setattr(simulate, "_local_operators",
-                            counted("layout", linalg._local_operators))
+        monkeypatch.setattr(simulate, "_local_stack", counted("_local_stack", linalg._local_stack))
         monkeypatch.setattr(CpMap, "_apply", counted("choi", CpMap._apply))
         for name in ("_evaluate", "_basis_probabilities", "_flipped", "_shot_counts"):
             monkeypatch.setattr(simulate, name, counted(name, getattr(simulate, name)))
-        for name in ("apply_local", "_local_stack", "_in_order", "CpMap"):
+        for name in ("apply_local", "_in_order", "CpMap"):
             assert not hasattr(simulate, name)
         for exp_id in _PROGRAMS:
             for noise in (NOISELESS, NoiseSpec(depolarizing_p=0.1, readout_flip=0.05)):
                 calls.clear()
                 run_experiment(exp_id, shots=64, noise=noise)
-                # no step runs and nothing is laid out: one evaluation of the
-                # program's coefficients gives the final state, one
+                # no step runs, so no Kraus set is applied: one evaluation of
+                # the program's coefficients gives the final state, one
                 # validation makes it a state, and one pass reads the three
                 # tables from it, whose counts are checked as one array, so
                 # no table is validated on its own

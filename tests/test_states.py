@@ -30,7 +30,7 @@ from eurqsi.states import (
     PVM_TOL,
     Pvm,
     _compressed,
-    _measured,
+    _range_traced,
     bell_phi,
     incompatibility_c,
     ket_bra,
@@ -578,7 +578,9 @@ def test_block_stack_and_measure_match_the_oracle(case):
     rho, pos, pvm = case
     n, r = len(pvm), rho.dim // rho.dims[pos]
     want = measured_state_oracle(rho.matrix, rho.dims, pos, pvm)
-    blocks = _measured(rho.matrix, rho.dims, pvm, pos)
+    # the checks' own kernel: the compression to each range, traced over its slots
+    blocks = _range_traced(_compressed(rho.matrix, rho.dims, [pvm], pos),
+                           pvm._ranges.shape[1])
     assert blocks.shape == (n, r, r)
     assert np.abs(blocks - np.einsum("xbxc->xbc", want.reshape(n, r, n, r))).max() <= 1e-14
     sigma = measure(rho, pvm, rho.labels[pos], "X")
